@@ -23,13 +23,35 @@ graph                  ((u1, u2), (u3, w(u))) for a fixed trigonometric
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hypersurfaces import HypersurfaceChart
 from .jets import jcos, jsin
 from .product import ProductModel
+from .reports import ScenarioError
 
 DEFAULT_GRAPH_COEFFS = (0.25, 0.2, 0.15, 0.2, 0.1)
+
+
+def _number(x, name):
+    """A finite float chart parameter."""
+    try:
+        out = float(x)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"chart parameter {name!r} must be a number, got {x!r}") from None
+    if not math.isfinite(out):
+        raise ScenarioError(f"chart parameter {name!r} must be finite")
+    return out
+
+
+def _orientation(params, default):
+    o = params.get("orientation", default)
+    if isinstance(o, bool) or o not in (1, -1):
+        raise ScenarioError(f"orientation must be 1 or -1, got {o!r}")
+    return int(o)
 
 
 def _flat_hyperplane(params):
@@ -37,13 +59,13 @@ def _flat_hyperplane(params):
         kind="flat-hyperplane",
         map_fn=lambda x, y, z: (x, y, z, 0.0 * z),
         domain=np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]),
-        orientation=int(params.get("orientation", 1)),
+        orientation=_orientation(params, 1),
         params=dict(params),
     )
 
 
 def _round_sphere(params):
-    r = float(params.get("r", 1.0))
+    r = _number(params.get("r", 1.0), "r")
 
     def sphere_map(x, y, z):
         ca, sa = jcos(x), jsin(x)
@@ -55,7 +77,7 @@ def _round_sphere(params):
         kind="round-sphere",
         map_fn=sphere_map,
         domain=np.array([[0.25, 1.32], [0.0, 6.28], [0.0, 6.28]]),
-        orientation=int(params.get("orientation", -1)),
+        orientation=_orientation(params, -1),
         params=dict(params, r=r),
     )
 
@@ -65,26 +87,27 @@ def _slice_geodesic(params):
         kind="slice-geodesic",
         map_fn=lambda x, y, z: (x, y, z, 0.0 * z),
         domain=np.array([[-0.7, 0.7], [-0.7, 0.7], [-0.7, 0.7]]),
-        orientation=int(params.get("orientation", 1)),
+        orientation=_orientation(params, 1),
         params=dict(params),
     )
 
 
 def _sphere_circle_tube(params):
-    a = float(params.get("a", 0.5))
+    a = _number(params.get("a", 0.5), "a")
     return HypersurfaceChart(
         kind="sphere-circle-tube",
         map_fn=lambda x, y, z: (x, y, a * jcos(z), a * jsin(z)),
         domain=np.array([[-0.7, 0.7], [-0.7, 0.7], [0.0, 6.28]]),
-        orientation=int(params.get("orientation", 1)),
+        orientation=_orientation(params, 1),
         params=dict(params, a=a),
     )
 
 
 def _graph(params):
-    co = tuple(float(c) for c in params.get("coeffs", DEFAULT_GRAPH_COEFFS))
-    if len(co) != 5:
-        raise ValueError("graph expects 5 coefficients")
+    raw = params.get("coeffs", DEFAULT_GRAPH_COEFFS)
+    if not isinstance(raw, (list, tuple)) or len(raw) != 5:
+        raise ScenarioError(f"graph expects 5 coefficients, got {raw!r}")
+    co = tuple(_number(c, "coeffs") for c in raw)
 
     def graph_map(x, y, z):
         w = (co[0] * jsin(x) * jcos(y) + co[1] * z * z + co[2] * x * z
@@ -95,7 +118,7 @@ def _graph(params):
         kind="graph",
         map_fn=graph_map,
         domain=np.array([[-0.7, 0.7], [-0.7, 0.7], [-0.7, 0.7]]),
-        orientation=int(params.get("orientation", 1)),
+        orientation=_orientation(params, 1),
         params=dict(params, coeffs=co),
     )
 
@@ -110,9 +133,12 @@ CATALOG = {
 
 
 def build_chart(kind: str, params=None) -> HypersurfaceChart:
+    """The catalog chart ``kind``; ScenarioError on bad parameters."""
     if kind not in CATALOG:
         raise KeyError(f"unknown hypersurface kind {kind!r}; "
                        f"known: {sorted(CATALOG)}")
+    if params is not None and not isinstance(params, dict):
+        raise ScenarioError(f"chart parameters must be an object, got {params!r}")
     return CATALOG[kind](params or {})
 
 

@@ -8,9 +8,11 @@ kind:
              the tolerance (negative control)
     record   the quantity is measured and reported, never failed
 
-Point checks share one :class:`PointEvaluation` per sampled point and one
-restricted structure per (point, tag); ambient checks sample the product
-chart near the hypersurface image.  Per-check RNG streams are derived from
+Point checks share one batched :class:`PointEvaluation` of all sampled
+points, read whole or one point at a time, and one restricted structure per
+(point, tag); ambient checks sample the product chart near the hypersurface
+image.  Worst residuals are reduced so that a NaN at any point fails the
+check.  Per-check RNG streams are derived from
 the scenario seed and the check name, so reports are deterministic and
 independent of check selection order.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +55,15 @@ class ScenarioContext:
         return np.random.default_rng(
             (self.scenario.seed << 16) ^ zlib.crc32(name.encode()))
 
+    @cached_property
+    def batch(self) -> hyp.PointEvaluation:
+        """One evaluation of every sample point, built on first use so that
+        a bad point surfaces inside the first check that needs it."""
+        return hyp.evaluate(self.chart, self.product, self.points)
+
     def evaluation(self, i: int) -> hyp.PointEvaluation:
         if i not in self._evals:
-            self._evals[i] = hyp.evaluate(self.chart, self.product,
-                                          self.points[i])
+            self._evals[i] = self.batch.point(i)
         return self._evals[i]
 
     def restricted(self, i: int, tag: int) -> rst.RestrictedSpinc:
@@ -80,18 +88,33 @@ class CheckSpec:
     fn: object
 
 
+def _worst(residuals) -> float:
+    """Largest residual, 0.0 when there is none, NaN when any is NaN
+    (``max(0.0, nan)`` is 0.0, so a plain running max would lose it)."""
+    arr = np.asarray(list(residuals), dtype=float)
+    return float(np.max(arr)) if arr.size else 0.0
+
+
+def _record(worst, points, **fields):
+    return CheckRecord("", "", worst, 0.0, "", points_evaluated=points,
+                       **fields)
+
+
 def _max_over_points(ctx, per_point):
-    worst = 0.0
-    for i in range(len(ctx.points)):
-        worst = max(worst, per_point(i))
-    return CheckRecord("", "", worst, 0.0, "", points_evaluated=len(ctx.points))
+    n = len(ctx.points)
+    return _record(_worst(per_point(i) for i in range(n)), n)
+
+
+def _max_over_batch(ctx, residuals):
+    """Record of a residual evaluated on the whole batch at once."""
+    return _record(_worst(np.ravel(residuals(ctx.batch))), len(ctx.points))
 
 
 # --- ambient / product-model checks -----------------------------------------
 
 def check_ambient_parallel(ctx):
     rng = ctx.rng_for("ambient.parallel_spinor")
-    worst = 0.0
+    res = []
     n = min(20, len(ctx.points))
     ts = np.linspace(-0.5, 0.5, 7)
     for i in range(n):
@@ -100,29 +123,27 @@ def check_ambient_parallel(ctx):
         acc = 0.1 * rng.standard_normal(4)
         for tag in (1, 2):
             st = structure(tag, ctx.scenario.structure_pairing)
-            worst = max(worst, ctx.product.parallel_residual_on_curve(
+            res.append(ctx.product.parallel_residual_on_curve(
                 st, p0, vel, acc, ts))
-    return CheckRecord("", "", worst, 0.0, "", points_evaluated=n)
+    return _record(_worst(res), n)
 
 
 def check_ambient_auxiliary(ctx):
-    worst = 0.0
     n = min(12, len(ctx.points))
-    for i in range(n):
-        p = ctx.evaluation(i).position
-        for tag in (1, 2):
-            st = structure(tag, ctx.scenario.structure_pairing)
-            worst = max(worst, ctx.product.auxiliary_curvature_residual(p, st))
-    return CheckRecord("", "", worst, 0.0, "", points_evaluated=n)
+    return _record(_worst(
+        ctx.product.auxiliary_curvature_residual(
+            ctx.evaluation(i).position,
+            structure(tag, ctx.scenario.structure_pairing))
+        for i in range(n) for tag in (1, 2)), n)
 
 
 def check_ambient_product_structure(ctx):
     """F involutive/symmetric/trace-free and rho against finite-difference
     Gauss curvature of the conformal factors."""
     from .product import F_MATRIX
-    worst = float(np.max(np.abs(F_MATRIX @ F_MATRIX - np.eye(4))))
-    worst = max(worst, float(np.max(np.abs(F_MATRIX - F_MATRIX.T))))
-    worst = max(worst, abs(float(np.trace(F_MATRIX))))
+    res = [float(np.max(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)))),
+           float(np.max(np.abs(F_MATRIX - F_MATRIX.T))),
+           abs(float(np.trace(F_MATRIX)))]
     h = 1e-3
     n = min(10, len(ctx.points))
     for i in range(n):
@@ -140,8 +161,8 @@ def check_ambient_product_structure(ctx):
             K = -lap / lam(x, y) ** 2
             # rho coefficient must equal K * lam^2 (area form density)
             rho = value(surf.ricci_form_coefficient(x, y))
-            worst = max(worst, abs(rho - K * lam(x, y) ** 2))
-    return CheckRecord("", "", worst, 0.0, "", points_evaluated=n)
+            res.append(abs(rho - K * lam(x, y) ** 2))
+    return _record(_worst(res), n)
 
 
 # --- hypersurface point checks ------------------------------------------------
@@ -152,55 +173,48 @@ def check_frame(ctx):
 
 
 def check_consistency(ctx):
-    worst = 0.0
-    H = []
-    for i in range(len(ctx.points)):
-        ev = ctx.evaluation(i)
-        worst = max(worst, max(hyp.consistency_residuals(ev).values()))
-        H.append(value(ev.mean_curvature))
-    rec = CheckRecord("", "", worst, 0.0, "",
-                      points_evaluated=len(ctx.points))
-    rec.notes = {"mean_curvature_min": float(min(H)),
-                 "mean_curvature_max": float(max(H))}
+    rec = _max_over_points(ctx, lambda i: _worst(
+        hyp.consistency_residuals(ctx.evaluation(i)).values()))
+    H = value(ctx.batch.mean_curvature)
+    rec.notes = {"mean_curvature_min": float(np.min(H)),
+                 "mean_curvature_max": float(np.max(H))}
     return rec
 
 
 def check_involution(ctx):
-    return _max_over_points(
-        ctx, lambda i: max(hyp.involution_identities(ctx.evaluation(i)).values()))
+    return _max_over_points(ctx, lambda i: _worst(
+        hyp.involution_identities(ctx.evaluation(i)).values()))
 
 
 def check_contact(ctx):
-    return _max_over_points(
-        ctx, lambda i: max(hyp.contact_identities(ctx.evaluation(i)).values()))
+    return _max_over_points(ctx, lambda i: _worst(
+        hyp.contact_identities(ctx.evaluation(i)).values()))
 
 
 def check_projection_split(ctx):
-    return _max_over_points(
-        ctx, lambda i: max(hyp.projection_formulas(ctx.evaluation(i)).values()))
+    return _max_over_points(ctx, lambda i: _worst(
+        hyp.projection_formulas(ctx.evaluation(i)).values()))
 
 
 def check_rank_two(ctx):
-    worst = 0.0
-    for i in range(len(ctx.points)):
+    def defect(i):
         ev = ctx.evaluation(i)
         r = hyp.rank_pair(ev.f_frame, ev.V_frame, value(ev.h))
-        worst = max(worst, float(abs(r[0] - 2) + abs(r[1] - 2)))
-    return CheckRecord("", "", worst, 0.0, "",
-                       points_evaluated=len(ctx.points))
+        return float(abs(r[0] - 2) + abs(r[1] - 2))
+    return _max_over_points(ctx, defect)
 
 
 def check_structure_derivatives(ctx):
-    return _max_over_points(
-        ctx, lambda i: max(hyp.derivative_identities(ctx.evaluation(i)).values()))
+    return _max_over_batch(ctx, lambda batch: list(
+        hyp.derivative_identities(batch).values()))
 
 
 def check_gauss(ctx):
-    return _max_over_points(ctx, lambda i: hyp.gauss_residual(ctx.evaluation(i)))
+    return _max_over_batch(ctx, hyp.gauss_residual)
 
 
 def check_codazzi(ctx):
-    return _max_over_points(ctx, lambda i: hyp.codazzi_residual(ctx.evaluation(i)))
+    return _max_over_batch(ctx, hyp.codazzi_residual)
 
 
 def check_gauss_control(ctx):
@@ -211,7 +225,7 @@ def check_gauss_control(ctx):
         ev = ctx.evaluation(i)
         highs.append(hyp.gauss_residual(
             ev, E_frame=sysmod.perturbed_shape(ev, rng)))
-    rec = CheckRecord("", "", float(max(highs)), 0.0, "", points_evaluated=n)
+    rec = _record(_worst(highs), n)
     rec.notes = {"control": "shape operator perturbed by symmetric "
                             "rank-two noise; residual must exceed tolerance"}
     return rec
@@ -224,15 +238,10 @@ def check_xi_derivative(ctx):
 
 def _system_check(tag):
     def fn(ctx):
-        worst = 0.0
-        degenerate = 0
-        for i in range(len(ctx.points)):
-            res = sysmod.system_residuals(tag, ctx.evaluation(i))
-            worst = max(worst, res.max_residual)
-            if res.degenerate:
-                degenerate += 1
-        rec = CheckRecord("", "", worst, 0.0, "",
-                          points_evaluated=len(ctx.points))
+        res = [sysmod.system_residuals(tag, ctx.evaluation(i))
+               for i in range(len(ctx.points))]
+        degenerate = sum(1 for r in res if r.degenerate)
+        rec = _record(_worst(r.max_residual for r in res), len(res))
         if degenerate:
             rec.notes = {"points_with_vanishing_V": degenerate,
                          "degenerate_equations": ["eq04", "eq08"]}
@@ -247,16 +256,16 @@ def check_system_control(ctx):
     for i in range(n):
         ev = ctx.evaluation(i)
         ap = sysmod.perturbed_shape(ev, rng)
-        highs.append(max(sysmod.system_residuals(1, ev, E_frame=ap).max_residual,
-                         sysmod.system_residuals(2, ev, E_frame=ap).max_residual))
-    return CheckRecord("", "", float(max(highs)), 0.0, "", points_evaluated=n)
+        highs.append(_worst(sysmod.system_residuals(t, ev, E_frame=ap)
+                            .max_residual for t in (1, 2)))
+    return _record(_worst(highs), n)
 
 
 def check_covanish(ctx):
     rng = ctx.rng_for("system.covanish")
     n = min(12, len(ctx.points))
     evs = [ctx.evaluation(i) for i in range(n)]
-    rec = CheckRecord("", "", 0.0, 0.0, "", points_evaluated=n)
+    rec = _record(0.0, n)
     notes = {}
     for tag in (1, 2):
         rep = sysmod.gauss_iff_codazzi(tag, evs, rng)
@@ -274,29 +283,26 @@ def check_covanish(ctx):
 
 def _killing_check(tag):
     def fn(ctx):
-        worst = 0.0
-        for i in range(len(ctx.points)):
+        def defect(i):
             rs = ctx.restricted(i, tag)
-            for k in range(3):
-                worst = max(worst, rs.killing_residual(rs.ev.frame[:, k]))
-        return CheckRecord("", "", worst, 0.0 * worst, "",
-                           points_evaluated=len(ctx.points))
+            return _worst(rs.killing_residual(rs.ev.frame[:, k])
+                          for k in range(3))
+        return _max_over_points(ctx, defect)
     return fn
 
 
 def _relations_check(tag):
     def fn(ctx):
         rng = ctx.rng_for(f"spinc.relations_s{tag}")
-        worst = 0.0
+        res = []
         measured = set()
         for i in range(len(ctx.points)):
             rs = ctx.restricted(i, tag)
-            worst = max(worst, rs.anticommutation_residual(rng, trials=3))
+            res.append(rs.anticommutation_residual(rng, trials=3))
             m = rs.volume_measurement()
-            worst = max(worst, min(abs(m - 1.0), abs(m + 1.0)))
+            res.append(min(abs(m - 1.0), abs(m + 1.0)))
             measured.add(int(np.sign(m.real)))
-        rec = CheckRecord("", "", worst, 0.0, "",
-                          points_evaluated=len(ctx.points))
+        rec = _record(_worst(res), len(ctx.points))
         rec.notes = {"volume_element_sign": sorted(measured)}
         return rec
     return fn
@@ -310,8 +316,8 @@ def _normal_condition_check(tag):
 
 
 def check_pairing_identities(ctx):
-    return _max_over_points(
-        ctx, lambda i: max(rst.pairing_identities(ctx.restricted(i, 2)).values()))
+    return _max_over_points(ctx, lambda i: _worst(
+        rst.pairing_identities(ctx.restricted(i, 2)).values()))
 
 
 def _omega_check(tag):
@@ -330,79 +336,65 @@ def _omega_restriction_check(tag):
 
 
 def check_projection_cancellation(ctx):
-    return _max_over_points(
-        ctx, lambda i: max(rst.projection_cancellation_residuals(
-            ctx.evaluation(i)).values()))
+    return _max_over_points(ctx, lambda i: _worst(
+        rst.projection_cancellation_residuals(ctx.evaluation(i)).values()))
 
 
 def _dirac_check(tag):
     def fn(ctx):
-        worst = 0.0
-        for i in range(len(ctx.points)):
-            worst = max(worst, rst.dirac_and_energy_momentum(
-                ctx.restricted(i, tag)).dirac_residual)
-        return CheckRecord("", "", worst, 0.0, "",
-                           points_evaluated=len(ctx.points))
+        return _max_over_points(ctx, lambda i: rst.dirac_and_energy_momentum(
+            ctx.restricted(i, tag)).dirac_residual)
     return fn
 
 
 def check_energy_momentum_s1(ctx):
-    worst = 0.0
-    for i in range(len(ctx.points)):
+    def defect(i):
         de = rst.dirac_and_energy_momentum(ctx.restricted(i, 1))
-        worst = max(worst, float(np.max(np.abs(de.Q - ctx.evaluation(i).E_frame))))
-    return CheckRecord("", "", worst, 0.0, "", points_evaluated=len(ctx.points))
+        return float(np.max(np.abs(de.Q - ctx.evaluation(i).E_frame)))
+    return _max_over_points(ctx, defect)
 
 
 def check_energy_momentum_s2(ctx):
-    worst = 0.0
+    res = []
     signs = set()
     for i in range(len(ctx.points)):
         ev = ctx.evaluation(i)
         de = rst.dirac_and_energy_momentum(ctx.restricted(i, 2))
-        worst = max(worst, de.Q_vs_E)
+        res.append(de.Q_vs_E)
         if float(np.max(np.abs(ev.E_frame))) > 1e-10:
             signs.add(de.Q_sign)
-    rec = CheckRecord("", "", worst, 0.0, "", points_evaluated=len(ctx.points))
+    rec = _record(_worst(res), len(ctx.points))
     rec.notes = {"measured_sign_Q_vs_E": sorted(signs) if signs
                  else "indeterminate (E = 0 everywhere)"}
     return rec
 
 
 def check_umbilic(ctx):
-    verified = skipped = 0
-    worst = 0.0
-    worst_xi = 0.0
-    for i in range(len(ctx.points)):
-        r = sysmod.umbilic_gradient_identity(ctx.evaluation(i))
-        if not r.umbilic:
-            skipped += 1
-            continue
-        verified += 1
-        worst = max(worst, r.residuals["dH-tangential"],
-                    r.residuals["norm-identity"])
-        worst_xi = max(worst_xi, r.residuals["dH-xi"])
-    rec = CheckRecord("", "", worst, 0.0, "",
-                      points_evaluated=verified, points_skipped=skipped,
-                      skip_reason="non-umbilic point" if skipped else "")
+    found = [sysmod.umbilic_gradient_identity(ctx.evaluation(i))
+             for i in range(len(ctx.points))]
+    umbilic = [r.residuals for r in found if r.umbilic]
+    verified, skipped = len(umbilic), len(found) - len(umbilic)
+    rec = _record(_worst(r[k] for r in umbilic
+                         for k in ("dH-tangential", "norm-identity")),
+                  verified, points_skipped=skipped,
+                  skip_reason="non-umbilic point" if skipped else "")
     rec.notes = {"umbilic_points": verified,
-                 "dH_xi_max": worst_xi,
+                 "dH_xi_max": _worst(r["dH-xi"] for r in umbilic),
                  "status": "verified" if verified else "vacuous (no umbilic points)"}
     return rec
 
 
 def check_converse(ctx):
-    worst_ratio = 0.0
-    worst_name = ""
+    ratios = []
     for i in range(len(ctx.points)):
-        hv = sysmod.harvest(ctx.evaluation(i))
-        res, _ = sysmod.converse_check(hv)
-        for k, v in res.items():
-            ratio = v / sysmod.CONVERSE_TOLERANCES[k]
-            if ratio > worst_ratio:
-                worst_ratio, worst_name = ratio, k
-    rec = CheckRecord("", "", worst_ratio, 0.0, "",
-                      points_evaluated=len(ctx.points))
+        res, _ = sysmod.converse_check(sysmod.harvest(ctx.evaluation(i)))
+        ratios += [(v / sysmod.CONVERSE_TOLERANCES[k], k)
+                   for k, v in res.items()]
+    worst_ratio = _worst(r for r, _ in ratios)
+    # the first check reaching the worst ratio, or the first NaN one
+    worst_name = next((name for ratio, name in ratios if np.isnan(ratio)
+                       or (ratio > 0.0 and ratio >= worst_ratio)), "")
+    rec = _record(worst_ratio, len(ctx.points))
     rec.notes = {"worst_named_check": worst_name,
                  "unit": "residual / per-check tolerance"}
     return rec
@@ -410,18 +402,14 @@ def check_converse(ctx):
 
 def check_spin_case(ctx):
     if not ctx.spin_case:
-        rec = CheckRecord("", "", 0.0, 0.0, "", points_evaluated=0,
-                          points_skipped=len(ctx.points),
-                          skip_reason="factors are curved")
+        rec = _record(0.0, 0, points_skipped=len(ctx.points),
+                      skip_reason="factors are curved")
         rec.notes = {"status": "not a spin case (c1, c2) != (0, 0)"}
         return rec
-    worst = 0.0
-    for i in range(min(10, len(ctx.points))):
-        for tag in (1, 2):
-            worst = max(worst, float(np.max(np.abs(
-                ctx.restricted(i, tag).omega_pullback))))
-    rec = CheckRecord("", "", worst, 0.0, "",
-                      points_evaluated=min(10, len(ctx.points)))
+    n = min(10, len(ctx.points))
+    rec = _record(_worst(
+        float(np.max(np.abs(ctx.restricted(i, tag).omega_pullback)))
+        for i in range(n) for tag in (1, 2)), n)
     rec.notes = {"status": "flat factors: both induced structures coincide "
                            "(spin case), auxiliary curvature vanishes"}
     return rec

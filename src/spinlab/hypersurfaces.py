@@ -1,8 +1,8 @@
 """Parametrized hypersurfaces of a product of two surface space forms.
 
 A chart is a map u = (u1, u2, u3) -> (p1(u), p2(u)) into the two conformal
-factor charts.  One evaluation of :class:`PointEvaluation` runs the whole
-pipeline in degree-3 jet arithmetic and exposes, at the base point:
+factor charts.  One :class:`PointEvaluation` runs the whole pipeline in
+degree-3 jet arithmetic and exposes, at its base points:
 
   * induced metric, unit normal, shape operator E = -nabla nu, mean curvature
   * the almost contact data (Chi, xi, eta) from J and the splitting (f, V, h)
@@ -10,6 +10,13 @@ pipeline in degree-3 jet arithmetic and exposes, at the base point:
   * Christoffel symbols and curvature tensor of the induced metric
   * covariant derivatives of E, f, V, h, xi and the mean curvature gradient
   * the adapted orthonormal frame {e1, e2 = Chi e1, xi}
+
+An evaluation holds one point (``u`` of shape (3,)) or a batch of points
+(``u`` of shape (N, 3)).  A batch runs every stage once for all its points:
+jets carry a trailing point axis and value-level arrays a leading one, so
+``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.  ``point(i)``
+gives the evaluation of one point of a batch; it reads the batch's stages
+instead of recomputing them.
 
 Conventions: nu is the chart normal scaled by the chart's orientation flag,
 E X = -nabla_X nu (a round 3-sphere of radius r with inner normal has
@@ -20,24 +27,15 @@ follow numpy orientation: A[i, j] = (A applied to d_j), component i.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet, value, values, variables
+from .jets import Jet, gradients, value, values, variables
 from .product import F_MATRIX, J_MATRIX, ProductModel
-
-_EPS4 = np.zeros((4, 4, 4, 4))
-for _p in itertools.permutations(range(4)):
-    _sign = 1.0
-    _l = list(_p)
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _l[_i] > _l[_j]:
-                _sign = -_sign
-    _EPS4[_p] = _sign
+from .surfaces import OutsideDomainError
 
 
 class RankDeficientError(ValueError):
@@ -79,8 +77,48 @@ def _inv3(m):
     return [[adj[r][s] / det for s in range(3)] for r in range(3)]
 
 
+def _cross4(t0, t1, t2):
+    """w_mu = eps_{abc mu} t0^a t1^b t2^c, the 4-vector cross product, by
+    cofactors: w_mu = (-1)^(mu+1) det of the 3x3 minor without column mu."""
+    m = {(c, d): t1[c] * t2[d] - t1[d] * t2[c]
+         for c in range(4) for d in range(c + 1, 4)}
+    w = []
+    for mu in range(4):
+        a, b, c = (k for k in range(4) if k != mu)
+        det = t0[a] * m[b, c] - t0[b] * m[a, c] + t0[c] * m[a, b]
+        w.append(det if mu % 2 else -det)
+    return w
+
+
+def _at(x, i):
+    """Entry ``i`` of batch data: jets, arrays, floats and nested lists."""
+    if isinstance(x, Jet):
+        return Jet(x.c[:, i], x.valid)
+    if isinstance(x, list):
+        return [_at(y, i) for y in x]
+    if isinstance(x, np.ndarray):
+        return x[i]
+    return x
+
+
+def _mv(M, v):
+    """Matrix-vector product over the leading point axis, if any."""
+    return np.einsum("...ij,...j->...i", M, v)
+
+
+def _stage(fn):
+    """A lazily computed pipeline stage.  On the evaluation of one point of
+    a batch it reads the batch's stage at that point."""
+    @functools.wraps(fn)
+    def get(self):
+        if self._batch is not None:
+            return _at(getattr(self._batch, fn.__name__), self._index)
+        return fn(self)
+    return cached_property(get)
+
+
 class PointEvaluation:
-    """All induced data of a hypersurface chart at one parameter point.
+    """All induced data of a hypersurface chart at one point or a batch.
 
     ``order`` is the jet truncation degree: 1 suffices for the pointwise
     splitting algebra, 2 adds the shape operator and first covariant
@@ -95,84 +133,102 @@ class PointEvaluation:
         self.product = product
         self.u = np.asarray(u, dtype=float)
         self.order = order
+        self._batch = None
+        self._index = None
+
+    def point(self, i: int) -> "PointEvaluation":
+        """The evaluation at point ``i`` of this batch."""
+        ev = PointEvaluation(self.chart, self.product, self.u[i], self.order)
+        ev._batch, ev._index = self, i
+        return ev
+
+    def _require(self, ok, error, message):
+        """Raise ``error`` naming the first point where ``ok`` is false;
+        ``message(i)`` describes the point with index ``i`` (``()`` at one
+        point)."""
+        ok = np.asarray(ok)
+        if not np.all(ok):
+            i = np.unravel_index(np.argmin(ok), ok.shape)
+            raise error(f"{message(i)} at u={self.u[i]}")
 
     # --- immersion-level jets ------------------------------------------
-    @cached_property
+    @_stage
     def phi(self):
         return self.chart.map_jets(self.u, self.order)
 
-    @cached_property
+    @_stage
     def position(self):
         return values(self.phi)
 
-    @cached_property
+    @_stage
     def T(self):
         """Coordinate tangent vectors T[alpha][a] = d_alpha Phi^a (jets)."""
         return [[self.phi[a].deriv(al) for a in range(4)] for al in range(3)]
 
-    @cached_property
+    @_stage
     def T_val(self):
         return values(self.T)  # (3, 4)
 
-    @cached_property
+    @_stage
     def gbar(self):
+        p = self.position
+        for k, surf in ((0, self.product.factor1), (2, self.product.factor2)):
+            x, y = p[..., k], p[..., k + 1]
+            self._require(
+                surf.contains(x, y), OutsideDomainError,
+                lambda i: f"point ({x[i]:.3f}, {y[i]:.3f}) outside chart of "
+                          f"curvature {surf.curvature}")
         return self.product.metric_diagonal(self.phi)
 
-    @cached_property
+    @_stage
     def gbar_val(self):
         return values(self.gbar)
 
     def _bar_dot(self, Xa, Ya):
         return sum(self.gbar[a] * Xa[a] * Ya[a] for a in range(4))
 
-    @cached_property
+    @_stage
     def g(self):
         return [[self._bar_dot(self.T[a], self.T[b]) for b in range(3)]
                 for a in range(3)]
 
-    @cached_property
+    @_stage
     def g_val(self):
         return values(self.g)
 
-    @cached_property
+    @_stage
     def g_inv(self):
         return _inv3(self.g)
 
-    @cached_property
+    @_stage
     def g_inv_val(self):
         return values(self.g_inv)
 
     def check_immersion(self, threshold=1e-8):
-        sv = np.linalg.svd(
-            np.sqrt(self.gbar_val)[:, None] * self.T_val.T, compute_uv=False)
-        if sv[-1] <= threshold:
-            raise RankDeficientError(
-                f"immersion rank below 3 at u={self.u} (min sv {sv[-1]:.2e})")
-        return sv[-1]
+        """Smallest singular value of the differential, per point; raises
+        RankDeficientError at the first point where it is not above
+        ``threshold``."""
+        dphi = np.sqrt(self.gbar_val)[..., :, None] * np.swapaxes(
+            self.T_val, -1, -2)
+        sv = np.linalg.svd(dphi, compute_uv=False)[..., -1]
+        self._require(sv > threshold, RankDeficientError,
+                      lambda i: f"immersion rank below 3 (min sv {sv[i]:.2e})")
+        return sv
 
-    @cached_property
+    @_stage
     def nu(self):
         """Unit normal (ambient chart components, jets)."""
-        w = []
-        for mu in range(4):
-            s = 0.0
-            for a in range(4):
-                for b in range(4):
-                    for c in range(4):
-                        if _EPS4[a, b, c, mu] != 0.0:
-                            s = s + _EPS4[a, b, c, mu] * (
-                                self.T[0][a] * self.T[1][b] * self.T[2][c])
-            w.append(s)
+        w = _cross4(*self.T)
         n = [w[mu] / self.gbar[mu] for mu in range(4)]
         norm = self._bar_dot(n, n).sqrt()
         return [float(self.chart.orientation) * n[mu] / norm for mu in range(4)]
 
-    @cached_property
+    @_stage
     def nu_val(self):
         return values(self.nu)
 
     # --- second fundamental form -----------------------------------------
-    @cached_property
+    @_stage
     def ambient_gamma(self):
         return self.product.christoffels(self.phi)
 
@@ -190,60 +246,60 @@ class PointEvaluation:
             out.append(s)
         return out
 
-    @cached_property
+    @_stage
     def shape_ambient(self):
         """E T_alpha = -nabla_{T_alpha} nu as ambient jets, per alpha."""
         return [[-1.0 * w for w in self.ambient_derivative(al, self.nu)]
                 for al in range(3)]
 
-    @cached_property
+    @_stage
     def second_fundamental(self):
         """II[alpha][beta] = <E T_alpha, T_beta> (jets)."""
         return [[self._bar_dot(self.shape_ambient[a], self.T[b])
                  for b in range(3)] for a in range(3)]
 
-    @cached_property
+    @_stage
     def E_mixed(self):
         """Shape operator, E_mixed[i][j] = E^i_j (jets)."""
         II = self.second_fundamental
         return [[sum(self.g_inv[i][c] * II[c][j] for c in range(3))
                  for j in range(3)] for i in range(3)]
 
-    @cached_property
+    @_stage
     def E_mixed_val(self):
         return values(self.E_mixed)
 
-    @cached_property
+    @_stage
     def mean_curvature(self):
         return sum(self.E_mixed[a][a] for a in range(3)) / 3.0
 
     # --- product structure splitting --------------------------------------
-    @cached_property
+    @_stage
     def V_form(self):
         """(V, d_alpha) = <F T_alpha, nu> (jets)."""
         return [self._bar_dot([F_MATRIX[a, a] * self.T[al][a] for a in range(4)],
                               self.nu) for al in range(3)]
 
-    @cached_property
+    @_stage
     def h(self):
         Fnu = [F_MATRIX[a, a] * self.nu[a] for a in range(4)]
         return self._bar_dot(Fnu, self.nu)
 
-    @cached_property
+    @_stage
     def V_ambient(self):
         Fnu = [F_MATRIX[a, a] * self.nu[a] for a in range(4)]
         return [Fnu[a] - self.h * self.nu[a] for a in range(4)]
 
-    @cached_property
+    @_stage
     def V_coord(self):
         return [sum(self.g_inv[a][b] * self.V_form[b] for b in range(3))
                 for a in range(3)]
 
-    @cached_property
+    @_stage
     def V_coord_val(self):
-        return np.array([value(v) for v in self.V_coord])
+        return values(self.V_coord)
 
-    @cached_property
+    @_stage
     def f_mixed(self):
         """Tangential part of F, f_mixed[i][j] = f^i_j (jets)."""
         cols = []
@@ -254,50 +310,45 @@ class PointEvaluation:
                              for c in range(3)) for i in range(3)])
         return [[cols[j][i] for j in range(3)] for i in range(3)]
 
-    @cached_property
+    @_stage
     def f_mixed_val(self):
         return values(self.f_mixed)
 
     # --- almost contact data ----------------------------------------------
-    @cached_property
+    @_stage
     def xi_ambient(self):
-        return [-sum(J_MATRIX[a, b] * self.nu[b] for b in range(4))
-                for a in range(4)]
+        return [-sum(J_MATRIX[a, b] * self.nu[b] for b in range(4)
+                     if J_MATRIX[a, b] != 0.0) for a in range(4)]
 
-    @cached_property
+    @_stage
     def xi_ambient_val(self):
         return values(self.xi_ambient)
 
-    @cached_property
+    @_stage
     def xi_coord(self):
         return [sum(self.g_inv[a][b] * self._bar_dot(self.xi_ambient, self.T[b])
                     for b in range(3)) for a in range(3)]
 
-    @cached_property
+    @_stage
     def xi_coord_val(self):
-        return np.array([value(x) for x in self.xi_coord])
+        return values(self.xi_coord)
 
-    @cached_property
+    @_stage
     def eta(self):
         """eta_alpha = g(xi, d_alpha) (values)."""
-        return np.array([value(self._bar_dot(self.xi_ambient, self.T[a]))
-                         for a in range(3)])
+        return values([self._bar_dot(self.xi_ambient, self.T[a])
+                       for a in range(3)])
 
-    @cached_property
+    @_stage
     def chi_mixed(self):
         """Chi[i, j] = component i of Chi(d_j), the tangential part of J."""
-        out = np.empty((3, 3))
-        for j in range(3):
-            JT = J_MATRIX @ self.T_val[j]
-            for i in range(3):
-                out[i, j] = sum(
-                    self.g_inv_val[i, c]
-                    * float(self.gbar_val @ (JT * self.T_val[c]))
-                    for c in range(3))
-        return out
+        T = self.T_val
+        JT = np.einsum("ab,...jb->...ja", J_MATRIX, T)
+        lowered = np.einsum("...a,...ja,...ca->...cj", self.gbar_val, JT, T)
+        return self.g_inv_val @ lowered
 
     # --- induced Levi-Civita connection and curvature ----------------------
-    @cached_property
+    @_stage
     def gamma_induced(self):
         """Gamma^d_{bc} of the induced metric (jets, valid to first order)."""
         dg = [[[self.g[b][c].deriv(a) for c in range(3)] for b in range(3)]
@@ -313,139 +364,118 @@ class PointEvaluation:
                     G[d][b][c] = 0.5 * s
         return G
 
-    @cached_property
+    @_stage
     def gamma_induced_val(self):
         return values(self.gamma_induced)
 
-    @cached_property
+    @_stage
     def riemann(self):
         """R[al, be, ga, de] = component de of R(d_al, d_be) d_ga (values)."""
-        G = self.gamma_induced
         Gv = self.gamma_induced_val
-        dG = np.empty((3, 3, 3, 3))
-        for a in range(3):
-            for d in range(3):
-                for b in range(3):
-                    for c in range(3):
-                        dG[a, d, b, c] = G[d][b][c].deriv(a).val
-        R = np.empty((3, 3, 3, 3))
-        for al in range(3):
-            for be in range(3):
-                for ga in range(3):
-                    for de in range(3):
-                        s = dG[al, de, be, ga] - dG[be, de, al, ga]
-                        for e in range(3):
-                            s += (Gv[de, al, e] * Gv[e, be, ga]
-                                  - Gv[de, be, e] * Gv[e, al, ga])
-                        R[al, be, ga, de] = s
-        return R
+        # d_al Gamma^de_{be ga}, moved to index order [al, be, ga, de]
+        dG = np.einsum("...dbga->...abgd", gradients(self.gamma_induced))
+        GG = np.einsum("...dae,...ebg->...abgd", Gv, Gv)
+        return dG - np.swapaxes(dG, -4, -3) + GG - np.swapaxes(GG, -4, -3)
 
     def riemann_lower(self):
         """R_{al be ga de} = g(R(d_al, d_be) d_ga, d_de)."""
-        return np.einsum("abcd,de->abce", self.riemann, self.g_val)
+        return np.einsum("...abcd,...de->...abce", self.riemann, self.g_val)
 
     # --- covariant derivatives of the induced fields ------------------------
     def _cov_deriv_vector(self, Vjets):
         """(nabla_b V)^a as a (3, 3) value array, indices [b, a]."""
-        Gv = self.gamma_induced_val
-        Vv = np.array([value(v) for v in Vjets])
-        out = np.empty((3, 3))
-        for b in range(3):
-            for a in range(3):
-                out[b, a] = Vjets[a].deriv(b).val + Gv[a, b, :] @ Vv
-        return out
+        dV = np.swapaxes(gradients(Vjets), -1, -2)
+        return dV + np.einsum("...abe,...e->...ba", self.gamma_induced_val,
+                              values(Vjets))
 
     def _cov_deriv_endo(self, Ajets):
         """(nabla_c A)^a_b as a (3, 3, 3) value array, indices [c, a, b]."""
         Gv = self.gamma_induced_val
         Av = values(Ajets)
-        out = np.empty((3, 3, 3))
-        for c in range(3):
-            for a in range(3):
-                for b in range(3):
-                    s = Ajets[a][b].deriv(c).val
-                    s += Gv[a, c, :] @ Av[:, b]
-                    s -= Av[a, :] @ Gv[:, c, b]
-                    out[c, a, b] = s
-        return out
+        dA = np.einsum("...abc->...cab", gradients(Ajets))
+        return (dA + np.einsum("...ace,...eb->...cab", Gv, Av)
+                - np.einsum("...ae,...ecb->...cab", Av, Gv))
 
-    @cached_property
+    @_stage
     def nabla_E(self):
         return self._cov_deriv_endo(self.E_mixed)
 
-    @cached_property
+    @_stage
     def nabla_f(self):
         return self._cov_deriv_endo(self.f_mixed)
 
-    @cached_property
+    @_stage
     def nabla_V(self):
         return self._cov_deriv_vector(self.V_coord)
 
-    @cached_property
+    @_stage
     def nabla_xi(self):
         return self._cov_deriv_vector(self.xi_coord)
 
-    @cached_property
+    @_stage
     def dh(self):
         return self.h.grad()
 
-    @cached_property
+    @_stage
     def dH(self):
         return self.mean_curvature.grad()
 
     # --- adapted frame ------------------------------------------------------
-    @cached_property
+    @_stage
     def frame(self):
-        """Columns e1, e2 = Chi e1, e3 = xi in chart coordinates (values)."""
+        """Columns e1, e2 = Chi e1, e3 = xi in chart coordinates (values).
+
+        e1 is the first coordinate direction made orthogonal to xi, or the
+        second where the first is too close to xi."""
         xi = self.xi_coord_val
         gv = self.g_val
-        for seed in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-            w = np.array(seed) - (np.array(seed) @ gv @ xi) * xi
-            n2 = w @ gv @ w
-            if n2 > 1e-12:
-                e1 = w / np.sqrt(n2)
-                break
-        else:  # pragma: no cover - charts never degenerate this far
-            raise RankDeficientError("no coordinate direction transverse to xi")
-        e2 = self.chi_mixed @ e1
-        return np.column_stack([e1, e2, xi])
+        gxi = _mv(gv, xi)
+        cands = [np.eye(3)[k] - gxi[..., k, None] * xi for k in range(2)]
+        n2s = [np.einsum("...i,...ij,...j->...", w, gv, w) for w in cands]
+        first = n2s[0] > 1e-12
+        w = np.where(first[..., None], cands[0], cands[1])
+        n2 = np.where(first, n2s[0], n2s[1])
+        self._require(n2 > 1e-12, RankDeficientError,
+                      lambda i: "no coordinate direction transverse to xi")
+        e1 = w / np.sqrt(n2)[..., None]
+        e2 = _mv(self.chi_mixed, e1)
+        return np.stack([e1, e2, xi], axis=-1)
 
     def frame_ambient(self, i):
         """Ambient chart components of frame vector e_i (values)."""
-        return self.frame[:, i] @ self.T_val
+        return np.einsum("...a,...ab->...b", self.frame[..., :, i], self.T_val)
 
-    @cached_property
+    @_stage
     def E_frame(self):
         """a[i, j] = g(E e_i, e_j) in the adapted frame."""
-        return self.frame.T @ self.g_val @ self.E_mixed_val @ self.frame
+        e = self.frame
+        return np.swapaxes(e, -1, -2) @ self.g_val @ self.E_mixed_val @ e
 
-    @cached_property
+    @_stage
     def f_frame(self):
-        return self.frame.T @ self.g_val @ self.f_mixed_val @ self.frame
+        e = self.frame
+        return np.swapaxes(e, -1, -2) @ self.g_val @ self.f_mixed_val @ e
 
-    @cached_property
+    @_stage
     def V_frame(self):
-        return self.frame.T @ self.g_val @ self.V_coord_val
+        return _mv(np.swapaxes(self.frame, -1, -2) @ self.g_val,
+                   self.V_coord_val)
 
-    @cached_property
+    @_stage
     def riemann_frame(self):
         Rl = self.riemann_lower()
         e = self.frame
-        return np.einsum("abcd,ai,bj,ck,dl->ijkl", Rl, e, e, e, e)
+        return np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl",
+                         Rl, e, e, e, e, optimize=True)
 
-    @cached_property
+    @_stage
     def dE_frame(self):
         """dE[i, j, k] = g(dNabla E(e_i, e_j), e_k) in the adapted frame."""
         gv, nE, e = self.g_val, self.nabla_E, self.frame
-        lowered = np.einsum("cab,ad->cbd", nE, gv)  # g((nabla_c E) d_b, d_d)
-        out = np.empty((3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                vec = (np.einsum("c,cbd,b->d", e[:, i], lowered, e[:, j])
-                       - np.einsum("c,cbd,b->d", e[:, j], lowered, e[:, i]))
-                for k in range(3):
-                    out[i, j, k] = vec @ e[:, k]
-        return out
+        lowered = np.einsum("...cab,...ad->...cbd", nE, gv)  # g((nabla_c E) d_b, d_d)
+        vec = np.einsum("...ci,...cbd,...bj->...ijd", e, lowered, e)
+        return np.einsum("...ijd,...dk->...ijk",
+                         vec - np.swapaxes(vec, -3, -2), e)
 
     # --- value-level summary -------------------------------------------------
     @cached_property
@@ -494,6 +524,8 @@ class InducedPointData:
 
 def evaluate(chart, product, u, immersion_check=True,
              order: int = 3) -> PointEvaluation:
+    """Evaluate ``chart`` at one point u (shape (3,)) or at a batch of
+    points (shape (N, 3)); the immersion check covers every point."""
     ev = PointEvaluation(chart, product, u, order=order)
     if immersion_check:
         ev.check_immersion()
@@ -631,77 +663,87 @@ def rank_pair(f_frame, V_frame, h, threshold=1e-8):
     return tuple(ranks)
 
 
-def gauss_rhs(c1, c2, f_frame, a_frame, i, j, k):
-    """Frame components of the Gauss right side for (e_i, e_j) e_k."""
+def _max_abs(x, axes):
+    """max |x| over the trailing ``axes`` axes; NaN if any entry is NaN."""
+    return np.max(np.abs(x), axis=tuple(range(-axes, 0)))
+
+
+def _pair_terms(X):
+    """(X[j, k] X[i, l], X[i, k] X[j, l]) as [..., i, j, k, l] arrays."""
+    return (X[..., None, :, :, None] * X[..., :, None, None, :],
+            X[..., :, None, :, None] * X[..., None, :, None, :])
+
+
+def gauss_rhs(c1, c2, f_frame, a_frame):
+    """Frame components [i, j, k, l] of the Gauss right side: the e_l
+    component of the curvature of (e_i, e_j) acting on e_k."""
     eye = np.eye(3)
     fp = eye + f_frame
     fm = eye - f_frame
-    return (0.25 * c1 * (fp[j, k] * fp[i, :] - fp[i, k] * fp[j, :])
-            + 0.25 * c2 * (fm[j, k] * fm[i, :] - fm[i, k] * fm[j, :])
-            + a_frame[j, k] * a_frame[i, :] - a_frame[i, k] * a_frame[j, :])
+    p_jk, p_ik = _pair_terms(fp)
+    m_jk, m_ik = _pair_terms(fm)
+    a_jk, a_ik = _pair_terms(a_frame)
+    return (0.25 * c1 * (p_jk - p_ik) + 0.25 * c2 * (m_jk - m_ik)
+            + a_jk - a_ik)
+
+
+def gauss_defect(R_frame, c1, c2, f_frame, a_frame):
+    """max_{ijkl} |R_ijkl - Gauss right side| for frame-level data."""
+    return _max_abs(R_frame - gauss_rhs(c1, c2, f_frame, a_frame), 4)
 
 
 def gauss_residual(ev: PointEvaluation, E_frame=None):
-    """max_{ijk} |R(e_i,e_j)e_k - RHS| for the product-target Gauss equation."""
-    c1, c2 = ev.product.c1, ev.product.c2
-    R = ev.riemann_frame
+    """max_{ijk} |R(e_i,e_j)e_k - RHS| for the product-target Gauss equation,
+    per point of a batch."""
     a = ev.E_frame if E_frame is None else E_frame
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                diff = R[i, j, k, :] - gauss_rhs(c1, c2, ev.f_frame, a, i, j, k)
-                worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    return gauss_defect(ev.riemann_frame, ev.product.c1, ev.product.c2,
+                        ev.f_frame, a)
 
 
-def codazzi_rhs(c1, c2, f_frame, V_frame, i, j, k):
+def codazzi_rhs(c1, c2, f_frame, V_frame):
+    """Frame components [i, j, k] of the Codazzi right side."""
     g = np.eye(3)
-    f = f_frame
-    V = V_frame
-    t1 = (f[j, k] * V[i] - f[i, k] * V[j] + g[j, k] * V[i] - g[i, k] * V[j])
-    t2 = (g[j, k] * V[i] - f[j, k] * V[i] - g[i, k] * V[j] + f[i, k] * V[j])
+    V_i = V_frame[..., :, None, None]
+    V_j = V_frame[..., None, :, None]
+    f_jk, f_ik = f_frame[..., None, :, :], f_frame[..., :, None, :]
+    g_jk, g_ik = g[None, :, :], g[:, None, :]
+    t1 = f_jk * V_i - f_ik * V_j + g_jk * V_i - g_ik * V_j
+    t2 = g_jk * V_i - f_jk * V_i - g_ik * V_j + f_ik * V_j
     return 0.25 * c1 * t1 - 0.25 * c2 * t2
 
 
+def codazzi_defect(dE_frame, c1, c2, f_frame, V_frame):
+    """max_{ijk} |g(dNabla E(e_i, e_j), e_k) - RHS| for frame-level data."""
+    return _max_abs(dE_frame - codazzi_rhs(c1, c2, f_frame, V_frame), 3)
+
+
 def codazzi_residual(ev: PointEvaluation, dE_frame=None):
-    """max_{ijk} |g(dNabla E(e_i, e_j), e_k) - RHS(i, j, k)|."""
-    c1, c2 = ev.product.c1, ev.product.c2
+    """max_{ijk} |g(dNabla E(e_i, e_j), e_k) - RHS(i, j, k)|, per point of a
+    batch."""
     dE = ev.dE_frame if dE_frame is None else dE_frame
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                worst = max(worst, abs(
-                    dE[i, j, k]
-                    - codazzi_rhs(c1, c2, ev.f_frame, ev.V_frame, i, j, k)))
-    return worst
+    return codazzi_defect(dE, ev.product.c1, ev.product.c2, ev.f_frame,
+                          ev.V_frame)
+
+
+def derivative_defects(g, E, f, V, h, nabla_f, nabla_V, dh):
+    """Residuals of the three first-order compatibility equations:
+    (nabla_X f)Y = g(Y,V) EX + g(EX,Y) V,  nabla_X V = -f(EX) + h EX,
+    and grad h = -2 E V, from coordinate-level data (nabla_f indexed
+    [c, a, b], nabla_V [b, a])."""
+    Et = np.swapaxes(E, -1, -2)
+    gV = _mv(g, V)
+    gEt = np.swapaxes(g @ E, -1, -2)
+    f_rhs = (gV[..., None, None, :] * Et[..., :, :, None]
+             + gEt[..., :, None, :] * V[..., None, :, None])
+    V_rhs = np.swapaxes(-f @ E, -1, -2) + np.asarray(h)[..., None, None] * Et
+    return {"f-derivative": _max_abs(nabla_f - f_rhs, 3),
+            "V-derivative": _max_abs(nabla_V - V_rhs, 2),
+            "h-gradient": _max_abs(dh + _mv(2.0 * g @ E, V), 1)}
 
 
 def derivative_identities(ev: PointEvaluation):
-    """Residuals of the three first-order compatibility equations:
-    (nabla_X f)Y = g(Y,V) EX + g(EX,Y) V,  nabla_X V = -f(EX) + h EX,
-    and grad h = -2 E V."""
-    gv = ev.g_val
-    E = ev.E_mixed_val
-    fv = ev.f_mixed_val
-    Vv = ev.V_coord_val
-    h = value(ev.h)
-    nf = ev.nabla_f      # [c, a, b]
-    nV = ev.nabla_V      # [b, a]
-    out = {}
-    worst = 0.0
-    for c in range(3):
-        for b in range(3):
-            lhs = nf[c, :, b]
-            rhs = (gv @ Vv)[b] * E[:, c] + (gv @ E[:, c])[b] * Vv
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    out["f-derivative"] = worst
-    worst = 0.0
-    for b in range(3):
-        lhs = nV[b, :]
-        rhs = -fv @ E[:, b] + h * E[:, b]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    out["V-derivative"] = worst
-    out["h-gradient"] = float(np.max(np.abs(ev.dh + 2.0 * gv @ E @ Vv)))
-    return out
+    """The first-order compatibility residuals of an evaluation, per point
+    of a batch."""
+    return derivative_defects(ev.g_val, ev.E_mixed_val, ev.f_mixed_val,
+                              ev.V_coord_val, value(ev.h), ev.nabla_f,
+                              ev.nabla_V, ev.dh)

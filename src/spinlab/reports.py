@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -37,6 +38,12 @@ class Scenario:
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
+        checks = d.get("checks") if isinstance(d, dict) else None
+        if checks is not None and (
+                not isinstance(checks, (list, tuple))
+                or not all(isinstance(c, str) for c in checks)):
+            raise ScenarioError(
+                f"checks must be a list of check names, got {checks!r}")
         try:
             sc = Scenario(
                 name=str(d["name"]),
@@ -57,9 +64,13 @@ class Scenario:
 
     def validate(self):
         from .catalog import CATALOG
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise ScenarioError("curvatures c1 and c2 must be finite")
         if self.samples < 1:
             raise ScenarioError("sample count must be >= 1")
-        if any(t <= 0 for t in self.tolerances.values()):
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
+        if any(not t > 0 for t in self.tolerances.values()):
             raise ScenarioError("tolerances must be positive")
         kind = self.hypersurface.get("kind")
         if kind not in CATALOG:

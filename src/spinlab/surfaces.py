@@ -12,7 +12,7 @@ frame rotation form w12(X) = <nabla_X eps1, eps2>:
 
     w12 = (c/2) lam (v du - u dv),      d(w12) = -c vol.
 
-All evaluators accept floats or jets.
+All evaluators accept floats or jets, of one point or of a batch.
 """
 
 from __future__ import annotations
@@ -45,10 +45,17 @@ class SurfaceModel:
         return value(x) ** 2 + value(y) ** 2 < (r - margin) ** 2
 
     def check_point(self, x, y):
-        if not self.contains(x, y):
-            raise OutsideDomainError(
-                f"point ({value(x):.3f}, {value(y):.3f}) outside chart of curvature "
-                f"{self.curvature}")
+        inside = self.contains(x, y)
+        if isinstance(inside, np.ndarray):  # a batch: name its first bad point
+            if inside.all():
+                return
+            i = int(np.argmin(inside))
+            x, y = value(x)[i], value(y)[i]
+        elif inside:
+            return
+        raise OutsideDomainError(
+            f"point ({value(x):.3f}, {value(y):.3f}) outside chart of curvature "
+            f"{self.curvature}")
 
     def conformal_factor(self, x, y):
         self.check_point(x, y)

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypersurfaces import (PointEvaluation, codazzi_rhs, codazzi_residual,
-                            gauss_residual, gauss_rhs, rank_pair)
+from .hypersurfaces import (PointEvaluation, codazzi_defect, codazzi_residual,
+                            derivative_defects, gauss_defect, gauss_residual,
+                            rank_pair)
 from .jets import value
 
 
@@ -113,7 +114,8 @@ class SystemResiduals:
 
     @property
     def max_residual(self):
-        return max(abs(v) for v in self.residuals.values())
+        """Largest |residual|; NaN when any residual is NaN."""
+        return float(np.max(np.abs(list(self.residuals.values()))))
 
 
 def system_residuals(tag: int, ev: PointEvaluation, E_frame=None,
@@ -223,8 +225,9 @@ def theorem_forward_check(chart, product, points, pairing="standard"):
                               projection_cancellation_residuals,
                               restrict_structure)
     worst = {k: 0.0 for k in FORWARD_TOLERANCES}
-    for u in points:
-        ev = evaluate(chart, product, u)
+    batch = evaluate(chart, product, np.asarray(points, dtype=float))
+    for i in range(len(batch.u)):
+        ev = batch.point(i)
         worst["cancellation"] = max(
             worst["cancellation"],
             max(projection_cancellation_residuals(ev).values()))
@@ -333,35 +336,12 @@ def converse_residuals(hv: Harvest):
     out["f-of-V"] = float(np.max(np.abs(hv.f_frame @ Vf + hv.h * Vf)))
     out["unit-split"] = abs(hv.h ** 2 + float(Vf @ Vf) - 1.0)
 
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                diff = hv.R_frame[i, j, k, :] - gauss_rhs(
-                    hv.c1, hv.c2, hv.f_frame, hv.E_frame, i, j, k)
-                worst = max(worst, float(np.max(np.abs(diff))))
-    out["gauss"] = worst
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                worst = max(worst, abs(hv.dE_frame[i, j, k] - codazzi_rhs(
-                    hv.c1, hv.c2, hv.f_frame, hv.V_frame, i, j, k)))
-    out["codazzi"] = worst
-
-    gv, E, fv, Vv, h = hv.g, hv.E, hv.f, hv.V, hv.h
-    worst = 0.0
-    for c in range(3):
-        for b in range(3):
-            rhs = (gv @ Vv)[b] * E[:, c] + (gv @ E[:, c])[b] * Vv
-            worst = max(worst, float(np.max(np.abs(hv.nabla_f[c, :, b] - rhs))))
-    out["f-derivative"] = worst
-    worst = 0.0
-    for b in range(3):
-        rhs = -fv @ E[:, b] + h * E[:, b]
-        worst = max(worst, float(np.max(np.abs(hv.nabla_V[b, :] - rhs))))
-    out["V-derivative"] = worst
-    out["h-gradient"] = float(np.max(np.abs(hv.dh + 2.0 * gv @ E @ Vv)))
+    out["gauss"] = float(gauss_defect(hv.R_frame, hv.c1, hv.c2, hv.f_frame,
+                                      hv.E_frame))
+    out["codazzi"] = float(codazzi_defect(hv.dE_frame, hv.c1, hv.c2,
+                                          hv.f_frame, hv.V_frame))
+    out.update((k, float(v)) for k, v in derivative_defects(
+        hv.g, hv.E, hv.f, hv.V, hv.h, hv.nabla_f, hv.nabla_V, hv.dh).items())
 
     ranks = rank_pair(hv.f_frame, hv.V_frame, hv.h)
     out["rank-two"] = float(abs(ranks[0] - 2) + abs(ranks[1] - 2))
@@ -438,9 +418,9 @@ def umbilic_scan(chart, product, points):
     from .hypersurfaces import evaluate
     verified = skipped = 0
     worst = {"dH-xi": 0.0, "dH-tangential": 0.0, "norm-identity": 0.0}
-    for u in points:
-        ev = evaluate(chart, product, u)
-        r = umbilic_gradient_identity(ev)
+    batch = evaluate(chart, product, np.asarray(points, dtype=float))
+    for i in range(len(batch.u)):
+        r = umbilic_gradient_identity(batch.point(i))
         if not r.umbilic:
             skipped += 1
             continue

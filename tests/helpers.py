@@ -139,3 +139,41 @@ def adapted_gauge_derivative(chart, product, struct, u, X_coord, h=1e-5):
         for j in range(i + 1, 3):
             conn += 0.5 * w[i, j] * gens[i] @ gens[j]
     return L0 @ (dphi + conn @ phi_t(L0))
+
+
+def loop_gauss_residual(R_frame, c1, c2, f_frame, a_frame):
+    """Reference Gauss residual: the per-(i, j, k) loop the array form in
+    ``spinlab.hypersurfaces`` replaced, with the same elementwise
+    arithmetic, so both must agree exactly."""
+    eye = np.eye(3)
+    fp = eye + f_frame
+    fm = eye - f_frame
+    worst = 0.0
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                rhs = (0.25 * c1 * (fp[j, k] * fp[i, :] - fp[i, k] * fp[j, :])
+                       + 0.25 * c2 * (fm[j, k] * fm[i, :] - fm[i, k] * fm[j, :])
+                       + a_frame[j, k] * a_frame[i, :]
+                       - a_frame[i, k] * a_frame[j, :])
+                worst = max(worst, float(np.max(np.abs(R_frame[i, j, k, :]
+                                                       - rhs))))
+    return worst
+
+
+def loop_codazzi_residual(dE_frame, c1, c2, f_frame, V_frame):
+    """Reference Codazzi residual, the per-(i, j, k) loop form."""
+    g = np.eye(3)
+    f = f_frame
+    V = V_frame
+    worst = 0.0
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                t1 = (f[j, k] * V[i] - f[i, k] * V[j]
+                      + g[j, k] * V[i] - g[i, k] * V[j])
+                t2 = (g[j, k] * V[i] - f[j, k] * V[i]
+                      - g[i, k] * V[j] + f[i, k] * V[j])
+                rhs = 0.25 * c1 * t1 - 0.25 * c2 * t2
+                worst = max(worst, abs(dE_frame[i, j, k] - rhs))
+    return worst

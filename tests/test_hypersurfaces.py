@@ -198,3 +198,23 @@ def test_sphere_poles_are_rank_deficient():
     chart = build_chart("round-sphere", {"r": 1.0})
     with pytest.raises(RankDeficientError):
         evaluate(chart, build_product(0.0, 0.0), [0.0, 1.0, 2.0])
+
+
+def test_gauss_codazzi_arrays_match_loop_reference(members, rng):
+    """The array forms of the Gauss and Codazzi residuals do the same
+    elementwise arithmetic as the loops they replaced: equal results, at
+    single points and over a batch."""
+    from helpers import loop_codazzi_residual, loop_gauss_residual
+    for name, prod, chart in members:
+        pts = sample(chart, rng, 6)
+        batch = evaluate(chart, prod, pts)
+        gauss = gauss_residual(batch)
+        codazzi = codazzi_residual(batch)
+        assert gauss.shape == codazzi.shape == (6,)
+        for i in range(6):
+            ev = batch.point(i)
+            args = (prod.c1, prod.c2, ev.f_frame)
+            ref_g = loop_gauss_residual(ev.riemann_frame, *args, ev.E_frame)
+            ref_c = loop_codazzi_residual(ev.dE_frame, *args, ev.V_frame)
+            assert gauss_residual(ev) == ref_g == gauss[i], name
+            assert codazzi_residual(ev) == ref_c == codazzi[i], name

@@ -129,3 +129,91 @@ def test_constant_and_mixed_arithmetic():
     assert value(3 - jx) == 2.0
     assert value((-jx) + 1) == 0.0
     assert np.float64(2.0) * jx is not None  # numpy scalars defer to Jet
+
+
+# --- batched arithmetic against the scalar kernel it replaced --------------
+
+def _reference_pairs(nt):
+    from spinlab.jets import MONOMIALS
+    index = {m: n for n, m in enumerate(MONOMIALS)}
+    I, J, K = [], [], []
+    for a, ma in enumerate(MONOMIALS[:nt]):
+        for b, mb in enumerate(MONOMIALS[:nt]):
+            k = index.get(tuple(x + y for x, y in zip(ma, mb)))
+            if k is not None and k < nt:
+                I.append(a)
+                J.append(b)
+                K.append(k)
+    return np.array(I), np.array(J), np.array(K)
+
+
+def reference_mul(a, b):
+    """The one-point ``bincount`` product kernel, kept as the reference."""
+    I, J, K = _reference_pairs(len(a))
+    return np.bincount(K, a[I] * b[J], minlength=len(a))
+
+
+def reference_compose(c, ladder):
+    """One-point composition f(jet) from [f, f', f'', f'''] at its value."""
+    fact = [1.0, 1.0, 2.0, 6.0]
+    order = {4: 1, 10: 2, 20: 3}[len(c)]
+    s = c.copy()
+    s[0] = 0.0
+    out = np.zeros(len(c))
+    out[0] = ladder[0]
+    p = np.zeros(len(c))
+    p[0] = 1.0
+    for k in range(1, order + 1):
+        p = reference_mul(p, s)
+        out = out + (ladder[k] / fact[k]) * p
+    return out
+
+
+@pytest.mark.parametrize("nt", [4, 10, 20])
+@pytest.mark.parametrize("npts", [1, 3, 17])
+def test_batched_products_match_scalar_kernel(nt, npts):
+    rng = np.random.default_rng(nt * 100 + npts)
+    a = rng.uniform(-2.0, 2.0, (nt, npts))
+    b = rng.uniform(-2.0, 2.0, (nt, npts))
+    a[0] += 3.0  # keep value parts away from zero for the reciprocal
+    prod = (Jet(a) * Jet(b)).c
+    recip = (1.0 / Jet(a)).c
+    sine = Jet(b).sin().c
+    assert prod.shape == recip.shape == sine.shape == (nt, npts)
+    for n in range(npts):
+        x, y = a[:, n], b[:, n]
+        # the batched kernel sums each product slot in another order
+        assert np.allclose(prod[:, n], reference_mul(x, y),
+                           rtol=1e-13, atol=1e-13)
+        ladder = [1.0 / x[0], -1.0 / x[0] ** 2, 2.0 / x[0] ** 3,
+                  -6.0 / x[0] ** 4]
+        assert np.allclose(recip[:, n], reference_compose(x, ladder),
+                           rtol=1e-13, atol=1e-13)
+        s, c = np.sin(y[0]), np.cos(y[0])
+        assert np.allclose(sine[:, n], reference_compose(y, [s, c, -s, -c]),
+                           rtol=1e-13, atol=1e-13)
+        one = Jet(x) * Jet(y)
+        assert one.c.shape == (nt,)
+        assert np.allclose(one.c, prod[:, n], rtol=1e-13, atol=1e-13)
+
+
+def test_batch_guards_trip_on_any_point():
+    x = Jet.constant(np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ZeroDivisionError):
+        1.0 / x
+    with pytest.raises(ValueError):
+        (x - 0.5).sqrt()
+    assert np.allclose((x + 1.0).sqrt().val, np.sqrt([2.0, 1.0, 3.0]))
+
+
+def test_batched_derivatives_and_validity():
+    u = np.array([[0.4, -0.3, 0.8], [0.2, 0.5, -0.6]])
+    jet = f_scalar(*variables(u))
+    assert jet.c.shape == (20, 2)
+    for n in range(2):
+        one = f_scalar(*variables(u[n]))
+        assert np.allclose(jet.grad()[n], one.grad(), rtol=1e-13, atol=1e-13)
+        assert np.allclose(jet.hess()[n], one.hess(), rtol=1e-13, atol=1e-13)
+        assert np.allclose(jet.deriv(1).c[:, n], one.deriv(1).c,
+                           rtol=1e-13, atol=1e-13)
+    assert jet.deriv(0).deriv(2).valid == 1

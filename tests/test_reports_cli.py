@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spinlab.checks import REGISTRY, list_checks, run_scenario
@@ -221,3 +222,58 @@ def test_flipped_pairing_localizes_structure2_checks():
     assert verdicts["spinc.omega_s1"] == "pass"
     assert verdicts["curvature.gauss"] == "pass"
     assert not report.passed
+
+
+@pytest.mark.parametrize("check, target", [
+    ("structure.involution", "involution_identities"),  # assert
+    ("curvature.gauss_control", "gauss_residual"),      # control
+])
+def test_nan_residual_fails_the_check(monkeypatch, check, target):
+    """A NaN at any point, here the second, must fail assert and control
+    checks alike; max(0.0, nan) is 0.0, so a running max would lose it."""
+    from spinlab import hypersurfaces as hyp
+    original = getattr(hyp, target)
+    calls = []
+
+    def with_nan(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(1)
+        if len(calls) != 2:
+            return out
+        if isinstance(out, dict):
+            return {k: float("nan") for k in out}
+        return float("nan")
+
+    monkeypatch.setattr(hyp, target, with_nan)
+    report = run_scenario(small_scenario(checks=[check]))
+    assert len(calls) >= 2
+    (rec,) = report.checks
+    assert np.isnan(rec.max_residual)
+    assert rec.verdict == "fail"
+    assert not report.passed
+
+
+@pytest.mark.parametrize("change, extra, says", [
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--seed", "-3"], "seed"),
+    ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1, 2, 3, 4]}}},
+     [], "5 coefficients"),
+    ({"hypersurface": {"kind": "round-sphere", "params": {"r": "big"}}}, [],
+     "'r' must be a number"),
+    ({"checks": "system.one"}, [], "list of check names"),
+    ({"c1": float("nan")}, [], "finite"),
+    ({"c2": float("inf")}, [], "finite"),
+    ({"hypersurface": {"kind": "graph", "params": {"orientation": 0}}}, [],
+     "orientation"),
+], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
+        "non-numeric-param", "checks-as-string", "nan-curvature",
+        "infinite-curvature", "orientation-zero"])
+def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
+                                            says):
+    from spinlab.cli import main
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({**BASE, "checks": FAST_CHECKS, **change}))
+    assert main(["run", "--scenario", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err
