@@ -30,7 +30,7 @@ from . import hypersurfaces as hyp
 from . import restriction as rst
 from . import systems as sysmod
 from .catalog import build_chart, build_product, sample_points
-from .jets import value
+from .jets import value, worst_of
 from .product import structure
 from .reports import (CheckRecord, ResidualReport, Scenario, ScenarioError,
                       tolerance_scale)
@@ -88,13 +88,6 @@ class CheckSpec:
     fn: object
 
 
-def _worst(residuals) -> float:
-    """Largest residual, 0.0 when there is none, NaN when any is NaN
-    (``max(0.0, nan)`` is 0.0, so a plain running max would lose it)."""
-    arr = np.asarray(list(residuals), dtype=float)
-    return float(np.max(arr)) if arr.size else 0.0
-
-
 def _record(worst, points, **fields):
     return CheckRecord("", "", worst, 0.0, "", points_evaluated=points,
                        **fields)
@@ -102,39 +95,38 @@ def _record(worst, points, **fields):
 
 def _max_over_points(ctx, per_point):
     n = len(ctx.points)
-    return _record(_worst(per_point(i) for i in range(n)), n)
+    return _record(worst_of(per_point(i) for i in range(n)), n)
 
 
 def _max_over_batch(ctx, residuals):
     """Record of a residual evaluated on the whole batch at once."""
-    return _record(_worst(np.ravel(residuals(ctx.batch))), len(ctx.points))
+    return _record(worst_of(np.ravel(residuals(ctx.batch))), len(ctx.points))
 
 
 # --- ambient / product-model checks -----------------------------------------
 
+def _over_structures(ctx, n, probe):
+    """Record of ``probe(positions, struct)`` at the first ``n`` sample
+    positions, an ``(n, 4)`` array, under both structures."""
+    p = ctx.batch.position[:n]
+    return _record(worst_of(np.ravel([
+        probe(p, structure(tag, ctx.scenario.structure_pairing))
+        for tag in (1, 2)])), n)
+
+
 def check_ambient_parallel(ctx):
-    rng = ctx.rng_for("ambient.parallel_spinor")
-    res = []
     n = min(20, len(ctx.points))
+    # the same stream as drawing vel (4) then acc (4) point by point
+    draws = ctx.rng_for("ambient.parallel_spinor").standard_normal((n, 2, 4))
+    vel, acc = 0.2 * draws[:, 0], 0.1 * draws[:, 1]
     ts = np.linspace(-0.5, 0.5, 7)
-    for i in range(n):
-        p0 = ctx.evaluation(i).position
-        vel = 0.2 * rng.standard_normal(4)
-        acc = 0.1 * rng.standard_normal(4)
-        for tag in (1, 2):
-            st = structure(tag, ctx.scenario.structure_pairing)
-            res.append(ctx.product.parallel_residual_on_curve(
-                st, p0, vel, acc, ts))
-    return _record(_worst(res), n)
+    return _over_structures(ctx, n, lambda p, st: (
+        ctx.product.parallel_residual_on_curve(st, p, vel, acc, ts)))
 
 
 def check_ambient_auxiliary(ctx):
-    n = min(12, len(ctx.points))
-    return _record(_worst(
-        ctx.product.auxiliary_curvature_residual(
-            ctx.evaluation(i).position,
-            structure(tag, ctx.scenario.structure_pairing))
-        for i in range(n) for tag in (1, 2)), n)
+    return _over_structures(ctx, min(12, len(ctx.points)),
+                            ctx.product.auxiliary_curvature_residual)
 
 
 def check_ambient_product_structure(ctx):
@@ -146,23 +138,22 @@ def check_ambient_product_structure(ctx):
            abs(float(np.trace(F_MATRIX)))]
     h = 1e-3
     n = min(10, len(ctx.points))
-    for i in range(n):
-        p = ctx.evaluation(i).position
-        for surf, (x, y) in ((ctx.product.factor1, p[:2]),
-                             (ctx.product.factor2, p[2:])):
-            lam = lambda a, b: value(surf.conformal_factor(a, b))
+    p = ctx.batch.position[:n]
+    for surf, x, y in ((ctx.product.factor1, p[:, 0], p[:, 1]),
+                       (ctx.product.factor2, p[:, 2], p[:, 3])):
+        lam = lambda a, b: value(surf.conformal_factor(a, b))
 
-            def d2(fn):  # fourth-order second derivative stencil
-                return (-fn(2 * h) + 16 * fn(h) - 30 * fn(0.0)
-                        + 16 * fn(-h) - fn(2 * -h)) / (12 * h * h)
+        def d2(fn):  # fourth-order second derivative stencil
+            return (-fn(2 * h) + 16 * fn(h) - 30 * fn(0.0)
+                    + 16 * fn(-h) - fn(2 * -h)) / (12 * h * h)
 
-            lap = (d2(lambda t: np.log(lam(x + t, y)))
-                   + d2(lambda t: np.log(lam(x, y + t))))
-            K = -lap / lam(x, y) ** 2
-            # rho coefficient must equal K * lam^2 (area form density)
-            rho = value(surf.ricci_form_coefficient(x, y))
-            res.append(abs(rho - K * lam(x, y) ** 2))
-    return _record(_worst(res), n)
+        lap = (d2(lambda t: np.log(lam(x + t, y)))
+               + d2(lambda t: np.log(lam(x, y + t))))
+        K = -lap / lam(x, y) ** 2
+        # rho coefficient must equal K * lam^2 (area form density)
+        rho = value(surf.ricci_form_coefficient(x, y))
+        res.extend(np.abs(rho - K * lam(x, y) ** 2))
+    return _record(worst_of(res), n)
 
 
 # --- hypersurface point checks ------------------------------------------------
@@ -173,7 +164,7 @@ def check_frame(ctx):
 
 
 def check_consistency(ctx):
-    rec = _max_over_points(ctx, lambda i: _worst(
+    rec = _max_over_points(ctx, lambda i: worst_of(
         hyp.consistency_residuals(ctx.evaluation(i)).values()))
     H = value(ctx.batch.mean_curvature)
     rec.notes = {"mean_curvature_min": float(np.min(H)),
@@ -182,17 +173,17 @@ def check_consistency(ctx):
 
 
 def check_involution(ctx):
-    return _max_over_points(ctx, lambda i: _worst(
+    return _max_over_points(ctx, lambda i: worst_of(
         hyp.involution_identities(ctx.evaluation(i)).values()))
 
 
 def check_contact(ctx):
-    return _max_over_points(ctx, lambda i: _worst(
+    return _max_over_points(ctx, lambda i: worst_of(
         hyp.contact_identities(ctx.evaluation(i)).values()))
 
 
 def check_projection_split(ctx):
-    return _max_over_points(ctx, lambda i: _worst(
+    return _max_over_points(ctx, lambda i: worst_of(
         hyp.projection_formulas(ctx.evaluation(i)).values()))
 
 
@@ -225,7 +216,7 @@ def check_gauss_control(ctx):
         ev = ctx.evaluation(i)
         highs.append(hyp.gauss_residual(
             ev, E_frame=sysmod.perturbed_shape(ev, rng)))
-    rec = _record(_worst(highs), n)
+    rec = _record(worst_of(highs), n)
     rec.notes = {"control": "shape operator perturbed by symmetric "
                             "rank-two noise; residual must exceed tolerance"}
     return rec
@@ -241,7 +232,7 @@ def _system_check(tag):
         res = [sysmod.system_residuals(tag, ctx.evaluation(i))
                for i in range(len(ctx.points))]
         degenerate = sum(1 for r in res if r.degenerate)
-        rec = _record(_worst(r.max_residual for r in res), len(res))
+        rec = _record(worst_of(r.max_residual for r in res), len(res))
         if degenerate:
             rec.notes = {"points_with_vanishing_V": degenerate,
                          "degenerate_equations": ["eq04", "eq08"]}
@@ -256,9 +247,9 @@ def check_system_control(ctx):
     for i in range(n):
         ev = ctx.evaluation(i)
         ap = sysmod.perturbed_shape(ev, rng)
-        highs.append(_worst(sysmod.system_residuals(t, ev, E_frame=ap)
-                            .max_residual for t in (1, 2)))
-    return _record(_worst(highs), n)
+        highs.append(worst_of(sysmod.system_residuals(t, ev, E_frame=ap)
+                              .max_residual for t in (1, 2)))
+    return _record(worst_of(highs), n)
 
 
 def check_covanish(ctx):
@@ -285,8 +276,8 @@ def _killing_check(tag):
     def fn(ctx):
         def defect(i):
             rs = ctx.restricted(i, tag)
-            return _worst(rs.killing_residual(rs.ev.frame[:, k])
-                          for k in range(3))
+            return worst_of(rs.killing_residual(rs.ev.frame[:, k])
+                            for k in range(3))
         return _max_over_points(ctx, defect)
     return fn
 
@@ -302,7 +293,7 @@ def _relations_check(tag):
             m = rs.volume_measurement()
             res.append(min(abs(m - 1.0), abs(m + 1.0)))
             measured.add(int(np.sign(m.real)))
-        rec = _record(_worst(res), len(ctx.points))
+        rec = _record(worst_of(res), len(ctx.points))
         rec.notes = {"volume_element_sign": sorted(measured)}
         return rec
     return fn
@@ -316,7 +307,7 @@ def _normal_condition_check(tag):
 
 
 def check_pairing_identities(ctx):
-    return _max_over_points(ctx, lambda i: _worst(
+    return _max_over_points(ctx, lambda i: worst_of(
         rst.pairing_identities(ctx.restricted(i, 2)).values()))
 
 
@@ -336,7 +327,7 @@ def _omega_restriction_check(tag):
 
 
 def check_projection_cancellation(ctx):
-    return _max_over_points(ctx, lambda i: _worst(
+    return _max_over_points(ctx, lambda i: worst_of(
         rst.projection_cancellation_residuals(ctx.evaluation(i)).values()))
 
 
@@ -363,7 +354,7 @@ def check_energy_momentum_s2(ctx):
         res.append(de.Q_vs_E)
         if float(np.max(np.abs(ev.E_frame))) > 1e-10:
             signs.add(de.Q_sign)
-    rec = _record(_worst(res), len(ctx.points))
+    rec = _record(worst_of(res), len(ctx.points))
     rec.notes = {"measured_sign_Q_vs_E": sorted(signs) if signs
                  else "indeterminate (E = 0 everywhere)"}
     return rec
@@ -374,12 +365,12 @@ def check_umbilic(ctx):
              for i in range(len(ctx.points))]
     umbilic = [r.residuals for r in found if r.umbilic]
     verified, skipped = len(umbilic), len(found) - len(umbilic)
-    rec = _record(_worst(r[k] for r in umbilic
-                         for k in ("dH-tangential", "norm-identity")),
+    rec = _record(worst_of(r[k] for r in umbilic
+                           for k in ("dH-tangential", "norm-identity")),
                   verified, points_skipped=skipped,
                   skip_reason="non-umbilic point" if skipped else "")
     rec.notes = {"umbilic_points": verified,
-                 "dH_xi_max": _worst(r["dH-xi"] for r in umbilic),
+                 "dH_xi_max": worst_of(r["dH-xi"] for r in umbilic),
                  "status": "verified" if verified else "vacuous (no umbilic points)"}
     return rec
 
@@ -390,7 +381,7 @@ def check_converse(ctx):
         res, _ = sysmod.converse_check(sysmod.harvest(ctx.evaluation(i)))
         ratios += [(v / sysmod.CONVERSE_TOLERANCES[k], k)
                    for k, v in res.items()]
-    worst_ratio = _worst(r for r, _ in ratios)
+    worst_ratio = worst_of(r for r, _ in ratios)
     # the first check reaching the worst ratio, or the first NaN one
     worst_name = next((name for ratio, name in ratios if np.isnan(ratio)
                        or (ratio > 0.0 and ratio >= worst_ratio)), "")
@@ -407,7 +398,7 @@ def check_spin_case(ctx):
         rec.notes = {"status": "not a spin case (c1, c2) != (0, 0)"}
         return rec
     n = min(10, len(ctx.points))
-    rec = _record(_worst(
+    rec = _record(worst_of(
         float(np.max(np.abs(ctx.restricted(i, tag).omega_pullback)))
         for i in range(n) for tag in (1, 2)), n)
     rec.notes = {"status": "flat factors: both induced structures coincide "

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jets import worst_of
+
 _EXACT_TOL = 1e-14
 
 _SIGMA = [
@@ -198,17 +200,15 @@ def shape_commutator_residual(E, model: CliffordModel | None = None) -> float:
     if model is None:
         model = build_clifford(3)
     a = E
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            gi = model.vector(a[i])
-            gj = model.vector(a[j])
-            lhs = gi @ gj - gj @ gi
-            coeff = 2.0 * np.array([
-                a[j, 2] * a[i, 1] - a[j, 1] * a[i, 2],
-                a[i, 2] * a[j, 0] - a[i, 0] * a[j, 2],
-                a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0],
-            ])
-            rhs = model.vector(coeff)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+
+    def defect(i, j):
+        gi = model.vector(a[i])
+        gj = model.vector(a[j])
+        lhs = gi @ gj - gj @ gi
+        coeff = 2.0 * np.array([
+            a[j, 2] * a[i, 1] - a[j, 1] * a[i, 2],
+            a[i, 2] * a[j, 0] - a[i, 0] * a[j, 2],
+            a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0],
+        ])
+        return np.max(np.abs(lhs - model.vector(coeff)))
+    return worst_of(defect(i, j) for i in range(3) for j in range(3))

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet, gradients, value, values, variables
+from .jets import Jet, gradients, value, values, variables, worst_of
 from .product import F_MATRIX, J_MATRIX, ProductModel
 from .surfaces import OutsideDomainError
 
@@ -542,7 +542,10 @@ def consistency_residuals(ev: PointEvaluation):
     to V and xi."""
     out = {}
     out["normal-unit"] = abs(float(ev.gbar_val @ (ev.nu_val * ev.nu_val)) - 1.0)
-    out["metric-posdef"] = max(0.0, 1e-12 - float(np.linalg.eigvalsh(ev.g_val)[0]))
+    # eigvalsh raises on a non-finite matrix; a NaN metric must fail instead
+    low = (np.linalg.eigvalsh(ev.g_val)[0] if np.all(np.isfinite(ev.g_val))
+           else np.nan)
+    out["metric-posdef"] = worst_of([0.0, 1e-12 - low])
     II = values(ev.second_fundamental)
     out["shape-symmetric"] = float(np.max(np.abs(II - II.T)))
     Vamb = np.array([value(v) for v in ev.V_ambient])
@@ -596,19 +599,17 @@ def contact_identities(ev: PointEvaluation):
     out["chi-kills-xi"] = float(np.max(np.abs(chi @ xi)))
     out["JF-commute"] = float(np.max(np.abs(J_MATRIX @ F_MATRIX
                                             - F_MATRIX @ J_MATRIX)))
-    r3 = r4 = 0.0
-    for X in (e1, e2, xi):
-        r3 = max(r3, abs(ip(Vv, chi @ X) + eta(X) * h - eta(fv @ X)))
-        r4 = max(r4, float(np.max(np.abs(
-            fv @ (chi @ X) + eta(X) * Vv - chi @ (fv @ X) + ip(Vv, X) * xi))))
-    out["mixed-endomorphism"] = r3
-    out["commutation-split"] = r4
+    out["mixed-endomorphism"] = worst_of(
+        abs(ip(Vv, chi @ X) + eta(X) * h - eta(fv @ X)) for X in (e1, e2, xi))
+    out["commutation-split"] = worst_of(
+        np.max(np.abs(fv @ (chi @ X) + eta(X) * Vv - chi @ (fv @ X)
+                      + ip(Vv, X) * xi)) for X in (e1, e2, xi))
     out["V-horizontal"] = abs(eta(Vv))
     out["f-of-xi"] = float(np.max(np.abs(fv @ xi - h * xi + chi @ Vv)))
     out["f-V-horizontal"] = abs(eta(fv @ Vv))
-    out["f-frame-entries"] = max(abs(ip(fv @ e1, e2)),
-                                 abs(ip(fv @ e1, e1) + h),
-                                 abs(ip(fv @ e2, e2) + h))
+    out["f-frame-entries"] = worst_of([abs(ip(fv @ e1, e2)),
+                                       abs(ip(fv @ e1, e1) + h),
+                                       abs(ip(fv @ e2, e2) + h)])
     JV = J_MATRIX @ (Vv @ ev.T_val)
     chiV = (chi @ Vv) @ ev.T_val
     out["J-of-V"] = float(np.max(np.abs(JV - chiV)))

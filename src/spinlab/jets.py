@@ -239,6 +239,13 @@ def value(x):
     return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
 
 
+def worst_of(residuals) -> float:
+    """Largest residual, 0.0 when there is none, NaN when any is NaN
+    (``max(0.0, nan)`` is 0.0, so a plain running max would lose it)."""
+    arr = np.asarray(list(residuals), dtype=float)
+    return float(np.max(arr)) if arr.size else 0.0
+
+
 def _leaves(arr):
     arr = np.asarray(arr, dtype=object)
     return arr.shape, arr.reshape(-1)

@@ -25,6 +25,12 @@ the curvature of the auxiliary part reproduces the 2-form
     Omega(X, Y) = -s1 rho1(pi1 X, pi1 Y) - s2 rho2(pi2 X, pi2 Y),
 
 which the loop-holonomy probe verifies numerically rather than assumes.
+
+The tensor and form evaluators read a point's chart coordinates from axis 0
+(``p[0]`` is x1), so arrays of shape ``(4, ...)`` evaluate a whole stack of
+points in one call.  ``connection_matrix`` and the verification probes take
+the coordinate axis last, ``(..., 4)``, like the sample positions of a
+batch, and evaluate every point, node and plane in one array pass.
 """
 
 from __future__ import annotations
@@ -42,6 +48,13 @@ _GL_T = 0.5 + np.array([-0.4305681557970263, -0.1699905217924282,
                         0.1699905217924282, 0.4305681557970263])
 _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
+
+# the six coordinate planes (a, b), a < b, as rows of unit vectors e_a, e_b,
+# and the corners of the unit square they span, counter-clockwise from 0
+_PLANE_A, _PLANE_B = np.triu_indices(4, 1)
+_EA = np.eye(4)[_PLANE_A]
+_EB = np.eye(4)[_PLANE_B]
+_CORNERS = np.stack([0.0 * _EA, _EA, _EA + _EB, _EB], axis=1)
 
 J_MATRIX = np.array([
     [0.0, -1.0, 0.0, 0.0],
@@ -83,7 +96,6 @@ class ProductModel:
         self.factor2 = SurfaceModel(c2)
         self.c1 = float(c1)
         self.c2 = float(c2)
-        self.scalar_curvature = 2.0 * (self.c1 + self.c2)  # stored, unused
         self.clifford = build_clifford(4)
         self._e12 = self.clifford.generators[0] @ self.clifford.generators[1]
         self._e34 = self.clifford.generators[2] @ self.clifford.generators[3]
@@ -143,9 +155,11 @@ class ProductModel:
         return struct.signs[0] * w1 + struct.signs[1] * w2
 
     def connection_matrix(self, p, X, struct: SpincStructure):
-        """4x4 coefficient matrix C(X) of the spinor connection at p."""
-        w1, w2 = self.rotation_forms(p, X)
-        w1, w2 = value(w1), value(w2)
+        """Coefficient matrix C(X) of the spinor connection at p: ``p`` and
+        ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""
+        w1, w2 = self.rotation_forms(np.moveaxis(np.asarray(p), -1, 0),
+                                     np.moveaxis(np.asarray(X), -1, 0))
+        w1, w2 = (np.asarray(value(w))[..., None, None] for w in (w1, w2))
         aux = struct.signs[0] * w1 + struct.signs[1] * w2
         return (0.5 * w1 * self._e12 + 0.5 * w2 * self._e34
                 + 0.5j * aux * np.eye(4))
@@ -158,53 +172,56 @@ class ProductModel:
 
     # verification probes --------------------------------------------------
     def parallel_residual_on_curve(self, struct, p0, vel, acc, ts):
-        """max |C(c(t), c'(t)) psi0| along the curve c(t) = p0 + t v + t^2 w."""
+        """max over ``ts`` of |C(c(t), c'(t)) psi0| along the curve
+        c(t) = p0 + t v + t^2 w.  ``p0``, ``vel``, ``acc`` are ``(..., 4)``;
+        the result has their leading shape (a float for one curve)."""
         psi0 = self.parallel_spinor(struct)
-        worst = 0.0
-        p0, vel, acc = map(np.asarray, (p0, vel, acc))
-        for t in ts:
-            p = p0 + t * vel + t * t * acc
-            dp = vel + 2.0 * t * acc
-            res = np.linalg.norm(self.connection_matrix(p, dp, struct) @ psi0)
-            worst = max(worst, float(res))
-        return worst
+        p0, vel, acc = (np.asarray(x, dtype=float)[..., None, :]
+                        for x in (p0, vel, acc))
+        t = np.asarray(ts, dtype=float)[:, None]
+        p = p0 + t * vel + t * t * acc
+        dp = vel + 2.0 * t * acc
+        res = np.linalg.norm(self.connection_matrix(p, dp, struct) @ psi0,
+                             axis=-1)
+        worst = np.max(res, axis=-1)
+        return float(worst) if worst.ndim == 0 else worst
 
-    def _loop_integral(self, p, a, b, h, struct):
-        """Line integral of the auxiliary form around the (a,b) square of side h."""
-        ea = np.zeros(4)
-        ea[a] = 1.0
-        eb = np.zeros(4)
-        eb[b] = 1.0
-        p = np.asarray(p, dtype=float)
-        # square centered at p: the circulation then estimates d(a) at p
-        # itself to second order, which Richardson extrapolation removes
-        base = p - 0.5 * h * (ea + eb)
-        corners = [base, base + h * ea, base + h * ea + h * eb, base + h * eb]
-        total = 0.0
-        for k in range(4):
-            start, stop = corners[k], corners[(k + 1) % 4]
-            seg = stop - start
-            for t, w in zip(_GL_T, _GL_W):
-                q = start + t * seg
-                total += w * value(self.auxiliary_form(q, seg, struct))
-        return total
+    def _loop_integrals(self, p, hs, struct):
+        """Line integrals of the auxiliary form around the squares of side
+        ``hs`` centred at ``p`` in every coordinate plane, shape
+        ``p.shape[:-1] + (len(hs), 6)``; each edge by 4-point Gauss-Legendre.
+
+        Centred squares make the circulation estimate d(a) at p itself to
+        second order, which Richardson extrapolation removes.
+        """
+        hs = hs[:, None, None, None]
+        # corners (size, plane, corner, coordinate), counter-clockwise
+        base = p[..., None, None, None, :] - 0.5 * hs * (_EA + _EB)[:, None]
+        corners = base + hs * _CORNERS
+        seg = np.roll(corners, -1, axis=-2) - corners
+        q = corners[..., None, :] + _GL_T[:, None] * seg[..., None, :]
+        forms = self.auxiliary_form(np.moveaxis(q, -1, 0),
+                                    np.moveaxis(seg, -1, 0)[..., None], struct)
+        # add the 16 weighted node values edge by edge, node by node: a
+        # reduction over the leading axis of a contiguous array accumulates
+        # in that order, so each integral is rounded like a running sum
+        terms = (forms * _GL_W).reshape(forms.shape[:-2] + (16,))
+        return np.add.reduce(np.ascontiguousarray(np.moveaxis(terms, -1, 0)))
 
     def auxiliary_curvature_residual(self, p, struct, h=0.02):
         """Compare loop-holonomy curvature of the gauge with the closed form.
 
         Richardson-extrapolated curvature d(a) from two loop sizes against
-        curvature_form on every coordinate plane; returns the worst deviation.
+        curvature_form on every coordinate plane; returns the worst
+        deviation at ``p`` of shape ``(4,)`` (a float) or at each row of an
+        ``(N, 4)`` array (shape ``(N,)``).
         """
-        worst = 0.0
-        for a in range(4):
-            for b in range(a + 1, 4):
-                d1 = self._loop_integral(p, a, b, h, struct) / h**2
-                d2 = self._loop_integral(p, a, b, h / 2, struct) / (h / 2) ** 2
-                approx = (4.0 * d2 - d1) / 3.0
-                ea = np.zeros(4)
-                ea[a] = 1.0
-                eb = np.zeros(4)
-                eb[b] = 1.0
-                exact = value(self.curvature_form(p, ea, eb, struct))
-                worst = max(worst, abs(approx - exact))
-        return worst
+        p = np.asarray(p, dtype=float)
+        hs = np.array([h, h / 2])
+        d1, d2 = np.moveaxis(self._loop_integrals(p, hs, struct)
+                             / hs[:, None] ** 2, -2, 0)
+        approx = (4.0 * d2 - d1) / 3.0
+        exact = self.curvature_form(np.moveaxis(p, -1, 0)[..., None],
+                                    _EA.T, _EB.T, struct)
+        worst = np.max(np.abs(approx - exact), axis=-1)
+        return float(worst) if worst.ndim == 0 else worst

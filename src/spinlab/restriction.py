@@ -30,7 +30,7 @@ import numpy as np
 
 from .clifford import ProductSpinorSpace
 from .hypersurfaces import PointEvaluation
-from .jets import value
+from .jets import value, worst_of
 from .product import SpincStructure
 
 
@@ -61,14 +61,15 @@ class RestrictedSpinc:
         self.model = ev.product.clifford
         self.psi = ev.product.parallel_spinor(struct)
         self.position = ev.position
-        self.nu_frame = ev.product.frame_components(ev.position, ev.nu_val)
+        # (lam1, lam1, lam2, lam2): chart to orthonormal-frame components
+        self.frame_scale = ev.product.frame_components(ev.position, np.ones(4))
+        self.nu_frame = ev.nu_val * self.frame_scale
         self._nu_mat = self.model.vector(self.nu_frame)
 
     # --- Clifford layer ---------------------------------------------------
     def ambient_frame(self, X_coord):
         """Orthonormal-frame components of a tangent coordinate vector."""
-        X_amb = np.asarray(X_coord) @ self.ev.T_val
-        return self.ev.product.frame_components(self.position, X_amb)
+        return (np.asarray(X_coord) @ self.ev.T_val) * self.frame_scale
 
     def gamma_matrix(self, X_coord):
         """gamma(X) as a 4x4 matrix preserving the chirality eigenspace."""
@@ -82,17 +83,16 @@ class RestrictedSpinc:
         return [self.gamma_matrix(self.ev.frame[:, i]) for i in range(3)]
 
     def anticommutation_residual(self, rng, trials=6):
-        worst = 0.0
+        res = []
         for _ in range(trials):
             X = rng.standard_normal(3)
             Y = rng.standard_normal(3)
             gx, gy = self.gamma_matrix(X), self.gamma_matrix(Y)
             ip = float(X @ self.ev.g_val @ Y)
-            res = gx @ gy + gy @ gx + 2.0 * ip * np.eye(4)
-            worst = max(worst, float(np.max(np.abs(res))))
-            skew = gx + gx.conj().T
-            worst = max(worst, float(np.max(np.abs(skew))))
-        return worst
+            anti = gx @ gy + gy @ gx + 2.0 * ip * np.eye(4)
+            res.append(np.max(np.abs(anti)))
+            res.append(np.max(np.abs(gx + gx.conj().T)))
+        return worst_of(res)
 
     def volume_measurement(self):
         """Scalar m with gamma(e1) gamma(e2) gamma(xi) phi = m phi."""
@@ -122,13 +122,14 @@ class RestrictedSpinc:
     @cached_property
     def omega_pullback(self):
         """Om[i, j] = Omega(e_i, e_j) on the adapted frame (pullback)."""
-        amb = [self.ev.frame_ambient(i) for i in range(3)]
-        Om = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                Om[i, j] = value(self.ev.product.curvature_form(
-                    self.position, amb[i], amb[j], self.struct))
-        return Om
+        amb = self.frame_ambient
+        return value(self.ev.product.curvature_form(
+            self.position, amb[:, :, None], amb[:, None, :], self.struct))
+
+    @cached_property
+    def frame_ambient(self):
+        """Ambient chart components of the adapted frame, one column each."""
+        return np.stack([self.ev.frame_ambient(i) for i in range(3)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +199,14 @@ def curvature_restriction_residual(rs: RestrictedSpinc):
     ev = rs.ev
     model = rs.model
     p = rs.position
-    lam1 = value(ev.product.factor1.conformal_factor(p[0], p[1]))
-    lam2 = value(ev.product.factor2.conformal_factor(p[2], p[3]))
-    eps = np.diag([1.0 / lam1, 1.0 / lam1, 1.0 / lam2, 1.0 / lam2])
-    # ambient 2-form action in the orthonormal frame
+    eps = np.diag(1.0 / rs.frame_scale)
+    # ambient 2-form action in the orthonormal frame, plane (a, b) by plane
+    A, B = np.triu_indices(4, 1)
+    coeffs = value(ev.product.curvature_form(p, eps[:, A], eps[:, B],
+                                             rs.struct))
     lhs_mat = np.zeros((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            coeff = value(ev.product.curvature_form(p, eps[a], eps[b], rs.struct))
-            lhs_mat += coeff * model.generators[a] @ model.generators[b]
+    for coeff, a, b in zip(coeffs, A, B):
+        lhs_mat += coeff * model.generators[a] @ model.generators[b]
     lhs = lhs_mat @ rs.psi
 
     Om = rs.omega_pullback
@@ -214,10 +214,8 @@ def curvature_restriction_residual(rs: RestrictedSpinc):
     for i in range(3):
         for j in range(i + 1, 3):
             rhs += Om[i, j] * rs.frame_gammas[i] @ (rs.frame_gammas[j] @ rs.psi)
-    contraction = np.zeros(3)
-    for i in range(3):
-        contraction[i] = value(ev.product.curvature_form(
-            p, ev.nu_val, ev.frame_ambient(i), rs.struct))
+    contraction = value(ev.product.curvature_form(
+        p, ev.nu_val[:, None], rs.frame_ambient, rs.struct))
     W = sum(contraction[i] * ev.frame[:, i] for i in range(3))
     rhs -= rs.sign * rs.gamma(W, rs.psi)
     return float(np.linalg.norm(lhs - rhs))

@@ -49,8 +49,8 @@ class SurfaceModel:
         if isinstance(inside, np.ndarray):  # a batch: name its first bad point
             if inside.all():
                 return
-            i = int(np.argmin(inside))
-            x, y = value(x)[i], value(y)[i]
+            i = np.unravel_index(np.argmin(inside), inside.shape)
+            x, y = (np.broadcast_to(value(v), inside.shape)[i] for v in (x, y))
         elif inside:
             return
         raise OutsideDomainError(

@@ -28,7 +28,7 @@ import numpy as np
 from .hypersurfaces import (PointEvaluation, codazzi_defect, codazzi_residual,
                             derivative_defects, gauss_defect, gauss_residual,
                             rank_pair)
-from .jets import value
+from .jets import value, worst_of
 
 
 def system_one(R, a, dE, vV, h, c1, c2):
@@ -152,13 +152,10 @@ def perturbed_shape(ev: PointEvaluation, rng, scale=0.15):
 
 def xi_derivative_residual(ev: PointEvaluation) -> float:
     """max_X |nabla_X xi - Chi E X| over the adapted frame."""
-    worst = 0.0
-    for i in range(3):
-        X = ev.frame[:, i]
+    def defect(X):
         lhs = np.einsum("ba,b->a", ev.nabla_xi, X)
-        rhs = ev.chi_mixed @ ev.E_mixed_val @ X
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        return np.max(np.abs(lhs - ev.chi_mixed @ ev.E_mixed_val @ X))
+    return worst_of(defect(ev.frame[:, i]) for i in range(3))
 
 
 @dataclass
@@ -224,26 +221,22 @@ def theorem_forward_check(chart, product, points, pairing="standard"):
                               omega_formula_residual, pairing_identities,
                               projection_cancellation_residuals,
                               restrict_structure)
-    worst = {k: 0.0 for k in FORWARD_TOLERANCES}
+    found = {k: [] for k in FORWARD_TOLERANCES}
     batch = evaluate(chart, product, np.asarray(points, dtype=float))
     for i in range(len(batch.u)):
         ev = batch.point(i)
-        worst["cancellation"] = max(
-            worst["cancellation"],
-            max(projection_cancellation_residuals(ev).values()))
+        found["cancellation"] += projection_cancellation_residuals(ev).values()
         for tag in (1, 2):
             rs = restrict_structure(ev, structure(tag, pairing))
-            worst["killing"] = max(
-                worst["killing"],
-                max(rs.killing_residual(ev.frame[:, k]) for k in range(3)))
-            worst["normal-condition"] = max(worst["normal-condition"],
-                                            algebraic_conditions(rs))
-            worst["omega"] = max(worst["omega"], omega_formula_residual(rs))
-            worst["omega-restriction"] = max(
-                worst["omega-restriction"], curvature_restriction_residual(rs))
+            found["killing"] += [rs.killing_residual(ev.frame[:, k])
+                                 for k in range(3)]
+            found["normal-condition"].append(algebraic_conditions(rs))
+            found["omega"].append(omega_formula_residual(rs))
+            found["omega-restriction"].append(
+                curvature_restriction_residual(rs))
             if tag == 2:
-                worst["pairing"] = max(worst["pairing"],
-                                       max(pairing_identities(rs).values()))
+                found["pairing"] += pairing_identities(rs).values()
+    worst = {k: worst_of(v) for k, v in found.items()}
     passed = all(worst[k] <= FORWARD_TOLERANCES[k] for k in worst)
     notes = {}
     if product.c1 == 0.0 and product.c2 == 0.0:
@@ -404,9 +397,9 @@ def umbilic_gradient_identity(ev: PointEvaluation,
     normV = float(np.linalg.norm(ev.V_frame))
     res = {
         "dH-xi": abs(dH_frame[2]),
-        "dH-tangential": max(
-            abs(dH_frame[0] - 0.25 * (c1 - c2) * ev.V_frame[0]),
-            abs(dH_frame[1] - 0.25 * (c1 - c2) * ev.V_frame[1])),
+        "dH-tangential": worst_of(
+            abs(dH_frame[i] - 0.25 * (c1 - c2) * ev.V_frame[i])
+            for i in range(2)),
         "norm-identity": abs(4.0 * norm_dH - normV * abs(c1 - c2)),
     }
     return UmbilicResult(True, dev, res)
@@ -416,15 +409,10 @@ def umbilic_scan(chart, product, points):
     """Evaluate the gradient identity over a sample; returns
     (verified count, skipped count, worst residuals dict)."""
     from .hypersurfaces import evaluate
-    verified = skipped = 0
-    worst = {"dH-xi": 0.0, "dH-tangential": 0.0, "norm-identity": 0.0}
     batch = evaluate(chart, product, np.asarray(points, dtype=float))
-    for i in range(len(batch.u)):
-        r = umbilic_gradient_identity(batch.point(i))
-        if not r.umbilic:
-            skipped += 1
-            continue
-        verified += 1
-        for k in worst:
-            worst[k] = max(worst[k], r.residuals[k])
-    return verified, skipped, worst
+    found = [umbilic_gradient_identity(batch.point(i))
+             for i in range(len(batch.u))]
+    umbilic = [r.residuals for r in found if r.umbilic]
+    worst = {k: worst_of(r[k] for r in umbilic)
+             for k in ("dH-xi", "dH-tangential", "norm-identity")}
+    return len(umbilic), len(found) - len(umbilic), worst

@@ -177,3 +177,62 @@ def loop_codazzi_residual(dE_frame, c1, c2, f_frame, V_frame):
                 rhs = 0.25 * c1 * t1 - 0.25 * c2 * t2
                 worst = max(worst, abs(dE_frame[i, j, k] - rhs))
     return worst
+
+
+def loop_parallel_residual_on_curve(product, struct, p0, vel, acc, ts):
+    """Reference parallel-spinor probe: one connection matrix per curve
+    parameter, the scalar loop the array probe in ``spinlab.product``
+    replaced."""
+    psi0 = product.parallel_spinor(struct)
+    worst = 0.0
+    p0, vel, acc = map(np.asarray, (p0, vel, acc))
+    for t in ts:
+        p = p0 + t * vel + t * t * acc
+        dp = vel + 2.0 * t * acc
+        res = np.linalg.norm(product.connection_matrix(p, dp, struct) @ psi0)
+        worst = max(worst, float(res))
+    return worst
+
+
+_GL_T = 0.5 + np.array([-0.4305681557970263, -0.1699905217924282,
+                        0.1699905217924282, 0.4305681557970263])
+_GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
+                        0.6521451548625461, 0.3478548451374538])
+
+
+def loop_integral(product, p, a, b, h, struct):
+    """Line integral of the auxiliary form around the (a, b) square of side
+    h centred at p, one Gauss node at a time."""
+    ea = np.zeros(4)
+    ea[a] = 1.0
+    eb = np.zeros(4)
+    eb[b] = 1.0
+    p = np.asarray(p, dtype=float)
+    base = p - 0.5 * h * (ea + eb)
+    corners = [base, base + h * ea, base + h * ea + h * eb, base + h * eb]
+    total = 0.0
+    for k in range(4):
+        start, stop = corners[k], corners[(k + 1) % 4]
+        seg = stop - start
+        for t, w in zip(_GL_T, _GL_W):
+            q = start + t * seg
+            total += w * value(product.auxiliary_form(q, seg, struct))
+    return total
+
+
+def loop_auxiliary_curvature_residual(product, p, struct, h=0.02):
+    """Reference holonomy probe: plane by plane and loop size by loop size,
+    Richardson-extrapolated circulation against the closed-form curvature."""
+    worst = 0.0
+    for a in range(4):
+        for b in range(a + 1, 4):
+            d1 = loop_integral(product, p, a, b, h, struct) / h**2
+            d2 = loop_integral(product, p, a, b, h / 2, struct) / (h / 2) ** 2
+            approx = (4.0 * d2 - d1) / 3.0
+            ea = np.zeros(4)
+            ea[a] = 1.0
+            eb = np.zeros(4)
+            eb[b] = 1.0
+            exact = value(product.curvature_form(p, ea, eb, struct))
+            worst = max(worst, abs(approx - exact))
+    return worst

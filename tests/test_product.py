@@ -5,6 +5,10 @@ import pytest
 
 from spinlab.jets import value
 from spinlab.product import (F_MATRIX, J_MATRIX, ProductModel, structure)
+from spinlab.surfaces import OutsideDomainError
+
+from helpers import (loop_auxiliary_curvature_residual,
+                     loop_parallel_residual_on_curve)
 
 
 def test_structure_tags_and_chirality():
@@ -44,10 +48,6 @@ def test_F_is_parallel():
                 resid = term * F_MATRIX[c, c] - F_MATRIX[a, a] * term
                 worst = max(worst, abs(resid))
     assert worst == 0.0
-
-
-def test_scalar_curvature_stored():
-    assert ProductModel(1.0, 4.0).scalar_curvature == pytest.approx(10.0)
 
 
 def test_curvature_form_flat_vanishes(rng):
@@ -159,3 +159,54 @@ def test_metric_diagonal_blocks():
     l2 = value(prod.factor2.conformal_factor(0.3, -0.1))
     assert d[0] == d[1] == pytest.approx(l1 * l1)
     assert d[2] == d[3] == pytest.approx(l2 * l2)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+@pytest.mark.parametrize("c1,c2", [(1.0, 1.0), (1.0, 4.0), (-0.5, 2.0),
+                                   (2.0, -0.3)])
+def test_array_probes_match_scalar_loops(c1, c2, n, rng):
+    """The array holonomy and parallel-transport probes agree point by
+    point with the scalar loops they replaced (abs 1e-12)."""
+    prod = ProductModel(c1, c2)
+    p = rng.uniform(-0.4, 0.4, (n, 4))
+    vel = 0.2 * rng.standard_normal((n, 4))
+    acc = 0.1 * rng.standard_normal((n, 4))
+    ts = np.linspace(-0.5, 0.5, 7)
+    for tag in (1, 2):
+        st = structure(tag)
+        hol = prod.auxiliary_curvature_residual(p, st)
+        par = prod.parallel_residual_on_curve(st, p, vel, acc, ts)
+        assert hol.shape == par.shape == (n,)
+        for i in range(n):
+            want = loop_auxiliary_curvature_residual(prod, p[i], st)
+            assert abs(hol[i] - want) <= 1e-12
+            assert prod.auxiliary_curvature_residual(p[i], st) == \
+                pytest.approx(hol[i], abs=1e-12)
+            want = loop_parallel_residual_on_curve(prod, st, p[i], vel[i],
+                                                   acc[i], ts)
+            assert abs(par[i] - want) <= 1e-12
+
+
+def test_array_probes_vanish_exactly_on_flat_factors(rng):
+    prod = ProductModel(0.0, 0.0)
+    p = rng.uniform(-1, 1, (5, 4))
+    vel, acc = rng.standard_normal((2, 5, 4))
+    ts = np.linspace(-0.5, 0.5, 7)
+    for tag in (1, 2):
+        st = structure(tag)
+        assert np.all(prod.auxiliary_curvature_residual(p, st) == 0.0)
+        assert np.all(prod.parallel_residual_on_curve(st, p, vel, acc, ts)
+                      == 0.0)
+
+
+def test_holonomy_loop_leaving_the_chart_is_named():
+    """At chart radius 0.995 of the unit disk (c = -4) the h = 0.02 loop
+    leaves the chart: one point and inside a batch."""
+    prod = ProductModel(-4.0, 0.0)
+    edge = np.array([0.995, 0.0, 0.1, -0.2])
+    batch = np.array([[0.1, 0.2, 0.3, 0.4], edge, [-0.3, 0.1, 0.0, 0.5]])
+    for p in (edge, batch):
+        with pytest.raises(OutsideDomainError,
+                           match=r"point \(1\.\d{3}, -?0\.\d{3}\) outside "
+                                 r"chart of curvature -4\.0"):
+            prod.auxiliary_curvature_residual(p, structure(1))

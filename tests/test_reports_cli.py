@@ -253,6 +253,74 @@ def test_nan_residual_fails_the_check(monkeypatch, check, target):
     assert not report.passed
 
 
+@pytest.mark.parametrize("check", ["ambient.auxiliary_curvature",
+                                   "ambient.parallel_spinor"])
+def test_nan_in_ambient_probe_fails_the_check(monkeypatch, check):
+    """A NaN conformal factor of the flat second factor at one node (the
+    second along every array axis: point, loop size, plane, edge, Gauss
+    node or curve parameter) must fail the check."""
+    from spinlab.surfaces import SurfaceModel
+    original = SurfaceModel.conformal_factor
+    poisoned = []
+
+    def with_nan(self, x, y):
+        lam = original(self, x, y)
+        if self.curvature == 0.0 and np.ndim(lam) and min(np.shape(lam)) > 1:
+            lam = np.array(lam, dtype=float)
+            lam[(1,) * lam.ndim] = np.nan
+            poisoned.append(lam.shape)
+        return lam
+
+    monkeypatch.setattr(SurfaceModel, "conformal_factor", with_nan)
+    report = run_scenario(small_scenario(checks=[check]))
+    assert poisoned
+    (rec,) = report.checks
+    assert np.isnan(rec.max_residual)
+    assert rec.verdict == "fail"
+
+
+class _Poisoned:
+    """A point evaluation with some attributes replaced."""
+
+    def __init__(self, ev, **replaced):
+        self._ev = ev
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._ev, name)
+
+
+def _nan_at(arr, index):
+    arr = np.array(arr, dtype=float)
+    arr[index] = np.nan
+    return arr
+
+
+@pytest.mark.parametrize("check, attr, index", [
+    ("connection.xi_derivative", "frame", (slice(None), 1)),  # second column
+    ("induced.consistency", "g_val", (1, 1)),
+])
+def test_nan_inside_a_point_residual_fails_the_check(monkeypatch, check, attr,
+                                                     index):
+    """A NaN in the second node of a residual (the second frame vector, or
+    the metric behind the positive-definiteness margin) at the second point
+    must reach the verdict."""
+    from spinlab.checks import ScenarioContext
+    original = ScenarioContext.evaluation
+
+    def poisoned(self, i):
+        ev = original(self, i)
+        if i != 1:
+            return ev
+        return _Poisoned(ev, **{attr: _nan_at(getattr(ev, attr), index)})
+
+    monkeypatch.setattr(ScenarioContext, "evaluation", poisoned)
+    report = run_scenario(small_scenario(checks=[check]))
+    (rec,) = report.checks
+    assert np.isnan(rec.max_residual)
+    assert rec.verdict == "fail"
+
+
 @pytest.mark.parametrize("change, extra, says", [
     ({"seed": -1}, [], "seed"),
     ({}, ["--seed", "-3"], "seed"),
@@ -277,3 +345,19 @@ def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert says in err
+
+
+def test_holonomy_loop_off_the_chart_exits_2(tmp_path, capsys):
+    """Sample positions at radius 0.995 of the unit disk (c2 = -4) lie in
+    the chart, but their holonomy loops do not."""
+    from spinlab.cli import main
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({
+        **BASE, "c1": 0.0, "c2": -4.0, "samples": 4,
+        "hypersurface": {"kind": "sphere-circle-tube", "params": {"a": 0.995}},
+        "checks": ["ambient.auxiliary_curvature"]}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "ambient.auxiliary_curvature" in err
+    assert "outside chart of curvature -4.0" in err

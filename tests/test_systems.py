@@ -183,3 +183,42 @@ def test_codazzi_residual_consistency_with_converse(members, rng):
         hv = harvest(ev)
         res, _ = converse_check(hv)
         assert res["codazzi"] == pytest.approx(codazzi_residual(ev), abs=1e-14)
+
+
+def _nan_on_second_call(fn, make_nan):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        out = fn(*args, **kwargs)
+        return make_nan(out) if len(calls) == 2 else out
+    return wrapped
+
+
+def test_theorem_forward_check_keeps_a_nan(monkeypatch, rng):
+    from spinlab import restriction
+    from spinlab.systems import theorem_forward_check
+    monkeypatch.setattr(
+        restriction, "algebraic_conditions", _nan_on_second_call(
+            restriction.algebraic_conditions, lambda _: float("nan")))
+    chart = build_chart("graph")
+    passed, worst, _ = theorem_forward_check(chart, build_product(1.0, 0.0),
+                                             sample(chart, rng, 3))
+    assert np.isnan(worst["normal-condition"])
+    assert not passed
+    assert worst["omega"] < 1e-6  # the other aggregates stay finite
+
+
+def test_umbilic_scan_keeps_a_nan(monkeypatch, rng):
+    from spinlab import systems
+    from spinlab.systems import UmbilicResult, umbilic_scan
+    chart = build_chart("round-sphere", {"r": 1.5})
+    monkeypatch.setattr(
+        systems, "umbilic_gradient_identity", _nan_on_second_call(
+            systems.umbilic_gradient_identity,
+            lambda r: UmbilicResult(True, r.deviation,
+                                    dict.fromkeys(r.residuals, float("nan")))))
+    verified, skipped, worst = umbilic_scan(chart, build_product(0.0, 0.0),
+                                            sample(chart, rng, 4))
+    assert (verified, skipped) == (4, 0)
+    assert all(np.isnan(v) for v in worst.values())
