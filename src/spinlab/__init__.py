@@ -9,8 +9,7 @@ from .hypersurfaces import (HypersurfaceChart, InducedPointData,
                             PointEvaluation, RankDeficientError, evaluate)
 from .catalog import CATALOG, build_chart, build_product, sample_points
 from .restriction import RestrictedSpinc, restrict_structure
-from .systems import (SystemResiduals, system_residuals,
-                      theorem_forward_check)
+from .systems import SystemResiduals, system_residuals
 from .reports import ResidualReport, Scenario
 from .checks import list_checks, run_catalog, run_scenario
 

@@ -9,11 +9,14 @@ kind:
     record   the quantity is measured and reported, never failed
 
 Point checks share one batched :class:`PointEvaluation` of all sampled
-points, read whole or one point at a time, and one restricted structure per
-(point, tag); ambient checks sample the product chart near the hypersurface
-image.  Worst residuals are reduced so that a NaN at any point fails the
-check.  Per-check RNG streams are derived from
-the scenario seed and the check name, so reports are deterministic and
+points.  Every residual of a point evaluation runs once on the whole batch
+(``_max_over_batch``; controls and co-vanishing on its first points);
+only the residuals of a restricted spin^c structure run one (point, tag)
+at a time, on the structures cached by ``ScenarioContext.restricted``
+(``_max_over_points``).  Ambient checks sample the product chart near the
+hypersurface image, as one array pass.  Worst residuals are reduced so
+that a NaN at any point fails the check.  Per-check RNG streams are derived
+from the scenario seed and the check name, so reports are deterministic and
 independent of check selection order.
 """
 
@@ -31,7 +34,7 @@ from . import restriction as rst
 from . import systems as sysmod
 from .catalog import build_chart, build_product, sample_points
 from .jets import value, worst_of
-from .product import structure
+from .product import F_MATRIX, structure
 from .reports import (CheckRecord, ResidualReport, Scenario, ScenarioError,
                       tolerance_scale)
 from .surfaces import OutsideDomainError
@@ -48,7 +51,6 @@ class ScenarioContext:
         self.chart = build_chart(kind, params)
         rng = np.random.default_rng(scenario.seed)
         self.points = sample_points(self.chart, scenario.samples, rng)
-        self._evals = {}
         self._restrictions = {}
 
     def rng_for(self, name: str):
@@ -62,9 +64,7 @@ class ScenarioContext:
         return hyp.evaluate(self.chart, self.product, self.points)
 
     def evaluation(self, i: int) -> hyp.PointEvaluation:
-        if i not in self._evals:
-            self._evals[i] = self.batch.point(i)
-        return self._evals[i]
+        return self.batch.point(i)
 
     def restricted(self, i: int, tag: int) -> rst.RestrictedSpinc:
         key = (i, tag)
@@ -73,10 +73,6 @@ class ScenarioContext:
             self._restrictions[key] = rst.restrict_structure(
                 self.evaluation(i), st)
         return self._restrictions[key]
-
-    @property
-    def spin_case(self):
-        return self.scenario.c1 == 0.0 and self.scenario.c2 == 0.0
 
 
 @dataclass(frozen=True)
@@ -93,14 +89,26 @@ def _record(worst, points, **fields):
                        **fields)
 
 
-def _max_over_points(ctx, per_point):
+def _max_over_points(ctx, tag, residual):
+    """Record of ``residual(rs)`` for the structure ``tag`` restricted at
+    every sample point, one restriction at a time."""
     n = len(ctx.points)
-    return _record(worst_of(per_point(i) for i in range(n)), n)
+    return _record(worst_of(residual(ctx.restricted(i, tag))
+                            for i in range(n)), n)
+
+
+def _restricted_check(tag, residual):
+    # ``residual`` names the module function it calls inside its body, so
+    # a patched or traced ``restriction`` function is the one that runs
+    return lambda ctx: _max_over_points(ctx, tag, residual)
 
 
 def _max_over_batch(ctx, residuals):
-    """Record of a residual evaluated on the whole batch at once."""
-    return _record(worst_of(np.ravel(residuals(ctx.batch))), len(ctx.points))
+    """Record of residuals computed on the whole batch at once: one value
+    per point, or a dict of such arrays."""
+    if isinstance(residuals, dict):
+        residuals = list(residuals.values())
+    return _record(worst_of(np.ravel(residuals)), len(ctx.points))
 
 
 # --- ambient / product-model checks -----------------------------------------
@@ -132,7 +140,6 @@ def check_ambient_auxiliary(ctx):
 def check_ambient_product_structure(ctx):
     """F involutive/symmetric/trace-free and rho against finite-difference
     Gauss curvature of the conformal factors."""
-    from .product import F_MATRIX
     res = [float(np.max(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)))),
            float(np.max(np.abs(F_MATRIX - F_MATRIX.T))),
            abs(float(np.trace(F_MATRIX)))]
@@ -159,13 +166,11 @@ def check_ambient_product_structure(ctx):
 # --- hypersurface point checks ------------------------------------------------
 
 def check_frame(ctx):
-    return _max_over_points(
-        ctx, lambda i: hyp.frame_orthonormality_residual(ctx.evaluation(i)))
+    return _max_over_batch(ctx, hyp.frame_orthonormality_residual(ctx.batch))
 
 
 def check_consistency(ctx):
-    rec = _max_over_points(ctx, lambda i: worst_of(
-        hyp.consistency_residuals(ctx.evaluation(i)).values()))
+    rec = _max_over_batch(ctx, hyp.consistency_residuals(ctx.batch))
     H = value(ctx.batch.mean_curvature)
     rec.notes = {"mean_curvature_min": float(np.min(H)),
                  "mean_curvature_max": float(np.max(H))}
@@ -173,98 +178,89 @@ def check_consistency(ctx):
 
 
 def check_involution(ctx):
-    return _max_over_points(ctx, lambda i: worst_of(
-        hyp.involution_identities(ctx.evaluation(i)).values()))
+    return _max_over_batch(ctx, hyp.involution_identities(ctx.batch))
 
 
 def check_contact(ctx):
-    return _max_over_points(ctx, lambda i: worst_of(
-        hyp.contact_identities(ctx.evaluation(i)).values()))
+    return _max_over_batch(ctx, hyp.contact_identities(ctx.batch))
 
 
 def check_projection_split(ctx):
-    return _max_over_points(ctx, lambda i: worst_of(
-        hyp.projection_formulas(ctx.evaluation(i)).values()))
+    return _max_over_batch(ctx, hyp.projection_formulas(ctx.batch))
 
 
 def check_rank_two(ctx):
-    def defect(i):
-        ev = ctx.evaluation(i)
-        r = hyp.rank_pair(ev.f_frame, ev.V_frame, value(ev.h))
-        return float(abs(r[0] - 2) + abs(r[1] - 2))
-    return _max_over_points(ctx, defect)
+    b = ctx.batch
+    r = hyp.rank_pair(b.f_frame, b.V_frame, value(b.h))
+    return _max_over_batch(ctx, np.abs(r[0] - 2) + np.abs(r[1] - 2))
 
 
 def check_structure_derivatives(ctx):
-    return _max_over_batch(ctx, lambda batch: list(
-        hyp.derivative_identities(batch).values()))
+    return _max_over_batch(ctx, hyp.derivative_identities(ctx.batch))
 
 
 def check_gauss(ctx):
-    return _max_over_batch(ctx, hyp.gauss_residual)
+    return _max_over_batch(ctx, hyp.gauss_residual(ctx.batch))
 
 
 def check_codazzi(ctx):
-    return _max_over_batch(ctx, hyp.codazzi_residual)
+    return _max_over_batch(ctx, hyp.codazzi_residual(ctx.batch))
+
+
+def _head(ctx, limit):
+    """The first ``min(limit, samples)`` points of the batch, and their
+    count."""
+    n = min(limit, len(ctx.points))
+    return ctx.batch.point(slice(n)), n
 
 
 def check_gauss_control(ctx):
+    ev, n = _head(ctx, 10)
     rng = ctx.rng_for("curvature.gauss_control")
-    highs = []
-    n = min(10, len(ctx.points))
-    for i in range(n):
-        ev = ctx.evaluation(i)
-        highs.append(hyp.gauss_residual(
-            ev, E_frame=sysmod.perturbed_shape(ev, rng)))
-    rec = _record(worst_of(highs), n)
+    rec = _record(worst_of(hyp.gauss_residual(
+        ev, E_frame=sysmod.perturbed_shape(ev, rng))), n)
     rec.notes = {"control": "shape operator perturbed by symmetric "
                             "rank-two noise; residual must exceed tolerance"}
     return rec
 
 
 def check_xi_derivative(ctx):
-    return _max_over_points(
-        ctx, lambda i: sysmod.xi_derivative_residual(ctx.evaluation(i)))
+    return _max_over_batch(ctx, sysmod.xi_derivative_residual(ctx.batch))
 
 
 def _system_check(tag):
     def fn(ctx):
-        res = [sysmod.system_residuals(tag, ctx.evaluation(i))
-               for i in range(len(ctx.points))]
-        degenerate = sum(1 for r in res if r.degenerate)
-        rec = _record(worst_of(r.max_residual for r in res), len(res))
+        res = sysmod.system_residuals(tag, ctx.batch)
+        rec = _max_over_batch(ctx, res.max_residual)
+        degenerate = int(np.sum(res.vanishing_V))
         if degenerate:
             rec.notes = {"points_with_vanishing_V": degenerate,
-                         "degenerate_equations": ["eq04", "eq08"]}
+                         "degenerate_equations": res.degenerate}
         return rec
     return fn
 
 
 def check_system_control(ctx):
-    rng = ctx.rng_for("system.control")
-    highs = []
-    n = min(10, len(ctx.points))
-    for i in range(n):
-        ev = ctx.evaluation(i)
-        ap = sysmod.perturbed_shape(ev, rng)
-        highs.append(worst_of(sysmod.system_residuals(t, ev, E_frame=ap)
-                              .max_residual for t in (1, 2)))
-    return _record(worst_of(highs), n)
+    ev, n = _head(ctx, 10)
+    ap = sysmod.perturbed_shape(ev, ctx.rng_for("system.control"))
+    return _record(worst_of(np.ravel([
+        sysmod.system_residuals(t, ev, E_frame=ap).max_residual
+        for t in (1, 2)])), n)
 
 
 def check_covanish(ctx):
+    ev, n = _head(ctx, 12)
     rng = ctx.rng_for("system.covanish")
-    n = min(12, len(ctx.points))
-    evs = [ctx.evaluation(i) for i in range(n)]
     rec = _record(0.0, n)
     notes = {}
     for tag in (1, 2):
-        rep = sysmod.gauss_iff_codazzi(tag, evs, rng)
-        joint = [min(g, s) for g, s in rep.perturbed_joint]
+        rep = sysmod.gauss_iff_codazzi(tag, ev, rng)
+        joint = np.min(rep.perturbed_joint, axis=1)  # NaN kept
         notes[f"system{tag}"] = {
             "confirmed": rep.confirmed, "skipped": rep.skipped,
             "counterexamples": rep.counterexamples,
-            "perturbed_min_joint": float(min(joint)) if joint else None,
+            "perturbed_min_joint": float(np.min(joint)) if joint.size
+            else None,
         }
         if not rep.verdict:
             rec.max_residual = 1.0
@@ -272,14 +268,8 @@ def check_covanish(ctx):
     return rec
 
 
-def _killing_check(tag):
-    def fn(ctx):
-        def defect(i):
-            rs = ctx.restricted(i, tag)
-            return worst_of(rs.killing_residual(rs.ev.frame[:, k])
-                            for k in range(3))
-        return _max_over_points(ctx, defect)
-    return fn
+def _killing_defect(rs):
+    return worst_of(rs.killing_residual(rs.ev.frame[:, k]) for k in range(3))
 
 
 def _relations_check(tag):
@@ -299,100 +289,54 @@ def _relations_check(tag):
     return fn
 
 
-def _normal_condition_check(tag):
-    def fn(ctx):
-        return _max_over_points(
-            ctx, lambda i: rst.algebraic_conditions(ctx.restricted(i, tag)))
-    return fn
-
-
-def check_pairing_identities(ctx):
-    return _max_over_points(ctx, lambda i: worst_of(
-        rst.pairing_identities(ctx.restricted(i, 2)).values()))
-
-
-def _omega_check(tag):
-    def fn(ctx):
-        return _max_over_points(
-            ctx, lambda i: rst.omega_formula_residual(ctx.restricted(i, tag)))
-    return fn
-
-
-def _omega_restriction_check(tag):
-    def fn(ctx):
-        return _max_over_points(
-            ctx, lambda i: rst.curvature_restriction_residual(
-                ctx.restricted(i, tag)))
-    return fn
-
-
 def check_projection_cancellation(ctx):
-    return _max_over_points(ctx, lambda i: worst_of(
-        rst.projection_cancellation_residuals(ctx.evaluation(i)).values()))
-
-
-def _dirac_check(tag):
-    def fn(ctx):
-        return _max_over_points(ctx, lambda i: rst.dirac_and_energy_momentum(
-            ctx.restricted(i, tag)).dirac_residual)
-    return fn
-
-
-def check_energy_momentum_s1(ctx):
-    def defect(i):
-        de = rst.dirac_and_energy_momentum(ctx.restricted(i, 1))
-        return float(np.max(np.abs(de.Q - ctx.evaluation(i).E_frame)))
-    return _max_over_points(ctx, defect)
+    return _max_over_batch(
+        ctx, rst.projection_cancellation_residuals(ctx.batch))
 
 
 def check_energy_momentum_s2(ctx):
-    res = []
-    signs = set()
-    for i in range(len(ctx.points)):
-        ev = ctx.evaluation(i)
-        de = rst.dirac_and_energy_momentum(ctx.restricted(i, 2))
-        res.append(de.Q_vs_E)
-        if float(np.max(np.abs(ev.E_frame))) > 1e-10:
-            signs.add(de.Q_sign)
-    rec = _record(worst_of(res), len(ctx.points))
-    rec.notes = {"measured_sign_Q_vs_E": sorted(signs) if signs
-                 else "indeterminate (E = 0 everywhere)"}
+    rec = _max_over_points(ctx, 2, lambda rs: rs.dirac_energy.Q_vs_E)
+    curved = np.max(np.abs(ctx.batch.E_frame), axis=(-2, -1)) > 1e-10
+    signs = sorted({ctx.restricted(i, 2).dirac_energy.Q_sign
+                    for i in np.flatnonzero(curved)})
+    rec.notes = {"measured_sign_Q_vs_E": signs
+                 or "indeterminate (E = 0 everywhere)"}
     return rec
 
 
 def check_umbilic(ctx):
-    found = [sysmod.umbilic_gradient_identity(ctx.evaluation(i))
-             for i in range(len(ctx.points))]
-    umbilic = [r.residuals for r in found if r.umbilic]
-    verified, skipped = len(umbilic), len(found) - len(umbilic)
-    rec = _record(worst_of(r[k] for r in umbilic
-                           for k in ("dH-tangential", "norm-identity")),
-                  verified, points_skipped=skipped,
+    found = sysmod.umbilic_gradient_identity(ctx.batch)
+    at = {k: v[found.umbilic] for k, v in found.residuals.items()}
+    verified = int(np.sum(found.umbilic))
+    skipped = len(ctx.points) - verified
+    rec = _record(worst_of(np.ravel(list(at.values()))), verified,
+                  points_skipped=skipped,
                   skip_reason="non-umbilic point" if skipped else "")
     rec.notes = {"umbilic_points": verified,
-                 "dH_xi_max": worst_of(r["dH-xi"] for r in umbilic),
+                 "dH_xi_max": worst_of(at["dH-xi"]),
                  "status": "verified" if verified else "vacuous (no umbilic points)"}
     return rec
 
 
 def check_converse(ctx):
-    ratios = []
-    for i in range(len(ctx.points)):
-        res, _ = sysmod.converse_check(sysmod.harvest(ctx.evaluation(i)))
-        ratios += [(v / sysmod.CONVERSE_TOLERANCES[k], k)
-                   for k, v in res.items()]
-    worst_ratio = worst_of(r for r, _ in ratios)
+    res = sysmod.converse_residuals(ctx.batch.data)
+    names = list(res)
+    # point by point, each point's checks in order
+    ratios = np.ravel(np.stack(
+        [res[k] / sysmod.CONVERSE_TOLERANCES[k] for k in names], axis=-1))
+    worst_ratio = worst_of(ratios)
     # the first check reaching the worst ratio, or the first NaN one
-    worst_name = next((name for ratio, name in ratios if np.isnan(ratio)
-                       or (ratio > 0.0 and ratio >= worst_ratio)), "")
+    hits = np.flatnonzero(np.isnan(ratios) | (
+        (ratios > 0.0) & (ratios >= worst_ratio)))
     rec = _record(worst_ratio, len(ctx.points))
-    rec.notes = {"worst_named_check": worst_name,
+    rec.notes = {"worst_named_check": names[hits[0] % len(names)]
+                 if hits.size else "",
                  "unit": "residual / per-check tolerance"}
     return rec
 
 
 def check_spin_case(ctx):
-    if not ctx.spin_case:
+    if (ctx.scenario.c1, ctx.scenario.c2) != (0.0, 0.0):
         rec = _record(0.0, 0, points_skipped=len(ctx.points),
                       skip_reason="factors are curved")
         rec.notes = {"status": "not a spin case (c1, c2) != (0, 0)"}
@@ -470,11 +414,11 @@ REGISTRY = [
     CheckSpec("killing.s1",
               "generalized Killing law nabla_X phi = -1/2 gamma(EX) phi "
               "for the restricted positive-structure spinor",
-              1e-6, "assert", _killing_check(1)),
+              1e-6, "assert", _restricted_check(1, _killing_defect)),
     CheckSpec("killing.s2",
               "generalized Killing law nabla_X phi = +1/2 gamma(EX) phi "
               "for the restricted negative-structure spinor",
-              1e-6, "assert", _killing_check(2)),
+              1e-6, "assert", _restricted_check(2, _killing_defect)),
     CheckSpec("spinc.relations_s1",
               "induced Clifford relations and skew-adjointness; volume "
               "element gamma(e1)gamma(e2)gamma(xi) = -Id measured",
@@ -485,43 +429,52 @@ REGISTRY = [
               1e-12, "assert", _relations_check(2)),
     CheckSpec("spinc.normal_condition_s1",
               "gamma(xi) phi = -i phi for the restricted positive-structure "
-              "spinor", 1e-8, "assert", _normal_condition_check(1)),
+              "spinor", 1e-8, "assert",
+              _restricted_check(1, lambda rs: rst.algebraic_conditions(rs))),
     CheckSpec("spinc.normal_condition_s2",
               "gamma(V) phi = -i gamma(xi) phi + h phi for the restricted "
               "negative-structure spinor", 1e-8, "assert",
-              _normal_condition_check(2)),
+              _restricted_check(2, lambda rs: rst.algebraic_conditions(rs))),
     CheckSpec("spinc.pairing_identities",
               "four spinor pairings recovering (V, e_i) and h from the "
               "negative-structure spinor", 1e-8, "assert",
-              check_pairing_identities),
+              _restricted_check(2, lambda rs: worst_of(
+                  rst.pairing_identities(rs).values()))),
     CheckSpec("spinc.omega_s1",
               "pullback auxiliary curvature equals its closed form "
-              "(positive structure)", 1e-6, "assert", _omega_check(1)),
+              "(positive structure)", 1e-6, "assert",
+              _restricted_check(1, lambda rs: rst.omega_formula_residual(rs))),
     CheckSpec("spinc.omega_s2",
               "pullback auxiliary curvature equals its closed form "
-              "(negative structure)", 1e-6, "assert", _omega_check(2)),
+              "(negative structure)", 1e-6, "assert",
+              _restricted_check(2, lambda rs: rst.omega_formula_residual(rs))),
     CheckSpec("spinc.omega_restriction_s1",
               "restriction law for the Clifford action of the ambient "
               "curvature 2-form (positive structure)", 1e-8, "assert",
-              _omega_restriction_check(1)),
+              _restricted_check(
+                  1, lambda rs: rst.curvature_restriction_residual(rs))),
     CheckSpec("spinc.omega_restriction_s2",
               "restriction law for the Clifford action of the ambient "
               "curvature 2-form (negative structure)", 1e-8, "assert",
-              _omega_restriction_check(2)),
+              _restricted_check(
+                  2, lambda rs: rst.curvature_restriction_residual(rs))),
     CheckSpec("spinc.projection_cancellation",
               "tensor cancellation identities for the factor projections of "
               "nu, xi, V acting on the factor spinors", 1e-10, "assert",
               check_projection_cancellation),
     CheckSpec("spinc.dirac_s1",
               "Dirac eigenvalue law D phi = +3/2 H phi (positive structure)",
-              1e-5, "assert", _dirac_check(1)),
+              1e-5, "assert",
+              _restricted_check(1, lambda rs: rs.dirac_energy.dirac_residual)),
     CheckSpec("spinc.dirac_s2",
               "Dirac eigenvalue law D phi = -3/2 H phi (negative structure)",
-              1e-5, "assert", _dirac_check(2)),
+              1e-5, "assert",
+              _restricted_check(2, lambda rs: rs.dirac_energy.dirac_residual)),
     CheckSpec("spinc.energy_momentum_s1",
               "energy-momentum tensor of the positive-structure spinor "
               "equals the shape operator", 1e-5, "assert",
-              check_energy_momentum_s1),
+              _restricted_check(1, lambda rs: float(np.max(np.abs(
+                  rs.dirac_energy.Q - rs.ev.E_frame))))),
     CheckSpec("spinc.energy_momentum_s2",
               "signed relation of the negative-structure energy-momentum "
               "tensor to the shape operator (recorded)", 1e-5, "record",

@@ -52,13 +52,14 @@ class CliffordModel:
         return 2 ** (self.dim // 2)
 
     def vector(self, x):
-        """Clifford matrix of a vector given by orthonormal-frame components."""
+        """Clifford matrix of a vector given by orthonormal-frame components,
+        one per leading index of ``x``."""
         x = np.asarray(x)
-        if x.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected {self.dim} frame components, got {x.shape}")
-        out = np.zeros((self.spinor_dim, self.spinor_dim), dtype=complex)
+        out = np.zeros(x.shape[:-1] + (self.spinor_dim,) * 2, dtype=complex)
         for a in range(self.dim):
-            out += x[a] * self.generators[a]
+            out += x[..., a, None, None] * self.generators[a]
         return out
 
 

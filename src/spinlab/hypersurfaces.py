@@ -16,7 +16,8 @@ An evaluation holds one point (``u`` of shape (3,)) or a batch of points
 jets carry a trailing point axis and value-level arrays a leading one, so
 ``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.  ``point(i)``
 gives the evaluation of one point of a batch; it reads the batch's stages
-instead of recomputing them.
+instead of recomputing them.  The identity residuals below take either
+and return one value per point.
 
 Conventions: nu is the chart normal scaled by the chart's orientation flag,
 E X = -nabla_X nu (a round 3-sphere of radius r with inner normal has
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet, gradients, value, values, variables, worst_of
+from .jets import Jet, gradients, value, values, variables
 from .product import F_MATRIX, J_MATRIX, ProductModel
 from .surfaces import OutsideDomainError
 
@@ -136,8 +137,9 @@ class PointEvaluation:
         self._batch = None
         self._index = None
 
-    def point(self, i: int) -> "PointEvaluation":
-        """The evaluation at point ``i`` of this batch."""
+    def point(self, i) -> "PointEvaluation":
+        """The evaluation at point ``i`` of this batch; a slice or an index
+        array gives the sub-batch of those points."""
         ev = PointEvaluation(self.chart, self.product, self.u[i], self.order)
         ev._batch, ev._index = self, i
         return ev
@@ -377,10 +379,6 @@ class PointEvaluation:
         GG = np.einsum("...dae,...ebg->...abgd", Gv, Gv)
         return dG - np.swapaxes(dG, -4, -3) + GG - np.swapaxes(GG, -4, -3)
 
-    def riemann_lower(self):
-        """R_{al be ga de} = g(R(d_al, d_be) d_ga, d_de)."""
-        return np.einsum("...abcd,...de->...abce", self.riemann, self.g_val)
-
     # --- covariant derivatives of the induced fields ------------------------
     def _cov_deriv_vector(self, Vjets):
         """(nabla_b V)^a as a (3, 3) value array, indices [b, a]."""
@@ -463,7 +461,8 @@ class PointEvaluation:
 
     @_stage
     def riemann_frame(self):
-        Rl = self.riemann_lower()
+        # R_{al be ga de} = g(R(d_al, d_be) d_ga, d_de)
+        Rl = np.einsum("...abcd,...de->...abce", self.riemann, self.g_val)
         e = self.frame
         return np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl",
                          Rl, e, e, e, e, optimize=True)
@@ -477,42 +476,32 @@ class PointEvaluation:
         return np.einsum("...ijd,...dk->...ijk",
                          vec - np.swapaxes(vec, -3, -2), e)
 
-    # --- value-level summary -------------------------------------------------
+    # --- value-level record --------------------------------------------------
     @cached_property
     def data(self):
         return InducedPointData(
-            u=self.u.copy(),
-            position=self.position.copy(),
-            g=self.g_val.copy(),
-            nu=self.nu_val.copy(),
-            E=self.E_mixed_val.copy(),
-            H=value(self.mean_curvature),
-            chi=self.chi_mixed.copy(),
-            xi=self.xi_coord_val.copy(),
-            eta=self.eta.copy(),
-            f=self.f_mixed_val.copy(),
-            V=self.V_coord_val.copy(),
-            h=value(self.h),
-            frame=self.frame.copy(),
-            E_frame=self.E_frame.copy(),
-            f_frame=self.f_frame.copy(),
-            V_frame=self.V_frame.copy(),
-        )
+            c1=self.product.c1, c2=self.product.c2, g=self.g_val,
+            nu=self.nu_val, E=self.E_mixed_val, H=value(self.mean_curvature),
+            f=self.f_mixed_val, V=self.V_coord_val, h=value(self.h),
+            frame=self.frame, E_frame=self.E_frame, f_frame=self.f_frame,
+            V_frame=self.V_frame, R_frame=self.riemann_frame,
+            dE_frame=self.dE_frame, nabla_f=self.nabla_f,
+            nabla_V=self.nabla_V, dh=self.dh)
 
 
 @dataclass
 class InducedPointData:
-    """Pointwise induced quantities of a hypersurface immersion."""
+    """Value-level induced data of one point, or of a batch with the point
+    axis first, lifted off an evaluation and then treated abstractly (the
+    converse round trip checks and corrupts it).  The arrays are the
+    evaluation's own; a corruption builds new ones."""
 
-    u: np.ndarray
-    position: np.ndarray
+    c1: float
+    c2: float
     g: np.ndarray
     nu: np.ndarray
     E: np.ndarray
     H: float
-    chi: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
     f: np.ndarray
     V: np.ndarray
     h: float
@@ -520,6 +509,11 @@ class InducedPointData:
     E_frame: np.ndarray
     f_frame: np.ndarray
     V_frame: np.ndarray
+    R_frame: np.ndarray
+    dE_frame: np.ndarray
+    nabla_f: np.ndarray
+    nabla_V: np.ndarray
+    dh: np.ndarray
 
 
 def evaluate(chart, product, u, immersion_check=True,
@@ -536,29 +530,42 @@ def evaluate(chart, product, u, immersion_check=True,
 # pointwise identity residuals
 # ---------------------------------------------------------------------------
 
+def _vm(v, M):
+    """Row vector times matrix over the leading point axis, if any."""
+    return np.einsum("...a,...ab->...b", v, M)
+
+
+def _ip(X, g, Y):
+    """g(X, Y) per point."""
+    return np.einsum("...i,...ij,...j->...", X, g, Y)
+
+
 def consistency_residuals(ev: PointEvaluation):
     """Internal consistency of the splitting: normalization, tangency,
     symmetry of the second fundamental form, agreement of the two routes
     to V and xi."""
-    out = {}
-    out["normal-unit"] = abs(float(ev.gbar_val @ (ev.nu_val * ev.nu_val)) - 1.0)
-    # eigvalsh raises on a non-finite matrix; a NaN metric must fail instead
-    low = (np.linalg.eigvalsh(ev.g_val)[0] if np.all(np.isfinite(ev.g_val))
-           else np.nan)
-    out["metric-posdef"] = worst_of([0.0, 1e-12 - low])
+    gv = ev.g_val
+    # eigvalsh of a non-finite metric is garbage or raises; it must fail
+    finite = np.all(np.isfinite(gv), axis=(-2, -1))
+    low = np.linalg.eigvalsh(np.where(finite[..., None, None], gv,
+                                      np.eye(3)))[..., 0]
     II = values(ev.second_fundamental)
-    out["shape-symmetric"] = float(np.max(np.abs(II - II.T)))
-    Vamb = np.array([value(v) for v in ev.V_ambient])
-    Vtan = ev.V_coord_val @ ev.T_val
-    out["product-split"] = float(np.max(np.abs(Vamb - Vtan)))
-    xitan = ev.xi_coord_val @ ev.T_val
-    out["contact-split"] = float(np.max(np.abs(ev.xi_ambient_val - xitan)))
-    return out
+    return {
+        "normal-unit": np.abs(np.sum(ev.gbar_val * ev.nu_val * ev.nu_val,
+                                     axis=-1) - 1.0),
+        "metric-posdef": np.maximum(0.0, np.where(finite, 1e-12 - low,
+                                                  np.nan)),
+        "shape-symmetric": _max_abs(II - np.swapaxes(II, -1, -2), 2),
+        "product-split": _max_abs(values(ev.V_ambient)
+                                  - _vm(ev.V_coord_val, ev.T_val), 1),
+        "contact-split": _max_abs(ev.xi_ambient_val
+                                  - _vm(ev.xi_coord_val, ev.T_val), 1),
+    }
 
 
-def frame_orthonormality_residual(ev: PointEvaluation) -> float:
-    gram = ev.frame.T @ ev.g_val @ ev.frame
-    return float(np.max(np.abs(gram - np.eye(3))))
+def frame_orthonormality_residual(ev: PointEvaluation):
+    e = ev.frame
+    return _max_abs(np.swapaxes(e, -1, -2) @ ev.g_val @ e - np.eye(3), 2)
 
 
 def involution_identities(ev: PointEvaluation):
@@ -566,15 +573,16 @@ def involution_identities(ev: PointEvaluation):
     gv = ev.g_val
     fv = ev.f_mixed_val
     Vv = ev.V_coord_val
-    Vflat = gv @ Vv
-    h = value(ev.h)
-    out = {}
-    out["f-symmetric"] = float(np.max(np.abs(gv @ fv - (gv @ fv).T)))
-    out["f-squared"] = float(np.max(np.abs(fv @ fv + np.outer(Vv, Vflat)
-                                           - np.eye(3))))
-    out["f-of-V"] = float(np.max(np.abs(fv @ Vv + h * Vv)))
-    out["unit-split"] = abs(h * h + Vv @ Vflat - 1.0)
-    return out
+    Vflat = _mv(gv, Vv)
+    h = np.asarray(value(ev.h))
+    gf = gv @ fv
+    return {
+        "f-symmetric": _max_abs(gf - np.swapaxes(gf, -1, -2), 2),
+        "f-squared": _max_abs(fv @ fv + Vv[..., :, None] * Vflat[..., None, :]
+                              - np.eye(3), 2),
+        "f-of-V": _max_abs(_mv(fv, Vv) + h[..., None] * Vv, 1),
+        "unit-split": np.abs(h * h + np.sum(Vv * Vflat, axis=-1) - 1.0),
+    }
 
 
 def contact_identities(ev: PointEvaluation):
@@ -584,84 +592,86 @@ def contact_identities(ev: PointEvaluation):
     chi = ev.chi_mixed
     xi = ev.xi_coord_val
     Vv = ev.V_coord_val
-    h = value(ev.h)
-    e = ev.frame
-    e1, e2 = e[:, 0], e[:, 1]
+    h = np.asarray(value(ev.h))
+    e1, e2 = ev.frame[..., 0], ev.frame[..., 1]
+    T = ev.T_val
 
     def eta(X):
-        return float(X @ gv @ xi)
+        return _ip(X, gv, xi)
 
     def ip(X, Y):
-        return float(X @ gv @ Y)
+        return _ip(X, gv, Y)
 
-    out = {}
-    out["chi-antisymmetric"] = abs(ip(chi @ e1, e2) + ip(e1, chi @ e2))
-    out["chi-kills-xi"] = float(np.max(np.abs(chi @ xi)))
-    out["JF-commute"] = float(np.max(np.abs(J_MATRIX @ F_MATRIX
-                                            - F_MATRIX @ J_MATRIX)))
-    out["mixed-endomorphism"] = worst_of(
-        abs(ip(Vv, chi @ X) + eta(X) * h - eta(fv @ X)) for X in (e1, e2, xi))
-    out["commutation-split"] = worst_of(
-        np.max(np.abs(fv @ (chi @ X) + eta(X) * Vv - chi @ (fv @ X)
-                      + ip(Vv, X) * xi)) for X in (e1, e2, xi))
-    out["V-horizontal"] = abs(eta(Vv))
-    out["f-of-xi"] = float(np.max(np.abs(fv @ xi - h * xi + chi @ Vv)))
-    out["f-V-horizontal"] = abs(eta(fv @ Vv))
-    out["f-frame-entries"] = worst_of([abs(ip(fv @ e1, e2)),
-                                       abs(ip(fv @ e1, e1) + h),
-                                       abs(ip(fv @ e2, e2) + h)])
-    JV = J_MATRIX @ (Vv @ ev.T_val)
-    chiV = (chi @ Vv) @ ev.T_val
-    out["J-of-V"] = float(np.max(np.abs(JV - chiV)))
-    Fxi = F_MATRIX @ (xi @ ev.T_val)
-    fxi = (fv @ xi) @ ev.T_val
-    out["F-of-xi"] = float(np.max(np.abs(Fxi - fxi)))
-    return out
+    def f(X):
+        return _mv(fv, X)
+
+    def Chi(X):
+        return _mv(chi, X)
+
+    def over_frame(defect):  # worst over X in {e1, e2, xi}, NaN kept
+        return np.max([defect(X) for X in (e1, e2, xi)], axis=0)
+
+    JF = np.max(np.abs(J_MATRIX @ F_MATRIX - F_MATRIX @ J_MATRIX))
+    return {
+        "chi-antisymmetric": np.abs(ip(Chi(e1), e2) + ip(e1, Chi(e2))),
+        "chi-kills-xi": _max_abs(Chi(xi), 1),
+        "JF-commute": np.full(h.shape, JF),
+        "mixed-endomorphism": over_frame(
+            lambda X: np.abs(ip(Vv, Chi(X)) + eta(X) * h - eta(f(X)))),
+        "commutation-split": over_frame(lambda X: _max_abs(
+            f(Chi(X)) + eta(X)[..., None] * Vv - Chi(f(X))
+            + ip(Vv, X)[..., None] * xi, 1)),
+        "V-horizontal": np.abs(eta(Vv)),
+        "f-of-xi": _max_abs(f(xi) - h[..., None] * xi + Chi(Vv), 1),
+        "f-V-horizontal": np.abs(eta(f(Vv))),
+        "f-frame-entries": np.max([np.abs(ip(f(e1), e2)),
+                                   np.abs(ip(f(e1), e1) + h),
+                                   np.abs(ip(f(e2), e2) + h)], axis=0),
+        "J-of-V": _max_abs(_mv(J_MATRIX, _vm(Vv, T)) - _vm(Chi(Vv), T), 1),
+        "F-of-xi": _max_abs(_mv(F_MATRIX, _vm(xi, T)) - _vm(f(xi), T), 1),
+    }
 
 
 def projection_formulas(ev: PointEvaluation):
     """Factor projections of V, nu, xi against their closed forms."""
-    Vamb = ev.V_coord_val @ ev.T_val
+    Vamb = _vm(ev.V_coord_val, ev.T_val)
     nu = ev.nu_val
     xi = ev.xi_ambient_val
-    h = value(ev.h)
-    V2 = float(ev.gbar_val @ (Vamb * Vamb))
-
-    def pi1(w):
-        return np.array([w[0], w[1], 0.0, 0.0])
-
-    def pi2(w):
-        return np.array([0.0, 0.0, w[2], w[3]])
-
+    h = np.asarray(value(ev.h))[..., None]
+    V2 = np.sum(ev.gbar_val * Vamb * Vamb, axis=-1)[..., None]
+    pi1 = np.array([1.0, 1.0, 0.0, 0.0])  # factor projections, as masks
+    pi2 = 1.0 - pi1
     out = {
-        "pi1-V": pi1(Vamb) - ((1.0 - h) * Vamb + V2 * nu) / 2.0,
-        "pi2-V": pi2(Vamb) - ((1.0 + h) * Vamb - V2 * nu) / 2.0,
-        "pi1-nu": pi1(nu) - ((h + 1.0) * nu + Vamb) / 2.0,
-        "pi2-nu": pi2(nu) - ((1.0 - h) * nu - Vamb) / 2.0,
-        "pi1-xi": pi1(xi) + J_MATRIX @ pi1(nu),
-        "pi2-xi": pi2(xi) + J_MATRIX @ pi2(nu),
+        "pi1-V": pi1 * Vamb - ((1.0 - h) * Vamb + V2 * nu) / 2.0,
+        "pi2-V": pi2 * Vamb - ((1.0 + h) * Vamb - V2 * nu) / 2.0,
+        "pi1-nu": pi1 * nu - ((h + 1.0) * nu + Vamb) / 2.0,
+        "pi2-nu": pi2 * nu - ((1.0 - h) * nu - Vamb) / 2.0,
+        "pi1-xi": pi1 * xi + _mv(J_MATRIX, pi1 * nu),
+        "pi2-xi": pi2 * xi + _mv(J_MATRIX, pi2 * nu),
     }
-    return {k: float(np.max(np.abs(v))) for k, v in out.items()}
+    return {k: _max_abs(v, 1) for k, v in out.items()}
 
 
 def product_structure_matrix(f_frame, V_frame, h):
-    """F in the basis {e1, e2, xi, nu} from frame data."""
-    F4 = np.empty((4, 4))
-    F4[:3, :3] = f_frame
-    F4[:3, 3] = V_frame
-    F4[3, :3] = V_frame
-    F4[3, 3] = h
+    """F in the basis {e1, e2, xi, nu} from frame data, per point."""
+    h = np.asarray(h)
+    F4 = np.empty(h.shape + (4, 4))
+    F4[..., :3, :3] = f_frame
+    F4[..., :3, 3] = V_frame
+    F4[..., 3, :3] = V_frame
+    F4[..., 3, 3] = h
     return F4
 
 
 def rank_pair(f_frame, V_frame, h, threshold=1e-8):
-    """Numerical ranks of (F + Id)/2 and (F - Id)/2 for the frame data."""
+    """Numerical ranks of (F + Id)/2 and (F - Id)/2 for the frame data,
+    per point; NaN where the data is not finite (svd would raise)."""
     F4 = product_structure_matrix(f_frame, V_frame, h)
-    ranks = []
-    for sign in (1.0, -1.0):
-        sv = np.linalg.svd((F4 + sign * np.eye(4)) / 2.0, compute_uv=False)
-        ranks.append(int(np.sum(sv > threshold)))
-    return tuple(ranks)
+    finite = np.all(np.isfinite(F4), axis=(-2, -1))
+    F4 = np.where(finite[..., None, None], F4, 0.0)
+    return tuple(np.where(finite, np.sum(np.linalg.svd(
+        (F4 + sign * np.eye(4)) / 2.0, compute_uv=False) > threshold,
+        axis=-1), np.nan) for sign in (1.0, -1.0))
 
 
 def _max_abs(x, axes):

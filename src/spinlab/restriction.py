@@ -131,6 +131,12 @@ class RestrictedSpinc:
         """Ambient chart components of the adapted frame, one column each."""
         return np.stack([self.ev.frame_ambient(i) for i in range(3)], axis=1)
 
+    @cached_property
+    def dirac_energy(self) -> "DiracEnergy":
+        """The Dirac law and energy-momentum tensor of this structure,
+        computed once for every check that reads them."""
+        return dirac_and_energy_momentum(self)
+
 
 # ---------------------------------------------------------------------------
 # residual bundles
@@ -225,7 +231,8 @@ _SPACE = ProductSpinorSpace.build()
 
 
 def projection_cancellation_residuals(ev: PointEvaluation):
-    """Two tensor-level cancellation identities for the factor projections.
+    """Two tensor-level cancellation identities for the factor projections,
+    per point.
 
     With b+ = (1,0), b- = (0,1) the factor spinors and pi_i the factor
     projections of ambient vectors:
@@ -234,32 +241,37 @@ def projection_cancellation_residuals(ev: PointEvaluation):
       (-):  pi1(nu).b- (x) (pi2(V)+i pi2(xi)).b+
               - (pi1(V)+i pi1(xi)).b- (x) pi2(nu).b+  = 0
     """
-    fac = _SPACE.factor
+    vec = _SPACE.factor.vector
     p = ev.position
-    lam1 = value(ev.product.factor1.conformal_factor(p[0], p[1]))
-    lam2 = value(ev.product.factor2.conformal_factor(p[2], p[3]))
+    lam1 = np.asarray(value(ev.product.factor1.conformal_factor(
+        p[..., 0], p[..., 1])))[..., None]
+    lam2 = np.asarray(value(ev.product.factor2.conformal_factor(
+        p[..., 2], p[..., 3])))[..., None]
 
     def f1(w):
-        return np.array([lam1 * w[0], lam1 * w[1]])
+        return lam1 * w[..., :2]
 
     def f2(w):
-        return np.array([lam2 * w[2], lam2 * w[3]])
+        return lam2 * w[..., 2:]
+
+    def kron(a, b):
+        return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (4,))
 
     nu = ev.nu_val
     xi = ev.xi_ambient_val
-    Vamb = ev.V_coord_val @ ev.T_val
+    Vamb = np.einsum("...a,...ab->...b", ev.V_coord_val, ev.T_val)
     bp = np.array([1.0, 0.0], dtype=complex)
     bm = np.array([0.0, 1.0], dtype=complex)
 
-    plus = (-np.kron(fac.vector(f1(nu)) @ bp, fac.vector(f2(xi)) @ bp)
-            + np.kron(fac.vector(f1(xi)) @ bp, fac.vector(f2(nu)) @ bp))
+    plus = (-kron(vec(f1(nu)) @ bp, vec(f2(xi)) @ bp)
+            + kron(vec(f1(xi)) @ bp, vec(f2(nu)) @ bp))
 
-    m2 = fac.vector(f2(Vamb)) + 1j * fac.vector(f2(xi))
-    m1 = fac.vector(f1(Vamb)) + 1j * fac.vector(f1(xi))
-    minus = (np.kron(fac.vector(f1(nu)) @ bm, m2 @ bp)
-             - np.kron(m1 @ bm, fac.vector(f2(nu)) @ bp))
-    return {"positive-structure": float(np.linalg.norm(plus)),
-            "negative-structure": float(np.linalg.norm(minus))}
+    m2 = vec(f2(Vamb)) + 1j * vec(f2(xi))
+    m1 = vec(f1(Vamb)) + 1j * vec(f1(xi))
+    minus = (kron(vec(f1(nu)) @ bm, m2 @ bp)
+             - kron(m1 @ bm, vec(f2(nu)) @ bp))
+    return {"positive-structure": np.linalg.norm(plus, axis=-1),
+            "negative-structure": np.linalg.norm(minus, axis=-1)}
 
 
 @dataclass

@@ -17,18 +17,26 @@ therefore names its equation.  Inputs per point, all in the adapted frame:
 System 1 corresponds to the positive structure (Killing sign -1/2), System 2
 to the negative structure (+1/2); the derivative terms flip sign between the
 two while the curvature quadratics are shared.
+
+Every residual here takes one point or a whole batch (a
+:class:`PointEvaluation`, or for the converse direction the value-level
+record ``ev.data``) and returns one value per point; the equations above
+receive their inputs with the point axis moved last, so ``R[0, 1, 1, 0]``
+holds every point at once.  Random perturbations draw one point after
+another, so a batch sees the same stream as a loop over its points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hypersurfaces import (PointEvaluation, codazzi_defect, codazzi_residual,
+from .hypersurfaces import (InducedPointData, PointEvaluation, _max_abs, _mv,
+                            codazzi_defect, codazzi_residual,
                             derivative_defects, gauss_defect, gauss_residual,
                             rank_pair)
-from .jets import value, worst_of
+from .jets import value
 
 
 def system_one(R, a, dE, vV, h, c1, c2):
@@ -106,56 +114,68 @@ def system_two(R, a, dE, vV, h, c1, c2):
     return eqs
 
 
+def _points_last(x, k):
+    """``x`` with its leading point axes, if any, moved behind its ``k``
+    trailing index axes, so ``x[i, j]`` holds one value per point."""
+    return np.moveaxis(x, list(range(x.ndim - k)), list(range(k, x.ndim)))
+
+
 @dataclass
 class SystemResiduals:
+    """The twelve residuals of one system, each with one value per point."""
+
     tag: int
     residuals: dict
-    degenerate: list = field(default_factory=list)
+    vanishing_V: np.ndarray  # per point: eq04 and eq08 degenerate there
 
     @property
     def max_residual(self):
-        """Largest |residual|; NaN when any residual is NaN."""
-        return float(np.max(np.abs(list(self.residuals.values()))))
+        """Largest |residual| per point; NaN where any residual is NaN."""
+        return np.max(np.abs(list(self.residuals.values())), axis=0)
+
+    @property
+    def degenerate(self):
+        # eq04 and eq08 are linear in V in both systems: at V = 0 their
+        # curvature content degenerates and only the derivative terms remain
+        return ["eq04", "eq08"] if np.any(self.vanishing_V) else []
 
 
 def system_residuals(tag: int, ev: PointEvaluation, E_frame=None,
                      dE_frame=None) -> SystemResiduals:
-    """Evaluate one compatibility system at a point; optionally with a
-    substituted shape operator (negative controls)."""
-    R = ev.riemann_frame
+    """Evaluate one compatibility system at every point of ``ev``;
+    optionally with a substituted shape operator (negative controls)."""
     a = ev.E_frame if E_frame is None else E_frame
     dE = ev.dE_frame if dE_frame is None else dE_frame
     vV = ev.V_frame
-    h = value(ev.h)
-    c1, c2 = ev.product.c1, ev.product.c2
     fn = system_one if tag == 1 else system_two
-    eqs = {k: float(v) for k, v in fn(R, a, dE, vV, h, c1, c2).items()}
-    # eq04 and eq08 are linear in V in both systems: at V = 0 their
-    # curvature content degenerates and only the derivative terms remain
-    degenerate = ["eq04", "eq08"] if np.linalg.norm(vV) < 1e-12 else []
-    return SystemResiduals(tag, eqs, degenerate)
+    eqs = fn(_points_last(ev.riemann_frame, 4), _points_last(a, 2),
+             _points_last(dE, 3), _points_last(vV, 1), value(ev.h),
+             ev.product.c1, ev.product.c2)
+    return SystemResiduals(tag, eqs, np.linalg.norm(vV, axis=-1) < 1e-12)
 
 
 def perturbed_shape(ev: PointEvaluation, rng, scale=0.15):
-    """E plus a rank-two symmetric perturbation, in frame components.
+    """E plus a rank-two symmetric perturbation, in frame components, at
+    every point of ``ev``; the draws are those of one point after another.
 
     Rank two matters: the Gauss and system quadratics are 2x2 minors, which
     a rank-one bump cannot excite when E = 0 (totally geodesic members).
     """
-    v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    w = rng.standard_normal(3)
-    w -= (w @ v) * v
-    w /= np.linalg.norm(w)
-    return ev.E_frame + scale * (np.outer(v, v) + np.outer(w, w))
+    a = ev.E_frame
+    draws = rng.standard_normal(a.shape[:-2] + (2, 3))
+    v, w = draws[..., 0, :], draws[..., 1, :]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    w = w - np.sum(w * v, axis=-1, keepdims=True) * v
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return a + scale * (v[..., :, None] * v[..., None, :]
+                        + w[..., :, None] * w[..., None, :])
 
 
-def xi_derivative_residual(ev: PointEvaluation) -> float:
-    """max_X |nabla_X xi - Chi E X| over the adapted frame."""
-    def defect(X):
-        lhs = np.einsum("ba,b->a", ev.nabla_xi, X)
-        return np.max(np.abs(lhs - ev.chi_mixed @ ev.E_mixed_val @ X))
-    return worst_of(defect(ev.frame[:, i]) for i in range(3))
+def xi_derivative_residual(ev: PointEvaluation):
+    """max_X |nabla_X xi - Chi E X| over the adapted frame, per point."""
+    e = ev.frame
+    lhs = np.einsum("...ba,...bi->...ai", ev.nabla_xi, e)
+    return _max_abs(lhs - ev.chi_mixed @ ev.E_mixed_val @ e, 2)
 
 
 @dataclass
@@ -167,177 +187,95 @@ class CovanishReport:
     confirmed: int = 0
     skipped: int = 0
     counterexamples: list = field(default_factory=list)
-    perturbed_joint: list = field(default_factory=list)
+    # (Gauss, system) residual pairs of the perturbed points, one row each
+    perturbed_joint: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2)))
 
     @property
     def verdict(self):
         return len(self.counterexamples) == 0
 
 
-def gauss_iff_codazzi(tag, evs, rng, tol_system=1e-5, tol=1e-5,
+def gauss_iff_codazzi(tag, ev, rng, tol_system=1e-5, tol=1e-5,
                       control_scale=0.1) -> CovanishReport:
-    rep = CovanishReport()
-    for ev in evs:
-        sysres = system_residuals(tag, ev)
-        gres = gauss_residual(ev)
-        cres = codazzi_residual(ev)
-        if sysres.max_residual > tol_system:
-            rep.skipped += 1
-            continue
-        ok = (gres < tol) == (cres < tol)
-        if ok:
-            rep.confirmed += 1
-        else:
-            rep.counterexamples.append(
-                {"u": ev.u.tolist(), "gauss": gres, "codazzi": cres})
-        aperp = perturbed_shape(ev, rng, control_scale)
-        rep.perturbed_joint.append(
-            (gauss_residual(ev, E_frame=aperp),
-             system_residuals(tag, ev, E_frame=aperp).max_residual))
+    """Co-vanishing on the points of ``ev`` (one point or a batch).  Points
+    where the system fails are skipped; a NaN residual is a counterexample.
+    The other points are then perturbed, in order, and both residuals are
+    recorded."""
+    sysmax = system_residuals(tag, ev).max_residual
+    gres, cres = gauss_residual(ev), codazzi_residual(ev)
+    held = ~(sysmax > tol_system)
+    agree = ((gres < tol) == (cres < tol)) & ~np.isnan(sysmax + gres + cres)
+    rep = CovanishReport(confirmed=int(np.sum(held & agree)),
+                         skipped=int(np.sum(~held)))
+    u, gs, cs = ev.u.reshape(-1, 3), np.atleast_1d(gres), np.atleast_1d(cres)
+    rep.counterexamples = [
+        {"u": u[i].tolist(), "gauss": float(gs[i]), "codazzi": float(cs[i])}
+        for i in np.flatnonzero(held & ~agree)]
+    kept = np.flatnonzero(held)
+    if kept.size:
+        sub = ev.point(kept) if ev.u.ndim == 2 else ev
+        aperp = perturbed_shape(sub, rng, control_scale)
+        rep.perturbed_joint = np.stack(
+            [gauss_residual(sub, E_frame=aperp),
+             system_residuals(tag, sub, E_frame=aperp).max_residual],
+            axis=-1).reshape(-1, 2)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# theorem-level aggregates
-# ---------------------------------------------------------------------------
-
-FORWARD_TOLERANCES = {
-    "killing": 1e-6, "normal-condition": 1e-8, "pairing": 1e-8,
-    "omega": 1e-6, "omega-restriction": 1e-8, "cancellation": 1e-10,
-}
-
-
-def theorem_forward_check(chart, product, points, pairing="standard"):
-    """Both restricted structures on a chart: generalized Killing law,
-    algebraic normal conditions, spinor pairings and curvature formulas.
-
-    Returns (passed, residuals, notes); the spin case (flat factors, where
-    the two structures coincide) is flagged in the notes.
-    """
-    from .hypersurfaces import evaluate
-    from .product import structure
-    from .restriction import (algebraic_conditions,
-                              curvature_restriction_residual,
-                              omega_formula_residual, pairing_identities,
-                              projection_cancellation_residuals,
-                              restrict_structure)
-    found = {k: [] for k in FORWARD_TOLERANCES}
-    batch = evaluate(chart, product, np.asarray(points, dtype=float))
-    for i in range(len(batch.u)):
-        ev = batch.point(i)
-        found["cancellation"] += projection_cancellation_residuals(ev).values()
-        for tag in (1, 2):
-            rs = restrict_structure(ev, structure(tag, pairing))
-            found["killing"] += [rs.killing_residual(ev.frame[:, k])
-                                 for k in range(3)]
-            found["normal-condition"].append(algebraic_conditions(rs))
-            found["omega"].append(omega_formula_residual(rs))
-            found["omega-restriction"].append(
-                curvature_restriction_residual(rs))
-            if tag == 2:
-                found["pairing"] += pairing_identities(rs).values()
-    worst = {k: worst_of(v) for k, v in found.items()}
-    passed = all(worst[k] <= FORWARD_TOLERANCES[k] for k in worst)
-    notes = {}
-    if product.c1 == 0.0 and product.c2 == 0.0:
-        notes["spin_case"] = ("flat factors: the two induced structures "
-                              "coincide and the auxiliary curvature vanishes")
-    return passed, worst, notes
 
 
 # ---------------------------------------------------------------------------
 # converse direction: abstract data round trip
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Harvest:
-    """Value-level data lifted off a chart point, then treated abstractly."""
-
-    c1: float
-    c2: float
-    g: np.ndarray
-    E: np.ndarray
-    f: np.ndarray
-    V: np.ndarray
-    h: float
-    chi: np.ndarray
-    xi: np.ndarray
-    frame: np.ndarray
-    E_frame: np.ndarray
-    f_frame: np.ndarray
-    V_frame: np.ndarray
-    R_frame: np.ndarray
-    dE_frame: np.ndarray
-    nabla_f: np.ndarray
-    nabla_V: np.ndarray
-    dh: np.ndarray
-
-
-def harvest(ev: PointEvaluation) -> Harvest:
-    return Harvest(
-        c1=ev.product.c1, c2=ev.product.c2,
-        g=ev.g_val.copy(), E=ev.E_mixed_val.copy(), f=ev.f_mixed_val.copy(),
-        V=ev.V_coord_val.copy(), h=value(ev.h),
-        chi=ev.chi_mixed.copy(), xi=ev.xi_coord_val.copy(),
-        frame=ev.frame.copy(), E_frame=ev.E_frame.copy(),
-        f_frame=ev.f_frame.copy(), V_frame=ev.V_frame.copy(),
-        R_frame=ev.riemann_frame.copy(), dE_frame=ev.dE_frame.copy(),
-        nabla_f=ev.nabla_f.copy(), nabla_V=ev.nabla_V.copy(),
-        dh=ev.dh.copy())
-
-
 def rebuild_f(V_frame, h):
     """The splitting endomorphism forced by (V, h) and the contact frame:
     diagonal (-h, -h, h), no e1-e2 mixing, xi-row (V2, -V1)."""
-    v1, v2 = V_frame[0], V_frame[1]
-    return np.array([[-h, 0.0, v2],
-                     [0.0, -h, -v1],
-                     [v2, -v1, h]])
+    v1, v2 = V_frame[..., 0], V_frame[..., 1]
+    h = np.asarray(h)
+    z = np.zeros_like(v1)
+    return np.stack([np.stack([-h, z, v2], axis=-1),
+                     np.stack([z, -h, -v1], axis=-1),
+                     np.stack([v2, -v1, h], axis=-1)], axis=-2)
 
 
-def corrupt(hv: Harvest, mode: str, rng) -> Harvest:
-    """Single-field corruptions used as negative controls."""
-    import copy
-    out = copy.deepcopy(hv)
+def corrupt(data: InducedPointData, mode: str, rng) -> InducedPointData:
+    """Single-field corruptions used as negative controls, at every point."""
     if mode == "E-scale":
-        out.E = 2.0 * out.E
-        out.E_frame = 2.0 * out.E_frame
-    elif mode == "h-shift":
-        out.h = out.h + 0.1
-    elif mode == "V-rotate":
+        return replace(data, E=2.0 * data.E, E_frame=2.0 * data.E_frame)
+    if mode == "h-shift":
+        return replace(data, h=data.h + 0.1)
+    if mode == "V-rotate":
         c, s = np.cos(0.9), np.sin(0.9)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        out.V_frame = rot @ out.V_frame
-        out.V = (out.frame @ out.V_frame)  # frame columns are coordinates
-    elif mode == "f-perturb":
-        noise = rng.standard_normal((3, 3))
-        noise = 0.1 * (noise + noise.T)
-        out.f_frame = out.f_frame + noise
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")
-    return out
+        V_frame = _mv(rot, data.V_frame)
+        # frame columns are coordinates
+        return replace(data, V_frame=V_frame, V=_mv(data.frame, V_frame))
+    if mode == "f-perturb":
+        noise = rng.standard_normal(np.shape(data.f_frame))
+        noise = 0.1 * (noise + np.swapaxes(noise, -1, -2))
+        return replace(data, f_frame=data.f_frame + noise)
+    raise ValueError(f"unknown corruption mode {mode!r}")
 
 
-def converse_residuals(hv: Harvest):
-    """All named residuals of the converse (abstract-data) direction."""
-    out = {}
-    fr = rebuild_f(hv.V_frame, hv.h)
-    out["f-rebuild"] = float(np.max(np.abs(fr - hv.f_frame)))
-    Vf = hv.V_frame
-    out["f-squared"] = float(np.max(np.abs(
-        hv.f_frame @ hv.f_frame + np.outer(Vf, Vf) - np.eye(3))))
-    out["f-of-V"] = float(np.max(np.abs(hv.f_frame @ Vf + hv.h * Vf)))
-    out["unit-split"] = abs(hv.h ** 2 + float(Vf @ Vf) - 1.0)
-
-    out["gauss"] = float(gauss_defect(hv.R_frame, hv.c1, hv.c2, hv.f_frame,
-                                      hv.E_frame))
-    out["codazzi"] = float(codazzi_defect(hv.dE_frame, hv.c1, hv.c2,
-                                          hv.f_frame, hv.V_frame))
-    out.update((k, float(v)) for k, v in derivative_defects(
-        hv.g, hv.E, hv.f, hv.V, hv.h, hv.nabla_f, hv.nabla_V, hv.dh).items())
-
-    ranks = rank_pair(hv.f_frame, hv.V_frame, hv.h)
-    out["rank-two"] = float(abs(ranks[0] - 2) + abs(ranks[1] - 2))
+def converse_residuals(data: InducedPointData):
+    """All named residuals of the converse (abstract-data) direction, per
+    point."""
+    Vf, ff = data.V_frame, data.f_frame
+    h = np.asarray(data.h)
+    out = {
+        "f-rebuild": _max_abs(rebuild_f(Vf, h) - ff, 2),
+        "f-squared": _max_abs(ff @ ff + Vf[..., :, None] * Vf[..., None, :]
+                              - np.eye(3), 2),
+        "f-of-V": _max_abs(_mv(ff, Vf) + h[..., None] * Vf, 1),
+        "unit-split": np.abs(h ** 2 + np.sum(Vf * Vf, axis=-1) - 1.0),
+        "gauss": gauss_defect(data.R_frame, data.c1, data.c2, ff,
+                              data.E_frame),
+        "codazzi": codazzi_defect(data.dE_frame, data.c1, data.c2, ff, Vf),
+    }
+    out.update(derivative_defects(data.g, data.E, data.f, data.V, h,
+                                  data.nabla_f, data.nabla_V, data.dh))
+    ranks = rank_pair(ff, Vf, h)
+    out["rank-two"] = np.abs(ranks[0] - 2) + np.abs(ranks[1] - 2)
     return out
 
 
@@ -356,13 +294,12 @@ CORRUPTION_TARGETS = {
 }
 
 
-def converse_check(hv: Harvest, tolerances=None):
-    """Verdicts for the abstract-data direction at one point."""
-    tol = dict(CONVERSE_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-    res = converse_residuals(hv)
-    failed = sorted(k for k, v in res.items() if v > tol[k])
+def converse_check(data: InducedPointData, tolerances=None):
+    """Residuals of the abstract-data direction and the sorted names of the
+    checks above tolerance (or NaN) at some point."""
+    tol = {**CONVERSE_TOLERANCES, **(tolerances or {})}
+    res = converse_residuals(data)
+    failed = sorted(k for k, v in res.items() if not np.all(v <= tol[k]))
     return res, failed
 
 
@@ -372,9 +309,9 @@ def converse_check(hv: Harvest, tolerances=None):
 
 @dataclass
 class UmbilicResult:
-    umbilic: bool
-    deviation: float
-    residuals: dict | None
+    umbilic: np.ndarray  # per point; a NaN deviation counts as umbilic
+    deviation: np.ndarray
+    residuals: dict  # per point, meaningful where umbilic
 
 
 def umbilic_gradient_identity(ev: PointEvaluation,
@@ -385,34 +322,18 @@ def umbilic_gradient_identity(ev: PointEvaluation,
         dH(e_i) = (c1 - c2)/4 (V, e_i),
         4 |dH| = |V| |c1 - c2|.
 
-    Non-umbilic points are reported as skipped, not failed.
+    Non-umbilic points are for the caller to skip, not to fail.
     """
-    H = value(ev.mean_curvature)
-    dev = float(np.max(np.abs(ev.E_frame - H * np.eye(3))))
-    if dev > umbilic_tol:
-        return UmbilicResult(False, dev, None)
+    H = np.asarray(value(ev.mean_curvature))
+    dev = _max_abs(ev.E_frame - H[..., None, None] * np.eye(3), 2)
     c1, c2 = ev.product.c1, ev.product.c2
-    dH_frame = np.array([float(ev.frame[:, i] @ ev.dH) for i in range(3)])
-    norm_dH = float(np.linalg.norm(dH_frame))
-    normV = float(np.linalg.norm(ev.V_frame))
+    dH_frame = np.einsum("...ai,...a->...i", ev.frame, ev.dH)
+    Vf = ev.V_frame
     res = {
-        "dH-xi": abs(dH_frame[2]),
-        "dH-tangential": worst_of(
-            abs(dH_frame[i] - 0.25 * (c1 - c2) * ev.V_frame[i])
-            for i in range(2)),
-        "norm-identity": abs(4.0 * norm_dH - normV * abs(c1 - c2)),
+        "dH-xi": np.abs(dH_frame[..., 2]),
+        "dH-tangential": _max_abs(
+            dH_frame[..., :2] - 0.25 * (c1 - c2) * Vf[..., :2], 1),
+        "norm-identity": np.abs(4.0 * np.linalg.norm(dH_frame, axis=-1)
+                                - np.linalg.norm(Vf, axis=-1) * abs(c1 - c2)),
     }
-    return UmbilicResult(True, dev, res)
-
-
-def umbilic_scan(chart, product, points):
-    """Evaluate the gradient identity over a sample; returns
-    (verified count, skipped count, worst residuals dict)."""
-    from .hypersurfaces import evaluate
-    batch = evaluate(chart, product, np.asarray(points, dtype=float))
-    found = [umbilic_gradient_identity(batch.point(i))
-             for i in range(len(batch.u))]
-    umbilic = [r.residuals for r in found if r.umbilic]
-    worst = {k: worst_of(r[k] for r in umbilic)
-             for k in ("dH-xi", "dH-tangential", "norm-identity")}
-    return len(umbilic), len(found) - len(umbilic), worst
+    return UmbilicResult(~(dev > umbilic_tol), dev, res)

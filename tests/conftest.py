@@ -30,6 +30,17 @@ def sample(chart, rng, n):
     return rng.uniform(chart.domain[:, 0], chart.domain[:, 1], size=(n, 3))
 
 
+def run_checks(kind, c1, c2, samples, checks, params=None, seed=1234):
+    """The check records of one scenario, its points drawn by the
+    scenario runner (``catalog.sample_points``)."""
+    from spinlab.checks import run_scenario
+    from spinlab.reports import Scenario
+    return run_scenario(Scenario.from_dict({
+        "name": kind, "c1": c1, "c2": c2,
+        "hypersurface": {"kind": kind, "params": params or {}},
+        "samples": samples, "seed": seed, "checks": checks})).checks
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

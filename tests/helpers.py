@@ -236,3 +236,174 @@ def loop_auxiliary_curvature_residual(product, p, struct, h=0.02):
             exact = value(product.curvature_form(p, ea, eb, struct))
             worst = max(worst, abs(approx - exact))
     return worst
+
+
+# --- one-point references of the batched identities --------------------------
+# The loops these array functions replaced, kept as they were: one point,
+# plain matrix products and running maxima.
+
+def point_consistency_residuals(ev):
+    from spinlab.jets import values
+    out = {}
+    out["normal-unit"] = abs(float(ev.gbar_val @ (ev.nu_val * ev.nu_val)) - 1.0)
+    out["metric-posdef"] = max(0.0, 1e-12 - np.linalg.eigvalsh(ev.g_val)[0])
+    II = values(ev.second_fundamental)
+    out["shape-symmetric"] = float(np.max(np.abs(II - II.T)))
+    Vamb = np.array([value(v) for v in ev.V_ambient])
+    out["product-split"] = float(np.max(np.abs(Vamb - ev.V_coord_val @ ev.T_val)))
+    xitan = ev.xi_coord_val @ ev.T_val
+    out["contact-split"] = float(np.max(np.abs(ev.xi_ambient_val - xitan)))
+    return out
+
+
+def point_involution_identities(ev):
+    gv, fv, Vv = ev.g_val, ev.f_mixed_val, ev.V_coord_val
+    Vflat = gv @ Vv
+    h = value(ev.h)
+    return {
+        "f-symmetric": float(np.max(np.abs(gv @ fv - (gv @ fv).T))),
+        "f-squared": float(np.max(np.abs(fv @ fv + np.outer(Vv, Vflat)
+                                         - np.eye(3)))),
+        "f-of-V": float(np.max(np.abs(fv @ Vv + h * Vv))),
+        "unit-split": abs(h * h + Vv @ Vflat - 1.0),
+    }
+
+
+def point_contact_identities(ev):
+    from spinlab.product import F_MATRIX, J_MATRIX
+    gv, fv, chi = ev.g_val, ev.f_mixed_val, ev.chi_mixed
+    xi, Vv, h = ev.xi_coord_val, ev.V_coord_val, value(ev.h)
+    e1, e2 = ev.frame[:, 0], ev.frame[:, 1]
+
+    def eta(X):
+        return float(X @ gv @ xi)
+
+    def ip(X, Y):
+        return float(X @ gv @ Y)
+
+    out = {}
+    out["chi-antisymmetric"] = abs(ip(chi @ e1, e2) + ip(e1, chi @ e2))
+    out["chi-kills-xi"] = float(np.max(np.abs(chi @ xi)))
+    out["JF-commute"] = float(np.max(np.abs(J_MATRIX @ F_MATRIX
+                                            - F_MATRIX @ J_MATRIX)))
+    out["mixed-endomorphism"] = max(
+        abs(ip(Vv, chi @ X) + eta(X) * h - eta(fv @ X)) for X in (e1, e2, xi))
+    out["commutation-split"] = max(
+        np.max(np.abs(fv @ (chi @ X) + eta(X) * Vv - chi @ (fv @ X)
+                      + ip(Vv, X) * xi)) for X in (e1, e2, xi))
+    out["V-horizontal"] = abs(eta(Vv))
+    out["f-of-xi"] = float(np.max(np.abs(fv @ xi - h * xi + chi @ Vv)))
+    out["f-V-horizontal"] = abs(eta(fv @ Vv))
+    out["f-frame-entries"] = max(abs(ip(fv @ e1, e2)),
+                                 abs(ip(fv @ e1, e1) + h),
+                                 abs(ip(fv @ e2, e2) + h))
+    out["J-of-V"] = float(np.max(np.abs(J_MATRIX @ (Vv @ ev.T_val)
+                                        - (chi @ Vv) @ ev.T_val)))
+    out["F-of-xi"] = float(np.max(np.abs(F_MATRIX @ (xi @ ev.T_val)
+                                         - (fv @ xi) @ ev.T_val)))
+    return out
+
+
+def point_projection_formulas(ev):
+    from spinlab.product import J_MATRIX
+    Vamb = ev.V_coord_val @ ev.T_val
+    nu, xi, h = ev.nu_val, ev.xi_ambient_val, value(ev.h)
+    V2 = float(ev.gbar_val @ (Vamb * Vamb))
+
+    def pi1(w):
+        return np.array([w[0], w[1], 0.0, 0.0])
+
+    def pi2(w):
+        return np.array([0.0, 0.0, w[2], w[3]])
+
+    out = {
+        "pi1-V": pi1(Vamb) - ((1.0 - h) * Vamb + V2 * nu) / 2.0,
+        "pi2-V": pi2(Vamb) - ((1.0 + h) * Vamb - V2 * nu) / 2.0,
+        "pi1-nu": pi1(nu) - ((h + 1.0) * nu + Vamb) / 2.0,
+        "pi2-nu": pi2(nu) - ((1.0 - h) * nu - Vamb) / 2.0,
+        "pi1-xi": pi1(xi) + J_MATRIX @ pi1(nu),
+        "pi2-xi": pi2(xi) + J_MATRIX @ pi2(nu),
+    }
+    return {k: float(np.max(np.abs(v))) for k, v in out.items()}
+
+
+def point_projection_cancellation(ev):
+    from spinlab.clifford import build_clifford
+    fac = build_clifford(2)
+    p = ev.position
+    lam1 = value(ev.product.factor1.conformal_factor(p[0], p[1]))
+    lam2 = value(ev.product.factor2.conformal_factor(p[2], p[3]))
+
+    def f1(w):
+        return np.array([lam1 * w[0], lam1 * w[1]])
+
+    def f2(w):
+        return np.array([lam2 * w[2], lam2 * w[3]])
+
+    nu, xi = ev.nu_val, ev.xi_ambient_val
+    Vamb = ev.V_coord_val @ ev.T_val
+    bp = np.array([1.0, 0.0], dtype=complex)
+    bm = np.array([0.0, 1.0], dtype=complex)
+    plus = (-np.kron(fac.vector(f1(nu)) @ bp, fac.vector(f2(xi)) @ bp)
+            + np.kron(fac.vector(f1(xi)) @ bp, fac.vector(f2(nu)) @ bp))
+    m2 = fac.vector(f2(Vamb)) + 1j * fac.vector(f2(xi))
+    m1 = fac.vector(f1(Vamb)) + 1j * fac.vector(f1(xi))
+    minus = (np.kron(fac.vector(f1(nu)) @ bm, m2 @ bp)
+             - np.kron(m1 @ bm, fac.vector(f2(nu)) @ bp))
+    return {"positive-structure": float(np.linalg.norm(plus)),
+            "negative-structure": float(np.linalg.norm(minus))}
+
+
+def point_xi_derivative_residual(ev):
+    def defect(X):
+        lhs = np.einsum("ba,b->a", ev.nabla_xi, X)
+        return np.max(np.abs(lhs - ev.chi_mixed @ ev.E_mixed_val @ X))
+    return max(defect(ev.frame[:, i]) for i in range(3))
+
+
+def point_perturbed_shape(ev, rng, scale=0.15):
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    w = rng.standard_normal(3)
+    w -= (w @ v) * v
+    w /= np.linalg.norm(w)
+    return ev.E_frame + scale * (np.outer(v, v) + np.outer(w, w))
+
+
+def point_umbilic_residuals(ev):
+    H = value(ev.mean_curvature)
+    c1, c2 = ev.product.c1, ev.product.c2
+    dH_frame = np.array([float(ev.frame[:, i] @ ev.dH) for i in range(3)])
+    return {
+        "dH-xi": abs(dH_frame[2]),
+        "dH-tangential": max(abs(dH_frame[i] - 0.25 * (c1 - c2)
+                                 * ev.V_frame[i]) for i in range(2)),
+        "norm-identity": abs(4.0 * float(np.linalg.norm(dH_frame))
+                             - float(np.linalg.norm(ev.V_frame)) * abs(c1 - c2)),
+        "deviation": float(np.max(np.abs(ev.E_frame - H * np.eye(3)))),
+    }
+
+
+def point_converse_residuals(d):
+    """The converse battery at one point of an ``InducedPointData``."""
+    from spinlab.hypersurfaces import (codazzi_defect, derivative_defects,
+                                       gauss_defect, rank_pair)
+    v1, v2, h = d.V_frame[0], d.V_frame[1], d.h
+    fr = np.array([[-h, 0.0, v2], [0.0, -h, -v1], [v2, -v1, h]])
+    Vf = d.V_frame
+    out = {
+        "f-rebuild": float(np.max(np.abs(fr - d.f_frame))),
+        "f-squared": float(np.max(np.abs(
+            d.f_frame @ d.f_frame + np.outer(Vf, Vf) - np.eye(3)))),
+        "f-of-V": float(np.max(np.abs(d.f_frame @ Vf + h * Vf))),
+        "unit-split": abs(h ** 2 + float(Vf @ Vf) - 1.0),
+        "gauss": float(gauss_defect(d.R_frame, d.c1, d.c2, d.f_frame,
+                                    d.E_frame)),
+        "codazzi": float(codazzi_defect(d.dE_frame, d.c1, d.c2, d.f_frame,
+                                        Vf)),
+    }
+    out.update((k, float(v)) for k, v in derivative_defects(
+        d.g, d.E, d.f, d.V, h, d.nabla_f, d.nabla_V, d.dh).items())
+    ranks = rank_pair(d.f_frame, Vf, h)
+    out["rank-two"] = float(abs(ranks[0] - 2) + abs(ranks[1] - 2))
+    return out

@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import catalog_members, sample
+from conftest import catalog_members, run_checks, sample
 from spinlab import build_chart, build_product, evaluate, structure
+from spinlab.catalog import BUILTIN_SCENARIOS
 from spinlab.checks import run_catalog, run_scenario
 from spinlab.clifford import (build_clifford, kahler_action,
                               shape_commutator_residual)
@@ -26,9 +27,8 @@ from spinlab.restriction import (algebraic_conditions,
                                  projection_cancellation_residuals,
                                  restrict_structure)
 from spinlab.systems import (CORRUPTION_TARGETS, converse_check, corrupt,
-                             gauss_iff_codazzi, harvest, perturbed_shape,
-                             system_residuals, theorem_forward_check,
-                             umbilic_gradient_identity, umbilic_scan)
+                             gauss_iff_codazzi, perturbed_shape,
+                             system_residuals)
 
 RNG_SEED = 1234
 
@@ -152,14 +152,13 @@ def test_criterion_5_system_suite():
     perturbed_ok = True
     for name, prod, chart in catalog_members():
         pts = sample(chart, rng, 20)
-        evs = []
         for u in pts:
             ev = evaluate(chart, prod, u)
-            evs.append(ev)
             for tag in (1, 2):
                 worst = max(worst, system_residuals(tag, ev).max_residual)
+        head = evaluate(chart, prod, pts[:6])
         for tag in (1, 2):
-            rep = gauss_iff_codazzi(tag, evs[:6], rng)
+            rep = gauss_iff_codazzi(tag, head, rng)
             covanish_ok &= rep.verdict and rep.confirmed == 6
             perturbed_ok &= all(min(g, s) > 1e-3
                                 for g, s in rep.perturbed_joint)
@@ -170,16 +169,25 @@ def test_criterion_5_system_suite():
             f"on genuine and perturbed ensembles")
 
 
+# the restricted-structure battery of the forward direction
+FORWARD_CHECKS = ["killing.s1", "killing.s2", "spinc.normal_condition_s1",
+                  "spinc.normal_condition_s2", "spinc.pairing_identities",
+                  "spinc.omega_s1", "spinc.omega_s2",
+                  "spinc.omega_restriction_s1", "spinc.omega_restriction_s2",
+                  "spinc.projection_cancellation"]
+
+
 def test_criterion_6_theorem_round_trip():
     took = _stopwatch()
     rng = np.random.default_rng(RNG_SEED)
     forward_ok = True
-    for name, prod, chart in catalog_members():
-        passed, worst, _ = theorem_forward_check(
-            chart, prod, sample(chart, rng, 8))
-        forward_ok &= passed
-    hv = harvest(evaluate(build_chart("graph"), build_product(1.0, 0.0),
-                          [0.3, -0.2, 0.4]))
+    for sc in BUILTIN_SCENARIOS:
+        records = run_checks(sc["hypersurface"]["kind"], sc["c1"], sc["c2"],
+                             8, FORWARD_CHECKS,
+                             sc["hypersurface"].get("params", {}))
+        forward_ok &= all(r.verdict == "pass" for r in records)
+    hv = evaluate(build_chart("graph"), build_product(1.0, 0.0),
+                  [0.3, -0.2, 0.4]).data
     _, clean_failed = converse_check(hv)
     converse_ok = clean_failed == []
     corruption_ok = True
@@ -217,26 +225,20 @@ def test_criterion_7_dirac_energy_momentum():
 
 def test_criterion_8_umbilic_suite():
     took = _stopwatch()
-    rng = np.random.default_rng(RNG_SEED)
     ok = True
     # trivially satisfied members, verified exactly
     for kind, c1, c2, params in [("round-sphere", 0.0, 0.0, {"r": 1.0}),
                                  ("slice-geodesic", 1.0, -0.5, {})]:
-        chart = build_chart(kind, params)
-        prod = build_product(c1, c2)
-        for u in sample(chart, rng, 20):
-            r = umbilic_gradient_identity(evaluate(chart, prod, u))
-            ok &= r.umbilic
-            ok &= r.residuals["dH-xi"] < 1e-6
-            ok &= r.residuals["dH-tangential"] < 1e-5
-            ok &= r.residuals["norm-identity"] < 1e-5
+        (rec,) = run_checks(kind, c1, c2, 20, ["umbilic.gradient_identity"],
+                            params)
+        ok &= rec.points_evaluated == 20 and rec.points_skipped == 0
+        ok &= rec.notes["dH_xi_max"] < 1e-6
+        ok &= rec.max_residual < 1e-5
     # scan of a graph family in curved x flat: absence recorded
-    chart = build_chart("graph")
-    prod = build_product(1.0, 0.0)
-    verified, skipped, worst = umbilic_scan(chart, prod,
-                                            sample(chart, rng, 40))
+    (rec,) = run_checks("graph", 1.0, 0.0, 40, ["umbilic.gradient_identity"])
+    verified, skipped = rec.points_evaluated, rec.points_skipped
     vacuous = verified == 0 and skipped == 40
-    ok &= vacuous or max(worst.values()) < 1e-5
+    ok &= vacuous or rec.max_residual < 1e-5
     elapsed = took()
     _report(8, ok and elapsed < 10.0, elapsed,
             f"gradient identity verified on umbilic members; graph scan: "

@@ -10,10 +10,14 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+import helpers
 from conftest import sample
 from spinlab import build_chart, build_product, evaluate
+from spinlab import hypersurfaces as hyp
+from spinlab import restriction as rst
+from spinlab import systems as sysmod
 from spinlab.hypersurfaces import PointEvaluation, RankDeficientError
-from spinlab.jets import Jet
+from spinlab.jets import Jet, value
 from spinlab.surfaces import OutsideDomainError
 
 # float64 carries ~16 digits; batching reorders a few sums per jet product,
@@ -94,3 +98,94 @@ def test_rank_deficient_point_is_named():
     with pytest.raises(RankDeficientError) as exc:
         evaluate(chart, build_product(0.0, 0.0), pts)
     assert f"u={pts[3]}" in str(exc.value)
+
+
+# A batched identity does the one-point arithmetic with the point axis
+# added; reordered sums may move the last few bits.  Fixed before measuring:
+# agreement to 1e-12, relative to values above 1.
+IDENTITY_TOL = 1e-12
+
+
+def _covanish(ev, rng):
+    rep = sysmod.gauss_iff_codazzi(1, ev, rng)
+    assert rep.verdict and rep.skipped == 0  # every catalog point confirmed
+    return rep.perturbed_joint.reshape(np.shape(ev.u)[:-1] + (2,))
+
+
+def _umbilic(ev, rng):
+    found = sysmod.umbilic_gradient_identity(ev)
+    return {**found.residuals, "deviation": found.deviation,
+            "umbilic": np.asarray(found.umbilic, dtype=float)}
+
+
+def _corrupted_converse(ev, rng):
+    return {f"{mode}:{k}": v for mode in sorted(sysmod.CORRUPTION_TARGETS)
+            for k, v in sysmod.converse_residuals(
+                sysmod.corrupt(ev.data, mode, rng)).items()}
+
+
+# identity name -> fn(evaluation, rng): one value per point, or a dict
+IDENTITIES = {
+    "frame_orthonormality": lambda ev, rng: hyp.frame_orthonormality_residual(ev),
+    "consistency": lambda ev, rng: hyp.consistency_residuals(ev),
+    "involution": lambda ev, rng: hyp.involution_identities(ev),
+    "contact": lambda ev, rng: hyp.contact_identities(ev),
+    "projection_formulas": lambda ev, rng: hyp.projection_formulas(ev),
+    "rank_pair": lambda ev, rng: np.stack(hyp.rank_pair(
+        ev.f_frame, ev.V_frame, value(ev.h)), axis=-1),
+    "product_structure_matrix": lambda ev, rng: hyp.product_structure_matrix(
+        ev.f_frame, ev.V_frame, value(ev.h)),
+    "xi_derivative": lambda ev, rng: sysmod.xi_derivative_residual(ev),
+    "system_one": lambda ev, rng: sysmod.system_residuals(1, ev).residuals,
+    "system_two": lambda ev, rng: sysmod.system_residuals(2, ev).residuals,
+    "perturbed_shape": lambda ev, rng: sysmod.perturbed_shape(ev, rng),
+    "gauss_iff_codazzi": _covanish,
+    "umbilic_gradient": _umbilic,
+    "projection_cancellation": lambda ev, rng: (
+        rst.projection_cancellation_residuals(ev)),
+    "converse": lambda ev, rng: sysmod.converse_residuals(ev.data),
+    "converse_corrupted": _corrupted_converse,
+}
+
+
+# the one-point loops the array functions replaced (tests/helpers.py)
+REFERENCES = {
+    "consistency": lambda ev, rng: helpers.point_consistency_residuals(ev),
+    "involution": lambda ev, rng: helpers.point_involution_identities(ev),
+    "contact": lambda ev, rng: helpers.point_contact_identities(ev),
+    "projection_formulas": lambda ev, rng: helpers.point_projection_formulas(ev),
+    "xi_derivative": lambda ev, rng: helpers.point_xi_derivative_residual(ev),
+    "perturbed_shape": helpers.point_perturbed_shape,
+    "umbilic_gradient": lambda ev, rng: helpers.point_umbilic_residuals(ev),
+    "projection_cancellation": lambda ev, rng: (
+        helpers.point_projection_cancellation(ev)),
+    "converse": lambda ev, rng: helpers.point_converse_residuals(ev.data),
+}
+
+
+def _as_dict(x):
+    return x if isinstance(x, dict) else {"": x}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_batched_identity_matches_one_point(members, name):
+    """An identity run once on N points gives, at each point, what it gives
+    on that point alone, and what the one-point loop it replaced gives;
+    random draws follow one point after another."""
+    runs = [IDENTITIES[name]] + ([REFERENCES[name]] if name in REFERENCES
+                                 else [])
+    n = 5
+    for label, prod, chart in members:
+        batch = evaluate(chart, prod, sample(chart, np.random.default_rng(5), n))
+        got = _as_dict(IDENTITIES[name](batch, np.random.default_rng(11)))
+        streams = [np.random.default_rng(11) for _ in runs]
+        for i in range(n):
+            for one_point, rng in zip(runs, streams):
+                want = _as_dict(one_point(batch.point(i), rng))
+                if one_point is IDENTITIES[name]:
+                    assert want.keys() == got.keys()
+                for key, w in want.items():
+                    w, g = np.asarray(w, dtype=float), np.asarray(got[key])[i]
+                    assert g.shape == w.shape, (label, key)
+                    assert np.all(np.abs(g - w) <= IDENTITY_TOL * np.maximum(
+                        1.0, np.abs(w))), (label, key, g, w)

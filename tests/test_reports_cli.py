@@ -4,6 +4,7 @@ import copy
 import json
 import subprocess
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -224,13 +225,20 @@ def test_flipped_pairing_localizes_structure2_checks():
     assert not report.passed
 
 
+def _nan_at(arr, index):
+    arr = np.array(arr, dtype=float)
+    arr[index] = np.nan
+    return arr
+
+
 @pytest.mark.parametrize("check, target", [
     ("structure.involution", "involution_identities"),  # assert
     ("curvature.gauss_control", "gauss_residual"),      # control
 ])
 def test_nan_residual_fails_the_check(monkeypatch, check, target):
-    """A NaN at any point, here the second, must fail assert and control
-    checks alike; max(0.0, nan) is 0.0, so a running max would lose it."""
+    """A NaN at any point, here the second of the batch, must fail assert
+    and control checks alike; max(0.0, nan) is 0.0, so a running max would
+    lose it."""
     from spinlab import hypersurfaces as hyp
     original = getattr(hyp, target)
     calls = []
@@ -238,15 +246,13 @@ def test_nan_residual_fails_the_check(monkeypatch, check, target):
     def with_nan(*args, **kwargs):
         out = original(*args, **kwargs)
         calls.append(1)
-        if len(calls) != 2:
-            return out
         if isinstance(out, dict):
-            return {k: float("nan") for k in out}
-        return float("nan")
+            return {k: _nan_at(v, 1) for k, v in out.items()}
+        return _nan_at(out, 1)
 
     monkeypatch.setattr(hyp, target, with_nan)
     report = run_scenario(small_scenario(checks=[check]))
-    assert len(calls) >= 2
+    assert calls
     (rec,) = report.checks
     assert np.isnan(rec.max_residual)
     assert rec.verdict == "fail"
@@ -279,46 +285,131 @@ def test_nan_in_ambient_probe_fails_the_check(monkeypatch, check):
     assert rec.verdict == "fail"
 
 
-class _Poisoned:
-    """A point evaluation with some attributes replaced."""
+def _poison_batch(monkeypatch, **changes):
+    """Every scenario batch gets each stage ``attr`` of ``changes``
+    replaced by ``changes[attr](batch, values)`` before any check reads
+    it."""
+    from spinlab.checks import ScenarioContext
+    build = ScenarioContext.batch.func
 
-    def __init__(self, ev, **replaced):
-        self._ev = ev
-        self.__dict__.update(replaced)
+    def batch(self):
+        ev = build(self)
+        for attr, change in changes.items():
+            ev.__dict__[attr] = change(ev, getattr(ev, attr))
+        return ev
 
-    def __getattr__(self, name):
-        return getattr(self._ev, name)
-
-
-def _nan_at(arr, index):
-    arr = np.array(arr, dtype=float)
-    arr[index] = np.nan
-    return arr
+    prop = cached_property(batch)
+    prop.__set_name__(ScenarioContext, "batch")
+    monkeypatch.setattr(ScenarioContext, "batch", prop)
 
 
 @pytest.mark.parametrize("check, attr, index", [
     ("connection.xi_derivative", "frame", (slice(None), 1)),  # second column
     ("induced.consistency", "g_val", (1, 1)),
+    ("structure.rank_two", "f_frame", (0, 0)),  # svd raises on a NaN
+    ("theorem.converse_roundtrip", "f_frame", (0, 0)),
 ])
 def test_nan_inside_a_point_residual_fails_the_check(monkeypatch, check, attr,
                                                      index):
     """A NaN in the second node of a residual (the second frame vector, or
-    the metric behind the positive-definiteness margin) at the second point
-    must reach the verdict."""
-    from spinlab.checks import ScenarioContext
-    original = ScenarioContext.evaluation
-
-    def poisoned(self, i):
-        ev = original(self, i)
-        if i != 1:
-            return ev
-        return _Poisoned(ev, **{attr: _nan_at(getattr(ev, attr), index)})
-
-    monkeypatch.setattr(ScenarioContext, "evaluation", poisoned)
+    the metric behind the positive-definiteness margin), or in the frame
+    data behind a numerical rank, at the second point must reach the
+    verdict."""
+    _poison_batch(monkeypatch,
+                  **{attr: lambda ev, x: _nan_at(x, (1, *index))})
     report = run_scenario(small_scenario(checks=[check]))
     (rec,) = report.checks
     assert np.isnan(rec.max_residual)
     assert rec.verdict == "fail"
+
+
+def test_nan_frame_data_fails_covanish(monkeypatch):
+    """A NaN f at the second point makes the Gauss and Codazzi residuals
+    NaN there: co-vanishing must count that point as a counterexample, not
+    confirm it, and the perturbed minimum must stay NaN."""
+    _poison_batch(monkeypatch, f_frame=lambda ev, x: _nan_at(x, 1))
+    report = run_scenario(small_scenario(checks=[
+        "system.covanish", "curvature.gauss", "curvature.codazzi"]))
+    assert [c.verdict for c in report.checks] == ["fail"] * 3
+    notes = report.checks[0].notes
+    for tag in (1, 2):
+        system = notes[f"system{tag}"]
+        assert system["confirmed"] == 5
+        (bad,) = system["counterexamples"]
+        assert np.isnan(bad["gauss"]) and np.isnan(bad["codazzi"])
+        assert np.isnan(system["perturbed_min_joint"])
+
+
+def test_nan_fails_the_normal_condition(monkeypatch):
+    """A NaN normal-condition residual at the second sample point fails
+    spinc.normal_condition_s1; the other check stays finite."""
+    from spinlab import restriction
+    original = restriction.algebraic_conditions
+    calls = []
+
+    def with_nan(rs):
+        calls.append(1)
+        return float("nan") if len(calls) == 2 else original(rs)
+
+    monkeypatch.setattr(restriction, "algebraic_conditions", with_nan)
+    report = run_scenario(small_scenario(checks=[
+        "spinc.normal_condition_s1", "spinc.omega_s1"]))
+    normal, omega = report.checks
+    assert np.isnan(normal.max_residual) and normal.verdict == "fail"
+    assert omega.verdict == "pass" and omega.max_residual < 1e-6
+
+
+UMBILIC = {"checks": ["umbilic.gradient_identity"], "c1": 0.0, "c2": 0.0,
+           "hypersurface": {"kind": "round-sphere", "params": {"r": 1.5}}}
+
+
+def test_nan_fails_the_umbilic_identity(monkeypatch):
+    """A NaN mean-curvature gradient at the second point of an everywhere
+    umbilic sphere fails the gradient identity."""
+    _poison_batch(monkeypatch, dH=lambda ev, x: _nan_at(x, 1))
+    (rec,) = run_scenario(small_scenario(**UMBILIC)).checks
+    assert (rec.points_evaluated, rec.points_skipped) == (6, 0)
+    assert np.isnan(rec.max_residual)
+    assert rec.verdict == "fail"
+
+
+def test_umbilic_identity_asserts_dH_of_xi(monkeypatch):
+    """dH(xi) = 0 is asserted, not only noted.  On the geodesic slice
+    (V = 0, dH = 0) the second point gets dH = t eta, so dH(xi) = t and
+    dH(e_i) = 0, and V = (0, 0, 4t / |c1 - c2|), so the tangential law and
+    4|dH| = |V||c1 - c2| still hold: only dH(xi) is off."""
+    t, c1, c2 = 1e-3, 1.0, -0.5
+    second = np.arange(6)[:, None] == 1
+    _poison_batch(
+        monkeypatch,
+        dH=lambda ev, x: x + np.where(second, t * ev.eta, 0.0),
+        V_frame=lambda ev, x: x + np.where(
+            second, [0.0, 0.0, 4.0 * t / abs(c1 - c2)], 0.0))
+    (rec,) = run_scenario(small_scenario(**{
+        **UMBILIC, "c1": c1, "c2": c2,
+        "hypersurface": {"kind": "slice-geodesic", "params": {}}})).checks
+    assert rec.points_evaluated == 6
+    assert rec.max_residual == pytest.approx(t, rel=1e-9)
+    assert rec.verdict == "fail"
+
+
+def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
+    """The Dirac and energy-momentum checks of one structure share one
+    computation per sample point."""
+    from spinlab import restriction
+    original = restriction.dirac_and_energy_momentum
+    calls = []
+
+    def counted(rs):
+        calls.append((float(rs.position[0]), rs.struct.tag))
+        return original(rs)
+
+    monkeypatch.setattr(restriction, "dirac_and_energy_momentum", counted)
+    report = run_scenario(small_scenario(checks=[
+        "spinc.dirac_s1", "spinc.dirac_s2", "spinc.energy_momentum_s1",
+        "spinc.energy_momentum_s2"]))
+    assert report.passed
+    assert len(calls) == 12 == len(set(calls))
 
 
 @pytest.mark.parametrize("change, extra, says", [

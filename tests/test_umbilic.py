@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from conftest import sample
+from conftest import run_checks, sample
 from spinlab import build_chart, build_product, evaluate
-from spinlab.systems import umbilic_gradient_identity, umbilic_scan
+from spinlab.systems import umbilic_gradient_identity
 
 
 def test_round_sphere_everywhere_umbilic(rng):
@@ -29,17 +29,15 @@ def test_geodesic_slice_satisfies_identity_trivially(rng):
         assert max(r.residuals.values()) < 1e-12
 
 
-def test_graph_scan_records_absence(rng):
+def test_graph_scan_records_absence():
     """Scanning a generic graph family in a curved-times-flat product finds
     no umbilic points; the identity is then vacuous, consistent with
     umbilic hypersurfaces being forced to constant mean curvature."""
-    chart = build_chart("graph")
-    prod = build_product(1.0, 0.0)
-    verified, skipped, worst = umbilic_scan(chart, prod,
-                                            sample(chart, rng, 60))
-    assert verified == 0
-    assert skipped == 60
-    assert worst["norm-identity"] == 0.0
+    (rec,) = run_checks("graph", 1.0, 0.0, 60, ["umbilic.gradient_identity"])
+    assert rec.points_evaluated == 0
+    assert rec.points_skipped == 60
+    assert rec.max_residual == 0.0
+    assert rec.verdict == "skip"
 
 
 def test_tube_is_not_umbilic(rng):
@@ -51,12 +49,11 @@ def test_tube_is_not_umbilic(rng):
         assert r.deviation > 1e-3
 
 
-def test_umbilic_points_verified_on_mixed_scan(rng):
+def test_umbilic_points_verified_on_mixed_scan():
     """A scan mixing umbilic members and a generic graph distinguishes
     'verified at N points' from 'vacuous'."""
-    prod = build_product(0.0, 0.0)
-    sphere = build_chart("round-sphere", {"r": 1.0})
-    verified, skipped, worst = umbilic_scan(sphere, prod,
-                                            sample(sphere, rng, 20))
-    assert verified == 20 and skipped == 0
-    assert worst["norm-identity"] < 1e-5
+    (rec,) = run_checks("round-sphere", 0.0, 0.0, 20,
+                        ["umbilic.gradient_identity"], {"r": 1.0})
+    assert rec.points_evaluated == 20 and rec.points_skipped == 0
+    assert rec.max_residual < 1e-5
+    assert rec.notes["status"] == "verified"
