@@ -9,14 +9,13 @@ kind:
     record   the quantity is measured and reported, never failed
 
 Point checks share one batched :class:`PointEvaluation` of all sampled
-points.  Every residual of a point evaluation runs once on the whole batch
-(``_max_over_batch``; controls and co-vanishing on its first points);
-only the residuals of a restricted spin^c structure run one (point, tag)
-at a time, on the structures cached by ``ScenarioContext.restricted``
-(``_max_over_points``).  Ambient checks sample the product chart near the
-hypersurface image, as one array pass.  Worst residuals are reduced so
-that a NaN at any point fails the check.  Per-check RNG streams are derived
-from the scenario seed and the check name, so reports are deterministic and
+points.  Every residual of a point evaluation, and of the restricted spin^c
+structures (one per tag, cached by ``ScenarioContext``), runs once on the
+whole batch (``_batch_check``; controls and co-vanishing on its first
+points).  Ambient checks sample the product chart near the hypersurface
+image, as one array pass.  Worst residuals are reduced so that a NaN at
+any point fails the check.  Per-check RNG streams are derived from the
+scenario seed and the check name, so reports are deterministic and
 independent of check selection order.
 """
 
@@ -51,7 +50,6 @@ class ScenarioContext:
         self.chart = build_chart(kind, params)
         rng = np.random.default_rng(scenario.seed)
         self.points = sample_points(self.chart, scenario.samples, rng)
-        self._restrictions = {}
 
     def rng_for(self, name: str):
         return np.random.default_rng(
@@ -66,13 +64,27 @@ class ScenarioContext:
     def evaluation(self, i: int) -> hyp.PointEvaluation:
         return self.batch.point(i)
 
+    def _structure(self, tag: int):
+        return structure(tag, self.scenario.structure_pairing)
+
+    @cached_property
+    def restricted_s1(self) -> rst.RestrictedSpinc:
+        """The positive structure restricted at every sample point."""
+        return rst.restrict_structure(self.batch, self._structure(1))
+
+    @cached_property
+    def restricted_s2(self) -> rst.RestrictedSpinc:
+        """The negative structure restricted at every sample point."""
+        return rst.restrict_structure(self.batch, self._structure(2))
+
+    def spinc(self, tag: int) -> rst.RestrictedSpinc:
+        return self.restricted_s1 if tag == 1 else self.restricted_s2
+
     def restricted(self, i: int, tag: int) -> rst.RestrictedSpinc:
-        key = (i, tag)
-        if key not in self._restrictions:
-            st = structure(tag, self.scenario.structure_pairing)
-            self._restrictions[key] = rst.restrict_structure(
-                self.evaluation(i), st)
-        return self._restrictions[key]
+        """The structure ``tag`` restricted at sample point ``i`` alone,
+        read off the batch like ``evaluation(i)``."""
+        return rst.restrict_structure(self.evaluation(i),
+                                      self._structure(tag))
 
 
 @dataclass(frozen=True)
@@ -89,26 +101,26 @@ def _record(worst, points, **fields):
                        **fields)
 
 
-def _max_over_points(ctx, tag, residual):
-    """Record of ``residual(rs)`` for the structure ``tag`` restricted at
-    every sample point, one restriction at a time."""
-    n = len(ctx.points)
-    return _record(worst_of(residual(ctx.restricted(i, tag))
-                            for i in range(n)), n)
-
-
-def _restricted_check(tag, residual):
-    # ``residual`` names the module function it calls inside its body, so
-    # a patched or traced ``restriction`` function is the one that runs
-    return lambda ctx: _max_over_points(ctx, tag, residual)
-
-
 def _max_over_batch(ctx, residuals):
     """Record of residuals computed on the whole batch at once: one value
     per point, or a dict of such arrays."""
     if isinstance(residuals, dict):
         residuals = list(residuals.values())
     return _record(worst_of(np.ravel(residuals)), len(ctx.points))
+
+
+def _batch_check(residual, tag=None, **notes):
+    """Check of ``residual`` run once on the batch of every sample point,
+    or on the structure ``tag`` restricted there; ``notes`` go on the
+    record."""
+    # ``residual`` names the module function it calls inside its body, so
+    # a patched or traced function is the one that runs
+    def fn(ctx):
+        rec = _max_over_batch(ctx, residual(
+            ctx.batch if tag is None else ctx.spinc(tag)))
+        rec.notes = dict(notes)
+        return rec
+    return fn
 
 
 # --- ambient / product-model checks -----------------------------------------
@@ -165,46 +177,12 @@ def check_ambient_product_structure(ctx):
 
 # --- hypersurface point checks ------------------------------------------------
 
-def check_frame(ctx):
-    return _max_over_batch(ctx, hyp.frame_orthonormality_residual(ctx.batch))
-
-
 def check_consistency(ctx):
     rec = _max_over_batch(ctx, hyp.consistency_residuals(ctx.batch))
     H = value(ctx.batch.mean_curvature)
     rec.notes = {"mean_curvature_min": float(np.min(H)),
                  "mean_curvature_max": float(np.max(H))}
     return rec
-
-
-def check_involution(ctx):
-    return _max_over_batch(ctx, hyp.involution_identities(ctx.batch))
-
-
-def check_contact(ctx):
-    return _max_over_batch(ctx, hyp.contact_identities(ctx.batch))
-
-
-def check_projection_split(ctx):
-    return _max_over_batch(ctx, hyp.projection_formulas(ctx.batch))
-
-
-def check_rank_two(ctx):
-    b = ctx.batch
-    r = hyp.rank_pair(b.f_frame, b.V_frame, value(b.h))
-    return _max_over_batch(ctx, np.abs(r[0] - 2) + np.abs(r[1] - 2))
-
-
-def check_structure_derivatives(ctx):
-    return _max_over_batch(ctx, hyp.derivative_identities(ctx.batch))
-
-
-def check_gauss(ctx):
-    return _max_over_batch(ctx, hyp.gauss_residual(ctx.batch))
-
-
-def check_codazzi(ctx):
-    return _max_over_batch(ctx, hyp.codazzi_residual(ctx.batch))
 
 
 def _head(ctx, limit):
@@ -222,10 +200,6 @@ def check_gauss_control(ctx):
     rec.notes = {"control": "shape operator perturbed by symmetric "
                             "rank-two noise; residual must exceed tolerance"}
     return rec
-
-
-def check_xi_derivative(ctx):
-    return _max_over_batch(ctx, sysmod.xi_derivative_residual(ctx.batch))
 
 
 def _system_check(tag):
@@ -268,37 +242,29 @@ def check_covanish(ctx):
     return rec
 
 
-def _killing_defect(rs):
-    return worst_of(rs.killing_residual(rs.ev.frame[:, k]) for k in range(3))
+KILLING_STATUS = ("structural: |C(X) psi0| is zero by construction in the "
+                  "constant-section gauge (ROADMAP item 2)")
 
 
 def _relations_check(tag):
     def fn(ctx):
-        rng = ctx.rng_for(f"spinc.relations_s{tag}")
-        res = []
-        measured = set()
-        for i in range(len(ctx.points)):
-            rs = ctx.restricted(i, tag)
-            res.append(rs.anticommutation_residual(rng, trials=3))
-            m = rs.volume_measurement()
-            res.append(min(abs(m - 1.0), abs(m + 1.0)))
-            measured.add(int(np.sign(m.real)))
-        rec = _record(worst_of(res), len(ctx.points))
-        rec.notes = {"volume_element_sign": sorted(measured)}
+        rs = ctx.spinc(tag)
+        anti = rs.anticommutation_residual(
+            ctx.rng_for(f"spinc.relations_s{tag}"), trials=3)
+        m = rs.volume_measurement()
+        rec = _max_over_batch(
+            ctx, [anti, np.minimum(np.abs(m - 1.0), np.abs(m + 1.0))])
+        signs = np.sign(m.real[np.isfinite(m.real)])
+        rec.notes = {"volume_element_sign": sorted({int(s) for s in signs})}
         return rec
     return fn
 
 
-def check_projection_cancellation(ctx):
-    return _max_over_batch(
-        ctx, rst.projection_cancellation_residuals(ctx.batch))
-
-
 def check_energy_momentum_s2(ctx):
-    rec = _max_over_points(ctx, 2, lambda rs: rs.dirac_energy.Q_vs_E)
+    de = ctx.spinc(2).dirac_energy
+    rec = _max_over_batch(ctx, de.Q_vs_E)
     curved = np.max(np.abs(ctx.batch.E_frame), axis=(-2, -1)) > 1e-10
-    signs = sorted({ctx.restricted(i, 2).dirac_energy.Q_sign
-                    for i in np.flatnonzero(curved)})
+    signs = sorted({int(s) for s in de.Q_sign[curved]})
     rec.notes = {"measured_sign_Q_vs_E": signs
                  or "indeterminate (E = 0 everywhere)"}
     return rec
@@ -342,9 +308,8 @@ def check_spin_case(ctx):
         rec.notes = {"status": "not a spin case (c1, c2) != (0, 0)"}
         return rec
     n = min(10, len(ctx.points))
-    rec = _record(worst_of(
-        float(np.max(np.abs(ctx.restricted(i, tag).omega_pullback)))
-        for i in range(n) for tag in (1, 2)), n)
+    rec = _record(worst_of(np.ravel([
+        np.abs(ctx.spinc(tag).omega_pullback[:n]) for tag in (1, 2)])), n)
     rec.notes = {"status": "flat factors: both induced structures coincide "
                            "(spin case), auxiliary curvature vanishes"}
     return rec
@@ -364,39 +329,47 @@ REGISTRY = [
               check_ambient_auxiliary),
     CheckSpec("frame.orthonormality",
               "adapted frame {e1, Chi e1, xi} is orthonormal",
-              1e-12, "assert", check_frame),
+              1e-12, "assert",
+              _batch_check(lambda ev: hyp.frame_orthonormality_residual(ev))),
     CheckSpec("induced.consistency",
               "unit normal, symmetric second fundamental form, tangency of "
               "xi and V, agreement of both routes to V",
               1e-10, "assert", check_consistency),
     CheckSpec("structure.involution",
               "splitting algebra: f symmetric, f^2 + V (x) V-flat = Id, "
-              "f V = -h V, h^2 + |V|^2 = 1", 1e-9, "assert", check_involution),
+              "f V = -h V, h^2 + |V|^2 = 1", 1e-9, "assert",
+              _batch_check(lambda ev: hyp.involution_identities(ev))),
     CheckSpec("structure.contact",
               "ten pointwise identities tying (Chi, xi, eta) to (f, V, h)",
-              1e-9, "assert", check_contact),
+              1e-9, "assert",
+              _batch_check(lambda ev: hyp.contact_identities(ev))),
     CheckSpec("structure.projection_split",
               "closed forms of the factor projections of V, nu, xi",
-              1e-10, "assert", check_projection_split),
+              1e-10, "assert",
+              _batch_check(lambda ev: hyp.projection_formulas(ev))),
     CheckSpec("structure.rank_two",
               "(F + Id)/2 and (F - Id)/2 have rank 2 in the adapted basis",
-              0.5, "assert", check_rank_two),
+              0.5, "assert",
+              _batch_check(lambda ev: sum(np.abs(r - 2) for r in hyp.rank_pair(
+                  ev.f_frame, ev.V_frame, value(ev.h))))),
     CheckSpec("structure.derivatives",
               "first-order compatibility: nabla f, nabla V and grad h "
               "expressed through E and V", 1e-6, "assert",
-              check_structure_derivatives),
+              _batch_check(lambda ev: hyp.derivative_identities(ev))),
     CheckSpec("curvature.gauss",
               "Gauss equation for a product of two space forms",
-              1e-5, "assert", check_gauss),
+              1e-5, "assert", _batch_check(lambda ev: hyp.gauss_residual(ev))),
     CheckSpec("curvature.codazzi",
               "Codazzi equation for a product of two space forms",
-              1e-5, "assert", check_codazzi),
+              1e-5, "assert",
+              _batch_check(lambda ev: hyp.codazzi_residual(ev))),
     CheckSpec("curvature.gauss_control",
               "negative control: perturbed shape operator must violate the "
               "Gauss equation", 1e-2, "control", check_gauss_control),
     CheckSpec("connection.xi_derivative",
               "derivative of the contact direction: nabla_X xi = Chi E X",
-              1e-6, "assert", check_xi_derivative),
+              1e-6, "assert",
+              _batch_check(lambda ev: sysmod.xi_derivative_residual(ev))),
     CheckSpec("system.one",
               "twelve scalar components of the Ricci identity for the "
               "positive structure (compatibility system 1)",
@@ -414,11 +387,15 @@ REGISTRY = [
     CheckSpec("killing.s1",
               "generalized Killing law nabla_X phi = -1/2 gamma(EX) phi "
               "for the restricted positive-structure spinor",
-              1e-6, "assert", _restricted_check(1, _killing_defect)),
+              1e-6, "assert",
+              _batch_check(lambda rs: rs.killing_residual(rs.frame_vectors), 1,
+                           status=KILLING_STATUS)),
     CheckSpec("killing.s2",
               "generalized Killing law nabla_X phi = +1/2 gamma(EX) phi "
               "for the restricted negative-structure spinor",
-              1e-6, "assert", _restricted_check(2, _killing_defect)),
+              1e-6, "assert",
+              _batch_check(lambda rs: rs.killing_residual(rs.frame_vectors), 2,
+                           status=KILLING_STATUS)),
     CheckSpec("spinc.relations_s1",
               "induced Clifford relations and skew-adjointness; volume "
               "element gamma(e1)gamma(e2)gamma(xi) = -Id measured",
@@ -430,51 +407,51 @@ REGISTRY = [
     CheckSpec("spinc.normal_condition_s1",
               "gamma(xi) phi = -i phi for the restricted positive-structure "
               "spinor", 1e-8, "assert",
-              _restricted_check(1, lambda rs: rst.algebraic_conditions(rs))),
+              _batch_check(lambda rs: rst.algebraic_conditions(rs), 1)),
     CheckSpec("spinc.normal_condition_s2",
               "gamma(V) phi = -i gamma(xi) phi + h phi for the restricted "
               "negative-structure spinor", 1e-8, "assert",
-              _restricted_check(2, lambda rs: rst.algebraic_conditions(rs))),
+              _batch_check(lambda rs: rst.algebraic_conditions(rs), 2)),
     CheckSpec("spinc.pairing_identities",
               "four spinor pairings recovering (V, e_i) and h from the "
               "negative-structure spinor", 1e-8, "assert",
-              _restricted_check(2, lambda rs: worst_of(
-                  rst.pairing_identities(rs).values()))),
+              _batch_check(lambda rs: rst.pairing_identities(rs), 2)),
     CheckSpec("spinc.omega_s1",
               "pullback auxiliary curvature equals its closed form "
               "(positive structure)", 1e-6, "assert",
-              _restricted_check(1, lambda rs: rst.omega_formula_residual(rs))),
+              _batch_check(lambda rs: rst.omega_formula_residual(rs), 1)),
     CheckSpec("spinc.omega_s2",
               "pullback auxiliary curvature equals its closed form "
               "(negative structure)", 1e-6, "assert",
-              _restricted_check(2, lambda rs: rst.omega_formula_residual(rs))),
+              _batch_check(lambda rs: rst.omega_formula_residual(rs), 2)),
     CheckSpec("spinc.omega_restriction_s1",
               "restriction law for the Clifford action of the ambient "
               "curvature 2-form (positive structure)", 1e-8, "assert",
-              _restricted_check(
-                  1, lambda rs: rst.curvature_restriction_residual(rs))),
+              _batch_check(
+                  lambda rs: rst.curvature_restriction_residual(rs), 1)),
     CheckSpec("spinc.omega_restriction_s2",
               "restriction law for the Clifford action of the ambient "
               "curvature 2-form (negative structure)", 1e-8, "assert",
-              _restricted_check(
-                  2, lambda rs: rst.curvature_restriction_residual(rs))),
+              _batch_check(
+                  lambda rs: rst.curvature_restriction_residual(rs), 2)),
     CheckSpec("spinc.projection_cancellation",
               "tensor cancellation identities for the factor projections of "
               "nu, xi, V acting on the factor spinors", 1e-10, "assert",
-              check_projection_cancellation),
+              _batch_check(
+                  lambda ev: rst.projection_cancellation_residuals(ev))),
     CheckSpec("spinc.dirac_s1",
               "Dirac eigenvalue law D phi = +3/2 H phi (positive structure)",
               1e-5, "assert",
-              _restricted_check(1, lambda rs: rs.dirac_energy.dirac_residual)),
+              _batch_check(lambda rs: rs.dirac_energy.dirac_residual, 1)),
     CheckSpec("spinc.dirac_s2",
               "Dirac eigenvalue law D phi = -3/2 H phi (negative structure)",
               1e-5, "assert",
-              _restricted_check(2, lambda rs: rs.dirac_energy.dirac_residual)),
+              _batch_check(lambda rs: rs.dirac_energy.dirac_residual, 2)),
     CheckSpec("spinc.energy_momentum_s1",
               "energy-momentum tensor of the positive-structure spinor "
               "equals the shape operator", 1e-5, "assert",
-              _restricted_check(1, lambda rs: float(np.max(np.abs(
-                  rs.dirac_energy.Q - rs.ev.E_frame))))),
+              _batch_check(lambda rs: np.max(np.abs(
+                  rs.dirac_energy.Q - rs.ev.E_frame), axis=(-2, -1)), 1)),
     CheckSpec("spinc.energy_momentum_s2",
               "signed relation of the negative-structure energy-momentum "
               "tensor to the shape operator (recorded)", 1e-5, "record",

@@ -439,10 +439,6 @@ class PointEvaluation:
         e2 = _mv(self.chi_mixed, e1)
         return np.stack([e1, e2, xi], axis=-1)
 
-    def frame_ambient(self, i):
-        """Ambient chart components of frame vector e_i (values)."""
-        return np.einsum("...a,...ab->...b", self.frame[..., :, i], self.T_val)
-
     @_stage
     def E_frame(self):
         """a[i, j] = g(E e_i, e_j) in the adapted frame."""

@@ -9,7 +9,8 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from spinlab.hypersurfaces import evaluate
-from spinlab.jets import value
+from spinlab.jets import value, worst_of
+from spinlab.product import structure
 
 
 def fd_second_derivative(f, x, h):
@@ -407,3 +408,184 @@ def point_converse_residuals(d):
     ranks = rank_pair(d.f_frame, Vf, h)
     out["rank-two"] = float(abs(ranks[0] - 2) + abs(ranks[1] - 2))
     return out
+
+
+# --- one-point references of the restricted spin^c layer ---------------------
+# The per-(point, structure) implementation the batched ``RestrictedSpinc``
+# replaced, kept as it was: 4x4 matrices one at a time, running sums.
+
+def point_closed_form_omega(tag, c1, c2, h, V_frame):
+    s = 1.0 if tag == 1 else -1.0
+    Om = np.zeros((3, 3))
+    Om[0, 1] = 0.5 * s * c1 * (h - 1.0) - 0.5 * c2 * (h + 1.0)
+    Om[0, 2] = 0.5 * (s * c1 - c2) * V_frame[0]
+    Om[1, 2] = 0.5 * (s * c1 - c2) * V_frame[1]
+    Om[1, 0], Om[2, 0], Om[2, 1] = -Om[0, 1], -Om[0, 2], -Om[1, 2]
+    return Om
+
+
+class PointSpinc:
+    """A structure restricted at one point, one frame vector at a time."""
+
+    def __init__(self, ev, struct):
+        self.ev = ev
+        self.struct = struct
+        self.sign = float(struct.chirality)
+        self.model = ev.product.clifford
+        self.psi = ev.product.parallel_spinor(struct)
+        self.position = ev.position
+        self.frame_scale = ev.product.frame_components(ev.position, np.ones(4))
+        self._nu_mat = self.model.vector(ev.nu_val * self.frame_scale)
+
+    def gamma_matrix(self, X_coord):
+        amb = (np.asarray(X_coord) @ self.ev.T_val) * self.frame_scale
+        return self.sign * self.model.vector(amb) @ self._nu_mat
+
+    def gamma(self, X_coord, spinor):
+        return self.gamma_matrix(X_coord) @ spinor
+
+    @property
+    def frame_gammas(self):
+        return [self.gamma_matrix(self.ev.frame[:, i]) for i in range(3)]
+
+    def anticommutation_residual(self, rng, trials=6):
+        res = []
+        for _ in range(trials):
+            X = rng.standard_normal(3)
+            Y = rng.standard_normal(3)
+            gx, gy = self.gamma_matrix(X), self.gamma_matrix(Y)
+            ip = float(X @ self.ev.g_val @ Y)
+            anti = gx @ gy + gy @ gx + 2.0 * ip * np.eye(4)
+            res.append(np.max(np.abs(anti)))
+            res.append(np.max(np.abs(gx + gx.conj().T)))
+        return worst_of(res)
+
+    def volume_measurement(self):
+        g1, g2, g3 = self.frame_gammas
+        out = g1 @ g2 @ g3 @ self.psi
+        return complex(np.vdot(self.psi, out) / np.vdot(self.psi, self.psi))
+
+    def covariant_derivative(self, X_coord):
+        X_amb = np.asarray(X_coord) @ self.ev.T_val
+        C = self.ev.product.connection_matrix(self.position, X_amb,
+                                              self.struct)
+        EX = self.ev.E_mixed_val @ np.asarray(X_coord)
+        return C @ self.psi - 0.5 * self.sign * self.gamma(EX, self.psi)
+
+    def killing_residual(self, X_coord):
+        EX = self.ev.E_mixed_val @ np.asarray(X_coord)
+        res = (self.covariant_derivative(X_coord)
+               + 0.5 * self.sign * self.gamma(EX, self.psi))
+        return float(np.linalg.norm(res))
+
+    @property
+    def frame_ambient(self):
+        return np.stack([self.ev.frame[:, i] @ self.ev.T_val
+                         for i in range(3)], axis=1)
+
+    @property
+    def omega_pullback(self):
+        amb = self.frame_ambient
+        return value(self.ev.product.curvature_form(
+            self.position, amb[:, :, None], amb[:, None, :], self.struct))
+
+
+def point_algebraic_conditions(rs):
+    phi = rs.psi
+    xi = rs.ev.xi_coord_val
+    if rs.struct.tag == 1:
+        res = rs.gamma(xi, phi) + 1j * phi
+    else:
+        res = (rs.gamma(rs.ev.V_coord_val, phi) + 1j * rs.gamma(xi, phi)
+               - value(rs.ev.h) * phi)
+    return float(np.linalg.norm(res))
+
+
+def point_pairing_identities(rs):
+    phi = rs.psi
+    norm2 = float(np.vdot(phi, phi).real)
+    Vf = rs.ev.V_frame
+    h = value(rs.ev.h)
+    g1, g2, g3 = rs.frame_gammas
+
+    def pair(mat):
+        return complex(np.vdot(phi, mat @ phi)) / norm2
+
+    return {
+        "V-pairing-vanishes": abs(pair(rs.gamma_matrix(rs.ev.V_coord_val))),
+        "V-e1-pairing": abs(Vf[0] + 1j * pair(g2)),
+        "V-e2-pairing": abs(Vf[1] - 1j * pair(g1)),
+        "h-pairing": abs(h - 1j * pair(g3)),
+    }
+
+
+def point_omega_formula_residual(rs):
+    ev = rs.ev
+    ref = point_closed_form_omega(rs.struct.tag, ev.product.c1,
+                                  ev.product.c2, value(ev.h), ev.V_frame)
+    return float(np.max(np.abs(rs.omega_pullback - ref)))
+
+
+def point_curvature_restriction_residual(rs):
+    ev = rs.ev
+    model = rs.model
+    p = rs.position
+    eps = np.diag(1.0 / rs.frame_scale)
+    A, B = np.triu_indices(4, 1)
+    coeffs = value(ev.product.curvature_form(p, eps[:, A], eps[:, B],
+                                             rs.struct))
+    lhs_mat = np.zeros((4, 4), dtype=complex)
+    for coeff, a, b in zip(coeffs, A, B):
+        lhs_mat += coeff * model.generators[a] @ model.generators[b]
+    lhs = lhs_mat @ rs.psi
+
+    Om = rs.omega_pullback
+    G = rs.frame_gammas
+    rhs = np.zeros(4, dtype=complex)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            rhs += Om[i, j] * G[i] @ (G[j] @ rs.psi)
+    contraction = value(ev.product.curvature_form(
+        p, ev.nu_val[:, None], rs.frame_ambient, rs.struct))
+    W = sum(contraction[i] * ev.frame[:, i] for i in range(3))
+    rhs -= rs.sign * rs.gamma(W, rs.psi)
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def point_dirac_and_energy_momentum(rs):
+    """(dirac residual, Q, Q_vs_E, Q_sign) at one point."""
+    ev = rs.ev
+    phi = rs.psi
+    norm2 = float(np.vdot(phi, phi).real)
+    H = value(ev.mean_curvature)
+    G = rs.frame_gammas
+    nab = [rs.covariant_derivative(ev.frame[:, k]) for k in range(3)]
+    D = sum(G[k] @ nab[k] for k in range(3))
+    target = (1.5 * H if rs.struct.tag == 1 else -1.5 * H) * phi
+    dres = float(np.linalg.norm(D - target))
+    Q = np.zeros((3, 3))
+    for i in range(3):
+        for k in range(3):
+            val = np.vdot(phi, G[i] @ nab[k] + G[k] @ nab[i])
+            Q[i, k] = val.real / norm2
+    a = ev.E_frame
+    dplus = float(np.max(np.abs(Q - a)))
+    dminus = float(np.max(np.abs(Q + a)))
+    sign = 1 if dplus <= dminus else -1
+    return dres, Q, min(dplus, dminus), sign
+
+
+def point_relations_record(ctx, tag):
+    """Worst residual and measured volume-element signs of the
+    ``spinc.relations_s<tag>`` check, one point after another."""
+    rng = ctx.rng_for(f"spinc.relations_s{tag}")
+    res = []
+    measured = set()
+    for i in range(len(ctx.points)):
+        rs = PointSpinc(ctx.evaluation(i),
+                        structure(tag, ctx.scenario.structure_pairing))
+        res.append(rs.anticommutation_residual(rng, trials=3))
+        m = rs.volume_measurement()
+        res.append(min(abs(m - 1.0), abs(m + 1.0)))
+        measured.add(int(np.sign(m.real)))
+    return worst_of(res), sorted(measured)

@@ -5,6 +5,7 @@ stage, and a bad point inside a batch must be reported by its chart
 parameter u.
 """
 
+import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -12,12 +13,15 @@ import pytest
 
 import helpers
 from conftest import sample
-from spinlab import build_chart, build_product, evaluate
+from spinlab import build_chart, build_product, evaluate, structure
 from spinlab import hypersurfaces as hyp
 from spinlab import restriction as rst
 from spinlab import systems as sysmod
+from spinlab.catalog import BUILTIN_SCENARIOS
+from spinlab.checks import REGISTRY_BY_NAME, ScenarioContext
 from spinlab.hypersurfaces import PointEvaluation, RankDeficientError
 from spinlab.jets import Jet, value
+from spinlab.reports import Scenario
 from spinlab.surfaces import OutsideDomainError
 
 # float64 carries ~16 digits; batching reorders a few sums per jet product,
@@ -189,3 +193,110 @@ def test_batched_identity_matches_one_point(members, name):
                     assert g.shape == w.shape, (label, key)
                     assert np.all(np.abs(g - w) <= IDENTITY_TOL * np.maximum(
                         1.0, np.abs(w))), (label, key, g, w)
+
+
+def _frame_rows(ev):
+    return [ev.frame[:, k] for k in range(3)]
+
+
+def _point_dirac(ps, rng):
+    return dict(zip(("dirac_residual", "Q", "Q_vs_E", "Q_sign"),
+                    helpers.point_dirac_and_energy_momentum(ps)))
+
+
+# restricted identity -> (fn(batched or one-point RestrictedSpinc, rng),
+# the per-point implementation it replaced, fn(helpers.PointSpinc, rng))
+RESTRICTED = {
+    "frame_gammas": (lambda rs, rng: rs.frame_gammas,
+                     lambda ps, rng: np.stack(ps.frame_gammas)),
+    "covariant_derivative": (
+        lambda rs, rng: rs.covariant_derivative(rs.frame_vectors),
+        lambda ps, rng: np.stack([ps.covariant_derivative(e)
+                                  for e in _frame_rows(ps.ev)])),
+    "killing_residual": (
+        lambda rs, rng: rs.killing_residual(rs.frame_vectors),
+        lambda ps, rng: np.array([ps.killing_residual(e)
+                                  for e in _frame_rows(ps.ev)])),
+    "anticommutation_residual": (
+        lambda rs, rng: rs.anticommutation_residual(rng, trials=3),
+        lambda ps, rng: ps.anticommutation_residual(rng, trials=3)),
+    "volume_measurement": (lambda rs, rng: rs.volume_measurement(),
+                           lambda ps, rng: ps.volume_measurement()),
+    "algebraic_conditions": (
+        lambda rs, rng: rst.algebraic_conditions(rs),
+        lambda ps, rng: helpers.point_algebraic_conditions(ps)),
+    "pairing_identities": (
+        lambda rs, rng: rst.pairing_identities(rs),
+        lambda ps, rng: helpers.point_pairing_identities(ps)),
+    "omega_pullback": (lambda rs, rng: rs.omega_pullback,
+                       lambda ps, rng: ps.omega_pullback),
+    "omega_formula_residual": (
+        lambda rs, rng: rst.omega_formula_residual(rs),
+        lambda ps, rng: helpers.point_omega_formula_residual(ps)),
+    "curvature_restriction_residual": (
+        lambda rs, rng: rst.curvature_restriction_residual(rs),
+        lambda ps, rng: helpers.point_curvature_restriction_residual(ps)),
+    "dirac_and_energy_momentum": (
+        lambda rs, rng: dataclasses.asdict(rst.dirac_and_energy_momentum(rs)),
+        _point_dirac),
+}
+
+
+@pytest.mark.parametrize("normal_scale", [1.0, 2.0],
+                         ids=["unit-normal", "doubled-normal"])
+@pytest.mark.parametrize("name", sorted(RESTRICTED))
+def test_batched_restriction_matches_one_point(members, name, normal_scale):
+    """A restricted residual run once on N points gives, at each point and
+    for both structures, what it gives on that point's one-point structure
+    and what the per-point implementation it replaced gives; random draws
+    follow one point after another.  A doubled normal turns gamma into
+    twice a Clifford map, so every residual is of order one there and the
+    Clifford defect 6|g(X, Y)| depends on every draw."""
+    batched, reference = RESTRICTED[name]
+    n = 5
+    for label, prod, chart in members:
+        batch = evaluate(chart, prod, sample(chart, np.random.default_rng(5), n))
+        batch.__dict__["nu_val"] = normal_scale * batch.nu_val
+        for tag in (1, 2):
+            st = structure(tag)
+            got = _as_dict(batched(rst.restrict_structure(batch, st),
+                                   np.random.default_rng(11)))
+            runs = [lambda ev, rng: batched(rst.restrict_structure(ev, st),
+                                            rng),
+                    lambda ev, rng: reference(helpers.PointSpinc(ev, st), rng)]
+            streams = [np.random.default_rng(11) for _ in runs]
+            for i in range(n):
+                for one_point, rng in zip(runs, streams):
+                    want = _as_dict(one_point(batch.point(i), rng))
+                    assert want.keys() == got.keys()
+                    for key, w in want.items():
+                        w, g = np.asarray(w), np.asarray(got[key])[i]
+                        assert g.shape == w.shape, (label, tag, key)
+                        assert np.all(np.abs(g - w) <= IDENTITY_TOL * np.maximum(
+                            1.0, np.abs(w))), (label, tag, key, g, w)
+
+
+def test_closed_form_omega_matches_one_point(members):
+    rng = np.random.default_rng(3)
+    h, V = rng.uniform(-1, 1, 6), rng.standard_normal((6, 3))
+    for tag in (1, 2):
+        got = rst.closed_form_omega(tag, 1.0, -0.5, h, V)
+        for i in range(6):
+            want = helpers.point_closed_form_omega(tag, 1.0, -0.5, h[i], V[i])
+            assert np.array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("normal_scale", [1.0, 2.0],
+                         ids=["unit-normal", "doubled-normal"])
+@pytest.mark.parametrize("tag", [1, 2])
+def test_relations_check_keeps_the_point_stream(tag, normal_scale):
+    """spinc.relations_s<tag> draws its random vectors as the per-point
+    loop did, one point after another: the same worst residual and the same
+    measured volume-element signs on every catalog member."""
+    for raw in BUILTIN_SCENARIOS:
+        ctx = ScenarioContext(Scenario.from_dict(dict(raw, samples=8)))
+        ctx.batch.__dict__["nu_val"] = normal_scale * ctx.batch.nu_val
+        rec = REGISTRY_BY_NAME[f"spinc.relations_s{tag}"].fn(ctx)
+        worst, signs = helpers.point_relations_record(ctx, tag)
+        assert abs(rec.max_residual - worst) <= IDENTITY_TOL * max(1.0, worst)
+        assert rec.notes["volume_element_sign"] == signs

@@ -341,22 +341,31 @@ def test_nan_frame_data_fails_covanish(monkeypatch):
 
 
 def test_nan_fails_the_normal_condition(monkeypatch):
-    """A NaN normal-condition residual at the second sample point fails
-    spinc.normal_condition_s1; the other check stays finite."""
-    from spinlab import restriction
-    original = restriction.algebraic_conditions
-    calls = []
-
-    def with_nan(rs):
-        calls.append(1)
-        return float("nan") if len(calls) == 2 else original(rs)
-
-    monkeypatch.setattr(restriction, "algebraic_conditions", with_nan)
+    """A NaN normal at the second sample point fails
+    spinc.normal_condition_s1; spinc.omega_s1, which does not read the
+    normal, stays finite and passes."""
+    _poison_batch(monkeypatch, nu_val=lambda ev, x: _nan_at(x, (1, 0)))
     report = run_scenario(small_scenario(checks=[
         "spinc.normal_condition_s1", "spinc.omega_s1"]))
     normal, omega = report.checks
     assert np.isnan(normal.max_residual) and normal.verdict == "fail"
     assert omega.verdict == "pass" and omega.max_residual < 1e-6
+
+
+RESTRICTED_ASSERTS = [spec.name for spec in REGISTRY
+                      if spec.name.split(".")[0] in ("killing", "spinc")
+                      and spec.kind == "assert"]
+
+
+@pytest.mark.parametrize("check", RESTRICTED_ASSERTS)
+def test_nan_fails_every_restricted_check(monkeypatch, check):
+    """A NaN tangent vector component at the second sample point reaches
+    every Killing and spin^c assert check, which each run once on the
+    whole batch."""
+    _poison_batch(monkeypatch, T_val=lambda ev, x: _nan_at(x, (1, 0, 0)))
+    (rec,) = run_scenario(small_scenario(checks=[check])).checks
+    assert np.isnan(rec.max_residual)
+    assert rec.verdict == "fail"
 
 
 UMBILIC = {"checks": ["umbilic.gradient_identity"], "c1": 0.0, "c2": 0.0,
@@ -395,13 +404,13 @@ def test_umbilic_identity_asserts_dH_of_xi(monkeypatch):
 
 def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
     """The Dirac and energy-momentum checks of one structure share one
-    computation per sample point."""
+    computation, made once on the batch of all sample points."""
     from spinlab import restriction
     original = restriction.dirac_and_energy_momentum
     calls = []
 
     def counted(rs):
-        calls.append((float(rs.position[0]), rs.struct.tag))
+        calls.append((rs.position.shape, rs.struct.tag))
         return original(rs)
 
     monkeypatch.setattr(restriction, "dirac_and_energy_momentum", counted)
@@ -409,7 +418,7 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
         "spinc.dirac_s1", "spinc.dirac_s2", "spinc.energy_momentum_s1",
         "spinc.energy_momentum_s2"]))
     assert report.passed
-    assert len(calls) == 12 == len(set(calls))
+    assert calls == [((6, 4), 1), ((6, 4), 2)]
 
 
 @pytest.mark.parametrize("change, extra, says", [
