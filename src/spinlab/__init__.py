@@ -5,8 +5,8 @@ from .clifford import (CliffordModel, ProductSpinorSpace, build_clifford,
                        conjugate, kahler_action, shape_commutator_residual)
 from .product import ProductModel, SpincStructure, structure
 from .surfaces import OutsideDomainError, SurfaceModel
-from .hypersurfaces import (HypersurfaceChart, InducedPointData,
-                            PointEvaluation, RankDeficientError, evaluate)
+from .hypersurfaces import (HypersurfaceChart, PointEvaluation,
+                            RankDeficientError, evaluate)
 from .catalog import CATALOG, build_chart, build_product, sample_points
 from .restriction import RestrictedSpinc, restrict_structure
 from .systems import SystemResiduals, system_residuals

@@ -196,7 +196,7 @@ def check_gauss_control(ctx):
     ev, n = _head(ctx, 10)
     rng = ctx.rng_for("curvature.gauss_control")
     rec = _record(worst_of(hyp.gauss_residual(
-        ev, E_frame=sysmod.perturbed_shape(ev, rng))), n)
+        ev.replace(E_frame=sysmod.perturbed_shape(ev, rng)))), n)
     rec.notes = {"control": "shape operator perturbed by symmetric "
                             "rank-two noise; residual must exceed tolerance"}
     return rec
@@ -216,10 +216,10 @@ def _system_check(tag):
 
 def check_system_control(ctx):
     ev, n = _head(ctx, 10)
-    ap = sysmod.perturbed_shape(ev, ctx.rng_for("system.control"))
+    ev = ev.replace(E_frame=sysmod.perturbed_shape(
+        ev, ctx.rng_for("system.control")))
     return _record(worst_of(np.ravel([
-        sysmod.system_residuals(t, ev, E_frame=ap).max_residual
-        for t in (1, 2)])), n)
+        sysmod.system_residuals(t, ev).max_residual for t in (1, 2)])), n)
 
 
 def check_covanish(ctx):
@@ -250,7 +250,7 @@ def _relations_check(tag):
     def fn(ctx):
         rs = ctx.spinc(tag)
         anti = rs.anticommutation_residual(
-            ctx.rng_for(f"spinc.relations_s{tag}"), trials=3)
+            ctx.rng_for(f"spinc.relations_s{tag}"))
         m = rs.volume_measurement()
         rec = _max_over_batch(
             ctx, [anti, np.minimum(np.abs(m - 1.0), np.abs(m + 1.0))])
@@ -285,7 +285,7 @@ def check_umbilic(ctx):
 
 
 def check_converse(ctx):
-    res = sysmod.converse_residuals(ctx.batch.data)
+    res = sysmod.converse_residuals(ctx.batch)
     names = list(res)
     # point by point, each point's checks in order
     ratios = np.ravel(np.stack(
@@ -350,8 +350,8 @@ REGISTRY = [
     CheckSpec("structure.rank_two",
               "(F + Id)/2 and (F - Id)/2 have rank 2 in the adapted basis",
               0.5, "assert",
-              _batch_check(lambda ev: sum(np.abs(r - 2) for r in hyp.rank_pair(
-                  ev.f_frame, ev.V_frame, value(ev.h))))),
+              _batch_check(lambda ev: sum(np.abs(r - 2)
+                                          for r in hyp.rank_pair(ev)))),
     CheckSpec("structure.derivatives",
               "first-order compatibility: nabla f, nabla V and grad h "
               "expressed through E and V", 1e-6, "assert",
@@ -485,6 +485,9 @@ def run_scenario(scenario: Scenario) -> ResidualReport:
     warnings = []
     if not names:
         warnings.append("empty check list: nothing was verified")
+    unknown = sorted(set(scenario.tolerances) - set(REGISTRY_BY_NAME))
+    if unknown:
+        raise ScenarioError(f"tolerance for unknown check {unknown[0]!r}")
     records = []
     all_pass = True
     for name in names:

@@ -19,6 +19,11 @@ gives the evaluation of one point of a batch; it reads the batch's stages
 instead of recomputing them.  The identity residuals below take either
 and return one value per point.
 
+The value stages (``g_val``, ``E_mixed_val``, ``V_frame``, ``h_val``, ...)
+are the one point record every identity reads; ``replace`` swaps some of
+them in a copy, which is how negative controls and the corruptions of the
+converse direction feed altered data to the same identities.
+
 Conventions: nu is the chart normal scaled by the chart's orientation flag,
 E X = -nabla_X nu (a round 3-sphere of radius r with inner normal has
 H = 1/r > 0), R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y], and the frame
@@ -28,6 +33,7 @@ follow numpy orientation: A[i, j] = (A applied to d_j), component i.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -56,9 +62,6 @@ class HypersurfaceChart:
     def map_jets(self, u, order=3):
         x, y, z = variables(u, order)
         return list(self.map_fn(x, y, z))
-
-    def point(self, u):
-        return values(self.map_jets(u, order=1))
 
 
 def _inv3(m):
@@ -144,6 +147,16 @@ class PointEvaluation:
         ev._batch, ev._index = self, i
         return ev
 
+    def replace(self, **stages) -> "PointEvaluation":
+        """A copy with the named stages set to the given values.  It shares
+        every stage computed so far; on the evaluation of one point of a
+        batch, the stages it does not name still read the batch."""
+        assert all(isinstance(getattr(PointEvaluation, k, None),
+                              cached_property) for k in stages), stages
+        ev = copy.copy(self)
+        ev.__dict__.update(stages)
+        return ev
+
     def _require(self, ok, error, message):
         """Raise ``error`` naming the first point where ``ok`` is false;
         ``message(i)`` describes the point with index ``i`` (``()`` at one
@@ -206,14 +219,20 @@ class PointEvaluation:
     def g_inv_val(self):
         return values(self.g_inv)
 
-    def check_immersion(self, threshold=1e-8):
+    def check_immersion(self):
         """Smallest singular value of the differential, per point; raises
-        RankDeficientError at the first point where it is not above
-        ``threshold``."""
-        dphi = np.sqrt(self.gbar_val)[..., :, None] * np.swapaxes(
-            self.T_val, -1, -2)
+        RankDeficientError at the first point where the differential is not
+        finite or that value is not above 1e-8."""
+        # chart data that overflows is reported by the check below, not by
+        # numpy warnings on the way there
+        with np.errstate(all="ignore"):
+            dphi = np.sqrt(self.gbar_val)[..., :, None] * np.swapaxes(
+                self.T_val, -1, -2)
+        self._require(np.all(np.isfinite(dphi), axis=(-2, -1)),
+                      RankDeficientError,
+                      lambda i: "differential of the immersion is not finite")
         sv = np.linalg.svd(dphi, compute_uv=False)[..., -1]
-        self._require(sv > threshold, RankDeficientError,
+        self._require(sv > 1e-8, RankDeficientError,
                       lambda i: f"immersion rank below 3 (min sv {sv[i]:.2e})")
         return sv
 
@@ -286,6 +305,10 @@ class PointEvaluation:
     def h(self):
         Fnu = [F_MATRIX[a, a] * self.nu[a] for a in range(4)]
         return self._bar_dot(Fnu, self.nu)
+
+    @_stage
+    def h_val(self):
+        return value(self.h)
 
     @_stage
     def V_ambient(self):
@@ -472,53 +495,12 @@ class PointEvaluation:
         return np.einsum("...ijd,...dk->...ijk",
                          vec - np.swapaxes(vec, -3, -2), e)
 
-    # --- value-level record --------------------------------------------------
-    @cached_property
-    def data(self):
-        return InducedPointData(
-            c1=self.product.c1, c2=self.product.c2, g=self.g_val,
-            nu=self.nu_val, E=self.E_mixed_val, H=value(self.mean_curvature),
-            f=self.f_mixed_val, V=self.V_coord_val, h=value(self.h),
-            frame=self.frame, E_frame=self.E_frame, f_frame=self.f_frame,
-            V_frame=self.V_frame, R_frame=self.riemann_frame,
-            dE_frame=self.dE_frame, nabla_f=self.nabla_f,
-            nabla_V=self.nabla_V, dh=self.dh)
 
-
-@dataclass
-class InducedPointData:
-    """Value-level induced data of one point, or of a batch with the point
-    axis first, lifted off an evaluation and then treated abstractly (the
-    converse round trip checks and corrupts it).  The arrays are the
-    evaluation's own; a corruption builds new ones."""
-
-    c1: float
-    c2: float
-    g: np.ndarray
-    nu: np.ndarray
-    E: np.ndarray
-    H: float
-    f: np.ndarray
-    V: np.ndarray
-    h: float
-    frame: np.ndarray
-    E_frame: np.ndarray
-    f_frame: np.ndarray
-    V_frame: np.ndarray
-    R_frame: np.ndarray
-    dE_frame: np.ndarray
-    nabla_f: np.ndarray
-    nabla_V: np.ndarray
-    dh: np.ndarray
-
-
-def evaluate(chart, product, u, immersion_check=True,
-             order: int = 3) -> PointEvaluation:
+def evaluate(chart, product, u, order: int = 3) -> PointEvaluation:
     """Evaluate ``chart`` at one point u (shape (3,)) or at a batch of
     points (shape (N, 3)); the immersion check covers every point."""
     ev = PointEvaluation(chart, product, u, order=order)
-    if immersion_check:
-        ev.check_immersion()
+    ev.check_immersion()
     return ev
 
 
@@ -570,7 +552,7 @@ def involution_identities(ev: PointEvaluation):
     fv = ev.f_mixed_val
     Vv = ev.V_coord_val
     Vflat = _mv(gv, Vv)
-    h = np.asarray(value(ev.h))
+    h = np.asarray(ev.h_val)
     gf = gv @ fv
     return {
         "f-symmetric": _max_abs(gf - np.swapaxes(gf, -1, -2), 2),
@@ -588,7 +570,7 @@ def contact_identities(ev: PointEvaluation):
     chi = ev.chi_mixed
     xi = ev.xi_coord_val
     Vv = ev.V_coord_val
-    h = np.asarray(value(ev.h))
+    h = np.asarray(ev.h_val)
     e1, e2 = ev.frame[..., 0], ev.frame[..., 1]
     T = ev.T_val
 
@@ -633,7 +615,7 @@ def projection_formulas(ev: PointEvaluation):
     Vamb = _vm(ev.V_coord_val, ev.T_val)
     nu = ev.nu_val
     xi = ev.xi_ambient_val
-    h = np.asarray(value(ev.h))[..., None]
+    h = np.asarray(ev.h_val)[..., None]
     V2 = np.sum(ev.gbar_val * Vamb * Vamb, axis=-1)[..., None]
     pi1 = np.array([1.0, 1.0, 0.0, 0.0])  # factor projections, as masks
     pi2 = 1.0 - pi1
@@ -648,25 +630,25 @@ def projection_formulas(ev: PointEvaluation):
     return {k: _max_abs(v, 1) for k, v in out.items()}
 
 
-def product_structure_matrix(f_frame, V_frame, h):
+def product_structure_matrix(ev: PointEvaluation):
     """F in the basis {e1, e2, xi, nu} from frame data, per point."""
-    h = np.asarray(h)
+    h = np.asarray(ev.h_val)
     F4 = np.empty(h.shape + (4, 4))
-    F4[..., :3, :3] = f_frame
-    F4[..., :3, 3] = V_frame
-    F4[..., 3, :3] = V_frame
+    F4[..., :3, :3] = ev.f_frame
+    F4[..., :3, 3] = ev.V_frame
+    F4[..., 3, :3] = ev.V_frame
     F4[..., 3, 3] = h
     return F4
 
 
-def rank_pair(f_frame, V_frame, h, threshold=1e-8):
+def rank_pair(ev: PointEvaluation):
     """Numerical ranks of (F + Id)/2 and (F - Id)/2 for the frame data,
     per point; NaN where the data is not finite (svd would raise)."""
-    F4 = product_structure_matrix(f_frame, V_frame, h)
+    F4 = product_structure_matrix(ev)
     finite = np.all(np.isfinite(F4), axis=(-2, -1))
     F4 = np.where(finite[..., None, None], F4, 0.0)
     return tuple(np.where(finite, np.sum(np.linalg.svd(
-        (F4 + sign * np.eye(4)) / 2.0, compute_uv=False) > threshold,
+        (F4 + sign * np.eye(4)) / 2.0, compute_uv=False) > 1e-8,
         axis=-1), np.nan) for sign in (1.0, -1.0))
 
 
@@ -681,76 +663,46 @@ def _pair_terms(X):
             X[..., :, None, :, None] * X[..., None, :, None, :])
 
 
-def gauss_rhs(c1, c2, f_frame, a_frame):
-    """Frame components [i, j, k, l] of the Gauss right side: the e_l
-    component of the curvature of (e_i, e_j) acting on e_k."""
+def gauss_residual(ev: PointEvaluation):
+    """max_{ijkl} |R_ijkl - RHS_ijkl| for the product-target Gauss equation,
+    per point of a batch; RHS_ijkl is the e_l component of the right side
+    for the curvature of (e_i, e_j) acting on e_k."""
     eye = np.eye(3)
-    fp = eye + f_frame
-    fm = eye - f_frame
-    p_jk, p_ik = _pair_terms(fp)
-    m_jk, m_ik = _pair_terms(fm)
-    a_jk, a_ik = _pair_terms(a_frame)
-    return (0.25 * c1 * (p_jk - p_ik) + 0.25 * c2 * (m_jk - m_ik)
-            + a_jk - a_ik)
+    c1, c2 = ev.product.c1, ev.product.c2
+    p_jk, p_ik = _pair_terms(eye + ev.f_frame)
+    m_jk, m_ik = _pair_terms(eye - ev.f_frame)
+    a_jk, a_ik = _pair_terms(ev.E_frame)
+    return _max_abs(ev.riemann_frame - (0.25 * c1 * (p_jk - p_ik)
+                    + 0.25 * c2 * (m_jk - m_ik) + a_jk - a_ik), 4)
 
 
-def gauss_defect(R_frame, c1, c2, f_frame, a_frame):
-    """max_{ijkl} |R_ijkl - Gauss right side| for frame-level data."""
-    return _max_abs(R_frame - gauss_rhs(c1, c2, f_frame, a_frame), 4)
-
-
-def gauss_residual(ev: PointEvaluation, E_frame=None):
-    """max_{ijk} |R(e_i,e_j)e_k - RHS| for the product-target Gauss equation,
-    per point of a batch."""
-    a = ev.E_frame if E_frame is None else E_frame
-    return gauss_defect(ev.riemann_frame, ev.product.c1, ev.product.c2,
-                        ev.f_frame, a)
-
-
-def codazzi_rhs(c1, c2, f_frame, V_frame):
-    """Frame components [i, j, k] of the Codazzi right side."""
-    g = np.eye(3)
-    V_i = V_frame[..., :, None, None]
-    V_j = V_frame[..., None, :, None]
-    f_jk, f_ik = f_frame[..., None, :, :], f_frame[..., :, None, :]
+def codazzi_residual(ev: PointEvaluation):
+    """max_{ijk} |g(dNabla E(e_i, e_j), e_k) - RHS(i, j, k)|, per point of a
+    batch."""
+    g, f, V = np.eye(3), ev.f_frame, ev.V_frame
+    c1, c2 = ev.product.c1, ev.product.c2
+    V_i, V_j = V[..., :, None, None], V[..., None, :, None]
+    f_jk, f_ik = f[..., None, :, :], f[..., :, None, :]
     g_jk, g_ik = g[None, :, :], g[:, None, :]
     t1 = f_jk * V_i - f_ik * V_j + g_jk * V_i - g_ik * V_j
     t2 = g_jk * V_i - f_jk * V_i - g_ik * V_j + f_ik * V_j
-    return 0.25 * c1 * t1 - 0.25 * c2 * t2
+    return _max_abs(ev.dE_frame - (0.25 * c1 * t1 - 0.25 * c2 * t2), 3)
 
 
-def codazzi_defect(dE_frame, c1, c2, f_frame, V_frame):
-    """max_{ijk} |g(dNabla E(e_i, e_j), e_k) - RHS| for frame-level data."""
-    return _max_abs(dE_frame - codazzi_rhs(c1, c2, f_frame, V_frame), 3)
-
-
-def codazzi_residual(ev: PointEvaluation, dE_frame=None):
-    """max_{ijk} |g(dNabla E(e_i, e_j), e_k) - RHS(i, j, k)|, per point of a
-    batch."""
-    dE = ev.dE_frame if dE_frame is None else dE_frame
-    return codazzi_defect(dE, ev.product.c1, ev.product.c2, ev.f_frame,
-                          ev.V_frame)
-
-
-def derivative_defects(g, E, f, V, h, nabla_f, nabla_V, dh):
-    """Residuals of the three first-order compatibility equations:
+def derivative_identities(ev: PointEvaluation):
+    """Residuals of the three first-order compatibility equations, per
+    point of a batch:
     (nabla_X f)Y = g(Y,V) EX + g(EX,Y) V,  nabla_X V = -f(EX) + h EX,
     and grad h = -2 E V, from coordinate-level data (nabla_f indexed
     [c, a, b], nabla_V [b, a])."""
+    g, E, V = ev.g_val, ev.E_mixed_val, ev.V_coord_val
     Et = np.swapaxes(E, -1, -2)
     gV = _mv(g, V)
     gEt = np.swapaxes(g @ E, -1, -2)
     f_rhs = (gV[..., None, None, :] * Et[..., :, :, None]
              + gEt[..., :, None, :] * V[..., None, :, None])
-    V_rhs = np.swapaxes(-f @ E, -1, -2) + np.asarray(h)[..., None, None] * Et
-    return {"f-derivative": _max_abs(nabla_f - f_rhs, 3),
-            "V-derivative": _max_abs(nabla_V - V_rhs, 2),
-            "h-gradient": _max_abs(dh + _mv(2.0 * g @ E, V), 1)}
-
-
-def derivative_identities(ev: PointEvaluation):
-    """The first-order compatibility residuals of an evaluation, per point
-    of a batch."""
-    return derivative_defects(ev.g_val, ev.E_mixed_val, ev.f_mixed_val,
-                              ev.V_coord_val, value(ev.h), ev.nabla_f,
-                              ev.nabla_V, ev.dh)
+    V_rhs = (np.swapaxes(-ev.f_mixed_val @ E, -1, -2)
+             + np.asarray(ev.h_val)[..., None, None] * Et)
+    return {"f-derivative": _max_abs(ev.nabla_f - f_rhs, 3),
+            "V-derivative": _max_abs(ev.nabla_V - V_rhs, 2),
+            "h-gradient": _max_abs(ev.dh + _mv(2.0 * g @ E, V), 1)}

@@ -208,16 +208,16 @@ class ProductModel:
         terms = (forms * _GL_W).reshape(forms.shape[:-2] + (16,))
         return np.add.reduce(np.ascontiguousarray(np.moveaxis(terms, -1, 0)))
 
-    def auxiliary_curvature_residual(self, p, struct, h=0.02):
+    def auxiliary_curvature_residual(self, p, struct):
         """Compare loop-holonomy curvature of the gauge with the closed form.
 
-        Richardson-extrapolated curvature d(a) from two loop sizes against
-        curvature_form on every coordinate plane; returns the worst
-        deviation at ``p`` of shape ``(4,)`` (a float) or at each row of an
-        ``(N, 4)`` array (shape ``(N,)``).
+        Richardson-extrapolated curvature d(a) from loops of side 0.02 and
+        0.01 against curvature_form on every coordinate plane; returns the
+        worst deviation at ``p`` of shape ``(4,)`` (a float) or at each row
+        of an ``(N, 4)`` array (shape ``(N,)``).
         """
         p = np.asarray(p, dtype=float)
-        hs = np.array([h, h / 2])
+        hs = np.array([0.02, 0.01])
         d1, d2 = np.moveaxis(self._loop_integrals(p, hs, struct)
                              / hs[:, None] ** 2, -2, 0)
         approx = (4.0 * d2 - d1) / 3.0

@@ -44,17 +44,20 @@ class Scenario:
                 or not all(isinstance(c, str) for c in checks)):
             raise ScenarioError(
                 f"checks must be a list of check names, got {checks!r}")
+        tolerances = d.get("tolerances", {}) if isinstance(d, dict) else {}
+        if not isinstance(tolerances, dict):
+            raise ScenarioError("tolerances must map check names to numbers, "
+                                f"got {tolerances!r}")
         try:
             sc = Scenario(
                 name=str(d["name"]),
                 c1=float(d["c1"]),
                 c2=float(d["c2"]),
                 hypersurface=dict(d["hypersurface"]),
-                samples=int(d.get("samples", 40)),
-                seed=int(d.get("seed", 0)),
+                samples=d.get("samples", 40),
+                seed=d.get("seed", 0),
                 checks=list(d["checks"]) if d.get("checks") is not None else None,
-                tolerances={str(k): float(v)
-                            for k, v in d.get("tolerances", {}).items()},
+                tolerances={str(k): float(v) for k, v in tolerances.items()},
                 structure_pairing=str(d.get("structure_pairing", "standard")),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -66,14 +69,17 @@ class Scenario:
         from .catalog import CATALOG
         if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
             raise ScenarioError("curvatures c1 and c2 must be finite")
-        if self.samples < 1:
-            raise ScenarioError("sample count must be >= 1")
-        if self.seed < 0:
-            raise ScenarioError("seed must be >= 0")
+        # a float or a boolean is not a count (bool is a subclass of int)
+        if type(self.samples) is not int or self.samples < 1:
+            raise ScenarioError(
+                f"sample count must be an integer >= 1, got {self.samples!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ScenarioError(
+                f"seed must be an integer >= 0, got {self.seed!r}")
         if any(not t > 0 for t in self.tolerances.values()):
             raise ScenarioError("tolerances must be positive")
         kind = self.hypersurface.get("kind")
-        if kind not in CATALOG:
+        if not isinstance(kind, str) or kind not in CATALOG:
             raise ScenarioError(f"unknown hypersurface kind {kind!r}")
         if self.structure_pairing not in ("standard", "flipped"):
             raise ScenarioError("structure_pairing must be standard or flipped")

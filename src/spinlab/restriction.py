@@ -121,11 +121,11 @@ class RestrictedSpinc:
         """gamma(e1), gamma(e2), gamma(xi), (..., 3, 4, 4)."""
         return self.gamma_matrix(self.frame_vectors)
 
-    def anticommutation_residual(self, rng, trials=6):
+    def anticommutation_residual(self, rng):
         """Worst defect of the Clifford relation and of skew-adjointness over
-        ``trials`` random pairs (X, Y) per point.  The draws run point by
-        point, each trial's X before its Y."""
-        XY = rng.standard_normal(self.ev.u.shape[:-1] + (trials, 2, 3))
+        three random pairs (X, Y) per point.  The draws run point by point,
+        each pair's X before its Y."""
+        XY = rng.standard_normal(self.ev.u.shape[:-1] + (3, 2, 3))
         X, Y = XY[..., 0, :], XY[..., 1, :]
         gx, gy = self.gamma_matrix(X), self.gamma_matrix(Y)
         ip = np.einsum("...a,...ab,...b->...", X,
@@ -197,7 +197,7 @@ def algebraic_conditions(rs: RestrictedSpinc):
     if rs.struct.tag == 1:
         res = rs.gamma(xi, phi) + 1j * phi
     else:
-        h = np.asarray(value(rs.ev.h))[..., None]
+        h = np.asarray(rs.ev.h_val)[..., None]
         res = rs.gamma(rs.ev.V_coord_val, phi) + 1j * rs.gamma(xi, phi) \
             - h * phi
     return np.linalg.norm(res, axis=-1)
@@ -208,7 +208,7 @@ def pairing_identities(rs: RestrictedSpinc):
     (gamma(V)phi, phi) = 0, (V, e1) = -i(gamma(e2)phi, phi),
     (V, e2) = +i(gamma(e1)phi, phi), h = i(gamma(xi)phi, phi)."""
     Vf = rs.ev.V_frame
-    h = value(rs.ev.h)
+    h = rs.ev.h_val
     g1, g2, g3 = np.moveaxis(rs.frame_gammas, -3, 0)
 
     def pair(mat):
@@ -226,7 +226,7 @@ def omega_formula_residual(rs: RestrictedSpinc):
     """Pullback of the auxiliary curvature against its closed form."""
     ev = rs.ev
     ref = closed_form_omega(rs.struct.tag, ev.product.c1, ev.product.c2,
-                            value(ev.h), ev.V_frame)
+                            ev.h_val, ev.V_frame)
     return np.max(np.abs(rs.omega_pullback - ref), axis=(-2, -1))
 
 

@@ -38,11 +38,11 @@ class SurfaceModel:
         c = self.curvature
         return None if c >= 0 else 2.0 / np.sqrt(-c)
 
-    def contains(self, x, y, margin=0.0):
+    def contains(self, x, y):
         r = self.chart_radius
         if r is None:
             return True
-        return value(x) ** 2 + value(y) ** 2 < (r - margin) ** 2
+        return value(x) ** 2 + value(y) ** 2 < r ** 2
 
     def check_point(self, x, y):
         inside = self.contains(x, y)
@@ -85,8 +85,3 @@ class SurfaceModel:
         """rho = coeff du ^ dv with coeff = c lam^2 (the Ricci 2-form)."""
         lam = self.conformal_factor(x, y)
         return self.curvature * lam * lam
-
-    def frame_components(self, x, y, w):
-        """Orthonormal-frame components of a chart tangent vector w."""
-        lam = self.conformal_factor(x, y)
-        return (lam * w[0], lam * w[1])

@@ -18,24 +18,23 @@ System 1 corresponds to the positive structure (Killing sign -1/2), System 2
 to the negative structure (+1/2); the derivative terms flip sign between the
 two while the curvature quadratics are shared.
 
-Every residual here takes one point or a whole batch (a
-:class:`PointEvaluation`, or for the converse direction the value-level
-record ``ev.data``) and returns one value per point; the equations above
+Every residual here takes a :class:`PointEvaluation` of one point or of
+a whole batch and returns one value per point; the equations above
 receive their inputs with the point axis moved last, so ``R[0, 1, 1, 0]``
-holds every point at once.  Random perturbations draw one point after
-another, so a batch sees the same stream as a loop over its points.
+holds every point at once.  Controls and the converse direction read the
+same value stages, swapped through ``PointEvaluation.replace``.  Random
+perturbations draw one point after another, so a batch sees the same
+stream as a loop over its points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypersurfaces import (InducedPointData, PointEvaluation, _max_abs, _mv,
-                            codazzi_defect, codazzi_residual,
-                            derivative_defects, gauss_defect, gauss_residual,
-                            rank_pair)
+from .hypersurfaces import (PointEvaluation, _max_abs, _mv, codazzi_residual,
+                            derivative_identities, gauss_residual, rank_pair)
 from .jets import value
 
 
@@ -140,16 +139,12 @@ class SystemResiduals:
         return ["eq04", "eq08"] if np.any(self.vanishing_V) else []
 
 
-def system_residuals(tag: int, ev: PointEvaluation, E_frame=None,
-                     dE_frame=None) -> SystemResiduals:
-    """Evaluate one compatibility system at every point of ``ev``;
-    optionally with a substituted shape operator (negative controls)."""
-    a = ev.E_frame if E_frame is None else E_frame
-    dE = ev.dE_frame if dE_frame is None else dE_frame
+def system_residuals(tag: int, ev: PointEvaluation) -> SystemResiduals:
+    """Evaluate one compatibility system at every point of ``ev``."""
     vV = ev.V_frame
     fn = system_one if tag == 1 else system_two
-    eqs = fn(_points_last(ev.riemann_frame, 4), _points_last(a, 2),
-             _points_last(dE, 3), _points_last(vV, 1), value(ev.h),
+    eqs = fn(_points_last(ev.riemann_frame, 4), _points_last(ev.E_frame, 2),
+             _points_last(ev.dE_frame, 3), _points_last(vV, 1), ev.h_val,
              ev.product.c1, ev.product.c2)
     return SystemResiduals(tag, eqs, np.linalg.norm(vV, axis=-1) < 1e-12)
 
@@ -196,16 +191,15 @@ class CovanishReport:
         return len(self.counterexamples) == 0
 
 
-def gauss_iff_codazzi(tag, ev, rng, tol_system=1e-5, tol=1e-5,
-                      control_scale=0.1) -> CovanishReport:
-    """Co-vanishing on the points of ``ev`` (one point or a batch).  Points
-    where the system fails are skipped; a NaN residual is a counterexample.
-    The other points are then perturbed, in order, and both residuals are
-    recorded."""
+def gauss_iff_codazzi(tag, ev, rng) -> CovanishReport:
+    """Co-vanishing on the points of ``ev`` (one point or a batch), at the
+    system and Gauss/Codazzi tolerance 1e-5.  Points where the system fails
+    are skipped; a NaN residual is a counterexample.  The other points are
+    then perturbed, in order, and both residuals are recorded."""
     sysmax = system_residuals(tag, ev).max_residual
     gres, cres = gauss_residual(ev), codazzi_residual(ev)
-    held = ~(sysmax > tol_system)
-    agree = ((gres < tol) == (cres < tol)) & ~np.isnan(sysmax + gres + cres)
+    held = ~(sysmax > 1e-5)
+    agree = ((gres < 1e-5) == (cres < 1e-5)) & ~np.isnan(sysmax + gres + cres)
     rep = CovanishReport(confirmed=int(np.sum(held & agree)),
                          skipped=int(np.sum(~held)))
     u, gs, cs = ev.u.reshape(-1, 3), np.atleast_1d(gres), np.atleast_1d(cres)
@@ -215,10 +209,9 @@ def gauss_iff_codazzi(tag, ev, rng, tol_system=1e-5, tol=1e-5,
     kept = np.flatnonzero(held)
     if kept.size:
         sub = ev.point(kept) if ev.u.ndim == 2 else ev
-        aperp = perturbed_shape(sub, rng, control_scale)
+        sub = sub.replace(E_frame=perturbed_shape(sub, rng, 0.1))
         rep.perturbed_joint = np.stack(
-            [gauss_residual(sub, E_frame=aperp),
-             system_residuals(tag, sub, E_frame=aperp).max_residual],
+            [gauss_residual(sub), system_residuals(tag, sub).max_residual],
             axis=-1).reshape(-1, 2)
     return rep
 
@@ -238,43 +231,43 @@ def rebuild_f(V_frame, h):
                      np.stack([v2, -v1, h], axis=-1)], axis=-2)
 
 
-def corrupt(data: InducedPointData, mode: str, rng) -> InducedPointData:
-    """Single-field corruptions used as negative controls, at every point."""
+def corrupt(ev: PointEvaluation, mode: str, rng) -> PointEvaluation:
+    """Single-field corruptions used as negative controls, at every point:
+    a copy of ``ev`` with the field's value stages swapped."""
     if mode == "E-scale":
-        return replace(data, E=2.0 * data.E, E_frame=2.0 * data.E_frame)
+        return ev.replace(E_mixed_val=2.0 * ev.E_mixed_val,
+                          E_frame=2.0 * ev.E_frame)
     if mode == "h-shift":
-        return replace(data, h=data.h + 0.1)
+        return ev.replace(h_val=ev.h_val + 0.1)
     if mode == "V-rotate":
         c, s = np.cos(0.9), np.sin(0.9)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        V_frame = _mv(rot, data.V_frame)
+        V_frame = _mv(rot, ev.V_frame)
         # frame columns are coordinates
-        return replace(data, V_frame=V_frame, V=_mv(data.frame, V_frame))
+        return ev.replace(V_frame=V_frame, V_coord_val=_mv(ev.frame, V_frame))
     if mode == "f-perturb":
-        noise = rng.standard_normal(np.shape(data.f_frame))
+        noise = rng.standard_normal(np.shape(ev.f_frame))
         noise = 0.1 * (noise + np.swapaxes(noise, -1, -2))
-        return replace(data, f_frame=data.f_frame + noise)
+        return ev.replace(f_frame=ev.f_frame + noise)
     raise ValueError(f"unknown corruption mode {mode!r}")
 
 
-def converse_residuals(data: InducedPointData):
+def converse_residuals(ev: PointEvaluation):
     """All named residuals of the converse (abstract-data) direction, per
     point."""
-    Vf, ff = data.V_frame, data.f_frame
-    h = np.asarray(data.h)
+    Vf, ff = ev.V_frame, ev.f_frame
+    h = np.asarray(ev.h_val)
     out = {
         "f-rebuild": _max_abs(rebuild_f(Vf, h) - ff, 2),
         "f-squared": _max_abs(ff @ ff + Vf[..., :, None] * Vf[..., None, :]
                               - np.eye(3), 2),
         "f-of-V": _max_abs(_mv(ff, Vf) + h[..., None] * Vf, 1),
         "unit-split": np.abs(h ** 2 + np.sum(Vf * Vf, axis=-1) - 1.0),
-        "gauss": gauss_defect(data.R_frame, data.c1, data.c2, ff,
-                              data.E_frame),
-        "codazzi": codazzi_defect(data.dE_frame, data.c1, data.c2, ff, Vf),
+        "gauss": gauss_residual(ev),
+        "codazzi": codazzi_residual(ev),
     }
-    out.update(derivative_defects(data.g, data.E, data.f, data.V, h,
-                                  data.nabla_f, data.nabla_V, data.dh))
-    ranks = rank_pair(ff, Vf, h)
+    out.update(derivative_identities(ev))
+    ranks = rank_pair(ev)
     out["rank-two"] = np.abs(ranks[0] - 2) + np.abs(ranks[1] - 2)
     return out
 
@@ -294,12 +287,12 @@ CORRUPTION_TARGETS = {
 }
 
 
-def converse_check(data: InducedPointData, tolerances=None):
+def converse_check(ev: PointEvaluation):
     """Residuals of the abstract-data direction and the sorted names of the
     checks above tolerance (or NaN) at some point."""
-    tol = {**CONVERSE_TOLERANCES, **(tolerances or {})}
-    res = converse_residuals(data)
-    failed = sorted(k for k, v in res.items() if not np.all(v <= tol[k]))
+    res = converse_residuals(ev)
+    failed = sorted(k for k, v in res.items()
+                    if not np.all(v <= CONVERSE_TOLERANCES[k]))
     return res, failed
 
 
@@ -314,9 +307,9 @@ class UmbilicResult:
     residuals: dict  # per point, meaningful where umbilic
 
 
-def umbilic_gradient_identity(ev: PointEvaluation,
-                              umbilic_tol=1e-8) -> UmbilicResult:
-    """At umbilic points (E = H Id), the mean curvature gradient satisfies
+def umbilic_gradient_identity(ev: PointEvaluation) -> UmbilicResult:
+    """At umbilic points (|E - H Id| <= 1e-8), the mean curvature gradient
+    satisfies
 
         dH(xi) = 0,
         dH(e_i) = (c1 - c2)/4 (V, e_i),
@@ -336,4 +329,4 @@ def umbilic_gradient_identity(ev: PointEvaluation,
         "norm-identity": np.abs(4.0 * np.linalg.norm(dH_frame, axis=-1)
                                 - np.linalg.norm(Vf, axis=-1) * abs(c1 - c2)),
     }
-    return UmbilicResult(~(dev > umbilic_tol), dev, res)
+    return UmbilicResult(~(dev > 1e-8), dev, res)

@@ -385,27 +385,24 @@ def point_umbilic_residuals(ev):
     }
 
 
-def point_converse_residuals(d):
-    """The converse battery at one point of an ``InducedPointData``."""
-    from spinlab.hypersurfaces import (codazzi_defect, derivative_defects,
-                                       gauss_defect, rank_pair)
-    v1, v2, h = d.V_frame[0], d.V_frame[1], d.h
+def point_converse_residuals(ev):
+    """The converse battery at one point of an evaluation."""
+    from spinlab.hypersurfaces import (codazzi_residual, derivative_identities,
+                                       gauss_residual, rank_pair)
+    v1, v2, h = ev.V_frame[0], ev.V_frame[1], ev.h_val
     fr = np.array([[-h, 0.0, v2], [0.0, -h, -v1], [v2, -v1, h]])
-    Vf = d.V_frame
+    Vf, ff = ev.V_frame, ev.f_frame
     out = {
-        "f-rebuild": float(np.max(np.abs(fr - d.f_frame))),
+        "f-rebuild": float(np.max(np.abs(fr - ff))),
         "f-squared": float(np.max(np.abs(
-            d.f_frame @ d.f_frame + np.outer(Vf, Vf) - np.eye(3)))),
-        "f-of-V": float(np.max(np.abs(d.f_frame @ Vf + h * Vf))),
+            ff @ ff + np.outer(Vf, Vf) - np.eye(3)))),
+        "f-of-V": float(np.max(np.abs(ff @ Vf + h * Vf))),
         "unit-split": abs(h ** 2 + float(Vf @ Vf) - 1.0),
-        "gauss": float(gauss_defect(d.R_frame, d.c1, d.c2, d.f_frame,
-                                    d.E_frame)),
-        "codazzi": float(codazzi_defect(d.dE_frame, d.c1, d.c2, d.f_frame,
-                                        Vf)),
+        "gauss": float(gauss_residual(ev)),
+        "codazzi": float(codazzi_residual(ev)),
     }
-    out.update((k, float(v)) for k, v in derivative_defects(
-        d.g, d.E, d.f, d.V, h, d.nabla_f, d.nabla_V, d.dh).items())
-    ranks = rank_pair(d.f_frame, Vf, h)
+    out.update((k, float(v)) for k, v in derivative_identities(ev).items())
+    ranks = rank_pair(ev)
     out["rank-two"] = float(abs(ranks[0] - 2) + abs(ranks[1] - 2))
     return out
 

@@ -104,7 +104,7 @@ def test_criterion_3_curvature_suite():
             worst = max(worst, gauss_residual(ev), codazzi_residual(ev))
             if k < 3:
                 control = min(control, gauss_residual(
-                    ev, E_frame=perturbed_shape(ev, rng)))
+                    ev.replace(E_frame=perturbed_shape(ev, rng))))
     elapsed = took()
     ok = worst < 1e-5 and control > 1e-2 and elapsed < 20.0
     _report(3, ok, elapsed,
@@ -186,13 +186,13 @@ def test_criterion_6_theorem_round_trip():
                              8, FORWARD_CHECKS,
                              sc["hypersurface"].get("params", {}))
         forward_ok &= all(r.verdict == "pass" for r in records)
-    hv = evaluate(build_chart("graph"), build_product(1.0, 0.0),
-                  [0.3, -0.2, 0.4]).data
-    _, clean_failed = converse_check(hv)
+    ev = evaluate(build_chart("graph"), build_product(1.0, 0.0),
+                  [0.3, -0.2, 0.4])
+    _, clean_failed = converse_check(ev)
     converse_ok = clean_failed == []
     corruption_ok = True
     for mode, target in CORRUPTION_TARGETS.items():
-        _, failed = converse_check(corrupt(hv, mode, rng))
+        _, failed = converse_check(corrupt(ev, mode, rng))
         corruption_ok &= target in failed
     elapsed = took()
     ok = forward_ok and converse_ok and corruption_ok and elapsed < 15.0

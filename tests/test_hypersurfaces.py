@@ -30,12 +30,12 @@ from spinlab.surfaces import OutsideDomainError
 def test_flat_hyperplane_reference_values():
     ev = evaluate(build_chart("flat-hyperplane"), build_product(0.0, 0.0),
                   [0.3, -0.5, 0.2])
-    d = ev.data
-    assert np.max(np.abs(d.E)) == 0.0
-    assert d.h == pytest.approx(-1.0, abs=1e-15)
-    assert np.max(np.abs(d.V)) == 0.0
-    assert np.allclose(np.sort(np.linalg.eigvals(d.f).real), [-1.0, 1.0, 1.0])
-    assert rank_pair(d.f_frame, d.V_frame, d.h) == (2, 2)
+    assert np.max(np.abs(ev.E_mixed_val)) == 0.0
+    assert ev.h_val == pytest.approx(-1.0, abs=1e-15)
+    assert np.max(np.abs(ev.V_coord_val)) == 0.0
+    assert np.allclose(np.sort(np.linalg.eigvals(ev.f_mixed_val).real),
+                       [-1.0, 1.0, 1.0])
+    assert rank_pair(ev) == (2, 2)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -45,15 +45,15 @@ def test_round_sphere_reference_values(r, rng):
     for _ in range(5):
         u = rng.uniform(chart.domain[:, 0], chart.domain[:, 1])
         ev = evaluate(chart, prod, u)
-        d = ev.data
-        assert np.allclose(d.E_frame, np.eye(3) / r, atol=1e-11)
-        assert d.H == pytest.approx(1.0 / r, abs=1e-12)
+        g, V, h = ev.g_val, ev.V_coord_val, ev.h_val
+        assert np.allclose(ev.E_frame, np.eye(3) / r, atol=1e-11)
+        assert value(ev.mean_curvature) == pytest.approx(1.0 / r, abs=1e-12)
         alpha = u[0]
-        assert d.h == pytest.approx(np.cos(2 * alpha), abs=1e-12)
-        V2 = float(d.V @ d.g @ d.V)
-        assert d.h ** 2 + V2 == pytest.approx(1.0, abs=1e-12)
+        assert h == pytest.approx(np.cos(2 * alpha), abs=1e-12)
+        V2 = float(V @ g @ V)
+        assert h ** 2 + V2 == pytest.approx(1.0, abs=1e-12)
         # grad h = -(2/r) V [also the h-gradient identity with E = Id/r]
-        assert np.max(np.abs(ev.dh + (2.0 / r) * d.g @ d.V)) < 1e-12
+        assert np.max(np.abs(ev.dh + (2.0 / r) * g @ V)) < 1e-12
 
 
 def test_round_sphere_mixed_point():
@@ -61,10 +61,10 @@ def test_round_sphere_mixed_point():
     |pi_1 nu|^2 = |pi_2 nu|^2 = 1/2."""
     chart = build_chart("round-sphere", {"r": 1.0})
     ev = evaluate(chart, build_product(0.0, 0.0), [np.pi / 4, 0.7, 1.9])
-    d = ev.data
-    assert abs(d.h) < 1e-14
-    assert float(d.V @ d.g @ d.V) == pytest.approx(1.0, abs=1e-14)
-    nu = d.nu
+    V = ev.V_coord_val
+    assert abs(ev.h_val) < 1e-14
+    assert float(V @ ev.g_val @ V) == pytest.approx(1.0, abs=1e-14)
+    nu = ev.nu_val
     assert nu[0] ** 2 + nu[1] ** 2 == pytest.approx(0.5, abs=1e-14)
     assert nu[2] ** 2 + nu[3] ** 2 == pytest.approx(0.5, abs=1e-14)
 
@@ -72,12 +72,11 @@ def test_round_sphere_mixed_point():
 def test_geodesic_slice_curvature_block():
     prod = build_product(1.0, -0.5)
     ev = evaluate(build_chart("slice-geodesic"), prod, [0.2, -0.3, 0.4])
-    d = ev.data
-    assert np.max(np.abs(d.E)) < 1e-15
-    assert d.h == pytest.approx(-1.0, abs=1e-14)
-    assert np.max(np.abs(d.V)) < 1e-15
+    assert np.max(np.abs(ev.E_mixed_val)) < 1e-15
+    assert ev.h_val == pytest.approx(-1.0, abs=1e-14)
+    assert np.max(np.abs(ev.V_coord_val)) < 1e-15
     # factor-1 tangent plane carries curvature c1; we locate it via f = +1
-    evec = np.linalg.eigh(d.f_frame)[1][:, 1:]  # eigenvalues (-1, 1, 1)
+    evec = np.linalg.eigh(ev.f_frame)[1][:, 1:]  # eigenvalues (-1, 1, 1)
     e1, e2 = evec[:, 0], evec[:, 1]
     R = ev.riemann_frame
     sec = np.einsum("i,j,k,l,ijkl->", e1, e2, e2, e1, R)
@@ -155,9 +154,8 @@ def test_shape_operator_symmetric(members, rng):
 def test_rank_detection_flags_corruption(rng):
     ev = evaluate(build_chart("graph"), build_product(1.0, 0.0),
                   [0.3, -0.2, 0.4])
-    d = ev.data
-    assert rank_pair(d.f_frame, d.V_frame, d.h) == (2, 2)
-    bad = rank_pair(d.f_frame, d.V_frame, d.h + 0.3)
+    assert rank_pair(ev) == (2, 2)
+    bad = rank_pair(ev.replace(h_val=ev.h_val + 0.3))
     assert bad != (2, 2)
     assert max(bad) >= 3
 
@@ -165,16 +163,15 @@ def test_rank_detection_flags_corruption(rng):
 def test_rank_two_trivial_at_slice():
     ev = evaluate(build_chart("slice-geodesic"), build_product(1.0, -0.5),
                   [0.1, 0.1, 0.1])
-    d = ev.data
     # h = -1, V = 0: (F + Id)/2 projects onto the first factor directions
     F4 = np.empty((4, 4))
-    F4[:3, :3] = d.f_frame
-    F4[:3, 3] = d.V_frame
-    F4[3, :3] = d.V_frame
-    F4[3, 3] = d.h
+    F4[:3, :3] = ev.f_frame
+    F4[:3, 3] = ev.V_frame
+    F4[3, :3] = ev.V_frame
+    F4[3, 3] = ev.h_val
     P = (F4 + np.eye(4)) / 2.0
     assert np.allclose(P @ P, P, atol=1e-12)
-    assert rank_pair(d.f_frame, d.V_frame, d.h) == (2, 2)
+    assert rank_pair(ev) == (2, 2)
 
 
 def test_outside_domain_raises():

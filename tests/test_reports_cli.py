@@ -294,9 +294,8 @@ def _poison_batch(monkeypatch, **changes):
 
     def batch(self):
         ev = build(self)
-        for attr, change in changes.items():
-            ev.__dict__[attr] = change(ev, getattr(ev, attr))
-        return ev
+        return ev.replace(**{attr: change(ev, getattr(ev, attr))
+                             for attr, change in changes.items()})
 
     prop = cached_property(batch)
     prop.__set_name__(ScenarioContext, "batch")
@@ -433,9 +432,22 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
     ({"c2": float("inf")}, [], "finite"),
     ({"hypersurface": {"kind": "graph", "params": {"orientation": 0}}}, [],
      "orientation"),
+    ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e200] * 5}}},
+     [], "differential of the immersion is not finite"),
+    ({"c1": 1e300}, [], "differential of the immersion is not finite"),
+    ({"tolerances": [1, 2]}, [], "tolerances must map check names"),
+    ({"tolerances": "structure.contact"}, [], "tolerances must map"),
+    ({"hypersurface": {"kind": ["graph"]}}, [], "unknown hypersurface kind"),
+    ({"tolerances": {"structure.contat": 1e-9}}, [],
+     "tolerance for unknown check 'structure.contat'"),
+    ({"samples": 2.7}, [], "sample count must be an integer"),
+    ({"samples": True}, [], "sample count must be an integer"),
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
-        "infinite-curvature", "orientation-zero"])
+        "infinite-curvature", "orientation-zero", "graph-overflow",
+        "curvature-overflow", "tolerances-as-list", "tolerances-as-string",
+        "kind-as-list", "unknown-tolerance-name", "fractional-samples",
+        "boolean-samples"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
                                             says):
     from spinlab.cli import main

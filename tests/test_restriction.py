@@ -31,7 +31,7 @@ def test_clifford_relations_at_points(members, rng):
             ev = evaluate(chart, prod, u)
             for tag in (1, 2):
                 rs = restrict_structure(ev, structure(tag))
-                assert rs.anticommutation_residual(rng, trials=4) < 1e-12, name
+                assert rs.anticommutation_residual(rng) < 1e-12, name
 
 
 def test_volume_element_measurement(members, rng):

@@ -92,11 +92,3 @@ def test_domain_boundary():
         surf.conformal_factor(2.5, 0.0)
     assert SurfaceModel(1.0).chart_radius is None
     assert SurfaceModel(1.0).contains(100.0, 100.0)
-
-
-def test_frame_components_scale():
-    surf = SurfaceModel(2.0)
-    lam = value(surf.conformal_factor(0.3, 0.4))
-    fx, fy = surf.frame_components(0.3, 0.4, (2.0, -1.0))
-    assert value(fx) == pytest.approx(2.0 * lam)
-    assert value(fy) == pytest.approx(-lam)

@@ -42,8 +42,8 @@ def test_every_equation_reads_its_terms(members, rng):
     bump_d = dE + gen.standard_normal((3, 3, 3))
     for tag in (1, 2):
         base = system_residuals(tag, ev).residuals
-        with_a = system_residuals(tag, ev, E_frame=bump_a).residuals
-        with_d = system_residuals(tag, ev, dE_frame=bump_d).residuals
+        with_a = system_residuals(tag, ev.replace(E_frame=bump_a)).residuals
+        with_d = system_residuals(tag, ev.replace(dE_frame=bump_d)).residuals
         for k in base:
             moved = max(abs(with_a[k] - base[k]), abs(with_d[k] - base[k]))
             assert moved > 1e-6, (tag, k)
@@ -65,21 +65,21 @@ def test_rank_one_perturbation_on_sphere_triggers():
     rng = np.random.default_rng(99)
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
-    ap = ev.E_frame + 0.1 * np.outer(v, v)
-    worst = max(system_residuals(1, ev, E_frame=ap).max_residual,
-                system_residuals(2, ev, E_frame=ap).max_residual)
+    bumped = ev.replace(E_frame=ev.E_frame + 0.1 * np.outer(v, v))
+    worst = max(system_residuals(1, bumped).max_residual,
+                system_residuals(2, bumped).max_residual)
     assert worst > 1e-2
-    assert gauss_residual(ev, E_frame=ap) > 1e-2
+    assert gauss_residual(bumped) > 1e-2
 
 
 def test_rank_two_control_triggers_everywhere(members, rng):
     for name, prod, chart in members:
         u = sample(chart, rng, 1)[0]
         ev = evaluate(chart, prod, u)
-        ap = perturbed_shape(ev, rng)
-        worst = max(system_residuals(1, ev, E_frame=ap).max_residual,
-                    system_residuals(2, ev, E_frame=ap).max_residual,
-                    gauss_residual(ev, E_frame=ap))
+        bumped = ev.replace(E_frame=perturbed_shape(ev, rng))
+        worst = max(system_residuals(1, bumped).max_residual,
+                    system_residuals(2, bumped).max_residual,
+                    gauss_residual(bumped))
         assert worst > 1e-2, name
 
 
@@ -114,8 +114,7 @@ def test_gauss_iff_codazzi_skips_bad_hypotheses(rng):
     implication is not asserted; the point is reported as skipped."""
     ev = evaluate(build_chart("round-sphere", {"r": 1.0}),
                   build_product(0.0, 0.0), [0.8, 1.1, 2.2])
-    ap = perturbed_shape(ev, rng)
-    ev.__dict__["E_frame"] = ap  # poison the cached frame components
+    ev = ev.replace(E_frame=perturbed_shape(ev, rng))
     rep = gauss_iff_codazzi(1, ev, rng)
     assert rep.skipped == 1 and rep.confirmed == 0
 
@@ -134,8 +133,7 @@ def test_perturbed_ensemble_breaks_gauss_and_codazzi_together(members, rng):
 def test_converse_round_trip_clean(members, rng):
     for name, prod, chart in members:
         for u in sample(chart, rng, 10):
-            hv = evaluate(chart, prod, u).data
-            res, failed = converse_check(hv)
+            res, failed = converse_check(evaluate(chart, prod, u))
             assert failed == [], (name, res)
 
 
@@ -143,34 +141,33 @@ def test_converse_rebuilt_f_matches_harvested(members, rng):
     from spinlab.systems import rebuild_f
     for name, prod, chart in members:
         for u in sample(chart, rng, 10):
-            hv = evaluate(chart, prod, u).data
-            assert np.max(np.abs(rebuild_f(hv.V_frame, hv.h)
-                                 - hv.f_frame)) < 1e-9, name
+            ev = evaluate(chart, prod, u)
+            assert np.max(np.abs(rebuild_f(ev.V_frame, ev.h_val)
+                                 - ev.f_frame)) < 1e-9, name
 
 
 @pytest.mark.parametrize("mode", sorted(CORRUPTION_TARGETS))
 def test_single_field_corruption_fails_named_check(mode, rng):
     ev = evaluate(build_chart("graph"), build_product(1.0, 0.0),
                   [0.3, -0.2, 0.4])
-    hv = ev.data
     target = CORRUPTION_TARGETS[mode]
-    res, failed = converse_check(corrupt(hv, mode, rng))
+    res, failed = converse_check(corrupt(ev, mode, rng))
     assert target in failed, (mode, failed)
     assert res[target] > 10 * CONVERSE_TOLERANCES[target]
 
 
 def test_unknown_corruption_mode_raises(rng):
-    hv = evaluate(build_chart("graph"), build_product(1.0, 0.0),
-                  [0.3, -0.2, 0.4]).data
+    ev = evaluate(build_chart("graph"), build_product(1.0, 0.0),
+                  [0.3, -0.2, 0.4])
     with pytest.raises(ValueError):
-        corrupt(hv, "nonsense", rng)
+        corrupt(ev, "nonsense", rng)
 
 
 def test_converse_detects_scaled_shape(rng):
     """Doubling E breaks the Gauss residual loudly (> 1e-2)."""
-    hv = evaluate(build_chart("round-sphere", {"r": 1.0}),
-                  build_product(0.0, 0.0), [0.8, 0.7, 1.4]).data
-    res, failed = converse_check(corrupt(hv, "E-scale", rng))
+    ev = evaluate(build_chart("round-sphere", {"r": 1.0}),
+                  build_product(0.0, 0.0), [0.8, 0.7, 1.4])
+    res, failed = converse_check(corrupt(ev, "E-scale", rng))
     assert "gauss" in failed
     assert res["gauss"] > 1e-2
 
@@ -180,5 +177,5 @@ def test_codazzi_residual_consistency_with_converse(members, rng):
     for name, prod, chart in members[:3]:
         u = sample(chart, rng, 1)[0]
         ev = evaluate(chart, prod, u)
-        res, _ = converse_check(ev.data)
+        res, _ = converse_check(ev)
         assert res["codazzi"] == pytest.approx(codazzi_residual(ev), abs=1e-14)
