@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from .hypersurfaces import HypersurfaceChart
-from .jets import jcos, jsin
 from .product import ProductModel
 from .reports import ScenarioError
 
@@ -68,9 +67,9 @@ def _round_sphere(params):
     r = _number(params.get("r", 1.0), "r")
 
     def sphere_map(x, y, z):
-        ca, sa = jcos(x), jsin(x)
-        return (r * ca * jcos(y), r * ca * jsin(y),
-                r * sa * jcos(z), r * sa * jsin(z))
+        ca, sa = x.cos(), x.sin()
+        return (r * ca * y.cos(), r * ca * y.sin(),
+                r * sa * z.cos(), r * sa * z.sin())
 
     # orientation -1 selects the inner normal -p/r (positive mean curvature)
     return HypersurfaceChart(
@@ -96,7 +95,7 @@ def _sphere_circle_tube(params):
     a = _number(params.get("a", 0.5), "a")
     return HypersurfaceChart(
         kind="sphere-circle-tube",
-        map_fn=lambda x, y, z: (x, y, a * jcos(z), a * jsin(z)),
+        map_fn=lambda x, y, z: (x, y, a * z.cos(), a * z.sin()),
         domain=np.array([[-0.7, 0.7], [-0.7, 0.7], [0.0, 6.28]]),
         orientation=_orientation(params, 1),
         params=dict(params, a=a),
@@ -110,8 +109,8 @@ def _graph(params):
     co = tuple(_number(c, "coeffs") for c in raw)
 
     def graph_map(x, y, z):
-        w = (co[0] * jsin(x) * jcos(y) + co[1] * z * z + co[2] * x * z
-             + co[3] * jsin(y) + co[4] * y * z)
+        w = (co[0] * x.sin() * y.cos() + co[1] * z * z + co[2] * x * z
+             + co[3] * y.sin() + co[4] * y * z)
         return (x, y, z, w)
 
     return HypersurfaceChart(

@@ -12,12 +12,14 @@ degree-3 jet arithmetic and exposes, at its base points:
   * the adapted orthonormal frame {e1, e2 = Chi e1, xi}
 
 An evaluation holds one point (``u`` of shape (3,)) or a batch of points
-(``u`` of shape (N, 3)).  A batch runs every stage once for all its points:
-jets carry a trailing point axis and value-level arrays a leading one, so
-``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.  ``point(i)``
-gives the evaluation of one point of a batch; it reads the batch's stages
-instead of recomputing them.  The identity residuals below take either
-and return one value per point.
+(``u`` of shape (N, 3)).  A batch runs every stage once for all its points.
+Each jet stage is one tensor jet (``g`` a 3x3 jet, ``nu`` a 4-vector jet)
+with its tensor axes after the coefficient axis and the point axis last,
+computed by whole-tensor contractions; value-level arrays put the point
+axis first, so ``g_val`` is (3, 3) at one point and (N, 3, 3) for a
+batch.  ``point(i)`` gives the evaluation of one point of a batch; it
+reads the batch's stages instead of recomputing them.  The identity
+residuals below take either and return one value per point.
 
 The value stages (``g_val``, ``E_mixed_val``, ``V_frame``, ``h_val``, ...)
 are the one point record every identity reads; ``replace`` swaps some of
@@ -40,9 +42,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet, gradients, value, values, variables
+from .jets import Jet, contract, stack, variables
 from .product import F_MATRIX, J_MATRIX, ProductModel
 from .surfaces import OutsideDomainError
+
+_F = np.diag(F_MATRIX)
+
+# Cyclic successors of 0, 1, 2: the cofactor of a 3x3 matrix m at (i, j)
+# is m[i+1, j+1] m[i+2, j+2] - m[i+1, j+2] m[i+2, j+1], indices mod 3.
+_N1, _N2 = (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3
+# The columns of a 3x4 matrix left without column mu: component mu of the
+# 4-vector cross product of its rows is (-1)^(mu+1) times their determinant.
+_COLS = np.array([[k for k in range(4) if k != mu] for mu in range(4)])
 
 
 class RankDeficientError(ValueError):
@@ -60,49 +71,13 @@ class HypersurfaceChart:
     params: dict = field(default_factory=dict)
 
     def map_jets(self, u, order=3):
-        x, y, z = variables(u, order)
-        return list(self.map_fn(x, y, z))
-
-
-def _inv3(m):
-    """Inverse of a 3x3 matrix of jets/floats via the adjugate."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    A = e * i - f * h
-    B = f * g - d * i
-    C = d * h - e * g
-    det = a * A + b * B + c * C
-    adj = [
-        [A, c * h - b * i, b * f - c * e],
-        [B, a * i - c * g, c * d - a * f],
-        [C, b * g - a * h, a * e - b * d],
-    ]
-    return [[adj[r][s] / det for s in range(3)] for r in range(3)]
-
-
-def _cross4(t0, t1, t2):
-    """w_mu = eps_{abc mu} t0^a t1^b t2^c, the 4-vector cross product, by
-    cofactors: w_mu = (-1)^(mu+1) det of the 3x3 minor without column mu."""
-    m = {(c, d): t1[c] * t2[d] - t1[d] * t2[c]
-         for c in range(4) for d in range(c + 1, 4)}
-    w = []
-    for mu in range(4):
-        a, b, c = (k for k in range(4) if k != mu)
-        det = t0[a] * m[b, c] - t0[b] * m[a, c] + t0[c] * m[a, b]
-        w.append(det if mu % 2 else -det)
-    return w
+        """The four ambient chart components as one (4,) jet."""
+        return stack(list(self.map_fn(*variables(u, order))))
 
 
 def _at(x, i):
-    """Entry ``i`` of batch data: jets, arrays, floats and nested lists."""
-    if isinstance(x, Jet):
-        return Jet(x.c[:, i], x.valid)
-    if isinstance(x, list):
-        return [_at(y, i) for y in x]
-    if isinstance(x, np.ndarray):
-        return x[i]
-    return x
+    """Entry ``i`` of batch data, a jet or an array."""
+    return Jet(x.c[..., i], x.valid, x.shape) if isinstance(x, Jet) else x[i]
 
 
 def _mv(M, v):
@@ -113,12 +88,20 @@ def _mv(M, v):
 def _stage(fn):
     """A lazily computed pipeline stage.  On the evaluation of one point of
     a batch it reads the batch's stage at that point."""
-    @functools.wraps(fn)
     def get(self):
         if self._batch is not None:
-            return _at(getattr(self._batch, fn.__name__), self._index)
-        return fn(self)
-    return cached_property(get)
+            return _at(getattr(self._batch, stage.attrname), self._index)
+        # chart data that overflows is reported by the stages' checks, not
+        # by numpy warnings on the way there
+        with np.errstate(all="ignore"):
+            return fn(self)
+    stage = cached_property(functools.wraps(fn)(get))
+    return stage
+
+
+def _value_stage(jet_stage):
+    """The values of the jet stage named ``jet_stage``, point axis first."""
+    return _stage(lambda self: getattr(self, jet_stage).val)
 
 
 class PointEvaluation:
@@ -172,17 +155,9 @@ class PointEvaluation:
         return self.chart.map_jets(self.u, self.order)
 
     @_stage
-    def position(self):
-        return values(self.phi)
-
-    @_stage
     def T(self):
-        """Coordinate tangent vectors T[alpha][a] = d_alpha Phi^a (jets)."""
-        return [[self.phi[a].deriv(al) for a in range(4)] for al in range(3)]
-
-    @_stage
-    def T_val(self):
-        return values(self.T)  # (3, 4)
+        """Coordinate tangent vectors T[alpha, a] = d_alpha Phi^a (jet)."""
+        return self.phi.deriv()
 
     @_stage
     def gbar(self):
@@ -193,31 +168,30 @@ class PointEvaluation:
                 surf.contains(x, y), OutsideDomainError,
                 lambda i: f"point ({x[i]:.3f}, {y[i]:.3f}) outside chart of "
                           f"curvature {surf.curvature}")
-        return self.product.metric_diagonal(self.phi)
+        return stack(self.product.metric_diagonal(self.phi))
 
-    @_stage
-    def gbar_val(self):
-        return values(self.gbar)
+    position = _value_stage("phi")
+    T_val = _value_stage("T")  # (3, 4)
+    gbar_val = _value_stage("gbar")
 
-    def _bar_dot(self, Xa, Ya):
-        return sum(self.gbar[a] * Xa[a] * Ya[a] for a in range(4))
+    @cached_property
+    def _T_low(self):
+        """Lowered tangents gbar_a T[alpha, a]: g(X, T_alpha) = X . T_low."""
+        return self.T * self.gbar
 
     @_stage
     def g(self):
-        return [[self._bar_dot(self.T[a], self.T[b]) for b in range(3)]
-                for a in range(3)]
-
-    @_stage
-    def g_val(self):
-        return values(self.g)
+        return contract("am,bm->ab", self._T_low, self.T)
 
     @_stage
     def g_inv(self):
-        return _inv3(self.g)
+        m = self.g  # adj[i, j] is the cofactor at (j, i)
+        adj = (m[_N1, _N1[:, None]] * m[_N2, _N2[:, None]]
+               - m[_N2, _N1[:, None]] * m[_N1, _N2[:, None]])
+        return adj / contract("j,j->", m[0], adj[:, 0])
 
-    @_stage
-    def g_inv_val(self):
-        return values(self.g_inv)
+    g_val = _value_stage("g")
+    g_inv_val = _value_stage("g_inv")
 
     def check_immersion(self):
         """Smallest singular value of the differential, per point; raises
@@ -238,131 +212,102 @@ class PointEvaluation:
 
     @_stage
     def nu(self):
-        """Unit normal (ambient chart components, jets)."""
-        w = _cross4(*self.T)
-        n = [w[mu] / self.gbar[mu] for mu in range(4)]
-        norm = self._bar_dot(n, n).sqrt()
-        return [float(self.chart.orientation) * n[mu] / norm for mu in range(4)]
+        """Unit normal (ambient chart components, a jet); raises
+        RankDeficientError at the first point where it is not finite."""
+        M = self.T[:, _COLS]  # M[:, mu]: the 3x3 minor without column mu
+        cof = M[1][:, _N1] * M[2][:, _N2] - M[1][:, _N2] * M[2][:, _N1]
+        w = contract("mj,mj->m", M[0], cof) * np.array([-1.0, 1.0, -1.0, 1.0])
+        n = w / self.gbar
+        nu = n * (float(self.chart.orientation)
+                  / contract("m,m->", n, w).sqrt())
+        finite = np.isfinite(nu.c).reshape(-1, *self.u.shape[:-1])
+        self._require(finite.all(axis=0), RankDeficientError,
+                      lambda i: "unit normal is not finite")
+        return nu
 
-    @_stage
-    def nu_val(self):
-        return values(self.nu)
+    nu_val = _value_stage("nu")
 
     # --- second fundamental form -----------------------------------------
     @_stage
     def ambient_gamma(self):
-        return self.product.christoffels(self.phi)
-
-    def ambient_derivative(self, alpha, W):
-        """nabla_{T_alpha} W for an ambient jet field W along the chart."""
-        G = self.ambient_gamma
-        out = []
-        for a in range(4):
-            s = W[a].deriv(alpha) if isinstance(W[a], Jet) else 0.0
-            for b in range(4):
-                for c in range(4):
-                    G_abc = G[a][b][c]
-                    if isinstance(G_abc, Jet) or G_abc != 0.0:
-                        s = s + G_abc * self.T[alpha][b] * W[c]
-            out.append(s)
-        return out
+        """Christoffel symbols per factor, G[k, a, b, c] = Gamma^a_{bc} in
+        the coordinates (2k, 2k + 1) of factor k; none mix the factors."""
+        p = self.phi
+        return stack([self.product.factor1.christoffels(p[0], p[1]),
+                      self.product.factor2.christoffels(p[2], p[3])])
 
     @_stage
     def shape_ambient(self):
-        """E T_alpha = -nabla_{T_alpha} nu as ambient jets, per alpha."""
-        return [[-1.0 * w for w in self.ambient_derivative(al, self.nu)]
-                for al in range(3)]
+        """E T_alpha = -nabla_{T_alpha} nu as an ambient jet [alpha, a]."""
+        G_nu = contract("kabc,kc->kab", self.ambient_gamma,
+                        self.nu.reshape((2, 2)))
+        conn = contract("kab,lkb->lka", G_nu, self.T.reshape((3, 2, 2)))
+        return -(self.nu.deriv() + conn.reshape((3, 4)))
 
     @_stage
     def second_fundamental(self):
-        """II[alpha][beta] = <E T_alpha, T_beta> (jets)."""
-        return [[self._bar_dot(self.shape_ambient[a], self.T[b])
-                 for b in range(3)] for a in range(3)]
+        """II[alpha, beta] = <E T_alpha, T_beta> (jet)."""
+        return contract("am,bm->ab", self.shape_ambient, self._T_low)
 
     @_stage
     def E_mixed(self):
-        """Shape operator, E_mixed[i][j] = E^i_j (jets)."""
-        II = self.second_fundamental
-        return [[sum(self.g_inv[i][c] * II[c][j] for c in range(3))
-                 for j in range(3)] for i in range(3)]
-
-    @_stage
-    def E_mixed_val(self):
-        return values(self.E_mixed)
+        """Shape operator, E_mixed[i, j] = E^i_j (jet)."""
+        return contract("ic,cj->ij", self.g_inv, self.second_fundamental)
 
     @_stage
     def mean_curvature(self):
-        return sum(self.E_mixed[a][a] for a in range(3)) / 3.0
+        E = self.E_mixed
+        return (E[0, 0] + E[1, 1] + E[2, 2]) / 3.0
+
+    E_mixed_val = _value_stage("E_mixed")
 
     # --- product structure splitting --------------------------------------
     @_stage
     def V_form(self):
-        """(V, d_alpha) = <F T_alpha, nu> (jets)."""
-        return [self._bar_dot([F_MATRIX[a, a] * self.T[al][a] for a in range(4)],
-                              self.nu) for al in range(3)]
+        """(V, d_alpha) = <F T_alpha, nu> (jet)."""
+        return contract("am,m->a", self._T_low, self.nu * _F)
 
     @_stage
     def h(self):
-        Fnu = [F_MATRIX[a, a] * self.nu[a] for a in range(4)]
-        return self._bar_dot(Fnu, self.nu)
-
-    @_stage
-    def h_val(self):
-        return value(self.h)
+        return contract("m,m->", self.nu * _F * self.gbar, self.nu)
 
     @_stage
     def V_ambient(self):
-        Fnu = [F_MATRIX[a, a] * self.nu[a] for a in range(4)]
-        return [Fnu[a] - self.h * self.nu[a] for a in range(4)]
+        return self.nu * _F - self.h * self.nu
 
     @_stage
     def V_coord(self):
-        return [sum(self.g_inv[a][b] * self.V_form[b] for b in range(3))
-                for a in range(3)]
-
-    @_stage
-    def V_coord_val(self):
-        return values(self.V_coord)
+        return contract("ab,b->a", self.g_inv, self.V_form)
 
     @_stage
     def f_mixed(self):
-        """Tangential part of F, f_mixed[i][j] = f^i_j (jets)."""
-        cols = []
-        for j in range(3):
-            fT = [F_MATRIX[a, a] * self.T[j][a] - self.V_form[j] * self.nu[a]
-                  for a in range(4)]
-            cols.append([sum(self.g_inv[i][c] * self._bar_dot(fT, self.T[c])
-                             for c in range(3)) for i in range(3)])
-        return [[cols[j][i] for j in range(3)] for i in range(3)]
+        """Tangential part of F, f_mixed[i, j] = f^i_j (jet)."""
+        fT = self.T * _F - contract("j,a->ja", self.V_form, self.nu)
+        return contract("ic,jc->ij", self.g_inv,
+                        contract("ja,ca->jc", fT, self._T_low))
 
-    @_stage
-    def f_mixed_val(self):
-        return values(self.f_mixed)
+    h_val = _value_stage("h")
+    V_coord_val = _value_stage("V_coord")
+    f_mixed_val = _value_stage("f_mixed")
 
     # --- almost contact data ----------------------------------------------
     @_stage
     def xi_ambient(self):
-        return [-sum(J_MATRIX[a, b] * self.nu[b] for b in range(4)
-                     if J_MATRIX[a, b] != 0.0) for a in range(4)]
-
-    @_stage
-    def xi_ambient_val(self):
-        return values(self.xi_ambient)
+        """-J nu: J turns each factor's (x, y) a quarter turn."""
+        return self.nu[[1, 0, 3, 2]] * np.array([1.0, -1.0, 1.0, -1.0])
 
     @_stage
     def xi_coord(self):
-        return [sum(self.g_inv[a][b] * self._bar_dot(self.xi_ambient, self.T[b])
-                    for b in range(3)) for a in range(3)]
+        return contract("ab,b->a", self.g_inv,
+                        contract("m,bm->b", self.xi_ambient, self._T_low))
 
-    @_stage
-    def xi_coord_val(self):
-        return values(self.xi_coord)
+    xi_ambient_val = _value_stage("xi_ambient")
+    xi_coord_val = _value_stage("xi_coord")
 
     @_stage
     def eta(self):
         """eta_alpha = g(xi, d_alpha) (values)."""
-        return values([self._bar_dot(self.xi_ambient, self.T[a])
-                       for a in range(3)])
+        return contract("m,am->a", self.xi_ambient, self._T_low).val
 
     @_stage
     def chi_mixed(self):
@@ -375,45 +320,33 @@ class PointEvaluation:
     # --- induced Levi-Civita connection and curvature ----------------------
     @_stage
     def gamma_induced(self):
-        """Gamma^d_{bc} of the induced metric (jets, valid to first order)."""
-        dg = [[[self.g[b][c].deriv(a) for c in range(3)] for b in range(3)]
-              for a in range(3)]
-        G = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for d in range(3):
-            for b in range(3):
-                for c in range(3):
-                    s = 0.0
-                    for e in range(3):
-                        s = s + self.g_inv[d][e] * (
-                            dg[b][e][c] + dg[c][e][b] - dg[e][b][c])
-                    G[d][b][c] = 0.5 * s
-        return G
+        """Gamma^d_{bc} of the induced metric (jet, valid to first order)."""
+        dg = self.g.deriv()  # dg[a, b, c] = d_a g_bc
+        e, b, c = np.indices((3, 3, 3))
+        lowered = dg[b, e, c] + dg[c, e, b] - dg  # indices [e, b, c]
+        return 0.5 * contract("de,ebc->dbc", self.g_inv, lowered)
 
-    @_stage
-    def gamma_induced_val(self):
-        return values(self.gamma_induced)
+    gamma_induced_val = _value_stage("gamma_induced")
 
     @_stage
     def riemann(self):
         """R[al, be, ga, de] = component de of R(d_al, d_be) d_ga (values)."""
         Gv = self.gamma_induced_val
         # d_al Gamma^de_{be ga}, moved to index order [al, be, ga, de]
-        dG = np.einsum("...dbga->...abgd", gradients(self.gamma_induced))
+        dG = np.einsum("...dbga->...abgd", self.gamma_induced.grad())
         GG = np.einsum("...dae,...ebg->...abgd", Gv, Gv)
         return dG - np.swapaxes(dG, -4, -3) + GG - np.swapaxes(GG, -4, -3)
 
     # --- covariant derivatives of the induced fields ------------------------
-    def _cov_deriv_vector(self, Vjets):
+    def _cov_deriv_vector(self, V):
         """(nabla_b V)^a as a (3, 3) value array, indices [b, a]."""
-        dV = np.swapaxes(gradients(Vjets), -1, -2)
-        return dV + np.einsum("...abe,...e->...ba", self.gamma_induced_val,
-                              values(Vjets))
+        return np.swapaxes(V.grad(), -1, -2) + np.einsum(
+            "...abe,...e->...ba", self.gamma_induced_val, V.val)
 
-    def _cov_deriv_endo(self, Ajets):
+    def _cov_deriv_endo(self, A):
         """(nabla_c A)^a_b as a (3, 3, 3) value array, indices [c, a, b]."""
-        Gv = self.gamma_induced_val
-        Av = values(Ajets)
-        dA = np.einsum("...abc->...cab", gradients(Ajets))
+        Gv, Av = self.gamma_induced_val, A.val
+        dA = np.einsum("...abc->...cab", A.grad())
         return (dA + np.einsum("...ace,...eb->...cab", Gv, Av)
                 - np.einsum("...ae,...ecb->...cab", Av, Gv))
 
@@ -527,14 +460,14 @@ def consistency_residuals(ev: PointEvaluation):
     finite = np.all(np.isfinite(gv), axis=(-2, -1))
     low = np.linalg.eigvalsh(np.where(finite[..., None, None], gv,
                                       np.eye(3)))[..., 0]
-    II = values(ev.second_fundamental)
+    II = ev.second_fundamental.val
     return {
         "normal-unit": np.abs(np.sum(ev.gbar_val * ev.nu_val * ev.nu_val,
                                      axis=-1) - 1.0),
         "metric-posdef": np.maximum(0.0, np.where(finite, 1e-12 - low,
                                                   np.nan)),
         "shape-symmetric": _max_abs(II - np.swapaxes(II, -1, -2), 2),
-        "product-split": _max_abs(values(ev.V_ambient)
+        "product-split": _max_abs(ev.V_ambient.val
                                   - _vm(ev.V_coord_val, ev.T_val), 1),
         "contact-split": _max_abs(ev.xi_ambient_val
                                   - _vm(ev.xi_coord_val, ev.T_val), 1),

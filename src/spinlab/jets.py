@@ -1,29 +1,36 @@
-"""Truncated trivariate Taylor arithmetic (forward-mode AD), batched.
+"""Truncated trivariate Taylor arithmetic (forward-mode AD) over tensors.
 
-A ``Jet`` stores the Taylor coefficients of a scalar quantity as a function
-of the three parameters of a hypersurface chart, truncated at a chosen
-total degree (1, 2 or 3).  Evaluating the whole geometric pipeline once in
-jet arithmetic yields every derivative the engine needs (metric,
-Christoffel symbols, curvature tensor, derivatives of the shape operator
-and of the product-structure data) without finite differencing.  Finite
-differences appear only in test oracles.
+A ``Jet`` stores the Taylor coefficients of a quantity as a function of the
+three parameters of a hypersurface chart, truncated at total degree 1, 2 or
+3.  Evaluating the whole geometric pipeline once in jet arithmetic yields
+every derivative the engine needs (metric, Christoffel symbols, curvature
+tensor, derivatives of the shape operator and of the product-structure
+data) without finite differencing.  Finite differences appear only in test
+oracles.
 
-Coefficients live on axis 0.  A jet of one point has coefficients of shape
-``(nterms,)``; a jet of a batch of N points has shape ``(nterms, N)``, one
-column per point, and every operation acts on all columns at once (Taylor
-arithmetic over a batch axis: Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., ch. 13).  Operands of one operation share the point axis.  Value
-extraction puts the point axis first: ``grad`` of a batch is ``(N, 3)``.
+Layout.  Coefficients live on axis 0, then come the jet's tensor axes
+(``shape``; ``()`` for a scalar), then the point axis of a batch:
+``(nterms, *shape)`` at one point, ``(nterms, *shape, N)`` for N points.
+Every operation acts on all entries and points at once (Taylor arithmetic
+over whole tensors and a batch axis: Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13).  Operands share the point axis; their
+tensor axes broadcast like numpy's.  Values come out point axis first:
+``val`` of a batch of 3x3 jets is ``(N, 3, 3)``, ``grad`` ``(N, 3, 3, 3)``.
 
-The monomial table is graded, so a lower-order jet is literally a prefix
-of a higher-order one; algebra-only evaluations run on 4-coefficient jets
-while curvature-level evaluations use the full 20.
+Products.  Slot K of a product sums a[I] b[J] over the monomial pairs
+(I, J) with I + J = K.  The elementwise product and the contraction kernel
+``contract`` (einsum subscripts over the tensor axes) form all pairs in one
+numpy call with a leading pair axis and sum them into their slots as
+``S @ pairs``, S being the 0/1 (nterms, npairs) matrix of the pair table:
+one matrix product over all entries and points, about 3x faster than
+``np.add.reduceat`` over the same pairs at N = 50.
 
-Each jet tracks a ``valid`` order: differentiating a degree-3 jet yields
-coefficients that are only trustworthy to degree 2, and so on.  Arithmetic
-propagates the minimum valid order of its operands; extraction methods
-assert that the requested derivative is still valid, so truncation garbage
-can never be read silently.
+The monomial table is graded, so a lower-order jet is a prefix of a
+higher-order one.  Each jet tracks a ``valid`` order: differentiating a
+degree-3 jet leaves coefficients trustworthy only to degree 2, and so on.
+Arithmetic propagates the minimum valid order of its operands, products
+compute only the slots up to it, and extraction methods assert that the
+requested derivative is still valid, so truncation garbage is never read.
 """
 
 from __future__ import annotations
@@ -41,14 +48,14 @@ for deg in range(ORDER + 1):
             MONOMIALS.append((i, j, deg - i - j))
 NTERMS = len(MONOMIALS)  # 20
 _INDEX = {m: n for n, m in enumerate(MONOMIALS)}
-_NT_OF_ORDER = {1: 4, 2: 10, 3: 20}
+_NT_OF_ORDER = {0: 1, 1: 4, 2: 10, 3: 20}
 _ORDER_OF_NT = {v: k for k, v in _NT_OF_ORDER.items()}
 
 # Multiplication per truncation length: c = S @ (a[I] * b[J]), where the
 # monomial pairs (I, J) are sorted by their product slot K and S is the 0/1
 # (nterms, npairs) matrix summing each pair into slot K.
 _PAIRS = {}
-for _nt in (4, 10, 20):
+for _nt in (1, 4, 10, 20):
     _trip = []
     for a, ma in enumerate(MONOMIALS[:_nt]):
         for b, mb in enumerate(MONOMIALS[:_nt]):
@@ -61,20 +68,18 @@ for _nt in (4, 10, 20):
     _S[_K, np.arange(len(_K))] = 1.0
     _PAIRS[_nt] = (_I, _J, _S)
 
-# Partial derivative along each variable as a (nterms, nterms) matrix per
-# truncation length: one exponent factor per row, zero rows where the
-# lowered monomial falls outside the truncation.
+# Partial derivatives along the three variables as a (3, nterms, nterms)
+# array per truncation length: one exponent factor per row, zero rows where
+# the lowered monomial falls outside the truncation.
 _DERIV = {}
 for _nt in (4, 10, 20):
-    _DERIV[_nt] = []
+    _DERIV[_nt] = np.zeros((NVARS, _nt, _nt))
     for v in range(NVARS):
-        D = np.zeros((_nt, _nt))
         for n, m in enumerate(MONOMIALS[:_nt]):
             if m[v] > 0:
                 lower = list(m)
                 lower[v] -= 1
-                D[_INDEX[tuple(lower)], n] = m[v]
-        _DERIV[_nt].append(D)
+                _DERIV[_nt][v, _INDEX[tuple(lower)], n] = m[v]
 
 # Slots and factors of the second derivatives d^2/du_i du_j.
 _HESS_SLOT = np.array([[_INDEX[tuple(int(k == i) + int(k == j)
@@ -85,22 +90,40 @@ _HESS_FAC = np.where(np.eye(NVARS) > 0, 2.0, 1.0)
 _FACT = np.array([1.0, 1.0, 2.0, 6.0])
 
 
-class Jet:
-    """Truncated Taylor expansion in three chart variables, at one point
-    (coefficients ``(nterms,)``) or at a batch of points
-    (``(nterms, N)``)."""
+# Columns per matrix product.  OpenBLAS ran a 20 x 84 x 600 product on two
+# threads (20 x 84 x 500 on one); on a 2-core machine that made the jet
+# stages 2-3x slower whenever another process was busy, so every product
+# here stays well below that size.
+_BLOCK = 128
 
-    __slots__ = ("c", "valid")
+
+def _apply(M, c):
+    """``M @`` along the coefficient axis of ``c``: (..., nterms) matrices
+    times an (nterms, ...) coefficient array."""
+    flat = c.reshape(len(c), -1)
+    out = np.empty(M.shape[:-1] + flat.shape[1:])
+    for i in range(0, flat.shape[1], _BLOCK):
+        np.matmul(M, flat[:, i:i + _BLOCK], out=out[..., i:i + _BLOCK])
+    return out.reshape(M.shape[:-1] + c.shape[1:])
+
+
+class Jet:
+    """Truncated Taylor expansion in three chart variables of a tensor of
+    ``shape``, at one point (coefficients ``(nterms, *shape)``) or at a batch
+    of points (``(nterms, *shape, N)``)."""
+
+    __slots__ = ("c", "valid", "shape")
     __array_ufunc__ = None  # force numpy to defer to our operators
 
-    def __init__(self, coeffs, valid=None):
+    def __init__(self, coeffs, valid=None, shape=()):
         self.c = np.asarray(coeffs, dtype=float)
         self.valid = _ORDER_OF_NT[len(self.c)] if valid is None else valid
+        self.shape = tuple(shape)
 
     # construction -----------------------------------------------------
     @staticmethod
     def constant(x, nterms=NTERMS):
-        """Constant jet; ``x`` is a number or an (N,) array of values."""
+        """Constant scalar jet of a number or of an (N,) array of values."""
         x = np.asarray(x, dtype=float)
         c = np.zeros((nterms,) + x.shape)
         c[0] = x
@@ -112,119 +135,193 @@ class Jet:
         jet.c[_INDEX[tuple(1 if k == i else 0 for k in range(NVARS))]] = 1.0
         return jet
 
+    # layout --------------------------------------------------------------
+    @property
+    def batched(self):
+        return self.c.ndim > len(self.shape) + 1
+
+    def _points_first(self, x, lead=0):
+        """``x`` laid out as ``(*lead, *shape, *points)``, returned as
+        ``(*points, *shape, *lead)``."""
+        x = np.moveaxis(x, range(lead), range(-lead, 0)) if lead else x
+        return np.moveaxis(x, len(self.shape), 0) if self.batched else x
+
+    def __getitem__(self, idx):
+        """The jet of an entry or slice of the tensor axes (numpy indexing,
+        without an ellipsis)."""
+        c = self.c[(slice(None),) + (idx if isinstance(idx, tuple) else (idx,))]
+        return Jet(c, self.valid, c.shape[1:c.ndim - self.batched])
+
+    def reshape(self, shape):
+        """The jet with its tensor axes reshaped to ``shape``."""
+        shape = tuple(shape)
+        return Jet(self.c.reshape((len(self.c),) + shape
+                                  + self.c.shape[1 + len(self.shape):]),
+                   self.valid, shape)
+
     # basic queries -----------------------------------------------------
     @property
     def val(self):
-        return self.c[0]
+        """Values, point axis first: ``shape`` or ``(N, *shape)``."""
+        return self._points_first(self.c[0])
 
     def grad(self):
-        """First derivatives, shape (3,) or (N, 3)."""
+        """First derivatives, ``(*shape, 3)`` or ``(N, *shape, 3)``."""
         assert self.valid >= 1
         # the degree-1 block is ordered (x, y, z)
-        return np.moveaxis(self.c[1:4], 0, -1).copy()
+        return self._points_first(self.c[1:4], 1).copy()
 
     def hess(self):
-        """Symmetric matrix of second derivatives, (3, 3) or (N, 3, 3)."""
+        """Second derivatives, ``(*shape, 3, 3)``, point axis first."""
         assert self.valid >= 2
-        H = np.moveaxis(self.c[_HESS_SLOT], (0, 1), (-2, -1))
-        return H * _HESS_FAC
+        return self._points_first(self.c[_HESS_SLOT], 2) * _HESS_FAC
 
-    def deriv(self, v):
-        """Jet of the partial derivative along chart variable ``v``."""
+    def deriv(self, v=None):
+        """Jet of the partial derivative along chart variable ``v``; without
+        ``v``, of all three, on a new leading tensor axis of size 3."""
         assert self.valid >= 1
-        return Jet(_DERIV[len(self.c)][v] @ self.c, self.valid - 1)
+        D = _DERIV[len(self.c)]
+        if v is not None:
+            return Jet(_apply(D[v], self.c), self.valid - 1, self.shape)
+        return Jet(np.swapaxes(_apply(D, self.c), 0, 1), self.valid - 1,
+                   (NVARS,) + self.shape)
 
     # arithmetic ---------------------------------------------------------
-    def __add__(self, other):
+    def _pad(self, rank):
+        """Coefficients with the tensor axes left-padded to ``rank``."""
+        c = self.c
+        return c.reshape(c.shape[:1] + (1,) * (rank - len(self.shape))
+                         + c.shape[1:])
+
+    def _operands(self, other):
+        """Own and other's coefficients (or constant) and the broadcast
+        tensor shape, aligned so that tensor axes broadcast together."""
         if isinstance(other, Jet):
-            return Jet(self.c + other.c, min(self.valid, other.valid))
-        c = self.c.copy()
-        c[0] += float(other)
-        return Jet(c, self.valid)
+            shape = np.broadcast_shapes(self.shape, other.shape)
+            return self._pad(len(shape)), other._pad(len(shape)), shape
+        x = np.asarray(other, dtype=float)
+        shape = np.broadcast_shapes(self.shape, x.shape)
+        if self.batched and x.ndim:
+            x = x[..., None]
+        return self._pad(len(shape)), x, shape
+
+    def __add__(self, other):
+        a, b, shape = self._operands(other)
+        if isinstance(other, Jet):
+            return Jet(a + b, min(self.valid, other.valid), shape)
+        c = np.array(np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)))
+        c[0] += b
+        return Jet(c, self.valid, shape)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.c, self.valid)
+        return Jet(-self.c, self.valid, self.shape)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -float(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + float(other)
+        return (-self) + other
 
     def __mul__(self, other):
+        a, b, shape = self._operands(other)
         if isinstance(other, Jet):
-            I, J, S = _PAIRS[len(self.c)]
-            return Jet(S @ (self.c[I] * other.c[J]),
-                       min(self.valid, other.valid))
-        return Jet(self.c * float(other), self.valid)
+            valid = min(self.valid, other.valid)
+            return Jet(_products(a, b, valid, np.multiply), valid, shape)
+        return Jet(a * b, self.valid, shape)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        return Jet(self.c / float(other), self.valid)
+        a, b, shape = self._operands(other)
+        return Jet(a / b, self.valid, shape)
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * float(other)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jets support nonnegative integer powers only")
-        out = Jet.constant(np.ones(self.c.shape[1:]), len(self.c))
-        for _ in range(n):
-            out = out * self
-        return out
+        return self._reciprocal() * other
 
     def __repr__(self):
-        val = (f"{self.val:.6g}" if self.c.ndim == 1
-               else f"<{self.c.shape[1]} points>")
-        return f"Jet(val={val}, order={len(self.c)}, valid={self.valid})"
+        points = self.c.shape[-1] if self.batched else None
+        return (f"Jet(shape={self.shape}, points={points}, "
+                f"order={len(self.c)}, valid={self.valid})")
 
     # analytic functions --------------------------------------------------
     def _compose(self, ladder):
-        """Evaluate f(self) given [f, f', f'', f'''] at self.val; each entry
-        is a number or, for a batch, an (N,) array."""
-        s = Jet(self.c.copy(), self.valid)
+        """Evaluate f(self) entrywise given [f, f', f'', f'''] at the value
+        part; each entry is a number or an array shaped like ``c[0]``."""
+        s = Jet(self.c.copy(), self.valid, self.shape)
         s.c[0] = 0.0
         c = np.zeros_like(self.c)
         c[0] = ladder[0]
         p = s
-        for k in range(1, _ORDER_OF_NT[len(self.c)] + 1):
+        for k in range(1, self.valid + 1):
             if k > 1:
                 p = p * s
             c = c + (ladder[k] / _FACT[k]) * p.c
-        return Jet(c, self.valid)
+        return Jet(c, self.valid, self.shape)
 
     def _reciprocal(self):
-        x = self.val
+        x = self.c[0]
         if np.any(x == 0.0):
             raise ZeroDivisionError("jet with zero value part")
         return self._compose([1.0 / x, -1.0 / x**2, 2.0 / x**3, -6.0 / x**4])
 
     def sqrt(self):
-        x = self.val
+        x = self.c[0]
         if np.any(x <= 0.0):
             raise ValueError("sqrt of non-positive jet value")
         r = np.sqrt(x)
         return self._compose([r, 0.5 / r, -0.25 / r**3, 0.375 / r**5])
 
     def exp(self):
-        e = np.exp(self.val)
+        e = np.exp(self.c[0])
         return self._compose([e, e, e, e])
 
     def sin(self):
-        s, c = np.sin(self.val), np.cos(self.val)
+        s, c = np.sin(self.c[0]), np.cos(self.c[0])
         return self._compose([s, c, -s, -c])
 
     def cos(self):
-        s, c = np.sin(self.val), np.cos(self.val)
+        s, c = np.sin(self.c[0]), np.cos(self.c[0])
         return self._compose([c, -s, -c, s])
 
 
-# module-level helpers so geometry code reads naturally on floats and jets
+def _products(a, b, valid, form):
+    """Product of coefficient arrays ``a`` and ``b``, ``form`` combining
+    paired coefficients; the slots above order ``valid`` hold zeros."""
+    nt = _NT_OF_ORDER[valid]
+    I, J, S = _PAIRS[nt]
+    head = _apply(S, form(a[I], b[J]))
+    if nt == len(a):
+        return head
+    c = np.zeros((len(a),) + head.shape[1:])
+    c[:nt] = head
+    return c
+
+
+def contract(subscripts, a, b):
+    """Einsum of two jets over their tensor axes, e.g. ``"ij,jk->ik"``; the
+    coefficient and point axes are implicit."""
+    ins, out = subscripts.split("->")
+    sub_a, sub_b = ins.split(",")
+    spec = f"p{sub_a}...,p{sub_b}...->p{out}..."
+    valid = min(a.valid, b.valid)
+    c = _products(a.c, b.c, valid, lambda x, y: np.einsum(spec, x, y))
+    return Jet(c, valid, c.shape[1:len(out) + 1])
+
+
+def stack(items):
+    """One jet from a nested list of jets of one shape: the nesting becomes
+    the leading tensor axes."""
+    arr = np.asarray(items, dtype=object)
+    flat = arr.ravel()
+    c = np.stack([x.c for x in flat], axis=1)
+    return Jet(c.reshape(c.shape[:1] + arr.shape + c.shape[2:]),
+               min(x.valid for x in flat), arr.shape + flat[0].shape)
+
+
 def variables(u, order=ORDER):
     """Seed jets for a chart point u = (u1, u2, u3), or for a batch of
     points given as an (N, 3) array."""
@@ -233,7 +330,7 @@ def variables(u, order=ORDER):
 
 
 def value(x):
-    """Value part of a jet, a float, or an array of point values."""
+    """Value part of a jet (point axis first), a float, or an array."""
     if isinstance(x, Jet):
         return x.val
     return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
@@ -245,32 +342,3 @@ def worst_of(residuals) -> float:
     arr = np.asarray(list(residuals), dtype=float)
     return float(np.max(arr)) if arr.size else 0.0
 
-
-def _leaves(arr):
-    arr = np.asarray(arr, dtype=object)
-    return arr.shape, arr.reshape(-1)
-
-
-def values(arr):
-    """Value parts of a nested list of jets/floats, point axis first:
-    shape ``np.shape(arr)`` at one point, ``(N,) + np.shape(arr)`` for a
-    batch."""
-    shape, flat = _leaves(arr)
-    vals = np.stack(np.broadcast_arrays(*[value(x) for x in flat]), axis=-1)
-    return vals.reshape(vals.shape[:-1] + shape)
-
-
-def gradients(arr):
-    """First derivatives of a nested list of jets: ``np.shape(arr) + (3,)``
-    at one point, ``(N,) + np.shape(arr) + (3,)`` for a batch."""
-    shape, flat = _leaves(arr)
-    grads = np.stack([x.grad() for x in flat], axis=-2)
-    return grads.reshape(grads.shape[:-2] + shape + (NVARS,))
-
-
-def jsin(x):
-    return x.sin() if isinstance(x, Jet) else float(np.sin(x))
-
-
-def jcos(x):
-    return x.cos() if isinstance(x, Jet) else float(np.cos(x))

@@ -244,11 +244,10 @@ def loop_auxiliary_curvature_residual(product, p, struct, h=0.02):
 # plain matrix products and running maxima.
 
 def point_consistency_residuals(ev):
-    from spinlab.jets import values
     out = {}
     out["normal-unit"] = abs(float(ev.gbar_val @ (ev.nu_val * ev.nu_val)) - 1.0)
     out["metric-posdef"] = max(0.0, 1e-12 - np.linalg.eigvalsh(ev.g_val)[0])
-    II = values(ev.second_fundamental)
+    II = value(ev.second_fundamental)
     out["shape-symmetric"] = float(np.max(np.abs(II - II.T)))
     Vamb = np.array([value(v) for v in ev.V_ambient])
     out["product-split"] = float(np.max(np.abs(Vamb - ev.V_coord_val @ ev.T_val)))
@@ -586,3 +585,203 @@ def point_relations_record(ctx, tag):
         res.append(min(abs(m - 1.0), abs(m + 1.0)))
         measured.add(int(np.sign(m.real)))
     return worst_of(res), sorted(measured)
+
+
+# --- the scalar-jet pipeline of the tensor-jet stages ---------------------------
+# The jet stages of ``PointEvaluation`` as they were computed before they
+# became whole-tensor passes, kept as they were: one scalar jet per tensor
+# entry, nested lists, Python loops, the adjugate inverse and the cofactor
+# cross product written out, and the dense 4x4x4 product Christoffels.
+
+def _inv3(m):
+    """Inverse of a 3x3 matrix of jets via the adjugate."""
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    A = e * i - f * h
+    B = f * g - d * i
+    C = d * h - e * g
+    det = a * A + b * B + c * C
+    adj = [
+        [A, c * h - b * i, b * f - c * e],
+        [B, a * i - c * g, c * d - a * f],
+        [C, b * g - a * h, a * e - b * d],
+    ]
+    return [[adj[r][s] / det for s in range(3)] for r in range(3)]
+
+
+def _cross4(t0, t1, t2):
+    """w_mu = eps_{abc mu} t0^a t1^b t2^c by cofactors."""
+    m = {(c, d): t1[c] * t2[d] - t1[d] * t2[c]
+         for c in range(4) for d in range(c + 1, 4)}
+    w = []
+    for mu in range(4):
+        a, b, c = (k for k in range(4) if k != mu)
+        det = t0[a] * m[b, c] - t0[b] * m[a, c] + t0[c] * m[a, b]
+        w.append(det if mu % 2 else -det)
+    return w
+
+
+def _tensor(nested):
+    """One tensor jet from a nested list of scalar jets."""
+    from spinlab.jets import Jet
+    arr = np.asarray(nested, dtype=object)
+    flat = list(arr.flat)
+    c = np.stack([x.c for x in flat], axis=1)
+    return Jet(c.reshape(c.shape[:1] + arr.shape + c.shape[2:]),
+               min(x.valid for x in flat), arr.shape)
+
+
+def scalar_jet_evaluation(chart, product, u, order=3):
+    """A ``PointEvaluation`` whose jet stages run the scalar-jet pipeline;
+    its value stages are inherited and read those jets."""
+    from functools import cached_property
+
+    from spinlab.hypersurfaces import PointEvaluation
+    from spinlab.jets import variables
+    from spinlab.product import F_MATRIX, J_MATRIX
+
+    def stage(fn):
+        return cached_property(lambda self: _tensor(fn(self)))
+
+    class ScalarJetEvaluation(PointEvaluation):
+        @cached_property
+        def _phi(self):
+            return list(self.chart.map_fn(*variables(self.u, self.order)))
+
+        @cached_property
+        def _T(self):
+            return [[self._phi[a].deriv(al) for a in range(4)]
+                    for al in range(3)]
+
+        @cached_property
+        def _gbar(self):
+            return self.product.metric_diagonal(self._phi)
+
+        def _bar_dot(self, X, Y):
+            return sum(self._gbar[a] * X[a] * Y[a] for a in range(4))
+
+        @cached_property
+        def _g(self):
+            return [[self._bar_dot(self._T[a], self._T[b]) for b in range(3)]
+                    for a in range(3)]
+
+        @cached_property
+        def _g_inv(self):
+            return _inv3(self._g)
+
+        @cached_property
+        def _nu(self):
+            w = _cross4(*self._T)
+            n = [w[mu] / self._gbar[mu] for mu in range(4)]
+            norm = self._bar_dot(n, n).sqrt()
+            return [float(self.chart.orientation) * n[mu] / norm
+                    for mu in range(4)]
+
+        @cached_property
+        def _gamma4(self):
+            return self.product.christoffels(self._phi)
+
+        def _ambient_derivative(self, alpha, W):
+            G = self._gamma4
+            out = []
+            for a in range(4):
+                s = W[a].deriv(alpha)
+                for b in range(4):
+                    for c in range(4):
+                        if not isinstance(G[a][b][c], float):
+                            s = s + G[a][b][c] * self._T[alpha][b] * W[c]
+                out.append(s)
+            return out
+
+        @cached_property
+        def _shape_ambient(self):
+            return [[-1.0 * w for w in self._ambient_derivative(al, self._nu)]
+                    for al in range(3)]
+
+        @cached_property
+        def _II(self):
+            return [[self._bar_dot(self._shape_ambient[a], self._T[b])
+                     for b in range(3)] for a in range(3)]
+
+        @cached_property
+        def _E(self):
+            return [[sum(self._g_inv[i][c] * self._II[c][j] for c in range(3))
+                     for j in range(3)] for i in range(3)]
+
+        @cached_property
+        def _V_form(self):
+            return [self._bar_dot([F_MATRIX[a, a] * self._T[al][a]
+                                   for a in range(4)], self._nu)
+                    for al in range(3)]
+
+        @cached_property
+        def _h(self):
+            Fnu = [F_MATRIX[a, a] * self._nu[a] for a in range(4)]
+            return self._bar_dot(Fnu, self._nu)
+
+        @cached_property
+        def _xi_ambient(self):
+            return [-sum(J_MATRIX[a, b] * self._nu[b] for b in range(4)
+                         if J_MATRIX[a, b] != 0.0) for a in range(4)]
+
+        phi = stage(lambda self: self._phi)
+        T = stage(lambda self: self._T)
+        gbar = stage(lambda self: self._gbar)
+        g = stage(lambda self: self._g)
+        g_inv = stage(lambda self: self._g_inv)
+        nu = stage(lambda self: self._nu)
+        ambient_gamma = stage(lambda self: [
+            [[[self._gamma4[a + k][b + k][c + k] for c in range(2)]
+              for b in range(2)] for a in range(2)] for k in (0, 2)])
+        shape_ambient = stage(lambda self: self._shape_ambient)
+        second_fundamental = stage(lambda self: self._II)
+        E_mixed = stage(lambda self: self._E)
+        mean_curvature = stage(
+            lambda self: sum(self._E[a][a] for a in range(3)) / 3.0)
+        V_form = stage(lambda self: self._V_form)
+        h = stage(lambda self: self._h)
+        V_ambient = stage(lambda self: [
+            F_MATRIX[a, a] * self._nu[a] - self._h * self._nu[a]
+            for a in range(4)])
+        V_coord = stage(lambda self: [
+            sum(self._g_inv[a][b] * self._V_form[b] for b in range(3))
+            for a in range(3)])
+
+        @stage
+        def f_mixed(self):
+            cols = []
+            for j in range(3):
+                fT = [F_MATRIX[a, a] * self._T[j][a]
+                      - self._V_form[j] * self._nu[a] for a in range(4)]
+                cols.append([sum(self._g_inv[i][c] * self._bar_dot(
+                    fT, self._T[c]) for c in range(3)) for i in range(3)])
+            return [[cols[j][i] for j in range(3)] for i in range(3)]
+
+        xi_ambient = stage(lambda self: self._xi_ambient)
+        xi_coord = stage(lambda self: [
+            sum(self._g_inv[a][b] * self._bar_dot(self._xi_ambient,
+                                                  self._T[b])
+                for b in range(3)) for a in range(3)])
+        eta = cached_property(lambda self: _tensor([
+            self._bar_dot(self._xi_ambient, self._T[a])
+            for a in range(3)]).val)
+
+        @stage
+        def gamma_induced(self):
+            dg = [[[self._g[b][c].deriv(a) for c in range(3)]
+                   for b in range(3)] for a in range(3)]
+            G = [[[None] * 3 for _ in range(3)] for _ in range(3)]
+            for d in range(3):
+                for b in range(3):
+                    for c in range(3):
+                        s = 0.0
+                        for e in range(3):
+                            s = s + self._g_inv[d][e] * (
+                                dg[b][e][c] + dg[c][e][b] - dg[e][b][c])
+                        G[d][b][c] = 0.5 * s
+            return G
+
+    ev = ScalarJetEvaluation(chart, product, u, order)
+    ev.check_immersion()
+    return ev

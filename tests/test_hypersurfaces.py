@@ -11,19 +11,22 @@ Derived reference values used below:
     curvature is the factor-1 block, g(R(e1,e2)e2,e1) = c1.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from conftest import sample
-from helpers import fd_gradient, fd_weingarten
+from conftest import catalog_members, sample
+from helpers import fd_gradient, fd_weingarten, scalar_jet_evaluation
 from spinlab import build_chart, build_product, evaluate
-from spinlab.hypersurfaces import (HypersurfaceChart, RankDeficientError,
-                                   codazzi_residual, consistency_residuals,
-                                   contact_identities, derivative_identities,
+from spinlab.hypersurfaces import (HypersurfaceChart, PointEvaluation,
+                                   RankDeficientError, codazzi_residual,
+                                   consistency_residuals, contact_identities,
+                                   derivative_identities,
                                    frame_orthonormality_residual,
                                    gauss_residual, involution_identities,
                                    projection_formulas, rank_pair)
-from spinlab.jets import value
+from spinlab.jets import Jet, value
 from spinlab.surfaces import OutsideDomainError
 
 
@@ -144,10 +147,9 @@ def test_structure_derivative_identities_on_catalog(members, rng):
 
 
 def test_shape_operator_symmetric(members, rng):
-    from spinlab.jets import values
     for name, prod, chart in members:
         for u in sample(chart, rng, 20):
-            II = values(evaluate(chart, prod, u).second_fundamental)
+            II = value(evaluate(chart, prod, u).second_fundamental)
             assert np.max(np.abs(II - II.T)) < 1e-10, name
 
 
@@ -215,3 +217,42 @@ def test_gauss_codazzi_arrays_match_loop_reference(members, rng):
             ref_c = loop_codazzi_residual(ev.dE_frame, *args, ev.V_frame)
             assert gauss_residual(ev) == ref_g == gauss[i], name
             assert codazzi_residual(ev) == ref_c == codazzi[i], name
+
+
+# --- the tensor pipeline against the scalar-jet pipeline it replaced ----------
+# Tensor jets reorder the sums of a few contractions, which may cost a few
+# ulps per stage; the bound is fixed at 1e-12, relative to the largest entry
+# of the stage (entries below 1 are measured absolutely).
+ORACLE_REL_TOL = 1e-12
+STAGES = [name for name, attr in vars(PointEvaluation).items()
+          if isinstance(attr, cached_property) and not name.startswith("_")]
+# each chart kind of the sweep workload (default parameters) on one of its
+# curvature pairs, besides the catalog members
+SWEEP_MEMBERS = [(f"sweep-{kind}", build_product(2.0, -0.3), build_chart(kind))
+                 for kind in ("flat-hyperplane", "round-sphere",
+                              "slice-geodesic", "sphere-circle-tube", "graph")]
+
+
+def _valid_coefficients(jet):
+    """The coefficients of ``jet`` up to its valid order."""
+    v = jet.valid
+    return jet.c[:(v + 1) * (v + 2) * (v + 3) // 6]
+
+
+@pytest.mark.parametrize("npts", [1, 3, 17])
+@pytest.mark.parametrize("member", catalog_members() + SWEEP_MEMBERS,
+                         ids=lambda m: m[0])
+def test_tensor_stages_match_scalar_jets(member, npts):
+    name, prod, chart = member
+    pts = sample(chart, np.random.default_rng(npts), npts)
+    ref = scalar_jet_evaluation(chart, prod, pts)
+    ev = evaluate(chart, prod, pts)
+    for stage in STAGES:
+        want, got = getattr(ref, stage), getattr(ev, stage)
+        assert type(got) is type(want), stage
+        if isinstance(want, Jet):
+            assert (got.shape, got.valid) == (want.shape, want.valid), stage
+            want, got = _valid_coefficients(want), _valid_coefficients(got)
+        assert np.shape(got) == np.shape(want), stage
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= ORACLE_REL_TOL * scale, stage

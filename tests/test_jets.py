@@ -1,11 +1,13 @@
 """Jet arithmetic against closed forms and finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinlab.jets import Jet, value, variables
+from spinlab.jets import Jet, contract, value, variables
 
 coeffs = st.lists(st.floats(-3, 3, allow_nan=False, allow_infinity=False),
                   min_size=20, max_size=20)
@@ -115,13 +117,6 @@ def test_zero_division_raises():
         (jx - 1.0).sqrt()
 
 
-def test_integer_powers_only():
-    jx, _, _ = variables([2.0, 0.0, 0.0])
-    assert value(jx ** 3) == pytest.approx(8.0)
-    with pytest.raises(ValueError):
-        jx ** 0.5
-
-
 def test_constant_and_mixed_arithmetic():
     c = Jet.constant(4.0)
     jx, _, _ = variables([1.0, 0.0, 0.0])
@@ -217,3 +212,121 @@ def test_batched_derivatives_and_validity():
         assert np.allclose(jet.deriv(1).c[:, n], one.deriv(1).c,
                            rtol=1e-13, atol=1e-13)
     assert jet.deriv(0).deriv(2).valid == 1
+
+
+# --- tensor jets against the scalar jets they are made of ---------------------
+
+@st.composite
+def contractions(draw):
+    """(subscripts, axis sizes, nterms, valid orders, point count or None,
+    seed): two operands of up to two axes each, any output."""
+    letters = "ijk"
+    size = {c: draw(st.integers(1, 3)) for c in letters}
+    sub_a = "".join(draw(st.permutations(letters))[:draw(st.integers(0, 2))])
+    sub_b = "".join(draw(st.permutations(letters))[:draw(st.integers(0, 2))])
+    free = sorted(set(sub_a + sub_b))
+    out = "".join(draw(st.permutations(free))[:draw(st.integers(0, len(free)))])
+    nt = draw(st.sampled_from([4, 10, 20]))
+    order = {4: 1, 10: 2, 20: 3}[nt]
+    valid = (draw(st.integers(0, order)), draw(st.integers(0, order)))
+    npts = draw(st.sampled_from([None, 1, 3]))
+    return (f"{sub_a},{sub_b}->{out}", size, nt, valid, npts,
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _operands(subscripts, size, nt, valid, npts, seed):
+    rng = np.random.default_rng(seed)
+    points = () if npts is None else (npts,)
+    subs = subscripts.split("->")[0].split(",")
+    return [Jet(rng.uniform(-2.0, 2.0, (nt,) + tuple(size[c] for c in s)
+                            + points), v, tuple(size[c] for c in s))
+            for s, v in zip(subs, valid)]
+
+
+def _nterms(valid):
+    return (valid + 1) * (valid + 2) * (valid + 3) // 6
+
+
+@given(contractions())
+@settings(max_examples=150, deadline=None)
+def test_contraction_is_a_sum_of_scalar_products(case):
+    subscripts, size, nt, valid, npts, seed = case
+    a, b = _operands(*case)
+    ins, out = subscripts.split("->")
+    sub_a, sub_b = ins.split(",")
+    got = contract(subscripts, a, b)
+    assert got.shape == tuple(size[c] for c in out)
+    assert got.valid == min(valid)
+    summed = sorted(set(sub_a + sub_b) - set(out))
+    for idx in itertools.product(*(range(size[c]) for c in out)):
+        at = dict(zip(out, idx))
+        want = 0.0
+        for rest in itertools.product(*(range(size[c]) for c in summed)):
+            at.update(zip(summed, rest))
+            ia = tuple(at[c] for c in sub_a)
+            ib = tuple(at[c] for c in sub_b)
+            want = want + (Jet(a.c[(slice(None),) + ia], a.valid)
+                           * Jet(b.c[(slice(None),) + ib], b.valid))
+        assert np.allclose(got.c[(slice(None),) + idx], want.c,
+                           rtol=1e-13, atol=1e-13)
+
+
+@given(contractions(), st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_contraction_leibniz_rule_per_slot(case, v):
+    """d(a . b) = da . b + a . db on every slot both sides keep valid."""
+    subscripts, size, nt, valid, npts, seed = case
+    a, b = _operands(*case)
+    if min(valid) < 1:
+        with pytest.raises(AssertionError):
+            contract(subscripts, a, b).deriv(v)
+        return
+    lhs = contract(subscripts, a, b).deriv(v)
+    rhs = (contract(subscripts, a.deriv(v), b)
+           + contract(subscripts, a, b.deriv(v)))
+    assert lhs.valid == rhs.valid == min(valid) - 1
+    keep = _nterms(lhs.valid)
+    for slot in range(keep):
+        assert np.allclose(lhs.c[slot], rhs.c[slot], atol=1e-9), slot
+
+
+@given(contractions())
+@settings(max_examples=100, deadline=None)
+def test_validity_is_the_minimum_and_extraction_asserts(case):
+    subscripts, size, nt, valid, npts, seed = case
+    a, b = _operands(*case)
+    s = b[(0,) * len(b.shape)]  # a scalar jet, broadcast against a
+    for jet in (contract(subscripts, a, b), a * s, s * a, a + s, a - s,
+                a / (s * s + 1.0)):
+        assert jet.valid == min(valid)
+    assert a[(0,) * len(a.shape)].valid == a.valid
+    got = contract(subscripts, a, b)
+    for need, extract in ((1, got.grad), (2, got.hess), (1, got.deriv)):
+        if got.valid < need:
+            with pytest.raises(AssertionError):
+                extract()
+        else:
+            extract()
+
+
+@given(contractions())
+@settings(max_examples=100, deadline=None)
+def test_one_point_jets_match_batch_columns(case):
+    subscripts, size, nt, valid, npts, seed = case
+    assume(npts is not None)
+    a, b = _operands(*case)
+    batch = contract(subscripts, a, b)
+    prod = a * a
+    for n in range(npts):
+        one_a, one_b = (Jet(x.c[..., n], x.valid, x.shape) for x in (a, b))
+        one = contract(subscripts, one_a, one_b)
+        assert one.c.shape == batch.c.shape[:-1]
+        assert np.allclose(one.c, batch.c[..., n], rtol=1e-13, atol=1e-13)
+        assert np.allclose(one.val, batch.val[n], rtol=1e-13, atol=1e-13)
+        assert np.allclose((one_a * one_a).val, prod.val[n],
+                           rtol=1e-13, atol=1e-13)
+        if one.valid >= 2:
+            assert np.allclose(one.grad(), batch.grad()[n],
+                               rtol=1e-13, atol=1e-13)
+            assert np.allclose(one.hess(), batch.hess()[n],
+                               rtol=1e-13, atol=1e-13)

@@ -4,6 +4,7 @@ import copy
 import json
 import subprocess
 import sys
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -435,6 +436,8 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
     ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e200] * 5}}},
      [], "differential of the immersion is not finite"),
     ({"c1": 1e300}, [], "differential of the immersion is not finite"),
+    ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e100] * 5}},
+      "checks": ["structure.involution"]}, [], "unit normal is not finite"),
     ({"tolerances": [1, 2]}, [], "tolerances must map check names"),
     ({"tolerances": "structure.contact"}, [], "tolerances must map"),
     ({"hypersurface": {"kind": ["graph"]}}, [], "unknown hypersurface kind"),
@@ -445,7 +448,7 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
-        "curvature-overflow", "tolerances-as-list", "tolerances-as-string",
+        "curvature-overflow", "graph-normal-overflow", "tolerances-as-list", "tolerances-as-string",
         "kind-as-list", "unknown-tolerance-name", "fractional-samples",
         "boolean-samples"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
@@ -453,7 +456,10 @@ def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
     from spinlab.cli import main
     path = tmp_path / "scen.json"
     path.write_text(json.dumps({**BASE, "checks": FAST_CHECKS, **change}))
-    assert main(["run", "--scenario", str(path), *extra]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--scenario", str(path), *extra]) == 2
+    assert not [w for w in caught if w.category is RuntimeWarning], caught
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert says in err
