@@ -34,8 +34,7 @@ from . import systems as sysmod
 from .catalog import build_chart, build_product, sample_points
 from .jets import value, worst_of
 from .product import F_MATRIX, structure
-from .reports import (CheckRecord, ResidualReport, Scenario, ScenarioError,
-                      tolerance_scale)
+from .reports import CheckRecord, ResidualReport, Scenario, ScenarioError
 from .surfaces import OutsideDomainError
 
 
@@ -479,7 +478,6 @@ def list_checks():
 def run_scenario(scenario: Scenario) -> ResidualReport:
     t0 = time.perf_counter()
     ctx = ScenarioContext(scenario)
-    scale = tolerance_scale()
     names = scenario.checks if scenario.checks is not None \
         else [s.name for s in REGISTRY]
     warnings = []
@@ -502,7 +500,7 @@ def run_scenario(scenario: Scenario) -> ResidualReport:
             ) from exc
         rec.name = spec.name
         rec.anchor = spec.anchor
-        tol = scenario.tolerances.get(name, spec.tolerance) * scale
+        tol = scenario.tolerances.get(name, spec.tolerance)
         rec.tolerance = tol
         if spec.kind == "record":
             rec.verdict = "recorded"

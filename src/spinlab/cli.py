@@ -6,7 +6,7 @@
     spinlab list-checks
 
 Exit codes: 0 all checks pass, 1 at least one residual failure,
-2 configuration error.  SPINLAB_TOL_SCALE multiplies every tolerance.
+2 configuration error.
 """
 
 from __future__ import annotations

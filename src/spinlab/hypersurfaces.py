@@ -77,7 +77,7 @@ class HypersurfaceChart:
 
 def _at(x, i):
     """Entry ``i`` of batch data, a jet or an array."""
-    return Jet(x.c[..., i], x.valid, x.shape) if isinstance(x, Jet) else x[i]
+    return Jet(x.c[..., i], x.shape) if isinstance(x, Jet) else x[i]
 
 
 def _mv(M, v):
@@ -111,7 +111,7 @@ class PointEvaluation:
     splitting algebra, 2 adds the shape operator and first covariant
     derivatives, 3 (default) everything up to the curvature tensor and the
     covariant exterior derivative of E.  Requesting data beyond the chosen
-    order trips the jets' validity assertions.
+    order trips the jets' order assertions.
     """
 
     def __init__(self, chart: HypersurfaceChart, product: ProductModel, u,
@@ -320,7 +320,7 @@ class PointEvaluation:
     # --- induced Levi-Civita connection and curvature ----------------------
     @_stage
     def gamma_induced(self):
-        """Gamma^d_{bc} of the induced metric (jet, valid to first order)."""
+        """Gamma^d_{bc} of the induced metric (jet, to first order)."""
         dg = self.g.deriv()  # dg[a, b, c] = d_a g_bc
         e, b, c = np.indices((3, 3, 3))
         lowered = dg[b, e, c] + dg[c, e, b] - dg  # indices [e, b, c]

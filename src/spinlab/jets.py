@@ -1,7 +1,7 @@
 """Truncated trivariate Taylor arithmetic (forward-mode AD) over tensors.
 
 A ``Jet`` stores the Taylor coefficients of a quantity as a function of the
-three parameters of a hypersurface chart, truncated at total degree 1, 2 or
+three parameters of a hypersurface chart, truncated at total degree 0, 1, 2 or
 3.  Evaluating the whole geometric pipeline once in jet arithmetic yields
 every derivative the engine needs (metric, Christoffel symbols, curvature
 tensor, derivatives of the shape operator and of the product-structure
@@ -26,11 +26,11 @@ one matrix product over all entries and points, about 3x faster than
 ``np.add.reduceat`` over the same pairs at N = 50.
 
 The monomial table is graded, so a lower-order jet is a prefix of a
-higher-order one.  Each jet tracks a ``valid`` order: differentiating a
-degree-3 jet leaves coefficients trustworthy only to degree 2, and so on.
-Arithmetic propagates the minimum valid order of its operands, products
-compute only the slots up to it, and extraction methods assert that the
-requested derivative is still valid, so truncation garbage is never read.
+higher-order one, and a jet truncated at order k is exactly its first
+C(k + 3, 3) coefficients: the length of the coefficient axis is the jet's
+``order``.  Differentiating a degree-3 jet leaves a degree-2 jet, binary
+operations truncate both operands to the shorter length, and extraction
+methods assert that the requested derivative is within the order.
 """
 
 from __future__ import annotations
@@ -68,24 +68,20 @@ for _nt in (1, 4, 10, 20):
     _S[_K, np.arange(len(_K))] = 1.0
     _PAIRS[_nt] = (_I, _J, _S)
 
-# Partial derivatives along the three variables as a (3, nterms, nterms)
-# array per truncation length: one exponent factor per row, zero rows where
-# the lowered monomial falls outside the truncation.
+# Partial derivatives along the three variables as a (3, nt_lower, nt)
+# array per truncation length: D[v, L, n] is the exponent of variable v in
+# monomial n when lowering it gives monomial L, so the derivative of an
+# order-k jet is an order-(k - 1) jet.
 _DERIV = {}
 for _nt in (4, 10, 20):
-    _DERIV[_nt] = np.zeros((NVARS, _nt, _nt))
+    _low = _NT_OF_ORDER[_ORDER_OF_NT[_nt] - 1]
+    _DERIV[_nt] = np.zeros((NVARS, _low, _nt))
     for v in range(NVARS):
         for n, m in enumerate(MONOMIALS[:_nt]):
             if m[v] > 0:
                 lower = list(m)
                 lower[v] -= 1
                 _DERIV[_nt][v, _INDEX[tuple(lower)], n] = m[v]
-
-# Slots and factors of the second derivatives d^2/du_i du_j.
-_HESS_SLOT = np.array([[_INDEX[tuple(int(k == i) + int(k == j)
-                                     for k in range(NVARS))]
-                        for j in range(NVARS)] for i in range(NVARS)])
-_HESS_FAC = np.where(np.eye(NVARS) > 0, 2.0, 1.0)
 
 _FACT = np.array([1.0, 1.0, 2.0, 6.0])
 
@@ -110,15 +106,20 @@ def _apply(M, c):
 class Jet:
     """Truncated Taylor expansion in three chart variables of a tensor of
     ``shape``, at one point (coefficients ``(nterms, *shape)``) or at a batch
-    of points (``(nterms, *shape, N)``)."""
+    of points (``(nterms, *shape, N)``); ``nterms`` is 1, 4, 10 or 20 for
+    truncation orders 0 to 3."""
 
-    __slots__ = ("c", "valid", "shape")
+    __slots__ = ("c", "shape")
     __array_ufunc__ = None  # force numpy to defer to our operators
 
-    def __init__(self, coeffs, valid=None, shape=()):
+    def __init__(self, coeffs, shape=()):
         self.c = np.asarray(coeffs, dtype=float)
-        self.valid = _ORDER_OF_NT[len(self.c)] if valid is None else valid
         self.shape = tuple(shape)
+
+    @property
+    def order(self):
+        """Truncation degree, read off the number of coefficients."""
+        return _ORDER_OF_NT[len(self.c)]
 
     # construction -----------------------------------------------------
     @staticmethod
@@ -150,14 +151,14 @@ class Jet:
         """The jet of an entry or slice of the tensor axes (numpy indexing,
         without an ellipsis)."""
         c = self.c[(slice(None),) + (idx if isinstance(idx, tuple) else (idx,))]
-        return Jet(c, self.valid, c.shape[1:c.ndim - self.batched])
+        return Jet(c, c.shape[1:c.ndim - self.batched])
 
     def reshape(self, shape):
         """The jet with its tensor axes reshaped to ``shape``."""
         shape = tuple(shape)
         return Jet(self.c.reshape((len(self.c),) + shape
                                   + self.c.shape[1 + len(self.shape):]),
-                   self.valid, shape)
+                   shape)
 
     # basic queries -----------------------------------------------------
     @property
@@ -167,23 +168,15 @@ class Jet:
 
     def grad(self):
         """First derivatives, ``(*shape, 3)`` or ``(N, *shape, 3)``."""
-        assert self.valid >= 1
+        assert self.order >= 1
         # the degree-1 block is ordered (x, y, z)
         return self._points_first(self.c[1:4], 1).copy()
 
-    def hess(self):
-        """Second derivatives, ``(*shape, 3, 3)``, point axis first."""
-        assert self.valid >= 2
-        return self._points_first(self.c[_HESS_SLOT], 2) * _HESS_FAC
-
-    def deriv(self, v=None):
-        """Jet of the partial derivative along chart variable ``v``; without
-        ``v``, of all three, on a new leading tensor axis of size 3."""
-        assert self.valid >= 1
-        D = _DERIV[len(self.c)]
-        if v is not None:
-            return Jet(_apply(D[v], self.c), self.valid - 1, self.shape)
-        return Jet(np.swapaxes(_apply(D, self.c), 0, 1), self.valid - 1,
+    def deriv(self):
+        """Jet of the partial derivatives along the three chart variables,
+        one order lower, on a new leading tensor axis of size 3."""
+        assert self.order >= 1
+        return Jet(np.swapaxes(_apply(_DERIV[len(self.c)], self.c), 0, 1),
                    (NVARS,) + self.shape)
 
     # arithmetic ---------------------------------------------------------
@@ -195,10 +188,13 @@ class Jet:
 
     def _operands(self, other):
         """Own and other's coefficients (or constant) and the broadcast
-        tensor shape, aligned so that tensor axes broadcast together."""
+        tensor shape, aligned so that tensor axes broadcast together; two
+        jets are truncated to the shorter one's length."""
         if isinstance(other, Jet):
             shape = np.broadcast_shapes(self.shape, other.shape)
-            return self._pad(len(shape)), other._pad(len(shape)), shape
+            nt = min(len(self.c), len(other.c))
+            return (self._pad(len(shape))[:nt], other._pad(len(shape))[:nt],
+                    shape)
         x = np.asarray(other, dtype=float)
         shape = np.broadcast_shapes(self.shape, x.shape)
         if self.batched and x.ndim:
@@ -208,15 +204,15 @@ class Jet:
     def __add__(self, other):
         a, b, shape = self._operands(other)
         if isinstance(other, Jet):
-            return Jet(a + b, min(self.valid, other.valid), shape)
+            return Jet(a + b, shape)
         c = np.array(np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)))
         c[0] += b
-        return Jet(c, self.valid, shape)
+        return Jet(c, shape)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.c, self.valid, self.shape)
+        return Jet(-self.c, self.shape)
 
     def __sub__(self, other):
         return self + (-other)
@@ -227,9 +223,8 @@ class Jet:
     def __mul__(self, other):
         a, b, shape = self._operands(other)
         if isinstance(other, Jet):
-            valid = min(self.valid, other.valid)
-            return Jet(_products(a, b, valid, np.multiply), valid, shape)
-        return Jet(a * b, self.valid, shape)
+            return Jet(_products(a, b, np.multiply), shape)
+        return Jet(a * b, shape)
 
     __rmul__ = __mul__
 
@@ -237,7 +232,7 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         a, b, shape = self._operands(other)
-        return Jet(a / b, self.valid, shape)
+        return Jet(a / b, shape)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -245,22 +240,22 @@ class Jet:
     def __repr__(self):
         points = self.c.shape[-1] if self.batched else None
         return (f"Jet(shape={self.shape}, points={points}, "
-                f"order={len(self.c)}, valid={self.valid})")
+                f"order={self.order})")
 
     # analytic functions --------------------------------------------------
     def _compose(self, ladder):
         """Evaluate f(self) entrywise given [f, f', f'', f'''] at the value
         part; each entry is a number or an array shaped like ``c[0]``."""
-        s = Jet(self.c.copy(), self.valid, self.shape)
+        s = Jet(self.c.copy(), self.shape)
         s.c[0] = 0.0
         c = np.zeros_like(self.c)
         c[0] = ladder[0]
         p = s
-        for k in range(1, self.valid + 1):
+        for k in range(1, self.order + 1):
             if k > 1:
                 p = p * s
             c = c + (ladder[k] / _FACT[k]) * p.c
-        return Jet(c, self.valid, self.shape)
+        return Jet(c, self.shape)
 
     def _reciprocal(self):
         x = self.c[0]
@@ -288,17 +283,11 @@ class Jet:
         return self._compose([c, -s, -c, s])
 
 
-def _products(a, b, valid, form):
-    """Product of coefficient arrays ``a`` and ``b``, ``form`` combining
-    paired coefficients; the slots above order ``valid`` hold zeros."""
-    nt = _NT_OF_ORDER[valid]
-    I, J, S = _PAIRS[nt]
-    head = _apply(S, form(a[I], b[J]))
-    if nt == len(a):
-        return head
-    c = np.zeros((len(a),) + head.shape[1:])
-    c[:nt] = head
-    return c
+def _products(a, b, form):
+    """Product of coefficient arrays ``a`` and ``b`` truncated to the shorter
+    length, ``form`` combining paired coefficients."""
+    I, J, S = _PAIRS[min(len(a), len(b))]
+    return _apply(S, form(a[I], b[J]))
 
 
 def contract(subscripts, a, b):
@@ -307,19 +296,19 @@ def contract(subscripts, a, b):
     ins, out = subscripts.split("->")
     sub_a, sub_b = ins.split(",")
     spec = f"p{sub_a}...,p{sub_b}...->p{out}..."
-    valid = min(a.valid, b.valid)
-    c = _products(a.c, b.c, valid, lambda x, y: np.einsum(spec, x, y))
-    return Jet(c, valid, c.shape[1:len(out) + 1])
+    c = _products(a.c, b.c, lambda x, y: np.einsum(spec, x, y))
+    return Jet(c, c.shape[1:len(out) + 1])
 
 
 def stack(items):
     """One jet from a nested list of jets of one shape: the nesting becomes
-    the leading tensor axes."""
+    the leading tensor axes, truncated to the shortest jet's length."""
     arr = np.asarray(items, dtype=object)
     flat = arr.ravel()
-    c = np.stack([x.c for x in flat], axis=1)
+    nt = min(len(x.c) for x in flat)
+    c = np.stack([x.c[:nt] for x in flat], axis=1)
     return Jet(c.reshape(c.shape[:1] + arr.shape + c.shape[2:]),
-               min(x.valid for x in flat), arr.shape + flat[0].shape)
+               arr.shape + flat[0].shape)
 
 
 def variables(u, order=ORDER):

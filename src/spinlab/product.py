@@ -114,19 +114,6 @@ class ProductModel:
         return np.array([value(l1 * w[0]), value(l1 * w[1]),
                          value(l2 * w[2]), value(l2 * w[3])])
 
-    def christoffels(self, p):
-        """Gamma[a][b][c] with factor-block structure; zero across factors."""
-        g1 = self.factor1.christoffels(p[0], p[1])
-        g2 = self.factor2.christoffels(p[2], p[3])
-        zero = 0.0
-        G = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    G[a][b][c] = g1[a][b][c]
-                    G[a + 2][b + 2][c + 2] = g2[a][b][c]
-        return G
-
     # curvature data ------------------------------------------------------
     def ricci_form(self, p, X, Y, factor: int):
         """rho_i(pi_i X, pi_i Y) for chart tangent vectors X, Y at p."""

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 
@@ -148,20 +147,6 @@ class ResidualReport:
     @property
     def passed(self):
         return self.overall_verdict == "pass"
-
-
-def tolerance_scale() -> float:
-    """Global tolerance multiplier from SPINLAB_TOL_SCALE (CI knob)."""
-    raw = os.environ.get("SPINLAB_TOL_SCALE", "")
-    if not raw:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"bad SPINLAB_TOL_SCALE {raw!r}") from exc
-    if scale <= 0:
-        raise ScenarioError("SPINLAB_TOL_SCALE must be positive")
-    return scale
 
 
 def emit_json(report: ResidualReport) -> str:

@@ -28,11 +28,26 @@ def fd_gradient(f, u, h=1e-6):
     return out
 
 
+def dense_christoffels(product, p):
+    """Gamma[a][b][c] of the product metric over the four ambient chart
+    coordinates at ``p``: the two factors' ``SurfaceModel.christoffels``
+    blocks in one 4x4x4 nested list, 0.0 where indices mix the factors."""
+    blocks = (product.factor1.christoffels(p[0], p[1]),
+              product.factor2.christoffels(p[2], p[3]))
+    G = [[[0.0] * 4 for _ in range(4)] for _ in range(4)]
+    for k, block in zip((0, 2), blocks):
+        for a in range(2):
+            for b in range(2):
+                for c in range(2):
+                    G[a + k][b + k][c + k] = block[a][b][c]
+    return G
+
+
 def fd_weingarten(chart, product, u, h=1e-6):
     """Shape operator from central differences of the unit normal field."""
     u = np.asarray(u, dtype=float)
     ev0 = evaluate(chart, product, u)
-    G = product.christoffels(ev0.phi)
+    G = dense_christoffels(product, ev0.phi)
     E_amb = np.empty((3, 4))
     for al in range(3):
         e = np.zeros(3)
@@ -623,13 +638,14 @@ def _cross4(t0, t1, t2):
 
 
 def _tensor(nested):
-    """One tensor jet from a nested list of scalar jets."""
+    """One tensor jet from a nested list of scalar jets, cut to the
+    shortest one's length."""
     from spinlab.jets import Jet
     arr = np.asarray(nested, dtype=object)
     flat = list(arr.flat)
-    c = np.stack([x.c for x in flat], axis=1)
-    return Jet(c.reshape(c.shape[:1] + arr.shape + c.shape[2:]),
-               min(x.valid for x in flat), arr.shape)
+    nt = min(len(x.c) for x in flat)
+    c = np.stack([x.c[:nt] for x in flat], axis=1)
+    return Jet(c.reshape(c.shape[:1] + arr.shape + c.shape[2:]), arr.shape)
 
 
 def scalar_jet_evaluation(chart, product, u, order=3):
@@ -651,7 +667,7 @@ def scalar_jet_evaluation(chart, product, u, order=3):
 
         @cached_property
         def _T(self):
-            return [[self._phi[a].deriv(al) for a in range(4)]
+            return [[self._phi[a].deriv()[al] for a in range(4)]
                     for al in range(3)]
 
         @cached_property
@@ -680,13 +696,13 @@ def scalar_jet_evaluation(chart, product, u, order=3):
 
         @cached_property
         def _gamma4(self):
-            return self.product.christoffels(self._phi)
+            return dense_christoffels(self.product, self._phi)
 
         def _ambient_derivative(self, alpha, W):
             G = self._gamma4
             out = []
             for a in range(4):
-                s = W[a].deriv(alpha)
+                s = W[a].deriv()[alpha]
                 for b in range(4):
                     for c in range(4):
                         if not isinstance(G[a][b][c], float):
@@ -769,7 +785,7 @@ def scalar_jet_evaluation(chart, product, u, order=3):
 
         @stage
         def gamma_induced(self):
-            dg = [[[self._g[b][c].deriv(a) for c in range(3)]
+            dg = [[[self._g[b][c].deriv()[a] for c in range(3)]
                    for b in range(3)] for a in range(3)]
             G = [[[None] * 3 for _ in range(3)] for _ in range(3)]
             for d in range(3):

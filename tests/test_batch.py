@@ -48,13 +48,16 @@ def test_batch_matches_single_points(members, rng, order):
     for name, prod, chart in members:
         pts = sample(chart, rng, 6)
         batch = evaluate(chart, prod, pts, order=order)
+        if order == 1:  # the shape operator needs order 2, its gradient 3
+            with pytest.raises(AssertionError):
+                batch.E_mixed.grad()
         for i, u in enumerate(pts):
             single = evaluate(chart, prod, u, order=order)
             view = batch.point(i)
             for stage in STAGES:
                 try:
                     want = getattr(single, stage)
-                except AssertionError:  # beyond the jets' valid order
+                except AssertionError:  # beyond the jets' order
                     continue
                 got = getattr(view, stage)
                 assert type(got) is type(want), (name, stage)
@@ -70,9 +73,22 @@ def test_batch_stages_have_a_leading_point_axis(members, rng):
     assert batch.g_val.shape == (5, 3, 3)
     assert batch.riemann_frame.shape == (5, 3, 3, 3, 3)
     assert batch.dE_frame.shape == (5, 3, 3, 3)
-    assert batch.h.c.shape == (20, 5)
     assert batch.dH.shape == (5, 3)
     assert batch.check_immersion().shape == (5,)
+    # a jet holds exactly the slots of its order: 20 to order 3, 10 to 2
+    # and 4 to 1, the point axis last
+    slots = {20: ("phi", "gbar", "ambient_gamma"),
+             10: ("T", "_T_low", "g", "g_inv", "nu", "h", "V_form",
+                  "V_ambient", "V_coord", "f_mixed", "xi_ambient", "xi_coord"),
+             4: ("shape_ambient", "second_fundamental", "E_mixed",
+                 "mean_curvature", "gamma_induced")}
+    jet_stages = {name for name in STAGES
+                  if isinstance(getattr(batch, name), Jet)}
+    assert jet_stages == {name for names in slots.values() for name in names}
+    for nterms, names in slots.items():
+        for name in names:
+            jet = getattr(batch, name)
+            assert jet.c.shape == (nterms,) + jet.shape + (5,), name
 
 
 def test_point_view_shares_the_batch():

@@ -7,7 +7,7 @@ from spinlab.jets import value
 from spinlab.product import (F_MATRIX, J_MATRIX, ProductModel, structure)
 from spinlab.surfaces import OutsideDomainError
 
-from helpers import (loop_auxiliary_curvature_residual,
+from helpers import (dense_christoffels, loop_auxiliary_curvature_residual,
                      loop_parallel_residual_on_curve)
 
 
@@ -37,7 +37,7 @@ def test_F_is_parallel():
     from spinlab.jets import variables
     jx, jy, jz = variables([0.0, 0.0, 0.0])
     pj = [p[0] + jx, p[1] + jy, p[2] + jz, p[3] + 0.0 * jx]
-    G = prod.christoffels(pj)
+    G = dense_christoffels(prod, pj)
     # (nabla F)^a_c = G^a_{b d} F^d_c - F^a_d G^d_{b c} for every direction b
     worst = 0.0
     for a in range(4):
@@ -127,7 +127,7 @@ def test_connection_clifford_compatibility(rng):
 
         dG = (gammaY(h) - gammaY(-h)) / (2 * h)
         C = prod.connection_matrix(p0, vel, st)
-        G = prod.christoffels([p0[0], p0[1], p0[2], p0[3]])
+        G = dense_christoffels(prod, p0)
         covY = np.array([
             sum(value(G[a][b][c]) * vel[b] * Y[c] if not isinstance(
                 G[a][b][c], float) else G[a][b][c] * vel[b] * Y[c]

@@ -117,15 +117,15 @@ def test_unknown_format_rejected():
 
 
 def test_tolerance_scale_env(monkeypatch):
-    monkeypatch.setenv("SPINLAB_TOL_SCALE", "1e6")
-    report = run_scenario(small_scenario())
-    spec_tol = next(s.tolerance for s in REGISTRY
-                    if s.name == "structure.contact")
-    rec = next(c for c in report.checks if c.name == "structure.contact")
-    assert rec.tolerance == pytest.approx(spec_tol * 1e6)
-    monkeypatch.setenv("SPINLAB_TOL_SCALE", "-2")
-    with pytest.raises(ScenarioError):
-        run_scenario(small_scenario())
+    """SPINLAB_TOL_SCALE is not read: however it is set, every record
+    carries its registry tolerance."""
+    spec_tol = {s.name: s.tolerance for s in REGISTRY}
+    for raw in ("1e6", "-2"):
+        monkeypatch.setenv("SPINLAB_TOL_SCALE", raw)
+        report = run_scenario(small_scenario())
+        assert [c.name for c in report.checks] == FAST_CHECKS
+        for rec in report.checks:
+            assert rec.tolerance == spec_tol[rec.name], rec.name
 
 
 def test_list_checks_registry():
