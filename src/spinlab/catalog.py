@@ -55,11 +55,9 @@ def _orientation(params, default):
 
 def _flat_hyperplane(params):
     return HypersurfaceChart(
-        kind="flat-hyperplane",
         map_fn=lambda x, y, z: (x, y, z, 0.0 * z),
         domain=np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]),
         orientation=_orientation(params, 1),
-        params=dict(params),
     )
 
 
@@ -73,32 +71,26 @@ def _round_sphere(params):
 
     # orientation -1 selects the inner normal -p/r (positive mean curvature)
     return HypersurfaceChart(
-        kind="round-sphere",
         map_fn=sphere_map,
         domain=np.array([[0.25, 1.32], [0.0, 6.28], [0.0, 6.28]]),
         orientation=_orientation(params, -1),
-        params=dict(params, r=r),
     )
 
 
 def _slice_geodesic(params):
     return HypersurfaceChart(
-        kind="slice-geodesic",
         map_fn=lambda x, y, z: (x, y, z, 0.0 * z),
         domain=np.array([[-0.7, 0.7], [-0.7, 0.7], [-0.7, 0.7]]),
         orientation=_orientation(params, 1),
-        params=dict(params),
     )
 
 
 def _sphere_circle_tube(params):
     a = _number(params.get("a", 0.5), "a")
     return HypersurfaceChart(
-        kind="sphere-circle-tube",
         map_fn=lambda x, y, z: (x, y, a * z.cos(), a * z.sin()),
         domain=np.array([[-0.7, 0.7], [-0.7, 0.7], [0.0, 6.28]]),
         orientation=_orientation(params, 1),
-        params=dict(params, a=a),
     )
 
 
@@ -114,11 +106,9 @@ def _graph(params):
         return (x, y, z, w)
 
     return HypersurfaceChart(
-        kind="graph",
         map_fn=graph_map,
         domain=np.array([[-0.7, 0.7], [-0.7, 0.7], [-0.7, 0.7]]),
         orientation=_orientation(params, 1),
-        params=dict(params, coeffs=co),
     )
 
 

@@ -49,6 +49,7 @@ class ScenarioContext:
         self.chart = build_chart(kind, params)
         rng = np.random.default_rng(scenario.seed)
         self.points = sample_points(self.chart, scenario.samples, rng)
+        self._spinc = {}
 
     def rng_for(self, name: str):
         return np.random.default_rng(
@@ -60,30 +61,24 @@ class ScenarioContext:
         a bad point surfaces inside the first check that needs it."""
         return hyp.evaluate(self.chart, self.product, self.points)
 
+    # perfbench's stage profile calls this; no check does
     def evaluation(self, i: int) -> hyp.PointEvaluation:
         return self.batch.point(i)
 
-    def _structure(self, tag: int):
-        return structure(tag, self.scenario.structure_pairing)
-
-    @cached_property
-    def restricted_s1(self) -> rst.RestrictedSpinc:
-        """The positive structure restricted at every sample point."""
-        return rst.restrict_structure(self.batch, self._structure(1))
-
-    @cached_property
-    def restricted_s2(self) -> rst.RestrictedSpinc:
-        """The negative structure restricted at every sample point."""
-        return rst.restrict_structure(self.batch, self._structure(2))
-
     def spinc(self, tag: int) -> rst.RestrictedSpinc:
-        return self.restricted_s1 if tag == 1 else self.restricted_s2
+        """The structure ``tag`` (1 positive, 2 negative) restricted at
+        every sample point, built on first use."""
+        if tag not in self._spinc:
+            self._spinc[tag] = rst.restrict_structure(
+                self.batch, structure(tag, self.scenario.structure_pairing))
+        return self._spinc[tag]
 
+    # perfbench's stage profile calls this; no check does
     def restricted(self, i: int, tag: int) -> rst.RestrictedSpinc:
         """The structure ``tag`` restricted at sample point ``i`` alone,
         read off the batch like ``evaluation(i)``."""
         return rst.restrict_structure(self.evaluation(i),
-                                      self._structure(tag))
+                                      self.spinc(tag).struct)
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,7 @@ def _over_structures(ctx, n, probe):
     positions, an ``(n, 4)`` array, under both structures."""
     p = ctx.batch.position[:n]
     return _record(worst_of(np.ravel([
-        probe(p, structure(tag, ctx.scenario.structure_pairing))
-        for tag in (1, 2)])), n)
+        probe(p, ctx.spinc(tag).struct) for tag in (1, 2)])), n)
 
 
 def check_ambient_parallel(ctx):

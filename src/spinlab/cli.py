@@ -32,15 +32,17 @@ def _write(text: str, out: str | None):
 
 def _cmd_run(args) -> int:
     try:
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:  # RecursionError: nesting too deep
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.structure_pairing is not None:
-        raw["structure_pairing"] = args.structure_pairing
+    if isinstance(raw, dict):  # Scenario.from_dict rejects anything else
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.structure_pairing is not None:
+            raw["structure_pairing"] = args.structure_pairing
     try:
         scenario = Scenario.from_dict(raw)
         report = run_scenario(scenario)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,15 +64,13 @@ class RankDeficientError(ValueError):
 class HypersurfaceChart:
     """Immersion u -> (p1(u), p2(u)) given as a jet-composable map."""
 
-    kind: str
     map_fn: object  # callable (x, y, z jets) -> 4 jet components
     domain: np.ndarray  # (3, 2) parameter box used for sampling
     orientation: int = 1
-    params: dict = field(default_factory=dict)
 
-    def map_jets(self, u, order=3):
+    def map_jets(self, u):
         """The four ambient chart components as one (4,) jet."""
-        return stack(list(self.map_fn(*variables(u, order))))
+        return stack(list(self.map_fn(*variables(u))))
 
 
 def _at(x, i):
@@ -105,28 +103,19 @@ def _value_stage(jet_stage):
 
 
 class PointEvaluation:
-    """All induced data of a hypersurface chart at one point or a batch.
+    """All induced data of a hypersurface chart at one point or a batch."""
 
-    ``order`` is the jet truncation degree: 1 suffices for the pointwise
-    splitting algebra, 2 adds the shape operator and first covariant
-    derivatives, 3 (default) everything up to the curvature tensor and the
-    covariant exterior derivative of E.  Requesting data beyond the chosen
-    order trips the jets' order assertions.
-    """
-
-    def __init__(self, chart: HypersurfaceChart, product: ProductModel, u,
-                 order: int = 3):
+    def __init__(self, chart: HypersurfaceChart, product: ProductModel, u):
         self.chart = chart
         self.product = product
         self.u = np.asarray(u, dtype=float)
-        self.order = order
         self._batch = None
         self._index = None
 
     def point(self, i) -> "PointEvaluation":
         """The evaluation at point ``i`` of this batch; a slice or an index
         array gives the sub-batch of those points."""
-        ev = PointEvaluation(self.chart, self.product, self.u[i], self.order)
+        ev = PointEvaluation(self.chart, self.product, self.u[i])
         ev._batch, ev._index = self, i
         return ev
 
@@ -152,7 +141,7 @@ class PointEvaluation:
     # --- immersion-level jets ------------------------------------------
     @_stage
     def phi(self):
-        return self.chart.map_jets(self.u, self.order)
+        return self.chart.map_jets(self.u)
 
     @_stage
     def T(self):
@@ -305,11 +294,6 @@ class PointEvaluation:
     xi_coord_val = _value_stage("xi_coord")
 
     @_stage
-    def eta(self):
-        """eta_alpha = g(xi, d_alpha) (values)."""
-        return contract("m,am->a", self.xi_ambient, self._T_low).val
-
-    @_stage
     def chi_mixed(self):
         """Chi[i, j] = component i of Chi(d_j), the tangential part of J."""
         T = self.T_val
@@ -429,10 +413,10 @@ class PointEvaluation:
                          vec - np.swapaxes(vec, -3, -2), e)
 
 
-def evaluate(chart, product, u, order: int = 3) -> PointEvaluation:
+def evaluate(chart, product, u) -> PointEvaluation:
     """Evaluate ``chart`` at one point u (shape (3,)) or at a batch of
     points (shape (N, 3)); the immersion check covers every point."""
-    ev = PointEvaluation(chart, product, u, order=order)
+    ev = PointEvaluation(chart, product, u)
     ev.check_immersion()
     return ev
 

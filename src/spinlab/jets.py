@@ -123,16 +123,16 @@ class Jet:
 
     # construction -----------------------------------------------------
     @staticmethod
-    def constant(x, nterms=NTERMS):
+    def constant(x):
         """Constant scalar jet of a number or of an (N,) array of values."""
         x = np.asarray(x, dtype=float)
-        c = np.zeros((nterms,) + x.shape)
+        c = np.zeros((NTERMS,) + x.shape)
         c[0] = x
         return Jet(c)
 
     @staticmethod
-    def variable(i, x0, order=ORDER):
-        jet = Jet.constant(x0, _NT_OF_ORDER[order])
+    def variable(i, x0):
+        jet = Jet.constant(x0)
         jet.c[_INDEX[tuple(1 if k == i else 0 for k in range(NVARS))]] = 1.0
         return jet
 
@@ -311,11 +311,11 @@ def stack(items):
                arr.shape + flat[0].shape)
 
 
-def variables(u, order=ORDER):
-    """Seed jets for a chart point u = (u1, u2, u3), or for a batch of
-    points given as an (N, 3) array."""
+def variables(u):
+    """Seed jets, of order ``ORDER``, for a chart point u = (u1, u2, u3), or
+    for a batch of points given as an (N, 3) array."""
     u = np.asarray(u, dtype=float)
-    return tuple(Jet.variable(i, u[..., i], order) for i in range(NVARS))
+    return tuple(Jet.variable(i, u[..., i]) for i in range(NVARS))
 
 
 def value(x):

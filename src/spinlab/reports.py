@@ -37,13 +37,16 @@ class Scenario:
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
-        checks = d.get("checks") if isinstance(d, dict) else None
+        if not isinstance(d, dict):
+            raise ScenarioError(
+                f"a scenario must be a JSON object, got {type(d).__name__}")
+        checks = d.get("checks")
         if checks is not None and (
                 not isinstance(checks, (list, tuple))
                 or not all(isinstance(c, str) for c in checks)):
             raise ScenarioError(
                 f"checks must be a list of check names, got {checks!r}")
-        tolerances = d.get("tolerances", {}) if isinstance(d, dict) else {}
+        tolerances = d.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ScenarioError("tolerances must map check names to numbers, "
                                 f"got {tolerances!r}")
@@ -75,8 +78,10 @@ class Scenario:
         if type(self.seed) is not int or self.seed < 0:
             raise ScenarioError(
                 f"seed must be an integer >= 0, got {self.seed!r}")
-        if any(not t > 0 for t in self.tolerances.values()):
-            raise ScenarioError("tolerances must be positive")
+        # an infinite tolerance could never fail and is not valid JSON
+        if any(not (t > 0 and math.isfinite(t))
+               for t in self.tolerances.values()):
+            raise ScenarioError("tolerances must be positive and finite")
         kind = self.hypersurface.get("kind")
         if not isinstance(kind, str) or kind not in CATALOG:
             raise ScenarioError(f"unknown hypersurface kind {kind!r}")

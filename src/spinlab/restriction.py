@@ -69,7 +69,6 @@ class RestrictedSpinc:
         self.sign = float(struct.chirality)
         self.model = ev.product.clifford
         self.psi = ev.product.parallel_spinor(struct)
-        self.position = ev.position
         # (lam1, lam1, lam2, lam2) per point: chart to orthonormal frame;
         # the product's evaluators read chart coordinates off axis 0 (``.T``)
         self.frame_scale = ev.product.frame_components(
@@ -145,7 +144,7 @@ class RestrictedSpinc:
         """Induced derivative of the restricted field via the Gauss formula."""
         X = np.asarray(X_coord)
         C = self.ev.product.connection_matrix(
-            self._per_point(self.position, X), self._chart(X), self.struct)
+            self._per_point(self.ev.position, X), self._chart(X), self.struct)
         return C @ self.psi \
             - 0.5 * self.sign * self.gamma(self.shape_operator(X), self.psi)
 
@@ -161,7 +160,7 @@ class RestrictedSpinc:
     def omega_pullback(self):
         """Om[..., i, j] = Omega(e_i, e_j) on the adapted frame (pullback)."""
         amb = self.frame_ambient
-        p = self.position.T[..., None, None]
+        p = self.ev.position.T[..., None, None]
         return value(self.ev.product.curvature_form(
             p, amb[..., :, None], amb[..., None, :], self.struct))
 
@@ -182,6 +181,7 @@ class RestrictedSpinc:
 # residual bundles
 # ---------------------------------------------------------------------------
 
+# perfbench times restriction as calls of this function (restrict_ms)
 def restrict_structure(ev: PointEvaluation, struct: SpincStructure) -> RestrictedSpinc:
     return RestrictedSpinc(ev, struct)
 
@@ -240,7 +240,7 @@ def curvature_restriction_residual(rs: RestrictedSpinc):
     ev = rs.ev
     product = ev.product
     gens = rs.model.generators
-    p = rs.position.T[..., None]
+    p = ev.position.T[..., None]
     # ambient 2-form action in the orthonormal frame eps_a, plane by plane
     A, B = np.triu_indices(4, 1)
     eps = np.eye(4).reshape((4,) + (1,) * (p.ndim - 2) + (4,)) \

@@ -123,7 +123,6 @@ def _points_last(x, k):
 class SystemResiduals:
     """The twelve residuals of one system, each with one value per point."""
 
-    tag: int
     residuals: dict
     vanishing_V: np.ndarray  # per point: eq04 and eq08 degenerate there
 
@@ -146,7 +145,7 @@ def system_residuals(tag: int, ev: PointEvaluation) -> SystemResiduals:
     eqs = fn(_points_last(ev.riemann_frame, 4), _points_last(ev.E_frame, 2),
              _points_last(ev.dE_frame, 3), _points_last(vV, 1), ev.h_val,
              ev.product.c1, ev.product.c2)
-    return SystemResiduals(tag, eqs, np.linalg.norm(vV, axis=-1) < 1e-12)
+    return SystemResiduals(eqs, np.linalg.norm(vV, axis=-1) < 1e-12)
 
 
 def perturbed_shape(ev: PointEvaluation, rng, scale=0.15):

@@ -648,7 +648,7 @@ def _tensor(nested):
     return Jet(c.reshape(c.shape[:1] + arr.shape + c.shape[2:]), arr.shape)
 
 
-def scalar_jet_evaluation(chart, product, u, order=3):
+def scalar_jet_evaluation(chart, product, u):
     """A ``PointEvaluation`` whose jet stages run the scalar-jet pipeline;
     its value stages are inherited and read those jets."""
     from functools import cached_property
@@ -663,7 +663,7 @@ def scalar_jet_evaluation(chart, product, u, order=3):
     class ScalarJetEvaluation(PointEvaluation):
         @cached_property
         def _phi(self):
-            return list(self.chart.map_fn(*variables(self.u, self.order)))
+            return list(self.chart.map_fn(*variables(self.u)))
 
         @cached_property
         def _T(self):
@@ -798,6 +798,6 @@ def scalar_jet_evaluation(chart, product, u, order=3):
                         G[d][b][c] = 0.5 * s
             return G
 
-    ev = ScalarJetEvaluation(chart, product, u, order)
+    ev = ScalarJetEvaluation(chart, product, u)
     ev.check_immersion()
     return ev

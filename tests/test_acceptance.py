@@ -84,7 +84,7 @@ def test_criterion_2_structure_suite():
     worst = 0.0
     for name, prod, chart in members:
         for u in sample(chart, rng, 100):
-            ev = evaluate(chart, prod, u, order=1)
+            ev = evaluate(chart, prod, u)
             worst = max(worst, max(involution_identities(ev).values()),
                         max(contact_identities(ev).values()))
     elapsed = took()
@@ -119,7 +119,7 @@ def test_criterion_4_restriction_suite():
              "omega": 0.0, "cancellation": 0.0}
     for name, prod, chart in catalog_members():
         for u in sample(chart, rng, 25):
-            ev = evaluate(chart, prod, u, order=2)
+            ev = evaluate(chart, prod, u)
             worst["cancellation"] = max(
                 worst["cancellation"],
                 max(projection_cancellation_residuals(ev).values()))
@@ -208,7 +208,7 @@ def test_criterion_7_dirac_energy_momentum():
     signs = set()
     for name, prod, chart in catalog_members():
         for u in sample(chart, rng, 8):
-            ev = evaluate(chart, prod, u, order=2)
+            ev = evaluate(chart, prod, u)
             de1 = dirac_and_energy_momentum(restrict_structure(ev, structure(1)))
             de2 = dirac_and_energy_momentum(restrict_structure(ev, structure(2)))
             worst_d = max(worst_d, de1.dirac_residual, de2.dirac_residual)

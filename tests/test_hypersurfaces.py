@@ -186,7 +186,6 @@ def test_outside_domain_raises():
 def test_rank_deficient_immersion_raises():
     # a map collapsing the third direction is not an immersion
     bad = HypersurfaceChart(
-        kind="degenerate",
         map_fn=lambda x, y, z: (x, y, 0.0 * z, 0.0 * z),
         domain=np.array([[-1, 1], [-1, 1], [-1, 1]]))
     with pytest.raises(RankDeficientError):

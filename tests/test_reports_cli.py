@@ -391,7 +391,9 @@ def test_umbilic_identity_asserts_dH_of_xi(monkeypatch):
     second = np.arange(6)[:, None] == 1
     _poison_batch(
         monkeypatch,
-        dH=lambda ev, x: x + np.where(second, t * ev.eta, 0.0),
+        dH=lambda ev, x: x + np.where(
+            second, t * np.einsum("...ab,...b->...a", ev.g_val,
+                                  ev.xi_coord_val), 0.0),
         V_frame=lambda ev, x: x + np.where(
             second, [0.0, 0.0, 4.0 * t / abs(c1 - c2)], 0.0))
     (rec,) = run_scenario(small_scenario(**{
@@ -410,7 +412,7 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
     calls = []
 
     def counted(rs):
-        calls.append((rs.position.shape, rs.struct.tag))
+        calls.append((rs.ev.position.shape, rs.struct.tag))
         return original(rs)
 
     monkeypatch.setattr(restriction, "dirac_and_energy_momentum", counted)
@@ -445,17 +447,27 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
      "tolerance for unknown check 'structure.contat'"),
     ({"samples": 2.7}, [], "sample count must be an integer"),
     ({"samples": True}, [], "sample count must be an integer"),
+    ({"tolerances": {"structure.involution": 1e999}}, [],
+     "tolerances must be positive and finite"),
+    (b"[1, 2]", ["--seed", "3"], "a scenario must be a JSON object, got list"),
+    (b'"x"', ["--structure-pairing", "flipped"],
+     "a scenario must be a JSON object, got str"),
+    ('{"name": "caf\u00e9"}'.encode("latin-1"), [], "cannot read scenario"),
+    (b"[" * 100000 + b"]" * 100000, [], "cannot read scenario"),
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
         "curvature-overflow", "graph-normal-overflow", "tolerances-as-list", "tolerances-as-string",
         "kind-as-list", "unknown-tolerance-name", "fractional-samples",
-        "boolean-samples"])
+        "boolean-samples", "infinite-tolerance", "list-with-seed-flag",
+        "string-with-pairing-flag", "not-utf8", "deeply-nested"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
                                             says):
     from spinlab.cli import main
     path = tmp_path / "scen.json"
-    path.write_text(json.dumps({**BASE, "checks": FAST_CHECKS, **change}))
+    # a bytes case is the whole file, any other the changes to a scenario
+    path.write_bytes(change if isinstance(change, bytes) else json.dumps(
+        {**BASE, "checks": FAST_CHECKS, **change}).encode())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["run", "--scenario", str(path), *extra]) == 2

@@ -117,10 +117,8 @@ def test_algebraic_condition_sign_flip_control():
     assert algebraic_conditions(rs) == pytest.approx(2.0, abs=1e-9)
 
     base = build_chart("round-sphere", {"r": 1.0})
-    flipped = HypersurfaceChart(kind=base.kind, map_fn=base.map_fn,
-                                domain=base.domain,
-                                orientation=-base.orientation,
-                                params=base.params)
+    flipped = HypersurfaceChart(map_fn=base.map_fn, domain=base.domain,
+                                orientation=-base.orientation)
     ev2 = evaluate(flipped, build_product(0.0, 0.0), [0.7, 1.0, 2.0])
     assert algebraic_conditions(restrict_structure(ev2, structure(1))) < 1e-12
 
