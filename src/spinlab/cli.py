@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass, 1 at least one residual failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -80,6 +81,7 @@ def _cmd_list_checks(_args) -> int:
     return 0
 
 
+@functools.cache  # one parser serves every call of ``main``
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinlab",

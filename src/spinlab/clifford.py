@@ -24,6 +24,7 @@ which is exactly multiplication by w2 there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,10 +58,17 @@ class CliffordModel:
         x = np.asarray(x)
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected {self.dim} frame components, got {x.shape}")
-        out = np.zeros(x.shape[:-1] + (self.spinor_dim,) * 2, dtype=complex)
-        for a in range(self.dim):
-            out += x[..., a, None, None] * self.generators[a]
-        return out
+        # one matrix product against the generators: no two of them have a
+        # real (or an imaginary) entry in the same place, so every entry is
+        # a single product, as in the sum of x_a e_a
+        n = self.spinor_dim
+        return (x.reshape(-1, self.dim) @ self._rows).reshape(
+            x.shape[:-1] + (n, n))
+
+    @cached_property
+    def _rows(self):
+        """The generators as the rows of a (dim, n * n) matrix."""
+        return np.stack(self.generators).reshape(self.dim, -1)
 
 
 def _validate(model: CliffordModel):

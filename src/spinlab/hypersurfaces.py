@@ -54,6 +54,13 @@ _N1, _N2 = (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3
 # The columns of a 3x4 matrix left without column mu: component mu of the
 # 4-vector cross product of its rows is (-1)^(mu+1) times their determinant.
 _COLS = np.array([[k for k in range(4) if k != mu] for mu in range(4)])
+# Christoffel symbols of a conformal metric lam^2 (dx^2 + dy^2) from
+# l = d log lam: Gamma^a_{bc} = _GAMMA_SIGN[a, b, c] l[_GAMMA_INDEX[a, b, c]].
+_GAMMA_INDEX = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
+_GAMMA_SIGN = np.array([[[1.0, 1.0], [1.0, -1.0]], [[-1.0, 1.0], [1.0, 1.0]]])
+# the contraction order np.einsum(..., optimize=True) finds for the frame
+# components of the curvature tensor, at one point and for any batch size
+_FRAME_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
 
 
 class RankDeficientError(ValueError):
@@ -149,7 +156,11 @@ class PointEvaluation:
         return self.phi.deriv()
 
     @_stage
-    def gbar(self):
+    def _lam(self):
+        """Conformal factors lam_k = 1 / (1 + c_k/4 (x_k^2 + y_k^2)) of the
+        two factors as one (2,) jet, to order 2 like every reader of the
+        ambient metric and its Christoffel symbols; raises
+        OutsideDomainError at the first point outside a factor's chart."""
         p = self.position
         for k, surf in ((0, self.product.factor1), (2, self.product.factor2)):
             x, y = p[..., k], p[..., k + 1]
@@ -157,7 +168,16 @@ class PointEvaluation:
                 surf.contains(x, y), OutsideDomainError,
                 lambda i: f"point ({x[i]:.3f}, {y[i]:.3f}) outside chart of "
                           f"curvature {surf.curvature}")
-        return stack(self.product.metric_diagonal(self.phi))
+        xy = self.phi.truncated(2).reshape((2, 2))
+        sq = xy * xy
+        quarter_c = np.array([0.25 * self.product.c1, 0.25 * self.product.c2])
+        return 1.0 / (1.0 + quarter_c * (sq[:, 0] + sq[:, 1]))
+
+    @_stage
+    def gbar(self):
+        """Diagonal of the product metric, (lam1^2, lam1^2, lam2^2, lam2^2)."""
+        lam = self._lam
+        return (lam * lam)[[0, 0, 1, 1]]
 
     position = _value_stage("phi")
     T_val = _value_stage("T")  # (3, 4)
@@ -221,9 +241,11 @@ class PointEvaluation:
     def ambient_gamma(self):
         """Christoffel symbols per factor, G[k, a, b, c] = Gamma^a_{bc} in
         the coordinates (2k, 2k + 1) of factor k; none mix the factors."""
-        p = self.phi
-        return stack([self.product.factor1.christoffels(p[0], p[1]),
-                      self.product.factor2.christoffels(p[2], p[3])])
+        # d log lam_k along (x_k, y_k) is -c_k/2 (x_k, y_k) lam_k
+        xy = self.phi.truncated(2).reshape((2, 2))
+        half_c = np.array([[-0.5 * self.product.c1], [-0.5 * self.product.c2]])
+        dlog = xy * half_c * self._lam.reshape((2, 1))
+        return dlog[:, _GAMMA_INDEX] * _GAMMA_SIGN
 
     @_stage
     def shape_ambient(self):
@@ -401,7 +423,7 @@ class PointEvaluation:
         Rl = np.einsum("...abcd,...de->...abce", self.riemann, self.g_val)
         e = self.frame
         return np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl",
-                         Rl, e, e, e, e, optimize=True)
+                         Rl, e, e, e, e, optimize=_FRAME_PATH)
 
     @_stage
     def dE_frame(self):

@@ -97,6 +97,8 @@ def _apply(M, c):
     """``M @`` along the coefficient axis of ``c``: (..., nterms) matrices
     times an (nterms, ...) coefficient array."""
     flat = c.reshape(len(c), -1)
+    if flat.shape[1] <= _BLOCK:
+        return (M @ flat).reshape(M.shape[:-1] + c.shape[1:])
     out = np.empty(M.shape[:-1] + flat.shape[1:])
     for i in range(0, flat.shape[1], _BLOCK):
         np.matmul(M, flat[:, i:i + _BLOCK], out=out[..., i:i + _BLOCK])
@@ -144,8 +146,9 @@ class Jet:
     def _points_first(self, x, lead=0):
         """``x`` laid out as ``(*lead, *shape, *points)``, returned as
         ``(*points, *shape, *lead)``."""
-        x = np.moveaxis(x, range(lead), range(-lead, 0)) if lead else x
-        return np.moveaxis(x, len(self.shape), 0) if self.batched else x
+        rank = lead + len(self.shape)
+        return x.transpose((*range(rank, x.ndim), *range(lead, rank),
+                            *range(lead)))
 
     def __getitem__(self, idx):
         """The jet of an entry or slice of the tensor axes (numpy indexing,
@@ -172,6 +175,10 @@ class Jet:
         # the degree-1 block is ordered (x, y, z)
         return self._points_first(self.c[1:4], 1).copy()
 
+    def truncated(self, order):
+        """The jet cut to ``order``: its first C(order + 3, 3) slots."""
+        return Jet(self.c[:_NT_OF_ORDER[order]], self.shape)
+
     def deriv(self):
         """Jet of the partial derivatives along the three chart variables,
         one order lower, on a new leading tensor axis of size 3."""
@@ -183,6 +190,8 @@ class Jet:
     def _pad(self, rank):
         """Coefficients with the tensor axes left-padded to ``rank``."""
         c = self.c
+        if rank == len(self.shape):
+            return c
         return c.reshape(c.shape[:1] + (1,) * (rank - len(self.shape))
                          + c.shape[1:])
 
@@ -191,12 +200,14 @@ class Jet:
         tensor shape, aligned so that tensor axes broadcast together; two
         jets are truncated to the shorter one's length."""
         if isinstance(other, Jet):
-            shape = np.broadcast_shapes(self.shape, other.shape)
+            shape = self.shape if self.shape == other.shape \
+                else np.broadcast_shapes(self.shape, other.shape)
             nt = min(len(self.c), len(other.c))
             return (self._pad(len(shape))[:nt], other._pad(len(shape))[:nt],
                     shape)
         x = np.asarray(other, dtype=float)
-        shape = np.broadcast_shapes(self.shape, x.shape)
+        shape = self.shape if self.shape == x.shape \
+            else np.broadcast_shapes(self.shape, x.shape)
         if self.batched and x.ndim:
             x = x[..., None]
         return self._pad(len(shape)), x, shape

@@ -64,6 +64,12 @@ J_MATRIX = np.array([
 ])
 F_MATRIX = np.diag([1.0, 1.0, -1.0, -1.0])
 
+# The dim-4 Clifford model and its bivectors E1 E2 and E3 E4 are the same
+# for every product, so they are built and validated once.
+CLIFFORD = build_clifford(4)
+E1E2 = CLIFFORD.generators[0] @ CLIFFORD.generators[1]
+E3E4 = CLIFFORD.generators[2] @ CLIFFORD.generators[3]
+
 
 @dataclass(frozen=True)
 class SpincStructure:
@@ -91,22 +97,15 @@ def structure(tag: int, pairing: str = "standard") -> SpincStructure:
 class ProductModel:
     """Product of two space forms with its spin^c machinery."""
 
+    clifford = CLIFFORD
+
     def __init__(self, c1: float, c2: float):
         self.factor1 = SurfaceModel(c1)
         self.factor2 = SurfaceModel(c2)
         self.c1 = float(c1)
         self.c2 = float(c2)
-        self.clifford = build_clifford(4)
-        self._e12 = self.clifford.generators[0] @ self.clifford.generators[1]
-        self._e34 = self.clifford.generators[2] @ self.clifford.generators[3]
 
     # basic tensors -----------------------------------------------------
-    def metric_diagonal(self, p):
-        """Diagonal of the product metric in chart coordinates."""
-        l1 = self.factor1.conformal_factor(p[0], p[1])
-        l2 = self.factor2.conformal_factor(p[2], p[3])
-        return [l1 * l1, l1 * l1, l2 * l2, l2 * l2]
-
     def frame_components(self, p, w):
         """Orthonormal-frame components of a chart tangent 4-vector."""
         l1 = self.factor1.conformal_factor(p[0], p[1])
@@ -148,7 +147,7 @@ class ProductModel:
                                      np.moveaxis(np.asarray(X), -1, 0))
         w1, w2 = (np.asarray(value(w))[..., None, None] for w in (w1, w2))
         aux = struct.signs[0] * w1 + struct.signs[1] * w2
-        return (0.5 * w1 * self._e12 + 0.5 * w2 * self._e34
+        return (0.5 * w1 * E1E2 + 0.5 * w2 * E3E4
                 + 0.5j * aux * np.eye(4))
 
     def parallel_spinor(self, struct: SpincStructure):

@@ -23,6 +23,17 @@ class ScenarioError(ValueError):
     pass
 
 
+def _json_number(x, what):
+    """``x`` as a float if it is a JSON number; true, false and numeric
+    strings are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{what} must be finite") from None
+
+
 @dataclass
 class Scenario:
     name: str
@@ -50,20 +61,24 @@ class Scenario:
         if not isinstance(tolerances, dict):
             raise ScenarioError("tolerances must map check names to numbers, "
                                 f"got {tolerances!r}")
-        try:
-            sc = Scenario(
-                name=str(d["name"]),
-                c1=float(d["c1"]),
-                c2=float(d["c2"]),
-                hypersurface=dict(d["hypersurface"]),
-                samples=d.get("samples", 40),
-                seed=d.get("seed", 0),
-                checks=list(d["checks"]) if d.get("checks") is not None else None,
-                tolerances={str(k): float(v) for k, v in tolerances.items()},
-                structure_pairing=str(d.get("structure_pairing", "standard")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"invalid scenario: {exc}") from exc
+        for key in ("name", "c1", "c2", "hypersurface"):
+            if key not in d:
+                raise ScenarioError(f"invalid scenario: missing {key!r}")
+        if not isinstance(d["hypersurface"], dict):
+            raise ScenarioError("hypersurface must be an object, got "
+                                f"{d['hypersurface']!r}")
+        sc = Scenario(
+            name=str(d["name"]),
+            c1=_json_number(d["c1"], "c1"),
+            c2=_json_number(d["c2"], "c2"),
+            hypersurface=dict(d["hypersurface"]),
+            samples=d.get("samples", 40),
+            seed=d.get("seed", 0),
+            checks=list(checks) if checks is not None else None,
+            tolerances={str(k): _json_number(v, f"tolerance of {k!r}")
+                        for k, v in tolerances.items()},
+            structure_pairing=str(d.get("structure_pairing", "standard")),
+        )
         sc.validate()
         return sc
 

@@ -35,10 +35,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import ProductSpinorSpace
+from .clifford import ProductSpinorSpace, build_clifford
 from .hypersurfaces import PointEvaluation
 from .jets import value
-from .product import SpincStructure
+from .product import CLIFFORD, SpincStructure
+
+_SPACE = ProductSpinorSpace(build_clifford(2), CLIFFORD)
+# the six coordinate planes (a, b), a < b, of the ambient orthonormal frame
+# with the Clifford action of their bivectors e_a e_b, and the three pairs
+# i < j of the adapted frame
+_PLANE_A, _PLANE_B = np.triu_indices(4, 1)
+_PLANES = np.stack([CLIFFORD.generators[a] @ CLIFFORD.generators[b]
+                    for a, b in zip(_PLANE_A, _PLANE_B)])
+_PAIR_I, _PAIR_J = np.triu_indices(3, 1)
 
 
 def closed_form_omega(tag: int, c1, c2, h, V_frame):
@@ -239,29 +248,23 @@ def curvature_restriction_residual(rs: RestrictedSpinc):
     """
     ev = rs.ev
     product = ev.product
-    gens = rs.model.generators
     p = ev.position.T[..., None]
     # ambient 2-form action in the orthonormal frame eps_a, plane by plane
-    A, B = np.triu_indices(4, 1)
     eps = np.eye(4).reshape((4,) + (1,) * (p.ndim - 2) + (4,)) \
         / rs.frame_scale.T[..., None]
-    coeffs = value(product.curvature_form(p, eps[..., A], eps[..., B],
-                                          rs.struct))
-    planes = np.stack([gens[a] @ gens[b] for a, b in zip(A, B)])
-    lhs = np.einsum("...k,kab->...ab", coeffs, planes) @ rs.psi
+    coeffs = value(product.curvature_form(
+        p, eps[..., _PLANE_A], eps[..., _PLANE_B], rs.struct))
+    lhs = np.einsum("...k,kab->...ab", coeffs, _PLANES) @ rs.psi
 
     G = rs.frame_gammas
-    I, J = np.triu_indices(3, 1)
-    rhs = np.einsum("...k,...kab,...kb->...a", rs.omega_pullback[..., I, J],
-                    G[..., I, :, :], G[..., J, :, :] @ rs.psi)
+    rhs = np.einsum("...k,...kab,...kb->...a",
+                    rs.omega_pullback[..., _PAIR_I, _PAIR_J],
+                    G[..., _PAIR_I, :, :], G[..., _PAIR_J, :, :] @ rs.psi)
     contraction = value(product.curvature_form(
         p, ev.nu_val.T[..., None], rs.frame_ambient, rs.struct))
     W = np.einsum("...ai,...i->...a", ev.frame, contraction)
     rhs = rhs - rs.sign * rs.gamma(W, rs.psi)
     return np.linalg.norm(lhs - rhs, axis=-1)
-
-
-_SPACE = ProductSpinorSpace.build()
 
 
 def projection_cancellation_residuals(ev: PointEvaluation):

@@ -61,20 +61,6 @@ class SurfaceModel:
         self.check_point(x, y)
         return 1.0 / (1.0 + 0.25 * self.curvature * (x * x + y * y))
 
-    def log_factor_gradient(self, x, y):
-        """(d_u log lam, d_v log lam) in closed form."""
-        lam = self.conformal_factor(x, y)
-        c2 = 0.5 * self.curvature
-        return (-c2 * x * lam, -c2 * y * lam)
-
-    def christoffels(self, x, y):
-        """Christoffel symbols G[a][b][c] = Gamma^a_{bc} of lam^2(du^2+dv^2)."""
-        lx, ly = self.log_factor_gradient(x, y)
-        return [
-            [[lx, ly], [ly, -1.0 * lx]],
-            [[-1.0 * ly, lx], [lx, ly]],
-        ]
-
     def frame_rotation_form(self, x, y):
         """Chart components (w_u, w_v) of w12."""
         lam = self.conformal_factor(x, y)

@@ -116,7 +116,8 @@ def system_two(R, a, dE, vV, h, c1, c2):
 def _points_last(x, k):
     """``x`` with its leading point axes, if any, moved behind its ``k``
     trailing index axes, so ``x[i, j]`` holds one value per point."""
-    return np.moveaxis(x, list(range(x.ndim - k)), list(range(k, x.ndim)))
+    lead = x.ndim - k
+    return x.transpose((*range(lead, x.ndim), *range(lead)))
 
 
 @dataclass

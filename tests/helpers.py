@@ -28,12 +28,36 @@ def fd_gradient(f, u, h=1e-6):
     return out
 
 
+# --- scalar references for the ambient metric and its Christoffel symbols ---
+# The engine builds both as tensor jets from one conformal-factor pass
+# (``PointEvaluation.gbar``, ``ambient_gamma``); these are the closed forms
+# factor by factor, on floats or scalar jets.
+
+def metric_diagonal(product, p):
+    """Diagonal of the product metric in chart coordinates."""
+    l1 = product.factor1.conformal_factor(p[0], p[1])
+    l2 = product.factor2.conformal_factor(p[2], p[3])
+    return [l1 * l1, l1 * l1, l2 * l2, l2 * l2]
+
+
+def christoffels(surf, x, y):
+    """Christoffel symbols G[a][b][c] = Gamma^a_{bc} of lam^2(du^2+dv^2),
+    from (d_u log lam, d_v log lam) = -c/2 (u, v) lam."""
+    lam = surf.conformal_factor(x, y)
+    c2 = 0.5 * surf.curvature
+    lx, ly = -c2 * x * lam, -c2 * y * lam
+    return [
+        [[lx, ly], [ly, -1.0 * lx]],
+        [[-1.0 * ly, lx], [lx, ly]],
+    ]
+
+
 def dense_christoffels(product, p):
     """Gamma[a][b][c] of the product metric over the four ambient chart
-    coordinates at ``p``: the two factors' ``SurfaceModel.christoffels``
-    blocks in one 4x4x4 nested list, 0.0 where indices mix the factors."""
-    blocks = (product.factor1.christoffels(p[0], p[1]),
-              product.factor2.christoffels(p[2], p[3]))
+    coordinates at ``p``: the two factors' ``christoffels`` blocks in one
+    4x4x4 nested list, 0.0 where indices mix the factors."""
+    blocks = (christoffels(product.factor1, p[0], p[1]),
+              christoffels(product.factor2, p[2], p[3]))
     G = [[[0.0] * 4 for _ in range(4)] for _ in range(4)]
     for k, block in zip((0, 2), blocks):
         for a in range(2):
@@ -672,7 +696,7 @@ def scalar_jet_evaluation(chart, product, u):
 
         @cached_property
         def _gbar(self):
-            return self.product.metric_diagonal(self._phi)
+            return metric_diagonal(self.product, self._phi)
 
         def _bar_dot(self, X, Y):
             return sum(self._gbar[a] * X[a] * Y[a] for a in range(4))

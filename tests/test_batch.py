@@ -74,9 +74,10 @@ def test_batch_stages_have_a_leading_point_axis(members, rng):
     assert batch.check_immersion().shape == (5,)
     # a jet holds exactly the slots of its order: 20 to order 3, 10 to 2
     # and 4 to 1, the point axis last
-    slots = {20: ("phi", "gbar", "ambient_gamma"),
-             10: ("T", "_T_low", "g", "g_inv", "nu", "h", "V_form",
-                  "V_ambient", "V_coord", "f_mixed", "xi_ambient", "xi_coord"),
+    slots = {20: ("phi",),
+             10: ("_lam", "gbar", "ambient_gamma", "T", "_T_low", "g",
+                  "g_inv", "nu", "h", "V_form", "V_ambient", "V_coord",
+                  "f_mixed", "xi_ambient", "xi_coord"),
              4: ("shape_ambient", "second_fundamental", "E_mixed",
                  "mean_curvature", "gamma_induced")}
     jet_stages = {name for name in STAGES
@@ -86,6 +87,10 @@ def test_batch_stages_have_a_leading_point_axis(members, rng):
         for name in names:
             jet = getattr(batch, name)
             assert jet.c.shape == (nterms,) + jet.shape + (5,), name
+    # the ambient metric is built to order 2: its third derivatives are
+    # beyond its order
+    with pytest.raises(AssertionError):
+        batch.gbar.deriv().deriv().grad()
 
 
 def test_point_view_shares_the_batch():

@@ -171,3 +171,21 @@ def test_shape_commutator_diagonal_and_identity():
         shape_commutator_residual(np.array([[0.0, 1.0, 0.0],
                                             [0.0, 0.0, 0.0],
                                             [0.0, 0.0, 0.0]]))
+
+
+@given(st.sampled_from([2, 3, 4]),
+       st.lists(st.integers(1, 4), max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_vector_is_the_generator_sum_bit_for_bit(m, batch, seed):
+    """``vector`` (one matrix product) equals sum_a x_a e_a exactly, for
+    any batch shape of frame components."""
+    model = build_clifford(m)
+    x = np.random.default_rng(seed).standard_normal(tuple(batch) + (m,)) \
+        * 10.0 ** np.random.default_rng(seed + 1).integers(-8, 8)
+    want = np.zeros(x.shape[:-1] + (model.spinor_dim,) * 2, dtype=complex)
+    for a in range(m):
+        want += x[..., a, None, None] * model.generators[a]
+    got = model.vector(x)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)

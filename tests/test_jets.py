@@ -346,3 +346,18 @@ def test_one_point_jets_match_batch_columns(case):
                                rtol=1e-13, atol=1e-13)
             assert np.allclose(one.deriv().grad(), batch.deriv().grad()[n],
                                rtol=1e-13, atol=1e-13)
+
+
+# --- value layouts: one transpose against the moveaxis forms ----------------
+@pytest.mark.parametrize("shape", [(), (4,), (3, 3), (2, 2, 2, 2)])
+@pytest.mark.parametrize("points", [None, 1, 5])
+@pytest.mark.parametrize("lead", [0, 1])
+def test_points_first_equals_moveaxis(shape, points, lead):
+    batch = () if points is None else (points,)
+    jet = Jet(np.zeros((20,) + shape + batch), shape)
+    x = np.arange(float(np.prod((3,) * lead + shape + batch))).reshape(
+        (3,) * lead + shape + batch)
+    want = np.moveaxis(x, range(lead), range(-lead, 0)) if lead else x
+    want = np.moveaxis(want, len(shape), 0) if points is not None else want
+    got = jet._points_first(x, lead)
+    assert got.shape == want.shape and np.array_equal(got, want)

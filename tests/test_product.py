@@ -8,7 +8,7 @@ from spinlab.product import (F_MATRIX, J_MATRIX, ProductModel, structure)
 from spinlab.surfaces import OutsideDomainError
 
 from helpers import (dense_christoffels, loop_auxiliary_curvature_residual,
-                     loop_parallel_residual_on_curve)
+                     loop_parallel_residual_on_curve, metric_diagonal)
 
 
 def test_structure_tags_and_chirality():
@@ -154,7 +154,7 @@ def test_auxiliary_curvature_consistency(c1, c2, rng):
 def test_metric_diagonal_blocks():
     prod = ProductModel(2.0, -0.5)
     p = [0.1, 0.2, 0.3, -0.1]
-    d = [value(x) for x in prod.metric_diagonal(p)]
+    d = [value(x) for x in metric_diagonal(prod, p)]
     l1 = value(prod.factor1.conformal_factor(0.1, 0.2))
     l2 = value(prod.factor2.conformal_factor(0.3, -0.1))
     assert d[0] == d[1] == pytest.approx(l1 * l1)

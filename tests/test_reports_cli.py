@@ -454,13 +454,22 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
      "a scenario must be a JSON object, got str"),
     ('{"name": "caf\u00e9"}'.encode("latin-1"), [], "cannot read scenario"),
     (b"[" * 100000 + b"]" * 100000, [], "cannot read scenario"),
+    ({"tolerances": {"curvature.gauss": True}}, [],
+     "tolerance of 'curvature.gauss' must be a number, got True"),
+    ({"c1": True}, [], "c1 must be a number, got True"),
+    ({"c1": "1.5"}, [], "c1 must be a number, got '1.5'"),
+    ({"c2": 10 ** 400}, [], "c2 must be finite"),
+    ({"hypersurface": [["kind", "graph"]]}, [],
+     "hypersurface must be an object"),
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
         "curvature-overflow", "graph-normal-overflow", "tolerances-as-list", "tolerances-as-string",
         "kind-as-list", "unknown-tolerance-name", "fractional-samples",
         "boolean-samples", "infinite-tolerance", "list-with-seed-flag",
-        "string-with-pairing-flag", "not-utf8", "deeply-nested"])
+        "string-with-pairing-flag", "not-utf8", "deeply-nested",
+        "boolean-tolerance", "boolean-curvature", "string-curvature",
+        "huge-integer-curvature", "hypersurface-as-list"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
                                             says):
     from spinlab.cli import main

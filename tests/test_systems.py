@@ -179,3 +179,13 @@ def test_codazzi_residual_consistency_with_converse(members, rng):
         ev = evaluate(chart, prod, u)
         res, _ = converse_check(ev)
         assert res["codazzi"] == pytest.approx(codazzi_residual(ev), abs=1e-14)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (6,), (2, 3)])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_points_last_equals_moveaxis(lead, k):
+    from spinlab.systems import _points_last
+    x = np.arange(float(np.prod(lead + (3,) * k))).reshape(lead + (3,) * k)
+    want = np.moveaxis(x, list(range(x.ndim - k)), list(range(k, x.ndim)))
+    got = _points_last(x, k)
+    assert got.shape == want.shape and np.array_equal(got, want)
