@@ -29,18 +29,14 @@ import numpy as np
 
 from .hypersurfaces import HypersurfaceChart
 from .product import ProductModel
-from .reports import ScenarioError
+from .reports import ScenarioError, _json_number
 
 DEFAULT_GRAPH_COEFFS = (0.25, 0.2, 0.15, 0.2, 0.1)
 
 
 def _number(x, name):
-    """A finite float chart parameter."""
-    try:
-        out = float(x)
-    except (TypeError, ValueError):
-        raise ScenarioError(
-            f"chart parameter {name!r} must be a number, got {x!r}") from None
+    """A finite float chart parameter, given as a JSON number."""
+    out = _json_number(x, f"chart parameter {name!r}")
     if not math.isfinite(out):
         raise ScenarioError(f"chart parameter {name!r} must be finite")
     return out
@@ -120,6 +116,15 @@ CATALOG = {
     "graph": _graph,
 }
 
+# the parameters each kind reads; any other name is a mistake
+PARAMETERS = {
+    "flat-hyperplane": ("orientation",),
+    "round-sphere": ("r", "orientation"),
+    "slice-geodesic": ("orientation",),
+    "sphere-circle-tube": ("a", "orientation"),
+    "graph": ("coeffs", "orientation"),
+}
+
 
 def build_chart(kind: str, params=None) -> HypersurfaceChart:
     """The catalog chart ``kind``; ScenarioError on bad parameters."""
@@ -128,6 +133,11 @@ def build_chart(kind: str, params=None) -> HypersurfaceChart:
                        f"known: {sorted(CATALOG)}")
     if params is not None and not isinstance(params, dict):
         raise ScenarioError(f"chart parameters must be an object, got {params!r}")
+    for name in params or {}:
+        if name not in PARAMETERS[kind]:
+            raise ScenarioError(
+                f"chart kind {kind!r} has no parameter {name!r}; it reads "
+                f"{', '.join(map(repr, PARAMETERS[kind]))}")
     return CATALOG[kind](params or {})
 
 

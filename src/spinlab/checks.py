@@ -49,6 +49,9 @@ class ScenarioContext:
         self.chart = build_chart(kind, params)
         rng = np.random.default_rng(scenario.seed)
         self.points = sample_points(self.chart, scenario.samples, rng)
+        # structures 1 (positive) and 2 (negative)
+        self.structures = tuple(structure(tag, scenario.structure_pairing)
+                                for tag in (1, 2))
         self._spinc = {}
 
     def rng_for(self, name: str):
@@ -70,7 +73,7 @@ class ScenarioContext:
         every sample point, built on first use."""
         if tag not in self._spinc:
             self._spinc[tag] = rst.restrict_structure(
-                self.batch, structure(tag, self.scenario.structure_pairing))
+                self.batch, self.structures[tag - 1])
         return self._spinc[tag]
 
     # perfbench's stage profile calls this; no check does
@@ -119,27 +122,20 @@ def _batch_check(residual, tag=None, **notes):
 
 # --- ambient / product-model checks -----------------------------------------
 
-def _over_structures(ctx, n, probe):
-    """Record of ``probe(positions, struct)`` at the first ``n`` sample
-    positions, an ``(n, 4)`` array, under both structures."""
-    p = ctx.batch.position[:n]
-    return _record(worst_of(np.ravel([
-        probe(p, ctx.spinc(tag).struct) for tag in (1, 2)])), n)
-
-
 def check_ambient_parallel(ctx):
     n = min(20, len(ctx.points))
     # the same stream as drawing vel (4) then acc (4) point by point
     draws = ctx.rng_for("ambient.parallel_spinor").standard_normal((n, 2, 4))
     vel, acc = 0.2 * draws[:, 0], 0.1 * draws[:, 1]
     ts = np.linspace(-0.5, 0.5, 7)
-    return _over_structures(ctx, n, lambda p, st: (
-        ctx.product.parallel_residual_on_curve(st, p, vel, acc, ts)))
+    return _record(worst_of(np.ravel(ctx.product.parallel_residual_on_curve(
+        ctx.structures, ctx.batch.position[:n], vel, acc, ts))), n)
 
 
 def check_ambient_auxiliary(ctx):
-    return _over_structures(ctx, min(12, len(ctx.points)),
-                            ctx.product.auxiliary_curvature_residual)
+    n = min(12, len(ctx.points))
+    return _record(worst_of(np.ravel(ctx.product.auxiliary_curvature_residual(
+        ctx.batch.position[:n], ctx.structures))), n)
 
 
 def check_ambient_product_structure(ctx):
@@ -151,20 +147,24 @@ def check_ambient_product_structure(ctx):
     h = 1e-3
     n = min(10, len(ctx.points))
     p = ctx.batch.position[:n]
+    # the nodes of a fourth-order second-derivative stencil along x, then
+    # along y, evaluated as one array; node 2 of either is the point itself
+    t = np.array([2 * h, h, 0.0, -h, 2 * -h])[:, None]
+    rows = (len(t), n)
+
+    def d2(f):
+        return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+
     for surf, x, y in ((ctx.product.factor1, p[:, 0], p[:, 1]),
                        (ctx.product.factor2, p[:, 2], p[:, 3])):
-        lam = lambda a, b: value(surf.conformal_factor(a, b))
-
-        def d2(fn):  # fourth-order second derivative stencil
-            return (-fn(2 * h) + 16 * fn(h) - 30 * fn(0.0)
-                    + 16 * fn(-h) - fn(2 * -h)) / (12 * h * h)
-
-        lap = (d2(lambda t: np.log(lam(x + t, y)))
-               + d2(lambda t: np.log(lam(x, y + t))))
-        K = -lap / lam(x, y) ** 2
+        lam = value(surf.conformal_factor(
+            np.concatenate([x + t, np.broadcast_to(x, rows)]),
+            np.concatenate([np.broadcast_to(y, rows), y + t])))
+        log_lam = np.log(lam)
+        K = -(d2(log_lam[:5]) + d2(log_lam[5:])) / lam[2] ** 2
         # rho coefficient must equal K * lam^2 (area form density)
         rho = value(surf.ricci_form_coefficient(x, y))
-        res.extend(np.abs(rho - K * lam(x, y) ** 2))
+        res.extend(np.abs(rho - K * lam[2] ** 2))
     return _record(worst_of(res), n)
 
 
@@ -381,13 +381,13 @@ REGISTRY = [
               "generalized Killing law nabla_X phi = -1/2 gamma(EX) phi "
               "for the restricted positive-structure spinor",
               1e-6, "assert",
-              _batch_check(lambda rs: rs.killing_residual(rs.frame_vectors), 1,
+              _batch_check(lambda rs: rst.frame_killing_residual(rs), 1,
                            status=KILLING_STATUS)),
     CheckSpec("killing.s2",
               "generalized Killing law nabla_X phi = +1/2 gamma(EX) phi "
               "for the restricted negative-structure spinor",
               1e-6, "assert",
-              _batch_check(lambda rs: rs.killing_residual(rs.frame_vectors), 2,
+              _batch_check(lambda rs: rst.frame_killing_residual(rs), 2,
                            status=KILLING_STATUS)),
     CheckSpec("spinc.relations_s1",
               "induced Clifford relations and skew-adjointness; volume "

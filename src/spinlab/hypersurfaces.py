@@ -19,12 +19,18 @@ computed by whole-tensor contractions; value-level arrays put the point
 axis first, so ``g_val`` is (3, 3) at one point and (N, 3, 3) for a
 batch.  ``point(i)`` gives the evaluation of one point of a batch; it
 reads the batch's stages instead of recomputing them.  The identity
-residuals below take either and return one value per point.
+residuals below take either and return one value per point.  Those that
+several checks read (Gauss, Codazzi, the derivative identities, the rank
+pair, and the compatibility systems in ``systems``) are computed once per
+evaluation and handed out read-only; a point view reads them off its batch
+like a stage.
 
 The value stages (``g_val``, ``E_mixed_val``, ``V_frame``, ``h_val``, ...)
 are the one point record every identity reads; ``replace`` swaps some of
 them in a copy, which is how negative controls and the corruptions of the
-converse direction feed altered data to the same identities.
+converse direction feed altered data to the same identities.  The copy
+shares no identity residual, so each is computed again from the altered
+data.
 
 Conventions: nu is the chart normal scaled by the chart's orientation flag,
 E X = -nabla_X nu (a round 3-sphere of radius r with inner normal has
@@ -81,8 +87,41 @@ class HypersurfaceChart:
 
 
 def _at(x, i):
-    """Entry ``i`` of batch data, a jet or an array."""
-    return Jet(x.c[..., i], x.shape) if isinstance(x, Jet) else x[i]
+    """Entry ``i`` of batch data: a jet, an array, or a dict or tuple of
+    arrays."""
+    if isinstance(x, Jet):
+        return Jet(x.c[..., i], x.shape)
+    if isinstance(x, dict):
+        return {k: v[i] for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(v[i] for v in x)
+    return x[i]
+
+
+def _read_only(x):
+    """``x``, an array or a dict or tuple of arrays, with every array made
+    read-only."""
+    parts = (x.values() if isinstance(x, dict)
+             else x if isinstance(x, tuple) else (x,))
+    for a in parts:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return x
+
+
+def _shared(ev, body, *args):
+    """``body(ev, *args)``, an identity residual that several checks read,
+    computed once per evaluation and handed out read-only, a dict as a
+    copy.  Like a stage, on the evaluation of points of a batch it reads
+    the batch's result at those points; an evaluation made by ``replace``
+    computes its own."""
+    if ev._memo is None:
+        return _read_only(_at(_shared(ev._batch, body, *args), ev._index))
+    key = (body, *args)
+    if key not in ev._memo:
+        ev._memo[key] = _read_only(body(ev, *args))
+    out = ev._memo[key]
+    return dict(out) if isinstance(out, dict) else out
 
 
 def _mv(M, v):
@@ -118,22 +157,25 @@ class PointEvaluation:
         self.u = np.asarray(u, dtype=float)
         self._batch = None
         self._index = None
+        self._memo = {}  # shared identity residuals, see ``_shared``
 
     def point(self, i) -> "PointEvaluation":
         """The evaluation at point ``i`` of this batch; a slice or an index
         array gives the sub-batch of those points."""
         ev = PointEvaluation(self.chart, self.product, self.u[i])
-        ev._batch, ev._index = self, i
+        ev._batch, ev._index, ev._memo = self, i, None
         return ev
 
     def replace(self, **stages) -> "PointEvaluation":
         """A copy with the named stages set to the given values.  It shares
-        every stage computed so far; on the evaluation of one point of a
-        batch, the stages it does not name still read the batch."""
+        every stage computed so far, but no identity residual; on the
+        evaluation of one point of a batch, the stages it does not name
+        still read the batch."""
         assert all(isinstance(getattr(PointEvaluation, k, None),
                               cached_property) for k in stages), stages
         ev = copy.copy(self)
         ev.__dict__.update(stages)
+        ev._memo = {}
         return ev
 
     def _require(self, ok, error, message):
@@ -583,6 +625,10 @@ def product_structure_matrix(ev: PointEvaluation):
 def rank_pair(ev: PointEvaluation):
     """Numerical ranks of (F + Id)/2 and (F - Id)/2 for the frame data,
     per point; NaN where the data is not finite (svd would raise)."""
+    return _shared(ev, _rank_pair)
+
+
+def _rank_pair(ev):
     F4 = product_structure_matrix(ev)
     finite = np.all(np.isfinite(F4), axis=(-2, -1))
     F4 = np.where(finite[..., None, None], F4, 0.0)
@@ -606,6 +652,10 @@ def gauss_residual(ev: PointEvaluation):
     """max_{ijkl} |R_ijkl - RHS_ijkl| for the product-target Gauss equation,
     per point of a batch; RHS_ijkl is the e_l component of the right side
     for the curvature of (e_i, e_j) acting on e_k."""
+    return _shared(ev, _gauss)
+
+
+def _gauss(ev):
     eye = np.eye(3)
     c1, c2 = ev.product.c1, ev.product.c2
     p_jk, p_ik = _pair_terms(eye + ev.f_frame)
@@ -618,6 +668,10 @@ def gauss_residual(ev: PointEvaluation):
 def codazzi_residual(ev: PointEvaluation):
     """max_{ijk} |g(dNabla E(e_i, e_j), e_k) - RHS(i, j, k)|, per point of a
     batch."""
+    return _shared(ev, _codazzi)
+
+
+def _codazzi(ev):
     g, f, V = np.eye(3), ev.f_frame, ev.V_frame
     c1, c2 = ev.product.c1, ev.product.c2
     V_i, V_j = V[..., :, None, None], V[..., None, :, None]
@@ -634,6 +688,10 @@ def derivative_identities(ev: PointEvaluation):
     (nabla_X f)Y = g(Y,V) EX + g(EX,Y) V,  nabla_X V = -f(EX) + h EX,
     and grad h = -2 E V, from coordinate-level data (nabla_f indexed
     [c, a, b], nabla_V [b, a])."""
+    return _shared(ev, _derivative_identities)
+
+
+def _derivative_identities(ev):
     g, E, V = ev.g_val, ev.E_mixed_val, ev.V_coord_val
     Et = np.swapaxes(E, -1, -2)
     gV = _mv(g, V)

@@ -30,7 +30,10 @@ The tensor and form evaluators read a point's chart coordinates from axis 0
 (``p[0]`` is x1), so arrays of shape ``(4, ...)`` evaluate a whole stack of
 points in one call.  ``connection_matrix`` and the verification probes take
 the coordinate axis last, ``(..., 4)``, like the sample positions of a
-batch, and evaluate every point, node and plane in one array pass.
+batch, and evaluate every point, node and plane in one array pass.  The
+probes take a list of structures and return one row per structure: the
+nodes, rotation forms and Ricci forms are built once, and only their
+signed sums differ between the structures.
 """
 
 from __future__ import annotations
@@ -124,9 +127,8 @@ class ProductModel:
 
     def curvature_form(self, p, X, Y, struct: SpincStructure):
         """Auxiliary curvature 2-form Omega evaluated on chart vectors."""
-        s1, s2 = struct.signs
-        return (-s1 * self.ricci_form(p, X, Y, 1)
-                - s2 * self.ricci_form(p, X, Y, 2))
+        return _curvature(struct, self.ricci_form(p, X, Y, 1),
+                          self.ricci_form(p, X, Y, 2))
 
     # spin^c connection ----------------------------------------------------
     def rotation_forms(self, p, X):
@@ -137,18 +139,22 @@ class ProductModel:
 
     def auxiliary_form(self, p, X, struct: SpincStructure):
         """Local connection 1-form a(X) of the auxiliary line bundle."""
-        w1, w2 = self.rotation_forms(p, X)
-        return struct.signs[0] * w1 + struct.signs[1] * w2
+        return _auxiliary(struct, *self.rotation_forms(p, X))
 
     def connection_matrix(self, p, X, struct: SpincStructure):
         """Coefficient matrix C(X) of the spinor connection at p: ``p`` and
         ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""
+        return self._connection_matrices(p, X, [struct])[0]
+
+    def _connection_matrices(self, p, X, structs):
+        """C(X) of each structure of ``structs``; only the auxiliary part
+        depends on the structure, the rotation forms are built once."""
         w1, w2 = self.rotation_forms(np.moveaxis(np.asarray(p), -1, 0),
                                      np.moveaxis(np.asarray(X), -1, 0))
         w1, w2 = (np.asarray(value(w))[..., None, None] for w in (w1, w2))
-        aux = struct.signs[0] * w1 + struct.signs[1] * w2
-        return (0.5 * w1 * E1E2 + 0.5 * w2 * E3E4
-                + 0.5j * aux * np.eye(4))
+        spin = 0.5 * w1 * E1E2 + 0.5 * w2 * E3E4
+        return [spin + 0.5j * _auxiliary(st, w1, w2) * np.eye(4)
+                for st in structs]
 
     def parallel_spinor(self, struct: SpincStructure):
         """The constant section spanning the parallel line of the structure."""
@@ -157,25 +163,29 @@ class ProductModel:
         return np.kron(b[struct.signs[0]], b[struct.signs[1]])
 
     # verification probes --------------------------------------------------
-    def parallel_residual_on_curve(self, struct, p0, vel, acc, ts):
+    def parallel_residual_on_curve(self, structs, p0, vel, acc, ts):
         """max over ``ts`` of |C(c(t), c'(t)) psi0| along the curve
-        c(t) = p0 + t v + t^2 w.  ``p0``, ``vel``, ``acc`` are ``(..., 4)``;
-        the result has their leading shape (a float for one curve)."""
-        psi0 = self.parallel_spinor(struct)
+        c(t) = p0 + t v + t^2 w, for each structure of ``structs``.
+        ``p0``, ``vel``, ``acc`` are ``(..., 4)``; the result is
+        ``(len(structs), ...)``, their leading shape behind one row per
+        structure."""
         p0, vel, acc = (np.asarray(x, dtype=float)[..., None, :]
                         for x in (p0, vel, acc))
         t = np.asarray(ts, dtype=float)[:, None]
         p = p0 + t * vel + t * t * acc
         dp = vel + 2.0 * t * acc
-        res = np.linalg.norm(self.connection_matrix(p, dp, struct) @ psi0,
-                             axis=-1)
-        worst = np.max(res, axis=-1)
-        return float(worst) if worst.ndim == 0 else worst
+        return np.stack([
+            np.max(np.linalg.norm(C @ self.parallel_spinor(st), axis=-1),
+                   axis=-1)
+            for C, st in zip(self._connection_matrices(p, dp, structs),
+                             structs)])
 
-    def _loop_integrals(self, p, hs, struct):
-        """Line integrals of the auxiliary form around the squares of side
-        ``hs`` centred at ``p`` in every coordinate plane, shape
-        ``p.shape[:-1] + (len(hs), 6)``; each edge by 4-point Gauss-Legendre.
+    def _loop_integrals(self, p, hs, structs):
+        """Line integrals of the auxiliary form of each structure around
+        the squares of side ``hs`` centred at ``p`` in every coordinate
+        plane, shape ``(len(structs),) + p.shape[:-1] + (len(hs), 6)``;
+        each edge by 4-point Gauss-Legendre.  The rotation forms at the
+        nodes are built once for every structure.
 
         Centred squares make the circulation estimate d(a) at p itself to
         second order, which Richardson extrapolation removes.
@@ -186,28 +196,42 @@ class ProductModel:
         corners = base + hs * _CORNERS
         seg = np.roll(corners, -1, axis=-2) - corners
         q = corners[..., None, :] + _GL_T[:, None] * seg[..., None, :]
-        forms = self.auxiliary_form(np.moveaxis(q, -1, 0),
-                                    np.moveaxis(seg, -1, 0)[..., None], struct)
+        w1, w2 = self.rotation_forms(np.moveaxis(q, -1, 0),
+                                     np.moveaxis(seg, -1, 0)[..., None])
+        forms = np.stack([_auxiliary(st, w1, w2) for st in structs])
         # add the 16 weighted node values edge by edge, node by node: a
         # reduction over the leading axis of a contiguous array accumulates
         # in that order, so each integral is rounded like a running sum
         terms = (forms * _GL_W).reshape(forms.shape[:-2] + (16,))
         return np.add.reduce(np.ascontiguousarray(np.moveaxis(terms, -1, 0)))
 
-    def auxiliary_curvature_residual(self, p, struct):
+    def auxiliary_curvature_residual(self, p, structs):
         """Compare loop-holonomy curvature of the gauge with the closed form.
 
         Richardson-extrapolated curvature d(a) from loops of side 0.02 and
-        0.01 against curvature_form on every coordinate plane; returns the
-        worst deviation at ``p`` of shape ``(4,)`` (a float) or at each row
-        of an ``(N, 4)`` array (shape ``(N,)``).
+        0.01 against curvature_form on every coordinate plane, for each
+        structure of ``structs``; returns the worst deviation at ``p`` of
+        shape ``(4,)`` (shape ``(len(structs),)``) or at each row of an
+        ``(N, 4)`` array (shape ``(len(structs), N)``).
         """
         p = np.asarray(p, dtype=float)
         hs = np.array([0.02, 0.01])
-        d1, d2 = np.moveaxis(self._loop_integrals(p, hs, struct)
+        d1, d2 = np.moveaxis(self._loop_integrals(p, hs, structs)
                              / hs[:, None] ** 2, -2, 0)
         approx = (4.0 * d2 - d1) / 3.0
-        exact = self.curvature_form(np.moveaxis(p, -1, 0)[..., None],
-                                    _EA.T, _EB.T, struct)
-        worst = np.max(np.abs(approx - exact), axis=-1)
-        return float(worst) if worst.ndim == 0 else worst
+        rho = [self.ricci_form(np.moveaxis(p, -1, 0)[..., None], _EA.T, _EB.T,
+                               factor) for factor in (1, 2)]
+        exact = np.stack([_curvature(st, *rho) for st in structs])
+        return np.max(np.abs(approx - exact), axis=-1)
+
+
+# The two structures differ only by the signs (s1, s2) of their factors,
+# so their forms are signed sums of the same factor forms.
+def _auxiliary(struct: SpincStructure, w1, w2):
+    """The auxiliary 1-form s1 w1 + s2 w2 from the rotation forms."""
+    return struct.signs[0] * w1 + struct.signs[1] * w2
+
+
+def _curvature(struct: SpincStructure, rho1, rho2):
+    """The auxiliary curvature -s1 rho1 - s2 rho2 from the Ricci forms."""
+    return -struct.signs[0] * rho1 - struct.signs[1] * rho2

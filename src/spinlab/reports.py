@@ -57,6 +57,9 @@ class Scenario:
                 or not all(isinstance(c, str) for c in checks)):
             raise ScenarioError(
                 f"checks must be a list of check names, got {checks!r}")
+        repeated = [c for i, c in enumerate(checks or ()) if c in checks[:i]]
+        if repeated:
+            raise ScenarioError(f"check {repeated[0]!r} is named twice")
         tolerances = d.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ScenarioError("tolerances must map check names to numbers, "

@@ -16,7 +16,10 @@ where the ambient derivative of the restricted parallel field is the
 connection coefficient matrix C(X) applied to the constant section.  C(X)
 psi0 vanishes by construction in this gauge, so the Killing residual, which
 is |C(X) psi0|, is structurally zero and verifies nothing.  An independent
-adapted-gauge construction of nabla lives in the test oracles.
+adapted-gauge construction of nabla lives in the test oracles.  Along the
+adapted frame e1, e2, xi the derivative and gamma(E e_k) phi are computed
+once per structure (``frame_derivative``) and shared by the Killing check
+and the Dirac and energy-momentum laws.
 
 A :class:`RestrictedSpinc` follows the shapes rule of the evaluation it is
 built on: per-point arrays carry the point axis first, so ``frame_gammas``
@@ -36,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import ProductSpinorSpace, build_clifford
-from .hypersurfaces import PointEvaluation
+from .hypersurfaces import PointEvaluation, _read_only
 from .jets import value
 from .product import CLIFFORD, SpincStructure
 
@@ -149,20 +152,32 @@ class RestrictedSpinc:
         return self.expectation(g1 @ g2 @ g3 @ self.psi)
 
     # --- connection layer ---------------------------------------------------
-    def covariant_derivative(self, X_coord):
-        """Induced derivative of the restricted field via the Gauss formula."""
+    def _derivative(self, X_coord):
+        """nabla_X phi via the Gauss formula, and the gamma(EX) phi it
+        subtracts."""
         X = np.asarray(X_coord)
         C = self.ev.product.connection_matrix(
             self._per_point(self.ev.position, X), self._chart(X), self.struct)
-        return C @ self.psi \
-            - 0.5 * self.sign * self.gamma(self.shape_operator(X), self.psi)
+        shape_term = self.gamma(self.shape_operator(X), self.psi)
+        return C @ self.psi - 0.5 * self.sign * shape_term, shape_term
+
+    def _killing_defect(self, nabla, shape_term):
+        return np.linalg.norm(nabla + 0.5 * self.sign * shape_term, axis=-1)
+
+    def covariant_derivative(self, X_coord):
+        """Induced derivative of the restricted field via the Gauss formula."""
+        return self._derivative(X_coord)[0]
 
     def killing_residual(self, X_coord):
         """|nabla_X phi + sign/2 gamma(EX) phi| (the generalized Killing law)."""
-        X = np.asarray(X_coord)
-        return np.linalg.norm(self.covariant_derivative(X) + 0.5 * self.sign
-                              * self.gamma(self.shape_operator(X), self.psi),
-                              axis=-1)
+        return self._killing_defect(*self._derivative(X_coord))
+
+    @cached_property
+    def frame_derivative(self):
+        """nabla_{e_k} phi and gamma(E e_k) phi along e1, e2, xi, each
+        (..., 3, 4) and read-only: computed once for the Killing and the
+        Dirac checks."""
+        return _read_only(self._derivative(self.frame_vectors))
 
     # --- pullback curvature ---------------------------------------------------
     @cached_property
@@ -193,6 +208,12 @@ class RestrictedSpinc:
 # perfbench times restriction as calls of this function (restrict_ms)
 def restrict_structure(ev: PointEvaluation, struct: SpincStructure) -> RestrictedSpinc:
     return RestrictedSpinc(ev, struct)
+
+
+def frame_killing_residual(rs: RestrictedSpinc):
+    """The generalized Killing law along e1, e2 and xi, per point and frame
+    vector, read off the frame derivative the Dirac law also reads."""
+    return rs._killing_defect(*rs.frame_derivative)
 
 
 def algebraic_conditions(rs: RestrictedSpinc):
@@ -323,7 +344,7 @@ def dirac_and_energy_momentum(rs: RestrictedSpinc) -> DiracEnergy:
     phi = rs.psi
     H = value(ev.mean_curvature)
     G = rs.frame_gammas
-    nab = rs.covariant_derivative(rs.frame_vectors)  # nabla_{e_k} phi
+    nab = rs.frame_derivative[0]  # nabla_{e_k} phi
     D = np.einsum("...kab,...kb->...a", G, nab)
     target = np.asarray(1.5 * H if rs.struct.tag == 1 else -1.5 * H)
     dres = np.linalg.norm(D - target[..., None] * phi, axis=-1)

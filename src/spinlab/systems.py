@@ -22,7 +22,11 @@ Every residual here takes a :class:`PointEvaluation` of one point or of
 a whole batch and returns one value per point; the equations above
 receive their inputs with the point axis moved last, so ``R[0, 1, 1, 0]``
 holds every point at once.  Controls and the converse direction read the
-same value stages, swapped through ``PointEvaluation.replace``.  Random
+same value stages, swapped through ``PointEvaluation.replace``.  The
+system residuals, like the Gauss and Codazzi residuals they are checked
+against, are computed once per evaluation: ``system.covanish`` reads what
+``system.*`` and ``curvature.*`` computed, and the converse what
+``curvature.*`` and ``structure.*`` computed.  Random
 perturbations draw one point after another, so a batch sees the same
 stream as a loop over its points.
 """
@@ -33,8 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypersurfaces import (PointEvaluation, _max_abs, _mv, codazzi_residual,
-                            derivative_identities, gauss_residual, rank_pair)
+from .hypersurfaces import (PointEvaluation, _max_abs, _mv, _shared,
+                            codazzi_residual, derivative_identities,
+                            gauss_residual, rank_pair)
 from .jets import value
 
 
@@ -140,13 +145,17 @@ class SystemResiduals:
 
 
 def system_residuals(tag: int, ev: PointEvaluation) -> SystemResiduals:
-    """Evaluate one compatibility system at every point of ``ev``."""
-    vV = ev.V_frame
+    """Evaluate one compatibility system at every point of ``ev``; its
+    twelve residuals are computed once per evaluation and tag."""
+    return SystemResiduals(_shared(ev, _system_equations, tag),
+                           np.linalg.norm(ev.V_frame, axis=-1) < 1e-12)
+
+
+def _system_equations(ev, tag):
     fn = system_one if tag == 1 else system_two
-    eqs = fn(_points_last(ev.riemann_frame, 4), _points_last(ev.E_frame, 2),
-             _points_last(ev.dE_frame, 3), _points_last(vV, 1), ev.h_val,
-             ev.product.c1, ev.product.c2)
-    return SystemResiduals(eqs, np.linalg.norm(vV, axis=-1) < 1e-12)
+    return fn(_points_last(ev.riemann_frame, 4), _points_last(ev.E_frame, 2),
+              _points_last(ev.dE_frame, 3), _points_last(ev.V_frame, 1),
+              ev.h_val, ev.product.c1, ev.product.c2)
 
 
 def perturbed_shape(ev: PointEvaluation, rng, scale=0.15):

@@ -117,6 +117,87 @@ def test_point_view_shares_the_batch():
         batch.replace(E_fram=E)
 
 
+def _shared_results(ev):
+    """Every identity residual that several checks read, as arrays."""
+    ranks = hyp.rank_pair(ev)
+    return {"gauss": hyp.gauss_residual(ev),
+            "codazzi": hyp.codazzi_residual(ev),
+            "rank_pair+": ranks[0], "rank_pair-": ranks[1],
+            **hyp.derivative_identities(ev),
+            **{f"system{tag}:{k}": v for tag in (1, 2) for k, v in
+               sysmod.system_residuals(tag, ev).residuals.items()}}
+
+
+def test_point_views_read_the_shared_identities_of_their_batch():
+    chart = build_chart("round-sphere", {"r": 0.35})
+    batch = evaluate(chart, build_product(1.0, 4.0),
+                     sample(chart, np.random.default_rng(2), 5))
+    whole = _shared_results(batch)
+    for index in (3, slice(1, 4), np.array([4, 0])):
+        view = batch.point(index)
+        for key, got in _shared_results(view).items():
+            assert np.array_equal(got, whole[key][index]), (index, key)
+        # the view computed nothing: it never read a stage
+        assert not {"riemann_frame", "dE_frame", "E_frame"} & set(
+            view.__dict__), index
+
+
+def test_shared_identities_match_standalone_points(members):
+    """A point view reads the batch's shared identities, so the one-point
+    arithmetic is compared here against evaluations of each point alone."""
+    for label, prod, chart in members:
+        batch = evaluate(chart, prod, sample(chart, np.random.default_rng(5), 4))
+        whole = _shared_results(batch)
+        for i, u in enumerate(batch.u):
+            for key, w in _shared_results(evaluate(chart, prod, u)).items():
+                w = np.asarray(w, dtype=float)
+                assert np.abs(whole[key][i] - w) <= IDENTITY_TOL * max(
+                    1.0, abs(w)), (label, key)
+
+
+def test_replace_never_reuses_a_shared_identity():
+    """An evaluation made by ``replace`` computes every shared identity
+    from its own data, also after the clean one was read."""
+    chart = build_chart("round-sphere", {"r": 0.35})
+    batch = evaluate(chart, build_product(1.0, 4.0),
+                     sample(chart, np.random.default_rng(2), 4))
+    for ev in (batch, batch.point(1), batch.point(slice(2, 4))):
+        clean = hyp.gauss_residual(ev)
+        doubled = ev.replace(E_frame=2 * ev.E_frame)
+        assert np.all(hyp.gauss_residual(doubled) > 1e-2)
+        assert np.all(clean < 1e-12)
+        assert np.array_equal(hyp.gauss_residual(ev), clean)
+        # stages the copy shares still give the shared values
+        same = ev.replace(E_frame=ev.E_frame)
+        assert np.array_equal(hyp.gauss_residual(same), clean)
+        # each corruption of the converse moves the residual it targets
+        for mode, target in sysmod.CORRUPTION_TARGETS.items():
+            corrupted = sysmod.corrupt(ev, mode, np.random.default_rng(0))
+            assert np.all(sysmod.converse_residuals(corrupted)[target]
+                          > sysmod.CONVERSE_TOLERANCES[target]), mode
+
+
+def test_shared_identities_are_read_only():
+    """A reader can change neither an array nor the mapping of a shared
+    result: arrays refuse writes, and a dict handed out is a copy."""
+    chart = build_chart("graph")
+    batch = evaluate(chart, build_product(1.0, -0.5),
+                     sample(chart, np.random.default_rng(4), 4))
+    for ev in (batch, batch.point(slice(1, 3)), batch.point(np.array([2, 0]))):
+        for key, value in _shared_results(ev).items():
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0.0
+        res = hyp.derivative_identities(ev)
+        res["h-gradient"] = np.zeros(2)
+        del res["f-derivative"]
+        again = hyp.derivative_identities(ev)
+        assert set(again) == {"f-derivative", "V-derivative", "h-gradient"}
+        assert np.any(again["h-gradient"] != 0.0)
+        eqs = sysmod.system_residuals(1, ev).residuals
+        eqs.clear()
+        assert len(sysmod.system_residuals(1, ev).residuals) == 12
+
+
 def test_out_of_domain_point_is_named():
     prod = build_product(0.0, -1.0)  # factor-2 chart radius 2
     chart = build_chart("flat-hyperplane")

@@ -106,7 +106,7 @@ def test_parallel_residual_along_random_curves(rng):
             vel = 0.3 * rng.standard_normal(4)
             acc = 0.15 * rng.standard_normal(4)
             worst = max(worst, prod.parallel_residual_on_curve(
-                st, p0, vel, acc, ts))
+                [st], p0, vel, acc, ts)[0])
         assert worst < 1e-7
 
 
@@ -147,7 +147,7 @@ def test_auxiliary_curvature_consistency(c1, c2, rng):
         worst = 0.0
         for _ in range(100):
             p = rng.uniform(-0.4, 0.4, 4)
-            worst = max(worst, prod.auxiliary_curvature_residual(p, st))
+            worst = max(worst, prod.auxiliary_curvature_residual(p, [st])[0])
         assert worst < 1e-6
 
 
@@ -172,15 +172,15 @@ def test_array_probes_match_scalar_loops(c1, c2, n, rng):
     vel = 0.2 * rng.standard_normal((n, 4))
     acc = 0.1 * rng.standard_normal((n, 4))
     ts = np.linspace(-0.5, 0.5, 7)
-    for tag in (1, 2):
-        st = structure(tag)
-        hol = prod.auxiliary_curvature_residual(p, st)
-        par = prod.parallel_residual_on_curve(st, p, vel, acc, ts)
-        assert hol.shape == par.shape == (n,)
+    structs = [structure(1), structure(2)]
+    hols = prod.auxiliary_curvature_residual(p, structs)
+    pars = prod.parallel_residual_on_curve(structs, p, vel, acc, ts)
+    assert hols.shape == pars.shape == (2, n)
+    for st, hol, par in zip(structs, hols, pars):
         for i in range(n):
             want = loop_auxiliary_curvature_residual(prod, p[i], st)
             assert abs(hol[i] - want) <= 1e-12
-            assert prod.auxiliary_curvature_residual(p[i], st) == \
+            assert prod.auxiliary_curvature_residual(p[i], [st])[0] == \
                 pytest.approx(hol[i], abs=1e-12)
             want = loop_parallel_residual_on_curve(prod, st, p[i], vel[i],
                                                    acc[i], ts)
@@ -194,8 +194,8 @@ def test_array_probes_vanish_exactly_on_flat_factors(rng):
     ts = np.linspace(-0.5, 0.5, 7)
     for tag in (1, 2):
         st = structure(tag)
-        assert np.all(prod.auxiliary_curvature_residual(p, st) == 0.0)
-        assert np.all(prod.parallel_residual_on_curve(st, p, vel, acc, ts)
+        assert np.all(prod.auxiliary_curvature_residual(p, [st]) == 0.0)
+        assert np.all(prod.parallel_residual_on_curve([st], p, vel, acc, ts)
                       == 0.0)
 
 
@@ -209,4 +209,26 @@ def test_holonomy_loop_leaving_the_chart_is_named():
         with pytest.raises(OutsideDomainError,
                            match=r"point \(1\.\d{3}, -?0\.\d{3}\) outside "
                                  r"chart of curvature -4\.0"):
-            prod.auxiliary_curvature_residual(p, structure(1))
+            prod.auxiliary_curvature_residual(p, [structure(1)])
+
+
+@pytest.mark.parametrize("pairing", ["standard", "flipped"])
+def test_two_structure_probes_match_loop_references_bit_for_bit(pairing, rng):
+    """One probe pass over both structures shares the nodes and rotation
+    forms, yet gives for each structure exactly the scalar loop's value:
+    each loop integral is still rounded as a running sum in loop order."""
+    structs = [structure(1, pairing), structure(2, pairing)]
+    ts = np.linspace(-0.5, 0.5, 7)
+    for c1, c2 in [(1.0, 4.0), (-0.5, 2.0), (2.0, -0.3)]:
+        prod = ProductModel(c1, c2)
+        p = rng.uniform(-0.4, 0.4, (6, 4))
+        vel = 0.2 * rng.standard_normal((6, 4))
+        acc = 0.1 * rng.standard_normal((6, 4))
+        hol = prod.auxiliary_curvature_residual(p, structs)
+        par = prod.parallel_residual_on_curve(structs, p, vel, acc, ts)
+        for k, st in enumerate(structs):
+            assert hol[k].tolist() == [
+                loop_auxiliary_curvature_residual(prod, q, st) for q in p]
+            assert par[k].tolist() == [
+                loop_parallel_residual_on_curve(prod, st, q, v, a, ts)
+                for q, v, a in zip(p, vel, acc)]

@@ -423,6 +423,74 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
     assert calls == [((6, 4), 1), ((6, 4), 2)]
 
 
+def test_shared_work_runs_once_per_scenario(monkeypatch):
+    """Over one run of every check, each quantity that several checks read
+    is computed once on the clean batch: Gauss, Codazzi, the derivative
+    identities and the rank pair once, each compatibility system once per
+    tag, the frame spinor derivative once per structure, and the ambient
+    rotation forms once per probe and per frame derivative.  Controls
+    compute theirs again from their altered data."""
+    from spinlab import hypersurfaces as hyp
+    from spinlab import systems as sysmod
+    from spinlab.product import ProductModel
+    from spinlab.restriction import RestrictedSpinc
+    calls = []
+
+    def count(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(label(*args))
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for body in ("_gauss", "_codazzi", "_derivative_identities",
+                 "_rank_pair"):
+        count(hyp, body, lambda ev, body=body: (body, len(ev.u)))
+    count(sysmod, "_system_equations",
+          lambda ev, tag: (f"system{tag}", len(ev.u)))
+    count(RestrictedSpinc, "_derivative",
+          lambda rs, X: ("frame derivative", rs.struct.tag))
+    count(ProductModel, "rotation_forms", lambda prod, p, X: ("rotation",))
+    report = run_scenario(small_scenario(samples=14, checks=None))
+    assert report.passed
+
+    def runs(label):
+        return sorted(c[1:] for c in calls if c[0] == label)
+
+    for body in ("_codazzi", "_derivative_identities", "_rank_pair"):
+        assert runs(body) == [(14,)], body
+    # on the 14 points once; then on the perturbed head points of
+    # curvature.gauss_control (10) and of system.covanish (12, per tag)
+    assert runs("_gauss") == [(10,), (12,), (12,), (14,)]
+    # system.control (10), system.covanish (12), system.one or two (14)
+    for tag in (1, 2):
+        assert runs(f"system{tag}") == [(10,), (12,), (14,)]
+    assert runs("frame derivative") == [(1,), (2,)]
+    # ambient.auxiliary_curvature, ambient.parallel_spinor, and the frame
+    # derivative of each structure
+    assert len(runs("rotation")) == 4
+
+
+def test_product_structure_stencil_is_one_array_pass(monkeypatch):
+    """ambient.product_structure evaluates each factor's conformal factor
+    once at all 10 stencil nodes of every point, and once more for the
+    Ricci form coefficient."""
+    from spinlab.surfaces import SurfaceModel
+    original = SurfaceModel.conformal_factor
+    shapes = []
+
+    def counted(self, x, y):
+        shapes.append(np.shape(x))
+        return original(self, x, y)
+
+    monkeypatch.setattr(SurfaceModel, "conformal_factor", counted)
+    report = run_scenario(small_scenario(checks=["ambient.product_structure"]))
+    assert report.passed
+    assert shapes == [(10, 6), (6,), (10, 6), (6,)]
+
+
 @pytest.mark.parametrize("change, extra, says", [
     ({"seed": -1}, [], "seed"),
     ({}, ["--seed", "-3"], "seed"),
@@ -461,6 +529,22 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
     ({"c2": 10 ** 400}, [], "c2 must be finite"),
     ({"hypersurface": [["kind", "graph"]]}, [],
      "hypersurface must be an object"),
+    ({"hypersurface": {"kind": "round-sphere", "params": {"r": True}}}, [],
+     "chart parameter 'r' must be a number, got True"),
+    ({"hypersurface": {"kind": "round-sphere", "params": {"r": "0.5"}}}, [],
+     "chart parameter 'r' must be a number, got '0.5'"),
+    ({"hypersurface": {"kind": "sphere-circle-tube", "params": {"a": "0.5"}}},
+     [], "chart parameter 'a' must be a number, got '0.5'"),
+    ({"hypersurface": {"kind": "graph", "params": {
+        "coeffs": [True, False, 0.1, 0.2, 0.1]}}}, [],
+     "chart parameter 'coeffs' must be a number, got True"),
+    ({"hypersurface": {"kind": "round-sphere", "params": {"r": 10 ** 400}}},
+     [], "chart parameter 'r' must be finite"),
+    ({"hypersurface": {"kind": "round-sphere", "params": {"radius": 0.35}}},
+     [], "chart kind 'round-sphere' has no parameter 'radius'"),
+    ({"checks": ["structure.involution", "structure.contact",
+                 "structure.involution"]}, [],
+     "check 'structure.involution' is named twice"),
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
@@ -469,7 +553,10 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
         "boolean-samples", "infinite-tolerance", "list-with-seed-flag",
         "string-with-pairing-flag", "not-utf8", "deeply-nested",
         "boolean-tolerance", "boolean-curvature", "string-curvature",
-        "huge-integer-curvature", "hypersurface-as-list"])
+        "huge-integer-curvature", "hypersurface-as-list", "boolean-radius",
+        "string-radius", "string-tube-radius", "boolean-coeffs",
+        "huge-integer-radius", "unknown-chart-parameter",
+        "repeated-check"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
                                             says):
     from spinlab.cli import main

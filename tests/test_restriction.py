@@ -11,6 +11,7 @@ from spinlab.hypersurfaces import HypersurfaceChart
 from spinlab.restriction import (algebraic_conditions, closed_form_omega,
                                  curvature_restriction_residual,
                                  dirac_and_energy_momentum,
+                                 frame_killing_residual,
                                  omega_formula_residual, pairing_identities,
                                  projection_cancellation_residuals,
                                  restrict_structure)
@@ -53,6 +54,27 @@ def test_killing_residual_on_catalog(members, rng):
                 rs = restrict_structure(ev, structure(tag))
                 for k in range(3):
                     assert rs.killing_residual(ev.frame[:, k]) < 1e-6, name
+
+
+def test_frame_derivative_is_the_derivative_along_the_frame(members, rng):
+    """The frame derivative that the Killing and Dirac checks share is,
+    bit for bit, the general derivative and Killing residual taken along
+    e1, e2, xi, on a batch and on one point."""
+    for name, prod, chart in members:
+        batch = evaluate(chart, prod, sample(chart, rng, 4))
+        for ev in (batch, evaluate(chart, prod, batch.u[2])):
+            for tag in (1, 2):
+                rs = restrict_structure(ev, structure(tag))
+                nabla, shape_term = rs.frame_derivative
+                with pytest.raises(ValueError, match="read-only"):
+                    nabla[...] = 0.0
+                assert np.array_equal(
+                    nabla, rs.covariant_derivative(rs.frame_vectors)), name
+                assert np.array_equal(shape_term, rs.gamma(
+                    rs.shape_operator(rs.frame_vectors), rs.psi)), name
+                assert np.array_equal(
+                    frame_killing_residual(rs),
+                    rs.killing_residual(rs.frame_vectors)), name
 
 
 def test_killing_law_against_adapted_gauge_oracle(rng):
