@@ -6,7 +6,7 @@
     spinlab list-checks
 
 Exit codes: 0 all checks pass, 1 at least one residual failure,
-2 configuration error.
+2 configuration error (also a scenario too large to allocate).
 """
 
 from __future__ import annotations
@@ -114,7 +114,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MemoryError as exc:  # e.g. a sample count too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

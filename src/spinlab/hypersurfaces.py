@@ -1,8 +1,8 @@
 """Parametrized hypersurfaces of a product of two surface space forms.
 
 A chart is a map u = (u1, u2, u3) -> (p1(u), p2(u)) into the two conformal
-factor charts.  One :class:`PointEvaluation` runs the whole pipeline in
-degree-3 jet arithmetic and exposes, at its base points:
+factor charts.  One :class:`PointEvaluation` runs the whole pipeline in jet
+arithmetic, seeded at degree 3, and exposes, at its base points:
 
   * induced metric, unit normal, shape operator E = -nabla nu, mean curvature
   * the almost contact data (Chi, xi, eta) from J and the splitting (f, V, h)
@@ -15,15 +15,19 @@ An evaluation holds one point (``u`` of shape (3,)) or a batch of points
 (``u`` of shape (N, 3)).  A batch runs every stage once for all its points.
 Each jet stage is one tensor jet (``g`` a 3x3 jet, ``nu`` a 4-vector jet)
 with its tensor axes after the coefficient axis and the point axis last,
-computed by whole-tensor contractions; value-level arrays put the point
-axis first, so ``g_val`` is (3, 3) at one point and (N, 3, 3) for a
-batch.  ``point(i)`` gives the evaluation of one point of a batch; it
-reads the batch's stages instead of recomputing them.  The identity
-residuals below take either and return one value per point.  Those that
-several checks read (Gauss, Codazzi, the derivative identities, the rank
-pair, and the compatibility systems in ``systems``) are computed once per
-evaluation and handed out read-only; a point view reads them off its batch
-like a stage.
+computed by whole-tensor contractions, and built only to the highest order
+any of its readers extracts: the induced metric to order 2 for the
+curvature, the inverse metric, the splitting (f, V, h), xi and the ambient
+Christoffel symbols to order 1 for their first derivatives, and the
+ambient V to order 0 for its value.  Its inputs are cut to that order
+before its products run.  Value-level arrays put the point axis first, so
+``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.  ``point(i)``
+gives the evaluation of one point of a batch; it reads the batch's stages
+instead of recomputing them.  The identity residuals below take either and
+return one value per point.  Those that several checks read (Gauss,
+Codazzi, the derivative identities, the rank pair, and the compatibility
+systems in ``systems``) are computed once per evaluation and handed out
+read-only; a point view reads them off its batch like a stage.
 
 The value stages (``g_val``, ``E_mixed_val``, ``V_frame``, ``h_val``, ...)
 are the one point record every identity reads; ``replace`` swaps some of
@@ -201,7 +205,7 @@ class PointEvaluation:
     def _lam(self):
         """Conformal factors lam_k = 1 / (1 + c_k/4 (x_k^2 + y_k^2)) of the
         two factors as one (2,) jet, to order 2 like every reader of the
-        ambient metric and its Christoffel symbols; raises
+        ambient metric (its Christoffel symbols take order 1); raises
         OutsideDomainError at the first point outside a factor's chart."""
         p = self.position
         for k, surf in ((0, self.product.factor1), (2, self.product.factor2)):
@@ -236,7 +240,8 @@ class PointEvaluation:
 
     @_stage
     def g_inv(self):
-        m = self.g  # adj[i, j] is the cofactor at (j, i)
+        """Inverse metric, to first order like every reader."""
+        m = self.g.truncated(1)  # adj[i, j] is the cofactor at (j, i)
         adj = (m[_N1, _N1[:, None]] * m[_N2, _N2[:, None]]
                - m[_N2, _N1[:, None]] * m[_N1, _N2[:, None]])
         return adj / contract("j,j->", m[0], adj[:, 0])
@@ -282,9 +287,10 @@ class PointEvaluation:
     @_stage
     def ambient_gamma(self):
         """Christoffel symbols per factor, G[k, a, b, c] = Gamma^a_{bc} in
-        the coordinates (2k, 2k + 1) of factor k; none mix the factors."""
+        the coordinates (2k, 2k + 1) of factor k; none mix the factors.
+        To first order: ``shape_ambient`` is a first-order jet."""
         # d log lam_k along (x_k, y_k) is -c_k/2 (x_k, y_k) lam_k
-        xy = self.phi.truncated(2).reshape((2, 2))
+        xy = self.phi.truncated(1).reshape((2, 2))
         half_c = np.array([[-0.5 * self.product.c1], [-0.5 * self.product.c2]])
         dlog = xy * half_c * self._lam.reshape((2, 1))
         return dlog[:, _GAMMA_INDEX] * _GAMMA_SIGN
@@ -317,16 +323,20 @@ class PointEvaluation:
     # --- product structure splitting --------------------------------------
     @_stage
     def V_form(self):
-        """(V, d_alpha) = <F T_alpha, nu> (jet)."""
-        return contract("am,m->a", self._T_low, self.nu * _F)
+        """(V, d_alpha) = <F T_alpha, nu> (jet, to first order)."""
+        return contract("am,m->a", self._T_low, self.nu.truncated(1) * _F)
 
     @_stage
     def h(self):
-        return contract("m,m->", self.nu * _F * self.gbar, self.nu)
+        nu = self.nu.truncated(1)
+        return contract("m,m->", nu * _F * self.gbar, nu)
 
     @_stage
     def V_ambient(self):
-        return self.nu * _F - self.h * self.nu
+        """V in ambient chart components, to order 0: only its value is
+        read."""
+        nu = self.nu.truncated(0)
+        return nu * _F - self.h * nu
 
     @_stage
     def V_coord(self):
@@ -334,8 +344,10 @@ class PointEvaluation:
 
     @_stage
     def f_mixed(self):
-        """Tangential part of F, f_mixed[i, j] = f^i_j (jet)."""
-        fT = self.T * _F - contract("j,a->ja", self.V_form, self.nu)
+        """Tangential part of F, f_mixed[i, j] = f^i_j (jet, to first
+        order)."""
+        fT = (self.T.truncated(1) * _F
+              - contract("j,a->ja", self.V_form, self.nu))
         return contract("ic,jc->ij", self.g_inv,
                         contract("ja,ca->jc", fT, self._T_low))
 
@@ -346,8 +358,10 @@ class PointEvaluation:
     # --- almost contact data ----------------------------------------------
     @_stage
     def xi_ambient(self):
-        """-J nu: J turns each factor's (x, y) a quarter turn."""
-        return self.nu[[1, 0, 3, 2]] * np.array([1.0, -1.0, 1.0, -1.0])
+        """-J nu: J turns each factor's (x, y) a quarter turn (to first
+        order)."""
+        nu = self.nu.truncated(1)
+        return nu[[1, 0, 3, 2]] * np.array([1.0, -1.0, 1.0, -1.0])
 
     @_stage
     def xi_coord(self):

@@ -89,7 +89,11 @@ _FACT = np.array([1.0, 1.0, 2.0, 6.0])
 # Columns per matrix product.  OpenBLAS ran a 20 x 84 x 600 product on two
 # threads (20 x 84 x 500 on one); on a 2-core machine that made the jet
 # stages 2-3x slower whenever another process was busy, so every product
-# here stays well below that size.
+# here stays well below that size.  Widening the block for the smaller
+# order-1 and order-2 products (to the 20 x 84 x 128 budget) made their slot
+# sums 2-3x faster in isolation, but the larger products again ran on two
+# threads, and the whole curvature-dense benchmark got slower in 4 of 4
+# alternated pairs; one block size for every order stays.
 _BLOCK = 128
 
 

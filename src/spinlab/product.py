@@ -137,10 +137,6 @@ class ProductModel:
         a2 = self.factor2.frame_rotation_form(p[2], p[3])
         return (a1[0] * X[0] + a1[1] * X[1], a2[0] * X[2] + a2[1] * X[3])
 
-    def auxiliary_form(self, p, X, struct: SpincStructure):
-        """Local connection 1-form a(X) of the auxiliary line bundle."""
-        return _auxiliary(struct, *self.rotation_forms(p, X))
-
     def connection_matrix(self, p, X, struct: SpincStructure):
         """Coefficient matrix C(X) of the spinor connection at p: ``p`` and
         ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""

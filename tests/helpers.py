@@ -173,7 +173,7 @@ def adapted_gauge_derivative(chart, product, struct, u, X_coord, h=1e-5):
             w[i, j] = float(nabla_ti @ gv @ coords0[:, j])
 
     X_amb = X_coord @ ev0.T_val
-    aux = value(product.auxiliary_form(ev0.position, X_amb, struct))
+    aux = value(auxiliary_form(product, ev0.position, X_amb, struct))
     conn = 0.5j * aux * np.eye(4, dtype=complex)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -240,6 +240,13 @@ _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
 
 
+def auxiliary_form(product, p, X, struct):
+    """Local connection 1-form a(X) = s1 w1(X1) + s2 w2(X2) of the
+    auxiliary line bundle of ``struct``, from the factor rotation forms."""
+    w1, w2 = product.rotation_forms(p, X)
+    return struct.signs[0] * w1 + struct.signs[1] * w2
+
+
 def loop_integral(product, p, a, b, h, struct):
     """Line integral of the auxiliary form around the (a, b) square of side
     h centred at p, one Gauss node at a time."""
@@ -256,7 +263,7 @@ def loop_integral(product, p, a, b, h, struct):
         seg = stop - start
         for t, w in zip(_GL_T, _GL_W):
             q = start + t * seg
-            total += w * value(product.auxiliary_form(q, seg, struct))
+            total += w * value(auxiliary_form(product, q, seg, struct))
     return total
 
 
@@ -424,9 +431,13 @@ def point_umbilic_residuals(ev):
 
 
 def point_converse_residuals(ev):
-    """The converse battery at one point of an evaluation."""
-    from spinlab.hypersurfaces import (codazzi_residual, derivative_identities,
-                                       gauss_residual, rank_pair)
+    """The converse battery at a one-point evaluation, ``evaluate(chart,
+    product, u)``: Gauss and Codazzi by the loop references, the derivative
+    identities and the rank pair computed on that point alone (a point view
+    of a batch would read the batch's shared results)."""
+    from spinlab.hypersurfaces import derivative_identities, rank_pair
+    assert ev._batch is None, "a point view reads its batch's results"
+    c1, c2 = ev.product.c1, ev.product.c2
     v1, v2, h = ev.V_frame[0], ev.V_frame[1], ev.h_val
     fr = np.array([[-h, 0.0, v2], [0.0, -h, -v1], [v2, -v1, h]])
     Vf, ff = ev.V_frame, ev.f_frame
@@ -436,8 +447,9 @@ def point_converse_residuals(ev):
             ff @ ff + np.outer(Vf, Vf) - np.eye(3)))),
         "f-of-V": float(np.max(np.abs(ff @ Vf + h * Vf))),
         "unit-split": abs(h ** 2 + float(Vf @ Vf) - 1.0),
-        "gauss": float(gauss_residual(ev)),
-        "codazzi": float(codazzi_residual(ev)),
+        "gauss": loop_gauss_residual(ev.riemann_frame, c1, c2, ff,
+                                     ev.E_frame),
+        "codazzi": float(loop_codazzi_residual(ev.dE_frame, c1, c2, ff, Vf)),
     }
     out.update((k, float(v)) for k, v in derivative_identities(ev).items())
     ranks = rank_pair(ev)

@@ -20,7 +20,7 @@ from spinlab import systems as sysmod
 from spinlab.catalog import BUILTIN_SCENARIOS
 from spinlab.checks import REGISTRY_BY_NAME, ScenarioContext
 from spinlab.hypersurfaces import PointEvaluation, RankDeficientError
-from spinlab.jets import Jet
+from spinlab.jets import Jet, contract
 from spinlab.reports import Scenario
 from spinlab.surfaces import OutsideDomainError
 
@@ -72,14 +72,15 @@ def test_batch_stages_have_a_leading_point_axis(members, rng):
     assert batch.dE_frame.shape == (5, 3, 3, 3)
     assert batch.dH.shape == (5, 3)
     assert batch.check_immersion().shape == (5,)
-    # a jet holds exactly the slots of its order: 20 to order 3, 10 to 2
-    # and 4 to 1, the point axis last
+    # a jet holds exactly the slots of its order: 20 to order 3, 10 to 2,
+    # 4 to 1 and 1 to 0, the point axis last
     slots = {20: ("phi",),
-             10: ("_lam", "gbar", "ambient_gamma", "T", "_T_low", "g",
-                  "g_inv", "nu", "h", "V_form", "V_ambient", "V_coord",
-                  "f_mixed", "xi_ambient", "xi_coord"),
-             4: ("shape_ambient", "second_fundamental", "E_mixed",
-                 "mean_curvature", "gamma_induced")}
+             10: ("_lam", "gbar", "T", "_T_low", "g", "nu"),
+             4: ("g_inv", "ambient_gamma", "shape_ambient",
+                 "second_fundamental", "E_mixed", "mean_curvature", "h",
+                 "V_form", "V_coord", "f_mixed", "xi_ambient", "xi_coord",
+                 "gamma_induced"),
+             1: ("V_ambient",)}
     jet_stages = {name for name in STAGES
                   if isinstance(getattr(batch, name), Jet)}
     assert jet_stages == {name for names in slots.values() for name in names}
@@ -91,6 +92,65 @@ def test_batch_stages_have_a_leading_point_axis(members, rng):
     # beyond its order
     with pytest.raises(AssertionError):
         batch.gbar.deriv().deriv().grad()
+
+
+def _full_order_stages(ev):
+    """The stages that ``PointEvaluation`` builds below order 2, each by
+    its formula on the order-2 stages it reads, at order 2 throughout."""
+    F, m, n1, n2 = hyp._F, ev.g, hyp._N1, hyp._N2
+    adj = (m[n1, n1[:, None]] * m[n2, n2[:, None]]
+           - m[n2, n1[:, None]] * m[n1, n2[:, None]])
+    g_inv = adj / contract("j,j->", m[0], adj[:, 0])
+    xy = ev.phi.truncated(2).reshape((2, 2))
+    half_c = np.array([[-0.5 * ev.product.c1], [-0.5 * ev.product.c2]])
+    dlog = xy * half_c * ev._lam.reshape((2, 1))
+    gamma = dlog[:, hyp._GAMMA_INDEX] * hyp._GAMMA_SIGN
+    V_form = contract("am,m->a", ev._T_low, ev.nu * F)
+    h = contract("m,m->", ev.nu * F * ev.gbar, ev.nu)
+    fT = ev.T * F - contract("j,a->ja", V_form, ev.nu)
+    xi_ambient = ev.nu[[1, 0, 3, 2]] * np.array([1.0, -1.0, 1.0, -1.0])
+    return {
+        "g_inv": g_inv, "ambient_gamma": gamma, "V_form": V_form, "h": h,
+        "V_ambient": ev.nu * F - h * ev.nu,
+        "V_coord": contract("ab,b->a", g_inv, V_form),
+        "f_mixed": contract("ic,jc->ij", g_inv,
+                            contract("ja,ca->jc", fT, ev._T_low)),
+        "xi_ambient": xi_ambient,
+        "xi_coord": contract("ab,b->a", g_inv, contract(
+            "m,bm->b", xi_ambient, ev._T_low)),
+    }
+
+
+def test_reduced_stages_are_full_order_stages_cut(members):
+    """A stage built only to the order its readers use holds, bit for bit,
+    the first slots of the same formula run at order 2: below order 2 a
+    product slot sums at most two pair products, and truncating before or
+    after the product gives the same sums."""
+    orders = {"V_ambient": 0}
+    for label, prod, chart in members:
+        batch = evaluate(chart, prod, sample(chart, np.random.default_rng(7), 9))
+        for name, full in _full_order_stages(batch).items():
+            assert full.order == 2, (label, name)
+            got = getattr(batch, name)
+            assert got.order == orders.get(name, 1), (label, name)
+            assert np.array_equal(full.truncated(got.order).c, got.c), (
+                label, name)
+
+
+def test_reading_past_a_reduced_stage_raises(members):
+    name, prod, chart = members[5]
+    batch = evaluate(chart, prod, sample(chart, np.random.default_rng(8), 3))
+    for read in (lambda: batch.h.deriv().grad(),
+                 lambda: batch.g_inv.deriv().grad(),
+                 lambda: batch.f_mixed.deriv().deriv(),
+                 lambda: batch.xi_coord.deriv().grad(),
+                 lambda: batch.ambient_gamma.deriv().grad(),
+                 lambda: batch.V_ambient.grad()):
+        with pytest.raises(AssertionError):
+            read()
+    # what the readers take is there
+    assert batch.h.grad().shape == (3, 3)
+    assert batch.V_ambient.val.shape == (3, 4)
 
 
 def test_point_view_shares_the_batch():
@@ -279,6 +339,12 @@ REFERENCES = {
 }
 
 
+# identities that read results shared per evaluation (``hyp._shared``): a
+# point view would read the batch's own result, so these are compared with
+# evaluations of each point alone
+STANDALONE = {"rank_pair", "system_one", "system_two", "converse"}
+
+
 def _as_dict(x):
     return x if isinstance(x, dict) else {"": x}
 
@@ -296,8 +362,10 @@ def test_batched_identity_matches_one_point(members, name):
         got = _as_dict(IDENTITIES[name](batch, np.random.default_rng(11)))
         streams = [np.random.default_rng(11) for _ in runs]
         for i in range(n):
+            point = (evaluate(chart, prod, batch.u[i]) if name in STANDALONE
+                     else batch.point(i))
             for one_point, rng in zip(runs, streams):
-                want = _as_dict(one_point(batch.point(i), rng))
+                want = _as_dict(one_point(point, rng))
                 if one_point is IDENTITIES[name]:
                     assert want.keys() == got.keys()
                 for key, w in want.items():

@@ -545,6 +545,9 @@ def test_product_structure_stencil_is_one_array_pass(monkeypatch):
     ({"checks": ["structure.involution", "structure.contact",
                  "structure.involution"]}, [],
      "check 'structure.involution' is named twice"),
+    # the sample array (21.3 PiB) is refused at once, before any memory is
+    # touched; never use a count that could really be allocated
+    ({"samples": 10 ** 15}, [], "out of memory: Unable to allocate"),
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
@@ -556,7 +559,7 @@ def test_product_structure_stencil_is_one_array_pass(monkeypatch):
         "huge-integer-curvature", "hypersurface-as-list", "boolean-radius",
         "string-radius", "string-tube-radius", "boolean-coeffs",
         "huge-integer-radius", "unknown-chart-parameter",
-        "repeated-check"])
+        "repeated-check", "huge-sample-count"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
                                             says):
     from spinlab.cli import main
