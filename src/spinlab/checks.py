@@ -11,12 +11,12 @@ kind:
 Point checks share one batched :class:`PointEvaluation` of all sampled
 points.  Every residual of a point evaluation, and of the restricted spin^c
 structures (one per tag, cached by ``ScenarioContext``), runs once on the
-whole batch (``_batch_check``; controls and co-vanishing on its first
-points).  Ambient checks sample the product chart near the hypersurface
-image, as one array pass.  Worst residuals are reduced so that a NaN at
-any point fails the check.  Per-check RNG streams are derived from the
-scenario seed and the check name, so reports are deterministic and
-independent of check selection order.
+whole batch (``_batch_check``); controls and co-vanishing perturb a copy
+of it made by ``replace``.  Ambient checks sample the product chart near
+the hypersurface image, as one array pass.  Worst residuals are reduced so
+that a NaN at any point fails the check.  Per-check RNG streams are
+derived from the scenario seed and the check name, so reports are
+deterministic and independent of check selection order.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class ScenarioContext:
 
     # perfbench's stage profile calls this; no check does
     def evaluation(self, i: int) -> hyp.PointEvaluation:
-        return self.batch.point(i)
+        """A new evaluation of sample point ``i`` alone."""
+        return hyp.evaluate(self.chart, self.product, self.points[i])
 
     def spinc(self, tag: int) -> rst.RestrictedSpinc:
         """The structure ``tag`` (1 positive, 2 negative) restricted at
@@ -78,10 +79,9 @@ class ScenarioContext:
 
     # perfbench's stage profile calls this; no check does
     def restricted(self, i: int, tag: int) -> rst.RestrictedSpinc:
-        """The structure ``tag`` restricted at sample point ``i`` alone,
-        read off the batch like ``evaluation(i)``."""
+        """The structure ``tag`` restricted on ``evaluation(i)``."""
         return rst.restrict_structure(self.evaluation(i),
-                                      self.spinc(tag).struct)
+                                      self.structures[tag - 1])
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,6 @@ def _batch_check(residual, tag=None, **notes):
 
 
 # --- ambient / product-model checks -----------------------------------------
-
-def check_ambient_parallel(ctx):
-    n = min(20, len(ctx.points))
-    # the same stream as drawing vel (4) then acc (4) point by point
-    draws = ctx.rng_for("ambient.parallel_spinor").standard_normal((n, 2, 4))
-    vel, acc = 0.2 * draws[:, 0], 0.1 * draws[:, 1]
-    ts = np.linspace(-0.5, 0.5, 7)
-    return _record(worst_of(np.ravel(ctx.product.parallel_residual_on_curve(
-        ctx.structures, ctx.batch.position[:n], vel, acc, ts))), n)
-
 
 def check_ambient_auxiliary(ctx):
     n = min(12, len(ctx.points))
@@ -178,18 +168,11 @@ def check_consistency(ctx):
     return rec
 
 
-def _head(ctx, limit):
-    """The first ``min(limit, samples)`` points of the batch, and their
-    count."""
-    n = min(limit, len(ctx.points))
-    return ctx.batch.point(slice(n)), n
-
-
 def check_gauss_control(ctx):
-    ev, n = _head(ctx, 10)
+    ev = ctx.batch
     rng = ctx.rng_for("curvature.gauss_control")
-    rec = _record(worst_of(hyp.gauss_residual(
-        ev.replace(E_frame=sysmod.perturbed_shape(ev, rng)))), n)
+    rec = _max_over_batch(ctx, hyp.gauss_residual(
+        ev.replace(E_frame=sysmod.perturbed_shape(ev, rng))))
     rec.notes = {"control": "shape operator perturbed by symmetric "
                             "rank-two noise; residual must exceed tolerance"}
     return rec
@@ -208,20 +191,18 @@ def _system_check(tag):
 
 
 def check_system_control(ctx):
-    ev, n = _head(ctx, 10)
-    ev = ev.replace(E_frame=sysmod.perturbed_shape(
-        ev, ctx.rng_for("system.control")))
-    return _record(worst_of(np.ravel([
-        sysmod.system_residuals(t, ev).max_residual for t in (1, 2)])), n)
+    ev = ctx.batch.replace(E_frame=sysmod.perturbed_shape(
+        ctx.batch, ctx.rng_for("system.control")))
+    return _max_over_batch(ctx, [sysmod.system_residuals(t, ev).max_residual
+                                 for t in (1, 2)])
 
 
 def check_covanish(ctx):
-    ev, n = _head(ctx, 12)
     rng = ctx.rng_for("system.covanish")
-    rec = _record(0.0, n)
+    rec = _record(0.0, len(ctx.points))
     notes = {}
     for tag in (1, 2):
-        rep = sysmod.gauss_iff_codazzi(tag, ev, rng)
+        rep = sysmod.gauss_iff_codazzi(tag, ctx.batch, rng)
         joint = np.min(rep.perturbed_joint, axis=1)  # NaN kept
         notes[f"system{tag}"] = {
             "confirmed": rep.confirmed, "skipped": rep.skipped,
@@ -294,28 +275,11 @@ def check_converse(ctx):
     return rec
 
 
-def check_spin_case(ctx):
-    if (ctx.scenario.c1, ctx.scenario.c2) != (0.0, 0.0):
-        rec = _record(0.0, 0, points_skipped=len(ctx.points),
-                      skip_reason="factors are curved")
-        rec.notes = {"status": "not a spin case (c1, c2) != (0, 0)"}
-        return rec
-    n = min(10, len(ctx.points))
-    rec = _record(worst_of(np.ravel([
-        np.abs(ctx.spinc(tag).omega_pullback[:n]) for tag in (1, 2)])), n)
-    rec.notes = {"status": "flat factors: both induced structures coincide "
-                           "(spin case), auxiliary curvature vanishes"}
-    return rec
-
-
 REGISTRY = [
     CheckSpec("ambient.product_structure",
               "product endomorphism F: involutive, symmetric, trace free; "
               "Ricci form = curvature times area form (finite differences)",
               1e-7, "assert", check_ambient_product_structure),
-    CheckSpec("ambient.parallel_spinor",
-              "distinguished constant section is parallel along random curves",
-              1e-7, "assert", check_ambient_parallel),
     CheckSpec("ambient.auxiliary_curvature",
               "loop holonomy of the auxiliary gauge equals the curvature "
               "2-form of the structure", 1e-6, "assert",
@@ -456,10 +420,6 @@ REGISTRY = [
               "abstract-data direction: harvested point data passes the "
               "full compatibility battery (ratios to per-check tolerances)",
               1.0, "assert", check_converse),
-    CheckSpec("spinc.spin_case",
-              "flat factors: the two induced structures coincide and the "
-              "auxiliary curvature vanishes", 1e-10, "record",
-              check_spin_case),
 ]
 
 REGISTRY_BY_NAME = {spec.name: spec for spec in REGISTRY}

@@ -21,13 +21,11 @@ curvature, the inverse metric, the splitting (f, V, h), xi and the ambient
 Christoffel symbols to order 1 for their first derivatives, and the
 ambient V to order 0 for its value.  Its inputs are cut to that order
 before its products run.  Value-level arrays put the point axis first, so
-``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.  ``point(i)``
-gives the evaluation of one point of a batch; it reads the batch's stages
-instead of recomputing them.  The identity residuals below take either and
-return one value per point.  Those that several checks read (Gauss,
-Codazzi, the derivative identities, the rank pair, and the compatibility
-systems in ``systems``) are computed once per evaluation and handed out
-read-only; a point view reads them off its batch like a stage.
+``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.  The identity
+residuals below take either and return one value per point.  Those that
+several checks read (Gauss, Codazzi, the derivative identities, the rank
+pair, and the compatibility systems in ``systems``) are computed once per
+evaluation and handed out read-only.
 
 The value stages (``g_val``, ``E_mixed_val``, ``V_frame``, ``h_val``, ...)
 are the one point record every identity reads; ``replace`` swaps some of
@@ -52,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet, contract, stack, variables
+from .jets import contract, stack, variables
 from .product import F_MATRIX, J_MATRIX, ProductModel
 from .surfaces import OutsideDomainError
 
@@ -90,18 +88,6 @@ class HypersurfaceChart:
         return stack(list(self.map_fn(*variables(u))))
 
 
-def _at(x, i):
-    """Entry ``i`` of batch data: a jet, an array, or a dict or tuple of
-    arrays."""
-    if isinstance(x, Jet):
-        return Jet(x.c[..., i], x.shape)
-    if isinstance(x, dict):
-        return {k: v[i] for k, v in x.items()}
-    if isinstance(x, tuple):
-        return tuple(v[i] for v in x)
-    return x[i]
-
-
 def _read_only(x):
     """``x``, an array or a dict or tuple of arrays, with every array made
     read-only."""
@@ -116,11 +102,7 @@ def _read_only(x):
 def _shared(ev, body, *args):
     """``body(ev, *args)``, an identity residual that several checks read,
     computed once per evaluation and handed out read-only, a dict as a
-    copy.  Like a stage, on the evaluation of points of a batch it reads
-    the batch's result at those points; an evaluation made by ``replace``
-    computes its own."""
-    if ev._memo is None:
-        return _read_only(_at(_shared(ev._batch, body, *args), ev._index))
+    copy; an evaluation made by ``replace`` computes its own."""
     key = (body, *args)
     if key not in ev._memo:
         ev._memo[key] = _read_only(body(ev, *args))
@@ -134,17 +116,13 @@ def _mv(M, v):
 
 
 def _stage(fn):
-    """A lazily computed pipeline stage.  On the evaluation of one point of
-    a batch it reads the batch's stage at that point."""
+    """A lazily computed pipeline stage."""
     def get(self):
-        if self._batch is not None:
-            return _at(getattr(self._batch, stage.attrname), self._index)
         # chart data that overflows is reported by the stages' checks, not
         # by numpy warnings on the way there
         with np.errstate(all="ignore"):
             return fn(self)
-    stage = cached_property(functools.wraps(fn)(get))
-    return stage
+    return cached_property(functools.wraps(fn)(get))
 
 
 def _value_stage(jet_stage):
@@ -159,22 +137,11 @@ class PointEvaluation:
         self.chart = chart
         self.product = product
         self.u = np.asarray(u, dtype=float)
-        self._batch = None
-        self._index = None
         self._memo = {}  # shared identity residuals, see ``_shared``
-
-    def point(self, i) -> "PointEvaluation":
-        """The evaluation at point ``i`` of this batch; a slice or an index
-        array gives the sub-batch of those points."""
-        ev = PointEvaluation(self.chart, self.product, self.u[i])
-        ev._batch, ev._index, ev._memo = self, i, None
-        return ev
 
     def replace(self, **stages) -> "PointEvaluation":
         """A copy with the named stages set to the given values.  It shares
-        every stage computed so far, but no identity residual; on the
-        evaluation of one point of a batch, the stages it does not name
-        still read the batch."""
+        every stage computed so far, but no identity residual."""
         assert all(isinstance(getattr(PointEvaluation, k, None),
                               cached_property) for k in stages), stages
         ev = copy.copy(self)

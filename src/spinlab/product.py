@@ -19,8 +19,9 @@ tangent vector X = (X1, X2) is
     C(X) = 1/2 w1(X1) E1 E2 + 1/2 w2(X2) E3 E4
          + (i/2) (s1 w1(X1) + s2 w2(X2)) Id,
 
-with w_i the factor frame rotation forms.  C(X) psi0 = 0 identically, and
-the curvature of the auxiliary part reproduces the 2-form
+with w_i the factor frame rotation forms.  C(X) psi0 = 0 identically, by
+this choice of gauge, and the curvature of the auxiliary part reproduces
+the 2-form
 
     Omega(X, Y) = -s1 rho1(pi1 X, pi1 Y) - s2 rho2(pi2 X, pi2 Y),
 
@@ -28,12 +29,12 @@ which the loop-holonomy probe verifies numerically rather than assumes.
 
 The tensor and form evaluators read a point's chart coordinates from axis 0
 (``p[0]`` is x1), so arrays of shape ``(4, ...)`` evaluate a whole stack of
-points in one call.  ``connection_matrix`` and the verification probes take
-the coordinate axis last, ``(..., 4)``, like the sample positions of a
-batch, and evaluate every point, node and plane in one array pass.  The
-probes take a list of structures and return one row per structure: the
-nodes, rotation forms and Ricci forms are built once, and only their
-signed sums differ between the structures.
+points in one call.  ``connection_matrix`` and the holonomy probe take the
+coordinate axis last, ``(..., 4)``, like the sample positions of a batch,
+and evaluate every point, node and plane in one array pass.  The probe
+takes a list of structures and returns one row per structure: the nodes,
+rotation forms and Ricci forms are built once, and only their signed sums
+differ between the structures.
 """
 
 from __future__ import annotations
@@ -140,17 +141,11 @@ class ProductModel:
     def connection_matrix(self, p, X, struct: SpincStructure):
         """Coefficient matrix C(X) of the spinor connection at p: ``p`` and
         ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""
-        return self._connection_matrices(p, X, [struct])[0]
-
-    def _connection_matrices(self, p, X, structs):
-        """C(X) of each structure of ``structs``; only the auxiliary part
-        depends on the structure, the rotation forms are built once."""
         w1, w2 = self.rotation_forms(np.moveaxis(np.asarray(p), -1, 0),
                                      np.moveaxis(np.asarray(X), -1, 0))
         w1, w2 = (np.asarray(value(w))[..., None, None] for w in (w1, w2))
         spin = 0.5 * w1 * E1E2 + 0.5 * w2 * E3E4
-        return [spin + 0.5j * _auxiliary(st, w1, w2) * np.eye(4)
-                for st in structs]
+        return spin + 0.5j * _auxiliary(struct, w1, w2) * np.eye(4)
 
     def parallel_spinor(self, struct: SpincStructure):
         """The constant section spanning the parallel line of the structure."""
@@ -158,24 +153,7 @@ class ProductModel:
              -1: np.array([0.0, 1.0], dtype=complex)}
         return np.kron(b[struct.signs[0]], b[struct.signs[1]])
 
-    # verification probes --------------------------------------------------
-    def parallel_residual_on_curve(self, structs, p0, vel, acc, ts):
-        """max over ``ts`` of |C(c(t), c'(t)) psi0| along the curve
-        c(t) = p0 + t v + t^2 w, for each structure of ``structs``.
-        ``p0``, ``vel``, ``acc`` are ``(..., 4)``; the result is
-        ``(len(structs), ...)``, their leading shape behind one row per
-        structure."""
-        p0, vel, acc = (np.asarray(x, dtype=float)[..., None, :]
-                        for x in (p0, vel, acc))
-        t = np.asarray(ts, dtype=float)[:, None]
-        p = p0 + t * vel + t * t * acc
-        dp = vel + 2.0 * t * acc
-        return np.stack([
-            np.max(np.linalg.norm(C @ self.parallel_spinor(st), axis=-1),
-                   axis=-1)
-            for C, st in zip(self._connection_matrices(p, dp, structs),
-                             structs)])
-
+    # verification probe -----------------------------------------------------
     def _loop_integrals(self, p, hs, structs):
         """Line integrals of the auxiliary form of each structure around
         the squares of side ``hs`` centred at ``p`` in every coordinate

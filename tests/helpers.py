@@ -219,21 +219,6 @@ def loop_codazzi_residual(dE_frame, c1, c2, f_frame, V_frame):
     return worst
 
 
-def loop_parallel_residual_on_curve(product, struct, p0, vel, acc, ts):
-    """Reference parallel-spinor probe: one connection matrix per curve
-    parameter, the scalar loop the array probe in ``spinlab.product``
-    replaced."""
-    psi0 = product.parallel_spinor(struct)
-    worst = 0.0
-    p0, vel, acc = map(np.asarray, (p0, vel, acc))
-    for t in ts:
-        p = p0 + t * vel + t * t * acc
-        dp = vel + 2.0 * t * acc
-        res = np.linalg.norm(product.connection_matrix(p, dp, struct) @ psi0)
-        worst = max(worst, float(res))
-    return worst
-
-
 _GL_T = 0.5 + np.array([-0.4305681557970263, -0.1699905217924282,
                         0.1699905217924282, 0.4305681557970263])
 _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
@@ -407,7 +392,7 @@ def point_xi_derivative_residual(ev):
     return max(defect(ev.frame[:, i]) for i in range(3))
 
 
-def point_perturbed_shape(ev, rng, scale=0.15):
+def point_perturbed_shape(ev, rng, scale=0.2):
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
     w = rng.standard_normal(3)
@@ -433,10 +418,8 @@ def point_umbilic_residuals(ev):
 def point_converse_residuals(ev):
     """The converse battery at a one-point evaluation, ``evaluate(chart,
     product, u)``: Gauss and Codazzi by the loop references, the derivative
-    identities and the rank pair computed on that point alone (a point view
-    of a batch would read the batch's shared results)."""
+    identities and the rank pair computed on that point alone."""
     from spinlab.hypersurfaces import derivative_identities, rank_pair
-    assert ev._batch is None, "a point view reads its batch's results"
     c1, c2 = ev.product.c1, ev.product.c2
     v1, v2, h = ev.V_frame[0], ev.V_frame[1], ev.h_val
     fr = np.array([[-h, 0.0, v2], [0.0, -h, -v1], [v2, -v1, h]])
@@ -622,14 +605,16 @@ def point_dirac_and_energy_momentum(rs):
     return dres, Q, min(dplus, dminus), sign
 
 
-def point_relations_record(ctx, tag):
+def point_relations_record(ctx, tag, normal_scale=1.0):
     """Worst residual and measured volume-element signs of the
-    ``spinc.relations_s<tag>`` check, one point after another."""
+    ``spinc.relations_s<tag>`` check, one point after another, each point
+    evaluated alone with its normal scaled by ``normal_scale``."""
     rng = ctx.rng_for(f"spinc.relations_s{tag}")
     res = []
     measured = set()
-    for i in range(len(ctx.points)):
-        rs = PointSpinc(ctx.evaluation(i),
+    for u in ctx.points:
+        ev = evaluate(ctx.chart, ctx.product, u)
+        rs = PointSpinc(ev.replace(nu_val=normal_scale * ev.nu_val),
                         structure(tag, ctx.scenario.structure_pairing))
         res.append(rs.anticommutation_residual(rng, trials=3))
         m = rs.volume_measurement()

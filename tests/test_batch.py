@@ -34,13 +34,31 @@ STAGES = [name for name, attr in vars(PointEvaluation).items()
           if isinstance(attr, cached_property)]
 
 
+def _row(x, i):
+    """Row ``i`` of batch data: a jet, an array or a tuple of arrays."""
+    if isinstance(x, Jet):
+        return Jet(x.c[..., i], x.shape)
+    if isinstance(x, tuple):
+        return tuple(v[i] for v in x)
+    return x[i]
+
+
+def _assert_row_matches(got, want, where):
+    """Stage value ``got`` (a batch row) equals ``want`` (one point)."""
+    assert type(got) is type(want), where
+    assert np.shape(got) == np.shape(want), where
+    a, b = _numbers(want), _numbers(got)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    assert np.max(np.abs(a - b)) <= REL_TOL * scale, where
+
+
 def _numbers(x):
-    """Every float of a stage value: arrays, jets and nested lists."""
+    """Every number of a stage value: arrays, jets and nested lists."""
     if isinstance(x, Jet):
         return x.c.ravel()
     if isinstance(x, list):
         return np.concatenate([_numbers(y) for y in x])
-    return np.ravel(np.asarray(x, dtype=float))
+    return np.ravel(np.asarray(x))
 
 
 def test_batch_matches_single_points(members, rng):
@@ -53,15 +71,31 @@ def test_batch_matches_single_points(members, rng):
             batch.E_mixed.deriv().grad()
         for i, u in enumerate(pts):
             single = evaluate(chart, prod, u)
-            view = batch.point(i)
             for stage in STAGES:
-                want = getattr(single, stage)
-                got = getattr(view, stage)
-                assert type(got) is type(want), (name, stage)
-                assert np.shape(got) == np.shape(want), (name, stage)
-                a, b = _numbers(want), _numbers(got)
-                scale = max(1.0, float(np.max(np.abs(a))))
-                assert np.max(np.abs(a - b)) <= REL_TOL * scale, (name, stage)
+                _assert_row_matches(_row(getattr(batch, stage), i),
+                                    getattr(single, stage), (name, stage))
+
+
+def test_perfbench_hooks_match_batch_rows():
+    """``ScenarioContext.evaluation(i)`` and ``restricted(i, tag)`` build
+    sample point ``i`` alone; their records are row ``i`` of the scenario's
+    batch and of its restricted structures."""
+    for raw in BUILTIN_SCENARIOS:
+        ctx = ScenarioContext(Scenario.from_dict(dict(raw, samples=3)))
+        for i in range(3):
+            ev = ctx.evaluation(i)
+            assert ev.u.shape == (3,)
+            for stage in STAGES:
+                _assert_row_matches(_row(getattr(ctx.batch, stage), i),
+                                    getattr(ev, stage), (raw["name"], stage))
+            for tag in (1, 2):
+                one, whole = ctx.restricted(i, tag), ctx.spinc(tag)
+                assert one.struct == whole.struct
+                for name in ("frame_gammas", "omega_pullback",
+                             "frame_derivative"):
+                    _assert_row_matches(
+                        _row(getattr(whole, name), i), getattr(one, name),
+                        (raw["name"], tag, name))
 
 
 def test_batch_stages_have_a_leading_point_axis(members, rng):
@@ -153,13 +187,10 @@ def test_reading_past_a_reduced_stage_raises(members):
     assert batch.V_ambient.val.shape == (3, 4)
 
 
-def test_point_view_shares_the_batch():
+def test_replace_shares_computed_stages():
     chart = build_chart("graph")
     batch = evaluate(chart, build_product(1.0, 0.0),
                      [[0.1, 0.2, 0.3], [0.3, -0.2, 0.4]])
-    view = batch.point(1)
-    assert view.u.tolist() == [0.3, -0.2, 0.4]
-    assert np.shares_memory(view.g_val, batch.g_val)
     # ``replace``: the copy shows its stages, the original keeps its own,
     # and a stage computed before the copy is shared
     E = batch.E_frame
@@ -168,11 +199,6 @@ def test_point_view_shares_the_batch():
     assert np.array_equal(copy.h_val, batch.h_val + 0.1)
     assert batch.E_frame is E
     assert np.shares_memory(copy.frame, batch.frame)
-    moved = view.replace(f_frame=np.zeros((3, 3)))
-    assert not np.any(moved.f_frame) and np.any(view.f_frame)
-    # stages the copy did not replace still read the batch
-    assert np.shares_memory(moved.V_frame, batch.V_frame)
-    assert np.shares_memory(moved.riemann_frame, batch.riemann_frame)
     with pytest.raises(AssertionError):  # not a stage
         batch.replace(E_fram=E)
 
@@ -188,23 +214,9 @@ def _shared_results(ev):
                sysmod.system_residuals(tag, ev).residuals.items()}}
 
 
-def test_point_views_read_the_shared_identities_of_their_batch():
-    chart = build_chart("round-sphere", {"r": 0.35})
-    batch = evaluate(chart, build_product(1.0, 4.0),
-                     sample(chart, np.random.default_rng(2), 5))
-    whole = _shared_results(batch)
-    for index in (3, slice(1, 4), np.array([4, 0])):
-        view = batch.point(index)
-        for key, got in _shared_results(view).items():
-            assert np.array_equal(got, whole[key][index]), (index, key)
-        # the view computed nothing: it never read a stage
-        assert not {"riemann_frame", "dE_frame", "E_frame"} & set(
-            view.__dict__), index
-
-
 def test_shared_identities_match_standalone_points(members):
-    """A point view reads the batch's shared identities, so the one-point
-    arithmetic is compared here against evaluations of each point alone."""
+    """The shared identities of a batch, row by row, against evaluations of
+    each point alone."""
     for label, prod, chart in members:
         batch = evaluate(chart, prod, sample(chart, np.random.default_rng(5), 4))
         whole = _shared_results(batch)
@@ -218,10 +230,10 @@ def test_shared_identities_match_standalone_points(members):
 def test_replace_never_reuses_a_shared_identity():
     """An evaluation made by ``replace`` computes every shared identity
     from its own data, also after the clean one was read."""
-    chart = build_chart("round-sphere", {"r": 0.35})
-    batch = evaluate(chart, build_product(1.0, 4.0),
-                     sample(chart, np.random.default_rng(2), 4))
-    for ev in (batch, batch.point(1), batch.point(slice(2, 4))):
+    chart, prod = build_chart("round-sphere", {"r": 0.35}), build_product(1.0, 4.0)
+    batch = evaluate(chart, prod, sample(chart, np.random.default_rng(2), 4))
+    for ev in (batch, evaluate(chart, prod, batch.u[1]),
+               evaluate(chart, prod, batch.u[2:4])):
         clean = hyp.gauss_residual(ev)
         doubled = ev.replace(E_frame=2 * ev.E_frame)
         assert np.all(hyp.gauss_residual(doubled) > 1e-2)
@@ -240,10 +252,10 @@ def test_replace_never_reuses_a_shared_identity():
 def test_shared_identities_are_read_only():
     """A reader can change neither an array nor the mapping of a shared
     result: arrays refuse writes, and a dict handed out is a copy."""
-    chart = build_chart("graph")
-    batch = evaluate(chart, build_product(1.0, -0.5),
-                     sample(chart, np.random.default_rng(4), 4))
-    for ev in (batch, batch.point(slice(1, 3)), batch.point(np.array([2, 0]))):
+    chart, prod = build_chart("graph"), build_product(1.0, -0.5)
+    batch = evaluate(chart, prod, sample(chart, np.random.default_rng(4), 4))
+    for ev in (batch, evaluate(chart, prod, batch.u[1:3]),
+               evaluate(chart, prod, batch.u[[2, 0]])):
         for key, value in _shared_results(ev).items():
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 0.0
@@ -339,12 +351,6 @@ REFERENCES = {
 }
 
 
-# identities that read results shared per evaluation (``hyp._shared``): a
-# point view would read the batch's own result, so these are compared with
-# evaluations of each point alone
-STANDALONE = {"rank_pair", "system_one", "system_two", "converse"}
-
-
 def _as_dict(x):
     return x if isinstance(x, dict) else {"": x}
 
@@ -352,8 +358,8 @@ def _as_dict(x):
 @pytest.mark.parametrize("name", sorted(IDENTITIES))
 def test_batched_identity_matches_one_point(members, name):
     """An identity run once on N points gives, at each point, what it gives
-    on that point alone, and what the one-point loop it replaced gives;
-    random draws follow one point after another."""
+    on an evaluation of that point alone, and what the one-point loop it
+    replaced gives; random draws follow one point after another."""
     runs = [IDENTITIES[name]] + ([REFERENCES[name]] if name in REFERENCES
                                  else [])
     n = 5
@@ -362,8 +368,7 @@ def test_batched_identity_matches_one_point(members, name):
         got = _as_dict(IDENTITIES[name](batch, np.random.default_rng(11)))
         streams = [np.random.default_rng(11) for _ in runs]
         for i in range(n):
-            point = (evaluate(chart, prod, batch.u[i]) if name in STANDALONE
-                     else batch.point(i))
+            point = evaluate(chart, prod, batch.u[i])
             for one_point, rng in zip(runs, streams):
                 want = _as_dict(one_point(point, rng))
                 if one_point is IDENTITIES[name]:
@@ -428,8 +433,9 @@ RESTRICTED = {
 def test_batched_restriction_matches_one_point(members, name, normal_scale):
     """A restricted residual run once on N points gives, at each point and
     for both structures, what it gives on that point's one-point structure
-    and what the per-point implementation it replaced gives; random draws
-    follow one point after another.  A doubled normal turns gamma into
+    and what the per-point implementation it replaced gives, each point
+    evaluated alone with the same normal; random draws follow one point
+    after another.  A doubled normal turns gamma into
     twice a Clifford map, so every residual is of order one there and the
     Clifford defect 6|g(X, Y)| depends on every draw."""
     batched, reference = RESTRICTED[name]
@@ -437,6 +443,8 @@ def test_batched_restriction_matches_one_point(members, name, normal_scale):
     for label, prod, chart in members:
         batch = evaluate(chart, prod, sample(chart, np.random.default_rng(5), n))
         batch = batch.replace(nu_val=normal_scale * batch.nu_val)
+        points = [evaluate(chart, prod, u) for u in batch.u]
+        points = [ev.replace(nu_val=normal_scale * ev.nu_val) for ev in points]
         for tag in (1, 2):
             st = structure(tag)
             got = _as_dict(batched(rst.restrict_structure(batch, st),
@@ -445,9 +453,9 @@ def test_batched_restriction_matches_one_point(members, name, normal_scale):
                                             rng),
                     lambda ev, rng: reference(helpers.PointSpinc(ev, st), rng)]
             streams = [np.random.default_rng(11) for _ in runs]
-            for i in range(n):
+            for i, point in enumerate(points):
                 for one_point, rng in zip(runs, streams):
-                    want = _as_dict(one_point(batch.point(i), rng))
+                    want = _as_dict(one_point(point, rng))
                     assert want.keys() == got.keys()
                     for key, w in want.items():
                         w, g = np.asarray(w), np.asarray(got[key])[i]
@@ -477,6 +485,6 @@ def test_relations_check_keeps_the_point_stream(tag, normal_scale):
         ctx = ScenarioContext(Scenario.from_dict(dict(raw, samples=8)))
         ctx.batch = ctx.batch.replace(nu_val=normal_scale * ctx.batch.nu_val)
         rec = REGISTRY_BY_NAME[f"spinc.relations_s{tag}"].fn(ctx)
-        worst, signs = helpers.point_relations_record(ctx, tag)
+        worst, signs = helpers.point_relations_record(ctx, tag, normal_scale)
         assert abs(rec.max_residual - worst) <= IDENTITY_TOL * max(1.0, worst)
         assert rec.notes["volume_element_sign"] == signs

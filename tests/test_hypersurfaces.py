@@ -200,9 +200,15 @@ def test_sphere_poles_are_rank_deficient():
 
 def test_gauss_codazzi_arrays_match_loop_reference(members, rng):
     """The array forms of the Gauss and Codazzi residuals do the same
-    elementwise arithmetic as the loops they replaced: equal results, at
-    single points and over a batch."""
+    elementwise arithmetic as the loops they replaced: equal results, on
+    each row of a batch and at single points."""
     from helpers import loop_codazzi_residual, loop_gauss_residual
+
+    def loops(prod, riemann, dE, f, E, V):
+        args = (prod.c1, prod.c2, f)
+        return (loop_gauss_residual(riemann, *args, E),
+                loop_codazzi_residual(dE, *args, V))
+
     for name, prod, chart in members:
         pts = sample(chart, rng, 6)
         batch = evaluate(chart, prod, pts)
@@ -210,12 +216,15 @@ def test_gauss_codazzi_arrays_match_loop_reference(members, rng):
         codazzi = codazzi_residual(batch)
         assert gauss.shape == codazzi.shape == (6,)
         for i in range(6):
-            ev = batch.point(i)
-            args = (prod.c1, prod.c2, ev.f_frame)
-            ref_g = loop_gauss_residual(ev.riemann_frame, *args, ev.E_frame)
-            ref_c = loop_codazzi_residual(ev.dE_frame, *args, ev.V_frame)
-            assert gauss_residual(ev) == ref_g == gauss[i], name
-            assert codazzi_residual(ev) == ref_c == codazzi[i], name
+            ref_g, ref_c = loops(prod, batch.riemann_frame[i],
+                                 batch.dE_frame[i], batch.f_frame[i],
+                                 batch.E_frame[i], batch.V_frame[i])
+            assert ref_g == gauss[i] and ref_c == codazzi[i], name
+            ev = evaluate(chart, prod, pts[i])
+            ref_g, ref_c = loops(prod, ev.riemann_frame, ev.dE_frame,
+                                 ev.f_frame, ev.E_frame, ev.V_frame)
+            assert gauss_residual(ev) == ref_g, name
+            assert codazzi_residual(ev) == ref_c, name
 
 
 # --- the tensor pipeline against the scalar-jet pipeline it replaced ----------

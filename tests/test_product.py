@@ -8,7 +8,7 @@ from spinlab.product import (F_MATRIX, J_MATRIX, ProductModel, structure)
 from spinlab.surfaces import OutsideDomainError
 
 from helpers import (dense_christoffels, loop_auxiliary_curvature_residual,
-                     loop_parallel_residual_on_curve, metric_diagonal)
+                     metric_diagonal)
 
 
 def test_structure_tags_and_chirality():
@@ -95,21 +95,6 @@ def test_parallel_spinor_constant_in_flat_case(rng):
             assert np.max(np.abs(prod.connection_matrix(p, X, st))) == 0.0
 
 
-def test_parallel_residual_along_random_curves(rng):
-    prod = ProductModel(1.0, 2.5)
-    ts = np.linspace(-0.5, 0.5, 9)
-    for tag in (1, 2):
-        st = structure(tag)
-        worst = 0.0
-        for _ in range(100):
-            p0 = rng.uniform(-0.4, 0.4, 4)
-            vel = 0.3 * rng.standard_normal(4)
-            acc = 0.15 * rng.standard_normal(4)
-            worst = max(worst, prod.parallel_residual_on_curve(
-                [st], p0, vel, acc, ts)[0])
-        assert worst < 1e-7
-
-
 def test_connection_clifford_compatibility(rng):
     """d/dt gamma(Y) + [C, gamma(Y)] = gamma(nabla_dot Y) along curves:
     the spin part of V rotates exactly with the frame (finite differences)."""
@@ -165,38 +150,27 @@ def test_metric_diagonal_blocks():
 @pytest.mark.parametrize("c1,c2", [(1.0, 1.0), (1.0, 4.0), (-0.5, 2.0),
                                    (2.0, -0.3)])
 def test_array_probes_match_scalar_loops(c1, c2, n, rng):
-    """The array holonomy and parallel-transport probes agree point by
-    point with the scalar loops they replaced (abs 1e-12)."""
+    """The array holonomy probe agrees point by point with the scalar loop
+    it replaced (abs 1e-12)."""
     prod = ProductModel(c1, c2)
     p = rng.uniform(-0.4, 0.4, (n, 4))
-    vel = 0.2 * rng.standard_normal((n, 4))
-    acc = 0.1 * rng.standard_normal((n, 4))
-    ts = np.linspace(-0.5, 0.5, 7)
     structs = [structure(1), structure(2)]
     hols = prod.auxiliary_curvature_residual(p, structs)
-    pars = prod.parallel_residual_on_curve(structs, p, vel, acc, ts)
-    assert hols.shape == pars.shape == (2, n)
-    for st, hol, par in zip(structs, hols, pars):
+    assert hols.shape == (2, n)
+    for st, hol in zip(structs, hols):
         for i in range(n):
             want = loop_auxiliary_curvature_residual(prod, p[i], st)
             assert abs(hol[i] - want) <= 1e-12
             assert prod.auxiliary_curvature_residual(p[i], [st])[0] == \
                 pytest.approx(hol[i], abs=1e-12)
-            want = loop_parallel_residual_on_curve(prod, st, p[i], vel[i],
-                                                   acc[i], ts)
-            assert abs(par[i] - want) <= 1e-12
 
 
 def test_array_probes_vanish_exactly_on_flat_factors(rng):
     prod = ProductModel(0.0, 0.0)
     p = rng.uniform(-1, 1, (5, 4))
-    vel, acc = rng.standard_normal((2, 5, 4))
-    ts = np.linspace(-0.5, 0.5, 7)
     for tag in (1, 2):
         st = structure(tag)
         assert np.all(prod.auxiliary_curvature_residual(p, [st]) == 0.0)
-        assert np.all(prod.parallel_residual_on_curve([st], p, vel, acc, ts)
-                      == 0.0)
 
 
 def test_holonomy_loop_leaving_the_chart_is_named():
@@ -218,17 +192,10 @@ def test_two_structure_probes_match_loop_references_bit_for_bit(pairing, rng):
     forms, yet gives for each structure exactly the scalar loop's value:
     each loop integral is still rounded as a running sum in loop order."""
     structs = [structure(1, pairing), structure(2, pairing)]
-    ts = np.linspace(-0.5, 0.5, 7)
     for c1, c2 in [(1.0, 4.0), (-0.5, 2.0), (2.0, -0.3)]:
         prod = ProductModel(c1, c2)
         p = rng.uniform(-0.4, 0.4, (6, 4))
-        vel = 0.2 * rng.standard_normal((6, 4))
-        acc = 0.1 * rng.standard_normal((6, 4))
         hol = prod.auxiliary_curvature_residual(p, structs)
-        par = prod.parallel_residual_on_curve(structs, p, vel, acc, ts)
         for k, st in enumerate(structs):
             assert hol[k].tolist() == [
                 loop_auxiliary_curvature_residual(prod, q, st) for q in p]
-            assert par[k].tolist() == [
-                loop_parallel_residual_on_curve(prod, st, q, v, a, ts)
-                for q, v, a in zip(p, vel, acc)]

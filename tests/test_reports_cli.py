@@ -260,12 +260,11 @@ def test_nan_residual_fails_the_check(monkeypatch, check, target):
     assert not report.passed
 
 
-@pytest.mark.parametrize("check", ["ambient.auxiliary_curvature",
-                                   "ambient.parallel_spinor"])
+@pytest.mark.parametrize("check", ["ambient.auxiliary_curvature"])
 def test_nan_in_ambient_probe_fails_the_check(monkeypatch, check):
     """A NaN conformal factor of the flat second factor at one node (the
-    second along every array axis: point, loop size, plane, edge, Gauss
-    node or curve parameter) must fail the check."""
+    second along every array axis: point, loop size, plane, edge or Gauss
+    node) must fail the check."""
     from spinlab.surfaces import SurfaceModel
     original = SurfaceModel.conformal_factor
     poisoned = []
@@ -461,16 +460,50 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
 
     for body in ("_codazzi", "_derivative_identities", "_rank_pair"):
         assert runs(body) == [(14,)], body
-    # on the 14 points once; then on the perturbed head points of
-    # curvature.gauss_control (10) and of system.covanish (12, per tag)
-    assert runs("_gauss") == [(10,), (12,), (12,), (14,)]
-    # system.control (10), system.covanish (12), system.one or two (14)
+    # on the clean batch once; then on the perturbed copies of
+    # curvature.gauss_control and of system.covanish (one per tag), every
+    # one of them all 14 points
+    assert runs("_gauss") == [(14,)] * 4
+    # system.control, system.covanish, system.one or two
     for tag in (1, 2):
-        assert runs(f"system{tag}") == [(10,), (12,), (14,)]
+        assert runs(f"system{tag}") == [(14,)] * 3
     assert runs("frame derivative") == [(1,), (2,)]
-    # ambient.auxiliary_curvature, ambient.parallel_spinor, and the frame
-    # derivative of each structure
-    assert len(runs("rotation")) == 4
+    # ambient.auxiliary_curvature and the frame derivative of each
+    # structure
+    assert len(runs("rotation")) == 3
+
+
+CONTROLS = ["curvature.gauss_control", "system.control", "system.covanish"]
+
+
+def test_controls_run_on_every_sample_point():
+    """The two controls and co-vanishing evaluate every sample point of the
+    scenario, and both controls trip on every catalog member."""
+    from spinlab.catalog import BUILTIN_SCENARIOS
+    for raw in BUILTIN_SCENARIOS:
+        report = run_scenario(Scenario.from_dict(dict(raw, checks=CONTROLS)))
+        for rec in report.checks:
+            assert rec.points_evaluated == raw["samples"], (raw["name"],
+                                                            rec.name)
+            assert rec.verdict == "pass", (raw["name"], rec.name)
+            if rec.name != "system.covanish":
+                assert rec.max_residual > rec.tolerance
+
+
+def test_one_sample_geodesic_slice_exits_0(tmp_path):
+    """The built-in totally geodesic slice at one sample passes every
+    check: where E = 0 the control's rank-two bump s (v v^T + w w^T) leaves
+    a Gauss residual of at least s^2 / 3, above the tolerance 1e-2 at the
+    default s = 0.2."""
+    from spinlab.catalog import BUILTIN_SCENARIOS
+    from spinlab.cli import main
+    (raw,) = [d for d in BUILTIN_SCENARIOS if d["name"] == "slice-geodesic"]
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps(dict(raw, samples=1)))
+    assert main(["run", "--scenario", str(path), "--format", "json",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["overall_verdict"] == "pass"
 
 
 def test_product_structure_stencil_is_one_array_pass(monkeypatch):
