@@ -12,11 +12,11 @@ Point checks share one batched :class:`PointEvaluation` of all sampled
 points.  Every residual of a point evaluation, and of the restricted spin^c
 structures (one per tag, cached by ``ScenarioContext``), runs once on the
 whole batch (``_batch_check``); controls and co-vanishing perturb a copy
-of it made by ``replace``.  Ambient checks sample the product chart near
-the hypersurface image, as one array pass.  Worst residuals are reduced so
-that a NaN at any point fails the check.  Per-check RNG streams are
-derived from the scenario seed and the check name, so reports are
-deterministic and independent of check selection order.
+of it made by ``replace``.  Ambient checks take exact jets of the factor
+data at every sample position, as one array pass.  Worst residuals are
+reduced so that a NaN at any point fails the check.  Per-check RNG
+streams are derived from the scenario seed and the check name, so
+reports are deterministic and independent of check selection order.
 """
 
 from __future__ import annotations
@@ -123,39 +123,19 @@ def _batch_check(residual, tag=None, **notes):
 # --- ambient / product-model checks -----------------------------------------
 
 def check_ambient_auxiliary(ctx):
-    n = min(12, len(ctx.points))
-    return _record(worst_of(np.ravel(ctx.product.auxiliary_curvature_residual(
-        ctx.batch.position[:n], ctx.structures))), n)
+    return _max_over_batch(ctx, ctx.product.auxiliary_curvature_residual(
+        ctx.batch.position, ctx.structures))
 
 
 def check_ambient_product_structure(ctx):
-    """F involutive/symmetric/trace-free and rho against finite-difference
-    Gauss curvature of the conformal factors."""
+    """F involutive/symmetric/trace-free and rho against the Gauss
+    curvature of the conformal factors (Liouville's formula)."""
     res = [float(np.max(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)))),
            float(np.max(np.abs(F_MATRIX - F_MATRIX.T))),
            abs(float(np.trace(F_MATRIX)))]
-    h = 1e-3
-    n = min(10, len(ctx.points))
-    p = ctx.batch.position[:n]
-    # the nodes of a fourth-order second-derivative stencil along x, then
-    # along y, evaluated as one array; node 2 of either is the point itself
-    t = np.array([2 * h, h, 0.0, -h, 2 * -h])[:, None]
-    rows = (len(t), n)
-
-    def d2(f):
-        return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-
-    for surf, x, y in ((ctx.product.factor1, p[:, 0], p[:, 1]),
-                       (ctx.product.factor2, p[:, 2], p[:, 3])):
-        lam = value(surf.conformal_factor(
-            np.concatenate([x + t, np.broadcast_to(x, rows)]),
-            np.concatenate([np.broadcast_to(y, rows), y + t])))
-        log_lam = np.log(lam)
-        K = -(d2(log_lam[:5]) + d2(log_lam[5:])) / lam[2] ** 2
-        # rho coefficient must equal K * lam^2 (area form density)
-        rho = value(surf.ricci_form_coefficient(x, y))
-        res.extend(np.abs(rho - K * lam[2] ** 2))
-    return _record(worst_of(res), n)
+    res.extend(np.ravel(
+        ctx.product.liouville_residual(ctx.batch.position)))
+    return _record(worst_of(res), len(ctx.points))
 
 
 # --- hypersurface point checks ------------------------------------------------
@@ -278,11 +258,13 @@ def check_converse(ctx):
 REGISTRY = [
     CheckSpec("ambient.product_structure",
               "product endomorphism F: involutive, symmetric, trace free; "
-              "Ricci form = curvature times area form (finite differences)",
-              1e-7, "assert", check_ambient_product_structure),
+              "Ricci form = curvature times area form, the curvature by "
+              "Liouville's formula", 1e-12, "assert",
+              check_ambient_product_structure),
     CheckSpec("ambient.auxiliary_curvature",
-              "loop holonomy of the auxiliary gauge equals the curvature "
-              "2-form of the structure", 1e-6, "assert",
+              "exterior derivative of the auxiliary gauge equals the "
+              "curvature 2-form of the structure, by Cartan's structure "
+              "equation d(w12) = -rho on each factor plane", 1e-12, "assert",
               check_ambient_auxiliary),
     CheckSpec("frame.orthonormality",
               "adapted frame {e1, Chi e1, xi} is orthonormal",

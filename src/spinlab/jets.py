@@ -220,7 +220,9 @@ class Jet:
         a, b, shape = self._operands(other)
         if isinstance(other, Jet):
             return Jet(a + b, shape)
-        c = np.array(np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)))
+        # a number adds to the value slot of a copy; an array may widen it
+        c = a.copy() if b.ndim == 0 else np.array(
+            np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)))
         c[0] += b
         return Jet(c, shape)
 

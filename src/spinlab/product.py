@@ -25,16 +25,25 @@ the 2-form
 
     Omega(X, Y) = -s1 rho1(pi1 X, pi1 Y) - s2 rho2(pi2 X, pi2 Y),
 
-which the loop-holonomy probe verifies numerically rather than assumes.
+which the ambient probes verify rather than assume.  Both seed each
+factor's coordinates as exact Taylor jets at the sample positions, and
+compare 2-forms on the factor's orthonormal frame (eps1, eps2): a chart
+coefficient of du ^ dv divided by lam^2, of the size of c even where the
+coefficient grows like lam^2, near the rim of a hyperbolic disk.
+``liouville_residual`` checks rho against the Gauss curvature from the
+order-2 conformal factor by Liouville's formula,
+K = -(lam Lap(lam) - |grad lam|^2) / lam^4.  ``auxiliary_curvature_residual``
+checks Cartan's structure equation d(w12) = -rho with the order-1
+rotation forms, through the auxiliary form and curvature of each
+structure, on each factor plane.  On a mixed plane both sides vanish
+identically, since each rotation and Ricci form reads only its own
+factor, so neither probe computes them.
 
 The tensor and form evaluators read a point's chart coordinates from axis 0
 (``p[0]`` is x1), so arrays of shape ``(4, ...)`` evaluate a whole stack of
-points in one call.  ``connection_matrix`` and the holonomy probe take the
+points in one call.  ``connection_matrix`` and the two probes take the
 coordinate axis last, ``(..., 4)``, like the sample positions of a batch,
-and evaluate every point, node and plane in one array pass.  The probe
-takes a list of structures and returns one row per structure: the nodes,
-rotation forms and Ricci forms are built once, and only their signed sums
-differ between the structures.
+and evaluate every point in one array pass.
 """
 
 from __future__ import annotations
@@ -44,21 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import build_clifford
-from .jets import value
+from .jets import value, variables
 from .surfaces import SurfaceModel
-
-# 4-point Gauss-Legendre nodes/weights on [0, 1]
-_GL_T = 0.5 + np.array([-0.4305681557970263, -0.1699905217924282,
-                        0.1699905217924282, 0.4305681557970263])
-_GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
-                        0.6521451548625461, 0.3478548451374538])
-
-# the six coordinate planes (a, b), a < b, as rows of unit vectors e_a, e_b,
-# and the corners of the unit square they span, counter-clockwise from 0
-_PLANE_A, _PLANE_B = np.triu_indices(4, 1)
-_EA = np.eye(4)[_PLANE_A]
-_EB = np.eye(4)[_PLANE_B]
-_CORNERS = np.stack([0.0 * _EA, _EA, _EA + _EB, _EB], axis=1)
 
 J_MATRIX = np.array([
     [0.0, -1.0, 0.0, 0.0],
@@ -153,50 +149,48 @@ class ProductModel:
              -1: np.array([0.0, 1.0], dtype=complex)}
         return np.kron(b[struct.signs[0]], b[struct.signs[1]])
 
-    # verification probe -----------------------------------------------------
-    def _loop_integrals(self, p, hs, structs):
-        """Line integrals of the auxiliary form of each structure around
-        the squares of side ``hs`` centred at ``p`` in every coordinate
-        plane, shape ``(len(structs),) + p.shape[:-1] + (len(hs), 6)``;
-        each edge by 4-point Gauss-Legendre.  The rotation forms at the
-        nodes are built once for every structure.
+    # verification probes ---------------------------------------------------
+    def _factor_jets(self, p, order):
+        """Each factor with jets x, y of ``order`` seeded at its chart
+        coordinates of the positions ``p``, ``(4,)`` or ``(N, 4)`` (the
+        third jet variable is a dummy), its area density lam^2 there and
+        its Ricci form rho(eps1, eps2)."""
+        p = np.asarray(p, dtype=float)
+        for k, surf in ((0, self.factor1), (2, self.factor2)):
+            x, y, _ = variables(p[..., [k, k + 1, k]])
+            area = value(surf.conformal_factor(x.val, y.val)) ** 2
+            rho = surf.ricci_form_coefficient(x.val, y.val) / area
+            yield surf, x.truncated(order), y.truncated(order), area, rho
 
-        Centred squares make the circulation estimate d(a) at p itself to
-        second order, which Richardson extrapolation removes.
-        """
-        hs = hs[:, None, None, None]
-        # corners (size, plane, corner, coordinate), counter-clockwise
-        base = p[..., None, None, None, :] - 0.5 * hs * (_EA + _EB)[:, None]
-        corners = base + hs * _CORNERS
-        seg = np.roll(corners, -1, axis=-2) - corners
-        q = corners[..., None, :] + _GL_T[:, None] * seg[..., None, :]
-        w1, w2 = self.rotation_forms(np.moveaxis(q, -1, 0),
-                                     np.moveaxis(seg, -1, 0)[..., None])
-        forms = np.stack([_auxiliary(st, w1, w2) for st in structs])
-        # add the 16 weighted node values edge by edge, node by node: a
-        # reduction over the leading axis of a contiguous array accumulates
-        # in that order, so each integral is rounded like a running sum
-        terms = (forms * _GL_W).reshape(forms.shape[:-2] + (16,))
-        return np.add.reduce(np.ascontiguousarray(np.moveaxis(terms, -1, 0)))
+    def liouville_residual(self, p):
+        """|rho(eps1, eps2) - K| of each factor at the positions ``p``,
+        shape ``(2,)`` at one position and ``(2, N)`` at ``N``."""
+        out = []
+        for surf, x, y, area, rho in self._factor_jets(p, 2):
+            lam = surf.conformal_factor(x, y)
+            d = lam.deriv()  # order-1 jet of the gradient
+            hess = d.grad()
+            lap = hess[..., 0, 0] + hess[..., 1, 1]
+            sq = d.val[..., 0] ** 2 + d.val[..., 1] ** 2
+            out.append(np.abs(rho + (lam.val * lap - sq) / area ** 2))
+        return np.stack(out)
 
     def auxiliary_curvature_residual(self, p, structs):
-        """Compare loop-holonomy curvature of the gauge with the closed form.
-
-        Richardson-extrapolated curvature d(a) from loops of side 0.02 and
-        0.01 against curvature_form on every coordinate plane, for each
-        structure of ``structs``; returns the worst deviation at ``p`` of
-        shape ``(4,)`` (shape ``(len(structs),)``) or at each row of an
-        ``(N, 4)`` array (shape ``(len(structs), N)``).
-        """
-        p = np.asarray(p, dtype=float)
-        hs = np.array([0.02, 0.01])
-        d1, d2 = np.moveaxis(self._loop_integrals(p, hs, structs)
-                             / hs[:, None] ** 2, -2, 0)
-        approx = (4.0 * d2 - d1) / 3.0
-        rho = [self.ricci_form(np.moveaxis(p, -1, 0)[..., None], _EA.T, _EB.T,
-                               factor) for factor in (1, 2)]
-        exact = np.stack([_curvature(st, *rho) for st in structs])
-        return np.max(np.abs(approx - exact), axis=-1)
+        """Worst deviation of d(auxiliary form) from the curvature form
+        over the two factor planes, for each structure of ``structs``: at
+        one position of shape ``(4,)`` (shape ``(len(structs),)``) or at
+        each row of an ``(N, 4)`` array (shape ``(len(structs), N)``).  On
+        the plane of factor ``i`` they read ``s_i d(w_i)`` and ``-s_i
+        rho_i``, with d(w12) = d_x w_v - d_y w_u."""
+        curl, rho = [], []
+        for surf, x, y, area, rho_i in self._factor_jets(p, 1):
+            w_u, w_v = surf.frame_rotation_form(x, y)
+            curl.append((w_v.grad()[..., 0] - w_u.grad()[..., 1]) / area)
+            rho.append(rho_i)
+        return np.stack([np.maximum(
+            np.abs(_auxiliary(st, curl[0], 0.0) - _curvature(st, rho[0], 0.0)),
+            np.abs(_auxiliary(st, 0.0, curl[1]) - _curvature(st, 0.0, rho[1])))
+            for st in structs])
 
 
 # The two structures differ only by the signs (s1, s2) of their factors,

@@ -125,7 +125,8 @@ def test_connection_clifford_compatibility(rng):
 
 @pytest.mark.parametrize("c1,c2", [(1.0, 1.0), (1.0, 4.0), (-0.5, 2.0)])
 def test_auxiliary_curvature_consistency(c1, c2, rng):
-    """Loop holonomy of the gauge potential reproduces the curvature form."""
+    """The jet curl of the gauge potential reproduces the curvature form
+    (Cartan's structure equation d(w12) = -rho) to rounding."""
     prod = ProductModel(c1, c2)
     for tag in (1, 2):
         st = structure(tag)
@@ -133,7 +134,43 @@ def test_auxiliary_curvature_consistency(c1, c2, rng):
         for _ in range(100):
             p = rng.uniform(-0.4, 0.4, 4)
             worst = max(worst, prod.auxiliary_curvature_residual(p, [st])[0])
-        assert worst < 1e-6
+        assert worst < 1e-13
+
+
+@pytest.mark.parametrize("c1,c2", [(1.0, 1.0), (1.0, 4.0), (-0.5, 2.0),
+                                   (2.0, -0.3)])
+def test_liouville_residual_is_rounding(c1, c2, rng):
+    """Liouville's formula on the order-2 jet of each conformal factor
+    gives the Ricci form on the orthonormal frame, c, to rounding, at one
+    position and at a stack of them."""
+    prod = ProductModel(c1, c2)
+    p = rng.uniform(-0.4, 0.4, (50, 4))
+    res = prod.liouville_residual(p)
+    assert res.shape == (2, 50)
+    assert np.all(res < 1e-13)
+    assert prod.liouville_residual(p[0]).shape == (2,)
+    assert np.all(prod.liouville_residual(p[0]) < 1e-13)
+
+
+@pytest.mark.parametrize("helper", ["_auxiliary", "_curvature"])
+@pytest.mark.parametrize("factor", [0, 1])
+def test_sign_slip_in_either_helper_fails_the_probe(monkeypatch, rng, helper,
+                                                    factor):
+    """A flipped factor sign in the auxiliary form or in the curvature form
+    breaks the structure equation on that factor's plane, for both
+    structures."""
+    from spinlab import product
+    original = getattr(product, helper)
+
+    def slipped(struct, a, b):
+        return original(struct, -a, b) if factor == 0 \
+            else original(struct, a, -b)
+
+    monkeypatch.setattr(product, helper, slipped)
+    prod = ProductModel(1.0, 4.0)
+    p = rng.uniform(-0.4, 0.4, (5, 4))
+    res = prod.auxiliary_curvature_residual(p, [structure(1), structure(2)])
+    assert np.all(res > 0.5)
 
 
 def test_metric_diagonal_blocks():
@@ -150,19 +187,22 @@ def test_metric_diagonal_blocks():
 @pytest.mark.parametrize("c1,c2", [(1.0, 1.0), (1.0, 4.0), (-0.5, 2.0),
                                    (2.0, -0.3)])
 def test_array_probes_match_scalar_loops(c1, c2, n, rng):
-    """The array holonomy probe agrees point by point with the scalar loop
-    it replaced (abs 1e-12)."""
+    """At the same random points and for both pairings, the jet probe and
+    the scalar loop-holonomy oracle both reproduce the closed-form
+    curvature: the oracle to its quadrature error (1e-6), the jet probe to
+    rounding (1e-13)."""
     prod = ProductModel(c1, c2)
     p = rng.uniform(-0.4, 0.4, (n, 4))
-    structs = [structure(1), structure(2)]
-    hols = prod.auxiliary_curvature_residual(p, structs)
-    assert hols.shape == (2, n)
-    for st, hol in zip(structs, hols):
-        for i in range(n):
-            want = loop_auxiliary_curvature_residual(prod, p[i], st)
-            assert abs(hol[i] - want) <= 1e-12
-            assert prod.auxiliary_curvature_residual(p[i], [st])[0] == \
-                pytest.approx(hol[i], abs=1e-12)
+    for pairing in ("standard", "flipped"):
+        structs = [structure(1, pairing), structure(2, pairing)]
+        jet = prod.auxiliary_curvature_residual(p, structs)
+        assert jet.shape == (2, n)
+        assert np.all(jet <= 1e-13)
+        for st in structs:
+            assert max(loop_auxiliary_curvature_residual(prod, q, st)
+                       for q in p) <= 1e-6
+        single = prod.auxiliary_curvature_residual(p[0], structs)
+        assert single.shape == (2,) and np.all(single <= 1e-13)
 
 
 def test_array_probes_vanish_exactly_on_flat_factors(rng):
@@ -171,31 +211,20 @@ def test_array_probes_vanish_exactly_on_flat_factors(rng):
     for tag in (1, 2):
         st = structure(tag)
         assert np.all(prod.auxiliary_curvature_residual(p, [st]) == 0.0)
+    assert np.all(prod.liouville_residual(p) == 0.0)
 
 
-def test_holonomy_loop_leaving_the_chart_is_named():
-    """At chart radius 0.995 of the unit disk (c = -4) the h = 0.02 loop
-    leaves the chart: one point and inside a batch."""
+def test_position_outside_a_factor_chart_is_named():
+    """Just outside the unit disk (c = -4), both probes name the position:
+    alone and inside a batch."""
     prod = ProductModel(-4.0, 0.0)
-    edge = np.array([0.995, 0.0, 0.1, -0.2])
+    edge = np.array([1.005, 0.0, 0.1, -0.2])
     batch = np.array([[0.1, 0.2, 0.3, 0.4], edge, [-0.3, 0.1, 0.0, 0.5]])
     for p in (edge, batch):
-        with pytest.raises(OutsideDomainError,
-                           match=r"point \(1\.\d{3}, -?0\.\d{3}\) outside "
-                                 r"chart of curvature -4\.0"):
-            prod.auxiliary_curvature_residual(p, [structure(1)])
-
-
-@pytest.mark.parametrize("pairing", ["standard", "flipped"])
-def test_two_structure_probes_match_loop_references_bit_for_bit(pairing, rng):
-    """One probe pass over both structures shares the nodes and rotation
-    forms, yet gives for each structure exactly the scalar loop's value:
-    each loop integral is still rounded as a running sum in loop order."""
-    structs = [structure(1, pairing), structure(2, pairing)]
-    for c1, c2 in [(1.0, 4.0), (-0.5, 2.0), (2.0, -0.3)]:
-        prod = ProductModel(c1, c2)
-        p = rng.uniform(-0.4, 0.4, (6, 4))
-        hol = prod.auxiliary_curvature_residual(p, structs)
-        for k, st in enumerate(structs):
-            assert hol[k].tolist() == [
-                loop_auxiliary_curvature_residual(prod, q, st) for q in p]
+        for probe in (lambda q: prod.auxiliary_curvature_residual(
+                          q, [structure(1)]),
+                      prod.liouville_residual):
+            with pytest.raises(OutsideDomainError,
+                               match=r"point \(1\.005, 0\.000\) outside "
+                                     r"chart of curvature -4\.0"):
+                probe(p)

@@ -260,21 +260,24 @@ def test_nan_residual_fails_the_check(monkeypatch, check, target):
     assert not report.passed
 
 
-@pytest.mark.parametrize("check", ["ambient.auxiliary_curvature"])
+AMBIENT = ["ambient.product_structure", "ambient.auxiliary_curvature"]
+
+
+@pytest.mark.parametrize("check", AMBIENT)
 def test_nan_in_ambient_probe_fails_the_check(monkeypatch, check):
-    """A NaN conformal factor of the flat second factor at one node (the
-    second along every array axis: point, loop size, plane, edge or Gauss
-    node) must fail the check."""
+    """A NaN value of the flat second factor's conformal factor jet at one
+    sample point, the second, must fail the check."""
+    from spinlab.jets import Jet
     from spinlab.surfaces import SurfaceModel
     original = SurfaceModel.conformal_factor
     poisoned = []
 
     def with_nan(self, x, y):
         lam = original(self, x, y)
-        if self.curvature == 0.0 and np.ndim(lam) and min(np.shape(lam)) > 1:
-            lam = np.array(lam, dtype=float)
-            lam[(1,) * lam.ndim] = np.nan
-            poisoned.append(lam.shape)
+        if self.curvature == 0.0 and isinstance(lam, Jet):
+            lam = Jet(lam.c.copy(), lam.shape)
+            lam.c[0, 1] = np.nan
+            poisoned.append(lam.order)
         return lam
 
     monkeypatch.setattr(SurfaceModel, "conformal_factor", with_nan)
@@ -283,6 +286,22 @@ def test_nan_in_ambient_probe_fails_the_check(monkeypatch, check):
     (rec,) = report.checks
     assert np.isnan(rec.max_residual)
     assert rec.verdict == "fail"
+
+
+def test_corrupted_ricci_form_fails_both_ambient_checks(monkeypatch):
+    """A Ricci form coefficient off by a relative 1e-9 fails both ambient
+    checks on every catalog member with a curved factor."""
+    from spinlab.catalog import BUILTIN_SCENARIOS
+    from spinlab.surfaces import SurfaceModel
+    original = SurfaceModel.ricci_form_coefficient
+    monkeypatch.setattr(SurfaceModel, "ricci_form_coefficient",
+                        lambda self, x, y: original(self, x, y) * (1 + 1e-9))
+    curved = [raw for raw in BUILTIN_SCENARIOS if raw["c1"] or raw["c2"]]
+    assert len(curved) == 4
+    for raw in curved:
+        report = run_scenario(Scenario.from_dict(dict(raw, checks=AMBIENT)))
+        for rec in report.checks:
+            assert rec.verdict == "fail", (raw["name"], rec.name)
 
 
 def _poison_batch(monkeypatch, **changes):
@@ -427,7 +446,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     is computed once on the clean batch: Gauss, Codazzi, the derivative
     identities and the rank pair once, each compatibility system once per
     tag, the frame spinor derivative once per structure, and the ambient
-    rotation forms once per probe and per frame derivative.  Controls
+    rotation forms once per frame derivative.  Controls
     compute theirs again from their altered data."""
     from spinlab import hypersurfaces as hyp
     from spinlab import systems as sysmod
@@ -468,9 +487,9 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     for tag in (1, 2):
         assert runs(f"system{tag}") == [(14,)] * 3
     assert runs("frame derivative") == [(1,), (2,)]
-    # ambient.auxiliary_curvature and the frame derivative of each
-    # structure
-    assert len(runs("rotation")) == 3
+    # the frame derivative of each structure; the ambient probe reads the
+    # factors' rotation forms as jets, not through rotation_forms
+    assert len(runs("rotation")) == 2
 
 
 CONTROLS = ["curvature.gauss_control", "system.control", "system.covanish"]
@@ -506,22 +525,25 @@ def test_one_sample_geodesic_slice_exits_0(tmp_path):
     assert report["overall_verdict"] == "pass"
 
 
-def test_product_structure_stencil_is_one_array_pass(monkeypatch):
+def test_product_structure_is_one_jet_pass(monkeypatch):
     """ambient.product_structure evaluates each factor's conformal factor
-    once at all 10 stencil nodes of every point, and once more for the
-    Ricci form coefficient."""
+    once as an order-2 jet at every sample point, after two plain-value
+    calls for the area density and the Ricci form coefficient."""
+    from spinlab.jets import Jet
     from spinlab.surfaces import SurfaceModel
     original = SurfaceModel.conformal_factor
-    shapes = []
+    calls = []
 
     def counted(self, x, y):
-        shapes.append(np.shape(x))
-        return original(self, x, y)
+        lam = original(self, x, y)
+        calls.append((lam.order, lam.val.shape) if isinstance(lam, Jet)
+                     else (None, np.shape(lam)))
+        return lam
 
     monkeypatch.setattr(SurfaceModel, "conformal_factor", counted)
     report = run_scenario(small_scenario(checks=["ambient.product_structure"]))
     assert report.passed
-    assert shapes == [(10, 6), (6,), (10, 6), (6,)]
+    assert calls == [(None, (6,)), (None, (6,)), (2, (6,))] * 2
 
 
 @pytest.mark.parametrize("change, extra, says", [
@@ -609,17 +631,19 @@ def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
     assert says in err
 
 
-def test_holonomy_loop_off_the_chart_exits_2(tmp_path, capsys):
+def test_samples_near_the_chart_rim_exit_0(tmp_path):
     """Sample positions at radius 0.995 of the unit disk (c2 = -4) lie in
-    the chart, but their holonomy loops do not."""
+    the chart, and both ambient checks evaluate them there and pass: they
+    compare the 2-forms on the orthonormal frame, where the chart
+    coefficients' growth like lam^2 ~ 1e4 divides out."""
     from spinlab.cli import main
     path = tmp_path / "scen.json"
     path.write_text(json.dumps({
         **BASE, "c1": 0.0, "c2": -4.0, "samples": 4,
         "hypersurface": {"kind": "sphere-circle-tube", "params": {"a": 0.995}},
-        "checks": ["ambient.auxiliary_curvature"]}))
-    assert main(["run", "--scenario", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "ambient.auxiliary_curvature" in err
-    assert "outside chart of curvature -4.0" in err
+        "checks": AMBIENT}))
+    out = tmp_path / "report.json"
+    assert main(["run", "--scenario", str(path), "--format", "json",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c["points_evaluated"] for c in report["checks"]] == [4, 4]
