@@ -11,12 +11,16 @@ kind:
 Point checks share one batched :class:`PointEvaluation` of all sampled
 points.  Every residual of a point evaluation, and of the restricted spin^c
 structures (one per tag, cached by ``ScenarioContext``), runs once on the
-whole batch (``_batch_check``); controls and co-vanishing perturb a copy
-of it made by ``replace``.  Ambient checks take exact jets of the factor
-data at every sample position, as one array pass.  Worst residuals are
-reduced so that a NaN at any point fails the check.  Per-check RNG
-streams are derived from the scenario seed and the check name, so
-reports are deterministic and independent of check selection order.
+whole batch (``_batch_check``).  ``ScenarioContext`` also holds what
+several checks read beside the batch, each built on first use: one copy
+of the batch with its shape operator perturbed, drawn from the stream
+named ``perturbed`` at the scale 0.2 (``systems.perturbed_shape``),
+which both controls and co-vanishing read, and one record of the factor
+coordinates seeded as order-2 jets at every sample position, which both
+ambient probes read.  Worst residuals are reduced so that a NaN at any
+point fails the check.  RNG streams are derived from the scenario seed
+and a fixed name, so reports are deterministic and independent of check
+selection order.
 """
 
 from __future__ import annotations
@@ -63,6 +67,21 @@ class ScenarioContext:
         """One evaluation of every sample point, built on first use so that
         a bad point surfaces inside the first check that needs it."""
         return hyp.evaluate(self.chart, self.product, self.points)
+
+    @cached_property
+    def perturbed(self) -> hyp.PointEvaluation:
+        """The batch with its shape operator perturbed, the one copy that
+        both controls and co-vanishing read; the identities they compute
+        on it are shared like those of the batch."""
+        return self.batch.replace(E_frame=sysmod.perturbed_shape(
+            self.batch, self.rng_for("perturbed")))
+
+    @cached_property
+    def factor_jets(self):
+        """The factor coordinates seeded as order-2 jets at every sample
+        position, with the area density and Ricci form there: the record
+        both ambient probes read."""
+        return self.product.factor_jets(self.batch.position)
 
     # perfbench's stage profile calls this; no check does
     def evaluation(self, i: int) -> hyp.PointEvaluation:
@@ -124,7 +143,7 @@ def _batch_check(residual, tag=None, **notes):
 
 def check_ambient_auxiliary(ctx):
     return _max_over_batch(ctx, ctx.product.auxiliary_curvature_residual(
-        ctx.batch.position, ctx.structures))
+        ctx.factor_jets, ctx.structures))
 
 
 def check_ambient_product_structure(ctx):
@@ -133,8 +152,7 @@ def check_ambient_product_structure(ctx):
     res = [float(np.max(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)))),
            float(np.max(np.abs(F_MATRIX - F_MATRIX.T))),
            abs(float(np.trace(F_MATRIX)))]
-    res.extend(np.ravel(
-        ctx.product.liouville_residual(ctx.batch.position)))
+    res.extend(np.ravel(ctx.product.liouville_residual(ctx.factor_jets)))
     return _record(worst_of(res), len(ctx.points))
 
 
@@ -149,10 +167,7 @@ def check_consistency(ctx):
 
 
 def check_gauss_control(ctx):
-    ev = ctx.batch
-    rng = ctx.rng_for("curvature.gauss_control")
-    rec = _max_over_batch(ctx, hyp.gauss_residual(
-        ev.replace(E_frame=sysmod.perturbed_shape(ev, rng))))
+    rec = _max_over_batch(ctx, hyp.gauss_residual(ctx.perturbed))
     rec.notes = {"control": "shape operator perturbed by symmetric "
                             "rank-two noise; residual must exceed tolerance"}
     return rec
@@ -171,18 +186,16 @@ def _system_check(tag):
 
 
 def check_system_control(ctx):
-    ev = ctx.batch.replace(E_frame=sysmod.perturbed_shape(
-        ctx.batch, ctx.rng_for("system.control")))
-    return _max_over_batch(ctx, [sysmod.system_residuals(t, ev).max_residual
-                                 for t in (1, 2)])
+    return _max_over_batch(ctx, [
+        sysmod.system_residuals(t, ctx.perturbed).max_residual
+        for t in (1, 2)])
 
 
 def check_covanish(ctx):
-    rng = ctx.rng_for("system.covanish")
     rec = _record(0.0, len(ctx.points))
     notes = {}
     for tag in (1, 2):
-        rep = sysmod.gauss_iff_codazzi(tag, ctx.batch, rng)
+        rep = sysmod.gauss_iff_codazzi(tag, ctx.batch, ctx.perturbed)
         joint = np.min(rep.perturbed_joint, axis=1)  # NaN kept
         notes[f"system{tag}"] = {
             "confirmed": rep.confirmed, "skipped": rep.skipped,

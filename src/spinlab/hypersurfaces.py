@@ -25,14 +25,15 @@ before its products run.  Value-level arrays put the point axis first, so
 residuals below take either and return one value per point.  Those that
 several checks read (Gauss, Codazzi, the derivative identities, the rank
 pair, and the compatibility systems in ``systems``) are computed once per
-evaluation and handed out read-only.
+evaluation and handed out read-only (``_shared``), and so is the part of
+the spin^c restriction that both structures read (``restriction``).
 
 The value stages (``g_val``, ``E_mixed_val``, ``V_frame``, ``h_val``, ...)
 are the one point record every identity reads; ``replace`` swaps some of
 them in a copy, which is how negative controls and the corruptions of the
 converse direction feed altered data to the same identities.  The copy
-shares no identity residual, so each is computed again from the altered
-data.
+shares nothing computed by ``_shared``, so each identity is computed again
+from the altered data.
 
 Conventions: nu is the chart normal scaled by the chart's orientation flag,
 E X = -nabla_X nu (a round 3-sphere of radius r with inner normal has
@@ -100,9 +101,11 @@ def _read_only(x):
 
 
 def _shared(ev, body, *args):
-    """``body(ev, *args)``, an identity residual that several checks read,
-    computed once per evaluation and handed out read-only, a dict as a
-    copy; an evaluation made by ``replace`` computes its own."""
+    """``body(ev, *args)``, a quantity that several checks read, computed
+    once per evaluation and handed out read-only, a dict as a copy; an
+    evaluation made by ``replace`` computes its own.  These are identity
+    residuals, the compatibility systems (``systems``) and the part of the
+    spin^c restriction that both structures share (``restriction``)."""
     key = (body, *args)
     if key not in ev._memo:
         ev._memo[key] = _read_only(body(ev, *args))
@@ -137,11 +140,11 @@ class PointEvaluation:
         self.chart = chart
         self.product = product
         self.u = np.asarray(u, dtype=float)
-        self._memo = {}  # shared identity residuals, see ``_shared``
+        self._memo = {}  # quantities several checks read, see ``_shared``
 
     def replace(self, **stages) -> "PointEvaluation":
         """A copy with the named stages set to the given values.  It shares
-        every stage computed so far, but no identity residual."""
+        every stage computed so far, but nothing computed by ``_shared``."""
         assert all(isinstance(getattr(PointEvaluation, k, None),
                               cached_property) for k in stages), stages
         ev = copy.copy(self)

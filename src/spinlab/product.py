@@ -25,23 +25,24 @@ the 2-form
 
     Omega(X, Y) = -s1 rho1(pi1 X, pi1 Y) - s2 rho2(pi2 X, pi2 Y),
 
-which the ambient probes verify rather than assume.  Both seed each
-factor's coordinates as exact Taylor jets at the sample positions, and
-compare 2-forms on the factor's orthonormal frame (eps1, eps2): a chart
-coefficient of du ^ dv divided by lam^2, of the size of c even where the
-coefficient grows like lam^2, near the rim of a hyperbolic disk.
-``liouville_residual`` checks rho against the Gauss curvature from the
-order-2 conformal factor by Liouville's formula,
+which the ambient probes verify rather than assume.  Both read one record
+(``factor_jets``): each factor's coordinates seeded once as exact order-2
+Taylor jets at the sample positions, with its area density and Ricci
+form there.  They compare 2-forms on the factor's orthonormal frame
+(eps1, eps2): a chart coefficient of du ^ dv divided by lam^2, of the size
+of c even where the coefficient grows like lam^2, near the rim of a
+hyperbolic disk.  ``liouville_residual`` checks rho against the Gauss
+curvature from the order-2 conformal factor by Liouville's formula,
 K = -(lam Lap(lam) - |grad lam|^2) / lam^4.  ``auxiliary_curvature_residual``
-checks Cartan's structure equation d(w12) = -rho with the order-1
-rotation forms, through the auxiliary form and curvature of each
-structure, on each factor plane.  On a mixed plane both sides vanish
-identically, since each rotation and Ricci form reads only its own
-factor, so neither probe computes them.
+reads the record cut to order 1 and checks Cartan's structure equation
+d(w12) = -rho with the order-1 rotation forms, through the auxiliary form
+and curvature of each structure, on each factor plane.  On a mixed plane
+both sides vanish identically, since each rotation and Ricci form reads
+only its own factor, so neither probe computes them.
 
 The tensor and form evaluators read a point's chart coordinates from axis 0
 (``p[0]`` is x1), so arrays of shape ``(4, ...)`` evaluate a whole stack of
-points in one call.  ``connection_matrix`` and the two probes take the
+points in one call.  ``connection_matrix`` and ``factor_jets`` take the
 coordinate axis last, ``(..., 4)``, like the sample positions of a batch,
 and evaluate every point in one array pass.
 """
@@ -137,11 +138,9 @@ class ProductModel:
     def connection_matrix(self, p, X, struct: SpincStructure):
         """Coefficient matrix C(X) of the spinor connection at p: ``p`` and
         ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""
-        w1, w2 = self.rotation_forms(np.moveaxis(np.asarray(p), -1, 0),
-                                     np.moveaxis(np.asarray(X), -1, 0))
-        w1, w2 = (np.asarray(value(w))[..., None, None] for w in (w1, w2))
-        spin = 0.5 * w1 * E1E2 + 0.5 * w2 * E3E4
-        return spin + 0.5j * _auxiliary(struct, w1, w2) * np.eye(4)
+        return connection(struct, *self.rotation_forms(
+            np.moveaxis(np.asarray(p), -1, 0),
+            np.moveaxis(np.asarray(X), -1, 0)))
 
     def parallel_spinor(self, struct: SpincStructure):
         """The constant section spanning the parallel line of the structure."""
@@ -150,23 +149,27 @@ class ProductModel:
         return np.kron(b[struct.signs[0]], b[struct.signs[1]])
 
     # verification probes ---------------------------------------------------
-    def _factor_jets(self, p, order):
-        """Each factor with jets x, y of ``order`` seeded at its chart
-        coordinates of the positions ``p``, ``(4,)`` or ``(N, 4)`` (the
-        third jet variable is a dummy), its area density lam^2 there and
-        its Ricci form rho(eps1, eps2)."""
+    def factor_jets(self, p):
+        """The record both probes read, one tuple (x, y, area, rho) per
+        factor: its chart coordinates of the positions ``p``, ``(4,)`` or
+        ``(N, 4)``, seeded as jets x, y of order 2 (the third jet variable
+        is a dummy), its area density lam^2 there and its Ricci form
+        rho(eps1, eps2)."""
         p = np.asarray(p, dtype=float)
+        out = []
         for k, surf in ((0, self.factor1), (2, self.factor2)):
             x, y, _ = variables(p[..., [k, k + 1, k]])
             area = value(surf.conformal_factor(x.val, y.val)) ** 2
             rho = surf.ricci_form_coefficient(x.val, y.val) / area
-            yield surf, x.truncated(order), y.truncated(order), area, rho
+            out.append((x.truncated(2), y.truncated(2), area, rho))
+        return tuple(out)
 
-    def liouville_residual(self, p):
-        """|rho(eps1, eps2) - K| of each factor at the positions ``p``,
-        shape ``(2,)`` at one position and ``(2, N)`` at ``N``."""
+    def liouville_residual(self, jets):
+        """|rho(eps1, eps2) - K| of each factor on the record ``jets`` of
+        ``factor_jets``, shape ``(2,)`` at one position and ``(2, N)`` at
+        ``N``."""
         out = []
-        for surf, x, y, area, rho in self._factor_jets(p, 2):
+        for surf, (x, y, area, rho) in zip((self.factor1, self.factor2), jets):
             lam = surf.conformal_factor(x, y)
             d = lam.deriv()  # order-1 jet of the gradient
             hess = d.grad()
@@ -175,22 +178,34 @@ class ProductModel:
             out.append(np.abs(rho + (lam.val * lap - sq) / area ** 2))
         return np.stack(out)
 
-    def auxiliary_curvature_residual(self, p, structs):
+    def auxiliary_curvature_residual(self, jets, structs):
         """Worst deviation of d(auxiliary form) from the curvature form
-        over the two factor planes, for each structure of ``structs``: at
-        one position of shape ``(4,)`` (shape ``(len(structs),)``) or at
-        each row of an ``(N, 4)`` array (shape ``(len(structs), N)``).  On
-        the plane of factor ``i`` they read ``s_i d(w_i)`` and ``-s_i
-        rho_i``, with d(w12) = d_x w_v - d_y w_u."""
+        over the two factor planes, for each structure of ``structs``, on
+        the record ``jets`` of ``factor_jets`` cut to order 1: at one
+        position (shape ``(len(structs),)``) or at ``N`` (shape
+        ``(len(structs), N)``).  On the plane of factor ``i`` they read
+        ``s_i d(w_i)`` and ``-s_i rho_i``, with d(w12) = d_x w_v - d_y w_u."""
         curl, rho = [], []
-        for surf, x, y, area, rho_i in self._factor_jets(p, 1):
-            w_u, w_v = surf.frame_rotation_form(x, y)
+        for surf, (x, y, area, rho_i) in zip((self.factor1, self.factor2),
+                                            jets):
+            w_u, w_v = surf.frame_rotation_form(x.truncated(1),
+                                                y.truncated(1))
             curl.append((w_v.grad()[..., 0] - w_u.grad()[..., 1]) / area)
             rho.append(rho_i)
         return np.stack([np.maximum(
             np.abs(_auxiliary(st, curl[0], 0.0) - _curvature(st, rho[0], 0.0)),
             np.abs(_auxiliary(st, 0.0, curl[1]) - _curvature(st, 0.0, rho[1])))
             for st in structs])
+
+
+def connection(struct: SpincStructure, w1, w2):
+    """C(X) of ``struct`` from the rotation forms w1(X1), w2(X2) of the
+    tangent vectors X, arrays of any shape: ``(..., 4, 4)``.
+    ``connection_matrix`` and the restricted frame derivative both build
+    it here."""
+    w1, w2 = (np.asarray(value(w))[..., None, None] for w in (w1, w2))
+    spin = 0.5 * w1 * E1E2 + 0.5 * w2 * E3E4
+    return spin + 0.5j * _auxiliary(struct, w1, w2) * np.eye(4)
 
 
 # The two structures differ only by the signs (s1, s2) of their factors,

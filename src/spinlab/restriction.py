@@ -16,10 +16,19 @@ where the ambient derivative of the restricted parallel field is the
 connection coefficient matrix C(X) applied to the constant section.  C(X)
 psi0 vanishes by construction in this gauge, so the Killing residual, which
 is |C(X) psi0|, is structurally zero and verifies nothing.  An independent
-adapted-gauge construction of nabla lives in the test oracles.  Along the
-adapted frame e1, e2, xi the derivative and gamma(E e_k) phi are computed
-once per structure (``frame_derivative``) and shared by the Killing check
-and the Dirac and energy-momentum laws.
+adapted-gauge construction of nabla lives in the test oracles.
+
+The two structures differ only by their factor signs (s1, s2), so all
+they read but those signs, the chirality sign and the parallel spinor is
+computed once per evaluation (``_Restriction``, through ``_shared``): the
+frame scale, the Clifford matrix of nu, the unsigned X . nu along e1, e2,
+xi and along E e_k, the ambient frame, the rotation forms along the
+frame, and the factor Ricci forms of the frame pairs, of the ambient
+coordinate planes and of nu with the frame.  Along the adapted frame the
+derivative and gamma(E e_k) phi of a structure are computed once
+(``frame_derivative``) and shared by the Killing check and the Dirac and
+energy-momentum laws; its C(e_k) comes from ``product.connection``, like
+``connection_matrix``.
 
 A :class:`RestrictedSpinc` follows the shapes rule of the evaluation it is
 built on: per-point arrays carry the point axis first, so ``frame_gammas``
@@ -33,15 +42,17 @@ quantities are normalized by |phi|^2 so the tolerances are scale free.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .clifford import ProductSpinorSpace, build_clifford
-from .hypersurfaces import PointEvaluation, _read_only
+from .hypersurfaces import PointEvaluation, _read_only, _shared
 from .jets import value
-from .product import CLIFFORD, SpincStructure
+from .product import CLIFFORD, SpincStructure, _curvature, connection
 
 _SPACE = ProductSpinorSpace(build_clifford(2), CLIFFORD)
 # the six coordinate planes (a, b), a < b, of the ambient orthonormal frame
@@ -71,6 +82,119 @@ def closed_form_omega(tag: int, c1, c2, h, V_frame):
     return Om - np.swapaxes(Om, -1, -2)
 
 
+def _piece(fn):
+    """A lazily computed quantity that both structures read, handed out
+    read-only."""
+    return cached_property(functools.wraps(fn)(
+        lambda self: _read_only(fn(self))))
+
+
+class _Restriction:
+    """What the restrictions of both structures read at one evaluation:
+    everything but the chirality sign, the factor signs (s1, s2) and the
+    parallel spinor.  Built once per evaluation (``_shared``), each piece on
+    first use."""
+
+    def __init__(self, ev: PointEvaluation):
+        # ``ev`` holds this record in its memo; a strong reference back
+        # would make a cycle that keeps the evaluation alive until the
+        # garbage collector runs
+        self.ev = weakref.proxy(ev)
+
+    def per_point(self, a, X):
+        """Per-point array ``a`` with a unit axis for each stack axis of
+        the tangent vectors ``X``, so that the two broadcast."""
+        n = self.ev.u.ndim - 1
+        k = np.ndim(X) - n - 1
+        return a.reshape(a.shape[:n] + (1,) * k + a.shape[n:])
+
+    def chart(self, X_coord):
+        """Ambient chart components of tangent coordinate vectors."""
+        return np.einsum("...a,...ab->...b", X_coord,
+                         self.per_point(self.ev.T_val, X_coord))
+
+    def shape_operator(self, X_coord):
+        """E X in coordinates."""
+        E = self.per_point(self.ev.E_mixed_val, X_coord)
+        return np.einsum("...ij,...j->...i", E, X_coord)
+
+    @_piece
+    def scale(self):
+        """(lam1, lam1, lam2, lam2) per point: chart to orthonormal frame;
+        the product's evaluators read chart coordinates off axis 0
+        (``.T``)."""
+        return self.ev.product.frame_components(self.ev.position.T,
+                                                np.ones(4)).T
+
+    @_piece
+    def nu_mat(self):
+        """Clifford matrix of the unit normal, (..., 4, 4)."""
+        return CLIFFORD.vector(self.ev.nu_val * self.scale)
+
+    def clifford(self, X_coord):
+        """X . nu as 4x4 matrices: gamma(X) up to the chirality sign."""
+        X = np.asarray(X_coord)
+        frame = self.chart(X) * self.per_point(self.scale, X)
+        return CLIFFORD.vector(frame) @ self.per_point(self.nu_mat, X)
+
+    @_piece
+    def frame_vectors(self):
+        """e1, e2, xi: three tangent vectors per point, (..., 3, 3)."""
+        return np.swapaxes(self.ev.frame, -1, -2)
+
+    @_piece
+    def frame_gammas(self):
+        """e_k . nu along e1, e2, xi, (..., 3, 4, 4)."""
+        return self.clifford(self.frame_vectors)
+
+    @_piece
+    def shape_gammas(self):
+        """(E e_k) . nu along e1, e2, xi, (..., 3, 4, 4)."""
+        return self.clifford(self.shape_operator(self.frame_vectors))
+
+    @_piece
+    def rotation(self):
+        """The rotation forms (w1, w2) along e1, e2, xi, each (..., 3)."""
+        X = self.frame_vectors
+        return tuple(value(w) for w in self.ev.product.rotation_forms(
+            np.moveaxis(self.per_point(self.ev.position, X), -1, 0),
+            np.moveaxis(self.chart(X), -1, 0)))
+
+    @_piece
+    def frame_ambient(self):
+        """Ambient chart components of the adapted frame, one column each,
+        the coordinate axis first: (4, ..., 3)."""
+        return np.einsum("...ai,...ab->b...i", self.ev.frame, self.ev.T_val)
+
+    def _ricci(self, p, X, Y):
+        """The factor Ricci forms (rho1, rho2) of chart vectors X, Y at p,
+        the coordinate axis first."""
+        return tuple(value(self.ev.product.ricci_form(p, X, Y, k))
+                     for k in (1, 2))
+
+    @_piece
+    def frame_ricci(self):
+        """(rho1, rho2) on the frame pairs (e_i, e_j), each (..., 3, 3)."""
+        amb = self.frame_ambient
+        return self._ricci(self.ev.position.T[..., None, None],
+                           amb[..., :, None], amb[..., None, :])
+
+    @_piece
+    def plane_ricci(self):
+        """(rho1, rho2) on the six coordinate planes (eps_a, eps_b), a < b,
+        of the ambient orthonormal frame, each (..., 6)."""
+        p = self.ev.position.T[..., None]
+        eps = np.eye(4).reshape((4,) + (1,) * (p.ndim - 2) + (4,)) \
+            / self.scale.T[..., None]
+        return self._ricci(p, eps[..., _PLANE_A], eps[..., _PLANE_B])
+
+    @_piece
+    def normal_ricci(self):
+        """(rho1, rho2)(nu, e_k) along e1, e2, xi, each (..., 3)."""
+        return self._ricci(self.ev.position.T[..., None],
+                           self.ev.nu_val.T[..., None], self.frame_ambient)
+
+
 class RestrictedSpinc:
     """Induced spin^c structure and restricted parallel spinor at one point
     or at every point of a batch."""
@@ -79,44 +203,13 @@ class RestrictedSpinc:
         self.ev = ev
         self.struct = struct
         self.sign = float(struct.chirality)
-        self.model = ev.product.clifford
         self.psi = ev.product.parallel_spinor(struct)
-        # (lam1, lam1, lam2, lam2) per point: chart to orthonormal frame;
-        # the product's evaluators read chart coordinates off axis 0 (``.T``)
-        self.frame_scale = ev.product.frame_components(
-            ev.position.T, np.ones(4)).T
-        # Clifford matrix of the unit normal, (..., 4, 4)
-        self.nu_mat = self.model.vector(ev.nu_val * self.frame_scale)
-
-    def _per_point(self, a, X):
-        """Per-point array ``a`` with a unit axis for each stack axis of
-        the tangent vectors ``X``, so that the two broadcast."""
-        n = self.ev.u.ndim - 1
-        k = np.ndim(X) - n - 1
-        return a.reshape(a.shape[:n] + (1,) * k + a.shape[n:])
-
-    def _chart(self, X_coord):
-        """Ambient chart components of tangent coordinate vectors."""
-        return np.einsum("...a,...ab->...b", X_coord,
-                         self._per_point(self.ev.T_val, X_coord))
-
-    def shape_operator(self, X_coord):
-        """E X in coordinates."""
-        E = self._per_point(self.ev.E_mixed_val, X_coord)
-        return np.einsum("...ij,...j->...i", E, X_coord)
-
-    @cached_property
-    def frame_vectors(self):
-        """e1, e2, xi: three tangent vectors per point, (..., 3, 3)."""
-        return np.swapaxes(self.ev.frame, -1, -2)
+        self.common = _shared(ev, _Restriction)
 
     # --- Clifford layer ---------------------------------------------------
     def gamma_matrix(self, X_coord):
         """gamma(X) as 4x4 matrices preserving the chirality eigenspace."""
-        X = np.asarray(X_coord)
-        frame = self._chart(X) * self._per_point(self.frame_scale, X)
-        return self.sign * self.model.vector(frame) \
-            @ self._per_point(self.nu_mat, X)
+        return self.sign * self.common.clifford(X_coord)
 
     def gamma(self, X_coord, spinor):
         return np.einsum("...ab,...b->...a", self.gamma_matrix(X_coord),
@@ -130,7 +223,7 @@ class RestrictedSpinc:
     @cached_property
     def frame_gammas(self):
         """gamma(e1), gamma(e2), gamma(xi), (..., 3, 4, 4)."""
-        return self.gamma_matrix(self.frame_vectors)
+        return self.sign * self.common.frame_gammas
 
     def anticommutation_residual(self, rng):
         """Worst defect of the Clifford relation and of skew-adjointness over
@@ -140,7 +233,7 @@ class RestrictedSpinc:
         X, Y = XY[..., 0, :], XY[..., 1, :]
         gx, gy = self.gamma_matrix(X), self.gamma_matrix(Y)
         ip = np.einsum("...a,...ab,...b->...", X,
-                       self._per_point(self.ev.g_val, X), Y)
+                       self.common.per_point(self.ev.g_val, X), Y)
         anti = gx @ gy + gy @ gx + 2.0 * ip[..., None, None] * np.eye(4)
         skew = gx + np.conj(np.swapaxes(gx, -1, -2))
         return np.max(np.abs(np.stack([anti, skew], axis=-3)),
@@ -152,47 +245,49 @@ class RestrictedSpinc:
         return self.expectation(g1 @ g2 @ g3 @ self.psi)
 
     # --- connection layer ---------------------------------------------------
-    def _derivative(self, X_coord):
-        """nabla_X phi via the Gauss formula, and the gamma(EX) phi it
-        subtracts."""
-        X = np.asarray(X_coord)
-        C = self.ev.product.connection_matrix(
-            self._per_point(self.ev.position, X), self._chart(X), self.struct)
-        shape_term = self.gamma(self.shape_operator(X), self.psi)
+    def _derivative(self, C, shape_gamma):
+        """nabla_X phi via the Gauss formula from the connection matrices
+        C(X) and the unsigned Clifford matrices ``shape_gamma`` of E X, and
+        the gamma(EX) phi it subtracts."""
+        shape_term = np.einsum("...ab,...b->...a", self.sign * shape_gamma,
+                               self.psi)
         return C @ self.psi - 0.5 * self.sign * shape_term, shape_term
+
+    def _along(self, X_coord):
+        """``_derivative`` along tangent coordinate vectors."""
+        X = np.asarray(X_coord)
+        common = self.common
+        C = self.ev.product.connection_matrix(
+            common.per_point(self.ev.position, X), common.chart(X),
+            self.struct)
+        return self._derivative(C, common.clifford(common.shape_operator(X)))
 
     def _killing_defect(self, nabla, shape_term):
         return np.linalg.norm(nabla + 0.5 * self.sign * shape_term, axis=-1)
 
     def covariant_derivative(self, X_coord):
         """Induced derivative of the restricted field via the Gauss formula."""
-        return self._derivative(X_coord)[0]
+        return self._along(X_coord)[0]
 
     def killing_residual(self, X_coord):
         """|nabla_X phi + sign/2 gamma(EX) phi| (the generalized Killing law)."""
-        return self._killing_defect(*self._derivative(X_coord))
+        return self._killing_defect(*self._along(X_coord))
 
     @cached_property
     def frame_derivative(self):
         """nabla_{e_k} phi and gamma(E e_k) phi along e1, e2, xi, each
         (..., 3, 4) and read-only: computed once for the Killing and the
-        Dirac checks."""
-        return _read_only(self._derivative(self.frame_vectors))
+        Dirac checks, from the rotation forms along the frame that both
+        structures read."""
+        common = self.common
+        return _read_only(self._derivative(
+            connection(self.struct, *common.rotation), common.shape_gammas))
 
     # --- pullback curvature ---------------------------------------------------
     @cached_property
     def omega_pullback(self):
         """Om[..., i, j] = Omega(e_i, e_j) on the adapted frame (pullback)."""
-        amb = self.frame_ambient
-        p = self.ev.position.T[..., None, None]
-        return value(self.ev.product.curvature_form(
-            p, amb[..., :, None], amb[..., None, :], self.struct))
-
-    @cached_property
-    def frame_ambient(self):
-        """Ambient chart components of the adapted frame, one column each,
-        the coordinate axis first: (4, ..., 3)."""
-        return np.einsum("...ai,...ab->b...i", self.ev.frame, self.ev.T_val)
+        return _curvature(self.struct, *self.common.frame_ricci)
 
     @cached_property
     def dirac_energy(self) -> "DiracEnergy":
@@ -268,21 +363,15 @@ def curvature_restriction_residual(rs: RestrictedSpinc):
     with - for the positive-chirality structure and + for the negative one.
     """
     ev = rs.ev
-    product = ev.product
-    p = ev.position.T[..., None]
     # ambient 2-form action in the orthonormal frame eps_a, plane by plane
-    eps = np.eye(4).reshape((4,) + (1,) * (p.ndim - 2) + (4,)) \
-        / rs.frame_scale.T[..., None]
-    coeffs = value(product.curvature_form(
-        p, eps[..., _PLANE_A], eps[..., _PLANE_B], rs.struct))
+    coeffs = _curvature(rs.struct, *rs.common.plane_ricci)
     lhs = np.einsum("...k,kab->...ab", coeffs, _PLANES) @ rs.psi
 
     G = rs.frame_gammas
     rhs = np.einsum("...k,...kab,...kb->...a",
                     rs.omega_pullback[..., _PAIR_I, _PAIR_J],
                     G[..., _PAIR_I, :, :], G[..., _PAIR_J, :, :] @ rs.psi)
-    contraction = value(product.curvature_form(
-        p, ev.nu_val.T[..., None], rs.frame_ambient, rs.struct))
+    contraction = _curvature(rs.struct, *rs.common.normal_ricci)
     W = np.einsum("...ai,...i->...a", ev.frame, contraction)
     rhs = rhs - rs.sign * rs.gamma(W, rs.psi)
     return np.linalg.norm(lhs - rhs, axis=-1)
@@ -301,7 +390,7 @@ def projection_cancellation_residuals(ev: PointEvaluation):
     """
     vec = _SPACE.factor.vector
     # orthonormal-frame components; the first two are those of factor 1
-    scale = ev.product.frame_components(ev.position.T, np.ones(4)).T
+    scale = _shared(ev, _Restriction).scale
     Vamb = np.einsum("...a,...ab->...b", ev.V_coord_val, ev.T_val)
     nu, xi, V = (scale * w for w in (ev.nu_val, ev.xi_ambient_val, Vamb))
 

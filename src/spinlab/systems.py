@@ -26,9 +26,10 @@ same value stages, swapped through ``PointEvaluation.replace``.  The
 system residuals, like the Gauss and Codazzi residuals they are checked
 against, are computed once per evaluation: ``system.covanish`` reads what
 ``system.*`` and ``curvature.*`` computed on the batch of every sample
-point, and the converse what ``curvature.*`` and ``structure.*``
-computed.  Random perturbations draw one point after another, so a batch
-sees the same stream as a loop over its points.
+point, and what the controls computed on its one perturbed copy; the
+converse reads what ``curvature.*`` and ``structure.*`` computed.  Random
+perturbations draw one point after another, so a batch sees the same
+stream as a loop over its points.
 """
 
 from __future__ import annotations
@@ -158,16 +159,17 @@ def _system_equations(ev, tag):
               ev.h_val, ev.product.c1, ev.product.c2)
 
 
-def perturbed_shape(ev: PointEvaluation, rng, scale=0.2):
-    """E plus a rank-two symmetric perturbation, in frame components, at
-    every point of ``ev``; the draws are those of one point after another.
+def perturbed_shape(ev: PointEvaluation, rng):
+    """E plus a rank-two symmetric perturbation of size 0.2, in frame
+    components, at every point of ``ev``; the draws are those of one point
+    after another.
 
     Rank two matters: the Gauss and system quadratics are 2x2 minors, which
     a rank-one bump cannot excite when E = 0 (totally geodesic members).
     There the bump s (v v^T + w w^T) leaves a Gauss residual of s^2 times
     the largest 2x2 minor of a rank-two projector, which is at least
-    s^2 / 3: about 0.0133 at the default s = 0.2, above the controls'
-    tolerance 1e-2 at every single point.
+    s^2 / 3: about 0.0133 at s = 0.2, above the controls' tolerance 1e-2
+    at every single point.
     """
     a = ev.E_frame
     draws = rng.standard_normal(a.shape[:-2] + (2, 3))
@@ -175,8 +177,8 @@ def perturbed_shape(ev: PointEvaluation, rng, scale=0.2):
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     w = w - np.sum(w * v, axis=-1, keepdims=True) * v
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    return a + scale * (v[..., :, None] * v[..., None, :]
-                        + w[..., :, None] * w[..., None, :])
+    return a + 0.2 * (v[..., :, None] * v[..., None, :]
+                      + w[..., :, None] * w[..., None, :])
 
 
 def xi_derivative_residual(ev: PointEvaluation):
@@ -203,18 +205,19 @@ class CovanishReport:
         return len(self.counterexamples) == 0
 
 
-def gauss_iff_codazzi(tag, ev, rng) -> CovanishReport:
+def gauss_iff_codazzi(tag, ev, bumped) -> CovanishReport:
     """Co-vanishing on the points of ``ev`` (one point or a batch), at the
     system and Gauss/Codazzi tolerance 1e-5.  Points where the system fails
-    are skipped; a NaN residual is a counterexample.  Every point is then
-    perturbed, in order, and both residuals are recorded at the points that
-    were not skipped."""
+    are skipped; a NaN residual is a counterexample.  ``bumped`` is ``ev``
+    with its shape operator perturbed (``perturbed_shape``); both its
+    residuals are recorded at the points that were not skipped.  Every
+    residual read here is the shared one of its evaluation, so a caller
+    that hands the controls' perturbed copy computes nothing twice."""
     sysmax = system_residuals(tag, ev).max_residual
     gres, cres = gauss_residual(ev), codazzi_residual(ev)
     held = ~(sysmax > 1e-5)
     agree = ((gres < 1e-5) == (cres < 1e-5)) & ~np.isnan(sysmax + gres + cres)
     u, gs, cs = ev.u.reshape(-1, 3), np.atleast_1d(gres), np.atleast_1d(cres)
-    bumped = ev.replace(E_frame=perturbed_shape(ev, rng, 0.1))
     joint = np.stack(
         [gauss_residual(bumped), system_residuals(tag, bumped).max_residual],
         axis=-1).reshape(-1, 2)

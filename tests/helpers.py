@@ -392,13 +392,13 @@ def point_xi_derivative_residual(ev):
     return max(defect(ev.frame[:, i]) for i in range(3))
 
 
-def point_perturbed_shape(ev, rng, scale=0.2):
+def point_perturbed_shape(ev, rng):
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
     w = rng.standard_normal(3)
     w -= (w @ v) * v
     w /= np.linalg.norm(w)
-    return ev.E_frame + scale * (np.outer(v, v) + np.outer(w, w))
+    return ev.E_frame + 0.2 * (np.outer(v, v) + np.outer(w, w))
 
 
 def point_umbilic_residuals(ev):

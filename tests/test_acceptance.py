@@ -157,8 +157,9 @@ def test_criterion_5_system_suite():
             for tag in (1, 2):
                 worst = max(worst, system_residuals(tag, ev).max_residual)
         head = evaluate(chart, prod, pts[:6])
+        bumped = head.replace(E_frame=perturbed_shape(head, rng))
         for tag in (1, 2):
-            rep = gauss_iff_codazzi(tag, head, rng)
+            rep = gauss_iff_codazzi(tag, head, bumped)
             covanish_ok &= rep.verdict and rep.confirmed == 6
             perturbed_ok &= all(min(g, s) > 1e-3
                                 for g, s in rep.perturbed_joint)

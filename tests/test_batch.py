@@ -296,7 +296,8 @@ IDENTITY_TOL = 1e-12
 
 
 def _covanish(ev, rng):
-    rep = sysmod.gauss_iff_codazzi(1, ev, rng)
+    rep = sysmod.gauss_iff_codazzi(1, ev, ev.replace(
+        E_frame=sysmod.perturbed_shape(ev, rng)))
     assert rep.verdict and rep.skipped == 0  # every catalog point confirmed
     return rep.perturbed_joint.reshape(np.shape(ev.u)[:-1] + (2,))
 
@@ -395,11 +396,11 @@ RESTRICTED = {
     "frame_gammas": (lambda rs, rng: rs.frame_gammas,
                      lambda ps, rng: np.stack(ps.frame_gammas)),
     "covariant_derivative": (
-        lambda rs, rng: rs.covariant_derivative(rs.frame_vectors),
+        lambda rs, rng: rs.covariant_derivative(rs.common.frame_vectors),
         lambda ps, rng: np.stack([ps.covariant_derivative(e)
                                   for e in _frame_rows(ps.ev)])),
     "killing_residual": (
-        lambda rs, rng: rs.killing_residual(rs.frame_vectors),
+        lambda rs, rng: rs.killing_residual(rs.common.frame_vectors),
         lambda ps, rng: np.array([ps.killing_residual(e)
                                   for e in _frame_rows(ps.ev)])),
     "anticommutation_residual": (

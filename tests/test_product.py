@@ -133,7 +133,8 @@ def test_auxiliary_curvature_consistency(c1, c2, rng):
         worst = 0.0
         for _ in range(100):
             p = rng.uniform(-0.4, 0.4, 4)
-            worst = max(worst, prod.auxiliary_curvature_residual(p, [st])[0])
+            worst = max(worst, prod.auxiliary_curvature_residual(
+                prod.factor_jets(p), [st])[0])
         assert worst < 1e-13
 
 
@@ -145,11 +146,11 @@ def test_liouville_residual_is_rounding(c1, c2, rng):
     position and at a stack of them."""
     prod = ProductModel(c1, c2)
     p = rng.uniform(-0.4, 0.4, (50, 4))
-    res = prod.liouville_residual(p)
+    res = prod.liouville_residual(prod.factor_jets(p))
     assert res.shape == (2, 50)
     assert np.all(res < 1e-13)
-    assert prod.liouville_residual(p[0]).shape == (2,)
-    assert np.all(prod.liouville_residual(p[0]) < 1e-13)
+    assert prod.liouville_residual(prod.factor_jets(p[0])).shape == (2,)
+    assert np.all(prod.liouville_residual(prod.factor_jets(p[0])) < 1e-13)
 
 
 @pytest.mark.parametrize("helper", ["_auxiliary", "_curvature"])
@@ -169,7 +170,8 @@ def test_sign_slip_in_either_helper_fails_the_probe(monkeypatch, rng, helper,
     monkeypatch.setattr(product, helper, slipped)
     prod = ProductModel(1.0, 4.0)
     p = rng.uniform(-0.4, 0.4, (5, 4))
-    res = prod.auxiliary_curvature_residual(p, [structure(1), structure(2)])
+    res = prod.auxiliary_curvature_residual(prod.factor_jets(p),
+                                            [structure(1), structure(2)])
     assert np.all(res > 0.5)
 
 
@@ -195,13 +197,14 @@ def test_array_probes_match_scalar_loops(c1, c2, n, rng):
     p = rng.uniform(-0.4, 0.4, (n, 4))
     for pairing in ("standard", "flipped"):
         structs = [structure(1, pairing), structure(2, pairing)]
-        jet = prod.auxiliary_curvature_residual(p, structs)
+        jet = prod.auxiliary_curvature_residual(prod.factor_jets(p), structs)
         assert jet.shape == (2, n)
         assert np.all(jet <= 1e-13)
         for st in structs:
             assert max(loop_auxiliary_curvature_residual(prod, q, st)
                        for q in p) <= 1e-6
-        single = prod.auxiliary_curvature_residual(p[0], structs)
+        single = prod.auxiliary_curvature_residual(prod.factor_jets(p[0]),
+                                                   structs)
         assert single.shape == (2,) and np.all(single <= 1e-13)
 
 
@@ -210,8 +213,9 @@ def test_array_probes_vanish_exactly_on_flat_factors(rng):
     p = rng.uniform(-1, 1, (5, 4))
     for tag in (1, 2):
         st = structure(tag)
-        assert np.all(prod.auxiliary_curvature_residual(p, [st]) == 0.0)
-    assert np.all(prod.liouville_residual(p) == 0.0)
+        assert np.all(prod.auxiliary_curvature_residual(
+            prod.factor_jets(p), [st]) == 0.0)
+    assert np.all(prod.liouville_residual(prod.factor_jets(p)) == 0.0)
 
 
 def test_position_outside_a_factor_chart_is_named():
@@ -222,8 +226,8 @@ def test_position_outside_a_factor_chart_is_named():
     batch = np.array([[0.1, 0.2, 0.3, 0.4], edge, [-0.3, 0.1, 0.0, 0.5]])
     for p in (edge, batch):
         for probe in (lambda q: prod.auxiliary_curvature_residual(
-                          q, [structure(1)]),
-                      prod.liouville_residual):
+                          prod.factor_jets(q), [structure(1)]),
+                      lambda q: prod.liouville_residual(prod.factor_jets(q))):
             with pytest.raises(OutsideDomainError,
                                match=r"point \(1\.005, 0\.000\) outside "
                                      r"chart of curvature -4\.0"):

@@ -446,8 +446,9 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     is computed once on the clean batch: Gauss, Codazzi, the derivative
     identities and the rank pair once, each compatibility system once per
     tag, the frame spinor derivative once per structure, and the ambient
-    rotation forms once per frame derivative.  Controls
-    compute theirs again from their altered data."""
+    rotation forms along the frame once for both structures.  The controls
+    and co-vanishing share one perturbed copy, on which Gauss and each
+    system are computed once more."""
     from spinlab import hypersurfaces as hyp
     from spinlab import systems as sysmod
     from spinlab.product import ProductModel
@@ -469,7 +470,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     count(sysmod, "_system_equations",
           lambda ev, tag: (f"system{tag}", len(ev.u)))
     count(RestrictedSpinc, "_derivative",
-          lambda rs, X: ("frame derivative", rs.struct.tag))
+          lambda rs, C, shape_gamma: ("frame derivative", rs.struct.tag))
     count(ProductModel, "rotation_forms", lambda prod, p, X: ("rotation",))
     report = run_scenario(small_scenario(samples=14, checks=None))
     assert report.passed
@@ -479,17 +480,16 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
 
     for body in ("_codazzi", "_derivative_identities", "_rank_pair"):
         assert runs(body) == [(14,)], body
-    # on the clean batch once; then on the perturbed copies of
-    # curvature.gauss_control and of system.covanish (one per tag), every
-    # one of them all 14 points
-    assert runs("_gauss") == [(14,)] * 4
-    # system.control, system.covanish, system.one or two
+    # once on the clean batch and once on the one perturbed copy that
+    # curvature.gauss_control, system.control and system.covanish read,
+    # every one of them all 14 points
+    assert runs("_gauss") == [(14,)] * 2
     for tag in (1, 2):
-        assert runs(f"system{tag}") == [(14,)] * 3
+        assert runs(f"system{tag}") == [(14,)] * 2
     assert runs("frame derivative") == [(1,), (2,)]
-    # the frame derivative of each structure; the ambient probe reads the
-    # factors' rotation forms as jets, not through rotation_forms
-    assert len(runs("rotation")) == 2
+    # along the frame, once for both frame derivatives; the ambient probe
+    # reads the factors' rotation forms as jets, not through rotation_forms
+    assert len(runs("rotation")) == 1
 
 
 CONTROLS = ["curvature.gauss_control", "system.control", "system.covanish"]
@@ -525,10 +525,43 @@ def test_one_sample_geodesic_slice_exits_0(tmp_path):
     assert report["overall_verdict"] == "pass"
 
 
+# the chart kinds and curvature pairs of the sweep workload
+SWEEP_KINDS = ("flat-hyperplane", "round-sphere", "slice-geodesic",
+               "sphere-circle-tube", "graph")
+SWEEP_PAIRS = [(c1, c2) for c1 in (0.0, 1.0, -0.5, 2.0)
+               for c2 in (0.0, 0.8, -0.3, 4.0)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_one_sample_controls_trip_over_the_sweep_grid(tmp_path, seed):
+    """Every chart kind on every curvature pair of the sweep grid at one
+    sample exits 0, and both controls trip: the one perturbed copy they
+    share is large enough at every single point."""
+    from spinlab.cli import main
+    controls = [spec.name for spec in REGISTRY if spec.kind == "control"]
+    path, out = tmp_path / "scenario.json", tmp_path / "report.json"
+    for kind in SWEEP_KINDS:
+        for c1, c2 in SWEEP_PAIRS:
+            cell = (kind, c1, c2)
+            path.write_text(json.dumps({
+                "name": f"{kind}-{c1}-{c2}", "c1": c1, "c2": c2,
+                "hypersurface": {"kind": kind, "params": {}}, "samples": 1,
+                "seed": seed}))
+            assert main(["run", "--scenario", str(path), "--format", "json",
+                         "--out", str(out)]) == 0, cell
+            recs = {c["name"]: c for c in
+                    json.loads(out.read_text())["checks"]}
+            for name in controls:
+                assert recs[name]["verdict"] == "pass", (cell, name)
+                assert recs[name]["max_residual"] > recs[name]["tolerance"]
+
+
 def test_product_structure_is_one_jet_pass(monkeypatch):
-    """ambient.product_structure evaluates each factor's conformal factor
-    once as an order-2 jet at every sample point, after two plain-value
-    calls for the area density and the Ricci form coefficient."""
+    """Both ambient checks read one factor-jet record: two plain-value
+    calls per factor for its area density and Ricci form coefficient, then
+    one order-2 jet conformal factor per factor at every sample point for
+    Liouville's formula, and one order-1 one inside the rotation forms of
+    Cartan's structure equation."""
     from spinlab.jets import Jet
     from spinlab.surfaces import SurfaceModel
     original = SurfaceModel.conformal_factor
@@ -541,9 +574,10 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
         return lam
 
     monkeypatch.setattr(SurfaceModel, "conformal_factor", counted)
-    report = run_scenario(small_scenario(checks=["ambient.product_structure"]))
+    report = run_scenario(small_scenario(checks=AMBIENT))
     assert report.passed
-    assert calls == [(None, (6,)), (None, (6,)), (2, (6,))] * 2
+    assert calls == ([(None, (6,))] * 4 + [(2, (6,))] * 2
+                     + [(1, (6,))] * 2)
 
 
 @pytest.mark.parametrize("change, extra, says", [

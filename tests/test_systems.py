@@ -102,8 +102,9 @@ def test_xi_derivative_on_sphere_is_chi_over_r():
 def test_gauss_iff_codazzi_confirmed(members, rng):
     for name, prod, chart in members:
         batch = evaluate(chart, prod, sample(chart, rng, 8))
+        bumped = batch.replace(E_frame=perturbed_shape(batch, rng))
         for tag in (1, 2):
-            rep = gauss_iff_codazzi(tag, batch, rng)
+            rep = gauss_iff_codazzi(tag, batch, bumped)
             assert rep.verdict, name
             assert rep.confirmed == 8
             assert rep.skipped == 0
@@ -115,7 +116,8 @@ def test_gauss_iff_codazzi_skips_bad_hypotheses(rng):
     ev = evaluate(build_chart("round-sphere", {"r": 1.0}),
                   build_product(0.0, 0.0), [0.8, 1.1, 2.2])
     ev = ev.replace(E_frame=perturbed_shape(ev, rng))
-    rep = gauss_iff_codazzi(1, ev, rng)
+    rep = gauss_iff_codazzi(1, ev, ev.replace(
+        E_frame=perturbed_shape(ev, rng)))
     assert rep.skipped == 1 and rep.confirmed == 0
 
 
@@ -124,7 +126,8 @@ def test_perturbed_ensemble_breaks_gauss_and_codazzi_together(members, rng):
     residual become nonzero together; magnitudes are reported."""
     for name, prod, chart in members:
         batch = evaluate(chart, prod, sample(chart, rng, 4))
-        rep = gauss_iff_codazzi(1, batch, rng)
+        rep = gauss_iff_codazzi(1, batch, batch.replace(
+            E_frame=perturbed_shape(batch, rng)))
         for gres, sres in rep.perturbed_joint:
             assert gres > 1e-3, name
             assert sres > 1e-3, name
