@@ -123,11 +123,6 @@ class ProductModel:
         coeff = self.factor2.ricci_form_coefficient(p[2], p[3])
         return coeff * (X[2] * Y[3] - X[3] * Y[2])
 
-    def curvature_form(self, p, X, Y, struct: SpincStructure):
-        """Auxiliary curvature 2-form Omega evaluated on chart vectors."""
-        return _curvature(struct, self.ricci_form(p, X, Y, 1),
-                          self.ricci_form(p, X, Y, 2))
-
     # spin^c connection ----------------------------------------------------
     def rotation_forms(self, p, X):
         """(w1(X1), w2(X2)) for a chart tangent vector X at p."""

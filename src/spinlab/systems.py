@@ -1,35 +1,41 @@
 """Theorem-level compatibility checks.
 
-The two systems of twelve scalar equations arise from evaluating the
-spinorial curvature of the generalized Killing law on the restricted fields
-and expanding the Ricci identity over the real frame
-{phi, gamma(e1)phi, gamma(e2)phi, gamma(e3)phi}.  Each equation is
-transcribed once, keyed, and evaluated as LHS - RHS from independently
-computed tensors (curvature of the induced metric, shape operator and its
-covariant exterior derivative, splitting data (f, V, h)); a failing residual
-therefore names its equation.  Inputs per point, all in the adapted frame:
+The two systems of twelve scalar equations are the integrability
+conditions of the generalized Killing law nabla_X phi = -+1/2 gamma(EX) phi
+of the restricted spinors, derived here from the spinor Ricci identity.
+For each frame pair (e_i, e_j) in (e1, e2), (e1, xi), (e2, xi), twice the
+component along gamma(e_m) phi of
 
-    R[i,j,k,l]   curvature components g(R(e_i, e_j) e_k, e_l)
-    a[i,j]       shape operator components g(E e_i, e_j)
-    dE[i,j,k]    g(dNabla E(e_i, e_j), e_k)
-    vV[i]        (V, e_i),   h,   c1, c2
+    -s/2 gamma(dE(e_i, e_j)) phi + 1/4 [gamma(E e_j), gamma(E e_i)] phi
+        - 1/4 sum_kl R_ijkl gamma(e_k) gamma(e_l) phi - i/2 Omega_ij phi
 
-System 1 corresponds to the positive structure (Killing sign -1/2), System 2
-to the negative structure (+1/2); the derivative terms flip sign between the
-two while the curvature quadratics are shared.
+is component m of
 
-Every residual here takes a :class:`PointEvaluation` of one point or of
-a whole batch and returns one value per point; the equations above
-receive their inputs with the point axis moved last, so ``R[0, 1, 1, 0]``
-holds every point at once.  Controls and the converse direction read the
-same value stages, swapped through ``PointEvaluation.replace``.  The
-system residuals, like the Gauss and Codazzi residuals they are checked
-against, are computed once per evaluation: ``system.covanish`` reads what
-``system.*`` and ``curvature.*`` computed on the batch of every sample
-point, and what the controls computed on its one perturbed copy; the
-converse reads what ``curvature.*`` and ``structure.*`` computed.  Random
-perturbations draw one point after another, so a batch sees the same
-stream as a loop over its points.
+    S_ij = -s dE[i, j, :] + (E e_j) x (E e_i) - *R_ij + Omega_ij n,
+
+and its phi component vanishes: gamma(e_i) gamma(e_j) = gamma(e_k)
+cyclically, so the even part of Cl_3 acts as the quaternions.  In the
+adapted frame, s = +1 for structure 1 and -1 for structure 2, E e_i is
+row i of E[i,j] = g(E e_i, e_j), dE[i,j,k] = g(dNabla E(e_i, e_j), e_k),
+*R_ij = (R_ij23, R_ij31, R_ij12) with R_ijkl = g(R(e_i, e_j) e_k, e_l),
+Omega is ``restriction.closed_form_omega`` and n, gamma(n) phi = -i phi,
+the Bloch vector of the restricted spinor: (0, 0, 1) for structure 1 (its
+normal condition), (V2, -V1, h) for structure 2 (its pairing identities).
+
+The signed table ``EQUATIONS`` names each equation of both systems by the
+one or two components it reads, so a failing residual names its equation
+and a NaN component reaches only the equations that read it.  Nine
+components carry twelve equations, so three are redundant: eq04 = eq07 -
+eq10, eq08 = eq09 - eq03 and eq12 = eq05 - eq02.  Up to rounding these are
+the systems as the paper writes them, but for the sign of system 2's eq12.
+
+Every residual here takes a :class:`PointEvaluation` of one point or a
+batch and returns one value per point.  Controls and the converse read the
+same value stages, swapped through ``PointEvaluation.replace``.  Like Gauss
+and Codazzi, each system is computed once per evaluation (``_shared``) and
+read again by ``system.covanish``, on the batch and on its perturbed copy.
+Random perturbations draw one point after another, so a batch sees the
+same stream as a loop over its points.
 """
 
 from __future__ import annotations
@@ -42,88 +48,33 @@ from .hypersurfaces import (PointEvaluation, _max_abs, _mv, _shared,
                             codazzi_residual, derivative_identities,
                             gauss_residual, rank_pair)
 from .jets import value
+from .restriction import _PAIR_I, _PAIR_J, closed_form_omega
 
+# indices broadcast to (pair, component): the frame pair (i, j) of each
+# row, and the components m + 1, m + 2 that a cross product or *R pairs at m
+_I, _J = _PAIR_I[:, None], _PAIR_J[:, None]
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
-def system_one(R, a, dE, vV, h, c1, c2):
-    """The twelve scalar residuals of the first compatibility system."""
-    w1 = 0.5 * c1 * (h - 1.0) - 0.5 * c2 * (h + 1.0)
-    k = 0.5 * (c1 - c2)
-    eqs = {
-        "eq01": (R[0, 1, 1, 0] + R[0, 2, 2, 0]
-                 - (a[0, 0] * a[2, 2] + a[0, 0] * a[1, 1]
-                    - a[0, 2] ** 2 - a[0, 1] ** 2) + w1
-                 - (dE[0, 1, 2] - dE[0, 2, 1])),
-        "eq02": (R[0, 2, 2, 1] - (a[0, 1] * a[2, 2] - a[1, 2] * a[0, 2])
-                 - dE[0, 2, 0]),
-        "eq03": (R[0, 1, 1, 2] - (a[1, 1] * a[0, 2] - a[1, 2] * a[0, 1])
-                 + dE[0, 1, 0]),
-        "eq04": (-k * vV[0] - (dE[1, 0, 1] + dE[2, 0, 2])),
-        "eq05": (R[1, 2, 2, 0] - (a[0, 1] * a[2, 2] - a[0, 2] * a[1, 2])
-                 + dE[1, 2, 1]),
-        "eq06": (R[1, 2, 2, 1] + R[1, 0, 0, 1]
-                 - (a[1, 1] * a[2, 2] + a[1, 1] * a[0, 0]
-                    - a[1, 2] ** 2 - a[0, 1] ** 2) + w1
-                 - (dE[1, 2, 0] + dE[0, 1, 2])),
-        "eq07": (R[1, 0, 0, 2] - (a[1, 2] * a[0, 0] - a[0, 1] * a[0, 2])
-                 + dE[0, 1, 1]),
-        "eq08": (-k * vV[1] - (dE[0, 1, 0] + dE[2, 1, 2])),
-        "eq09": (R[2, 1, 1, 0] - (a[0, 2] * a[1, 1] - a[1, 2] * a[0, 1])
-                 - k * vV[1] + dE[1, 2, 2]),
-        "eq10": (R[2, 0, 0, 1] - (a[1, 2] * a[0, 0] - a[0, 2] * a[0, 1])
-                 + k * vV[0] - dE[0, 2, 2]),
-        "eq11": (R[2, 0, 0, 2] + R[2, 1, 1, 2]
-                 - (a[0, 0] * a[2, 2] + a[1, 1] * a[2, 2]
-                    - a[0, 2] ** 2 - a[1, 2] ** 2)
-                 - (dE[1, 2, 0] - dE[0, 2, 1])),
-        "eq12": (dE[1, 2, 1] + dE[0, 2, 0]),
-    }
-    return eqs
-
-
-def system_two(R, a, dE, vV, h, c1, c2):
-    """The twelve scalar residuals of the second compatibility system."""
-    w = c1 * (h - 1.0) + c2 * (h + 1.0)
-    s = c1 + c2
-    eqs = {
-        "eq01": (R[0, 1, 1, 0] + R[0, 2, 2, 0]
-                 - (a[0, 0] * a[2, 2] + a[0, 0] * a[1, 1]
-                    - a[0, 2] ** 2 - a[0, 1] ** 2)
-                 - 0.5 * s * vV[0] ** 2 - 0.5 * h * w
-                 - (dE[1, 0, 2] - dE[2, 0, 1])),
-        "eq02": (R[0, 2, 2, 1] - (a[0, 1] * a[2, 2] - a[1, 2] * a[0, 2])
-                 - 0.5 * s * vV[0] * vV[1] + dE[0, 2, 0]),
-        "eq03": (R[0, 1, 1, 2] - (a[1, 1] * a[0, 2] - a[1, 2] * a[0, 1])
-                 + 0.5 * w * vV[1] - dE[0, 1, 0]),
-        "eq04": (0.5 * (s * h - w) * vV[0] - (dE[0, 1, 1] + dE[0, 2, 2])),
-        "eq05": (R[1, 2, 2, 0] - (a[0, 1] * a[2, 2] - a[0, 2] * a[1, 2])
-                 - 0.5 * s * vV[1] * vV[0] - dE[1, 2, 1]),
-        "eq06": (R[1, 2, 2, 1] + R[1, 0, 0, 1]
-                 - (a[1, 1] * a[2, 2] + a[1, 1] * a[0, 0]
-                    - a[1, 2] ** 2 - a[0, 1] ** 2)
-                 - 0.5 * s * vV[1] ** 2 - 0.5 * h * w
-                 + (dE[1, 2, 0] + dE[0, 1, 2])),
-        "eq07": (R[1, 0, 0, 2] - (a[1, 2] * a[0, 0] - a[0, 1] * a[0, 2])
-                 - 0.5 * w * vV[0] - dE[0, 1, 1]),
-        "eq08": (0.5 * (s * h - w) * vV[1] + dE[0, 1, 0] - dE[1, 2, 2]),
-        "eq09": (R[2, 1, 1, 0] - (a[0, 2] * a[1, 1] - a[1, 2] * a[0, 1])
-                 + 0.5 * s * h * vV[1] - dE[1, 2, 2]),
-        "eq10": (R[2, 0, 0, 1] - (a[1, 2] * a[0, 0] - a[0, 2] * a[0, 1])
-                 - 0.5 * s * h * vV[0] + dE[0, 2, 2]),
-        "eq11": (R[2, 0, 0, 2] + R[2, 1, 1, 2]
-                 - (a[0, 0] * a[2, 2] + a[1, 1] * a[2, 2]
-                    - a[0, 2] ** 2 - a[1, 2] ** 2)
-                 - 0.5 * s * vV[0] ** 2 - 0.5 * s * vV[1] ** 2
-                 + (dE[1, 2, 0] - dE[0, 2, 1])),
-        "eq12": (dE[1, 2, 1] + dE[0, 2, 0]),
-    }
-    return eqs
-
-
-def _points_last(x, k):
-    """``x`` with its leading point axes, if any, moved behind its ``k``
-    trailing index axes, so ``x[i, j]`` holds one value per point."""
-    lead = x.ndim - k
-    return x.transpose((*range(lead, x.ndim), *range(lead)))
+# each equation as the sum of its signed components S^m_(ij), written
+# (sign, pair, m) with the pairs (e1, e2), (e1, xi), (e2, xi) and m from 0
+EQUATIONS = {
+    "eq01": ((1, 0, 2), (-1, 1, 1)),
+    "eq02": ((1, 1, 0),),
+    "eq03": ((-1, 0, 0),),
+    "eq04": ((-1, 0, 1), (-1, 1, 2)),
+    "eq05": ((-1, 2, 1),),
+    "eq06": ((1, 0, 2), (1, 2, 0)),
+    "eq07": ((-1, 0, 1),),
+    "eq08": ((1, 0, 0), (-1, 2, 2)),
+    "eq09": ((-1, 2, 2),),
+    "eq10": ((1, 1, 2),),
+    "eq11": ((-1, 1, 1), (1, 2, 0)),
+    "eq12": ((-1, 1, 0), (-1, 2, 1)),
+}
+_TERMS = [term for terms in EQUATIONS.values() for term in terms]
+_SIGN = np.array([sign for sign, _, _ in _TERMS], dtype=float)
+_INDEX = np.array([3 * pair + m for _, pair, m in _TERMS])
+_START = np.cumsum([0] + [len(terms) for terms in EQUATIONS.values()][:-1])
 
 
 @dataclass
@@ -152,11 +103,25 @@ def system_residuals(tag: int, ev: PointEvaluation) -> SystemResiduals:
                            np.linalg.norm(ev.V_frame, axis=-1) < 1e-12)
 
 
+def ricci_components(ev: PointEvaluation, tag: int):
+    """S[..., p, m] = S^m_(ij) of structure ``tag``, (i, j) the pair p."""
+    s = 1.0 if tag == 1 else -1.0
+    E, V, h = ev.E_frame, ev.V_frame, np.asarray(ev.h_val)
+    omega = closed_form_omega(tag, ev.product.c1, ev.product.c2, h, V)[
+        ..., _PAIR_I, _PAIR_J, None]
+    n = (np.array([0.0, 0.0, 1.0]) if tag == 1 else
+         np.stack([V[..., 1], -V[..., 0], h], axis=-1)[..., None, :])
+    return (-s * ev.dE_frame[..., _PAIR_I, _PAIR_J, :]
+            + E[..., _J, _NEXT] * E[..., _I, _PREV]
+            - E[..., _J, _PREV] * E[..., _I, _NEXT]
+            - ev.riemann_frame[..., _I, _J, _NEXT, _PREV] + omega * n)
+
+
 def _system_equations(ev, tag):
-    fn = system_one if tag == 1 else system_two
-    return fn(_points_last(ev.riemann_frame, 4), _points_last(ev.E_frame, 2),
-              _points_last(ev.dE_frame, 3), _points_last(ev.V_frame, 1),
-              ev.h_val, ev.product.c1, ev.product.c2)
+    S = ricci_components(ev, tag)
+    terms = _SIGN * S.reshape(S.shape[:-2] + (9,))[..., _INDEX]
+    eqs = np.add.reduceat(terms, _START, axis=-1)
+    return dict(zip(EQUATIONS, np.moveaxis(eqs, -1, 0)))
 
 
 def perturbed_shape(ev: PointEvaluation, rng):

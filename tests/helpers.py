@@ -1,8 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes engine quantities through a different route:
-finite differences instead of jets, and an adapted-gauge construction of
-the induced spinor derivative instead of the hypersurface Gauss formula.
+finite differences instead of jets, an adapted-gauge construction of the
+induced spinor derivative instead of the hypersurface Gauss formula, and
+the compatibility systems transcribed from the paper instead of derived
+from the spinor Ricci identity.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.linalg import expm, logm
 
 from spinlab.hypersurfaces import evaluate
 from spinlab.jets import value, worst_of
-from spinlab.product import structure
+from spinlab.product import _curvature, structure
 
 
 def fd_second_derivative(f, x, h):
@@ -225,6 +227,13 @@ _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
 
 
+def curvature_form(product, p, X, Y, struct):
+    """Auxiliary curvature 2-form Omega of ``struct`` on chart vectors X, Y
+    at ``p``, from the factor Ricci forms."""
+    return _curvature(struct, product.ricci_form(p, X, Y, 1),
+                      product.ricci_form(p, X, Y, 2))
+
+
 def auxiliary_form(product, p, X, struct):
     """Local connection 1-form a(X) = s1 w1(X1) + s2 w2(X2) of the
     auxiliary line bundle of ``struct``, from the factor rotation forms."""
@@ -265,9 +274,102 @@ def loop_auxiliary_curvature_residual(product, p, struct, h=0.02):
             ea[a] = 1.0
             eb = np.zeros(4)
             eb[b] = 1.0
-            exact = value(product.curvature_form(p, ea, eb, struct))
+            exact = value(curvature_form(product, p, ea, eb, struct))
             worst = max(worst, abs(approx - exact))
     return worst
+
+
+# --- the compatibility systems as the paper writes them ----------------------
+# The 24 scalar equations transcribed term by term, the reference for the
+# systems that ``spinlab.systems`` derives from the spinor Ricci identity.
+# Inputs carry the point axis last, so ``R[0, 1, 1, 0]`` holds every point.
+
+def system_one(R, a, dE, vV, h, c1, c2):
+    """The twelve scalar residuals of the first compatibility system."""
+    w1 = 0.5 * c1 * (h - 1.0) - 0.5 * c2 * (h + 1.0)
+    k = 0.5 * (c1 - c2)
+    eqs = {
+        "eq01": (R[0, 1, 1, 0] + R[0, 2, 2, 0]
+                 - (a[0, 0] * a[2, 2] + a[0, 0] * a[1, 1]
+                    - a[0, 2] ** 2 - a[0, 1] ** 2) + w1
+                 - (dE[0, 1, 2] - dE[0, 2, 1])),
+        "eq02": (R[0, 2, 2, 1] - (a[0, 1] * a[2, 2] - a[1, 2] * a[0, 2])
+                 - dE[0, 2, 0]),
+        "eq03": (R[0, 1, 1, 2] - (a[1, 1] * a[0, 2] - a[1, 2] * a[0, 1])
+                 + dE[0, 1, 0]),
+        "eq04": (-k * vV[0] - (dE[1, 0, 1] + dE[2, 0, 2])),
+        "eq05": (R[1, 2, 2, 0] - (a[0, 1] * a[2, 2] - a[0, 2] * a[1, 2])
+                 + dE[1, 2, 1]),
+        "eq06": (R[1, 2, 2, 1] + R[1, 0, 0, 1]
+                 - (a[1, 1] * a[2, 2] + a[1, 1] * a[0, 0]
+                    - a[1, 2] ** 2 - a[0, 1] ** 2) + w1
+                 - (dE[1, 2, 0] + dE[0, 1, 2])),
+        "eq07": (R[1, 0, 0, 2] - (a[1, 2] * a[0, 0] - a[0, 1] * a[0, 2])
+                 + dE[0, 1, 1]),
+        "eq08": (-k * vV[1] - (dE[0, 1, 0] + dE[2, 1, 2])),
+        "eq09": (R[2, 1, 1, 0] - (a[0, 2] * a[1, 1] - a[1, 2] * a[0, 1])
+                 - k * vV[1] + dE[1, 2, 2]),
+        "eq10": (R[2, 0, 0, 1] - (a[1, 2] * a[0, 0] - a[0, 2] * a[0, 1])
+                 + k * vV[0] - dE[0, 2, 2]),
+        "eq11": (R[2, 0, 0, 2] + R[2, 1, 1, 2]
+                 - (a[0, 0] * a[2, 2] + a[1, 1] * a[2, 2]
+                    - a[0, 2] ** 2 - a[1, 2] ** 2)
+                 - (dE[1, 2, 0] - dE[0, 2, 1])),
+        "eq12": (dE[1, 2, 1] + dE[0, 2, 0]),
+    }
+    return eqs
+
+
+def system_two(R, a, dE, vV, h, c1, c2):
+    """The twelve scalar residuals of the second compatibility system."""
+    w = c1 * (h - 1.0) + c2 * (h + 1.0)
+    s = c1 + c2
+    eqs = {
+        "eq01": (R[0, 1, 1, 0] + R[0, 2, 2, 0]
+                 - (a[0, 0] * a[2, 2] + a[0, 0] * a[1, 1]
+                    - a[0, 2] ** 2 - a[0, 1] ** 2)
+                 - 0.5 * s * vV[0] ** 2 - 0.5 * h * w
+                 - (dE[1, 0, 2] - dE[2, 0, 1])),
+        "eq02": (R[0, 2, 2, 1] - (a[0, 1] * a[2, 2] - a[1, 2] * a[0, 2])
+                 - 0.5 * s * vV[0] * vV[1] + dE[0, 2, 0]),
+        "eq03": (R[0, 1, 1, 2] - (a[1, 1] * a[0, 2] - a[1, 2] * a[0, 1])
+                 + 0.5 * w * vV[1] - dE[0, 1, 0]),
+        "eq04": (0.5 * (s * h - w) * vV[0] - (dE[0, 1, 1] + dE[0, 2, 2])),
+        "eq05": (R[1, 2, 2, 0] - (a[0, 1] * a[2, 2] - a[0, 2] * a[1, 2])
+                 - 0.5 * s * vV[1] * vV[0] - dE[1, 2, 1]),
+        "eq06": (R[1, 2, 2, 1] + R[1, 0, 0, 1]
+                 - (a[1, 1] * a[2, 2] + a[1, 1] * a[0, 0]
+                    - a[1, 2] ** 2 - a[0, 1] ** 2)
+                 - 0.5 * s * vV[1] ** 2 - 0.5 * h * w
+                 + (dE[1, 2, 0] + dE[0, 1, 2])),
+        "eq07": (R[1, 0, 0, 2] - (a[1, 2] * a[0, 0] - a[0, 1] * a[0, 2])
+                 - 0.5 * w * vV[0] - dE[0, 1, 1]),
+        "eq08": (0.5 * (s * h - w) * vV[1] + dE[0, 1, 0] - dE[1, 2, 2]),
+        "eq09": (R[2, 1, 1, 0] - (a[0, 2] * a[1, 1] - a[1, 2] * a[0, 1])
+                 + 0.5 * s * h * vV[1] - dE[1, 2, 2]),
+        "eq10": (R[2, 0, 0, 1] - (a[1, 2] * a[0, 0] - a[0, 2] * a[0, 1])
+                 - 0.5 * s * h * vV[0] + dE[0, 2, 2]),
+        "eq11": (R[2, 0, 0, 2] + R[2, 1, 1, 2]
+                 - (a[0, 0] * a[2, 2] + a[1, 1] * a[2, 2]
+                    - a[0, 2] ** 2 - a[1, 2] ** 2)
+                 - 0.5 * s * vV[0] ** 2 - 0.5 * s * vV[1] ** 2
+                 + (dE[1, 2, 0] - dE[0, 2, 1])),
+        "eq12": (dE[1, 2, 1] + dE[0, 2, 0]),
+    }
+    return eqs
+
+
+def transcribed_system(ev, tag):
+    """The transcribed equations of system ``tag`` at every point of
+    ``ev``."""
+    def points_last(x, k):
+        return np.moveaxis(x, list(range(x.ndim - k)),
+                           list(range(k, x.ndim)))
+
+    fn = system_one if tag == 1 else system_two
+    return fn(points_last(ev.riemann_frame, 4), points_last(ev.E_frame, 2),
+              points_last(ev.dE_frame, 3), points_last(ev.V_frame, 1),
+              ev.h_val, ev.product.c1, ev.product.c2)
 
 
 # --- one-point references of the batched identities --------------------------
@@ -516,8 +618,9 @@ class PointSpinc:
     @property
     def omega_pullback(self):
         amb = self.frame_ambient
-        return value(self.ev.product.curvature_form(
-            self.position, amb[:, :, None], amb[:, None, :], self.struct))
+        return value(curvature_form(self.ev.product, self.position,
+                                    amb[:, :, None], amb[:, None, :],
+                                    self.struct))
 
 
 def point_algebraic_conditions(rs):
@@ -562,8 +665,8 @@ def point_curvature_restriction_residual(rs):
     p = rs.position
     eps = np.diag(1.0 / rs.frame_scale)
     A, B = np.triu_indices(4, 1)
-    coeffs = value(ev.product.curvature_form(p, eps[:, A], eps[:, B],
-                                             rs.struct))
+    coeffs = value(curvature_form(ev.product, p, eps[:, A], eps[:, B],
+                                  rs.struct))
     lhs_mat = np.zeros((4, 4), dtype=complex)
     for coeff, a, b in zip(coeffs, A, B):
         lhs_mat += coeff * model.generators[a] @ model.generators[b]
@@ -575,8 +678,8 @@ def point_curvature_restriction_residual(rs):
     for i in range(3):
         for j in range(i + 1, 3):
             rhs += Om[i, j] * G[i] @ (G[j] @ rs.psi)
-    contraction = value(ev.product.curvature_form(
-        p, ev.nu_val[:, None], rs.frame_ambient, rs.struct))
+    contraction = value(curvature_form(
+        ev.product, p, ev.nu_val[:, None], rs.frame_ambient, rs.struct))
     W = sum(contraction[i] * ev.frame[:, i] for i in range(3))
     rhs -= rs.sign * rs.gamma(W, rs.psi)
     return float(np.linalg.norm(lhs - rhs))

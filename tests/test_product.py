@@ -7,8 +7,8 @@ from spinlab.jets import value
 from spinlab.product import (F_MATRIX, J_MATRIX, ProductModel, structure)
 from spinlab.surfaces import OutsideDomainError
 
-from helpers import (dense_christoffels, loop_auxiliary_curvature_residual,
-                     metric_diagonal)
+from helpers import (curvature_form, dense_christoffels,
+                     loop_auxiliary_curvature_residual, metric_diagonal)
 
 
 def test_structure_tags_and_chirality():
@@ -57,7 +57,7 @@ def test_curvature_form_flat_vanishes(rng):
         for _ in range(5):
             p = rng.uniform(-1, 1, 4)
             X, Y = rng.standard_normal(4), rng.standard_normal(4)
-            assert value(prod.curvature_form(p, X, Y, st)) == 0.0
+            assert value(curvature_form(prod, p, X, Y, st)) == 0.0
 
 
 def test_curvature_form_sign_on_each_structure(rng):
@@ -70,8 +70,8 @@ def test_curvature_form_sign_on_each_structure(rng):
         lam = value(prod.factor1.conformal_factor(p[0], p[1]))
         X = np.array([1.0 / lam, 0.0, 0.0, 0.0])  # unit vector
         JX = J_MATRIX @ X
-        om1 = value(prod.curvature_form(p, X, JX, structure(1)))
-        om2 = value(prod.curvature_form(p, X, JX, structure(2)))
+        om1 = value(curvature_form(prod, p, X, JX, structure(1)))
+        om2 = value(curvature_form(prod, p, X, JX, structure(2)))
         assert om1 == pytest.approx(-c, abs=1e-12)
         assert om2 == pytest.approx(c, abs=1e-12)
 

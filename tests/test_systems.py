@@ -6,10 +6,14 @@ import pytest
 from conftest import sample
 from spinlab import build_chart, build_product, evaluate
 from spinlab.hypersurfaces import codazzi_residual, gauss_residual
+from spinlab.product import structure
+from spinlab.restriction import restrict_structure
 from spinlab.systems import (CONVERSE_TOLERANCES, CORRUPTION_TARGETS,
                              converse_check, corrupt, gauss_iff_codazzi,
-                             perturbed_shape, system_residuals,
-                             xi_derivative_residual)
+                             perturbed_shape, ricci_components,
+                             system_residuals, xi_derivative_residual)
+
+from helpers import transcribed_system
 
 
 def test_systems_vanish_on_catalog(members, rng):
@@ -184,11 +188,80 @@ def test_codazzi_residual_consistency_with_converse(members, rng):
         assert res["codazzi"] == pytest.approx(codazzi_residual(ev), abs=1e-14)
 
 
-@pytest.mark.parametrize("lead", [(), (1,), (6,), (2, 3)])
-@pytest.mark.parametrize("k", [1, 2, 4])
-def test_points_last_equals_moveaxis(lead, k):
-    from spinlab.systems import _points_last
-    x = np.arange(float(np.prod(lead + (3,) * k))).reshape(lead + (3,) * k)
-    want = np.moveaxis(x, list(range(x.ndim - k)), list(range(k, x.ndim)))
-    got = _points_last(x, k)
-    assert got.shape == want.shape and np.array_equal(got, want)
+def _bumped_with_dE_noise(ev, rng):
+    """``ev`` with its shape operator perturbed (``perturbed_shape``) and
+    antisymmetric noise of size 0.1 on dE(e_i, e_j): data on which no
+    equation vanishes."""
+    noise = rng.standard_normal(np.shape(ev.dE_frame))
+    noise = 0.1 * (noise - np.swapaxes(noise, -3, -2))
+    return ev.replace(E_frame=perturbed_shape(ev, rng),
+                      dE_frame=ev.dE_frame + noise)
+
+
+def test_derived_systems_equal_the_paper_transcriptions(members, rng):
+    """The equations derived from the spinor Ricci identity are the 24
+    transcribed ones, on real hypersurfaces and off them.  One sign
+    differs: system 2's eq12 is the negative of the transcribed eq12, which
+    reads dE(e1, xi)(e1) + dE(e2, xi)(e2) in both systems where the
+    derivation carries the structure sign s."""
+    for name, prod, chart in members:
+        ev = evaluate(chart, prod, sample(chart, rng, 20))
+        for data in (ev, _bumped_with_dE_noise(ev, rng)):
+            for tag in (1, 2):
+                derived = system_residuals(tag, data).residuals
+                paper = transcribed_system(data, tag)
+                assert list(derived) == list(paper)
+                for eq in paper:
+                    sign = -1.0 if (tag, eq) == (2, "eq12") else 1.0
+                    gap = np.max(np.abs(derived[eq] - sign * paper[eq]))
+                    assert gap <= 1e-13, (name, tag, eq, gap)
+
+
+def test_ricci_components_are_the_spinor_ricci_identity(members, rng):
+    """The spinor Ricci identity built literally from each restricted
+    structure, projected on the real frame {phi, gamma(e_k) phi}: no phi
+    component, and S/2 along gamma(e_k) phi."""
+    for name, prod, chart in members:
+        ev = evaluate(chart, prod, sample(chart, rng, 20))
+        for data in (ev, _bumped_with_dE_noise(ev, rng)):
+            E, dE, R = data.E_frame, data.dE_frame, data.riemann_frame
+            for tag in (1, 2):
+                rs = restrict_structure(data, structure(tag))
+                G, phi = rs.frame_gammas, rs.psi
+                G_phi = G @ phi
+                G_E = np.einsum("...jk,...kab->...jab", E, G)
+                S = ricci_components(data, tag)
+                for p, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+                    T = (-0.5 * rs.sign * np.einsum(
+                            "...k,...ka->...a", dE[..., i, j, :], G_phi)
+                         + 0.25 * (G_E[..., j, :, :] @ G_E[..., i, :, :]
+                                   - G_E[..., i, :, :] @ G_E[..., j, :, :])
+                         @ phi
+                         - 0.25 * np.einsum("...kl,...kab,...lbc,c->...a",
+                                            R[..., i, j, :, :], G, G, phi)
+                         - 0.5j * rs.omega_pullback[..., i, j, None] * phi)
+                    along_phi = rs.expectation(T).real
+                    along_G = np.einsum("...ka,...a->...k", G_phi.conj(),
+                                        T).real / np.vdot(phi, phi).real
+                    assert np.max(np.abs(along_phi)) <= 1e-14, (name, tag)
+                    gap = np.max(np.abs(along_G - 0.5 * S[..., p, :]))
+                    assert gap <= 1e-13, (name, tag, p, gap)
+
+
+@pytest.mark.parametrize("index, reads", [
+    ((0, 1, 0), {"eq03", "eq08"}),
+    ((0, 2, 1), {"eq01", "eq11"}),
+    ((1, 2, 2), {"eq08", "eq09"}),
+])
+def test_nan_reaches_only_the_equations_reading_it(index, reads, rng):
+    """A NaN in one component dE[p, i, j, k], i < j, turns only point p
+    NaN, and there only the equations that read that component."""
+    chart = build_chart("graph")
+    ev = evaluate(chart, build_product(1.0, -0.5), sample(chart, rng, 5))
+    dE = np.array(ev.dE_frame)
+    dE[(3,) + index] = np.nan
+    for tag in (1, 2):
+        res = system_residuals(tag, ev.replace(dE_frame=dE)).residuals
+        nan = {(int(p), eq) for eq, v in res.items()
+               for p in np.flatnonzero(np.isnan(v))}
+        assert nan == {(3, eq) for eq in reads}, tag
