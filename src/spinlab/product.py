@@ -42,9 +42,9 @@ only its own factor, so neither probe computes them.
 
 The tensor and form evaluators read a point's chart coordinates from axis 0
 (``p[0]`` is x1), so arrays of shape ``(4, ...)`` evaluate a whole stack of
-points in one call.  ``connection_matrix`` and ``factor_jets`` take the
-coordinate axis last, ``(..., 4)``, like the sample positions of a batch,
-and evaluate every point in one array pass.
+points in one call.  ``factor_jets`` takes the coordinate axis last,
+``(..., 4)``, like the sample positions of a batch, and evaluates every
+point in one array pass.
 """
 
 from __future__ import annotations
@@ -106,14 +106,6 @@ class ProductModel:
         self.c1 = float(c1)
         self.c2 = float(c2)
 
-    # basic tensors -----------------------------------------------------
-    def frame_components(self, p, w):
-        """Orthonormal-frame components of a chart tangent 4-vector."""
-        l1 = self.factor1.conformal_factor(p[0], p[1])
-        l2 = self.factor2.conformal_factor(p[2], p[3])
-        return np.array([value(l1 * w[0]), value(l1 * w[1]),
-                         value(l2 * w[2]), value(l2 * w[3])])
-
     # curvature data ------------------------------------------------------
     def ricci_form(self, p, X, Y, factor: int):
         """rho_i(pi_i X, pi_i Y) for chart tangent vectors X, Y at p."""
@@ -129,13 +121,6 @@ class ProductModel:
         a1 = self.factor1.frame_rotation_form(p[0], p[1])
         a2 = self.factor2.frame_rotation_form(p[2], p[3])
         return (a1[0] * X[0] + a1[1] * X[1], a2[0] * X[2] + a2[1] * X[3])
-
-    def connection_matrix(self, p, X, struct: SpincStructure):
-        """Coefficient matrix C(X) of the spinor connection at p: ``p`` and
-        ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""
-        return connection(struct, *self.rotation_forms(
-            np.moveaxis(np.asarray(p), -1, 0),
-            np.moveaxis(np.asarray(X), -1, 0)))
 
     def parallel_spinor(self, struct: SpincStructure):
         """The constant section spanning the parallel line of the structure."""
@@ -195,9 +180,8 @@ class ProductModel:
 
 def connection(struct: SpincStructure, w1, w2):
     """C(X) of ``struct`` from the rotation forms w1(X1), w2(X2) of the
-    tangent vectors X, arrays of any shape: ``(..., 4, 4)``.
-    ``connection_matrix`` and the restricted frame derivative both build
-    it here."""
+    tangent vectors X, arrays of any shape: ``(..., 4, 4)``.  The
+    restricted frame derivative builds it along the adapted frame."""
     w1, w2 = (np.asarray(value(w))[..., None, None] for w in (w1, w2))
     spin = 0.5 * w1 * E1E2 + 0.5 * w2 * E3E4
     return spin + 0.5j * _auxiliary(struct, w1, w2) * np.eye(4)

@@ -20,15 +20,15 @@ adapted-gauge construction of nabla lives in the test oracles.
 
 The two structures differ only by their factor signs (s1, s2), so all
 they read but those signs, the chirality sign and the parallel spinor is
-computed once per evaluation (``_Restriction``, through ``_shared``): the
-frame scale, the Clifford matrix of nu, the unsigned X . nu along e1, e2,
-xi and along E e_k, the ambient frame, the rotation forms along the
-frame, and the factor Ricci forms of the frame pairs, of the ambient
-coordinate planes and of nu with the frame.  Along the adapted frame the
-derivative and gamma(E e_k) phi of a structure are computed once
-(``frame_derivative``) and shared by the Killing check and the Dirac and
-energy-momentum laws; its C(e_k) comes from ``product.connection``, like
-``connection_matrix``.
+computed once per evaluation, through ``_shared``, whose memo so holds
+arrays only: the frame scale, the Clifford matrix of nu, the unsigned
+X . nu along e1, e2, xi and along E e_k, the ambient frame, the rotation
+forms along the frame, and the factor Ricci forms of the frame pairs, of
+the ambient coordinate planes and of nu with the frame.  The derivative
+is computed along the adapted frame only, once per structure
+(``frame_derivative``, C(e_k) from ``product.connection``), for the
+Killing check and the Dirac and energy-momentum laws.  Along any tangent
+X it follows by linearity, nabla_X = sum_k g(X, e_k) nabla_{e_k}.
 
 A :class:`RestrictedSpinc` follows the shapes rule of the evaluation it is
 built on: per-point arrays carry the point axis first, so ``frame_gammas``
@@ -42,19 +42,18 @@ quantities are normalized by |phi|^2 so the tolerances are scale free.
 
 from __future__ import annotations
 
-import functools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .clifford import ProductSpinorSpace, build_clifford
+from .clifford import build_clifford
 from .hypersurfaces import PointEvaluation, _read_only, _shared
 from .jets import value
 from .product import CLIFFORD, SpincStructure, _curvature, connection
 
-_SPACE = ProductSpinorSpace(build_clifford(2), CLIFFORD)
+# the Clifford model of one surface factor, acting on its spinors
+_FACTOR = build_clifford(2)
 # the six coordinate planes (a, b), a < b, of the ambient orthonormal frame
 # with the Clifford action of their bivectors e_a e_b, and the three pairs
 # i < j of the adapted frame
@@ -67,132 +66,116 @@ _PAIR_I, _PAIR_J = np.triu_indices(3, 1)
 def closed_form_omega(tag: int, c1, c2, h, V_frame):
     """The frame-component closed form of the induced auxiliary curvature.
 
-    Returns the matrix Om[..., i, j] over the adapted frame {e1, e2, xi},
-    one per entry of ``h`` (``V_frame`` is ``h.shape + (3,)``):
+    Returns (Om12, Om13, Om23) = Omega on the frame pairs (e1, e2),
+    (e1, xi), (e2, xi), one row per entry of ``h`` (``V_frame`` is
+    ``h.shape + (3,)``):
         Om(e1, e2) = s c1 (h-1)/2 - c2 (h+1)/2,
         Om(e_i, xi) = (s c1 - c2)/2 * (e_i, V),
     with s = +1 for structure 1 and -1 for structure 2.
     """
     s = 1.0 if tag == 1 else -1.0
     h, V = np.asarray(h), np.asarray(V_frame)
-    Om = np.zeros(h.shape + (3, 3))
-    Om[..., 0, 1] = 0.5 * s * c1 * (h - 1.0) - 0.5 * c2 * (h + 1.0)
-    Om[..., 0, 2] = 0.5 * (s * c1 - c2) * V[..., 0]
-    Om[..., 1, 2] = 0.5 * (s * c1 - c2) * V[..., 1]
-    return Om - np.swapaxes(Om, -1, -2)
+    return np.stack([0.5 * s * c1 * (h - 1.0) - 0.5 * c2 * (h + 1.0),
+                     0.5 * (s * c1 - c2) * V[..., 0],
+                     0.5 * (s * c1 - c2) * V[..., 1]], axis=-1)
 
 
-def _piece(fn):
-    """A lazily computed quantity that both structures read, handed out
-    read-only."""
-    return cached_property(functools.wraps(fn)(
-        lambda self: _read_only(fn(self))))
+# --- what the restrictions of both structures read --------------------------
+# The pieces below are read through ``_shared(ev, piece)``: computed on first
+# use and kept in the evaluation's memo.
+
+def per_point(ev: PointEvaluation, a, X):
+    """Per-point array ``a`` with a unit axis for each stack axis of the
+    tangent vectors ``X``, so that the two broadcast."""
+    n = ev.u.ndim - 1
+    k = np.ndim(X) - n - 1
+    return a.reshape(a.shape[:n] + (1,) * k + a.shape[n:])
 
 
-class _Restriction:
-    """What the restrictions of both structures read at one evaluation:
-    everything but the chirality sign, the factor signs (s1, s2) and the
-    parallel spinor.  Built once per evaluation (``_shared``), each piece on
-    first use."""
+def chart(ev: PointEvaluation, X_coord):
+    """Ambient chart components of tangent coordinate vectors."""
+    return np.einsum("...a,...ab->...b", X_coord,
+                     per_point(ev, ev.T_val, X_coord))
 
-    def __init__(self, ev: PointEvaluation):
-        # ``ev`` holds this record in its memo; a strong reference back
-        # would make a cycle that keeps the evaluation alive until the
-        # garbage collector runs
-        self.ev = weakref.proxy(ev)
 
-    def per_point(self, a, X):
-        """Per-point array ``a`` with a unit axis for each stack axis of
-        the tangent vectors ``X``, so that the two broadcast."""
-        n = self.ev.u.ndim - 1
-        k = np.ndim(X) - n - 1
-        return a.reshape(a.shape[:n] + (1,) * k + a.shape[n:])
+def shape_operator(ev: PointEvaluation, X_coord):
+    """E X in coordinates."""
+    E = per_point(ev, ev.E_mixed_val, X_coord)
+    return np.einsum("...ij,...j->...i", E, X_coord)
 
-    def chart(self, X_coord):
-        """Ambient chart components of tangent coordinate vectors."""
-        return np.einsum("...a,...ab->...b", X_coord,
-                         self.per_point(self.ev.T_val, X_coord))
 
-    def shape_operator(self, X_coord):
-        """E X in coordinates."""
-        E = self.per_point(self.ev.E_mixed_val, X_coord)
-        return np.einsum("...ij,...j->...i", E, X_coord)
+def scale(ev: PointEvaluation):
+    """(lam1, lam1, lam2, lam2) per point: chart to orthonormal frame."""
+    return np.sqrt(ev.gbar_val)
 
-    @_piece
-    def scale(self):
-        """(lam1, lam1, lam2, lam2) per point: chart to orthonormal frame;
-        the product's evaluators read chart coordinates off axis 0
-        (``.T``)."""
-        return self.ev.product.frame_components(self.ev.position.T,
-                                                np.ones(4)).T
 
-    @_piece
-    def nu_mat(self):
-        """Clifford matrix of the unit normal, (..., 4, 4)."""
-        return CLIFFORD.vector(self.ev.nu_val * self.scale)
+def nu_mat(ev: PointEvaluation):
+    """Clifford matrix of the unit normal, (..., 4, 4)."""
+    return CLIFFORD.vector(ev.nu_val * _shared(ev, scale))
 
-    def clifford(self, X_coord):
-        """X . nu as 4x4 matrices: gamma(X) up to the chirality sign."""
-        X = np.asarray(X_coord)
-        frame = self.chart(X) * self.per_point(self.scale, X)
-        return CLIFFORD.vector(frame) @ self.per_point(self.nu_mat, X)
 
-    @_piece
-    def frame_vectors(self):
-        """e1, e2, xi: three tangent vectors per point, (..., 3, 3)."""
-        return np.swapaxes(self.ev.frame, -1, -2)
+def clifford(ev: PointEvaluation, X_coord):
+    """X . nu as 4x4 matrices: gamma(X) up to the chirality sign."""
+    frame = chart(ev, X_coord) * per_point(ev, _shared(ev, scale), X_coord)
+    return CLIFFORD.vector(frame) @ per_point(ev, _shared(ev, nu_mat), X_coord)
 
-    @_piece
-    def frame_gammas(self):
-        """e_k . nu along e1, e2, xi, (..., 3, 4, 4)."""
-        return self.clifford(self.frame_vectors)
 
-    @_piece
-    def shape_gammas(self):
-        """(E e_k) . nu along e1, e2, xi, (..., 3, 4, 4)."""
-        return self.clifford(self.shape_operator(self.frame_vectors))
+def frame_vectors(ev: PointEvaluation):
+    """e1, e2, xi: three tangent vectors per point, (..., 3, 3)."""
+    return np.swapaxes(ev.frame, -1, -2)
 
-    @_piece
-    def rotation(self):
-        """The rotation forms (w1, w2) along e1, e2, xi, each (..., 3)."""
-        X = self.frame_vectors
-        return tuple(value(w) for w in self.ev.product.rotation_forms(
-            np.moveaxis(self.per_point(self.ev.position, X), -1, 0),
-            np.moveaxis(self.chart(X), -1, 0)))
 
-    @_piece
-    def frame_ambient(self):
-        """Ambient chart components of the adapted frame, one column each,
-        the coordinate axis first: (4, ..., 3)."""
-        return np.einsum("...ai,...ab->b...i", self.ev.frame, self.ev.T_val)
+def frame_gammas(ev: PointEvaluation):
+    """e_k . nu along e1, e2, xi, (..., 3, 4, 4)."""
+    return clifford(ev, _shared(ev, frame_vectors))
 
-    def _ricci(self, p, X, Y):
-        """The factor Ricci forms (rho1, rho2) of chart vectors X, Y at p,
-        the coordinate axis first."""
-        return tuple(value(self.ev.product.ricci_form(p, X, Y, k))
-                     for k in (1, 2))
 
-    @_piece
-    def frame_ricci(self):
-        """(rho1, rho2) on the frame pairs (e_i, e_j), each (..., 3, 3)."""
-        amb = self.frame_ambient
-        return self._ricci(self.ev.position.T[..., None, None],
-                           amb[..., :, None], amb[..., None, :])
+def shape_gammas(ev: PointEvaluation):
+    """(E e_k) . nu along e1, e2, xi, (..., 3, 4, 4)."""
+    return clifford(ev, shape_operator(ev, _shared(ev, frame_vectors)))
 
-    @_piece
-    def plane_ricci(self):
-        """(rho1, rho2) on the six coordinate planes (eps_a, eps_b), a < b,
-        of the ambient orthonormal frame, each (..., 6)."""
-        p = self.ev.position.T[..., None]
-        eps = np.eye(4).reshape((4,) + (1,) * (p.ndim - 2) + (4,)) \
-            / self.scale.T[..., None]
-        return self._ricci(p, eps[..., _PLANE_A], eps[..., _PLANE_B])
 
-    @_piece
-    def normal_ricci(self):
-        """(rho1, rho2)(nu, e_k) along e1, e2, xi, each (..., 3)."""
-        return self._ricci(self.ev.position.T[..., None],
-                           self.ev.nu_val.T[..., None], self.frame_ambient)
+def rotation(ev: PointEvaluation):
+    """The rotation forms (w1, w2) along e1, e2, xi, each (..., 3)."""
+    X = _shared(ev, frame_vectors)
+    return tuple(value(w) for w in ev.product.rotation_forms(
+        np.moveaxis(per_point(ev, ev.position, X), -1, 0),
+        np.moveaxis(chart(ev, X), -1, 0)))
+
+
+def frame_ambient(ev: PointEvaluation):
+    """Ambient chart components of the adapted frame, one column each, the
+    coordinate axis first: (4, ..., 3)."""
+    return np.einsum("...ai,...ab->b...i", ev.frame, ev.T_val)
+
+
+def _ricci(ev: PointEvaluation, p, X, Y):
+    """The factor Ricci forms (rho1, rho2) of chart vectors X, Y at p, the
+    coordinate axis first."""
+    return tuple(value(ev.product.ricci_form(p, X, Y, k)) for k in (1, 2))
+
+
+def frame_ricci(ev: PointEvaluation):
+    """(rho1, rho2) on the frame pairs (e1, e2), (e1, xi), (e2, xi), each
+    (..., 3)."""
+    amb = _shared(ev, frame_ambient)
+    return _ricci(ev, ev.position.T[..., None], amb[..., _PAIR_I],
+                  amb[..., _PAIR_J])
+
+
+def plane_ricci(ev: PointEvaluation):
+    """(rho1, rho2) on the six coordinate planes (eps_a, eps_b), a < b, of
+    the ambient orthonormal frame, each (..., 6)."""
+    p = ev.position.T[..., None]
+    eps = np.eye(4).reshape((4,) + (1,) * (p.ndim - 2) + (4,)) \
+        / _shared(ev, scale).T[..., None]
+    return _ricci(ev, p, eps[..., _PLANE_A], eps[..., _PLANE_B])
+
+
+def normal_ricci(ev: PointEvaluation):
+    """(rho1, rho2)(nu, e_k) along e1, e2, xi, each (..., 3)."""
+    return _ricci(ev, ev.position.T[..., None], ev.nu_val.T[..., None],
+                  _shared(ev, frame_ambient))
 
 
 class RestrictedSpinc:
@@ -204,12 +187,11 @@ class RestrictedSpinc:
         self.struct = struct
         self.sign = float(struct.chirality)
         self.psi = ev.product.parallel_spinor(struct)
-        self.common = _shared(ev, _Restriction)
 
     # --- Clifford layer ---------------------------------------------------
     def gamma_matrix(self, X_coord):
         """gamma(X) as 4x4 matrices preserving the chirality eigenspace."""
-        return self.sign * self.common.clifford(X_coord)
+        return self.sign * clifford(self.ev, X_coord)
 
     def gamma(self, X_coord, spinor):
         return np.einsum("...ab,...b->...a", self.gamma_matrix(X_coord),
@@ -223,7 +205,7 @@ class RestrictedSpinc:
     @cached_property
     def frame_gammas(self):
         """gamma(e1), gamma(e2), gamma(xi), (..., 3, 4, 4)."""
-        return self.sign * self.common.frame_gammas
+        return self.sign * _shared(self.ev, frame_gammas)
 
     def anticommutation_residual(self, rng):
         """Worst defect of the Clifford relation and of skew-adjointness over
@@ -233,7 +215,7 @@ class RestrictedSpinc:
         X, Y = XY[..., 0, :], XY[..., 1, :]
         gx, gy = self.gamma_matrix(X), self.gamma_matrix(Y)
         ip = np.einsum("...a,...ab,...b->...", X,
-                       self.common.per_point(self.ev.g_val, X), Y)
+                       per_point(self.ev, self.ev.g_val, X), Y)
         anti = gx @ gy + gy @ gx + 2.0 * ip[..., None, None] * np.eye(4)
         skew = gx + np.conj(np.swapaxes(gx, -1, -2))
         return np.max(np.abs(np.stack([anti, skew], axis=-3)),
@@ -246,32 +228,11 @@ class RestrictedSpinc:
 
     # --- connection layer ---------------------------------------------------
     def _derivative(self, C, shape_gamma):
-        """nabla_X phi via the Gauss formula from the connection matrices
-        C(X) and the unsigned Clifford matrices ``shape_gamma`` of E X, and
-        the gamma(EX) phi it subtracts."""
+        """nabla_X phi by the Gauss formula from C(X) and the unsigned
+        ``shape_gamma`` = (E X) . nu, and the gamma(EX) phi it subtracts."""
         shape_term = np.einsum("...ab,...b->...a", self.sign * shape_gamma,
                                self.psi)
         return C @ self.psi - 0.5 * self.sign * shape_term, shape_term
-
-    def _along(self, X_coord):
-        """``_derivative`` along tangent coordinate vectors."""
-        X = np.asarray(X_coord)
-        common = self.common
-        C = self.ev.product.connection_matrix(
-            common.per_point(self.ev.position, X), common.chart(X),
-            self.struct)
-        return self._derivative(C, common.clifford(common.shape_operator(X)))
-
-    def _killing_defect(self, nabla, shape_term):
-        return np.linalg.norm(nabla + 0.5 * self.sign * shape_term, axis=-1)
-
-    def covariant_derivative(self, X_coord):
-        """Induced derivative of the restricted field via the Gauss formula."""
-        return self._along(X_coord)[0]
-
-    def killing_residual(self, X_coord):
-        """|nabla_X phi + sign/2 gamma(EX) phi| (the generalized Killing law)."""
-        return self._killing_defect(*self._along(X_coord))
 
     @cached_property
     def frame_derivative(self):
@@ -279,15 +240,31 @@ class RestrictedSpinc:
         (..., 3, 4) and read-only: computed once for the Killing and the
         Dirac checks, from the rotation forms along the frame that both
         structures read."""
-        common = self.common
         return _read_only(self._derivative(
-            connection(self.struct, *common.rotation), common.shape_gammas))
+            connection(self.struct, *_shared(self.ev, rotation)),
+            _shared(self.ev, shape_gammas)))
+
+    def _killing_defect(self, nabla, shape_term):
+        return np.linalg.norm(nabla + 0.5 * self.sign * shape_term, axis=-1)
+
+    def killing_residual(self, X_coord):
+        """|nabla_X phi + sign/2 gamma(EX) phi| (the generalized Killing law)
+        along tangent coordinate vectors X, by linearity in X from the frame
+        derivative: X = sum_k x_k e_k with x_k = g(X, e_k)."""
+        ev = self.ev
+        x = np.einsum("...a,...ab,...bk->...k", X_coord,
+                      per_point(ev, ev.g_val, X_coord),
+                      per_point(ev, ev.frame, X_coord))
+        return self._killing_defect(*(
+            np.einsum("...k,...ka->...a", x, per_point(ev, a, X_coord))
+            for a in self.frame_derivative))
 
     # --- pullback curvature ---------------------------------------------------
     @cached_property
     def omega_pullback(self):
-        """Om[..., i, j] = Omega(e_i, e_j) on the adapted frame (pullback)."""
-        return _curvature(self.struct, *self.common.frame_ricci)
+        """Omega(e_i, e_j) on the frame pairs (e1, e2), (e1, xi), (e2, xi),
+        (..., 3) (pullback)."""
+        return _curvature(self.struct, *_shared(self.ev, frame_ricci))
 
     @cached_property
     def dirac_energy(self) -> "DiracEnergy":
@@ -352,7 +329,7 @@ def omega_formula_residual(rs: RestrictedSpinc):
     ev = rs.ev
     ref = closed_form_omega(rs.struct.tag, ev.product.c1, ev.product.c2,
                             ev.h_val, ev.V_frame)
-    return np.max(np.abs(rs.omega_pullback - ref), axis=(-2, -1))
+    return np.max(np.abs(rs.omega_pullback - ref), axis=-1)
 
 
 def curvature_restriction_residual(rs: RestrictedSpinc):
@@ -364,14 +341,14 @@ def curvature_restriction_residual(rs: RestrictedSpinc):
     """
     ev = rs.ev
     # ambient 2-form action in the orthonormal frame eps_a, plane by plane
-    coeffs = _curvature(rs.struct, *rs.common.plane_ricci)
+    coeffs = _curvature(rs.struct, *_shared(ev, plane_ricci))
     lhs = np.einsum("...k,kab->...ab", coeffs, _PLANES) @ rs.psi
 
     G = rs.frame_gammas
     rhs = np.einsum("...k,...kab,...kb->...a",
-                    rs.omega_pullback[..., _PAIR_I, _PAIR_J],
+                    rs.omega_pullback,
                     G[..., _PAIR_I, :, :], G[..., _PAIR_J, :, :] @ rs.psi)
-    contraction = _curvature(rs.struct, *rs.common.normal_ricci)
+    contraction = _curvature(rs.struct, *_shared(ev, normal_ricci))
     W = np.einsum("...ai,...i->...a", ev.frame, contraction)
     rhs = rhs - rs.sign * rs.gamma(W, rs.psi)
     return np.linalg.norm(lhs - rhs, axis=-1)
@@ -388,11 +365,11 @@ def projection_cancellation_residuals(ev: PointEvaluation):
       (-):  pi1(nu).b- (x) (pi2(V)+i pi2(xi)).b+
               - (pi1(V)+i pi1(xi)).b- (x) pi2(nu).b+  = 0
     """
-    vec = _SPACE.factor.vector
+    vec = _FACTOR.vector
     # orthonormal-frame components; the first two are those of factor 1
-    scale = _shared(ev, _Restriction).scale
+    lam = _shared(ev, scale)
     Vamb = np.einsum("...a,...ab->...b", ev.V_coord_val, ev.T_val)
-    nu, xi, V = (scale * w for w in (ev.nu_val, ev.xi_ambient_val, Vamb))
+    nu, xi, V = (lam * w for w in (ev.nu_val, ev.xi_ambient_val, Vamb))
 
     def kron(a, b):
         return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (4,))

@@ -107,14 +107,14 @@ def ricci_components(ev: PointEvaluation, tag: int):
     """S[..., p, m] = S^m_(ij) of structure ``tag``, (i, j) the pair p."""
     s = 1.0 if tag == 1 else -1.0
     E, V, h = ev.E_frame, ev.V_frame, np.asarray(ev.h_val)
-    omega = closed_form_omega(tag, ev.product.c1, ev.product.c2, h, V)[
-        ..., _PAIR_I, _PAIR_J, None]
+    omega = closed_form_omega(tag, ev.product.c1, ev.product.c2, h, V)
     n = (np.array([0.0, 0.0, 1.0]) if tag == 1 else
          np.stack([V[..., 1], -V[..., 0], h], axis=-1)[..., None, :])
     return (-s * ev.dE_frame[..., _PAIR_I, _PAIR_J, :]
             + E[..., _J, _NEXT] * E[..., _I, _PREV]
             - E[..., _J, _PREV] * E[..., _I, _NEXT]
-            - ev.riemann_frame[..., _I, _J, _NEXT, _PREV] + omega * n)
+            - ev.riemann_frame[..., _I, _J, _NEXT, _PREV]
+            + omega[..., None] * n)
 
 
 def _system_equations(ev, tag):

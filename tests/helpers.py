@@ -12,7 +12,7 @@ from scipy.linalg import expm, logm
 
 from spinlab.hypersurfaces import evaluate
 from spinlab.jets import value, worst_of
-from spinlab.product import _curvature, structure
+from spinlab.product import _curvature, connection, structure
 
 
 def fd_second_derivative(f, x, h):
@@ -121,9 +121,10 @@ def _gram_schmidt_frame(ev, flip_second):
     for k, (v, c) in enumerate(zip(rows, coeffs)):
         n = np.sqrt(float(gbar @ (v * v)))
         sign = -1.0 if (flip_second and k == 1) else 1.0
-        frame_cols.append(sign * ev.product.frame_components(ev.position, v) / n)
+        frame_cols.append(
+            sign * frame_components(ev.product, ev.position, v) / n)
         coord_cols.append(sign * c / n)
-    frame_cols.append(ev.product.frame_components(ev.position, ev.nu_val))
+    frame_cols.append(frame_components(ev.product, ev.position, ev.nu_val))
     O = np.column_stack(frame_cols)
     return O, np.column_stack(coord_cols)
 
@@ -225,6 +226,22 @@ _GL_T = 0.5 + np.array([-0.4305681557970263, -0.1699905217924282,
                         0.1699905217924282, 0.4305681557970263])
 _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
+
+
+def frame_components(product, p, w):
+    """Orthonormal-frame components of a chart tangent 4-vector ``w`` at
+    ``p``, the coordinate axis first."""
+    l1 = product.factor1.conformal_factor(p[0], p[1])
+    l2 = product.factor2.conformal_factor(p[2], p[3])
+    return np.array([value(l1 * w[0]), value(l1 * w[1]),
+                     value(l2 * w[2]), value(l2 * w[3])])
+
+
+def connection_matrix(product, p, X, struct):
+    """Coefficient matrix C(X) of the spinor connection of ``struct`` at
+    p: ``p`` and ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""
+    return connection(struct, *product.rotation_forms(
+        np.moveaxis(np.asarray(p), -1, 0), np.moveaxis(np.asarray(X), -1, 0)))
 
 
 def curvature_form(product, p, X, Y, struct):
@@ -566,7 +583,8 @@ class PointSpinc:
         self.model = ev.product.clifford
         self.psi = ev.product.parallel_spinor(struct)
         self.position = ev.position
-        self.frame_scale = ev.product.frame_components(ev.position, np.ones(4))
+        self.frame_scale = frame_components(ev.product, ev.position,
+                                            np.ones(4))
         self._nu_mat = self.model.vector(ev.nu_val * self.frame_scale)
 
     def gamma_matrix(self, X_coord):
@@ -599,8 +617,8 @@ class PointSpinc:
 
     def covariant_derivative(self, X_coord):
         X_amb = np.asarray(X_coord) @ self.ev.T_val
-        C = self.ev.product.connection_matrix(self.position, X_amb,
-                                              self.struct)
+        C = connection_matrix(self.ev.product, self.position, X_amb,
+                              self.struct)
         EX = self.ev.E_mixed_val @ np.asarray(X_coord)
         return C @ self.psi - 0.5 * self.sign * self.gamma(EX, self.psi)
 

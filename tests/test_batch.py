@@ -390,19 +390,37 @@ def _point_dirac(ps, rng):
                     helpers.point_dirac_and_energy_momentum(ps)))
 
 
+def _along_random(rs, rng):
+    """The Killing residual and the derivative along four random coordinate
+    vectors per point, the derivative read off the frame derivative by
+    linearity with x_k = g(X, e_k)."""
+    X = rng.standard_normal(rs.ev.u.shape[:-1] + (4, 3))
+    x = X @ rs.ev.g_val @ rs.ev.frame
+    return {"killing": rs.killing_residual(X),
+            "derivative": x @ rs.frame_derivative[0]}
+
+
+def _point_along_random(ps, rng):
+    X = rng.standard_normal((4, 3))
+    return {"killing": np.array([ps.killing_residual(v) for v in X]),
+            "derivative": np.stack([ps.covariant_derivative(v) for v in X])}
+
+
 # restricted identity -> (fn(batched or one-point RestrictedSpinc, rng),
 # the per-point implementation it replaced, fn(helpers.PointSpinc, rng))
 RESTRICTED = {
     "frame_gammas": (lambda rs, rng: rs.frame_gammas,
                      lambda ps, rng: np.stack(ps.frame_gammas)),
-    "covariant_derivative": (
-        lambda rs, rng: rs.covariant_derivative(rs.common.frame_vectors),
+    "frame_derivative": (
+        lambda rs, rng: rs.frame_derivative[0],
         lambda ps, rng: np.stack([ps.covariant_derivative(e)
                                   for e in _frame_rows(ps.ev)])),
     "killing_residual": (
-        lambda rs, rng: rs.killing_residual(rs.common.frame_vectors),
+        lambda rs, rng: rs.killing_residual(
+            np.swapaxes(rs.ev.frame, -1, -2)),
         lambda ps, rng: np.array([ps.killing_residual(e)
                                   for e in _frame_rows(ps.ev)])),
+    "along_random_vectors": (_along_random, _point_along_random),
     "anticommutation_residual": (
         lambda rs, rng: rs.anticommutation_residual(rng),
         lambda ps, rng: ps.anticommutation_residual(rng, trials=3)),
@@ -414,8 +432,9 @@ RESTRICTED = {
     "pairing_identities": (
         lambda rs, rng: rst.pairing_identities(rs),
         lambda ps, rng: helpers.point_pairing_identities(ps)),
-    "omega_pullback": (lambda rs, rng: rs.omega_pullback,
-                       lambda ps, rng: ps.omega_pullback),
+    "omega_pullback": (
+        lambda rs, rng: rs.omega_pullback,
+        lambda ps, rng: ps.omega_pullback[rst._PAIR_I, rst._PAIR_J]),
     "omega_formula_residual": (
         lambda rs, rng: rst.omega_formula_residual(rs),
         lambda ps, rng: helpers.point_omega_formula_residual(ps)),
@@ -472,7 +491,7 @@ def test_closed_form_omega_matches_one_point(members):
         got = rst.closed_form_omega(tag, 1.0, -0.5, h, V)
         for i in range(6):
             want = helpers.point_closed_form_omega(tag, 1.0, -0.5, h[i], V[i])
-            assert np.array_equal(got[i], want)
+            assert np.array_equal(got[i], want[rst._PAIR_I, rst._PAIR_J])
 
 
 @pytest.mark.parametrize("normal_scale", [1.0, 2.0],

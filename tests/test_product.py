@@ -7,8 +7,9 @@ from spinlab.jets import value
 from spinlab.product import (F_MATRIX, J_MATRIX, ProductModel, structure)
 from spinlab.surfaces import OutsideDomainError
 
-from helpers import (curvature_form, dense_christoffels,
-                     loop_auxiliary_curvature_residual, metric_diagonal)
+from helpers import (connection_matrix, curvature_form, dense_christoffels,
+                     frame_components, loop_auxiliary_curvature_residual,
+                     metric_diagonal)
 
 
 def test_structure_tags_and_chirality():
@@ -92,7 +93,7 @@ def test_parallel_spinor_constant_in_flat_case(rng):
         for _ in range(5):
             p = rng.uniform(-1, 1, 4)
             X = rng.standard_normal(4)
-            assert np.max(np.abs(prod.connection_matrix(p, X, st))) == 0.0
+            assert np.max(np.abs(connection_matrix(prod, p, X, st))) == 0.0
 
 
 def test_connection_clifford_compatibility(rng):
@@ -108,17 +109,17 @@ def test_connection_clifford_compatibility(rng):
 
         def gammaY(t):
             p = p0 + t * vel
-            return prod.clifford.vector(prod.frame_components(p, Y))
+            return prod.clifford.vector(frame_components(prod, p, Y))
 
         dG = (gammaY(h) - gammaY(-h)) / (2 * h)
-        C = prod.connection_matrix(p0, vel, st)
+        C = connection_matrix(prod, p0, vel, st)
         G = dense_christoffels(prod, p0)
         covY = np.array([
             sum(value(G[a][b][c]) * vel[b] * Y[c] if not isinstance(
                 G[a][b][c], float) else G[a][b][c] * vel[b] * Y[c]
                 for b in range(4) for c in range(4))
             for a in range(4)])
-        want = prod.clifford.vector(prod.frame_components(p0, covY))
+        want = prod.clifford.vector(frame_components(prod, p0, covY))
         resid = dG + C @ gammaY(0.0) - gammaY(0.0) @ C - want
         assert np.max(np.abs(resid)) < 1e-7
 

@@ -1,20 +1,26 @@
 """Restricted spin^c structures: Clifford layer, Killing law, curvature
 formulas, pairing identities, Dirac operator and energy-momentum tensors."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import sample
 from helpers import adapted_gauge_derivative
 from spinlab import build_chart, build_product, evaluate, structure
+from spinlab.catalog import BUILTIN_SCENARIOS
+from spinlab.checks import REGISTRY, ScenarioContext
 from spinlab.hypersurfaces import HypersurfaceChart
+from spinlab.reports import Scenario
 from spinlab.restriction import (algebraic_conditions, closed_form_omega,
                                  curvature_restriction_residual,
                                  dirac_and_energy_momentum,
                                  frame_killing_residual,
                                  omega_formula_residual, pairing_identities,
                                  projection_cancellation_residuals,
-                                 restrict_structure)
+                                 restrict_structure, shape_operator)
 
 
 def test_restricted_field_has_constant_unit_norm(members, rng):
@@ -57,25 +63,43 @@ def test_killing_residual_on_catalog(members, rng):
 
 
 def test_frame_derivative_is_the_derivative_along_the_frame(members, rng):
-    """The frame derivative that the Killing and Dirac checks share is,
-    bit for bit, the general derivative and Killing residual taken along
-    e1, e2, xi, on a batch and on one point."""
+    """The frame derivative that the Killing and Dirac checks share is
+    read-only, its shape term is gamma(E e_k) phi along e1, e2, xi, and it
+    gives, bit for bit, the Killing residual taken along the frame, on a
+    batch and on one point.  Along other vectors it is compared with the
+    one-point oracle in ``test_batch``."""
     for name, prod, chart in members:
         batch = evaluate(chart, prod, sample(chart, rng, 4))
         for ev in (batch, evaluate(chart, prod, batch.u[2])):
             for tag in (1, 2):
                 rs = restrict_structure(ev, structure(tag))
-                frame = rs.common.frame_vectors
+                frame = np.swapaxes(ev.frame, -1, -2)
                 nabla, shape_term = rs.frame_derivative
                 with pytest.raises(ValueError, match="read-only"):
                     nabla[...] = 0.0
-                assert np.array_equal(
-                    nabla, rs.covariant_derivative(frame)), name
                 assert np.array_equal(shape_term, rs.gamma(
-                    rs.common.shape_operator(frame), rs.psi)), name
+                    shape_operator(ev, frame), rs.psi)), name
                 assert np.array_equal(
                     frame_killing_residual(rs),
                     rs.killing_residual(frame)), name
+
+
+def test_scenario_context_is_freed_without_the_collector():
+    """What the checks share lives in the evaluations' memos, which hold
+    arrays only, so no reference cycle keeps an evaluation alive: once
+    every check has run, deleting the context frees the batch and its
+    perturbed copy with the garbage collector off."""
+    for raw in BUILTIN_SCENARIOS:
+        ctx = ScenarioContext(Scenario.from_dict(dict(raw, samples=3)))
+        gc.disable()
+        try:
+            for spec in REGISTRY:
+                spec.fn(ctx)
+            refs = [weakref.ref(ctx.batch), weakref.ref(ctx.perturbed)]
+            del ctx
+            assert [r() for r in refs] == [None, None], raw["name"]
+        finally:
+            gc.enable()
 
 
 def test_killing_law_against_adapted_gauge_oracle(rng):
@@ -103,8 +127,9 @@ def test_killing_law_against_adapted_gauge_oracle(rng):
                 EX = ev.E_mixed_val @ X
                 killing_rhs = -0.5 * rs.sign * rs.gamma(EX, rs.psi)
                 assert np.linalg.norm(oracle - killing_rhs) < 1e-6
-                assert np.linalg.norm(
-                    oracle - rs.covariant_derivative(X)) < 1e-6
+                # the derivative along X by linearity, x_k = g(X, e_k)
+                nabla = X @ ev.g_val @ ev.frame @ rs.frame_derivative[0]
+                assert np.linalg.norm(oracle - nabla) < 1e-6
 
 
 def test_totally_geodesic_members_have_parallel_spinors():
@@ -115,8 +140,7 @@ def test_totally_geodesic_members_have_parallel_spinors():
         for tag in (1, 2):
             rs = restrict_structure(ev, structure(tag))
             for k in range(3):
-                assert np.linalg.norm(
-                    rs.covariant_derivative(ev.frame[:, k])) < 1e-6
+                assert np.linalg.norm(rs.frame_derivative[0][k]) < 1e-6
 
 
 def test_algebraic_conditions_on_catalog(members, rng):
@@ -179,9 +203,9 @@ def test_omega_slice_value():
     ev = evaluate(build_chart("slice-geodesic"), build_product(c1, -0.5),
                   [0.2, 0.1, -0.3])
     rs = restrict_structure(ev, structure(1))
-    Om = rs.omega_pullback
-    assert Om[0, 1] == pytest.approx(-c1, abs=1e-12)
-    assert abs(Om[0, 2]) < 1e-13 and abs(Om[1, 2]) < 1e-13
+    Om = rs.omega_pullback  # (e1, e2), (e1, xi), (e2, xi)
+    assert Om[0] == pytest.approx(-c1, abs=1e-12)
+    assert abs(Om[1]) < 1e-13 and abs(Om[2]) < 1e-13
     ref = closed_form_omega(1, c1, -0.5, -1.0, np.zeros(3))
     assert np.allclose(Om, ref, atol=1e-12)
 
@@ -231,7 +255,7 @@ def test_dirac_eigenvalue_on_sphere():
     ev = evaluate(build_chart("round-sphere", {"r": r}),
                   build_product(0.0, 0.0), [0.8, 0.4, 1.3])
     rs = restrict_structure(ev, structure(1))
-    nab = [rs.covariant_derivative(ev.frame[:, k]) for k in range(3)]
+    nab = rs.frame_derivative[0]
     D = sum(rs.frame_gammas[k] @ nab[k] for k in range(3))
     assert np.linalg.norm(D - (1.5 / r) * rs.psi) < 1e-12
 

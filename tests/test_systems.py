@@ -239,7 +239,7 @@ def test_ricci_components_are_the_spinor_ricci_identity(members, rng):
                          @ phi
                          - 0.25 * np.einsum("...kl,...kab,...lbc,c->...a",
                                             R[..., i, j, :, :], G, G, phi)
-                         - 0.5j * rs.omega_pullback[..., i, j, None] * phi)
+                         - 0.5j * rs.omega_pullback[..., p, None] * phi)
                     along_phi = rs.expectation(T).real
                     along_G = np.einsum("...ka,...a->...k", G_phi.conj(),
                                         T).real / np.vdot(phi, phi).real
