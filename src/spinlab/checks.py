@@ -149,8 +149,8 @@ def check_ambient_auxiliary(ctx):
 def check_ambient_product_structure(ctx):
     """F involutive/symmetric/trace-free and rho against the Gauss
     curvature of the conformal factors (Liouville's formula)."""
-    res = [float(np.max(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)))),
-           float(np.max(np.abs(F_MATRIX - F_MATRIX.T))),
+    res = [float(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max()),
+           float(np.abs(F_MATRIX - F_MATRIX.T).max()),
            abs(float(np.trace(F_MATRIX)))]
     res.extend(np.ravel(ctx.product.liouville_residual(ctx.factor_jets)))
     return _record(worst_of(res), len(ctx.points))
@@ -161,8 +161,8 @@ def check_ambient_product_structure(ctx):
 def check_consistency(ctx):
     rec = _max_over_batch(ctx, hyp.consistency_residuals(ctx.batch))
     H = value(ctx.batch.mean_curvature)
-    rec.notes = {"mean_curvature_min": float(np.min(H)),
-                 "mean_curvature_max": float(np.max(H))}
+    rec.notes = {"mean_curvature_min": float(H.min()),
+                 "mean_curvature_max": float(H.max())}
     return rec
 
 
@@ -196,11 +196,11 @@ def check_covanish(ctx):
     notes = {}
     for tag in (1, 2):
         rep = sysmod.gauss_iff_codazzi(tag, ctx.batch, ctx.perturbed)
-        joint = np.min(rep.perturbed_joint, axis=1)  # NaN kept
+        joint = rep.perturbed_joint.min(axis=1)  # NaN kept
         notes[f"system{tag}"] = {
             "confirmed": rep.confirmed, "skipped": rep.skipped,
             "counterexamples": rep.counterexamples,
-            "perturbed_min_joint": float(np.min(joint)) if joint.size
+            "perturbed_min_joint": float(joint.min()) if joint.size
             else None,
         }
         if not rep.verdict:
@@ -230,7 +230,7 @@ def _relations_check(tag):
 def check_energy_momentum_s2(ctx):
     de = ctx.spinc(2).dirac_energy
     rec = _max_over_batch(ctx, de.Q_vs_E)
-    curved = np.max(np.abs(ctx.batch.E_frame), axis=(-2, -1)) > 1e-10
+    curved = np.abs(ctx.batch.E_frame).max(axis=(-2, -1)) > 1e-10
     signs = sorted({int(s) for s in de.Q_sign[curved]})
     rec.notes = {"measured_sign_Q_vs_E": signs
                  or "indeterminate (E = 0 everywhere)"}
@@ -402,8 +402,8 @@ REGISTRY = [
     CheckSpec("spinc.energy_momentum_s1",
               "energy-momentum tensor of the positive-structure spinor "
               "equals the shape operator", 1e-5, "assert",
-              _batch_check(lambda rs: np.max(np.abs(
-                  rs.dirac_energy.Q - rs.ev.E_frame), axis=(-2, -1)), 1)),
+              _batch_check(lambda rs: np.abs(
+                  rs.dirac_energy.Q - rs.ev.E_frame).max(axis=(-2, -1)), 1)),
     CheckSpec("spinc.energy_momentum_s2",
               "signed relation of the negative-structure energy-momentum "
               "tensor to the shape operator (recorded)", 1e-5, "record",

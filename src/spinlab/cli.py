@@ -17,7 +17,7 @@ import json
 import sys
 
 from .checks import list_checks, run_catalog, run_scenario
-from .reports import ResidualReport, Scenario, ScenarioError, emit
+from .reports import Scenario, ScenarioError, _json_text, emit
 
 
 def _write(text: str, out: str | None):
@@ -58,8 +58,7 @@ def _cmd_catalog(args) -> int:
     try:
         reports = run_catalog(args.structure_pairing or "standard")
         if args.format == "json":
-            text = json.dumps([r.to_dict() for r in reports],
-                              indent=2, sort_keys=True) + "\n"
+            text = _json_text([r.to_dict() for r in reports])
         elif args.format == "csv":
             chunks = [emit(r, "csv") for r in reports]
             header = chunks[0].splitlines()[0]

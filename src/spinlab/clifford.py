@@ -146,50 +146,6 @@ def kahler_action(model: CliffordModel, J) -> np.ndarray:
     return out
 
 
-def conjugate(model: CliffordModel, psi):
-    """Spinor conjugation psi^+ - psi^-; defined in even dimensions."""
-    if model.chirality is None:
-        raise ValueError("conjugation requires an even-dimensional model")
-    pp, pm = model.chirality
-    return (pp - pm) @ np.asarray(psi, dtype=complex)
-
-
-@dataclass(frozen=True)
-class ProductSpinorSpace:
-    """Tensor-product spinor space of two surface factors.
-
-    ``identify`` maps psi1 (x) psi2 to the dim-4 coordinate spinor; by
-    construction (Kronecker ordering) the multiplication rule
-
-        (X1 + X2) . (psi1 (x) psi2)
-            = (X1.psi1) (x) psi2 + conj(psi1) (x) (X2.psi2)
-
-    is intertwined with the dim-4 generator matrices.  The exhaustive basis
-    check lives in the test suite.
-    """
-
-    factor: CliffordModel
-    product: CliffordModel
-
-    @staticmethod
-    def build():
-        return ProductSpinorSpace(build_clifford(2), build_clifford(4))
-
-    def identify(self, psi1, psi2):
-        return np.kron(np.asarray(psi1, dtype=complex), np.asarray(psi2, dtype=complex))
-
-    def product_clifford(self, x1, x2, psi1, psi2):
-        """Product Clifford multiplication via the two-factor rule."""
-        psi1 = np.asarray(psi1, dtype=complex)
-        psi2 = np.asarray(psi2, dtype=complex)
-        if psi1.shape != (2,) or psi2.shape != (2,):
-            raise ValueError("factor spinors must be 2-component")
-        term1 = self.identify(self.factor.vector(x1) @ psi1, psi2)
-        term2 = self.identify(conjugate(self.factor, psi1),
-                              self.factor.vector(x2) @ psi2)
-        return term1 + term2
-
-
 def shape_commutator_residual(E, model: CliffordModel | None = None) -> float:
     """Residual of the commutator identity for a symmetric endomorphism E.
 

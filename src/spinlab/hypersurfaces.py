@@ -104,8 +104,9 @@ def _shared(ev, body, *args):
     """``body(ev, *args)``, a quantity that several checks read, computed
     once per evaluation and handed out read-only, a dict as a copy; an
     evaluation made by ``replace`` computes its own.  These are identity
-    residuals, the compatibility systems (``systems``) and the part of the
-    spin^c restriction that both structures share (``restriction``)."""
+    residuals, the compatibility systems (``systems``), the part of the
+    spin^c restriction that both structures share and the closed form of
+    Omega of each structure (``restriction``)."""
     key = (body, *args)
     if key not in ev._memo:
         ev._memo[key] = _read_only(body(ev, *args))
@@ -552,9 +553,9 @@ def contact_identities(ev: PointEvaluation):
         return _mv(chi, X)
 
     def over_frame(defect):  # worst over X in {e1, e2, xi}, NaN kept
-        return np.max([defect(X) for X in (e1, e2, xi)], axis=0)
+        return np.array([defect(X) for X in (e1, e2, xi)]).max(axis=0)
 
-    JF = np.max(np.abs(J_MATRIX @ F_MATRIX - F_MATRIX @ J_MATRIX))
+    JF = np.abs(J_MATRIX @ F_MATRIX - F_MATRIX @ J_MATRIX).max()
     return {
         "chi-antisymmetric": np.abs(ip(Chi(e1), e2) + ip(e1, Chi(e2))),
         "chi-kills-xi": _max_abs(Chi(xi), 1),
@@ -567,9 +568,9 @@ def contact_identities(ev: PointEvaluation):
         "V-horizontal": np.abs(eta(Vv)),
         "f-of-xi": _max_abs(f(xi) - h[..., None] * xi + Chi(Vv), 1),
         "f-V-horizontal": np.abs(eta(f(Vv))),
-        "f-frame-entries": np.max([np.abs(ip(f(e1), e2)),
-                                   np.abs(ip(f(e1), e1) + h),
-                                   np.abs(ip(f(e2), e2) + h)], axis=0),
+        "f-frame-entries": np.array([np.abs(ip(f(e1), e2)),
+                                     np.abs(ip(f(e1), e1) + h),
+                                     np.abs(ip(f(e2), e2) + h)]).max(axis=0),
         "J-of-V": _max_abs(_mv(J_MATRIX, _vm(Vv, T)) - _vm(Chi(Vv), T), 1),
         "F-of-xi": _max_abs(_mv(F_MATRIX, _vm(xi, T)) - _vm(f(xi), T), 1),
     }
@@ -623,7 +624,7 @@ def _rank_pair(ev):
 
 def _max_abs(x, axes):
     """max |x| over the trailing ``axes`` axes; NaN if any entry is NaN."""
-    return np.max(np.abs(x), axis=tuple(range(-axes, 0)))
+    return np.abs(x).max(axis=tuple(range(-axes, 0)))
 
 
 def _pair_terms(X):

@@ -345,6 +345,7 @@ def value(x):
 def worst_of(residuals) -> float:
     """Largest residual, 0.0 when there is none, NaN when any is NaN
     (``max(0.0, nan)`` is 0.0, so a plain running max would lose it)."""
-    arr = np.asarray(list(residuals), dtype=float)
-    return float(np.max(arr)) if arr.size else 0.0
+    if not isinstance(residuals, np.ndarray):
+        residuals = np.asarray(list(residuals), dtype=float)
+    return float(residuals.max()) if residuals.size else 0.0
 

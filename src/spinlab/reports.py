@@ -7,7 +7,9 @@ check names.  A report echoes the scenario and carries one record per
 check with its anchor string, worst residual, tolerance and verdict.
 
 Determinism contract: identical scenario + seed produce a byte-identical
-JSON report except for the runtime field.
+JSON report except for the runtime field.  JSON reports match
+``json.dumps(..., indent=2, sort_keys=True)`` plus a newline byte for
+byte.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 
 class ScenarioError(ValueError):
@@ -172,8 +175,61 @@ class ResidualReport:
         return self.overall_verdict == "pass"
 
 
+# float.__repr__ of the floats json writes as words
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _key_text(key):
+    """A number, bool or None dict key as json writes it: as a string."""
+    if not isinstance(key, (int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return encode_basestring_ascii(_encode(key, ""))
+
+
+def _encode(x, newline):
+    """``x`` as ``json.dumps(x, indent=2, sort_keys=True)`` writes it at the
+    depth whose line break and indent is ``newline``.  Types are tested in
+    json's order, so a float subclass such as ``np.float64`` is a float and
+    any other type raises json's ``TypeError``.  json's own encoder runs in
+    pure Python whenever it indents; this one joins each container once.
+    There is no cycle check: reports hold none."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _FLOAT_WORDS.get(text, text)
+    inner = newline + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_encode(v, inner) for v in x])
+                + newline + "]")
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            (encode_basestring_ascii(k) if isinstance(k, str) else _key_text(k))
+            + ": " + _encode(x[k], inner) for k in sorted(x)]) + newline + "}"
+    raise TypeError(f"Object of type {x.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_text(x) -> str:
+    """``json.dumps(x, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _encode(x, "\n") + "\n"
+
+
 def emit_json(report: ResidualReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return _json_text(report.to_dict())
 
 
 def emit_csv(report: ResidualReport) -> str:

@@ -28,7 +28,9 @@ the ambient coordinate planes and of nu with the frame.  The derivative
 is computed along the adapted frame only, once per structure
 (``frame_derivative``, C(e_k) from ``product.connection``), for the
 Killing check and the Dirac and energy-momentum laws.  Along any tangent
-X it follows by linearity, nabla_X = sum_k g(X, e_k) nabla_{e_k}.
+X it follows by linearity, nabla_X = sum_k g(X, e_k) nabla_{e_k}.  The
+closed form of Omega is also read through ``_shared``, once per structure
+(``frame_omega``), by the Omega check and the compatibility systems.
 
 A :class:`RestrictedSpinc` follows the shapes rule of the evaluation it is
 built on: per-point arrays carry the point axis first, so ``frame_gammas``
@@ -78,6 +80,14 @@ def closed_form_omega(tag: int, c1, c2, h, V_frame):
     return np.stack([0.5 * s * c1 * (h - 1.0) - 0.5 * c2 * (h + 1.0),
                      0.5 * (s * c1 - c2) * V[..., 0],
                      0.5 * (s * c1 - c2) * V[..., 1]], axis=-1)
+
+
+def frame_omega(ev: PointEvaluation, tag: int):
+    """``closed_form_omega`` of structure ``tag`` at every point of ``ev``,
+    which both the compatibility systems and the Omega checks read through
+    ``_shared``."""
+    return closed_form_omega(tag, ev.product.c1, ev.product.c2, ev.h_val,
+                             ev.V_frame)
 
 
 # --- what the restrictions of both structures read --------------------------
@@ -218,8 +228,8 @@ class RestrictedSpinc:
                        per_point(self.ev, self.ev.g_val, X), Y)
         anti = gx @ gy + gy @ gx + 2.0 * ip[..., None, None] * np.eye(4)
         skew = gx + np.conj(np.swapaxes(gx, -1, -2))
-        return np.max(np.abs(np.stack([anti, skew], axis=-3)),
-                      axis=(-4, -3, -2, -1))
+        return np.abs(np.stack([anti, skew], axis=-3)).max(
+            axis=(-4, -3, -2, -1))
 
     def volume_measurement(self):
         """Scalar m with gamma(e1) gamma(e2) gamma(xi) phi = m phi."""
@@ -326,10 +336,8 @@ def pairing_identities(rs: RestrictedSpinc):
 
 def omega_formula_residual(rs: RestrictedSpinc):
     """Pullback of the auxiliary curvature against its closed form."""
-    ev = rs.ev
-    ref = closed_form_omega(rs.struct.tag, ev.product.c1, ev.product.c2,
-                            ev.h_val, ev.V_frame)
-    return np.max(np.abs(rs.omega_pullback - ref), axis=-1)
+    ref = _shared(rs.ev, frame_omega, rs.struct.tag)
+    return np.abs(rs.omega_pullback - ref).max(axis=-1)
 
 
 def curvature_restriction_residual(rs: RestrictedSpinc):
@@ -418,7 +426,7 @@ def dirac_and_energy_momentum(rs: RestrictedSpinc) -> DiracEnergy:
     GN = np.einsum("...iab,...kb->...ika", G, nab)  # gamma(e_i) nabla_k phi
     Q = rs.expectation(GN + np.swapaxes(GN, -3, -2)).real
     a = ev.E_frame
-    dplus = np.max(np.abs(Q - a), axis=(-2, -1))
-    dminus = np.max(np.abs(Q + a), axis=(-2, -1))
+    dplus = np.abs(Q - a).max(axis=(-2, -1))
+    dminus = np.abs(Q + a).max(axis=(-2, -1))
     sign = np.where(dplus <= dminus, 1, -1)[()]
     return DiracEnergy(dres, Q, np.minimum(dplus, dminus), sign)

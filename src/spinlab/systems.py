@@ -48,7 +48,7 @@ from .hypersurfaces import (PointEvaluation, _max_abs, _mv, _shared,
                             codazzi_residual, derivative_identities,
                             gauss_residual, rank_pair)
 from .jets import value
-from .restriction import _PAIR_I, _PAIR_J, closed_form_omega
+from .restriction import _PAIR_I, _PAIR_J, frame_omega
 
 # indices broadcast to (pair, component): the frame pair (i, j) of each
 # row, and the components m + 1, m + 2 that a cross product or *R pairs at m
@@ -87,7 +87,7 @@ class SystemResiduals:
     @property
     def max_residual(self):
         """Largest |residual| per point; NaN where any residual is NaN."""
-        return np.max(np.abs(list(self.residuals.values())), axis=0)
+        return np.abs(np.array(list(self.residuals.values()))).max(axis=0)
 
     @property
     def degenerate(self):
@@ -107,7 +107,7 @@ def ricci_components(ev: PointEvaluation, tag: int):
     """S[..., p, m] = S^m_(ij) of structure ``tag``, (i, j) the pair p."""
     s = 1.0 if tag == 1 else -1.0
     E, V, h = ev.E_frame, ev.V_frame, np.asarray(ev.h_val)
-    omega = closed_form_omega(tag, ev.product.c1, ev.product.c2, h, V)
+    omega = _shared(ev, frame_omega, tag)
     n = (np.array([0.0, 0.0, 1.0]) if tag == 1 else
          np.stack([V[..., 1], -V[..., 0], h], axis=-1)[..., None, :])
     return (-s * ev.dE_frame[..., _PAIR_I, _PAIR_J, :]

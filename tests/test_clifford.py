@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlab.clifford import (ProductSpinorSpace, build_clifford, conjugate,
-                              kahler_action, shape_commutator_residual)
+from helpers import ProductSpinorSpace, conjugate
+from spinlab.clifford import (build_clifford, kahler_action,
+                              shape_commutator_residual)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 

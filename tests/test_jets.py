@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinlab.jets import Jet, contract, stack, value, variables
+from spinlab.jets import Jet, contract, stack, value, variables, worst_of
 
 coeffs = st.lists(st.floats(-3, 3, allow_nan=False, allow_infinity=False),
                   min_size=20, max_size=20)
@@ -361,3 +361,35 @@ def test_points_first_equals_moveaxis(shape, points, lead):
     want = np.moveaxis(want, len(shape), 0) if points is not None else want
     got = jet._points_first(x, lead)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# --- worst residual: the array reduction against the list-based form --------
+def _list_worst_of(residuals):
+    arr = np.asarray(list(residuals), dtype=float)
+    return float(np.max(arr)) if arr.size else 0.0
+
+
+def _with_nan(shape, at):
+    x = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    if at is not None:
+        x.flat[at] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _with_nan((7,), None), lambda: _with_nan((7,), 0),
+    lambda: _with_nan((7,), 3), lambda: _with_nan((7,), -1),
+    lambda: _with_nan((3, 4), None), lambda: _with_nan((3, 4), 0),
+    lambda: _with_nan((3, 4), 5), lambda: _with_nan((3, 4), -1),
+    lambda: _with_nan((3, 4), 5).T, lambda: np.array([-2.0, -1.0]),
+    lambda: np.zeros(0), lambda: np.zeros((3, 0)), lambda: np.arange(4),
+    lambda: [0.5, float("nan"), 2.0], lambda: [1e-300, 5e-324, 0.0],
+    lambda: (float(v) for v in (3.0, 1.0, float("nan"))),
+    lambda: (v for v in (2.0, 7.0)), lambda: [], lambda: iter(()),
+])
+def test_worst_of_matches_the_list_reduction(make):
+    """NaN anywhere gives NaN, no residual gives 0.0, and arrays, lists and
+    generators all give the bits of the list-based reduction."""
+    got, want = worst_of(make()), _list_worst_of(make())
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

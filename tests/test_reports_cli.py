@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -9,10 +10,13 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinlab.checks import REGISTRY, list_checks, run_scenario
-from spinlab.reports import (ResidualReport, Scenario, ScenarioError, emit,
-                             emit_csv, emit_json, emit_text)
+from spinlab.checks import REGISTRY, list_checks, run_catalog, run_scenario
+from spinlab.reports import (ResidualReport, Scenario, ScenarioError,
+                             _json_text, emit, emit_csv, emit_json,
+                             emit_text)
 
 BASE = {
     "name": "unit", "c1": 1.0, "c2": 0.0,
@@ -93,6 +97,57 @@ def test_json_round_trip():
     report = run_scenario(small_scenario())
     back = ResidualReport.from_dict(json.loads(emit_json(report)))
     assert back.to_dict() == report.to_dict()
+
+
+# surrogates and control characters included
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT | _FLOATS
+    | _FLOATS.map(np.float64),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_the_stdlib_encoding(x):
+    assert _json_text(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("x", [
+    {2: "a", 10: "b", 1.5: "c"}, {True: 1, False: 2}, {None: 3},
+    {float("nan"): 1, float("inf"): 2}, {"b": 1, 1: 2},
+    {(1, 2): 3}, np.float32(1.0), np.int64(3), np.bool_(True), {1, 2},
+    [object()]], ids=repr)
+def test_json_text_keys_and_refusals_follow_the_stdlib(x):
+    """Non-string keys are written as json writes them, and keys that do
+    not sort or a value json cannot encode raise json's TypeError."""
+    try:
+        want = json.dumps(x, indent=2, sort_keys=True) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+            _json_text(x)
+    else:
+        assert _json_text(x) == want
+
+
+def test_catalog_json_is_the_stdlib_encoding(tmp_path, monkeypatch):
+    from spinlab import cli
+    made = []
+
+    def recording(pairing):
+        made.extend(run_catalog(pairing))
+        return made
+
+    monkeypatch.setattr(cli, "run_catalog", recording)
+    out = tmp_path / "catalog.json"
+    assert cli.main(["catalog", "--format", "json", "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(
+        [r.to_dict() for r in made], indent=2, sort_keys=True) + "\n"
 
 
 def test_csv_row_count():
@@ -445,11 +500,12 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     """Over one run of every check, each quantity that several checks read
     is computed once on the clean batch: Gauss, Codazzi, the derivative
     identities and the rank pair once, each compatibility system once per
-    tag, the frame spinor derivative once per structure, and the ambient
-    rotation forms along the frame once for both structures.  The controls
-    and co-vanishing share one perturbed copy, on which Gauss and each
-    system are computed once more."""
+    tag, the frame spinor derivative and the closed form of Omega once per
+    structure, and the ambient rotation forms along the frame once for both
+    structures.  The controls and co-vanishing share one perturbed copy, on
+    which Gauss, each system and so Omega are computed once more."""
     from spinlab import hypersurfaces as hyp
+    from spinlab import restriction as rst
     from spinlab import systems as sysmod
     from spinlab.product import ProductModel
     from spinlab.restriction import RestrictedSpinc
@@ -472,6 +528,8 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     count(RestrictedSpinc, "_derivative",
           lambda rs, C, shape_gamma: ("frame derivative", rs.struct.tag))
     count(ProductModel, "rotation_forms", lambda prod, p, X: ("rotation",))
+    count(rst, "closed_form_omega",
+          lambda tag, c1, c2, h, V: ("omega", tag, len(h)))
     report = run_scenario(small_scenario(samples=14, checks=None))
     assert report.passed
 
@@ -486,6 +544,8 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     assert runs("_gauss") == [(14,)] * 2
     for tag in (1, 2):
         assert runs(f"system{tag}") == [(14,)] * 2
+    # the systems and spinc.omega_s1/_s2 read one Omega per tag
+    assert runs("omega") == [(1, 14), (1, 14), (2, 14), (2, 14)]
     assert runs("frame derivative") == [(1,), (2,)]
     # along the frame, once for both frame derivatives; the ambient probe
     # reads the factors' rotation forms as jets, not through rotation_forms
