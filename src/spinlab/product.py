@@ -106,27 +106,13 @@ class ProductModel:
         self.c1 = float(c1)
         self.c2 = float(c2)
 
-    # curvature data ------------------------------------------------------
-    def ricci_form(self, p, X, Y, factor: int):
-        """rho_i(pi_i X, pi_i Y) for chart tangent vectors X, Y at p."""
-        if factor == 1:
-            coeff = self.factor1.ricci_form_coefficient(p[0], p[1])
-            return coeff * (X[0] * Y[1] - X[1] * Y[0])
-        coeff = self.factor2.ricci_form_coefficient(p[2], p[3])
-        return coeff * (X[2] * Y[3] - X[3] * Y[2])
-
     # spin^c connection ----------------------------------------------------
-    def rotation_forms(self, p, X):
-        """(w1(X1), w2(X2)) for a chart tangent vector X at p."""
-        a1 = self.factor1.frame_rotation_form(p[0], p[1])
-        a2 = self.factor2.frame_rotation_form(p[2], p[3])
-        return (a1[0] * X[0] + a1[1] * X[1], a2[0] * X[2] + a2[1] * X[3])
-
     def parallel_spinor(self, struct: SpincStructure):
         """The constant section spanning the parallel line of the structure."""
-        b = {1: np.array([1.0, 0.0], dtype=complex),
-             -1: np.array([0.0, 1.0], dtype=complex)}
-        return np.kron(b[struct.signs[0]], b[struct.signs[1]])
+        s1, s2 = struct.signs
+        psi = np.zeros(4, dtype=complex)
+        psi[2 * (s1 < 0) + (s2 < 0)] = 1.0  # the index of b(s1) (x) b(s2)
+        return psi
 
     # verification probes ---------------------------------------------------
     def factor_jets(self, p):

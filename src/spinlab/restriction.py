@@ -22,10 +22,15 @@ The two structures differ only by their factor signs (s1, s2), so all
 they read but those signs, the chirality sign and the parallel spinor is
 computed once per evaluation, through ``_shared``, whose memo so holds
 arrays only: the frame scale, the Clifford matrix of nu, the unsigned
-X . nu along e1, e2, xi and along E e_k, the ambient frame, the rotation
-forms along the frame, and the factor Ricci forms of the frame pairs, of
-the ambient coordinate planes and of nu with the frame.  The derivative
-is computed along the adapted frame only, once per structure
+X . nu along e1, e2, xi and along E e_k, the ambient frame, and the factor
+record (``factors``) of c_k lam_k^2 and c_k lam_k / 2, which gives the
+rotation forms along the frame and the factor Ricci forms.  Each structure
+keeps its frame images gamma(e_k) phi (``frame_images``) for the residuals
+that apply a tangent gamma to phi only, gamma(V) phi and gamma(nu -|
+Omega^N) phi by linearity; 4x4 stacks are built only where matrices are
+read (Clifford relations, volume element, the curvature restriction law,
+the Dirac law and the shape term of the derivative).  The derivative is
+computed along the adapted frame only, once per structure
 (``frame_derivative``, C(e_k) from ``product.connection``), for the
 Killing check and the Dirac and energy-momentum laws.  Along any tangent
 X it follows by linearity, nabla_X = sum_k g(X, e_k) nabla_{e_k}.  The
@@ -34,9 +39,10 @@ closed form of Omega is also read through ``_shared``, once per structure
 
 A :class:`RestrictedSpinc` follows the shapes rule of the evaluation it is
 built on: per-point arrays carry the point axis first, so ``frame_gammas``
-is (3, 4, 4) at one point and (N, 3, 4, 4) for a batch.  Tangent vectors
-come one per point, (..., 3), or k per point, (..., k, 3).  Every residual
-below is one array pass returning one value per point.
+is (3, 4, 4) at one point and (N, 3, 4, 4) for a batch, ``frame_images``
+(3, 4) and (N, 3, 4).  Tangent vectors come one per point, (..., 3), or k
+per point, (..., k, 3).  Every residual below is one array pass returning
+one value per point.
 
 Spinor inner products are the standard Hermitian ones; all reported
 quantities are normalized by |phi|^2 so the tolerances are scale free.
@@ -145,12 +151,28 @@ def shape_gammas(ev: PointEvaluation):
     return clifford(ev, shape_operator(ev, _shared(ev, frame_vectors)))
 
 
+def factors(ev: PointEvaluation):
+    """The coefficients of the factor forms, each (..., 2), one column per
+    factor: c_k lam_k^2 of the Ricci forms rho_k = c_k lam_k^2 du ^ dv and
+    c_k lam_k / 2 of the rotation forms w_k = c_k lam_k / 2 (v du - u dv),
+    read off the conformal factors the evaluation holds."""
+    c = np.array([ev.product.c1, ev.product.c2])
+    return c * ev.gbar_val[..., ::2], 0.5 * c * _shared(ev, scale)[..., ::2]
+
+
+def _wedge(coeff, X, Y):
+    """coeff_k (X^u Y^v - X^v Y^u) on the chart plane (u, v) of each factor
+    k, for X, Y with the coordinate axis first and one axis after the point
+    axes: the factor forms (rho1, rho2) or (w1, w2) of ``factors``."""
+    return tuple(coeff[..., k, None] * (X[2 * k] * Y[2 * k + 1]
+                                        - X[2 * k + 1] * Y[2 * k])
+                 for k in (0, 1))
+
+
 def rotation(ev: PointEvaluation):
     """The rotation forms (w1, w2) along e1, e2, xi, each (..., 3)."""
-    X = _shared(ev, frame_vectors)
-    return tuple(value(w) for w in ev.product.rotation_forms(
-        np.moveaxis(per_point(ev, ev.position, X), -1, 0),
-        np.moveaxis(chart(ev, X), -1, 0)))
+    return _wedge(_shared(ev, factors)[1], _shared(ev, frame_ambient),
+                  ev.position.T[..., None])
 
 
 def frame_ambient(ev: PointEvaluation):
@@ -159,32 +181,26 @@ def frame_ambient(ev: PointEvaluation):
     return np.einsum("...ai,...ab->b...i", ev.frame, ev.T_val)
 
 
-def _ricci(ev: PointEvaluation, p, X, Y):
-    """The factor Ricci forms (rho1, rho2) of chart vectors X, Y at p, the
-    coordinate axis first."""
-    return tuple(value(ev.product.ricci_form(p, X, Y, k)) for k in (1, 2))
-
-
 def frame_ricci(ev: PointEvaluation):
     """(rho1, rho2) on the frame pairs (e1, e2), (e1, xi), (e2, xi), each
     (..., 3)."""
     amb = _shared(ev, frame_ambient)
-    return _ricci(ev, ev.position.T[..., None], amb[..., _PAIR_I],
+    return _wedge(_shared(ev, factors)[0], amb[..., _PAIR_I],
                   amb[..., _PAIR_J])
 
 
 def plane_ricci(ev: PointEvaluation):
     """(rho1, rho2) on the six coordinate planes (eps_a, eps_b), a < b, of
     the ambient orthonormal frame, each (..., 6)."""
-    p = ev.position.T[..., None]
-    eps = np.eye(4).reshape((4,) + (1,) * (p.ndim - 2) + (4,)) \
+    eps = np.eye(4).reshape((4,) + (1,) * (ev.u.ndim - 1) + (4,)) \
         / _shared(ev, scale).T[..., None]
-    return _ricci(ev, p, eps[..., _PLANE_A], eps[..., _PLANE_B])
+    return _wedge(_shared(ev, factors)[0], eps[..., _PLANE_A],
+                  eps[..., _PLANE_B])
 
 
 def normal_ricci(ev: PointEvaluation):
     """(rho1, rho2)(nu, e_k) along e1, e2, xi, each (..., 3)."""
-    return _ricci(ev, ev.position.T[..., None], ev.nu_val.T[..., None],
+    return _wedge(_shared(ev, factors)[0], ev.nu_val.T[..., None],
                   _shared(ev, frame_ambient))
 
 
@@ -216,6 +232,17 @@ class RestrictedSpinc:
     def frame_gammas(self):
         """gamma(e1), gamma(e2), gamma(xi), (..., 3, 4, 4)."""
         return self.sign * _shared(self.ev, frame_gammas)
+
+    @cached_property
+    def frame_images(self):
+        """gamma(e1) phi, gamma(e2) phi, gamma(xi) phi, (..., 3, 4) and
+        read-only."""
+        return _read_only(self.frame_gammas @ self.psi)
+
+    def frame_image(self, x):
+        """gamma(X) phi by linearity from the adapted-frame components x of
+        X, (..., 3)."""
+        return np.einsum("...k,...ka->...a", x, self.frame_images)
 
     def anticommutation_residual(self, rng):
         """Worst defect of the Clifford relation and of skew-adjointness over
@@ -305,13 +332,12 @@ def algebraic_conditions(rs: RestrictedSpinc):
     Structure 2:  gamma(V) phi = -i gamma(xi) phi + h phi.
     """
     phi = rs.psi
-    xi = rs.ev.xi_coord_val
+    xi = rs.frame_images[..., 2, :]
     if rs.struct.tag == 1:
-        res = rs.gamma(xi, phi) + 1j * phi
+        res = xi + 1j * phi
     else:
         h = np.asarray(rs.ev.h_val)[..., None]
-        res = rs.gamma(rs.ev.V_coord_val, phi) + 1j * rs.gamma(xi, phi) \
-            - h * phi
+        res = rs.frame_image(rs.ev.V_frame) + 1j * xi - h * phi
     return np.linalg.norm(res, axis=-1)
 
 
@@ -321,16 +347,12 @@ def pairing_identities(rs: RestrictedSpinc):
     (V, e2) = +i(gamma(e1)phi, phi), h = i(gamma(xi)phi, phi)."""
     Vf = rs.ev.V_frame
     h = rs.ev.h_val
-    g1, g2, g3 = np.moveaxis(rs.frame_gammas, -3, 0)
-
-    def pair(mat):
-        return rs.expectation(mat @ rs.psi)
-
+    pair = rs.expectation(rs.frame_images)  # (gamma(e_k) phi, phi)
     return {
-        "V-pairing-vanishes": np.abs(pair(rs.gamma_matrix(rs.ev.V_coord_val))),
-        "V-e1-pairing": np.abs(Vf[..., 0] + 1j * pair(g2)),
-        "V-e2-pairing": np.abs(Vf[..., 1] - 1j * pair(g1)),
-        "h-pairing": np.abs(h - 1j * pair(g3)),
+        "V-pairing-vanishes": np.abs(rs.expectation(rs.frame_image(Vf))),
+        "V-e1-pairing": np.abs(Vf[..., 0] + 1j * pair[..., 1]),
+        "V-e2-pairing": np.abs(Vf[..., 1] - 1j * pair[..., 0]),
+        "h-pairing": np.abs(h - 1j * pair[..., 2]),
     }
 
 
@@ -350,15 +372,14 @@ def curvature_restriction_residual(rs: RestrictedSpinc):
     ev = rs.ev
     # ambient 2-form action in the orthonormal frame eps_a, plane by plane
     coeffs = _curvature(rs.struct, *_shared(ev, plane_ricci))
-    lhs = np.einsum("...k,kab->...ab", coeffs, _PLANES) @ rs.psi
+    lhs = coeffs @ (_PLANES @ rs.psi)
 
-    G = rs.frame_gammas
-    rhs = np.einsum("...k,...kab,...kb->...a",
-                    rs.omega_pullback,
-                    G[..., _PAIR_I, :, :], G[..., _PAIR_J, :, :] @ rs.psi)
+    rhs = np.einsum("...k,...kab,...kb->...a", rs.omega_pullback,
+                    rs.frame_gammas[..., _PAIR_I, :, :],
+                    rs.frame_images[..., _PAIR_J, :])
+    # gamma(nu -| Omega^N) phi, from the frame components Omega^N(nu, e_k)
     contraction = _curvature(rs.struct, *_shared(ev, normal_ricci))
-    W = np.einsum("...ai,...i->...a", ev.frame, contraction)
-    rhs = rhs - rs.sign * rs.gamma(W, rs.psi)
+    rhs = rhs - rs.sign * rs.frame_image(contraction)
     return np.linalg.norm(lhs - rhs, axis=-1)
 
 

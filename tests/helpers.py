@@ -289,24 +289,43 @@ def frame_components(product, p, w):
                      value(l2 * w[2]), value(l2 * w[3])])
 
 
+def ricci_form(product, p, X, Y, factor: int):
+    """rho_i(pi_i X, pi_i Y) for chart tangent vectors X, Y at p, each
+    factor's Ricci form evaluated from its conformal factor at p."""
+    if factor == 1:
+        coeff = product.factor1.ricci_form_coefficient(p[0], p[1])
+        return coeff * (X[0] * Y[1] - X[1] * Y[0])
+    coeff = product.factor2.ricci_form_coefficient(p[2], p[3])
+    return coeff * (X[2] * Y[3] - X[3] * Y[2])
+
+
+def rotation_forms(product, p, X):
+    """(w1(X1), w2(X2)) for a chart tangent vector X at p, each factor's
+    rotation form evaluated from its conformal factor at p."""
+    a1 = product.factor1.frame_rotation_form(p[0], p[1])
+    a2 = product.factor2.frame_rotation_form(p[2], p[3])
+    return (a1[0] * X[0] + a1[1] * X[1], a2[0] * X[2] + a2[1] * X[3])
+
+
 def connection_matrix(product, p, X, struct):
     """Coefficient matrix C(X) of the spinor connection of ``struct`` at
     p: ``p`` and ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""
-    return connection(struct, *product.rotation_forms(
-        np.moveaxis(np.asarray(p), -1, 0), np.moveaxis(np.asarray(X), -1, 0)))
+    return connection(struct, *rotation_forms(
+        product, np.moveaxis(np.asarray(p), -1, 0),
+        np.moveaxis(np.asarray(X), -1, 0)))
 
 
 def curvature_form(product, p, X, Y, struct):
     """Auxiliary curvature 2-form Omega of ``struct`` on chart vectors X, Y
     at ``p``, from the factor Ricci forms."""
-    return _curvature(struct, product.ricci_form(p, X, Y, 1),
-                      product.ricci_form(p, X, Y, 2))
+    return _curvature(struct, ricci_form(product, p, X, Y, 1),
+                      ricci_form(product, p, X, Y, 2))
 
 
 def auxiliary_form(product, p, X, struct):
     """Local connection 1-form a(X) = s1 w1(X1) + s2 w2(X2) of the
     auxiliary line bundle of ``struct``, from the factor rotation forms."""
-    w1, w2 = product.rotation_forms(p, X)
+    w1, w2 = rotation_forms(product, p, X)
     return struct.signs[0] * w1 + struct.signs[1] * w2
 
 

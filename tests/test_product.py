@@ -86,6 +86,21 @@ def test_parallel_spinor_chirality():
     assert np.allclose(vol @ psi2, -psi2)
 
 
+def test_parallel_spinor_is_the_product_of_factor_spinors():
+    """psi0 = b(s1) (x) b(s2) with b(+1) = (1, 0), b(-1) = (0, 1), for both
+    structures under both pairings."""
+    prod = ProductModel(0.7, -0.3)
+    b = {1: np.array([1.0, 0.0], dtype=complex),
+         -1: np.array([0.0, 1.0], dtype=complex)}
+    for pairing in ("standard", "flipped"):
+        for tag in (1, 2):
+            st = structure(tag, pairing)
+            psi = prod.parallel_spinor(st)
+            assert psi.dtype == complex, (pairing, tag)
+            assert np.array_equal(psi, np.kron(b[st.signs[0]],
+                                               b[st.signs[1]])), (pairing, tag)
+
+
 def test_parallel_spinor_constant_in_flat_case(rng):
     prod = ProductModel(0.0, 0.0)
     for tag in (1, 2):

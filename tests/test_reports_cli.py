@@ -500,14 +500,14 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     """Over one run of every check, each quantity that several checks read
     is computed once on the clean batch: Gauss, Codazzi, the derivative
     identities and the rank pair once, each compatibility system once per
-    tag, the frame spinor derivative and the closed form of Omega once per
-    structure, and the ambient rotation forms along the frame once for both
-    structures.  The controls and co-vanishing share one perturbed copy, on
-    which Gauss, each system and so Omega are computed once more."""
+    tag, the frame spinor derivative, the frame images gamma(e_k) phi and
+    the closed form of Omega once per structure, and the factor record of
+    the rotation and Ricci coefficients once for both structures.  The
+    controls and co-vanishing share one perturbed copy, on which Gauss,
+    each system and so Omega are computed once more."""
     from spinlab import hypersurfaces as hyp
     from spinlab import restriction as rst
     from spinlab import systems as sysmod
-    from spinlab.product import ProductModel
     from spinlab.restriction import RestrictedSpinc
     calls = []
 
@@ -527,7 +527,16 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
           lambda ev, tag: (f"system{tag}", len(ev.u)))
     count(RestrictedSpinc, "_derivative",
           lambda rs, C, shape_gamma: ("frame derivative", rs.struct.tag))
-    count(ProductModel, "rotation_forms", lambda prod, p, X: ("rotation",))
+    count(rst, "factors", lambda ev: ("factors", len(ev.u)))
+    images = RestrictedSpinc.__dict__["frame_images"].func
+
+    def counted_images(rs):
+        calls.append(("frame images", rs.struct.tag))
+        return images(rs)
+
+    counted_images = cached_property(counted_images)
+    counted_images.__set_name__(RestrictedSpinc, "frame_images")
+    monkeypatch.setattr(RestrictedSpinc, "frame_images", counted_images)
     count(rst, "closed_form_omega",
           lambda tag, c1, c2, h, V: ("omega", tag, len(h)))
     report = run_scenario(small_scenario(samples=14, checks=None))
@@ -547,9 +556,33 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     # the systems and spinc.omega_s1/_s2 read one Omega per tag
     assert runs("omega") == [(1, 14), (1, 14), (2, 14), (2, 14)]
     assert runs("frame derivative") == [(1,), (2,)]
-    # along the frame, once for both frame derivatives; the ambient probe
-    # reads the factors' rotation forms as jets, not through rotation_forms
-    assert len(runs("rotation")) == 1
+    assert runs("frame images") == [(1,), (2,)]
+    # on the clean batch, for the rotation forms along the frame and every
+    # Ricci form of both structures; the ambient probes read the factors'
+    # forms as jets, not through this record
+    assert runs("factors") == [(14,)]
+
+
+def test_records_do_not_depend_on_which_checks_run():
+    """What the checks share is built on first use by whichever check comes
+    first, so no record may depend on the selection: on every catalog
+    member, each check run alone gives the record of the full run, and the
+    registry run in reverse order gives the same report."""
+    from spinlab.catalog import BUILTIN_SCENARIOS
+    names = [spec.name for spec in REGISTRY]
+    for raw in BUILTIN_SCENARIOS:
+        full = run_scenario(Scenario.from_dict(raw))
+        records = [rec.to_dict() for rec in full.checks]
+        assert [r["name"] for r in records] == names
+        reverse = run_scenario(Scenario.from_dict(dict(raw,
+                                                       checks=names[::-1])))
+        assert [rec.to_dict() for rec in reverse.checks[::-1]] == records
+        assert (reverse.overall_verdict, reverse.warnings) == (
+            full.overall_verdict, full.warnings)
+        for name, record in zip(names, records):
+            (alone,) = run_scenario(Scenario.from_dict(dict(
+                raw, checks=[name]))).checks
+            assert alone.to_dict() == record, (raw["name"], name)
 
 
 CONTROLS = ["curvature.gauss_control", "system.control", "system.covanish"]

@@ -8,19 +8,22 @@ import numpy as np
 import pytest
 
 from conftest import sample
-from helpers import adapted_gauge_derivative
+from helpers import adapted_gauge_derivative, ricci_form, rotation_forms
 from spinlab import build_chart, build_product, evaluate, structure
 from spinlab.catalog import BUILTIN_SCENARIOS
 from spinlab.checks import REGISTRY, ScenarioContext
 from spinlab.hypersurfaces import HypersurfaceChart
+from spinlab.product import _curvature
 from spinlab.reports import Scenario
 from spinlab.restriction import (algebraic_conditions, closed_form_omega,
                                  curvature_restriction_residual,
-                                 dirac_and_energy_momentum,
-                                 frame_killing_residual,
-                                 omega_formula_residual, pairing_identities,
+                                 dirac_and_energy_momentum, frame_ambient,
+                                 frame_killing_residual, frame_ricci,
+                                 normal_ricci, omega_formula_residual,
+                                 pairing_identities, plane_ricci,
                                  projection_cancellation_residuals,
-                                 restrict_structure, shape_operator)
+                                 restrict_structure, rotation, scale,
+                                 shape_operator)
 
 
 def test_restricted_field_has_constant_unit_norm(members, rng):
@@ -82,6 +85,54 @@ def test_frame_derivative_is_the_derivative_along_the_frame(members, rng):
                 assert np.array_equal(
                     frame_killing_residual(rs),
                     rs.killing_residual(frame)), name
+
+
+def test_frame_images_match_the_matrix_routes(members, rng):
+    """The residuals that apply a tangent gamma to phi only read the frame
+    images gamma(e_k) phi, and take gamma(V) phi and gamma(nu -| Omega^N)
+    phi by linearity from adapted-frame components; the factor forms come
+    from one record of c_k lam_k^2 and c_k lam_k / 2.  Each agrees with the
+    4x4 route or with the factors' own evaluators, on a batch and on one
+    point."""
+    def relative(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+    for name, prod, chart in members:
+        batch = evaluate(chart, prod, sample(chart, rng, 4))
+        for ev in (batch, evaluate(chart, prod, batch.u[2])):
+            p = ev.position.T[..., None]
+            amb = frame_ambient(ev)
+            eps = np.eye(4).reshape((4,) + (1,) * (ev.u.ndim - 1) + (4,)) \
+                / scale(ev).T[..., None]
+            a, b = np.triu_indices(4, 1)
+            i, j = np.triu_indices(3, 1)
+            for got, want in [
+                    (rotation(ev), rotation_forms(prod, p, amb)),
+                    (frame_ricci(ev), [ricci_form(prod, p, amb[..., i],
+                                                  amb[..., j], k)
+                                       for k in (1, 2)]),
+                    (plane_ricci(ev), [ricci_form(prod, p, eps[..., a],
+                                                  eps[..., b], k)
+                                       for k in (1, 2)]),
+                    (normal_ricci(ev), [ricci_form(prod, p,
+                                                   ev.nu_val.T[..., None],
+                                                   amb, k)
+                                        for k in (1, 2)])]:
+                for g, w in zip(got, want):
+                    assert relative(g, w) <= 1e-15, name
+            for tag in (1, 2):
+                rs = restrict_structure(ev, structure(tag))
+                assert np.array_equal(rs.frame_images,
+                                      rs.frame_gammas @ rs.psi), name
+                V = rs.gamma_matrix(ev.V_coord_val) @ rs.psi
+                assert np.abs(rs.frame_image(ev.V_frame) - V).max() \
+                    <= 2e-15, (name, tag)
+                contraction = _curvature(rs.struct, *normal_ricci(ev))
+                W = np.einsum("...ai,...i->...a", ev.frame, contraction)
+                assert np.abs(rs.frame_image(contraction)
+                              - rs.gamma(W, rs.psi)).max() <= 2e-15, (name,
+                                                                      tag)
 
 
 def test_scenario_context_is_freed_without_the_collector():
