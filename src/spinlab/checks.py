@@ -149,10 +149,10 @@ def check_ambient_auxiliary(ctx):
 def check_ambient_product_structure(ctx):
     """F involutive/symmetric/trace-free and rho against the Gauss
     curvature of the conformal factors (Liouville's formula)."""
-    res = [float(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max()),
-           float(np.abs(F_MATRIX - F_MATRIX.T).max()),
-           abs(float(np.trace(F_MATRIX)))]
-    res.extend(np.ravel(ctx.product.liouville_residual(ctx.factor_jets)))
+    res = np.concatenate((
+        [np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max(),
+         np.abs(F_MATRIX - F_MATRIX.T).max(), abs(np.trace(F_MATRIX))],
+        np.ravel(ctx.product.liouville_residual(ctx.factor_jets))))
     return _record(worst_of(res), len(ctx.points))
 
 

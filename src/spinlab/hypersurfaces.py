@@ -67,9 +67,6 @@ _COLS = np.array([[k for k in range(4) if k != mu] for mu in range(4)])
 # l = d log lam: Gamma^a_{bc} = _GAMMA_SIGN[a, b, c] l[_GAMMA_INDEX[a, b, c]].
 _GAMMA_INDEX = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
 _GAMMA_SIGN = np.array([[[1.0, 1.0], [1.0, -1.0]], [[-1.0, 1.0], [1.0, 1.0]]])
-# the contraction order np.einsum(..., optimize=True) finds for the frame
-# components of the curvature tensor, at one point and for any batch size
-_FRAME_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
 
 
 class RankDeficientError(ValueError):
@@ -446,11 +443,17 @@ class PointEvaluation:
 
     @_stage
     def riemann_frame(self):
-        # R_{al be ga de} = g(R(d_al, d_be) d_ga, d_de)
+        """R_ijkl = g(R(e_i, e_j) e_k, e_l), one frame index at a time in the
+        four matrix products that np.einsum(..., optimize=True) runs."""
         Rl = np.einsum("...abcd,...de->...abce", self.riemann, self.g_val)
-        e = self.frame
-        return np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl",
-                         Rl, e, e, e, e, optimize=_FRAME_PATH)
+        e, lead = self.frame, self.frame.shape[:-2]
+        cycle = (*range(len(lead)), -3, -2, -1, -4)  # first index to last
+        R = (np.swapaxes(e, -1, -2) @ Rl.reshape(lead + (3, 27))).reshape(
+            lead + (3,) * 4).transpose(cycle)  # [i, b, c, d] -> [b, c, d, i]
+        for _ in range(3):  # the first index against its frame vector
+            R = (R.transpose(cycle).reshape(lead + (27, 3)) @ e).reshape(
+                lead + (3,) * 4)
+        return R
 
     @_stage
     def dE_frame(self):

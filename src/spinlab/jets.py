@@ -18,12 +18,14 @@ tensor axes broadcast like numpy's.  Values come out point axis first:
 ``val`` of a batch of 3x3 jets is ``(N, 3, 3)``, ``grad`` ``(N, 3, 3, 3)``.
 
 Products.  Slot K of a product sums a[I] b[J] over the monomial pairs
-(I, J) with I + J = K.  The elementwise product and the contraction kernel
-``contract`` (einsum subscripts over the tensor axes) form all pairs in one
-numpy call with a leading pair axis and sum them into their slots as
-``S @ pairs``, S being the 0/1 (nterms, npairs) matrix of the pair table:
-one matrix product over all entries and points, about 3x faster than
-``np.add.reduceat`` over the same pairs at N = 50.
+(I, J) with I + J = K.  At order 2 and 3 the elementwise product and the
+contraction kernel ``contract`` (einsum subscripts over the tensor axes)
+form all pairs in one numpy call with a leading pair axis and sum them into
+their slots as ``S @ pairs``, S being the 0/1 (nterms, npairs) matrix of
+the pair table: one matrix product over all entries and points, about 3x
+faster than ``np.add.reduceat`` over the same pairs at N = 50.  At order 0
+and 1 a slot has at most two pairs: slot k is a[0] b[k] + a[k] b[0].  The
+powers of a seed x0 + dx_i (``variables``) are monomials (``Seed``).
 
 The monomial table is graded, so a lower-order jet is a prefix of a
 higher-order one, and a jet truncated at order k is exactly its first
@@ -51,11 +53,11 @@ _INDEX = {m: n for n, m in enumerate(MONOMIALS)}
 _NT_OF_ORDER = {0: 1, 1: 4, 2: 10, 3: 20}
 _ORDER_OF_NT = {v: k for k, v in _NT_OF_ORDER.items()}
 
-# Multiplication per truncation length: c = S @ (a[I] * b[J]), where the
+# Multiplication at orders 2 and 3: c = S @ (a[I] * b[J]), where the
 # monomial pairs (I, J) are sorted by their product slot K and S is the 0/1
 # (nterms, npairs) matrix summing each pair into slot K.
 _PAIRS = {}
-for _nt in (1, 4, 10, 20):
+for _nt in (10, 20):
     _trip = []
     for a, ma in enumerate(MONOMIALS[:_nt]):
         for b, mb in enumerate(MONOMIALS[:_nt]):
@@ -84,6 +86,10 @@ for _nt in (4, 10, 20):
                 _DERIV[_nt][v, _INDEX[tuple(lower)], n] = m[v]
 
 _FACT = np.array([1.0, 1.0, 2.0, 6.0])
+
+# _SEED_SLOTS[i][k - 1] is the slot of the monomial dx_i^k.
+_SEED_SLOTS = [[_INDEX[tuple(k * (w == v) for w in range(NVARS))]
+                for k in range(1, ORDER + 1)] for v in range(NVARS)]
 
 
 # Columns per matrix product.  OpenBLAS ran a 20 x 84 x 600 product on two
@@ -138,9 +144,12 @@ class Jet:
 
     @staticmethod
     def variable(i, x0):
-        jet = Jet.constant(x0)
-        jet.c[_INDEX[tuple(1 if k == i else 0 for k in range(NVARS))]] = 1.0
-        return jet
+        """The seed x0 + dx_i of chart variable ``i``."""
+        c = np.zeros((NTERMS,) + np.shape(x0))
+        c[0], c[_SEED_SLOTS[i][0]] = x0, 1.0
+        seed = Seed(c)
+        seed.var = i
+        return seed
 
     # layout --------------------------------------------------------------
     @property
@@ -300,10 +309,35 @@ class Jet:
         return self._compose([c, -s, -c, s])
 
 
+class Seed(Jet):
+    """The seed x0 + dx_i of chart variable i, whose powers are monomials:
+    a composition writes f^(k)(x0)/k! into the slot of dx_i^k, with the bits
+    of the product route, which it takes where an f^(k) is not finite."""
+
+    __slots__ = ("var",)
+
+    def _compose(self, ladder):
+        steps = [ladder[k] / _FACT[k] for k in range(1, ORDER + 1)]
+        if not np.isfinite(steps).all():
+            return super()._compose(ladder)
+        c = np.zeros_like(self.c)
+        c[0] = ladder[0]
+        for step, slot in zip(steps, _SEED_SLOTS[self.var]):
+            c[0] += step * 0.0
+            c[slot] = step + 0.0
+        return Jet(c, self.shape)
+
+
 def _products(a, b, form):
     """Product of coefficient arrays ``a`` and ``b`` truncated to the shorter
-    length, ``form`` combining paired coefficients."""
-    I, J, S = _PAIRS[min(len(a), len(b))]
+    length, ``form`` combining paired coefficients along a leading axis."""
+    nt = min(len(a), len(b))
+    if nt <= 4:  # slot k is a[0] b[k] + a[k] b[0]
+        c = form(a[:1], b[:nt])
+        c[1:] += form(a[1:nt], b[:1])
+        c += 0.0  # a sum from 0.0, as in S @ pairs, has no -0.0
+        return c
+    I, J, S = _PAIRS[nt]
     return _apply(S, form(a[I], b[J]))
 
 

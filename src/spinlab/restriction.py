@@ -219,10 +219,6 @@ class RestrictedSpinc:
         """gamma(X) as 4x4 matrices preserving the chirality eigenspace."""
         return self.sign * clifford(self.ev, X_coord)
 
-    def gamma(self, X_coord, spinor):
-        return np.einsum("...ab,...b->...a", self.gamma_matrix(X_coord),
-                         spinor)
-
     def expectation(self, spinor):
         """(spinor, phi) / |phi|^2 against the restricted field."""
         return np.einsum("a,...a->...", self.psi.conj(), spinor) \

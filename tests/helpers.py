@@ -307,6 +307,12 @@ def rotation_forms(product, p, X):
     return (a1[0] * X[0] + a1[1] * X[1], a2[0] * X[2] + a2[1] * X[3])
 
 
+def gamma(rs, X_coord, spinor):
+    """gamma(X) applied to ``spinor`` through the 4x4 matrices of the
+    restricted structure ``rs``, the route the frame images replace."""
+    return np.einsum("...ab,...b->...a", rs.gamma_matrix(X_coord), spinor)
+
+
 def connection_matrix(product, p, X, struct):
     """Coefficient matrix C(X) of the spinor connection of ``struct`` at
     p: ``p`` and ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""

@@ -263,11 +263,39 @@ def test_tensor_stages_match_scalar_jets(member, npts):
         assert np.max(np.abs(got - want)) <= ORACLE_REL_TOL * scale, stage
 
 
-# --- fixed contraction order of the curvature frame components --------------
+# --- seeds against plain jets -------------------------------------------------
+def _bits(x):
+    """Shape and bytes of a jet stage's coefficients or a value stage."""
+    if isinstance(x, Jet):
+        return x.shape, x.c.shape, x.c.tobytes()
+    x = np.asarray(x)
+    return x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("npts", [None, 1, 5])
+def test_seed_compositions_give_the_bits_of_plain_jets(members, npts):
+    """Seeds compose by writing into the slots of their monomial powers,
+    plain jets through products; a chart map handed plain copies of the
+    seeds gives every jet stage and every value stage bit for bit."""
+    for name, prod, chart in members:
+        plain = HypersurfaceChart(
+            lambda *xs, f=chart.map_fn: f(*(Jet(x.c.copy()) for x in xs)),
+            chart.domain, chart.orientation)
+        rng = np.random.default_rng(7)
+        pts = sample(chart, rng, 1)[0] if npts is None else sample(chart, rng,
+                                                                    npts)
+        ev, ref = evaluate(chart, prod, pts), evaluate(plain, prod, pts)
+        for stage in STAGES + ["_lam", "_T_low"]:
+            assert _bits(getattr(ev, stage)) == _bits(getattr(ref, stage)), \
+                (name, stage)
+
+
+# --- the curvature frame components as four matrix products -----------------
 @pytest.mark.parametrize("npts", [None, 1, 3, 40, 50])
 def test_riemann_frame_path_matches_optimized_einsum(npts):
-    """The constant einsum path of ``riemann_frame`` gives the bits that a
-    path search (``optimize=True``) gives, at one point and for batches."""
+    """``riemann_frame`` contracts one frame index at a time in four batched
+    matrix products, the ones np.einsum's path search (``optimize=True``)
+    runs, and gives their bits, at one point and for batches."""
     chart = build_chart("graph")
     rng = np.random.default_rng(3)
     pts = sample(chart, rng, 1)[0] if npts is None else sample(chart, rng,

@@ -192,6 +192,86 @@ def test_batched_products_match_scalar_kernel(nt, npts):
         assert np.allclose(one.c, prod[:, n], rtol=1e-13, atol=1e-13)
 
 
+# --- order 0 and 1: products without the pair table ---------------------------
+# operand lengths whose product runs at order <= 1, one possibly longer
+@pytest.mark.parametrize("lengths", [(1, 1), (4, 4), (1, 4), (4, 1), (4, 10),
+                                     (20, 4), (1, 20)])
+@pytest.mark.parametrize("npts", [None, 1, 6])
+def test_order_one_products_match_the_bincount_kernel(lengths, npts):
+    """Products and contractions of order-0 and order-1 jets form slot k as
+    a[0] b[k] + a[k] b[0]: the bits of ``reference_mul``, per point, in a
+    batch and at one point, exact zeros (which are never -0.0) included."""
+    rng = np.random.default_rng(sum(lengths) * 10 + (npts or 0))
+    points = () if npts is None else (npts,)
+    nt = min(lengths)
+    a = rng.uniform(-2.0, 2.0, (lengths[0], 2, 3) + points)
+    b = rng.uniform(-2.0, 2.0, (lengths[1], 3) + points)
+    a[:, 0, 0], b[:, 0] = -0.0, np.abs(b[:, 0])  # products -0.0
+    prod = Jet(a[:, 0], (3,)) * Jet(b, (3,))
+    outer = contract("ij,k->ijk", Jet(a, (2, 3)), Jet(b, (3,)))
+    assert prod.c.shape == (nt, 3) + points
+    assert outer.c.shape == (nt, 2, 3, 3) + points
+    for n in np.ndindex(points):
+        col = (slice(None), Ellipsis) + n
+        x, y = a[col], b[col]
+        for i, j, k in np.ndindex(2, 3, 3):
+            want = reference_mul(x[:nt, i, j], y[:nt, k])
+            assert outer.c[col][:, i, j, k].tobytes() == want.tobytes()
+            if i == 0 and j == k:
+                assert prod.c[col][:, j].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2, 3])
+@pytest.mark.parametrize("npts", [None, 3])
+def test_order_one_nan_reaches_only_the_slots_that_read_it(slot, npts):
+    """A NaN in one slot of one entry reaches the product slots that read
+    that slot (every slot for the value, slot k for slot k) and only the
+    output entries that read that entry, as in the bincount kernel."""
+    rng = np.random.default_rng(slot)
+    points = () if npts is None else (npts,)
+    a = rng.uniform(0.5, 2.0, (4, 3) + points)
+    b = rng.uniform(0.5, 2.0, (4, 3) + points)
+    a[(slot, 1) + (0,) * len(points)] = np.nan
+    reads = np.zeros((4, 3) + points, dtype=bool)
+    reads[(slice(None) if slot == 0 else slot, 1) + (0,) * len(points)] = True
+    got = (Jet(a, (3,)) * Jet(b, (3,))).c
+    assert np.array_equal(np.isnan(got), reads)
+    summed = contract("i,i->", Jet(a, (3,)), Jet(b, (3,))).c
+    assert np.array_equal(np.isnan(summed), reads[:, 1])
+    for n in np.ndindex(points):
+        col = (slice(None), 1) + n
+        assert np.array_equal(np.isnan(got[col]),
+                              np.isnan(reference_mul(a[col], b[col])))
+
+
+# --- seeds compose from their monomial powers ----------------------------------
+@pytest.mark.parametrize("u", [
+    [0.4, -0.3, 0.8], [0.0, -0.0, 1e-300], [[0.4, -0.3, 0.8], [1.7, 0.2, -2.1]],
+    [[800.0, 0.3, 0.9], [0.0, -0.0, 2.5]]], ids=["one", "zeros", "two", "huge"])
+def test_seed_functions_give_the_bits_of_plain_jets(u):
+    """sin, cos, exp, sqrt and the reciprocal of a seed write f^(k)(x0)/k!
+    into the slots of dx_i^k; a plain jet copy builds the powers by order-3
+    products.  Both give the same bits, signed zeros, overflow and NaN
+    included, and every result is a plain jet."""
+    seeds = variables(u)
+    for seed in seeds:
+        plain = Jet(seed.c.copy())
+        assert type(seed) is not Jet and type(plain) is Jet
+        for f in (Jet.sin, Jet.cos, Jet.exp, Jet.sqrt, Jet._reciprocal):
+            with np.errstate(all="ignore"):
+                try:
+                    want = f(plain)
+                except (ValueError, ZeroDivisionError) as exc:
+                    with pytest.raises(type(exc)):
+                        f(seed)
+                    continue
+                got = f(seed)
+            assert type(got) is Jet and got.order == 3
+            assert got.c.tobytes() == want.c.tobytes(), f.__name__
+    x, y, z = variables([0.4, -0.3, 0.8])
+    assert type(x * y) is type(-z) is type(2.0 / x) is type(y[()]) is Jet
+
+
 def test_batch_guards_trip_on_any_point():
     x = Jet.constant(np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ZeroDivisionError):

@@ -654,6 +654,33 @@ def test_one_sample_controls_trip_over_the_sweep_grid(tmp_path, seed):
                 assert recs[name]["max_residual"] > recs[name]["tolerance"]
 
 
+@pytest.mark.parametrize("nan_at", [None, 0, 3, -1])
+def test_product_structure_reduces_one_array(monkeypatch, nan_at):
+    """The F-algebra residuals and the Liouville residuals reduce as one
+    array to the bits of the list of Python scalars it replaced, NaN
+    included."""
+    from spinlab.checks import ScenarioContext, check_ambient_product_structure
+    from spinlab.jets import worst_of
+    from spinlab.product import F_MATRIX, ProductModel
+    original = ProductModel.liouville_residual
+
+    def liouville(self, jets):
+        res = original(self, jets).copy()
+        if nan_at is not None:
+            res.flat[nan_at] = np.nan
+        return res
+
+    monkeypatch.setattr(ProductModel, "liouville_residual", liouville)
+    ctx = ScenarioContext(small_scenario(checks=AMBIENT))
+    got = check_ambient_product_structure(ctx).max_residual
+    listed = [float(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max()),
+              float(np.abs(F_MATRIX - F_MATRIX.T).max()),
+              abs(float(np.trace(F_MATRIX)))]
+    listed.extend(np.ravel(liouville(ctx.product, ctx.factor_jets)))
+    assert type(got) is float and (nan_at is None) == (got == got)
+    assert np.float64(got).tobytes() == np.float64(worst_of(listed)).tobytes()
+
+
 def test_product_structure_is_one_jet_pass(monkeypatch):
     """Both ambient checks read one factor-jet record: two plain-value
     calls per factor for its area density and Ricci form coefficient, then

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import sample
-from helpers import adapted_gauge_derivative, ricci_form, rotation_forms
+from helpers import (adapted_gauge_derivative, gamma, ricci_form,
+                     rotation_forms)
 from spinlab import build_chart, build_product, evaluate, structure
 from spinlab.catalog import BUILTIN_SCENARIOS
 from spinlab.checks import REGISTRY, ScenarioContext
@@ -80,8 +81,8 @@ def test_frame_derivative_is_the_derivative_along_the_frame(members, rng):
                 nabla, shape_term = rs.frame_derivative
                 with pytest.raises(ValueError, match="read-only"):
                     nabla[...] = 0.0
-                assert np.array_equal(shape_term, rs.gamma(
-                    shape_operator(ev, frame), rs.psi)), name
+                assert np.array_equal(shape_term, gamma(
+                    rs, shape_operator(ev, frame), rs.psi)), name
                 assert np.array_equal(
                     frame_killing_residual(rs),
                     rs.killing_residual(frame)), name
@@ -131,7 +132,7 @@ def test_frame_images_match_the_matrix_routes(members, rng):
                 contraction = _curvature(rs.struct, *normal_ricci(ev))
                 W = np.einsum("...ai,...i->...a", ev.frame, contraction)
                 assert np.abs(rs.frame_image(contraction)
-                              - rs.gamma(W, rs.psi)).max() <= 2e-15, (name,
+                              - gamma(rs, W, rs.psi)).max() <= 2e-15, (name,
                                                                       tag)
 
 
@@ -176,7 +177,7 @@ def test_killing_law_against_adapted_gauge_oracle(rng):
                 rs = restrict_structure(ev, st)
                 oracle = adapted_gauge_derivative(chart, prod, st, u, X)
                 EX = ev.E_mixed_val @ X
-                killing_rhs = -0.5 * rs.sign * rs.gamma(EX, rs.psi)
+                killing_rhs = -0.5 * rs.sign * gamma(rs, EX, rs.psi)
                 assert np.linalg.norm(oracle - killing_rhs) < 1e-6
                 # the derivative along X by linearity, x_k = g(X, e_k)
                 nabla = X @ ev.g_val @ ev.frame @ rs.frame_derivative[0]
