@@ -208,11 +208,17 @@ class PointEvaluation:
 
     @_stage
     def g_inv(self):
-        """Inverse metric, to first order like every reader."""
+        """Inverse metric, to first order like every reader; raises
+        RankDeficientError at the first point where the determinant is not
+        finite or rounds to zero."""
         m = self.g.truncated(1)  # adj[i, j] is the cofactor at (j, i)
         adj = (m[_N1, _N1[:, None]] * m[_N2, _N2[:, None]]
                - m[_N2, _N1[:, None]] * m[_N1, _N2[:, None]])
-        return adj / contract("j,j->", m[0], adj[:, 0])
+        det = contract("j,j->", m[0], adj[:, 0])
+        self._require(np.isfinite(det.val) & (det.val != 0.0),
+                      RankDeficientError,
+                      lambda i: "induced metric is singular")
+        return adj / det
 
     g_val = _value_stage("g")
     g_inv_val = _value_stage("g_inv")

@@ -47,7 +47,6 @@ import numpy as np
 from .hypersurfaces import (PointEvaluation, _max_abs, _mv, _shared,
                             codazzi_residual, derivative_identities,
                             gauss_residual, rank_pair)
-from .jets import value
 from .restriction import _PAIR_I, _PAIR_J, frame_omega
 
 # indices broadcast to (pair, component): the frame pair (i, j) of each
@@ -209,27 +208,6 @@ def rebuild_f(V_frame, h):
                      np.stack([v2, -v1, h], axis=-1)], axis=-2)
 
 
-def corrupt(ev: PointEvaluation, mode: str, rng) -> PointEvaluation:
-    """Single-field corruptions used as negative controls, at every point:
-    a copy of ``ev`` with the field's value stages swapped."""
-    if mode == "E-scale":
-        return ev.replace(E_mixed_val=2.0 * ev.E_mixed_val,
-                          E_frame=2.0 * ev.E_frame)
-    if mode == "h-shift":
-        return ev.replace(h_val=ev.h_val + 0.1)
-    if mode == "V-rotate":
-        c, s = np.cos(0.9), np.sin(0.9)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        V_frame = _mv(rot, ev.V_frame)
-        # frame columns are coordinates
-        return ev.replace(V_frame=V_frame, V_coord_val=_mv(ev.frame, V_frame))
-    if mode == "f-perturb":
-        noise = rng.standard_normal(np.shape(ev.f_frame))
-        noise = 0.1 * (noise + np.swapaxes(noise, -1, -2))
-        return ev.replace(f_frame=ev.f_frame + noise)
-    raise ValueError(f"unknown corruption mode {mode!r}")
-
-
 def converse_residuals(ev: PointEvaluation):
     """All named residuals of the converse (abstract-data) direction, per
     point."""
@@ -256,55 +234,22 @@ CONVERSE_TOLERANCES = {
     "V-derivative": 1e-6, "h-gradient": 1e-6, "rank-two": 0.5,
 }
 
-# which named check a single-field corruption must break
-CORRUPTION_TARGETS = {
-    "E-scale": "gauss",
-    "h-shift": "unit-split",
-    "V-rotate": "f-of-V",
-    "f-perturb": "f-rebuild",
-}
-
-
-def converse_check(ev: PointEvaluation):
-    """Residuals of the abstract-data direction and the sorted names of the
-    checks above tolerance (or NaN) at some point."""
-    res = converse_residuals(ev)
-    failed = sorted(k for k, v in res.items()
-                    if not np.all(v <= CONVERSE_TOLERANCES[k]))
-    return res, failed
-
 
 # ---------------------------------------------------------------------------
-# umbilic hypersurfaces
+# umbilic hypersurfaces: the contracted Codazzi equation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class UmbilicResult:
-    umbilic: np.ndarray  # per point; a NaN deviation counts as umbilic
-    deviation: np.ndarray
-    residuals: dict  # per point, meaningful where umbilic
+def contracted_codazzi_residual(ev: PointEvaluation):
+    """max_k |(div E - 3 dH)(e_k) + (c1 - c2)/2 (V, e_k)| per point, with
+    div E (X) = sum_i g((nabla_{e_i} E) e_i, X) (Lira, Tojeiro & Vitorio,
+    Arch. Math. 95, 2010).
 
-
-def umbilic_gradient_identity(ev: PointEvaluation) -> UmbilicResult:
-    """At umbilic points (|E - H Id| <= 1e-8), the mean curvature gradient
-    satisfies
-
-        dH(xi) = 0,
-        dH(e_i) = (c1 - c2)/4 (V, e_i),
-        4 |dH| = |V| |c1 - c2|.
-
-    Non-umbilic points are for the caller to skip, not to fail.
+    It holds at every point.  At an umbilic point, E = H Id, it reads
+    dH = (c1 - c2)/4 (V, .), so dH(xi) = 0, and dH = 0 where c1 = c2 or
+    V = 0: the paper's corollary that such hypersurfaces have constant mean
+    curvature.
     """
-    H = np.asarray(value(ev.mean_curvature))
-    dev = _max_abs(ev.E_frame - H[..., None, None] * np.eye(3), 2)
+    lhs = np.einsum("...ccb->...b", ev.nabla_E) - 3 * ev.dH
     c1, c2 = ev.product.c1, ev.product.c2
-    dH_frame = np.einsum("...ai,...a->...i", ev.frame, ev.dH)
-    Vf = ev.V_frame
-    res = {
-        "dH-xi": np.abs(dH_frame[..., 2]),
-        "dH-tangential": _max_abs(
-            dH_frame[..., :2] - 0.25 * (c1 - c2) * Vf[..., :2], 1),
-        "norm-identity": np.abs(4.0 * np.linalg.norm(dH_frame, axis=-1)
-                                - np.linalg.norm(Vf, axis=-1) * abs(c1 - c2)),
-    }
-    return UmbilicResult(~(dev > 1e-8), dev, res)
+    return _max_abs(np.einsum("...ai,...a->...i", ev.frame, lhs)
+                    + 0.5 * (c1 - c2) * ev.V_frame, 1)

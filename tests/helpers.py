@@ -13,9 +13,10 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from spinlab.clifford import CliffordModel, build_clifford
-from spinlab.hypersurfaces import evaluate
+from spinlab.hypersurfaces import _mv, evaluate
 from spinlab.jets import value, worst_of
 from spinlab.product import _curvature, connection, structure
+from spinlab.systems import CONVERSE_TOLERANCES, converse_residuals
 
 
 def fd_second_derivative(f, x, h):
@@ -597,18 +598,20 @@ def point_perturbed_shape(ev, rng):
     return ev.E_frame + 0.2 * (np.outer(v, v) + np.outer(w, w))
 
 
-def point_umbilic_residuals(ev):
-    H = value(ev.mean_curvature)
+def point_contracted_codazzi_residual(ev):
+    """max_k |(div E)(e_k) - 3 dH(e_k) + (c1 - c2)/2 (V, e_k)| at a one-point
+    evaluation, with (div E)(e_k) = sum_i g((nabla_{e_i} E) e_i, e_k)."""
     c1, c2 = ev.product.c1, ev.product.c2
-    dH_frame = np.array([float(ev.frame[:, i] @ ev.dH) for i in range(3)])
-    return {
-        "dH-xi": abs(dH_frame[2]),
-        "dH-tangential": max(abs(dH_frame[i] - 0.25 * (c1 - c2)
-                                 * ev.V_frame[i]) for i in range(2)),
-        "norm-identity": abs(4.0 * float(np.linalg.norm(dH_frame))
-                             - float(np.linalg.norm(ev.V_frame)) * abs(c1 - c2)),
-        "deviation": float(np.max(np.abs(ev.E_frame - H * np.eye(3)))),
-    }
+    e = [ev.frame[:, i] for i in range(3)]
+    res = []
+    for k in range(3):
+        div_E = 0.0
+        for i in range(3):
+            nabla_ei_E = sum(e[i][c] * ev.nabla_E[c] for c in range(3))
+            div_E += float((nabla_ei_E @ e[i]) @ ev.g_val @ e[k])
+        res.append(div_E - 3.0 * float(ev.dH @ e[k])
+                   + 0.5 * (c1 - c2) * float(ev.V_frame[k]))
+    return float(np.max(np.abs(res)))
 
 
 def point_converse_residuals(ev):
@@ -634,6 +637,47 @@ def point_converse_residuals(ev):
     ranks = rank_pair(ev)
     out["rank-two"] = float(abs(ranks[0] - 2) + abs(ranks[1] - 2))
     return out
+
+
+# --- single-field corruptions of the converse ---------------------------------
+
+def corrupt(ev, mode: str, rng):
+    """Single-field corruptions used as negative controls, at every point:
+    a copy of ``ev`` with the field's value stages swapped."""
+    if mode == "E-scale":
+        return ev.replace(E_mixed_val=2.0 * ev.E_mixed_val,
+                          E_frame=2.0 * ev.E_frame)
+    if mode == "h-shift":
+        return ev.replace(h_val=ev.h_val + 0.1)
+    if mode == "V-rotate":
+        c, s = np.cos(0.9), np.sin(0.9)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        V_frame = _mv(rot, ev.V_frame)
+        # frame columns are coordinates
+        return ev.replace(V_frame=V_frame, V_coord_val=_mv(ev.frame, V_frame))
+    if mode == "f-perturb":
+        noise = rng.standard_normal(np.shape(ev.f_frame))
+        noise = 0.1 * (noise + np.swapaxes(noise, -1, -2))
+        return ev.replace(f_frame=ev.f_frame + noise)
+    raise ValueError(f"unknown corruption mode {mode!r}")
+
+
+# which named check a single-field corruption must break
+CORRUPTION_TARGETS = {
+    "E-scale": "gauss",
+    "h-shift": "unit-split",
+    "V-rotate": "f-of-V",
+    "f-perturb": "f-rebuild",
+}
+
+
+def converse_check(ev):
+    """Residuals of the abstract-data direction and the sorted names of the
+    checks above tolerance (or NaN) at some point."""
+    res = converse_residuals(ev)
+    failed = sorted(k for k, v in res.items()
+                    if not np.all(v <= CONVERSE_TOLERANCES[k]))
+    return res, failed
 
 
 # --- one-point references of the restricted spin^c layer ---------------------

@@ -243,8 +243,8 @@ def test_replace_never_reuses_a_shared_identity():
         same = ev.replace(E_frame=ev.E_frame)
         assert np.array_equal(hyp.gauss_residual(same), clean)
         # each corruption of the converse moves the residual it targets
-        for mode, target in sysmod.CORRUPTION_TARGETS.items():
-            corrupted = sysmod.corrupt(ev, mode, np.random.default_rng(0))
+        for mode, target in helpers.CORRUPTION_TARGETS.items():
+            corrupted = helpers.corrupt(ev, mode, np.random.default_rng(0))
             assert np.all(sysmod.converse_residuals(corrupted)[target]
                           > sysmod.CONVERSE_TOLERANCES[target]), mode
 
@@ -302,16 +302,10 @@ def _covanish(ev, rng):
     return rep.perturbed_joint.reshape(np.shape(ev.u)[:-1] + (2,))
 
 
-def _umbilic(ev, rng):
-    found = sysmod.umbilic_gradient_identity(ev)
-    return {**found.residuals, "deviation": found.deviation,
-            "umbilic": np.asarray(found.umbilic, dtype=float)}
-
-
 def _corrupted_converse(ev, rng):
-    return {f"{mode}:{k}": v for mode in sorted(sysmod.CORRUPTION_TARGETS)
+    return {f"{mode}:{k}": v for mode in sorted(helpers.CORRUPTION_TARGETS)
             for k, v in sysmod.converse_residuals(
-                sysmod.corrupt(ev, mode, rng)).items()}
+                helpers.corrupt(ev, mode, rng)).items()}
 
 
 # identity name -> fn(evaluation, rng): one value per point, or a dict
@@ -329,7 +323,8 @@ IDENTITIES = {
     "system_two": lambda ev, rng: sysmod.system_residuals(2, ev).residuals,
     "perturbed_shape": lambda ev, rng: sysmod.perturbed_shape(ev, rng),
     "gauss_iff_codazzi": _covanish,
-    "umbilic_gradient": _umbilic,
+    "umbilic_gradient": lambda ev, rng: (
+        sysmod.contracted_codazzi_residual(ev)),
     "projection_cancellation": lambda ev, rng: (
         rst.projection_cancellation_residuals(ev)),
     "converse": lambda ev, rng: sysmod.converse_residuals(ev),
@@ -345,7 +340,8 @@ REFERENCES = {
     "projection_formulas": lambda ev, rng: helpers.point_projection_formulas(ev),
     "xi_derivative": lambda ev, rng: helpers.point_xi_derivative_residual(ev),
     "perturbed_shape": helpers.point_perturbed_shape,
-    "umbilic_gradient": lambda ev, rng: helpers.point_umbilic_residuals(ev),
+    "umbilic_gradient": lambda ev, rng: (
+        helpers.point_contracted_codazzi_residual(ev)),
     "projection_cancellation": lambda ev, rng: (
         helpers.point_projection_cancellation(ev)),
     "converse": lambda ev, rng: helpers.point_converse_residuals(ev),

@@ -722,6 +722,13 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
     ({"c1": 1e300}, [], "differential of the immersion is not finite"),
     ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e100] * 5}},
       "checks": ["structure.involution"]}, [], "unit normal is not finite"),
+    # the cofactors of g cancel to an exact zero determinant
+    ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e20] * 5}},
+      "samples": 4, "seed": 1, "checks": ["structure.involution"]}, [],
+     "induced metric is singular"),
+    ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e30] * 5}},
+      "samples": 4, "seed": 1, "checks": ["structure.involution"]}, [],
+     "induced metric is singular"),
     ({"tolerances": [1, 2]}, [], "tolerances must map check names"),
     ({"tolerances": "structure.contact"}, [], "tolerances must map"),
     ({"hypersurface": {"kind": ["graph"]}}, [], "unknown hypersurface kind"),
@@ -765,7 +772,9 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
-        "curvature-overflow", "graph-normal-overflow", "tolerances-as-list", "tolerances-as-string",
+        "curvature-overflow", "graph-normal-overflow",
+        "graph-singular-metric-1e20", "graph-singular-metric-1e30",
+        "tolerances-as-list", "tolerances-as-string",
         "kind-as-list", "unknown-tolerance-name", "fractional-samples",
         "boolean-samples", "infinite-tolerance", "list-with-seed-flag",
         "string-with-pairing-flag", "not-utf8", "deeply-nested",

@@ -8,12 +8,12 @@ from spinlab import build_chart, build_product, evaluate
 from spinlab.hypersurfaces import codazzi_residual, gauss_residual
 from spinlab.product import structure
 from spinlab.restriction import restrict_structure
-from spinlab.systems import (CONVERSE_TOLERANCES, CORRUPTION_TARGETS,
-                             converse_check, corrupt, gauss_iff_codazzi,
+from spinlab.systems import (CONVERSE_TOLERANCES, gauss_iff_codazzi,
                              perturbed_shape, ricci_components,
                              system_residuals, xi_derivative_residual)
 
-from helpers import transcribed_system
+from helpers import (CORRUPTION_TARGETS, converse_check, corrupt,
+                     transcribed_system)
 
 
 def test_systems_vanish_on_catalog(members, rng):
