@@ -11,16 +11,18 @@ kind:
 Point checks share one batched :class:`PointEvaluation` of all sampled
 points.  Every residual of a point evaluation, and of the restricted spin^c
 structures (one per tag, cached by ``ScenarioContext``), runs once on the
-whole batch (``_batch_check``).  ``ScenarioContext`` also holds what
-several checks read beside the batch, each built on first use: one copy
-of the batch with its shape operator perturbed, drawn from the stream
-named ``perturbed`` at the scale 0.2 (``systems.perturbed_shape``),
-which both controls and co-vanishing read, and one record of the factor
-coordinates seeded as order-2 jets at every sample position, which both
-ambient probes read.  Worst residuals are reduced so that a NaN at any
-point fails the check.  RNG streams are derived from the scenario seed
-and a fixed name, so reports are deterministic and independent of check
-selection order.
+whole batch.  A check returns its per-point residuals (one array, a list
+of same-shape arrays or a dict of them) and the notes of its record;
+``run_scenario`` alone reduces them to the worst value over every point
+and component, NaN if any is NaN, judges that by kind and builds the
+record.  ``ScenarioContext`` also holds what several checks read beside
+the batch, each built on first use: one copy of the batch with its shape
+operator perturbed, drawn from the stream named ``perturbed`` at the
+scale 0.2 (``systems.perturbed_shape``), which both controls and
+co-vanishing read, and one record of the factor coordinates seeded as
+order-2 jets at every sample position, which both ambient probes read.
+RNG streams are derived from the scenario seed and a fixed name, so
+reports are deterministic and independent of check selection order.
 """
 
 from __future__ import annotations
@@ -112,87 +114,49 @@ class CheckSpec:
     fn: object
 
 
-def _record(worst, points):
-    return CheckRecord("", "", worst, 0.0, "", points_evaluated=points)
-
-
-def _max_over_batch(ctx, residuals):
-    """Record of residuals computed on the whole batch at once: one value
-    per point, or a dict of such arrays."""
-    if isinstance(residuals, dict):
-        residuals = list(residuals.values())
-    return _record(worst_of(np.ravel(residuals)), len(ctx.points))
-
-
 def _batch_check(residual, tag=None, **notes):
     """Check of ``residual`` run once on the batch of every sample point,
     or on the structure ``tag`` restricted there; ``notes`` go on the
     record."""
     # ``residual`` names the module function it calls inside its body, so
     # a patched or traced function is the one that runs
-    def fn(ctx):
-        rec = _max_over_batch(ctx, residual(
-            ctx.batch if tag is None else ctx.spinc(tag)))
-        rec.notes = dict(notes)
-        return rec
-    return fn
+    return lambda ctx: (residual(ctx.batch if tag is None
+                                 else ctx.spinc(tag)), dict(notes))
 
 
 # --- ambient / product-model checks -----------------------------------------
 
-def check_ambient_auxiliary(ctx):
-    return _max_over_batch(ctx, ctx.product.auxiliary_curvature_residual(
-        ctx.factor_jets, ctx.structures))
-
-
 def check_ambient_product_structure(ctx):
     """F involutive/symmetric/trace-free and rho against the Gauss
     curvature of the conformal factors (Liouville's formula)."""
-    res = np.concatenate((
+    return np.concatenate((
         [np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max(),
          np.abs(F_MATRIX - F_MATRIX.T).max(), abs(np.trace(F_MATRIX))],
-        np.ravel(ctx.product.liouville_residual(ctx.factor_jets))))
-    return _record(worst_of(res), len(ctx.points))
+        np.ravel(ctx.product.liouville_residual(ctx.factor_jets)))), {}
 
 
 # --- hypersurface point checks ------------------------------------------------
 
 def check_consistency(ctx):
-    rec = _max_over_batch(ctx, hyp.consistency_residuals(ctx.batch))
+    res = hyp.consistency_residuals(ctx.batch)
     H = value(ctx.batch.mean_curvature)
-    rec.notes = {"mean_curvature_min": float(H.min()),
+    return res, {"mean_curvature_min": float(H.min()),
                  "mean_curvature_max": float(H.max())}
-    return rec
-
-
-def check_gauss_control(ctx):
-    rec = _max_over_batch(ctx, hyp.gauss_residual(ctx.perturbed))
-    rec.notes = {"control": "shape operator perturbed by symmetric "
-                            "rank-two noise; residual must exceed tolerance"}
-    return rec
 
 
 def _system_check(tag):
     def fn(ctx):
         res = sysmod.system_residuals(tag, ctx.batch)
-        rec = _max_over_batch(ctx, res.max_residual)
         degenerate = int(np.sum(res.vanishing_V))
-        if degenerate:
-            rec.notes = {"points_with_vanishing_V": degenerate,
-                         "degenerate_equations": res.degenerate}
-        return rec
+        return res.max_residual, {
+            "points_with_vanishing_V": degenerate,
+            "degenerate_equations": res.degenerate} if degenerate else {}
     return fn
 
 
-def check_system_control(ctx):
-    return _max_over_batch(ctx, [
-        sysmod.system_residuals(t, ctx.perturbed).max_residual
-        for t in (1, 2)])
-
-
 def check_covanish(ctx):
-    rec = _record(0.0, len(ctx.points))
-    notes = {}
+    """1.0 for a system whose Gauss-iff-Codazzi verdict fails, else 0.0."""
+    failed, notes = [], {}
     for tag in (1, 2):
         rep = sysmod.gauss_iff_codazzi(tag, ctx.batch, ctx.perturbed)
         joint = rep.perturbed_joint.min(axis=1)  # NaN kept
@@ -202,10 +166,8 @@ def check_covanish(ctx):
             "perturbed_min_joint": float(joint.min()) if joint.size
             else None,
         }
-        if not rep.verdict:
-            rec.max_residual = 1.0
-    rec.notes = notes
-    return rec
+        failed.append(0.0 if rep.verdict else 1.0)
+    return failed, notes
 
 
 KILLING_STATUS = ("structural: |C(X) psi0| is zero by construction in the "
@@ -218,34 +180,29 @@ def _relations_check(tag):
         anti = rs.anticommutation_residual(
             ctx.rng_for(f"spinc.relations_s{tag}"))
         m = rs.volume_measurement()
-        rec = _max_over_batch(
-            ctx, [anti, np.minimum(np.abs(m - 1.0), np.abs(m + 1.0))])
         signs = np.sign(m.real[np.isfinite(m.real)])
-        rec.notes = {"volume_element_sign": sorted({int(s) for s in signs})}
-        return rec
+        return ([anti, np.minimum(np.abs(m - 1.0), np.abs(m + 1.0))],
+                {"volume_element_sign": sorted({int(s) for s in signs})})
     return fn
 
 
 def check_energy_momentum_s2(ctx):
     de = ctx.spinc(2).dirac_energy
-    rec = _max_over_batch(ctx, de.Q_vs_E)
     curved = np.abs(ctx.batch.E_frame).max(axis=(-2, -1)) > 1e-10
     signs = sorted({int(s) for s in de.Q_sign[curved]})
-    rec.notes = {"measured_sign_Q_vs_E": signs
-                 or "indeterminate (E = 0 everywhere)"}
-    return rec
+    return de.Q_vs_E, {"measured_sign_Q_vs_E": signs
+                       or "indeterminate (E = 0 everywhere)"}
 
 
 def check_umbilic(ctx):
     ev = ctx.batch
-    rec = _max_over_batch(ctx, sysmod.contracted_codazzi_residual(ev))
+    res = sysmod.contracted_codazzi_residual(ev)
     H = value(ev.mean_curvature)
     deviation = np.abs(ev.E_frame - H[..., None, None] * np.eye(3))
     umbilic = ~(deviation.max(axis=(-2, -1)) > 1e-8)  # NaN counts as umbilic
     dH_xi = np.einsum("...a,...a->...", ev.frame[..., 2], ev.dH)
-    rec.notes = {"umbilic_points": int(np.sum(umbilic)),
+    return res, {"umbilic_points": int(np.sum(umbilic)),
                  "dH_xi_max": worst_of(np.abs(dH_xi[umbilic]))}
-    return rec
 
 
 def check_converse(ctx):
@@ -258,11 +215,9 @@ def check_converse(ctx):
     # the first check reaching the worst ratio, or the first NaN one
     hits = np.flatnonzero(np.isnan(ratios) | (
         (ratios > 0.0) & (ratios >= worst_ratio)))
-    rec = _record(worst_ratio, len(ctx.points))
-    rec.notes = {"worst_named_check": names[hits[0] % len(names)]
-                 if hits.size else "",
-                 "unit": "residual / per-check tolerance"}
-    return rec
+    return ratios, {"worst_named_check": names[hits[0] % len(names)]
+                    if hits.size else "",
+                    "unit": "residual / per-check tolerance"}
 
 
 REGISTRY = [
@@ -275,7 +230,8 @@ REGISTRY = [
               "exterior derivative of the auxiliary gauge equals the "
               "curvature 2-form of the structure, by Cartan's structure "
               "equation d(w12) = -rho on each factor plane", 1e-12, "assert",
-              check_ambient_auxiliary),
+              lambda ctx: (ctx.product.auxiliary_curvature_residual(
+                  ctx.factor_jets, ctx.structures), {})),
     CheckSpec("frame.orthonormality",
               "adapted frame {e1, Chi e1, xi} is orthonormal",
               1e-12, "assert",
@@ -314,7 +270,11 @@ REGISTRY = [
               _batch_check(lambda ev: hyp.codazzi_residual(ev))),
     CheckSpec("curvature.gauss_control",
               "negative control: perturbed shape operator must violate the "
-              "Gauss equation", 1e-2, "control", check_gauss_control),
+              "Gauss equation", 1e-2, "control",
+              lambda ctx: (hyp.gauss_residual(ctx.perturbed), {
+                  "control": "shape operator perturbed by symmetric "
+                             "rank-two noise; residual must exceed "
+                             "tolerance"})),
     CheckSpec("connection.xi_derivative",
               "derivative of the contact direction: nabla_X xi = Chi E X",
               1e-6, "assert",
@@ -329,7 +289,9 @@ REGISTRY = [
               1e-5, "assert", _system_check(2)),
     CheckSpec("system.control",
               "negative control: perturbed shape operator must violate the "
-              "compatibility systems", 1e-2, "control", check_system_control),
+              "compatibility systems", 1e-2, "control",
+              lambda ctx: ([sysmod.system_residuals(t, ctx.perturbed)
+                            .max_residual for t in (1, 2)], {})),
     CheckSpec("system.covanish",
               "Gauss and Codazzi residuals vanish together wherever the "
               "compatibility system holds", 0.5, "assert", check_covanish),
@@ -426,46 +388,47 @@ def list_checks():
 
 
 def run_scenario(scenario: Scenario) -> ResidualReport:
+    """Run the scenario's checks and build one record per check: its
+    per-point residuals reduced to the worst value (NaN wherever any is
+    NaN) and compared with the tolerance by the check's kind."""
     t0 = time.perf_counter()
-    ctx = ScenarioContext(scenario)
     names = scenario.checks if scenario.checks is not None \
         else [s.name for s in REGISTRY]
-    warnings = []
-    if not names:
-        warnings.append("empty check list: nothing was verified")
     unknown = sorted(set(scenario.tolerances) - set(REGISTRY_BY_NAME))
     if unknown:
         raise ScenarioError(f"tolerance for unknown check {unknown[0]!r}")
+    unknown = [name for name in names if name not in REGISTRY_BY_NAME]
+    if unknown:
+        raise ScenarioError(f"unknown check {unknown[0]!r}")
+    ctx = ScenarioContext(scenario)
     records = []
-    all_pass = True
     for name in names:
-        spec = REGISTRY_BY_NAME.get(name)
-        if spec is None:
-            raise ScenarioError(f"unknown check {name!r}")
+        spec = REGISTRY_BY_NAME[name]
         try:
-            rec = spec.fn(ctx)
+            residuals, notes = spec.fn(ctx)
         except (OutsideDomainError, hyp.RankDeficientError) as exc:
             raise ScenarioError(
                 f"scenario geometry invalid while running {name!r}: {exc}"
             ) from exc
-        rec.name = spec.name
-        rec.anchor = spec.anchor
+        if isinstance(residuals, dict):
+            residuals = list(residuals.values())
+        worst = worst_of(np.ravel(residuals))
         tol = scenario.tolerances.get(name, spec.tolerance)
-        rec.tolerance = tol
         if spec.kind == "record":
-            rec.verdict = "recorded"
+            verdict = "recorded"
         elif spec.kind == "control":
-            rec.verdict = "pass" if rec.max_residual > tol else "fail"
+            verdict = "pass" if worst > tol else "fail"
         else:
-            rec.verdict = "pass" if rec.max_residual <= tol else "fail"
-        if rec.verdict == "fail":
-            all_pass = False
-        records.append(rec)
-    runtime = time.perf_counter() - t0
+            verdict = "pass" if worst <= tol else "fail"
+        records.append(CheckRecord(
+            name, spec.anchor, worst, tol, verdict,
+            points_evaluated=len(ctx.points), notes=notes))
     return ResidualReport(
         scenario=scenario.to_dict(), checks=records,
-        overall_verdict="pass" if all_pass else "fail",
-        runtime_seconds=runtime, warnings=warnings)
+        overall_verdict="fail" if any(r.verdict == "fail" for r in records)
+        else "pass",
+        runtime_seconds=time.perf_counter() - t0,
+        warnings=[] if names else ["empty check list: nothing was verified"])
 
 
 def run_catalog(structure_pairing="standard"):

@@ -125,8 +125,9 @@ class CheckRecord:
     anchor: str
     max_residual: float
     tolerance: float
-    verdict: str  # "pass" | "fail" | "skip" | "recorded"
+    verdict: str  # "pass" | "fail" | "recorded"
     points_evaluated: int = 0
+    # no check skips points; kept as report fields for ROADMAP item 2
     points_skipped: int = 0
     skip_reason: str = ""
     notes: dict = field(default_factory=dict)

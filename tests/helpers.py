@@ -847,22 +847,22 @@ def point_dirac_and_energy_momentum(rs):
     return dres, Q, min(dplus, dminus), sign
 
 
-def point_relations_record(ctx, tag, normal_scale=1.0):
-    """Worst residual and measured volume-element signs of the
-    ``spinc.relations_s<tag>`` check, one point after another, each point
-    evaluated alone with its normal scaled by ``normal_scale``."""
+def point_relations_check(ctx, tag, normal_scale=1.0):
+    """Residuals and notes of the ``spinc.relations_s<tag>`` check, one
+    point after another, each point evaluated alone with its normal scaled
+    by ``normal_scale``."""
     rng = ctx.rng_for(f"spinc.relations_s{tag}")
-    res = []
+    anti, volume = [], []
     measured = set()
     for u in ctx.points:
         ev = evaluate(ctx.chart, ctx.product, u)
         rs = PointSpinc(ev.replace(nu_val=normal_scale * ev.nu_val),
                         structure(tag, ctx.scenario.structure_pairing))
-        res.append(rs.anticommutation_residual(rng, trials=3))
+        anti.append(rs.anticommutation_residual(rng, trials=3))
         m = rs.volume_measurement()
-        res.append(min(abs(m - 1.0), abs(m + 1.0)))
+        volume.append(min(abs(m - 1.0), abs(m + 1.0)))
         measured.add(int(np.sign(m.real)))
-    return worst_of(res), sorted(measured)
+    return [anti, volume], {"volume_element_sign": sorted(measured)}
 
 
 # --- the scalar-jet pipeline of the tensor-jet stages ---------------------------

@@ -1,6 +1,7 @@
 """Scenario runner, report formats, determinism and the CLI contract."""
 
 import copy
+import dataclasses
 import json
 import re
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlab.checks import REGISTRY, list_checks, run_catalog, run_scenario
+from spinlab.checks import (REGISTRY, REGISTRY_BY_NAME, list_checks,
+                            run_catalog, run_scenario)
 from spinlab.reports import (ResidualReport, Scenario, ScenarioError,
                              _json_text, emit, emit_csv, emit_json,
                              emit_text)
@@ -60,6 +62,27 @@ def test_run_scenario_passes_and_reports():
 def test_unknown_check_rejected():
     with pytest.raises(ScenarioError):
         run_scenario(small_scenario(checks=["no.such.check"]))
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["after", "before"])
+def test_unknown_check_refused_before_any_check_runs(monkeypatch, order):
+    """Every name is checked before the first check runs, so a check
+    ahead of the unknown one never runs, and the error names the unknown
+    check in either order, also where the geometry would fail."""
+    spec = REGISTRY_BY_NAME["curvature.gauss"]
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return spec.fn(ctx)
+
+    monkeypatch.setitem(REGISTRY_BY_NAME, spec.name,
+                        dataclasses.replace(spec, fn=counted))
+    for c1 in (1.0, 1e308):
+        with pytest.raises(ScenarioError, match="unknown check 'nope'"):
+            run_scenario(small_scenario(
+                c1=c1, checks=[spec.name, "nope"][::order]))
+    assert calls == []
 
 
 def test_empty_check_list_warns_and_passes():
@@ -318,6 +341,46 @@ def test_nan_residual_fails_the_check(monkeypatch, check, target):
     assert np.isnan(rec.max_residual)
     assert rec.verdict == "fail"
     assert not report.passed
+
+
+def _worst_at_one_point(shape, n, worst):
+    """Per-point residuals in ``shape`` that are 0 except ``worst`` at one
+    point."""
+    clean = np.zeros(n)
+    bad = clean.copy()
+    bad[n // 2] = worst
+    return {"array": bad, "list": [clean, bad],
+            "dict": {"clean": clean, "bad": bad}}[shape]
+
+
+@pytest.mark.parametrize("shape", ["array", "list", "dict"])
+@pytest.mark.parametrize("name", [s.name for s in REGISTRY])
+def test_runner_reduces_every_check_alike(monkeypatch, name, shape):
+    """The runner takes the worst value of whatever a check returns: a NaN
+    at one point fails an assert or a control and is recorded by a record
+    check; a control passes only strictly above its tolerance, an assert
+    only at or below it."""
+    spec = REGISTRY_BY_NAME[name]
+
+    def record(worst):
+        monkeypatch.setitem(REGISTRY_BY_NAME, name, dataclasses.replace(
+            spec, fn=lambda ctx: (
+                _worst_at_one_point(shape, len(ctx.points), worst), {})))
+        (rec,) = run_scenario(small_scenario(checks=[name])).checks
+        assert rec.points_evaluated == BASE["samples"]
+        assert rec.tolerance == spec.tolerance
+        return rec
+
+    tol = spec.tolerance
+    nan = record(np.nan)
+    assert np.isnan(nan.max_residual)
+    at, above = record(tol), record(np.nextafter(tol, np.inf))
+    assert (at.max_residual, above.max_residual) == (
+        tol, np.nextafter(tol, np.inf))
+    want = {"assert": ("fail", "pass", "fail"),
+            "control": ("fail", "fail", "pass"),
+            "record": ("recorded",) * 3}[spec.kind]
+    assert (nan.verdict, at.verdict, above.verdict) == want
 
 
 AMBIENT = ["ambient.product_structure", "ambient.auxiliary_curvature"]
@@ -659,7 +722,7 @@ def test_product_structure_reduces_one_array(monkeypatch, nan_at):
     """The F-algebra residuals and the Liouville residuals reduce as one
     array to the bits of the list of Python scalars it replaced, NaN
     included."""
-    from spinlab.checks import ScenarioContext, check_ambient_product_structure
+    from spinlab.checks import ScenarioContext
     from spinlab.jets import worst_of
     from spinlab.product import F_MATRIX, ProductModel
     original = ProductModel.liouville_residual
@@ -671,8 +734,9 @@ def test_product_structure_reduces_one_array(monkeypatch, nan_at):
         return res
 
     monkeypatch.setattr(ProductModel, "liouville_residual", liouville)
-    ctx = ScenarioContext(small_scenario(checks=AMBIENT))
-    got = check_ambient_product_structure(ctx).max_residual
+    scenario = small_scenario(checks=AMBIENT[:1])
+    ctx = ScenarioContext(scenario)
+    got = run_scenario(scenario).checks[0].max_residual
     listed = [float(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max()),
               float(np.abs(F_MATRIX - F_MATRIX.T).max()),
               abs(float(np.trace(F_MATRIX)))]
