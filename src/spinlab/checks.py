@@ -6,7 +6,6 @@ kind:
     assert   worst residual must stay below tolerance
     control  a deliberately corrupted input must push the residual above
              the tolerance (negative control)
-    record   the quantity is measured and reported, never failed
 
 Point checks share one batched :class:`PointEvaluation` of all sampled
 points.  Every residual of a point evaluation, and of the restricted spin^c
@@ -170,8 +169,9 @@ def check_covanish(ctx):
     return failed, notes
 
 
-KILLING_STATUS = ("structural: |C(X) psi0| is zero by construction in the "
-                  "constant-section gauge (ROADMAP item 2)")
+KILLING_STATUS = ("structural: the Gauss-formula derivative is -sign/2 "
+                  "gamma(EX) phi by construction, so the residual is zero "
+                  "(ROADMAP item 1)")
 
 
 def _relations_check(tag):
@@ -186,12 +186,10 @@ def _relations_check(tag):
     return fn
 
 
-def check_energy_momentum_s2(ctx):
-    de = ctx.spinc(2).dirac_energy
-    curved = np.abs(ctx.batch.E_frame).max(axis=(-2, -1)) > 1e-10
-    signs = sorted({int(s) for s in de.Q_sign[curved]})
-    return de.Q_vs_E, {"measured_sign_Q_vs_E": signs
-                       or "indeterminate (E = 0 everywhere)"}
+def _energy_momentum(rs):
+    """|Q - sign E| per point, Q = E for structure 1 and -E for 2."""
+    return np.abs(rs.dirac_energy.Q - rs.sign * rs.ev.E_frame).max(
+        axis=(-2, -1))
 
 
 def check_umbilic(ctx):
@@ -361,12 +359,11 @@ REGISTRY = [
     CheckSpec("spinc.energy_momentum_s1",
               "energy-momentum tensor of the positive-structure spinor "
               "equals the shape operator", 1e-5, "assert",
-              _batch_check(lambda rs: np.abs(
-                  rs.dirac_energy.Q - rs.ev.E_frame).max(axis=(-2, -1)), 1)),
+              _batch_check(_energy_momentum, 1)),
     CheckSpec("spinc.energy_momentum_s2",
-              "signed relation of the negative-structure energy-momentum "
-              "tensor to the shape operator (recorded)", 1e-5, "record",
-              check_energy_momentum_s2),
+              "energy-momentum tensor of the negative-structure spinor "
+              "equals minus the shape operator", 1e-5, "assert",
+              _batch_check(_energy_momentum, 2)),
     CheckSpec("umbilic.gradient_identity",
               "contracted Codazzi equation div E - 3 dH = -(c1-c2)/2 V-flat "
               "at every point; for E = H Id it gives dH = (c1-c2)/4 V-flat, "
@@ -414,9 +411,7 @@ def run_scenario(scenario: Scenario) -> ResidualReport:
             residuals = list(residuals.values())
         worst = worst_of(np.ravel(residuals))
         tol = scenario.tolerances.get(name, spec.tolerance)
-        if spec.kind == "record":
-            verdict = "recorded"
-        elif spec.kind == "control":
+        if spec.kind == "control":
             verdict = "pass" if worst > tol else "fail"
         else:
             verdict = "pass" if worst <= tol else "fail"

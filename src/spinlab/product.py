@@ -20,8 +20,9 @@ tangent vector X = (X1, X2) is
          + (i/2) (s1 w1(X1) + s2 w2(X2)) Id,
 
 with w_i the factor frame rotation forms.  C(X) psi0 = 0 identically, by
-this choice of gauge, and the curvature of the auxiliary part reproduces
-the 2-form
+this choice of gauge (E1 E2 psi0 = -i s1 psi0, E3 E4 psi0 = -i s2 psi0), so
+the restriction never builds C(X) and the parallel spinor is the constant
+section itself.  The curvature of the auxiliary part reproduces the 2-form
 
     Omega(X, Y) = -s1 rho1(pi1 X, pi1 Y) - s2 rho2(pi2 X, pi2 Y),
 
@@ -65,11 +66,9 @@ J_MATRIX = np.array([
 ])
 F_MATRIX = np.diag([1.0, 1.0, -1.0, -1.0])
 
-# The dim-4 Clifford model and its bivectors E1 E2 and E3 E4 are the same
-# for every product, so they are built and validated once.
+# The dim-4 Clifford model is the same for every product, so it is built
+# and validated once.
 CLIFFORD = build_clifford(4)
-E1E2 = CLIFFORD.generators[0] @ CLIFFORD.generators[1]
-E3E4 = CLIFFORD.generators[2] @ CLIFFORD.generators[3]
 
 
 @dataclass(frozen=True)
@@ -162,15 +161,6 @@ class ProductModel:
             np.abs(_auxiliary(st, curl[0], 0.0) - _curvature(st, rho[0], 0.0)),
             np.abs(_auxiliary(st, 0.0, curl[1]) - _curvature(st, 0.0, rho[1])))
             for st in structs])
-
-
-def connection(struct: SpincStructure, w1, w2):
-    """C(X) of ``struct`` from the rotation forms w1(X1), w2(X2) of the
-    tangent vectors X, arrays of any shape: ``(..., 4, 4)``.  The
-    restricted frame derivative builds it along the adapted frame."""
-    w1, w2 = (np.asarray(value(w))[..., None, None] for w in (w1, w2))
-    spin = 0.5 * w1 * E1E2 + 0.5 * w2 * E3E4
-    return spin + 0.5j * _auxiliary(struct, w1, w2) * np.eye(4)
 
 
 # The two structures differ only by the signs (s1, s2) of their factors,

@@ -125,7 +125,7 @@ class CheckRecord:
     anchor: str
     max_residual: float
     tolerance: float
-    verdict: str  # "pass" | "fail" | "recorded"
+    verdict: str  # "pass" | "fail"
     points_evaluated: int = 0
     # no check skips points; kept as report fields for ROADMAP item 2
     points_skipped: int = 0
@@ -257,13 +257,9 @@ def emit_text(report: ResidualReport) -> str:
     for w in report.warnings:
         lines.append(f"  warning: {w}")
     for c in report.checks:
-        mark = {"pass": "ok", "fail": "FAIL", "skip": "skip",
-                "recorded": "info"}[c.verdict]
-        line = (f"  [{mark:4s}] {c.name:34s} max={c.max_residual:.3e} "
-                f"tol={c.tolerance:.1e} pts={c.points_evaluated}")
-        if c.points_skipped:
-            line += f" skipped={c.points_skipped}"
-        lines.append(line)
+        mark = {"pass": "ok", "fail": "FAIL"}[c.verdict]
+        lines.append(f"  [{mark:4s}] {c.name:34s} max={c.max_residual:.3e} "
+                     f"tol={c.tolerance:.1e} pts={c.points_evaluated}")
         if c.verdict == "fail":
             lines.append(f"         anchor: {c.anchor}")
         if c.notes:

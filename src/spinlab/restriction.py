@@ -12,30 +12,30 @@ induced covariant derivative follows the hypersurface Gauss formula
 
     nabla_X phi = (ambient derivative along X) - sign/2 * gamma(E X) phi,
 
-where the ambient derivative of the restricted parallel field is the
-connection coefficient matrix C(X) applied to the constant section.  C(X)
-psi0 vanishes by construction in this gauge, so the Killing residual, which
-is |C(X) psi0|, is structurally zero and verifies nothing.  An independent
-adapted-gauge construction of nabla lives in the test oracles.
+and the ambient derivative of the restricted parallel field vanishes, so
+nabla_X phi = -sign/2 gamma(E X) phi, the generalized Killing law (Baer,
+Ann. Global Anal. Geom. 16, 1998; Nakad & Roth, ibid. 42, 2012).  The
+Killing residual is therefore zero by construction and verifies nothing.
+An independent adapted-gauge construction of nabla lives in the test
+oracles.
 
 The two structures differ only by their factor signs (s1, s2), so all
 they read but those signs, the chirality sign and the parallel spinor is
 computed once per evaluation, through ``_shared``, whose memo so holds
 arrays only: the frame scale, the Clifford matrix of nu, the unsigned
-X . nu along e1, e2, xi and along E e_k, the ambient frame, and the factor
-record (``factors``) of c_k lam_k^2 and c_k lam_k / 2, which gives the
-rotation forms along the frame and the factor Ricci forms.  Each structure
-keeps its frame images gamma(e_k) phi (``frame_images``) for the residuals
-that apply a tangent gamma to phi only, gamma(V) phi and gamma(nu -|
-Omega^N) phi by linearity; 4x4 stacks are built only where matrices are
-read (Clifford relations, volume element, the curvature restriction law,
-the Dirac law and the shape term of the derivative).  The derivative is
-computed along the adapted frame only, once per structure
-(``frame_derivative``, C(e_k) from ``product.connection``), for the
-Killing check and the Dirac and energy-momentum laws.  Along any tangent
-X it follows by linearity, nabla_X = sum_k g(X, e_k) nabla_{e_k}.  The
-closed form of Omega is also read through ``_shared``, once per structure
-(``frame_omega``), by the Omega check and the compatibility systems.
+X . nu along e1, e2, xi, the ambient frame, and the factor record
+(``factors``) of c_k lam_k^2, which gives the factor Ricci forms.  Each
+structure keeps its frame images gamma(e_k) phi (``frame_images``) for the
+residuals that apply a tangent gamma to phi only, gamma(V) phi, gamma(nu
+-| Omega^N) phi and gamma(E e_k) phi by linearity; 4x4 stacks are built
+only where matrices are read (Clifford relations, volume element, the
+curvature restriction law and the Dirac law).  The derivative is computed
+along the adapted frame only, once per structure (``frame_derivative``),
+for the Killing check and the Dirac and energy-momentum laws.  Along any
+tangent X it follows by linearity, nabla_X = sum_k g(X, e_k) nabla_{e_k}.
+The closed form of Omega is also read through ``_shared``, once per
+structure (``frame_omega``), by the Omega check and the compatibility
+systems.
 
 A :class:`RestrictedSpinc` follows the shapes rule of the evaluation it is
 built on: per-point arrays carry the point axis first, so ``frame_gammas``
@@ -58,7 +58,7 @@ import numpy as np
 from .clifford import build_clifford
 from .hypersurfaces import PointEvaluation, _read_only, _shared
 from .jets import value
-from .product import CLIFFORD, SpincStructure, _curvature, connection
+from .product import CLIFFORD, SpincStructure, _curvature
 
 # the Clifford model of one surface factor, acting on its spinors
 _FACTOR = build_clifford(2)
@@ -114,12 +114,6 @@ def chart(ev: PointEvaluation, X_coord):
                      per_point(ev, ev.T_val, X_coord))
 
 
-def shape_operator(ev: PointEvaluation, X_coord):
-    """E X in coordinates."""
-    E = per_point(ev, ev.E_mixed_val, X_coord)
-    return np.einsum("...ij,...j->...i", E, X_coord)
-
-
 def scale(ev: PointEvaluation):
     """(lam1, lam1, lam2, lam2) per point: chart to orthonormal frame."""
     return np.sqrt(ev.gbar_val)
@@ -136,43 +130,25 @@ def clifford(ev: PointEvaluation, X_coord):
     return CLIFFORD.vector(frame) @ per_point(ev, _shared(ev, nu_mat), X_coord)
 
 
-def frame_vectors(ev: PointEvaluation):
-    """e1, e2, xi: three tangent vectors per point, (..., 3, 3)."""
-    return np.swapaxes(ev.frame, -1, -2)
-
-
 def frame_gammas(ev: PointEvaluation):
     """e_k . nu along e1, e2, xi, (..., 3, 4, 4)."""
-    return clifford(ev, _shared(ev, frame_vectors))
-
-
-def shape_gammas(ev: PointEvaluation):
-    """(E e_k) . nu along e1, e2, xi, (..., 3, 4, 4)."""
-    return clifford(ev, shape_operator(ev, _shared(ev, frame_vectors)))
+    return clifford(ev, np.swapaxes(ev.frame, -1, -2))
 
 
 def factors(ev: PointEvaluation):
-    """The coefficients of the factor forms, each (..., 2), one column per
-    factor: c_k lam_k^2 of the Ricci forms rho_k = c_k lam_k^2 du ^ dv and
-    c_k lam_k / 2 of the rotation forms w_k = c_k lam_k / 2 (v du - u dv),
-    read off the conformal factors the evaluation holds."""
-    c = np.array([ev.product.c1, ev.product.c2])
-    return c * ev.gbar_val[..., ::2], 0.5 * c * _shared(ev, scale)[..., ::2]
+    """The coefficients c_k lam_k^2 of the factor Ricci forms
+    rho_k = c_k lam_k^2 du ^ dv, (..., 2), one column per factor, read off
+    the conformal factors the evaluation holds."""
+    return np.array([ev.product.c1, ev.product.c2]) * ev.gbar_val[..., ::2]
 
 
 def _wedge(coeff, X, Y):
     """coeff_k (X^u Y^v - X^v Y^u) on the chart plane (u, v) of each factor
     k, for X, Y with the coordinate axis first and one axis after the point
-    axes: the factor forms (rho1, rho2) or (w1, w2) of ``factors``."""
+    axes: the factor Ricci forms (rho1, rho2) of ``factors``."""
     return tuple(coeff[..., k, None] * (X[2 * k] * Y[2 * k + 1]
                                         - X[2 * k + 1] * Y[2 * k])
                  for k in (0, 1))
-
-
-def rotation(ev: PointEvaluation):
-    """The rotation forms (w1, w2) along e1, e2, xi, each (..., 3)."""
-    return _wedge(_shared(ev, factors)[1], _shared(ev, frame_ambient),
-                  ev.position.T[..., None])
 
 
 def frame_ambient(ev: PointEvaluation):
@@ -185,7 +161,7 @@ def frame_ricci(ev: PointEvaluation):
     """(rho1, rho2) on the frame pairs (e1, e2), (e1, xi), (e2, xi), each
     (..., 3)."""
     amb = _shared(ev, frame_ambient)
-    return _wedge(_shared(ev, factors)[0], amb[..., _PAIR_I],
+    return _wedge(_shared(ev, factors), amb[..., _PAIR_I],
                   amb[..., _PAIR_J])
 
 
@@ -194,13 +170,13 @@ def plane_ricci(ev: PointEvaluation):
     the ambient orthonormal frame, each (..., 6)."""
     eps = np.eye(4).reshape((4,) + (1,) * (ev.u.ndim - 1) + (4,)) \
         / _shared(ev, scale).T[..., None]
-    return _wedge(_shared(ev, factors)[0], eps[..., _PLANE_A],
+    return _wedge(_shared(ev, factors), eps[..., _PLANE_A],
                   eps[..., _PLANE_B])
 
 
 def normal_ricci(ev: PointEvaluation):
     """(rho1, rho2)(nu, e_k) along e1, e2, xi, each (..., 3)."""
-    return _wedge(_shared(ev, factors)[0], ev.nu_val.T[..., None],
+    return _wedge(_shared(ev, factors), ev.nu_val.T[..., None],
                   _shared(ev, frame_ambient))
 
 
@@ -260,22 +236,15 @@ class RestrictedSpinc:
         return self.expectation(g1 @ g2 @ g3 @ self.psi)
 
     # --- connection layer ---------------------------------------------------
-    def _derivative(self, C, shape_gamma):
-        """nabla_X phi by the Gauss formula from C(X) and the unsigned
-        ``shape_gamma`` = (E X) . nu, and the gamma(EX) phi it subtracts."""
-        shape_term = np.einsum("...ab,...b->...a", self.sign * shape_gamma,
-                               self.psi)
-        return C @ self.psi - 0.5 * self.sign * shape_term, shape_term
-
     @cached_property
     def frame_derivative(self):
         """nabla_{e_k} phi and gamma(E e_k) phi along e1, e2, xi, each
-        (..., 3, 4) and read-only: computed once for the Killing and the
-        Dirac checks, from the rotation forms along the frame that both
-        structures read."""
-        return _read_only(self._derivative(
-            connection(self.struct, *_shared(self.ev, rotation)),
-            _shared(self.ev, shape_gammas)))
+        (..., 3, 4) and read-only: the Gauss formula with a parallel ambient
+        spinor, nabla_{e_k} phi = -sign/2 gamma(E e_k) phi, its shape term by
+        linearity from the frame images.  Computed once for the Killing and
+        the Dirac checks."""
+        shape_term = self.ev.E_frame @ self.frame_images
+        return _read_only((-0.5 * self.sign * shape_term, shape_term))
 
     def _killing_defect(self, nabla, shape_term):
         return np.linalg.norm(nabla + 0.5 * self.sign * shape_term, axis=-1)
@@ -413,13 +382,10 @@ def projection_cancellation_residuals(ev: PointEvaluation):
 
 @dataclass
 class DiracEnergy:
-    """Per point: Dirac residual, Q, distance of Q to the nearer of +-E and
-    the sign of that one."""
+    """Per point: Dirac residual and the energy-momentum tensor Q."""
 
     dirac_residual: np.ndarray
     Q: np.ndarray
-    Q_vs_E: np.ndarray
-    Q_sign: np.ndarray
 
 
 def dirac_and_energy_momentum(rs: RestrictedSpinc) -> DiracEnergy:
@@ -427,13 +393,11 @@ def dirac_and_energy_momentum(rs: RestrictedSpinc) -> DiracEnergy:
 
     D phi = sum_k gamma(e_k) nabla_{e_k} phi must equal +-(3/2) H phi
     (+ for structure 1).  Q(X, Y) = Re(gamma(X) nabla_Y phi
-    + gamma(Y) nabla_X phi, phi) / |phi|^2, normalized so that the
-    structure-1 tensor reproduces the shape operator; the signed relation
-    of the structure-2 tensor to E is measured, not asserted.
+    + gamma(Y) nabla_X phi, phi) / |phi|^2 must equal sign * E: the shape
+    operator for structure 1 and its negative for structure 2.
     """
-    ev = rs.ev
     phi = rs.psi
-    H = value(ev.mean_curvature)
+    H = value(rs.ev.mean_curvature)
     G = rs.frame_gammas
     nab = rs.frame_derivative[0]  # nabla_{e_k} phi
     D = np.einsum("...kab,...kb->...a", G, nab)
@@ -441,9 +405,4 @@ def dirac_and_energy_momentum(rs: RestrictedSpinc) -> DiracEnergy:
     dres = np.linalg.norm(D - target[..., None] * phi, axis=-1)
 
     GN = np.einsum("...iab,...kb->...ika", G, nab)  # gamma(e_i) nabla_k phi
-    Q = rs.expectation(GN + np.swapaxes(GN, -3, -2)).real
-    a = ev.E_frame
-    dplus = np.abs(Q - a).max(axis=(-2, -1))
-    dminus = np.abs(Q + a).max(axis=(-2, -1))
-    sign = np.where(dplus <= dminus, 1, -1)[()]
-    return DiracEnergy(dres, Q, np.minimum(dplus, dminus), sign)
+    return DiracEnergy(dres, rs.expectation(GN + np.swapaxes(GN, -3, -2)).real)

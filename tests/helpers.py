@@ -15,7 +15,7 @@ from scipy.linalg import expm, logm
 from spinlab.clifford import CliffordModel, build_clifford
 from spinlab.hypersurfaces import _mv, evaluate
 from spinlab.jets import value, worst_of
-from spinlab.product import _curvature, connection, structure
+from spinlab.product import CLIFFORD, _curvature, structure
 from spinlab.systems import CONVERSE_TOLERANCES, converse_residuals
 
 
@@ -316,10 +316,19 @@ def gamma(rs, X_coord, spinor):
 
 def connection_matrix(product, p, X, struct):
     """Coefficient matrix C(X) of the spinor connection of ``struct`` at
-    p: ``p`` and ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``."""
-    return connection(struct, *rotation_forms(
+    p: ``p`` and ``X`` are ``(..., 4)``, the result is ``(..., 4, 4)``,
+
+        C(X) = 1/2 w1(X1) E1 E2 + 1/2 w2(X2) E3 E4
+             + (i/2) (s1 w1(X1) + s2 w2(X2)) Id,
+
+    from the factor rotation forms w1, w2."""
+    w1, w2 = (np.asarray(value(w))[..., None, None] for w in rotation_forms(
         product, np.moveaxis(np.asarray(p), -1, 0),
         np.moveaxis(np.asarray(X), -1, 0)))
+    E = CLIFFORD.generators
+    spin = 0.5 * w1 * (E[0] @ E[1]) + 0.5 * w2 * (E[2] @ E[3])
+    return spin + 0.5j * (struct.signs[0] * w1 + struct.signs[1] * w2) \
+        * np.eye(4)
 
 
 def curvature_form(product, p, X, Y, struct):
@@ -825,7 +834,7 @@ def point_curvature_restriction_residual(rs):
 
 
 def point_dirac_and_energy_momentum(rs):
-    """(dirac residual, Q, Q_vs_E, Q_sign) at one point."""
+    """(dirac residual, Q) at one point."""
     ev = rs.ev
     phi = rs.psi
     norm2 = float(np.vdot(phi, phi).real)
@@ -840,11 +849,7 @@ def point_dirac_and_energy_momentum(rs):
         for k in range(3):
             val = np.vdot(phi, G[i] @ nab[k] + G[k] @ nab[i])
             Q[i, k] = val.real / norm2
-    a = ev.E_frame
-    dplus = float(np.max(np.abs(Q - a)))
-    dminus = float(np.max(np.abs(Q + a)))
-    sign = 1 if dplus <= dminus else -1
-    return dres, Q, min(dplus, dminus), sign
+    return dres, Q
 
 
 def point_relations_check(ctx, tag, normal_scale=1.0):

@@ -382,7 +382,7 @@ def _frame_rows(ev):
 
 
 def _point_dirac(ps, rng):
-    return dict(zip(("dirac_residual", "Q", "Q_vs_E", "Q_sign"),
+    return dict(zip(("dirac_residual", "Q"),
                     helpers.point_dirac_and_energy_momentum(ps)))
 
 

@@ -101,14 +101,25 @@ def test_parallel_spinor_is_the_product_of_factor_spinors():
                                                b[st.signs[1]])), (pairing, tag)
 
 
-def test_parallel_spinor_constant_in_flat_case(rng):
-    prod = ProductModel(0.0, 0.0)
-    for tag in (1, 2):
-        st = structure(tag)
-        for _ in range(5):
-            p = rng.uniform(-1, 1, 4)
-            X = rng.standard_normal(4)
-            assert np.max(np.abs(connection_matrix(prod, p, X, st))) == 0.0
+def test_connection_annihilates_the_parallel_spinor(rng):
+    """C(X) psi0 = 0 exactly, on flat and curved factors, for both
+    structures of both pairings: E1 E2 psi0 = -i s1 psi0 and
+    E3 E4 psi0 = -i s2 psi0 cancel the auxiliary term, which is why the
+    restricted derivative is the Gauss-formula shape term alone.  C(X)
+    itself vanishes only where both factors are flat."""
+    for c1, c2 in [(0.0, 0.0), (1.0, -0.5), (-0.7, 2.0), (0.0, 4.0)]:
+        prod = ProductModel(c1, c2)
+        for pairing in ("standard", "flipped"):
+            for tag in (1, 2):
+                st = structure(tag, pairing)
+                psi0 = prod.parallel_spinor(st)
+                for _ in range(5):
+                    p = rng.uniform(-1, 1, 4)
+                    X = rng.standard_normal(4)
+                    C = connection_matrix(prod, p, X, st)
+                    assert (np.max(np.abs(C)) == 0.0) == (c1 == c2 == 0.0)
+                    assert np.array_equal(C @ psi0, np.zeros(4)), (
+                        c1, c2, pairing, tag)
 
 
 def test_connection_clifford_compatibility(rng):

@@ -357,9 +357,8 @@ def _worst_at_one_point(shape, n, worst):
 @pytest.mark.parametrize("name", [s.name for s in REGISTRY])
 def test_runner_reduces_every_check_alike(monkeypatch, name, shape):
     """The runner takes the worst value of whatever a check returns: a NaN
-    at one point fails an assert or a control and is recorded by a record
-    check; a control passes only strictly above its tolerance, an assert
-    only at or below it."""
+    at one point fails an assert or a control; a control passes only
+    strictly above its tolerance, an assert only at or below it."""
     spec = REGISTRY_BY_NAME[name]
 
     def record(worst):
@@ -378,8 +377,7 @@ def test_runner_reduces_every_check_alike(monkeypatch, name, shape):
     assert (at.max_residual, above.max_residual) == (
         tol, np.nextafter(tol, np.inf))
     want = {"assert": ("fail", "pass", "fail"),
-            "control": ("fail", "fail", "pass"),
-            "record": ("recorded",) * 3}[spec.kind]
+            "control": ("fail", "fail", "pass")}[spec.kind]
     assert (nan.verdict, at.verdict, above.verdict) == want
 
 
@@ -570,7 +568,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     identities and the rank pair once, each compatibility system once per
     tag, the frame spinor derivative, the frame images gamma(e_k) phi and
     the closed form of Omega once per structure, and the factor record of
-    the rotation and Ricci coefficients once for both structures.  The
+    the Ricci coefficients once for both structures.  The
     controls and co-vanishing share one perturbed copy, on which Gauss,
     each system and so Omega are computed once more."""
     from spinlab import hypersurfaces as hyp
@@ -593,18 +591,21 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
         count(hyp, body, lambda ev, body=body: (body, len(ev.u)))
     count(sysmod, "_system_equations",
           lambda ev, tag: (f"system{tag}", len(ev.u)))
-    count(RestrictedSpinc, "_derivative",
-          lambda rs, C, shape_gamma: ("frame derivative", rs.struct.tag))
     count(rst, "factors", lambda ev: ("factors", len(ev.u)))
-    images = RestrictedSpinc.__dict__["frame_images"].func
 
-    def counted_images(rs):
-        calls.append(("frame images", rs.struct.tag))
-        return images(rs)
+    def count_property(name, label):
+        body = RestrictedSpinc.__dict__[name].func
 
-    counted_images = cached_property(counted_images)
-    counted_images.__set_name__(RestrictedSpinc, "frame_images")
-    monkeypatch.setattr(RestrictedSpinc, "frame_images", counted_images)
+        def counted(rs):
+            calls.append((label, rs.struct.tag))
+            return body(rs)
+
+        counted = cached_property(counted)
+        counted.__set_name__(RestrictedSpinc, name)
+        monkeypatch.setattr(RestrictedSpinc, name, counted)
+
+    count_property("frame_derivative", "frame derivative")
+    count_property("frame_images", "frame images")
     count(rst, "closed_form_omega",
           lambda tag, c1, c2, h, V: ("omega", tag, len(h)))
     report = run_scenario(small_scenario(samples=14, checks=None))
@@ -625,9 +626,9 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     assert runs("omega") == [(1, 14), (1, 14), (2, 14), (2, 14)]
     assert runs("frame derivative") == [(1,), (2,)]
     assert runs("frame images") == [(1,), (2,)]
-    # on the clean batch, for the rotation forms along the frame and every
-    # Ricci form of both structures; the ambient probes read the factors'
-    # forms as jets, not through this record
+    # on the clean batch, for every Ricci form of both structures; the
+    # ambient probes read the factors' forms as jets, not through this
+    # record
     assert runs("factors") == [(14,)]
 
 

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import sample
-from helpers import (adapted_gauge_derivative, gamma, ricci_form,
-                     rotation_forms)
+from helpers import adapted_gauge_derivative, gamma, ricci_form
 from spinlab import build_chart, build_product, evaluate, structure
 from spinlab.catalog import BUILTIN_SCENARIOS
-from spinlab.checks import REGISTRY, ScenarioContext
+from spinlab.checks import REGISTRY, ScenarioContext, run_catalog
 from spinlab.hypersurfaces import HypersurfaceChart
 from spinlab.product import _curvature
 from spinlab.reports import Scenario
@@ -23,8 +22,7 @@ from spinlab.restriction import (algebraic_conditions, closed_form_omega,
                                  normal_ricci, omega_formula_residual,
                                  pairing_identities, plane_ricci,
                                  projection_cancellation_residuals,
-                                 restrict_structure, rotation, scale,
-                                 shape_operator)
+                                 restrict_structure, scale)
 
 
 def test_restricted_field_has_constant_unit_norm(members, rng):
@@ -68,10 +66,12 @@ def test_killing_residual_on_catalog(members, rng):
 
 def test_frame_derivative_is_the_derivative_along_the_frame(members, rng):
     """The frame derivative that the Killing and Dirac checks share is
-    read-only, its shape term is gamma(E e_k) phi along e1, e2, xi, and it
-    gives, bit for bit, the Killing residual taken along the frame, on a
-    batch and on one point.  Along other vectors it is compared with the
-    one-point oracle in ``test_batch``."""
+    read-only, its shape term is gamma(E e_k) phi along e1, e2, xi, taken
+    from the frame images by linearity and within rounding of the 4x4
+    route, its derivative is -sign/2 times that term, and it gives, bit for
+    bit, the Killing residual taken along the frame, on a batch and on one
+    point.  Along other vectors it is compared with the one-point oracle in
+    ``test_batch``."""
     for name, prod, chart in members:
         batch = evaluate(chart, prod, sample(chart, rng, 4))
         for ev in (batch, evaluate(chart, prod, batch.u[2])):
@@ -81,8 +81,13 @@ def test_frame_derivative_is_the_derivative_along_the_frame(members, rng):
                 nabla, shape_term = rs.frame_derivative
                 with pytest.raises(ValueError, match="read-only"):
                     nabla[...] = 0.0
-                assert np.array_equal(shape_term, gamma(
-                    rs, shape_operator(ev, frame), rs.psi)), name
+                assert np.array_equal(shape_term,
+                                      ev.E_frame @ rs.frame_images), name
+                assert np.array_equal(nabla, -0.5 * rs.sign * shape_term)
+                want = gamma(rs, np.einsum("...ij,...kj->...ki",
+                                           ev.E_mixed_val, frame), rs.psi)
+                assert np.abs(shape_term - want).max() <= 2e-15 * max(
+                    1.0, np.abs(want).max()), name
                 assert np.array_equal(
                     frame_killing_residual(rs),
                     rs.killing_residual(frame)), name
@@ -91,8 +96,8 @@ def test_frame_derivative_is_the_derivative_along_the_frame(members, rng):
 def test_frame_images_match_the_matrix_routes(members, rng):
     """The residuals that apply a tangent gamma to phi only read the frame
     images gamma(e_k) phi, and take gamma(V) phi and gamma(nu -| Omega^N)
-    phi by linearity from adapted-frame components; the factor forms come
-    from one record of c_k lam_k^2 and c_k lam_k / 2.  Each agrees with the
+    phi by linearity from adapted-frame components; the factor Ricci forms
+    come from one record of c_k lam_k^2.  Each agrees with the
     4x4 route or with the factors' own evaluators, on a batch and on one
     point."""
     def relative(got, want):
@@ -109,7 +114,6 @@ def test_frame_images_match_the_matrix_routes(members, rng):
             a, b = np.triu_indices(4, 1)
             i, j = np.triu_indices(3, 1)
             for got, want in [
-                    (rotation(ev), rotation_forms(prod, p, amb)),
                     (frame_ricci(ev), [ricci_form(prod, p, amb[..., i],
                                                   amb[..., j], k)
                                        for k in (1, 2)]),
@@ -321,15 +325,27 @@ def test_energy_momentum_structure1_equals_shape(members, rng):
 
 
 def test_energy_momentum_structure2_measured_sign(members, rng):
-    """Wherever E != 0 the negative-structure tensor matches -E: the signed
-    relation is recorded, and here pinned to the measured value."""
+    """The negative-structure tensor has the sign opposite to the shape
+    operator: Q = -E."""
     for name, prod, chart in members:
         for u in sample(chart, rng, 10):
             ev = evaluate(chart, prod, u)
             de = dirac_and_energy_momentum(restrict_structure(ev, structure(2)))
-            assert de.Q_vs_E < 1e-5, name
-            if np.max(np.abs(ev.E_frame)) > 1e-8:
-                assert de.Q_sign == -1, name
+            assert np.max(np.abs(de.Q + ev.E_frame)) < 1e-5, name
+
+
+def test_spinc_checks_at_rounding_level_on_the_catalog():
+    """Every spinc.* record of the built-in catalog evaluates every sample
+    point and reads at most 1e-13, and every member carries one record per
+    spinc.* check of the registry."""
+    per = sum(spec.name.startswith("spinc.") for spec in REGISTRY)
+    reports = run_catalog()
+    recs = [(r.scenario["name"], r.scenario["samples"], c)
+            for r in reports for c in r.checks if c.name.startswith("spinc.")]
+    assert len(recs) == per * len(reports)
+    bad = [(name, c.name, c.max_residual) for name, n, c in recs
+           if c.points_evaluated != n or not c.max_residual <= 1e-13]
+    assert not bad, bad
 
 
 def test_vanishing_shape_gives_zero_dirac_and_Q():
