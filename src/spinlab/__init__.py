@@ -1,8 +1,7 @@
 """spinlab: numerical verification of spin^c hypersurface geometry in
 products of two-dimensional space forms."""
 
-from .clifford import (CliffordModel, build_clifford, kahler_action,
-                       shape_commutator_residual)
+from .clifford import CliffordModel, build_clifford
 from .product import ProductModel, SpincStructure, structure
 from .surfaces import OutsideDomainError, SurfaceModel
 from .hypersurfaces import (HypersurfaceChart, PointEvaluation,

@@ -49,12 +49,15 @@ def _orientation(params, default):
     return int(o)
 
 
-def _flat_hyperplane(params):
-    return HypersurfaceChart(
-        map_fn=lambda x, y, z: (x, y, z, 0.0 * z),
-        domain=np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]),
-        orientation=_orientation(params, 1),
-    )
+def _coordinate_slice(half):
+    """Builder of the slice (x, y, z, 0) over the box [-half, half]^3."""
+    def build(params):
+        return HypersurfaceChart(
+            map_fn=lambda x, y, z: (x, y, z, 0.0 * z),
+            domain=np.array([[-half, half]] * 3),
+            orientation=_orientation(params, 1),
+        )
+    return build
 
 
 def _round_sphere(params):
@@ -70,14 +73,6 @@ def _round_sphere(params):
         map_fn=sphere_map,
         domain=np.array([[0.25, 1.32], [0.0, 6.28], [0.0, 6.28]]),
         orientation=_orientation(params, -1),
-    )
-
-
-def _slice_geodesic(params):
-    return HypersurfaceChart(
-        map_fn=lambda x, y, z: (x, y, z, 0.0 * z),
-        domain=np.array([[-0.7, 0.7], [-0.7, 0.7], [-0.7, 0.7]]),
-        orientation=_orientation(params, 1),
     )
 
 
@@ -109,9 +104,9 @@ def _graph(params):
 
 
 CATALOG = {
-    "flat-hyperplane": _flat_hyperplane,
+    "flat-hyperplane": _coordinate_slice(1.0),
     "round-sphere": _round_sphere,
-    "slice-geodesic": _slice_geodesic,
+    "slice-geodesic": _coordinate_slice(0.7),
     "sphere-circle-tube": _sphere_circle_tube,
     "graph": _graph,
 }

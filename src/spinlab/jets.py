@@ -135,14 +135,6 @@ class Jet:
 
     # construction -----------------------------------------------------
     @staticmethod
-    def constant(x):
-        """Constant scalar jet of a number or of an (N,) array of values."""
-        x = np.asarray(x, dtype=float)
-        c = np.zeros((NTERMS,) + x.shape)
-        c[0] = x
-        return Jet(c)
-
-    @staticmethod
     def variable(i, x0):
         """The seed x0 + dx_i of chart variable ``i``."""
         c = np.zeros((NTERMS,) + np.shape(x0))

@@ -97,8 +97,6 @@ def structure(tag: int, pairing: str = "standard") -> SpincStructure:
 class ProductModel:
     """Product of two space forms with its spin^c machinery."""
 
-    clifford = CLIFFORD
-
     def __init__(self, c1: float, c2: float):
         self.factor1 = SurfaceModel(c1)
         self.factor2 = SurfaceModel(c2)

@@ -127,9 +127,6 @@ class CheckRecord:
     tolerance: float
     verdict: str  # "pass" | "fail"
     points_evaluated: int = 0
-    # no check skips points; kept as report fields for ROADMAP item 2
-    points_skipped: int = 0
-    skip_reason: str = ""
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -137,9 +134,7 @@ class CheckRecord:
             "name": self.name, "anchor": self.anchor,
             "max_residual": self.max_residual, "tolerance": self.tolerance,
             "verdict": self.verdict,
-            "points_evaluated": self.points_evaluated,
-            "points_skipped": self.points_skipped,
-            "skip_reason": self.skip_reason, "notes": self.notes,
+            "points_evaluated": self.points_evaluated, "notes": self.notes,
         }
 
 
@@ -154,22 +149,11 @@ class ResidualReport:
     def to_dict(self):
         return {
             "scenario": self.scenario,
-            "checks": [c.to_dict() if isinstance(c, CheckRecord) else c
-                       for c in self.checks],
+            "checks": [c.to_dict() for c in self.checks],
             "overall_verdict": self.overall_verdict,
             "runtime_seconds": self.runtime_seconds,
             "warnings": self.warnings,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ResidualReport":
-        return ResidualReport(
-            scenario=d["scenario"],
-            checks=[CheckRecord(**c) for c in d["checks"]],
-            overall_verdict=d["overall_verdict"],
-            runtime_seconds=d["runtime_seconds"],
-            warnings=list(d.get("warnings", [])),
-        )
 
     @property
     def passed(self):
@@ -237,13 +221,11 @@ def emit_csv(report: ResidualReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["scenario", "check", "anchor", "max_residual",
-                     "tolerance", "verdict", "points_evaluated",
-                     "points_skipped", "skip_reason"])
+                     "tolerance", "verdict", "points_evaluated"])
     name = report.scenario.get("name", "")
     for c in report.checks:
         writer.writerow([name, c.name, c.anchor, repr(c.max_residual),
-                         repr(c.tolerance), c.verdict, c.points_evaluated,
-                         c.points_skipped, c.skip_reason])
+                         repr(c.tolerance), c.verdict, c.points_evaluated])
     return buf.getvalue()
 
 

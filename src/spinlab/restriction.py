@@ -246,21 +246,6 @@ class RestrictedSpinc:
         shape_term = self.ev.E_frame @ self.frame_images
         return _read_only((-0.5 * self.sign * shape_term, shape_term))
 
-    def _killing_defect(self, nabla, shape_term):
-        return np.linalg.norm(nabla + 0.5 * self.sign * shape_term, axis=-1)
-
-    def killing_residual(self, X_coord):
-        """|nabla_X phi + sign/2 gamma(EX) phi| (the generalized Killing law)
-        along tangent coordinate vectors X, by linearity in X from the frame
-        derivative: X = sum_k x_k e_k with x_k = g(X, e_k)."""
-        ev = self.ev
-        x = np.einsum("...a,...ab,...bk->...k", X_coord,
-                      per_point(ev, ev.g_val, X_coord),
-                      per_point(ev, ev.frame, X_coord))
-        return self._killing_defect(*(
-            np.einsum("...k,...ka->...a", x, per_point(ev, a, X_coord))
-            for a in self.frame_derivative))
-
     # --- pullback curvature ---------------------------------------------------
     @cached_property
     def omega_pullback(self):
@@ -285,9 +270,11 @@ def restrict_structure(ev: PointEvaluation, struct: SpincStructure) -> Restricte
 
 
 def frame_killing_residual(rs: RestrictedSpinc):
-    """The generalized Killing law along e1, e2 and xi, per point and frame
-    vector, read off the frame derivative the Dirac law also reads."""
-    return rs._killing_defect(*rs.frame_derivative)
+    """|nabla_X phi + sign/2 gamma(EX) phi| (the generalized Killing law)
+    along X = e1, e2 and xi, per point and frame vector, read off the frame
+    derivative the Dirac law also reads."""
+    nabla, shape_term = rs.frame_derivative
+    return np.linalg.norm(nabla + 0.5 * rs.sign * shape_term, axis=-1)
 
 
 def algebraic_conditions(rs: RestrictedSpinc):

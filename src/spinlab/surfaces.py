@@ -32,17 +32,14 @@ class OutsideDomainError(ValueError):
 class SurfaceModel:
     curvature: float
 
-    @property
-    def chart_radius(self):
-        """Radius of the chart domain; None means the whole plane."""
-        c = self.curvature
-        return None if c >= 0 else 2.0 / np.sqrt(-c)
-
     def contains(self, x, y):
-        r = self.chart_radius
-        if r is None:
+        """Whether (x, y) lies in the chart: -c/4 (x^2 + y^2) < 1, the disk
+        of radius 2/sqrt(-c) for c < 0, written without the radius, whose
+        square overflows for a subnormal c."""
+        c = self.curvature
+        if c >= 0:
             return True
-        return value(x) ** 2 + value(y) ** 2 < r ** 2
+        return -0.25 * c * (value(x) ** 2 + value(y) ** 2) < 1.0
 
     def check_point(self, x, y):
         inside = self.contains(x, y)

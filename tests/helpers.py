@@ -14,9 +14,18 @@ from scipy.linalg import expm, logm
 
 from spinlab.clifford import CliffordModel, build_clifford
 from spinlab.hypersurfaces import _mv, evaluate
-from spinlab.jets import value, worst_of
+from spinlab.jets import NTERMS, Jet, value, worst_of
 from spinlab.product import CLIFFORD, _curvature, structure
+from spinlab.restriction import per_point
 from spinlab.systems import CONVERSE_TOLERANCES, converse_residuals
+
+
+def jet_constant(x):
+    """Constant scalar jet of a number or of an (N,) array of values."""
+    x = np.asarray(x, dtype=float)
+    c = np.zeros((NTERMS,) + x.shape)
+    c[0] = x
+    return Jet(c)
 
 
 def fd_second_derivative(f, x, h):
@@ -81,6 +90,77 @@ class ProductSpinorSpace:
         term2 = self.identify(conjugate(self.factor, psi1),
                               self.factor.vector(x2) @ psi2)
         return term1 + term2
+
+
+# --- Clifford oracles the package does not run -------------------------------
+# The engine builds the dim-2 and dim-4 models only; the dim-3 model, the
+# Kaehler action and the shape commutator identity are checked here.
+
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def build_clifford3():
+    """The dim-3 model e_j = -i sigma_j (sigma_j the Pauli matrices), with
+    volume w = -e1 e2 e3 = Id, equivalently e1 e2 e3 = -Id, so
+    e_i e_j = e_k for cyclic (i j k).  It has no chirality projectors."""
+    gens = tuple(-1j * s for s in _PAULI)
+    return CliffordModel(3, gens, -gens[0] @ gens[1] @ gens[2], None)
+
+
+def kahler_action(model: CliffordModel, J) -> np.ndarray:
+    """Clifford action of the 2-form <J., .> for an orthogonal complex structure J.
+
+    The spectrum consists of the values i(m/2 - 2r), r = 0..m/2, with binomial
+    multiplicities.
+    """
+    if model.dim % 2 != 0:
+        raise ValueError("Kaehler action requires even dimension")
+    J = np.asarray(J, dtype=float)
+    eye = np.eye(model.dim)
+    if J.shape != (model.dim, model.dim) or \
+            np.max(np.abs(J @ J + eye)) > 1e-12 or \
+            np.max(np.abs(J.T @ J - eye)) > 1e-12:
+        raise ValueError("J must be an orthogonal complex structure")
+    n = model.spinor_dim
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(model.dim):
+        out += 0.5 * model.generators[a] @ model.vector(J[:, a])
+    return out
+
+
+def shape_commutator_residual(E, model: CliffordModel | None = None) -> float:
+    """Residual of the commutator identity for a symmetric endomorphism E.
+
+    For gamma built from a dim-3 model with e1 e2 e3 = -Id and a = E in an
+    orthonormal frame:
+
+        gamma(E e_i) gamma(E e_j) - gamma(E e_j) gamma(E e_i)
+          = 2 (a_j3 a_i2 - a_j2 a_i3) e1
+          + 2 (a_i3 a_j1 - a_i1 a_j3) e2
+          + 2 (a_i1 a_j2 - a_i2 a_j1) e3
+
+    Returns the maximum matrix norm of LHS - RHS over all index pairs.
+    """
+    E = np.asarray(E, dtype=float)
+    if E.shape != (3, 3) or np.max(np.abs(E - E.T)) > 1e-12:
+        raise ValueError("E must be a symmetric 3x3 matrix")
+    if model is None:
+        model = build_clifford3()
+    a = E
+
+    def defect(i, j):
+        gi = model.vector(a[i])
+        gj = model.vector(a[j])
+        lhs = gi @ gj - gj @ gi
+        coeff = 2.0 * np.array([
+            a[j, 2] * a[i, 1] - a[j, 1] * a[i, 2],
+            a[i, 2] * a[j, 0] - a[i, 0] * a[j, 2],
+            a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0],
+        ])
+        return np.max(np.abs(lhs - model.vector(coeff)))
+    return worst_of(defect(i, j) for i in range(3) for j in range(3))
 
 
 # --- scalar references for the ambient metric and its Christoffel symbols ---
@@ -196,7 +276,7 @@ def adapted_gauge_derivative(chart, product, struct, u, X_coord, h=1e-5):
     X_coord = np.asarray(X_coord, dtype=float)
     ev0 = evaluate(chart, product, u)
     flip = np.linalg.det(_gram_schmidt_frame(ev0, False)[0]) < 0
-    gens = product.clifford.generators
+    gens = CLIFFORD.generators
 
     def lift(t):
         ev = evaluate(chart, product, u + t * X_coord)
@@ -565,7 +645,6 @@ def point_projection_formulas(ev):
 
 
 def point_projection_cancellation(ev):
-    from spinlab.clifford import build_clifford
     fac = build_clifford(2)
     p = ev.position
     lam1 = value(ev.product.factor1.conformal_factor(p[0], p[1]))
@@ -689,6 +768,21 @@ def converse_check(ev):
     return res, failed
 
 
+def killing_residual(rs, X_coord):
+    """|nabla_X phi + sign/2 gamma(EX) phi| (the generalized Killing law)
+    of the restricted structure ``rs`` along tangent coordinate vectors X,
+    by linearity in X from the frame derivative: X = sum_k x_k e_k with
+    x_k = g(X, e_k)."""
+    ev = rs.ev
+    x = np.einsum("...a,...ab,...bk->...k", X_coord,
+                  per_point(ev, ev.g_val, X_coord),
+                  per_point(ev, ev.frame, X_coord))
+    nabla, shape_term = (
+        np.einsum("...k,...ka->...a", x, per_point(ev, a, X_coord))
+        for a in rs.frame_derivative)
+    return np.linalg.norm(nabla + 0.5 * rs.sign * shape_term, axis=-1)
+
+
 # --- one-point references of the restricted spin^c layer ---------------------
 # The per-(point, structure) implementation the batched ``RestrictedSpinc``
 # replaced, kept as it was: 4x4 matrices one at a time, running sums.
@@ -710,7 +804,7 @@ class PointSpinc:
         self.ev = ev
         self.struct = struct
         self.sign = float(struct.chirality)
-        self.model = ev.product.clifford
+        self.model = CLIFFORD
         self.psi = ev.product.parallel_spinor(struct)
         self.position = ev.position
         self.frame_scale = frame_components(ev.product, ev.position,

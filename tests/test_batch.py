@@ -392,7 +392,7 @@ def _along_random(rs, rng):
     linearity with x_k = g(X, e_k)."""
     X = rng.standard_normal(rs.ev.u.shape[:-1] + (4, 3))
     x = X @ rs.ev.g_val @ rs.ev.frame
-    return {"killing": rs.killing_residual(X),
+    return {"killing": helpers.killing_residual(rs, X),
             "derivative": x @ rs.frame_derivative[0]}
 
 
@@ -412,8 +412,8 @@ RESTRICTED = {
         lambda ps, rng: np.stack([ps.covariant_derivative(e)
                                   for e in _frame_rows(ps.ev)])),
     "killing_residual": (
-        lambda rs, rng: rs.killing_residual(
-            np.swapaxes(rs.ev.frame, -1, -2)),
+        lambda rs, rng: helpers.killing_residual(
+            rs, np.swapaxes(rs.ev.frame, -1, -2)),
         lambda ps, rng: np.array([ps.killing_residual(e)
                                   for e in _frame_rows(ps.ev)])),
     "along_random_vectors": (_along_random, _point_along_random),

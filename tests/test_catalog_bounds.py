@@ -1,0 +1,59 @@
+"""Rounding-level bounds on every point of the built-in catalog.
+
+Each test reads the same run of ``run_catalog()``: every member carries one
+record per named check, that record evaluated every sample point, and its
+value stays within the bound.
+"""
+
+import pytest
+
+from spinlab.checks import REGISTRY, run_catalog
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return run_catalog()
+
+
+def _records(reports, names):
+    """(member, record) of every record of ``names``, after checking that
+    each member has one of each and that each evaluated every sample
+    point."""
+    recs = [(r.scenario["name"], r.scenario["samples"], c)
+            for r in reports for c in r.checks if c.name in names]
+    assert len(recs) == len(names) * len(reports)
+    off = [(name, c.name) for name, n, c in recs if c.points_evaluated != n]
+    assert not off, off
+    return [(name, c) for name, _, c in recs]
+
+
+def test_ambient_checks_at_rounding_level(reports):
+    recs = _records(reports, {spec.name for spec in REGISTRY
+                              if spec.name.startswith("ambient.")})
+    bad = [(name, c.name, c.max_residual) for name, c in recs
+           if not c.max_residual <= 1e-13]
+    assert not bad, bad
+
+
+def test_compatibility_systems_at_rounding_level(reports):
+    recs = _records(reports, {"system.one", "system.two"})
+    bad = [(name, c.name, c.max_residual) for name, c in recs
+           if not c.max_residual <= 1e-12]
+    assert not bad, bad
+
+
+def test_umbilic_identity_at_rounding_level(reports):
+    recs = _records(reports, {"umbilic.gradient_identity"})
+    bad = [(name, c.verdict, c.max_residual) for name, c in recs
+           if c.verdict != "pass" or not c.max_residual <= 1e-12]
+    assert not bad, bad
+
+
+def test_covanishing_reads_a_perturbed_copy_that_breaks_both(reports):
+    """The perturbed copy pushes the smaller of the Gauss and the system
+    residual above 1e-3 for both structures on every member."""
+    recs = _records(reports, {"system.covanish"})
+    joints = [(name, tag, c.notes[f"system{tag}"]["perturbed_min_joint"])
+              for name, c in recs for tag in (1, 2)]
+    bad = [j for j in joints if not (j[2] is not None and j[2] > 1e-3)]
+    assert not bad, bad

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinlab.jets import value
-from spinlab.product import (F_MATRIX, J_MATRIX, ProductModel, structure)
+from spinlab.product import (CLIFFORD, F_MATRIX, J_MATRIX, ProductModel,
+                             structure)
 from spinlab.surfaces import OutsideDomainError
 
 from helpers import (connection_matrix, curvature_form, dense_christoffels,
@@ -79,7 +80,7 @@ def test_curvature_form_sign_on_each_structure(rng):
 
 def test_parallel_spinor_chirality():
     prod = ProductModel(0.7, -0.3)
-    vol = prod.clifford.volume
+    vol = CLIFFORD.volume
     psi1 = prod.parallel_spinor(structure(1))
     psi2 = prod.parallel_spinor(structure(2))
     assert np.allclose(vol @ psi1, psi1)
@@ -135,7 +136,7 @@ def test_connection_clifford_compatibility(rng):
 
         def gammaY(t):
             p = p0 + t * vel
-            return prod.clifford.vector(frame_components(prod, p, Y))
+            return CLIFFORD.vector(frame_components(prod, p, Y))
 
         dG = (gammaY(h) - gammaY(-h)) / (2 * h)
         C = connection_matrix(prod, p0, vel, st)
@@ -145,7 +146,7 @@ def test_connection_clifford_compatibility(rng):
                 G[a][b][c], float) else G[a][b][c] * vel[b] * Y[c]
                 for b in range(4) for c in range(4))
             for a in range(4)])
-        want = prod.clifford.vector(frame_components(prod, p0, covY))
+        want = CLIFFORD.vector(frame_components(prod, p0, covY))
         resid = dG + C @ gammaY(0.0) - gammaY(0.0) @ C - want
         assert np.max(np.abs(resid)) < 1e-7
 

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from spinlab.checks import (REGISTRY, REGISTRY_BY_NAME, list_checks,
                             run_catalog, run_scenario)
-from spinlab.reports import (ResidualReport, Scenario, ScenarioError,
-                             _json_text, emit, emit_csv, emit_json,
-                             emit_text)
+from spinlab.reports import (Scenario, ScenarioError, _json_text, emit,
+                             emit_csv, emit_json, emit_text)
 
 BASE = {
     "name": "unit", "c1": 1.0, "c2": 0.0,
@@ -118,8 +117,15 @@ def test_seed_changes_report():
 
 def test_json_round_trip():
     report = run_scenario(small_scenario())
-    back = ResidualReport.from_dict(json.loads(emit_json(report)))
-    assert back.to_dict() == report.to_dict()
+    assert json.loads(emit_json(report)) == report.to_dict()
+
+
+def test_json_record_keys():
+    """A JSON check record carries exactly these fields."""
+    (rec,) = json.loads(emit_json(run_scenario(
+        small_scenario(checks=["structure.involution"]))))["checks"]
+    assert sorted(rec) == ["anchor", "max_residual", "name", "notes",
+                           "points_evaluated", "tolerance", "verdict"]
 
 
 # surrogates and control characters included
@@ -182,6 +188,12 @@ def test_csv_row_count():
     report = run_scenario(small_scenario())
     rows = emit_csv(report).strip().splitlines()
     assert len(rows) == 1 + len(report.checks)
+
+
+def test_csv_header():
+    header = emit_csv(run_scenario(small_scenario())).splitlines()[0]
+    assert header == ("scenario,check,anchor,max_residual,tolerance,"
+                      "verdict,points_evaluated")
 
 
 def test_text_contains_anchor_of_failing_check():
@@ -516,7 +528,7 @@ def test_nan_fails_the_umbilic_identity(monkeypatch):
     umbilic sphere fails the gradient identity."""
     _poison_batch(monkeypatch, dH=lambda ev, x: _nan_at(x, 1))
     (rec,) = run_scenario(small_scenario(**UMBILIC)).checks
-    assert (rec.points_evaluated, rec.points_skipped) == (6, 0)
+    assert rec.points_evaluated == 6
     assert np.isnan(rec.max_residual)
     assert rec.verdict == "fail"
 
@@ -880,3 +892,14 @@ def test_samples_near_the_chart_rim_exit_0(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert [c["points_evaluated"] for c in report["checks"]] == [4, 4]
+
+
+def test_subnormal_negative_curvature_runs_without_warnings():
+    """c2 = -1e-310 makes a disk of radius 2/sqrt(-c2) whose square
+    overflows; every check still runs, passes and raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(Scenario.from_dict(
+            {**BASE, "c2": -1e-310, "samples": 4}))
+    assert report.passed
+    assert len(report.checks) == len(REGISTRY)

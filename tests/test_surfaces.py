@@ -1,5 +1,7 @@
 """Space-form charts: curvature, Christoffel symbols, rotation form."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,11 +86,25 @@ def test_rotation_form_curvature(c, rng):
 
 
 def test_domain_boundary():
+    """For c = -1 the chart is the open disk of radius 2."""
     surf = SurfaceModel(-1.0)
-    assert surf.chart_radius == pytest.approx(2.0)
     assert surf.contains(1.0, 1.0)
+    assert surf.contains(0.0, 1.999)
+    assert not surf.contains(2.0, 0.0)
     assert not surf.contains(2.0, 0.1)
+    assert not surf.contains(-1.5, -1.5)
+    assert list(surf.contains(np.array([1.999, 2.0]), 0.0)) == [True, False]
     with pytest.raises(OutsideDomainError):
         surf.conformal_factor(2.5, 0.0)
-    assert SurfaceModel(1.0).chart_radius is None
     assert SurfaceModel(1.0).contains(100.0, 100.0)
+
+
+@pytest.mark.parametrize("c", [-1e-320, -1e-310, -1e-300])
+def test_tiny_negative_curvature_raises_no_warning(c):
+    """The disk of radius 2/sqrt(-c) has a square radius -4/c that
+    overflows for c = -1e-320 and -1e-310; the domain test never forms it."""
+    surf = SurfaceModel(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = surf.contains(np.array([1e150, 1e151]), 0.0)
+    assert list(inside) == [True, c != -1e-300]
