@@ -18,10 +18,12 @@ record.  ``ScenarioContext`` also holds what several checks read beside
 the batch, each built on first use: one copy of the batch with its shape
 operator perturbed, drawn from the stream named ``perturbed`` at the
 scale 0.2 (``systems.perturbed_shape``), which both controls and
-co-vanishing read, and one record of the factor coordinates seeded as
-order-2 jets at every sample position, which both ambient probes read.
-RNG streams are derived from the scenario seed and a fixed name, so
-reports are deterministic and independent of check selection order.
+co-vanishing read, one record of both factors' coordinates seeded as
+order-2 jets at every sample position, which both ambient probes read,
+and the Clifford-relation defects of both structures from one draw array,
+which both relations checks read.  RNG streams are derived from the
+scenario seed and a fixed name, so reports are deterministic and
+independent of check selection order.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ class ScenarioContext:
         position, with the area density and Ricci form there: the record
         both ambient probes read."""
         return self.product.factor_jets(self.batch.position)
+
+    @cached_property
+    def relation_defects(self):
+        """The Clifford-relation defects of both structures at every sample
+        point, one column per structure, in one pass over one draw array:
+        each structure draws from its own stream spinc.relations_s<tag>."""
+        return rst.relation_defects(
+            self.batch, [self.rng_for(f"spinc.relations_s{tag}")
+                         for tag in (1, 2)])
 
     # perfbench's stage profile calls this; no check does
     def evaluation(self, i: int) -> hyp.PointEvaluation:
@@ -176,12 +187,10 @@ KILLING_STATUS = ("structural: the Gauss-formula derivative is -sign/2 "
 
 def _relations_check(tag):
     def fn(ctx):
-        rs = ctx.spinc(tag)
-        anti = rs.anticommutation_residual(
-            ctx.rng_for(f"spinc.relations_s{tag}"))
-        m = rs.volume_measurement()
+        m = ctx.spinc(tag).volume_measurement()
         signs = np.sign(m.real[np.isfinite(m.real)])
-        return ([anti, np.minimum(np.abs(m - 1.0), np.abs(m + 1.0))],
+        return ([ctx.relation_defects[..., tag - 1],
+                 np.minimum(np.abs(m - 1.0), np.abs(m + 1.0))],
                 {"volume_element_sign": sorted({int(s) for s in signs})})
     return fn
 

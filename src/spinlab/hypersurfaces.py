@@ -622,13 +622,18 @@ def rank_pair(ev: PointEvaluation):
     return _shared(ev, _rank_pair)
 
 
+# Id and -Id, the shifts of (F + Id)/2 and (F - Id)/2
+_PLUS_MINUS_ID = np.array([1.0, -1.0])[:, None, None] * np.eye(4)
+
+
 def _rank_pair(ev):
     F4 = product_structure_matrix(ev)
     finite = np.all(np.isfinite(F4), axis=(-2, -1))
-    F4 = np.where(finite[..., None, None], F4, 0.0)
-    return tuple(np.where(finite, np.sum(np.linalg.svd(
-        (F4 + sign * np.eye(4)) / 2.0, compute_uv=False) > 1e-8,
-        axis=-1), np.nan) for sign in (1.0, -1.0))
+    F4 = np.where(finite[..., None, None], F4, 0.0)[..., None, :, :]
+    ranks = np.where(finite[..., None], np.sum(np.linalg.svd(
+        (F4 + _PLUS_MINUS_ID) / 2.0, compute_uv=False) > 1e-8, axis=-1),
+        np.nan)
+    return tuple(np.moveaxis(ranks, -1, 0))
 
 
 def _max_abs(x, axes):

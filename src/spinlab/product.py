@@ -27,25 +27,26 @@ section itself.  The curvature of the auxiliary part reproduces the 2-form
     Omega(X, Y) = -s1 rho1(pi1 X, pi1 Y) - s2 rho2(pi2 X, pi2 Y),
 
 which the ambient probes verify rather than assume.  Both read one record
-(``factor_jets``): each factor's coordinates seeded once as exact order-2
-Taylor jets at the sample positions, with its area density and Ricci
-form there.  They compare 2-forms on the factor's orthonormal frame
-(eps1, eps2): a chart coefficient of du ^ dv divided by lam^2, of the size
-of c even where the coefficient grows like lam^2, near the rim of a
-hyperbolic disk.  ``liouville_residual`` checks rho against the Gauss
-curvature from the order-2 conformal factor by Liouville's formula,
+(``factor_jets``) with the two factors on one (2,) axis: their coordinates
+seeded once as exact order-2 Taylor jets at the sample positions, their
+conformal factors as one order-2 jet, and the area densities and Ricci
+forms read off its value.  They compare 2-forms on each factor's
+orthonormal frame (eps1, eps2): a chart coefficient of du ^ dv divided by
+lam^2, of the size of c even where the coefficient grows like lam^2, near
+the rim of a hyperbolic disk.  ``liouville_residual`` checks rho against
+the Gauss curvature from the conformal factors by Liouville's formula,
 K = -(lam Lap(lam) - |grad lam|^2) / lam^4.  ``auxiliary_curvature_residual``
 reads the record cut to order 1 and checks Cartan's structure equation
-d(w12) = -rho with the order-1 rotation forms, through the auxiliary form
-and curvature of each structure, on each factor plane.  On a mixed plane
-both sides vanish identically, since each rotation and Ricci form reads
-only its own factor, so neither probe computes them.
+d(w12) = -rho with the order-1 rotation forms w12 = (c/2) lam (y, -x),
+through the auxiliary form and curvature of each structure, on each factor
+plane.  On a mixed plane both sides vanish identically, since each rotation
+and Ricci form reads only its own factor, so neither probe computes them.
 
 The tensor and form evaluators read a point's chart coordinates from axis 0
 (``p[0]`` is x1), so arrays of shape ``(4, ...)`` evaluate a whole stack of
 points in one call.  ``factor_jets`` takes the coordinate axis last,
 ``(..., 4)``, like the sample positions of a batch, and evaluates every
-point in one array pass.
+point of both factors in one array pass.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import build_clifford
-from .jets import value, variables
-from .surfaces import SurfaceModel
+from .jets import Jet
+from .surfaces import SurfaceModel, conformal, ricci_coefficient, rotation_form
 
 J_MATRIX = np.array([
     [0.0, -1.0, 0.0, 0.0],
@@ -69,6 +70,9 @@ F_MATRIX = np.diag([1.0, 1.0, -1.0, -1.0])
 # The dim-4 Clifford model is the same for every product, so it is built
 # and validated once.
 CLIFFORD = build_clifford(4)
+
+# (plane, factor) entries where a factor form is read on its own plane
+_OWN_PLANE = np.eye(2, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,7 @@ class ProductModel:
         self.factor2 = SurfaceModel(c2)
         self.c1 = float(c1)
         self.c2 = float(c2)
+        self.curvatures = np.array([c1, c2], dtype=float)
 
     # spin^c connection ----------------------------------------------------
     def parallel_spinor(self, struct: SpincStructure):
@@ -113,33 +118,38 @@ class ProductModel:
 
     # verification probes ---------------------------------------------------
     def factor_jets(self, p):
-        """The record both probes read, one tuple (x, y, area, rho) per
-        factor: its chart coordinates of the positions ``p``, ``(4,)`` or
-        ``(N, 4)``, seeded as jets x, y of order 2 (the third jet variable
-        is a dummy), its area density lam^2 there and its Ricci form
-        rho(eps1, eps2)."""
+        """The record both probes read, (x, y, lam, area, rho), each with
+        the factor axis (2,): the chart coordinates of both factors at the
+        positions ``p``, ``(4,)`` or ``(N, 4)``, seeded as order-2 jets in
+        the first two jet variables (the third is a dummy), their conformal
+        factors as one order-2 jet, and at every position ``(..., 2)`` the
+        area densities lam^2 and the Ricci forms rho(eps1, eps2).  Raises
+        OutsideDomainError at the first position outside a factor's chart,
+        factor 1's first."""
         p = np.asarray(p, dtype=float)
-        out = []
-        for k, surf in ((0, self.factor1), (2, self.factor2)):
-            x, y, _ = variables(p[..., [k, k + 1, k]])
-            area = value(surf.conformal_factor(x.val, y.val)) ** 2
-            rho = surf.ricci_form_coefficient(x.val, y.val) / area
-            out.append((x.truncated(2), y.truncated(2), area, rho))
-        return tuple(out)
+        # (x1, y1, x2, y2) -> x0 = (x1, x2), y0 = (y1, y2), each (2, ...)
+        x0, y0 = np.moveaxis(p.reshape(p.shape[:-1] + (2, 2)), (-1, -2),
+                             (0, 1))
+        for surf, xk, yk in zip((self.factor1, self.factor2), x0, y0):
+            surf.check_point(xk, yk)
+        x, y = (Jet(Jet.variable(i, v).truncated(2).c, (2,))
+                for i, v in enumerate((x0, y0)))
+        lam = conformal(self.curvatures, x, y)
+        area = lam.val ** 2
+        return x, y, lam, area, ricci_coefficient(self.curvatures,
+                                                  lam.val) / area
 
     def liouville_residual(self, jets):
         """|rho(eps1, eps2) - K| of each factor on the record ``jets`` of
         ``factor_jets``, shape ``(2,)`` at one position and ``(2, N)`` at
         ``N``."""
-        out = []
-        for surf, (x, y, area, rho) in zip((self.factor1, self.factor2), jets):
-            lam = surf.conformal_factor(x, y)
-            d = lam.deriv()  # order-1 jet of the gradient
-            hess = d.grad()
-            lap = hess[..., 0, 0] + hess[..., 1, 1]
-            sq = d.val[..., 0] ** 2 + d.val[..., 1] ** 2
-            out.append(np.abs(rho + (lam.val * lap - sq) / area ** 2))
-        return np.stack(out)
+        _, _, lam, area, rho = jets
+        d = lam.deriv()  # order-1 jet of the gradient, (3, 2)
+        hess = d.grad()
+        lap = hess[..., 0, :, 0] + hess[..., 1, :, 1]
+        sq = d.val[..., 0, :] ** 2 + d.val[..., 1, :] ** 2
+        return np.moveaxis(np.abs(rho + (lam.val * lap - sq) / area ** 2),
+                           -1, 0)
 
     def auxiliary_curvature_residual(self, jets, structs):
         """Worst deviation of d(auxiliary form) from the curvature form
@@ -148,17 +158,17 @@ class ProductModel:
         position (shape ``(len(structs),)``) or at ``N`` (shape
         ``(len(structs), N)``).  On the plane of factor ``i`` they read
         ``s_i d(w_i)`` and ``-s_i rho_i``, with d(w12) = d_x w_v - d_y w_u."""
-        curl, rho = [], []
-        for surf, (x, y, area, rho_i) in zip((self.factor1, self.factor2),
-                                            jets):
-            w_u, w_v = surf.frame_rotation_form(x.truncated(1),
-                                                y.truncated(1))
-            curl.append((w_v.grad()[..., 0] - w_u.grad()[..., 1]) / area)
-            rho.append(rho_i)
-        return np.stack([np.maximum(
-            np.abs(_auxiliary(st, curl[0], 0.0) - _curvature(st, rho[0], 0.0)),
-            np.abs(_auxiliary(st, 0.0, curl[1]) - _curvature(st, 0.0, rho[1])))
-            for st in structs])
+        x, y, lam, area, rho = jets
+        w_u, w_v = rotation_form(self.curvatures, x.truncated(1),
+                                 y.truncated(1), lam.truncated(1))
+        curl = (w_v.grad()[..., 0] - w_u.grad()[..., 1]) / area
+        # each factor form on the two planes, (factor, ..., plane): its own
+        # value on its own plane, 0 on the other
+        curl, rho = (np.moveaxis(np.where(_OWN_PLANE, f[..., None, :], 0.0),
+                                 -1, 0) for f in (curl, rho))
+        return np.stack([np.abs(_auxiliary(st, *curl)
+                                - _curvature(st, *rho)).max(axis=-1)
+                         for st in structs])
 
 
 # The two structures differ only by the signs (s1, s2) of their factors,

@@ -29,13 +29,16 @@ structure keeps its frame images gamma(e_k) phi (``frame_images``) for the
 residuals that apply a tangent gamma to phi only, gamma(V) phi, gamma(nu
 -| Omega^N) phi and gamma(E e_k) phi by linearity; 4x4 stacks are built
 only where matrices are read (Clifford relations, volume element, the
-curvature restriction law and the Dirac law).  The derivative is computed
-along the adapted frame only, once per structure (``frame_derivative``),
-for the Killing check and the Dirac and energy-momentum laws.  Along any
-tangent X it follows by linearity, nabla_X = sum_k g(X, e_k) nabla_{e_k}.
-The closed form of Omega is also read through ``_shared``, once per
-structure (``frame_omega``), by the Omega check and the compatibility
-systems.
+curvature restriction law and the Dirac law).  The Clifford-relation
+defects do not depend on the sign, so ``relation_defects`` computes those
+of both structures in one pass over one draw array, and the volume element
+of each is its sign times the unsigned product that both read
+(``volume_element``).  The derivative is computed along the adapted frame
+only, once per structure (``frame_derivative``), for the Killing check
+and the Dirac and energy-momentum laws.  Along any tangent X it follows
+by linearity, nabla_X = sum_k g(X, e_k) nabla_{e_k}.  The closed form of
+Omega is also read through ``_shared``, once per structure
+(``frame_omega``), by the Omega check and the compatibility systems.
 
 A :class:`RestrictedSpinc` follows the shapes rule of the evaluation it is
 built on: per-point arrays carry the point axis first, so ``frame_gammas``
@@ -135,6 +138,31 @@ def frame_gammas(ev: PointEvaluation):
     return clifford(ev, np.swapaxes(ev.frame, -1, -2))
 
 
+def volume_element(ev: PointEvaluation):
+    """The unsigned product (e1 . nu)(e2 . nu)(xi . nu), (..., 4, 4)."""
+    g1, g2, g3 = np.moveaxis(_shared(ev, frame_gammas), -3, 0)
+    return g1 @ g2 @ g3
+
+
+def relation_defects(ev: PointEvaluation, rngs):
+    """Worst defect of the Clifford relation and of skew-adjointness over
+    three random pairs (X, Y) per point, for the draws of each generator of
+    ``rngs``: (..., len(rngs)).  Each generator's draws run point by point,
+    each pair's X before its Y.  The defects are those of the unsigned
+    X . nu, since gamma(X) = sign X . nu with sign = +-1 changes none of
+    their bits, so both structures share one pass."""
+    n = ev.u.ndim - 1
+    XY = np.stack([rng.standard_normal(ev.u.shape[:-1] + (3, 2, 3))
+                   for rng in rngs], axis=n)
+    X, Y = XY[..., 0, :], XY[..., 1, :]
+    gx, gy = clifford(ev, X), clifford(ev, Y)
+    ip = np.einsum("...a,...ab,...b->...", X, per_point(ev, ev.g_val, X), Y)
+    anti = gx @ gy + gy @ gx + 2.0 * ip[..., None, None] * np.eye(4)
+    skew = gx + np.conj(np.swapaxes(gx, -1, -2))
+    return np.abs(np.stack([anti, skew], axis=-3)).max(
+        axis=(-4, -3, -2, -1))
+
+
 def factors(ev: PointEvaluation):
     """The coefficients c_k lam_k^2 of the factor Ricci forms
     rho_k = c_k lam_k^2 du ^ dv, (..., 2), one column per factor, read off
@@ -191,10 +219,6 @@ class RestrictedSpinc:
         self.psi = ev.product.parallel_spinor(struct)
 
     # --- Clifford layer ---------------------------------------------------
-    def gamma_matrix(self, X_coord):
-        """gamma(X) as 4x4 matrices preserving the chirality eigenspace."""
-        return self.sign * clifford(self.ev, X_coord)
-
     def expectation(self, spinor):
         """(spinor, phi) / |phi|^2 against the restricted field."""
         return np.einsum("a,...a->...", self.psi.conj(), spinor) \
@@ -217,23 +241,15 @@ class RestrictedSpinc:
         return np.einsum("...k,...ka->...a", x, self.frame_images)
 
     def anticommutation_residual(self, rng):
-        """Worst defect of the Clifford relation and of skew-adjointness over
-        three random pairs (X, Y) per point.  The draws run point by point,
-        each pair's X before its Y."""
-        XY = rng.standard_normal(self.ev.u.shape[:-1] + (3, 2, 3))
-        X, Y = XY[..., 0, :], XY[..., 1, :]
-        gx, gy = self.gamma_matrix(X), self.gamma_matrix(Y)
-        ip = np.einsum("...a,...ab,...b->...", X,
-                       per_point(self.ev, self.ev.g_val, X), Y)
-        anti = gx @ gy + gy @ gx + 2.0 * ip[..., None, None] * np.eye(4)
-        skew = gx + np.conj(np.swapaxes(gx, -1, -2))
-        return np.abs(np.stack([anti, skew], axis=-3)).max(
-            axis=(-4, -3, -2, -1))
+        """``relation_defects`` of this structure's draws from ``rng``."""
+        return relation_defects(self.ev, [rng])[..., 0]
 
     def volume_measurement(self):
-        """Scalar m with gamma(e1) gamma(e2) gamma(xi) phi = m phi."""
-        g1, g2, g3 = np.moveaxis(self.frame_gammas, -3, 0)
-        return self.expectation(g1 @ g2 @ g3 @ self.psi)
+        """Scalar m with gamma(e1) gamma(e2) gamma(xi) phi = m phi; the
+        product of the three signed gammas is sign^3 = sign times the
+        unsigned one that both structures share."""
+        return self.sign * self.expectation(
+            _shared(self.ev, volume_element) @ self.psi)
 
     # --- connection layer ---------------------------------------------------
     @cached_property
@@ -346,23 +362,23 @@ def projection_cancellation_residuals(ev: PointEvaluation):
       (-):  pi1(nu).b- (x) (pi2(V)+i pi2(xi)).b+
               - (pi1(V)+i pi1(xi)).b- (x) pi2(nu).b+  = 0
     """
-    vec = _FACTOR.vector
-    # orthonormal-frame components; the first two are those of factor 1
-    lam = _shared(ev, scale)
+    # orthonormal-frame components of nu, xi, V; the first two are those of
+    # factor 1
     Vamb = np.einsum("...a,...ab->...b", ev.V_coord_val, ev.T_val)
-    nu, xi, V = (lam * w for w in (ev.nu_val, ev.xi_ambient_val, Vamb))
+    w = np.stack([ev.nu_val, ev.xi_ambient_val, Vamb], axis=-2) \
+        * _shared(ev, scale)[..., None, :]
+    # the Clifford matrices of their six factor projections, in one call
+    mats = _FACTOR.vector(w.reshape(w.shape[:-1] + (2, 2)))
+    (nu1, nu2), (xi1, xi2), (V1, V2) = np.moveaxis(mats, (-4, -3), (0, 1))
 
     def kron(a, b):
         return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (4,))
 
     bp = np.array([1.0, 0.0], dtype=complex)
     bm = np.array([0.0, 1.0], dtype=complex)
-    plus = (-kron(vec(nu[..., :2]) @ bp, vec(xi[..., 2:]) @ bp)
-            + kron(vec(xi[..., :2]) @ bp, vec(nu[..., 2:]) @ bp))
-    m2 = vec(V[..., 2:]) + 1j * vec(xi[..., 2:])
-    m1 = vec(V[..., :2]) + 1j * vec(xi[..., :2])
-    minus = (kron(vec(nu[..., :2]) @ bm, m2 @ bp)
-             - kron(m1 @ bm, vec(nu[..., 2:]) @ bp))
+    plus = -kron(nu1 @ bp, xi2 @ bp) + kron(xi1 @ bp, nu2 @ bp)
+    minus = (kron(nu1 @ bm, (V2 + 1j * xi2) @ bp)
+             - kron((V1 + 1j * xi1) @ bm, nu2 @ bp))
     return {"positive-structure": np.linalg.norm(plus, axis=-1),
             "negative-structure": np.linalg.norm(minus, axis=-1)}
 

@@ -12,7 +12,11 @@ frame rotation form w12(X) = <nabla_X eps1, eps2>:
 
     w12 = (c/2) lam (v du - u dv),      d(w12) = -c vol.
 
-All evaluators accept floats or jets, of one point or of a batch.
+All evaluators accept floats or jets, of one point or of a batch.  The
+module-level formulas take the curvature as an argument, so an array of
+curvatures evaluates several space forms at once on a matching axis: the
+two factors of a product on the (2,) axis of ``ProductModel.factor_jets``.
+``SurfaceModel.conformal_factor`` checks the chart domain first.
 """
 
 from __future__ import annotations
@@ -26,6 +30,24 @@ from .jets import value
 
 class OutsideDomainError(ValueError):
     pass
+
+
+def conformal(c, x, y):
+    """lam = 1 / (1 + (c/4)(x^2 + y^2)), unchecked."""
+    return 1.0 / (1.0 + 0.25 * c * (x * x + y * y))
+
+
+def rotation_form(c, x, y, lam):
+    """Chart components (w_u, w_v) = (c/2) lam (y, -x) of w12 from the
+    conformal factor lam at (x, y)."""
+    half = 0.5 * c
+    return (half * y * lam, -half * x * lam)
+
+
+def ricci_coefficient(c, lam):
+    """The coefficient c lam^2 of the Ricci form rho = c lam^2 du ^ dv from
+    the conformal factor lam."""
+    return c * lam * lam
 
 
 @dataclass(frozen=True)
@@ -56,15 +78,4 @@ class SurfaceModel:
 
     def conformal_factor(self, x, y):
         self.check_point(x, y)
-        return 1.0 / (1.0 + 0.25 * self.curvature * (x * x + y * y))
-
-    def frame_rotation_form(self, x, y):
-        """Chart components (w_u, w_v) of w12."""
-        lam = self.conformal_factor(x, y)
-        c2 = 0.5 * self.curvature
-        return (c2 * y * lam, -c2 * x * lam)
-
-    def ricci_form_coefficient(self, x, y):
-        """rho = coeff du ^ dv with coeff = c lam^2 (the Ricci 2-form)."""
-        lam = self.conformal_factor(x, y)
-        return self.curvature * lam * lam
+        return conformal(self.curvature, x, y)

@@ -31,8 +31,10 @@ the systems as the paper writes them, but for the sign of system 2's eq12.
 
 Every residual here takes a :class:`PointEvaluation` of one point or a
 batch and returns one value per point.  Controls and the converse read the
-same value stages, swapped through ``PointEvaluation.replace``.  Like Gauss
-and Codazzi, each system is computed once per evaluation (``_shared``) and
+same value stages, swapped through ``PointEvaluation.replace``.  The two
+structures differ only by s, Omega and n, so ``ricci_components`` builds
+both on one axis and one ``reduceat`` reduces both systems.  Like Gauss and
+Codazzi, the systems are computed once per evaluation (``_shared``) and
 read again by ``system.covanish``, on the batch and on its perturbed copy.
 Random perturbations draw one point after another, so a batch sees the
 same stream as a loop over its points.
@@ -74,6 +76,8 @@ _TERMS = [term for terms in EQUATIONS.values() for term in terms]
 _SIGN = np.array([sign for sign, _, _ in _TERMS], dtype=float)
 _INDEX = np.array([3 * pair + m for _, pair, m in _TERMS])
 _START = np.cumsum([0] + [len(terms) for terms in EQUATIONS.values()][:-1])
+# s of structures 1 and 2, broadcast to (structure, pair, component)
+_S = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass
@@ -96,31 +100,33 @@ class SystemResiduals:
 
 
 def system_residuals(tag: int, ev: PointEvaluation) -> SystemResiduals:
-    """Evaluate one compatibility system at every point of ``ev``; its
-    twelve residuals are computed once per evaluation and tag."""
-    return SystemResiduals(_shared(ev, _system_equations, tag),
+    """Evaluate one compatibility system at every point of ``ev``; the
+    twelve residuals of both systems are computed once per evaluation."""
+    eqs = _shared(ev, _system_equations)[..., tag - 1, :]
+    return SystemResiduals(dict(zip(EQUATIONS, np.moveaxis(eqs, -1, 0))),
                            np.linalg.norm(ev.V_frame, axis=-1) < 1e-12)
 
 
-def ricci_components(ev: PointEvaluation, tag: int):
-    """S[..., p, m] = S^m_(ij) of structure ``tag``, (i, j) the pair p."""
-    s = 1.0 if tag == 1 else -1.0
-    E, V, h = ev.E_frame, ev.V_frame, np.asarray(ev.h_val)
-    omega = _shared(ev, frame_omega, tag)
-    n = (np.array([0.0, 0.0, 1.0]) if tag == 1 else
-         np.stack([V[..., 1], -V[..., 0], h], axis=-1)[..., None, :])
-    return (-s * ev.dE_frame[..., _PAIR_I, _PAIR_J, :]
+def ricci_components(ev: PointEvaluation):
+    """S[..., t, p, m] = S^m_(ij) of structure t + 1, (i, j) the pair p."""
+    E, V, h = ev.E_frame[..., None, :, :], ev.V_frame, np.asarray(ev.h_val)
+    omega = np.stack([_shared(ev, frame_omega, tag) for tag in (1, 2)],
+                     axis=-2)
+    n = np.stack(np.broadcast_arrays(
+        np.array([0.0, 0.0, 1.0]),
+        np.stack([V[..., 1], -V[..., 0], h], axis=-1)), axis=-2)
+    return (-_S * ev.dE_frame[..., None, _PAIR_I, _PAIR_J, :]
             + E[..., _J, _NEXT] * E[..., _I, _PREV]
             - E[..., _J, _PREV] * E[..., _I, _NEXT]
-            - ev.riemann_frame[..., _I, _J, _NEXT, _PREV]
-            + omega[..., None] * n)
+            - ev.riemann_frame[..., None, _I, _J, _NEXT, _PREV]
+            + omega[..., None] * n[..., None, :])
 
 
-def _system_equations(ev, tag):
-    S = ricci_components(ev, tag)
+def _system_equations(ev):
+    """The twelve equations of both systems, (..., 2, 12)."""
+    S = ricci_components(ev)
     terms = _SIGN * S.reshape(S.shape[:-2] + (9,))[..., _INDEX]
-    eqs = np.add.reduceat(terms, _START, axis=-1)
-    return dict(zip(EQUATIONS, np.moveaxis(eqs, -1, 0)))
+    return np.add.reduceat(terms, _START, axis=-1)
 
 
 def perturbed_shape(ev: PointEvaluation, rng):

@@ -14,9 +14,10 @@ from scipy.linalg import expm, logm
 
 from spinlab.clifford import CliffordModel, build_clifford
 from spinlab.hypersurfaces import _mv, evaluate
-from spinlab.jets import NTERMS, Jet, value, worst_of
-from spinlab.product import CLIFFORD, _curvature, structure
-from spinlab.restriction import per_point
+from spinlab.jets import NTERMS, Jet, value, variables, worst_of
+from spinlab.product import CLIFFORD, _auxiliary, _curvature, structure
+from spinlab.restriction import clifford, per_point
+from spinlab.surfaces import ricci_coefficient, rotation_form
 from spinlab.systems import CONVERSE_TOLERANCES, converse_residuals
 
 
@@ -361,6 +362,24 @@ _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
 
 
+def frame_rotation_form(surf, x, y):
+    """Chart components (w_u, w_v) of the rotation form w12 of the space
+    form ``surf``."""
+    return rotation_form(surf.curvature, x, y, surf.conformal_factor(x, y))
+
+
+def ricci_form_coefficient(surf, x, y):
+    """rho = coeff du ^ dv with coeff = c lam^2, the Ricci 2-form of the
+    space form ``surf``."""
+    return ricci_coefficient(surf.curvature, surf.conformal_factor(x, y))
+
+
+def gamma_matrix(rs, X_coord):
+    """gamma(X) of the restricted structure ``rs`` as 4x4 matrices
+    preserving its chirality eigenspace."""
+    return rs.sign * clifford(rs.ev, X_coord)
+
+
 def frame_components(product, p, w):
     """Orthonormal-frame components of a chart tangent 4-vector ``w`` at
     ``p``, the coordinate axis first."""
@@ -374,24 +393,24 @@ def ricci_form(product, p, X, Y, factor: int):
     """rho_i(pi_i X, pi_i Y) for chart tangent vectors X, Y at p, each
     factor's Ricci form evaluated from its conformal factor at p."""
     if factor == 1:
-        coeff = product.factor1.ricci_form_coefficient(p[0], p[1])
+        coeff = ricci_form_coefficient(product.factor1, p[0], p[1])
         return coeff * (X[0] * Y[1] - X[1] * Y[0])
-    coeff = product.factor2.ricci_form_coefficient(p[2], p[3])
+    coeff = ricci_form_coefficient(product.factor2, p[2], p[3])
     return coeff * (X[2] * Y[3] - X[3] * Y[2])
 
 
 def rotation_forms(product, p, X):
     """(w1(X1), w2(X2)) for a chart tangent vector X at p, each factor's
     rotation form evaluated from its conformal factor at p."""
-    a1 = product.factor1.frame_rotation_form(p[0], p[1])
-    a2 = product.factor2.frame_rotation_form(p[2], p[3])
+    a1 = frame_rotation_form(product.factor1, p[0], p[1])
+    a2 = frame_rotation_form(product.factor2, p[2], p[3])
     return (a1[0] * X[0] + a1[1] * X[1], a2[0] * X[2] + a2[1] * X[3])
 
 
 def gamma(rs, X_coord, spinor):
     """gamma(X) applied to ``spinor`` through the 4x4 matrices of the
     restricted structure ``rs``, the route the frame images replace."""
-    return np.einsum("...ab,...b->...a", rs.gamma_matrix(X_coord), spinor)
+    return np.einsum("...ab,...b->...a", gamma_matrix(rs, X_coord), spinor)
 
 
 def connection_matrix(product, p, X, struct):
@@ -962,6 +981,81 @@ def point_relations_check(ctx, tag, normal_scale=1.0):
         volume.append(min(abs(m - 1.0), abs(m + 1.0)))
         measured.add(int(np.sign(m.real)))
     return [anti, volume], {"volume_element_sign": sorted(measured)}
+
+
+# --- the per-factor and per-structure loops of the pair axes ------------------
+# Reference oracles with the arithmetic of the loops that the pair axes of
+# ``ProductModel.factor_jets`` and ``restriction.relation_defects`` replaced:
+# the ambient probes ran one jet pass per factor through its SurfaceModel,
+# each relations check its own Clifford pass on the signed gamma matrices.
+
+def loop_factor_jets(product, p):
+    """One tuple (x, y, area, rho) per factor: its chart coordinates of the
+    positions ``p`` seeded as order-2 jets, its area density lam^2 and its
+    Ricci form rho(eps1, eps2)."""
+    p = np.asarray(p, dtype=float)
+    out = []
+    for k, surf in ((0, product.factor1), (2, product.factor2)):
+        x, y, _ = variables(p[..., [k, k + 1, k]])
+        area = value(surf.conformal_factor(x.val, y.val)) ** 2
+        rho = ricci_form_coefficient(surf, x.val, y.val) / area
+        out.append((x.truncated(2), y.truncated(2), area, rho))
+    return tuple(out)
+
+
+def loop_liouville_residual(product, jets):
+    """|rho(eps1, eps2) - K| of each factor, one factor after the other."""
+    out = []
+    for surf, (x, y, area, rho) in zip((product.factor1, product.factor2),
+                                       jets):
+        lam = surf.conformal_factor(x, y)
+        d = lam.deriv()
+        hess = d.grad()
+        lap = hess[..., 0, 0] + hess[..., 1, 1]
+        sq = d.val[..., 0] ** 2 + d.val[..., 1] ** 2
+        out.append(np.abs(rho + (lam.val * lap - sq) / area ** 2))
+    return np.stack(out)
+
+
+def loop_auxiliary_curvature(product, jets, structs):
+    """Cartan's structure equation on the two factor planes, each factor's
+    rotation forms from its own order-1 conformal factor."""
+    curl, rho = [], []
+    for surf, (x, y, area, rho_i) in zip((product.factor1, product.factor2),
+                                         jets):
+        w_u, w_v = frame_rotation_form(surf, x.truncated(1),
+                                       y.truncated(1))
+        curl.append((w_v.grad()[..., 0] - w_u.grad()[..., 1]) / area)
+        rho.append(rho_i)
+    return np.stack([np.maximum(
+        np.abs(_auxiliary(st, curl[0], 0.0) - _curvature(st, rho[0], 0.0)),
+        np.abs(_auxiliary(st, 0.0, curl[1]) - _curvature(st, 0.0, rho[1])))
+        for st in structs])
+
+
+def loop_relations(rs, rng):
+    """The Clifford-relation defects of one structure from its own draws of
+    ``rng`` on its signed gamma matrices, and its volume measurement."""
+    XY = rng.standard_normal(rs.ev.u.shape[:-1] + (3, 2, 3))
+    X, Y = XY[..., 0, :], XY[..., 1, :]
+    gx, gy = gamma_matrix(rs, X), gamma_matrix(rs, Y)
+    ip = np.einsum("...a,...ab,...b->...", X, per_point(rs.ev, rs.ev.g_val, X),
+                   Y)
+    anti = gx @ gy + gy @ gx + 2.0 * ip[..., None, None] * np.eye(4)
+    skew = gx + np.conj(np.swapaxes(gx, -1, -2))
+    g1, g2, g3 = np.moveaxis(rs.frame_gammas, -3, 0)
+    return (np.abs(np.stack([anti, skew], axis=-3)).max(axis=(-4, -3, -2, -1)),
+            rs.expectation(g1 @ g2 @ g3 @ rs.psi))
+
+
+def loop_relations_check(ctx, tag):
+    """Residuals and notes of ``spinc.relations_s<tag>`` from
+    ``loop_relations`` on the batch."""
+    anti, m = loop_relations(ctx.spinc(tag),
+                             ctx.rng_for(f"spinc.relations_s{tag}"))
+    signs = np.sign(m.real[np.isfinite(m.real)])
+    return ([anti, np.minimum(np.abs(m - 1.0), np.abs(m + 1.0))],
+            {"volume_element_sign": sorted({int(s) for s in signs})})
 
 
 # --- the scalar-jet pipeline of the tensor-jet stages ---------------------------

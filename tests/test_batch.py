@@ -508,3 +508,43 @@ def test_relations_check_keeps_the_point_stream(tag, normal_scale):
         assert abs(got - worst) <= IDENTITY_TOL * max(1.0, worst)
         assert notes["volume_element_sign"] == point_notes[
             "volume_element_sign"]
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.shape, x.dtype, x.tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 3, 40])
+def test_pair_axes_match_the_loops_bit_for_bit(samples):
+    """The factor axis of the ambient probes and the structure axis of the
+    Clifford relations give, bit for bit, what the per-factor and
+    per-structure loops they replaced give: on every catalog member in both
+    pairings, at every sample point, at a single (4,) position and on a
+    one-point evaluation."""
+    for raw in BUILTIN_SCENARIOS:
+        for pairing in ("standard", "flipped"):
+            ctx = ScenarioContext(Scenario.from_dict(dict(
+                raw, samples=samples, structure_pairing=pairing)))
+            prod, structs = ctx.product, ctx.structures
+            for p in (ctx.batch.position, ctx.batch.position[0]):
+                new, old = prod.factor_jets(p), helpers.loop_factor_jets(prod, p)
+                assert (_bits(prod.liouville_residual(new))
+                        == _bits(helpers.loop_liouville_residual(prod, old)))
+                assert (_bits(prod.auxiliary_curvature_residual(new, structs))
+                        == _bits(helpers.loop_auxiliary_curvature(
+                            prod, old, structs))), (raw["name"], pairing)
+            for tag in (1, 2):
+                got, notes = REGISTRY_BY_NAME[f"spinc.relations_s{tag}"].fn(ctx)
+                want, want_notes = helpers.loop_relations_check(ctx, tag)
+                assert [_bits(r) for r in got] == [_bits(r) for r in want]
+                assert notes == want_notes
+            one = ctx.evaluation(0)
+            rngs = [np.random.default_rng(tag) for tag in (1, 2)]
+            got = rst.relation_defects(one, rngs)
+            for tag, st in zip((1, 2), structs):
+                rs = rst.restrict_structure(one, st)
+                anti, m = helpers.loop_relations(rs, np.random.default_rng(tag))
+                assert _bits(got[..., tag - 1]) == _bits(anti)
+                assert (_bits(np.abs(rs.volume_measurement() - 1.0))
+                        == _bits(np.abs(m - 1.0)))

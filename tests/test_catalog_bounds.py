@@ -2,8 +2,13 @@
 
 Each test reads the same run of ``run_catalog()``: every member carries one
 record per named check, that record evaluated every sample point, and its
-value stays within the bound.
+value stays within the bound.  ``data/catalog-floors.json`` holds the
+committed floor of every record, its ``max_residual``; a change that moves
+a floor re-generates that file and says why.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -56,4 +61,29 @@ def test_covanishing_reads_a_perturbed_copy_that_breaks_both(reports):
     joints = [(name, tag, c.notes[f"system{tag}"]["perturbed_min_joint"])
               for name, c in recs for tag in (1, 2)]
     bad = [j for j in joints if not (j[2] is not None and j[2] > 1e-3)]
+    assert not bad, bad
+
+
+FLOORS = Path(__file__).parent / "data" / "catalog-floors.json"
+
+
+def test_catalog_floors_stay_at_their_baseline(reports):
+    """No record's ``max_residual`` exceeds max(10 x its committed floor,
+    1e-15), the absolute term keeping exact zeros from failing on one ulp;
+    every floor that moved more than 2x either way is printed."""
+    baseline = json.loads(FLOORS.read_text())
+    floors = {r.scenario["name"]: {c.name: c.max_residual for c in r.checks}
+              for r in reports}
+    assert {m: sorted(f) for m, f in floors.items()} == {
+        m: sorted(f) for m, f in baseline.items()}
+    moved, bad = [], []
+    for member, checks in sorted(floors.items()):
+        for name, floor in sorted(checks.items()):
+            base = baseline[member][name]
+            if not floor <= max(10 * base, 1e-15):
+                bad.append((member, name, base, floor))
+            if not base / 2 <= floor <= 2 * base:
+                moved.append((member, name, base, floor))
+    for member, name, base, floor in moved:
+        print(f"floor moved: {member} {name} {base:.3e} -> {floor:.3e}")
     assert not bad, bad

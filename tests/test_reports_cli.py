@@ -321,6 +321,21 @@ def test_flipped_pairing_localizes_structure2_checks():
     assert not report.passed
 
 
+def test_flipped_pairing_catalog_fails_exactly_the_structure2_checks(
+        tmp_path):
+    """``spinlab catalog --structure-pairing flipped`` exits 1, and the
+    checks that fail on some member are exactly the three structure-2
+    checks that read the factor whose sign moved."""
+    from spinlab import cli
+    out = tmp_path / "flipped.json"
+    assert cli.main(["catalog", "--structure-pairing", "flipped",
+                     "--format", "json", "--out", str(out)]) == 1
+    failing = {c["name"] for r in json.loads(out.read_text())
+               for c in r["checks"] if c["verdict"] == "fail"}
+    assert failing == {"spinc.normal_condition_s2",
+                       "spinc.pairing_identities", "spinc.omega_s2"}
+
+
 def _nan_at(arr, index):
     arr = np.array(arr, dtype=float)
     arr[index] = np.nan
@@ -400,22 +415,22 @@ AMBIENT = ["ambient.product_structure", "ambient.auxiliary_curvature"]
 def test_nan_in_ambient_probe_fails_the_check(monkeypatch, check):
     """A NaN value of the flat second factor's conformal factor jet at one
     sample point, the second, must fail the check."""
+    from spinlab import product
     from spinlab.jets import Jet
-    from spinlab.surfaces import SurfaceModel
-    original = SurfaceModel.conformal_factor
+    original = product.conformal
     poisoned = []
 
-    def with_nan(self, x, y):
-        lam = original(self, x, y)
-        if self.curvature == 0.0 and isinstance(lam, Jet):
+    def with_nan(c, x, y):
+        lam = original(c, x, y)
+        if isinstance(lam, Jet):
             lam = Jet(lam.c.copy(), lam.shape)
-            lam.c[0, 1] = np.nan
+            lam.c[0, np.flatnonzero(c == 0.0), 1] = np.nan
             poisoned.append(lam.order)
         return lam
 
-    monkeypatch.setattr(SurfaceModel, "conformal_factor", with_nan)
+    monkeypatch.setattr(product, "conformal", with_nan)
     report = run_scenario(small_scenario(checks=[check]))
-    assert poisoned
+    assert poisoned == [2]
     (rec,) = report.checks
     assert np.isnan(rec.max_residual)
     assert rec.verdict == "fail"
@@ -424,11 +439,11 @@ def test_nan_in_ambient_probe_fails_the_check(monkeypatch, check):
 def test_corrupted_ricci_form_fails_both_ambient_checks(monkeypatch):
     """A Ricci form coefficient off by a relative 1e-9 fails both ambient
     checks on every catalog member with a curved factor."""
+    from spinlab import product
     from spinlab.catalog import BUILTIN_SCENARIOS
-    from spinlab.surfaces import SurfaceModel
-    original = SurfaceModel.ricci_form_coefficient
-    monkeypatch.setattr(SurfaceModel, "ricci_form_coefficient",
-                        lambda self, x, y: original(self, x, y) * (1 + 1e-9))
+    original = product.ricci_coefficient
+    monkeypatch.setattr(product, "ricci_coefficient",
+                        lambda c, lam: original(c, lam) * (1 + 1e-9))
     curved = [raw for raw in BUILTIN_SCENARIOS if raw["c1"] or raw["c2"]]
     assert len(curved) == 4
     for raw in curved:
@@ -577,12 +592,12 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
 def test_shared_work_runs_once_per_scenario(monkeypatch):
     """Over one run of every check, each quantity that several checks read
     is computed once on the clean batch: Gauss, Codazzi, the derivative
-    identities and the rank pair once, each compatibility system once per
-    tag, the frame spinor derivative, the frame images gamma(e_k) phi and
+    identities and the rank pair once, both compatibility systems in one
+    pass, the frame spinor derivative, the frame images gamma(e_k) phi and
     the closed form of Omega once per structure, and the factor record of
     the Ricci coefficients once for both structures.  The
     controls and co-vanishing share one perturbed copy, on which Gauss,
-    each system and so Omega are computed once more."""
+    the systems and so Omega are computed once more."""
     from spinlab import hypersurfaces as hyp
     from spinlab import restriction as rst
     from spinlab import systems as sysmod
@@ -601,8 +616,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     for body in ("_gauss", "_codazzi", "_derivative_identities",
                  "_rank_pair"):
         count(hyp, body, lambda ev, body=body: (body, len(ev.u)))
-    count(sysmod, "_system_equations",
-          lambda ev, tag: (f"system{tag}", len(ev.u)))
+    count(sysmod, "_system_equations", lambda ev: ("systems", len(ev.u)))
     count(rst, "factors", lambda ev: ("factors", len(ev.u)))
 
     def count_property(name, label):
@@ -632,8 +646,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     # curvature.gauss_control, system.control and system.covanish read,
     # every one of them all 14 points
     assert runs("_gauss") == [(14,)] * 2
-    for tag in (1, 2):
-        assert runs(f"system{tag}") == [(14,)] * 2
+    assert runs("systems") == [(14,)] * 2
     # the systems and spinc.omega_s1/_s2 read one Omega per tag
     assert runs("omega") == [(1, 14), (1, 14), (2, 14), (2, 14)]
     assert runs("frame derivative") == [(1,), (2,)]
@@ -759,27 +772,31 @@ def test_product_structure_reduces_one_array(monkeypatch, nan_at):
 
 
 def test_product_structure_is_one_jet_pass(monkeypatch):
-    """Both ambient checks read one factor-jet record: two plain-value
-    calls per factor for its area density and Ricci form coefficient, then
-    one order-2 jet conformal factor per factor at every sample point for
-    Liouville's formula, and one order-1 one inside the rotation forms of
-    Cartan's structure equation."""
+    """Both ambient checks read one factor-jet record: one order-2
+    conformal factor of both factors, a (2,) jet at every sample point,
+    which Liouville's formula reads and Cartan's structure equation reads
+    cut to order 1, and no conformal factor of a single factor."""
+    from spinlab import product
     from spinlab.jets import Jet
     from spinlab.surfaces import SurfaceModel
-    original = SurfaceModel.conformal_factor
     calls = []
 
-    def counted(self, x, y):
-        lam = original(self, x, y)
-        calls.append((lam.order, lam.val.shape) if isinstance(lam, Jet)
-                     else (None, np.shape(lam)))
-        return lam
+    def counted(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(SurfaceModel, "conformal_factor", counted)
+        def count(*args):
+            lam = original(*args)
+            calls.append((name, lam.order, lam.val.shape)
+                         if isinstance(lam, Jet) else (name, np.shape(lam)))
+            return lam
+
+        monkeypatch.setattr(owner, name, count)
+
+    counted(product, "conformal")
+    counted(SurfaceModel, "conformal_factor")
     report = run_scenario(small_scenario(checks=AMBIENT))
     assert report.passed
-    assert calls == ([(None, (6,))] * 4 + [(2, (6,))] * 2
-                     + [(1, (6,))] * 2)
+    assert calls == [("conformal", 2, (6, 2))]
 
 
 @pytest.mark.parametrize("change, extra, says", [

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import sample
-from helpers import (adapted_gauge_derivative, gamma, killing_residual,
-                     ricci_form)
+from helpers import (adapted_gauge_derivative, gamma, gamma_matrix,
+                     killing_residual, ricci_form)
 from spinlab import build_chart, build_product, evaluate, structure
 from spinlab.catalog import BUILTIN_SCENARIOS
 from spinlab.checks import REGISTRY, ScenarioContext, run_catalog
@@ -131,7 +131,7 @@ def test_frame_images_match_the_matrix_routes(members, rng):
                 rs = restrict_structure(ev, structure(tag))
                 assert np.array_equal(rs.frame_images,
                                       rs.frame_gammas @ rs.psi), name
-                V = rs.gamma_matrix(ev.V_coord_val) @ rs.psi
+                V = gamma_matrix(rs, ev.V_coord_val) @ rs.psi
                 assert np.abs(rs.frame_image(ev.V_frame) - V).max() \
                     <= 2e-15, (name, tag)
                 contraction = _curvature(rs.struct, *normal_ricci(ev))
@@ -239,7 +239,7 @@ def test_pairing_identity_at_extreme_h():
     ev = evaluate(build_chart("slice-geodesic"), build_product(1.0, -0.5),
                   [0.1, 0.2, 0.3])
     rs = restrict_structure(ev, structure(2))
-    g3 = rs.gamma_matrix(ev.frame[:, 2])
+    g3 = gamma_matrix(rs, ev.frame[:, 2])
     val = 1j * np.vdot(rs.psi, g3 @ rs.psi)
     assert val.real == pytest.approx(-1.0, abs=1e-12)
     assert abs(val.imag) < 1e-12

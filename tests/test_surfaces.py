@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import christoffels, fd_second_derivative
+from helpers import christoffels, fd_second_derivative, frame_rotation_form
 from spinlab.jets import value
 from spinlab.surfaces import OutsideDomainError, SurfaceModel
 
@@ -77,8 +77,8 @@ def test_rotation_form_curvature(c, rng):
     h = 1e-5
     for _ in range(10):
         x, y = rng.uniform(-0.4, 0.4, 2)
-        wu = lambda a, b: value(surf.frame_rotation_form(a, b)[0])
-        wv = lambda a, b: value(surf.frame_rotation_form(a, b)[1])
+        wu = lambda a, b: value(frame_rotation_form(surf, a, b)[0])
+        wv = lambda a, b: value(frame_rotation_form(surf, a, b)[1])
         d = ((wv(x + h, y) - wv(x - h, y)) / (2 * h)
              - (wu(x, y + h) - wu(x, y - h)) / (2 * h))
         lam = value(surf.conformal_factor(x, y))

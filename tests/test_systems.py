@@ -230,7 +230,7 @@ def test_ricci_components_are_the_spinor_ricci_identity(members, rng):
                 G, phi = rs.frame_gammas, rs.psi
                 G_phi = G @ phi
                 G_E = np.einsum("...jk,...kab->...jab", E, G)
-                S = ricci_components(data, tag)
+                S = ricci_components(data)[..., tag - 1, :, :]
                 for p, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
                     T = (-0.5 * rs.sign * np.einsum(
                             "...k,...ka->...a", dE[..., i, j, :], G_phi)
