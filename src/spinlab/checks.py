@@ -8,10 +8,12 @@ kind:
              the tolerance (negative control)
 
 Point checks share one batched :class:`PointEvaluation` of all sampled
-points.  Every residual of a point evaluation, and of the restricted spin^c
-structures (one per tag, cached by ``ScenarioContext``), runs once on the
-whole batch.  A check returns its per-point residuals (one array, a list
-of same-shape arrays or a dict of them) and the notes of its record;
+points, seeded at the highest jet order that a selected check states: 3
+where a check reads a curvature-level stage, 2 otherwise.  Every residual
+of a point evaluation, and of the restricted spin^c structures (one per
+tag, cached by ``ScenarioContext``), runs once on the whole batch.  A
+check returns its per-point residuals (one array, a list of same-shape
+arrays or a dict of them) and the notes of its record;
 ``run_scenario`` alone reduces them to the worst value over every point
 and component, NaN if any is NaN, judges that by kind and builds the
 record.  ``ScenarioContext`` also holds what several checks read beside
@@ -60,6 +62,11 @@ class ScenarioContext:
         self.structures = tuple(structure(tag, scenario.structure_pairing)
                                 for tag in (1, 2))
         self._spinc = {}
+        # the jet order of the batch, the highest its checks read
+        names = REGISTRY_BY_NAME if scenario.checks is None \
+            else scenario.checks
+        self.order = max((REGISTRY_BY_NAME[name].order for name in names),
+                         default=2)
 
     def rng_for(self, name: str):
         return np.random.default_rng(
@@ -69,7 +76,7 @@ class ScenarioContext:
     def batch(self) -> hyp.PointEvaluation:
         """One evaluation of every sample point, built on first use so that
         a bad point surfaces inside the first check that needs it."""
-        return hyp.evaluate(self.chart, self.product, self.points)
+        return hyp.evaluate(self.chart, self.product, self.points, self.order)
 
     @cached_property
     def perturbed(self) -> hyp.PointEvaluation:
@@ -97,7 +104,8 @@ class ScenarioContext:
 
     # perfbench's stage profile calls this; no check does
     def evaluation(self, i: int) -> hyp.PointEvaluation:
-        """A new evaluation of sample point ``i`` alone."""
+        """A new evaluation of sample point ``i`` alone, at order 3 so that
+        every stage can be read."""
         return hyp.evaluate(self.chart, self.product, self.points[i])
 
     def spinc(self, tag: int) -> rst.RestrictedSpinc:
@@ -122,6 +130,7 @@ class CheckSpec:
     tolerance: float
     kind: str
     fn: object
+    order: int = 2  # the highest jet order of the stages it reads
 
 
 def _batch_check(residual, tag=None, **notes):
@@ -136,12 +145,17 @@ def _batch_check(residual, tag=None, **notes):
 
 # --- ambient / product-model checks -----------------------------------------
 
+# |F F - Id|, |F - F^T| and |tr F|, the same in every scenario
+_F_DEFECTS = np.array([np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max(),
+                       np.abs(F_MATRIX - F_MATRIX.T).max(),
+                       abs(np.trace(F_MATRIX))])
+
+
 def check_ambient_product_structure(ctx):
     """F involutive/symmetric/trace-free and rho against the Gauss
     curvature of the conformal factors (Liouville's formula)."""
     return np.concatenate((
-        [np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max(),
-         np.abs(F_MATRIX - F_MATRIX.T).max(), abs(np.trace(F_MATRIX))],
+        _F_DEFECTS,
         np.ravel(ctx.product.liouville_residual(ctx.factor_jets)))), {}
 
 
@@ -270,18 +284,19 @@ REGISTRY = [
               _batch_check(lambda ev: hyp.derivative_identities(ev))),
     CheckSpec("curvature.gauss",
               "Gauss equation for a product of two space forms",
-              1e-5, "assert", _batch_check(lambda ev: hyp.gauss_residual(ev))),
+              1e-5, "assert", _batch_check(lambda ev: hyp.gauss_residual(ev)),
+              order=3),
     CheckSpec("curvature.codazzi",
               "Codazzi equation for a product of two space forms",
               1e-5, "assert",
-              _batch_check(lambda ev: hyp.codazzi_residual(ev))),
+              _batch_check(lambda ev: hyp.codazzi_residual(ev)), order=3),
     CheckSpec("curvature.gauss_control",
               "negative control: perturbed shape operator must violate the "
               "Gauss equation", 1e-2, "control",
               lambda ctx: (hyp.gauss_residual(ctx.perturbed), {
                   "control": "shape operator perturbed by symmetric "
                              "rank-two noise; residual must exceed "
-                             "tolerance"})),
+                             "tolerance"}), order=3),
     CheckSpec("connection.xi_derivative",
               "derivative of the contact direction: nabla_X xi = Chi E X",
               1e-6, "assert",
@@ -289,19 +304,20 @@ REGISTRY = [
     CheckSpec("system.one",
               "twelve scalar components of the Ricci identity for the "
               "positive structure (compatibility system 1)",
-              1e-5, "assert", _system_check(1)),
+              1e-5, "assert", _system_check(1), order=3),
     CheckSpec("system.two",
               "twelve scalar components of the Ricci identity for the "
               "negative structure (compatibility system 2)",
-              1e-5, "assert", _system_check(2)),
+              1e-5, "assert", _system_check(2), order=3),
     CheckSpec("system.control",
               "negative control: perturbed shape operator must violate the "
               "compatibility systems", 1e-2, "control",
               lambda ctx: ([sysmod.system_residuals(t, ctx.perturbed)
-                            .max_residual for t in (1, 2)], {})),
+                            .max_residual for t in (1, 2)], {}), order=3),
     CheckSpec("system.covanish",
               "Gauss and Codazzi residuals vanish together wherever the "
-              "compatibility system holds", 0.5, "assert", check_covanish),
+              "compatibility system holds", 0.5, "assert", check_covanish,
+              order=3),
     CheckSpec("killing.s1",
               "generalized Killing law nabla_X phi = -1/2 gamma(EX) phi "
               "for the restricted positive-structure spinor",
@@ -379,11 +395,11 @@ REGISTRY = [
               "so totally umbilical hypersurfaces of M(c) x M(c), and those "
               "with a local product structure (V = 0), have constant mean "
               "curvature",
-              1e-10, "assert", check_umbilic),
+              1e-10, "assert", check_umbilic, order=3),
     CheckSpec("theorem.converse_roundtrip",
               "abstract-data direction: harvested point data passes the "
               "full compatibility battery (ratios to per-check tolerances)",
-              1.0, "assert", check_converse),
+              1.0, "assert", check_converse, order=3),
 ]
 
 REGISTRY_BY_NAME = {spec.name: spec for spec in REGISTRY}

@@ -2,7 +2,7 @@
 
 A chart is a map u = (u1, u2, u3) -> (p1(u), p2(u)) into the two conformal
 factor charts.  One :class:`PointEvaluation` runs the whole pipeline in jet
-arithmetic, seeded at degree 3, and exposes, at its base points:
+arithmetic and exposes, at its base points:
 
   * induced metric, unit normal, shape operator E = -nabla nu, mean curvature
   * the almost contact data (Chi, xi, eta) from J and the splitting (f, V, h)
@@ -13,6 +13,11 @@ arithmetic, seeded at degree 3, and exposes, at its base points:
 
 An evaluation holds one point (``u`` of shape (3,)) or a batch of points
 (``u`` of shape (N, 3)).  A batch runs every stage once for all its points.
+The chart is seeded at ``order``, 3 by default, which the curvature-level
+stages (``riemann``, ``nabla_E``, ``dH`` and what reads them) need; a
+scenario whose checks read none of them evaluates at order 2, where
+reading those stages raises the jets' order assertion and every other
+stage keeps the bits of its values and first derivatives.
 Each jet stage is one tensor jet (``g`` a 3x3 jet, ``nu`` a 4-vector jet)
 with its tensor axes after the coefficient axis and the point axis last,
 computed by whole-tensor contractions, and built only to the highest order
@@ -51,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import contract, stack, variables
+from .jets import ORDER, contract, stack, variables
 from .product import F_MATRIX, J_MATRIX, ProductModel
 from .surfaces import OutsideDomainError
 
@@ -81,9 +86,10 @@ class HypersurfaceChart:
     domain: np.ndarray  # (3, 2) parameter box used for sampling
     orientation: int = 1
 
-    def map_jets(self, u):
-        """The four ambient chart components as one (4,) jet."""
-        return stack(list(self.map_fn(*variables(u))))
+    def map_jets(self, u, order=ORDER):
+        """The four ambient chart components as one (4,) jet, truncated at
+        ``order``."""
+        return stack(list(self.map_fn(*variables(u, order))))
 
 
 def _read_only(x):
@@ -134,10 +140,12 @@ def _value_stage(jet_stage):
 class PointEvaluation:
     """All induced data of a hypersurface chart at one point or a batch."""
 
-    def __init__(self, chart: HypersurfaceChart, product: ProductModel, u):
+    def __init__(self, chart: HypersurfaceChart, product: ProductModel, u,
+                 order=ORDER):
         self.chart = chart
         self.product = product
         self.u = np.asarray(u, dtype=float)
+        self.order = order  # of the chart seed
         self._memo = {}  # quantities several checks read, see ``_shared``
 
     def replace(self, **stages) -> "PointEvaluation":
@@ -162,7 +170,7 @@ class PointEvaluation:
     # --- immersion-level jets ------------------------------------------
     @_stage
     def phi(self):
-        return self.chart.map_jets(self.u)
+        return self.chart.map_jets(self.u, self.order)
 
     @_stage
     def T(self):
@@ -471,10 +479,11 @@ class PointEvaluation:
                          vec - np.swapaxes(vec, -3, -2), e)
 
 
-def evaluate(chart, product, u) -> PointEvaluation:
+def evaluate(chart, product, u, order=ORDER) -> PointEvaluation:
     """Evaluate ``chart`` at one point u (shape (3,)) or at a batch of
-    points (shape (N, 3)); the immersion check covers every point."""
-    ev = PointEvaluation(chart, product, u)
+    points (shape (N, 3)), seeded at ``order``; the immersion check covers
+    every point."""
+    ev = PointEvaluation(chart, product, u, order)
     ev.check_immersion()
     return ev
 

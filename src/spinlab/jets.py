@@ -23,9 +23,11 @@ contraction kernel ``contract`` (einsum subscripts over the tensor axes)
 form all pairs in one numpy call with a leading pair axis and sum them into
 their slots as ``S @ pairs``, S being the 0/1 (nterms, npairs) matrix of
 the pair table: one matrix product over all entries and points, about 3x
-faster than ``np.add.reduceat`` over the same pairs at N = 50.  At order 0
-and 1 a slot has at most two pairs: slot k is a[0] b[k] + a[k] b[0].  The
-powers of a seed x0 + dx_i (``variables``) are monomials (``Seed``).
+faster than ``np.add.reduceat`` over the same pairs at N = 50, and one
+BLAS call as long as it fits the single-thread budget of ``_apply``.  At
+order 0 and 1 a slot has at most two pairs: slot k is a[0] b[k] + a[k]
+b[0].  The powers of a seed x0 + dx_i (``variables``) are monomials
+(``Seed``).
 
 The monomial table is graded, so a lower-order jet is a prefix of a
 higher-order one, and a jet truncated at order k is exactly its first
@@ -36,6 +38,8 @@ methods assert that the requested derivative is within the order.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -70,49 +74,55 @@ for _nt in (10, 20):
     _S[_K, np.arange(len(_K))] = 1.0
     _PAIRS[_nt] = (_I, _J, _S)
 
-# Partial derivatives along the three variables as a (3, nt_lower, nt)
-# array per truncation length: D[v, L, n] is the exponent of variable v in
-# monomial n when lowering it gives monomial L, so the derivative of an
-# order-k jet is an order-(k - 1) jet.
+# Partial derivatives along the three variables as an (nt_lower * 3, nt)
+# matrix per truncation length: row 3 L + v, column n holds the exponent of
+# variable v in monomial n when lowering it gives monomial L, so the
+# derivative of an order-k jet is an order-(k - 1) jet, and one matrix
+# product lays its coefficients out as [L, v, ...].
 _DERIV = {}
 for _nt in (4, 10, 20):
     _low = _NT_OF_ORDER[_ORDER_OF_NT[_nt] - 1]
-    _DERIV[_nt] = np.zeros((NVARS, _low, _nt))
+    _DERIV[_nt] = np.zeros((_low * NVARS, _nt))
     for v in range(NVARS):
         for n, m in enumerate(MONOMIALS[:_nt]):
             if m[v] > 0:
                 lower = list(m)
                 lower[v] -= 1
-                _DERIV[_nt][v, _INDEX[tuple(lower)], n] = m[v]
+                _DERIV[_nt][_INDEX[tuple(lower)] * NVARS + v, n] = m[v]
 
 _FACT = np.array([1.0, 1.0, 2.0, 6.0])
 
-# _SEED_SLOTS[i][k - 1] is the slot of the monomial dx_i^k.
-_SEED_SLOTS = [[_INDEX[tuple(k * (w == v) for w in range(NVARS))]
-                for k in range(1, ORDER + 1)] for v in range(NVARS)]
+# _SEED_SLOTS[i, k - 1] is the slot of the monomial dx_i^k.
+_SEED_SLOTS = np.array([[_INDEX[tuple(k * (w == v) for w in range(NVARS))]
+                         for k in range(1, ORDER + 1)] for v in range(NVARS)])
 
 
-# Columns per matrix product.  OpenBLAS ran a 20 x 84 x 600 product on two
-# threads (20 x 84 x 500 on one); on a 2-core machine that made the jet
-# stages 2-3x slower whenever another process was busy, so every product
-# here stays well below that size.  Widening the block for the smaller
-# order-1 and order-2 products (to the 20 x 84 x 128 budget) made their slot
-# sums 2-3x faster in isolation, but the larger products again ran on two
-# threads, and the whole curvature-dense benchmark got slower in 4 of 4
-# alternated pairs; one block size for every order stays.
-_BLOCK = 128
+# Multiply-adds per matrix product.  OpenBLAS ran a 20 x 84 x 600 product
+# (1,008,000 multiply-adds) on two threads and a 20 x 84 x 500 one on one;
+# on a 2-core machine two threads made the jet stages 2-3x slower whenever
+# another process was busy.  So each matrix gets the widest column block
+# within this budget, well below that size: 936 columns for the order-2
+# pair table (10 x 28), 156 for the order-3 one (20 x 84), 436 for the
+# order-3 derivative (30 x 20).  A fixed block of 128 columns for every
+# matrix split the small order-2 sums into several calls: on a 2-core
+# x86 host, in one run, a 10 x 28 slot sum over 144, 480 and 600 columns
+# took 0.69x, 0.53x and 0.54x the time of 128-column blocks, with equal
+# bits.
+_BUDGET = 262144
 
 
 def _apply(M, c):
-    """``M @`` along the coefficient axis of ``c``: (..., nterms) matrices
-    times an (nterms, ...) coefficient array."""
+    """``M @`` along the coefficient axis of ``c``: an (m, nterms) matrix
+    times an (nterms, ...) coefficient array, one product per block of
+    columns within ``_BUDGET``."""
     flat = c.reshape(len(c), -1)
-    if flat.shape[1] <= _BLOCK:
-        return (M @ flat).reshape(M.shape[:-1] + c.shape[1:])
-    out = np.empty(M.shape[:-1] + flat.shape[1:])
-    for i in range(0, flat.shape[1], _BLOCK):
-        np.matmul(M, flat[:, i:i + _BLOCK], out=out[..., i:i + _BLOCK])
-    return out.reshape(M.shape[:-1] + c.shape[1:])
+    block = _BUDGET // M.size
+    if flat.shape[1] <= block:
+        return (M @ flat).reshape(M.shape[:1] + c.shape[1:])
+    out = np.empty((len(M), flat.shape[1]))
+    for i in range(0, flat.shape[1], block):
+        np.matmul(M, flat[:, i:i + block], out=out[:, i:i + block])
+    return out.reshape(M.shape[:1] + c.shape[1:])
 
 
 class Jet:
@@ -135,10 +145,11 @@ class Jet:
 
     # construction -----------------------------------------------------
     @staticmethod
-    def variable(i, x0):
-        """The seed x0 + dx_i of chart variable ``i``."""
-        c = np.zeros((NTERMS,) + np.shape(x0))
-        c[0], c[_SEED_SLOTS[i][0]] = x0, 1.0
+    def variable(i, x0, order=ORDER):
+        """The seed x0 + dx_i of chart variable ``i``, truncated at
+        ``order`` (1 to 3)."""
+        c = np.zeros((_NT_OF_ORDER[order],) + np.shape(x0))
+        c[0], c[_SEED_SLOTS[i, 0]] = x0, 1.0
         seed = Seed(c)
         seed.var = i
         return seed
@@ -157,8 +168,13 @@ class Jet:
 
     def __getitem__(self, idx):
         """The jet of an entry or slice of the tensor axes (numpy indexing,
-        without an ellipsis)."""
-        c = self.c[(slice(None),) + (idx if isinstance(idx, tuple) else (idx,))]
+        without an ellipsis).  An advanced index gives C-contiguous
+        coefficients; numpy would leave the indexed axes outermost in
+        memory."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        c = self.c[(slice(None),) + idx]
+        if any(isinstance(i, (list, np.ndarray)) for i in idx):
+            c = np.ascontiguousarray(c)
         return Jet(c, c.shape[1:c.ndim - self.batched])
 
     def reshape(self, shape):
@@ -188,7 +204,8 @@ class Jet:
         """Jet of the partial derivatives along the three chart variables,
         one order lower, on a new leading tensor axis of size 3."""
         assert self.order >= 1
-        return Jet(np.swapaxes(_apply(_DERIV[len(self.c)], self.c), 0, 1),
+        c = _apply(_DERIV[len(self.c)], self.c)
+        return Jet(c.reshape((len(c) // NVARS, NVARS) + c.shape[1:]),
                    (NVARS,) + self.shape)
 
     # arithmetic ---------------------------------------------------------
@@ -218,6 +235,9 @@ class Jet:
         return self._pad(len(shape)), x, shape
 
     def __add__(self, other):
+        if isinstance(other, Jet) and other.shape == self.shape:
+            nt = min(len(self.c), len(other.c))
+            return Jet(self.c[:nt] + other.c[:nt], self.shape)
         a, b, shape = self._operands(other)
         if isinstance(other, Jet):
             return Jet(a + b, shape)
@@ -233,12 +253,17 @@ class Jet:
         return Jet(-self.c, self.shape)
 
     def __sub__(self, other):
+        if isinstance(other, Jet) and other.shape == self.shape:
+            nt = min(len(self.c), len(other.c))
+            return Jet(self.c[:nt] - other.c[:nt], self.shape)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Jet) and other.shape == self.shape:
+            return Jet(_products(self.c, other.c, np.multiply), self.shape)
         a, b, shape = self._operands(other)
         if isinstance(other, Jet):
             return Jet(_products(a, b, np.multiply), shape)
@@ -262,43 +287,47 @@ class Jet:
 
     # analytic functions --------------------------------------------------
     def _compose(self, ladder):
-        """Evaluate f(self) entrywise given [f, f', f'', f'''] at the value
-        part; each entry is a number or an array shaped like ``c[0]``."""
-        s = Jet(self.c.copy(), self.shape)
-        s.c[0] = 0.0
+        """Evaluate f(self) entrywise given ``ladder(k)``, the k-th
+        derivative of f at the value part (an array shaped like ``c[0]``),
+        which is called for k up to the jet's order only."""
+        s = self.c.copy()
+        s[0] = 0.0
         c = np.zeros_like(self.c)
-        c[0] = ladder[0]
+        c[0] = ladder(0)
         p = s
         for k in range(1, self.order + 1):
             if k > 1:
-                p = p * s
-            c = c + (ladder[k] / _FACT[k]) * p.c
+                p = _products(p, s, np.multiply)
+            c = c + (ladder(k) / _FACT[k]) * p
         return Jet(c, self.shape)
 
     def _reciprocal(self):
         x = self.c[0]
         if np.any(x == 0.0):
             raise ZeroDivisionError("jet with zero value part")
-        return self._compose([1.0 / x, -1.0 / x**2, 2.0 / x**3, -6.0 / x**4])
+        # (-1)^k k! / x^(k + 1)
+        return self._compose(
+            lambda k: (1.0, -1.0, 2.0, -6.0)[k] / x ** (k + 1))
 
     def sqrt(self):
         x = self.c[0]
         if np.any(x <= 0.0):
             raise ValueError("sqrt of non-positive jet value")
         r = np.sqrt(x)
-        return self._compose([r, 0.5 / r, -0.25 / r**3, 0.375 / r**5])
+        return self._compose(lambda k: r if k == 0 else
+                             (0.5, -0.25, 0.375)[k - 1] / r ** (2 * k - 1))
 
     def exp(self):
         e = np.exp(self.c[0])
-        return self._compose([e, e, e, e])
+        return self._compose(lambda k: e)
 
     def sin(self):
         s, c = np.sin(self.c[0]), np.cos(self.c[0])
-        return self._compose([s, c, -s, -c])
+        return self._compose((s, c, -s, -c).__getitem__)
 
     def cos(self):
         s, c = np.sin(self.c[0]), np.cos(self.c[0])
-        return self._compose([c, -s, -c, s])
+        return self._compose((c, -s, -c, s).__getitem__)
 
 
 class Seed(Jet):
@@ -309,14 +338,16 @@ class Seed(Jet):
     __slots__ = ("var",)
 
     def _compose(self, ladder):
-        steps = [ladder[k] / _FACT[k] for k in range(1, ORDER + 1)]
+        n = self.order
+        steps = np.array([ladder(k) for k in range(1, n + 1)]) \
+            / _FACT[1:n + 1].reshape((n,) + (1,) * (self.c.ndim - 1))
         if not np.isfinite(steps).all():
             return super()._compose(ladder)
         c = np.zeros_like(self.c)
-        c[0] = ladder[0]
-        for step, slot in zip(steps, _SEED_SLOTS[self.var]):
-            c[0] += step * 0.0
-            c[slot] = step + 0.0
+        # the product route adds step * 0.0 to the value, which can only
+        # change a signed zero, and sums each power's slot from 0.0
+        c[0] = ladder(0) + (steps * 0.0).sum(axis=0)
+        c[_SEED_SLOTS[self.var, :n]] = steps + 0.0
         return Jet(c, self.shape)
 
 
@@ -333,14 +364,21 @@ def _products(a, b, form):
     return _apply(S, form(a[I], b[J]))
 
 
+@functools.cache
+def _einsum_spec(subscripts):
+    """The einsum subscripts of ``contract`` with the coefficient and point
+    axes written out, and the rank of the output."""
+    ins, out = subscripts.split("->")
+    sub_a, sub_b = ins.split(",")
+    return f"p{sub_a}...,p{sub_b}...->p{out}...", len(out)
+
+
 def contract(subscripts, a, b):
     """Einsum of two jets over their tensor axes, e.g. ``"ij,jk->ik"``; the
     coefficient and point axes are implicit."""
-    ins, out = subscripts.split("->")
-    sub_a, sub_b = ins.split(",")
-    spec = f"p{sub_a}...,p{sub_b}...->p{out}..."
+    spec, rank = _einsum_spec(subscripts)
     c = _products(a.c, b.c, lambda x, y: np.einsum(spec, x, y))
-    return Jet(c, c.shape[1:len(out) + 1])
+    return Jet(c, c.shape[1:rank + 1])
 
 
 def stack(items):
@@ -354,11 +392,11 @@ def stack(items):
                arr.shape + flat[0].shape)
 
 
-def variables(u):
-    """Seed jets, of order ``ORDER``, for a chart point u = (u1, u2, u3), or
-    for a batch of points given as an (N, 3) array."""
+def variables(u, order=ORDER):
+    """Seed jets, truncated at ``order``, for a chart point u = (u1, u2,
+    u3), or for a batch of points given as an (N, 3) array."""
     u = np.asarray(u, dtype=float)
-    return tuple(Jet.variable(i, u[..., i]) for i in range(NVARS))
+    return tuple(Jet.variable(i, u[..., i], order) for i in range(NVARS))
 
 
 def value(x):

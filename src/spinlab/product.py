@@ -132,7 +132,7 @@ class ProductModel:
                              (0, 1))
         for surf, xk, yk in zip((self.factor1, self.factor2), x0, y0):
             surf.check_point(xk, yk)
-        x, y = (Jet(Jet.variable(i, v).truncated(2).c, (2,))
+        x, y = (Jet(Jet.variable(i, v, 2).c, (2,))
                 for i, v in enumerate((x0, y0)))
         lam = conformal(self.curvatures, x, y)
         area = lam.val ** 2

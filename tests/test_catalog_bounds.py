@@ -7,12 +7,16 @@ committed floor of every record, its ``max_residual``; a change that moves
 a floor re-generates that file and says why.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from spinlab.checks import REGISTRY, run_catalog
+from spinlab.catalog import BUILTIN_SCENARIOS
+from spinlab.checks import (REGISTRY, REGISTRY_BY_NAME, ScenarioContext,
+                            run_catalog, run_scenario)
+from spinlab.reports import Scenario
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +66,40 @@ def test_covanishing_reads_a_perturbed_copy_that_breaks_both(reports):
               for name, c in recs for tag in (1, 2)]
     bad = [j for j in joints if not (j[2] is not None and j[2] > 1e-3)]
     assert not bad, bad
+
+
+def _alone(raw, name):
+    return Scenario.from_dict(dict(raw, checks=[name]))
+
+
+def test_each_check_reads_only_its_declared_order(reports, monkeypatch):
+    """Run alone, a check's batch is seeded at the order it declares, and
+    its record is the one of the catalog run, whose batch is at order 3
+    (it selects ``curvature.gauss``): ``max_residual``, verdict and notes
+    are equal.  Declared one order too low, each order-3 check raises the
+    order assertion of ``Jet.grad`` or ``Jet.deriv``."""
+    assert {spec.name for spec in REGISTRY if spec.order == 3} == {
+        "curvature.gauss", "curvature.codazzi", "curvature.gauss_control",
+        "system.one", "system.two", "system.control", "system.covanish",
+        "umbilic.gradient_identity", "theorem.converse_roundtrip"}
+    assert {spec.order for spec in REGISTRY} == {2, 3}
+    for raw, report in zip(BUILTIN_SCENARIOS, reports):
+        assert ScenarioContext(Scenario.from_dict(raw)).order == 3
+        for spec, full in zip(REGISTRY, report.checks):
+            scenario = _alone(raw, spec.name)
+            assert ScenarioContext(scenario).order == spec.order
+            (rec,) = run_scenario(scenario).checks
+            assert repr((rec.max_residual, rec.verdict, rec.notes)) == repr(
+                (full.max_residual, full.verdict, full.notes)), (
+                raw["name"], spec.name)
+    for spec in REGISTRY:
+        if spec.order == 3:
+            monkeypatch.setitem(REGISTRY_BY_NAME, spec.name,
+                                dataclasses.replace(spec, order=2))
+            for raw in BUILTIN_SCENARIOS:
+                with pytest.raises(AssertionError) as exc:
+                    run_scenario(_alone(raw, spec.name))
+                assert exc.traceback[-1].path.name == "jets.py", spec.name
 
 
 FLOORS = Path(__file__).parent / "data" / "catalog-floors.json"

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import jet_constant
+from spinlab import jets
 from spinlab.jets import Jet, contract, stack, value, variables, worst_of
 
 coeffs = st.lists(st.floats(-3, 3, allow_nan=False, allow_infinity=False),
@@ -251,24 +252,25 @@ def test_order_one_nan_reaches_only_the_slots_that_read_it(slot, npts):
     [[800.0, 0.3, 0.9], [0.0, -0.0, 2.5]]], ids=["one", "zeros", "two", "huge"])
 def test_seed_functions_give_the_bits_of_plain_jets(u):
     """sin, cos, exp, sqrt and the reciprocal of a seed write f^(k)(x0)/k!
-    into the slots of dx_i^k; a plain jet copy builds the powers by order-3
-    products.  Both give the same bits, signed zeros, overflow and NaN
-    included, and every result is a plain jet."""
-    seeds = variables(u)
-    for seed in seeds:
-        plain = Jet(seed.c.copy())
-        assert type(seed) is not Jet and type(plain) is Jet
-        for f in (Jet.sin, Jet.cos, Jet.exp, Jet.sqrt, Jet._reciprocal):
-            with np.errstate(all="ignore"):
-                try:
-                    want = f(plain)
-                except (ValueError, ZeroDivisionError) as exc:
-                    with pytest.raises(type(exc)):
-                        f(seed)
-                    continue
-                got = f(seed)
-            assert type(got) is Jet and got.order == 3
-            assert got.c.tobytes() == want.c.tobytes(), f.__name__
+    into the slots of dx_i^k; a plain jet copy builds the powers by
+    products.  Both give the same bits at every seed order, signed zeros,
+    overflow and NaN included, and every result is a plain jet."""
+    for order in (1, 2, 3):
+        for seed in variables(u, order):
+            plain = Jet(seed.c.copy())
+            assert type(seed) is not Jet and type(plain) is Jet
+            for f in (Jet.sin, Jet.cos, Jet.exp, Jet.sqrt, Jet._reciprocal):
+                with np.errstate(all="ignore"):
+                    try:
+                        want = f(plain)
+                    except (ValueError, ZeroDivisionError) as exc:
+                        with pytest.raises(type(exc)):
+                            f(seed)
+                        continue
+                    got = f(seed)
+                assert type(got) is Jet and got.order == order
+                assert got.c.tobytes() == want.c.tobytes(), (f.__name__,
+                                                             order)
     x, y, z = variables([0.4, -0.3, 0.8])
     assert type(x * y) is type(-z) is type(2.0 / x) is type(y[()]) is Jet
 
@@ -427,6 +429,41 @@ def test_one_point_jets_match_batch_columns(case):
                                rtol=1e-13, atol=1e-13)
             assert np.allclose(one.deriv().grad(), batch.deriv().grad()[n],
                                rtol=1e-13, atol=1e-13)
+
+
+# --- kernel layouts and column blocks ---------------------------------------
+def test_derivatives_and_advanced_indexing_are_c_contiguous():
+    jet = Jet(np.random.default_rng(3).uniform(-1.0, 1.0, (20, 4, 3, 50)),
+              (4, 3))
+    for got in (jet.deriv(), jet.deriv().deriv(), jet[[1, 0, 3, 2]],
+                jet[np.array([0, 1])[:, None], np.array([2, 0])],
+                jet[0, [1, 2]]):
+        assert got.c.flags.c_contiguous, got
+    d = jet.deriv()
+    assert d.c.shape == (10, 3, 4, 3, 50) and d.shape == (3, 4, 3)
+    for v in range(3):  # the derivative along v is its own jet
+        assert np.array_equal(d[v].c, d.c[:, v])
+
+
+@pytest.mark.parametrize("nt", [10, 20])
+def test_value_and_first_derivative_slots_ignore_the_column_block(
+        nt, monkeypatch):
+    """Slots 0-3 of an order-2 or order-3 product or contraction sum at
+    most two pair products, so they have the same bits for every column
+    block of ``_apply``: one column per call, 7, the default budget, and
+    every column in one call, at N = 1..129.  Values and first derivatives
+    are all that the relations checks and ``min_headroom_log10`` read."""
+    rng = np.random.default_rng(nt)
+    size = jets._PAIRS[nt][2].size
+    for npts in range(1, 130):
+        a = Jet(rng.standard_normal((nt, 2, 3, npts)), (2, 3))
+        b = Jet(rng.standard_normal((nt, 3, npts)), (3,))
+        got = []
+        for budget in (size, 7 * size, jets._BUDGET, 10 ** 12):
+            monkeypatch.setattr(jets, "_BUDGET", budget)
+            got.append([(a[0] * b).c[:4].tobytes(),
+                        contract("ij,j->i", a, b).c[:4].tobytes()])
+        assert all(g == got[0] for g in got), npts
 
 
 # --- value layouts: one transpose against the moveaxis forms ----------------

@@ -184,6 +184,14 @@ def test_catalog_json_is_the_stdlib_encoding(tmp_path, monkeypatch):
         [r.to_dict() for r in made], indent=2, sort_keys=True) + "\n"
 
 
+def test_catalog_reports_repeat():
+    """Two catalog runs in one process write the same JSON bytes once
+    their run times are zeroed: every kernel path is deterministic."""
+    first, second = ([emit_json(dataclasses.replace(r, runtime_seconds=0.0))
+                      for r in run_catalog()] for _ in range(2))
+    assert first == second
+
+
 def test_csv_row_count():
     report = run_scenario(small_scenario())
     rows = emit_csv(report).strip().splitlines()
@@ -814,8 +822,14 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
     ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e200] * 5}}},
      [], "differential of the immersion is not finite"),
     ({"c1": 1e300}, [], "differential of the immersion is not finite"),
+    # an order-3 batch overflows in the normal's second derivatives
     ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e100] * 5}},
-      "checks": ["structure.involution"]}, [], "unit normal is not finite"),
+      "checks": ["structure.involution", "curvature.gauss"]}, [],
+     "unit normal is not finite"),
+    # an order-2 batch keeps a finite order-1 normal, and the cofactors of
+    # the metric (entries near 1e200) overflow first
+    ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e100] * 5}},
+      "checks": ["structure.involution"]}, [], "induced metric is singular"),
     # the cofactors of g cancel to an exact zero determinant
     ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e20] * 5}},
       "samples": 4, "seed": 1, "checks": ["structure.involution"]}, [],
@@ -867,6 +881,7 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
         "curvature-overflow", "graph-normal-overflow",
+        "graph-normal-overflow-order-two",
         "graph-singular-metric-1e20", "graph-singular-metric-1e30",
         "tolerances-as-list", "tolerances-as-string",
         "kind-as-list", "unknown-tolerance-name", "fractional-samples",
