@@ -19,13 +19,13 @@ and component, NaN if any is NaN, judges that by kind and builds the
 record.  ``ScenarioContext`` also holds what several checks read beside
 the batch, each built on first use: one copy of the batch with its shape
 operator perturbed, drawn from the stream named ``perturbed`` at the
-scale 0.2 (``systems.perturbed_shape``), which both controls and
-co-vanishing read, one record of both factors' coordinates seeded as
-order-2 jets at every sample position, which both ambient probes read,
-and the Clifford-relation defects of both structures from one draw array,
-which both relations checks read.  RNG streams are derived from the
-scenario seed and a fixed name, so reports are deterministic and
-independent of check selection order.
+scale 0.2 (``systems.perturbed_shape``), which both controls read, one
+record of both factors' coordinates seeded as order-2 jets at every sample
+position, which both ambient probes read, and the Clifford-relation
+defects of both structures from one draw array, which both relations
+checks read.  RNG streams are derived from the scenario seed and a fixed
+name, so reports are deterministic and independent of check selection
+order.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class ScenarioContext:
     @cached_property
     def perturbed(self) -> hyp.PointEvaluation:
         """The batch with its shape operator perturbed, the one copy that
-        both controls and co-vanishing read; the identities they compute
-        on it are shared like those of the batch."""
+        both controls read; the identities they compute on it are shared
+        like those of the batch."""
         return self.batch.replace(E_frame=sysmod.perturbed_shape(
             self.batch, self.rng_for("perturbed")))
 
@@ -178,22 +178,6 @@ def _system_check(tag):
     return fn
 
 
-def check_covanish(ctx):
-    """1.0 for a system whose Gauss-iff-Codazzi verdict fails, else 0.0."""
-    failed, notes = [], {}
-    for tag in (1, 2):
-        rep = sysmod.gauss_iff_codazzi(tag, ctx.batch, ctx.perturbed)
-        joint = rep.perturbed_joint.min(axis=1)  # NaN kept
-        notes[f"system{tag}"] = {
-            "confirmed": rep.confirmed, "skipped": rep.skipped,
-            "counterexamples": rep.counterexamples,
-            "perturbed_min_joint": float(joint.min()) if joint.size
-            else None,
-        }
-        failed.append(0.0 if rep.verdict else 1.0)
-    return failed, notes
-
-
 KILLING_STATUS = ("structural: the Gauss-formula derivative is -sign/2 "
                   "gamma(EX) phi by construction, so the residual is zero "
                   "(ROADMAP item 1)")
@@ -274,10 +258,11 @@ REGISTRY = [
               1e-10, "assert",
               _batch_check(lambda ev: hyp.projection_formulas(ev))),
     CheckSpec("structure.rank_two",
-              "(F + Id)/2 and (F - Id)/2 have rank 2 in the adapted basis",
-              0.5, "assert",
-              _batch_check(lambda ev: sum(np.abs(r - 2)
-                                          for r in hyp.rank_pair(ev)))),
+              "(F + Id)/2 and (F - Id)/2 have rank 2 in the adapted basis: "
+              "F is a symmetric involution (structure.involution), so "
+              "rank (F +- Id)/2 = (4 +- tr F)/2, and both are 2 exactly "
+              "when tr F = tr f + h = 0", 1e-9, "assert",
+              _batch_check(lambda ev: hyp.trace_residual(ev))),
     CheckSpec("structure.derivatives",
               "first-order compatibility: nabla f, nabla V and grad h "
               "expressed through E and V", 1e-6, "assert",
@@ -314,10 +299,6 @@ REGISTRY = [
               "compatibility systems", 1e-2, "control",
               lambda ctx: ([sysmod.system_residuals(t, ctx.perturbed)
                             .max_residual for t in (1, 2)], {}), order=3),
-    CheckSpec("system.covanish",
-              "Gauss and Codazzi residuals vanish together wherever the "
-              "compatibility system holds", 0.5, "assert", check_covanish,
-              order=3),
     CheckSpec("killing.s1",
               "generalized Killing law nabla_X phi = -1/2 gamma(EX) phi "
               "for the restricted positive-structure spinor",

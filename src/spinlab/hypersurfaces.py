@@ -28,8 +28,8 @@ ambient V to order 0 for its value.  Its inputs are cut to that order
 before its products run.  Value-level arrays put the point axis first, so
 ``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.  The identity
 residuals below take either and return one value per point.  Those that
-several checks read (Gauss, Codazzi, the derivative identities, the rank
-pair, and the compatibility systems in ``systems``) are computed once per
+several checks read (Gauss, Codazzi, the derivative identities, the trace
+of F, and the compatibility systems in ``systems``) are computed once per
 evaluation and handed out read-only (``_shared``), and so is the part of
 the spin^c restriction that both structures read (``restriction``).
 
@@ -223,8 +223,10 @@ class PointEvaluation:
         adj = (m[_N1, _N1[:, None]] * m[_N2, _N2[:, None]]
                - m[_N2, _N1[:, None]] * m[_N1, _N2[:, None]])
         det = contract("j,j->", m[0], adj[:, 0])
-        self._require(np.isfinite(det.val) & (det.val != 0.0),
-                      RankDeficientError,
+        self._require(np.isfinite(det.val), RankDeficientError,
+                      lambda i: "determinant of the induced metric is not "
+                                "finite")
+        self._require(det.val != 0.0, RankDeficientError,
                       lambda i: "induced metric is singular")
         return adj / det
 
@@ -614,35 +616,14 @@ def projection_formulas(ev: PointEvaluation):
     return {k: _max_abs(v, 1) for k, v in out.items()}
 
 
-def product_structure_matrix(ev: PointEvaluation):
-    """F in the basis {e1, e2, xi, nu} from frame data, per point."""
-    h = np.asarray(ev.h_val)
-    F4 = np.empty(h.shape + (4, 4))
-    F4[..., :3, :3] = ev.f_frame
-    F4[..., :3, 3] = ev.V_frame
-    F4[..., 3, :3] = ev.V_frame
-    F4[..., 3, 3] = h
-    return F4
+def trace_residual(ev: PointEvaluation):
+    """|tr F| = |tr f + h| per point, F the product structure in the basis
+    {e1, e2, xi, nu}; NaN where the frame data is."""
+    return _shared(ev, _trace_residual)
 
 
-def rank_pair(ev: PointEvaluation):
-    """Numerical ranks of (F + Id)/2 and (F - Id)/2 for the frame data,
-    per point; NaN where the data is not finite (svd would raise)."""
-    return _shared(ev, _rank_pair)
-
-
-# Id and -Id, the shifts of (F + Id)/2 and (F - Id)/2
-_PLUS_MINUS_ID = np.array([1.0, -1.0])[:, None, None] * np.eye(4)
-
-
-def _rank_pair(ev):
-    F4 = product_structure_matrix(ev)
-    finite = np.all(np.isfinite(F4), axis=(-2, -1))
-    F4 = np.where(finite[..., None, None], F4, 0.0)[..., None, :, :]
-    ranks = np.where(finite[..., None], np.sum(np.linalg.svd(
-        (F4 + _PLUS_MINUS_ID) / 2.0, compute_uv=False) > 1e-8, axis=-1),
-        np.nan)
-    return tuple(np.moveaxis(ranks, -1, 0))
+def _trace_residual(ev):
+    return np.abs(np.trace(ev.f_frame, axis1=-2, axis2=-1) + ev.h_val)
 
 
 def _max_abs(x, axes):

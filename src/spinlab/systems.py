@@ -34,8 +34,8 @@ batch and returns one value per point.  Controls and the converse read the
 same value stages, swapped through ``PointEvaluation.replace``.  The two
 structures differ only by s, Omega and n, so ``ricci_components`` builds
 both on one axis and one ``reduceat`` reduces both systems.  Like Gauss and
-Codazzi, the systems are computed once per evaluation (``_shared``) and
-read again by ``system.covanish``, on the batch and on its perturbed copy.
+Codazzi, the systems are computed once per evaluation (``_shared``), on the
+batch and on its perturbed copy.
 Random perturbations draw one point after another, so a batch sees the
 same stream as a loop over its points.
 """
@@ -48,7 +48,7 @@ import numpy as np
 
 from .hypersurfaces import (PointEvaluation, _max_abs, _mv, _shared,
                             codazzi_residual, derivative_identities,
-                            gauss_residual, rank_pair)
+                            gauss_residual, trace_residual)
 from .restriction import _PAIR_I, _PAIR_J, frame_omega
 
 # indices broadcast to (pair, component): the frame pair (i, j) of each
@@ -158,47 +158,6 @@ def xi_derivative_residual(ev: PointEvaluation):
     return _max_abs(lhs - ev.chi_mixed @ ev.E_mixed_val @ e, 2)
 
 
-@dataclass
-class CovanishReport:
-    """Bookkeeping for the equivalence of the Gauss and Codazzi laws on an
-    ensemble: wherever the system holds, the two residuals must be small
-    together; perturbed ensembles must break both."""
-
-    confirmed: int
-    skipped: int
-    counterexamples: list
-    # (Gauss, system) residual pairs of the perturbed points, one row each
-    perturbed_joint: np.ndarray
-
-    @property
-    def verdict(self):
-        return len(self.counterexamples) == 0
-
-
-def gauss_iff_codazzi(tag, ev, bumped) -> CovanishReport:
-    """Co-vanishing on the points of ``ev`` (one point or a batch), at the
-    system and Gauss/Codazzi tolerance 1e-5.  Points where the system fails
-    are skipped; a NaN residual is a counterexample.  ``bumped`` is ``ev``
-    with its shape operator perturbed (``perturbed_shape``); both its
-    residuals are recorded at the points that were not skipped.  Every
-    residual read here is the shared one of its evaluation, so a caller
-    that hands the controls' perturbed copy computes nothing twice."""
-    sysmax = system_residuals(tag, ev).max_residual
-    gres, cres = gauss_residual(ev), codazzi_residual(ev)
-    held = ~(sysmax > 1e-5)
-    agree = ((gres < 1e-5) == (cres < 1e-5)) & ~np.isnan(sysmax + gres + cres)
-    u, gs, cs = ev.u.reshape(-1, 3), np.atleast_1d(gres), np.atleast_1d(cres)
-    joint = np.stack(
-        [gauss_residual(bumped), system_residuals(tag, bumped).max_residual],
-        axis=-1).reshape(-1, 2)
-    return CovanishReport(
-        confirmed=int(np.sum(held & agree)), skipped=int(np.sum(~held)),
-        counterexamples=[{"u": u[i].tolist(), "gauss": float(gs[i]),
-                          "codazzi": float(cs[i])}
-                         for i in np.flatnonzero(held & ~agree)],
-        perturbed_joint=joint[np.ravel(held)])
-
-
 # ---------------------------------------------------------------------------
 # converse direction: abstract data round trip
 # ---------------------------------------------------------------------------
@@ -229,15 +188,14 @@ def converse_residuals(ev: PointEvaluation):
         "codazzi": codazzi_residual(ev),
     }
     out.update(derivative_identities(ev))
-    ranks = rank_pair(ev)
-    out["rank-two"] = np.abs(ranks[0] - 2) + np.abs(ranks[1] - 2)
+    out["rank-two"] = trace_residual(ev)
     return out
 
 
 CONVERSE_TOLERANCES = {
     "f-rebuild": 1e-9, "f-squared": 1e-9, "f-of-V": 1e-9, "unit-split": 1e-9,
     "gauss": 1e-5, "codazzi": 1e-5, "f-derivative": 1e-6,
-    "V-derivative": 1e-6, "h-gradient": 1e-6, "rank-two": 0.5,
+    "V-derivative": 1e-6, "h-gradient": 1e-6, "rank-two": 1e-9,
 }
 
 

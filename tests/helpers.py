@@ -724,8 +724,8 @@ def point_contracted_codazzi_residual(ev):
 def point_converse_residuals(ev):
     """The converse battery at a one-point evaluation, ``evaluate(chart,
     product, u)``: Gauss and Codazzi by the loop references, the derivative
-    identities and the rank pair computed on that point alone."""
-    from spinlab.hypersurfaces import derivative_identities, rank_pair
+    identities and the trace of F computed on that point alone."""
+    from spinlab.hypersurfaces import derivative_identities
     c1, c2 = ev.product.c1, ev.product.c2
     v1, v2, h = ev.V_frame[0], ev.V_frame[1], ev.h_val
     fr = np.array([[-h, 0.0, v2], [0.0, -h, -v1], [v2, -v1, h]])
@@ -741,9 +741,22 @@ def point_converse_residuals(ev):
         "codazzi": float(loop_codazzi_residual(ev.dE_frame, c1, c2, ff, Vf)),
     }
     out.update((k, float(v)) for k, v in derivative_identities(ev).items())
-    ranks = rank_pair(ev)
-    out["rank-two"] = float(abs(ranks[0] - 2) + abs(ranks[1] - 2))
+    out["rank-two"] = float(abs(np.trace(ff) + h))
     return out
+
+
+def svd_rank_pair(ev):
+    """Numerical ranks of (F + Id)/2 and (F - Id)/2 at every point of
+    ``ev``, F the product structure in the basis {e1, e2, xi, nu} assembled
+    from the frame data, counted by an SVD: the count ``structure.rank_two``
+    replaced by the trace of F."""
+    F4 = np.zeros(np.shape(ev.h_val) + (4, 4))
+    F4[..., :3, :3] = ev.f_frame
+    F4[..., :3, 3] = F4[..., 3, :3] = ev.V_frame
+    F4[..., 3, 3] = ev.h_val
+    return tuple(np.sum(np.linalg.svd((F4 + s * np.eye(4)) / 2.0,
+                                      compute_uv=False) > 1e-8, axis=-1)
+                 for s in (1.0, -1.0))
 
 
 # --- single-field corruptions of the converse ---------------------------------

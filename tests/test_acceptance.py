@@ -25,8 +25,7 @@ from spinlab.restriction import (algebraic_conditions,
                                  omega_formula_residual, pairing_identities,
                                  projection_cancellation_residuals,
                                  restrict_structure)
-from spinlab.systems import (gauss_iff_codazzi, perturbed_shape,
-                             system_residuals)
+from spinlab.systems import perturbed_shape, system_residuals
 
 from helpers import (CORRUPTION_TARGETS, build_clifford3, converse_check,
                      corrupt, kahler_action, killing_residual,
@@ -150,7 +149,7 @@ def test_criterion_5_system_suite():
     took = _stopwatch()
     rng = np.random.default_rng(RNG_SEED)
     worst = 0.0
-    covanish_ok = True
+    gauss_codazzi = []
     perturbed_ok = True
     for name, prod, chart in catalog_members():
         pts = sample(chart, rng, 20)
@@ -159,17 +158,20 @@ def test_criterion_5_system_suite():
             for tag in (1, 2):
                 worst = max(worst, system_residuals(tag, ev).max_residual)
         head = evaluate(chart, prod, pts[:6])
+        gauss_codazzi += [gauss_residual(head), codazzi_residual(head)]
         bumped = head.replace(E_frame=perturbed_shape(head, rng))
         for tag in (1, 2):
-            rep = gauss_iff_codazzi(tag, head, bumped)
-            covanish_ok &= rep.verdict and rep.confirmed == 6
-            perturbed_ok &= all(min(g, s) > 1e-3
-                                for g, s in rep.perturbed_joint)
+            perturbed_ok &= bool(np.all(np.minimum(
+                gauss_residual(bumped),
+                system_residuals(tag, bumped).max_residual) > 1e-3))
     elapsed = took()
-    ok = worst < 1e-5 and covanish_ok and perturbed_ok and elapsed < 10.0
+    gauss_codazzi = np.max(gauss_codazzi)  # NaN if any is NaN
+    ok = (worst < 1e-5 and gauss_codazzi < 1e-5 and perturbed_ok
+          and elapsed < 10.0)
     _report(5, ok, elapsed,
-            f"24 system equations worst={worst:.2e}, co-vanishing confirmed "
-            f"on genuine and perturbed ensembles")
+            f"24 system equations worst={worst:.2e}, Gauss and Codazzi "
+            f"worst={gauss_codazzi:.2e}; the perturbed copy breaks Gauss and "
+            f"both systems at every point")
 
 
 # the restricted-structure battery of the forward direction

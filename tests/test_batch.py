@@ -205,10 +205,9 @@ def test_replace_shares_computed_stages():
 
 def _shared_results(ev):
     """Every identity residual that several checks read, as arrays."""
-    ranks = hyp.rank_pair(ev)
     return {"gauss": hyp.gauss_residual(ev),
             "codazzi": hyp.codazzi_residual(ev),
-            "rank_pair+": ranks[0], "rank_pair-": ranks[1],
+            "trace": hyp.trace_residual(ev),
             **hyp.derivative_identities(ev),
             **{f"system{tag}:{k}": v for tag in (1, 2) for k, v in
                sysmod.system_residuals(tag, ev).residuals.items()}}
@@ -295,13 +294,6 @@ def test_rank_deficient_point_is_named():
 IDENTITY_TOL = 1e-12
 
 
-def _covanish(ev, rng):
-    rep = sysmod.gauss_iff_codazzi(1, ev, ev.replace(
-        E_frame=sysmod.perturbed_shape(ev, rng)))
-    assert rep.verdict and rep.skipped == 0  # every catalog point confirmed
-    return rep.perturbed_joint.reshape(np.shape(ev.u)[:-1] + (2,))
-
-
 def _corrupted_converse(ev, rng):
     return {f"{mode}:{k}": v for mode in sorted(helpers.CORRUPTION_TARGETS)
             for k, v in sysmod.converse_residuals(
@@ -315,14 +307,11 @@ IDENTITIES = {
     "involution": lambda ev, rng: hyp.involution_identities(ev),
     "contact": lambda ev, rng: hyp.contact_identities(ev),
     "projection_formulas": lambda ev, rng: hyp.projection_formulas(ev),
-    "rank_pair": lambda ev, rng: np.stack(hyp.rank_pair(ev), axis=-1),
-    "product_structure_matrix": lambda ev, rng: (
-        hyp.product_structure_matrix(ev)),
+    "trace_residual": lambda ev, rng: hyp.trace_residual(ev),
     "xi_derivative": lambda ev, rng: sysmod.xi_derivative_residual(ev),
     "system_one": lambda ev, rng: sysmod.system_residuals(1, ev).residuals,
     "system_two": lambda ev, rng: sysmod.system_residuals(2, ev).residuals,
     "perturbed_shape": lambda ev, rng: sysmod.perturbed_shape(ev, rng),
-    "gauss_iff_codazzi": _covanish,
     "umbilic_gradient": lambda ev, rng: (
         sysmod.contracted_codazzi_residual(ev)),
     "projection_cancellation": lambda ev, rng: (

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import catalog_members, sample
-from helpers import fd_gradient, fd_weingarten, scalar_jet_evaluation
+from helpers import (fd_gradient, fd_weingarten, scalar_jet_evaluation,
+                     svd_rank_pair)
 from spinlab import build_chart, build_product, evaluate
 from spinlab.hypersurfaces import (HypersurfaceChart, PointEvaluation,
                                    RankDeficientError, codazzi_residual,
@@ -25,7 +26,7 @@ from spinlab.hypersurfaces import (HypersurfaceChart, PointEvaluation,
                                    derivative_identities,
                                    frame_orthonormality_residual,
                                    gauss_residual, involution_identities,
-                                   projection_formulas, rank_pair)
+                                   projection_formulas, trace_residual)
 from spinlab.jets import Jet, value
 from spinlab.surfaces import OutsideDomainError
 
@@ -38,7 +39,6 @@ def test_flat_hyperplane_reference_values():
     assert np.max(np.abs(ev.V_coord_val)) == 0.0
     assert np.allclose(np.sort(np.linalg.eigvals(ev.f_mixed_val).real),
                        [-1.0, 1.0, 1.0])
-    assert rank_pair(ev) == (2, 2)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -156,10 +156,12 @@ def test_shape_operator_symmetric(members, rng):
 def test_rank_detection_flags_corruption(rng):
     ev = evaluate(build_chart("graph"), build_product(1.0, 0.0),
                   [0.3, -0.2, 0.4])
-    assert rank_pair(ev) == (2, 2)
-    bad = rank_pair(ev.replace(h_val=ev.h_val + 0.3))
-    assert bad != (2, 2)
-    assert max(bad) >= 3
+    assert svd_rank_pair(ev) == (2, 2)
+    assert trace_residual(ev) <= 1e-14
+    bad = ev.replace(h_val=ev.h_val + 0.3)
+    assert svd_rank_pair(bad) != (2, 2)
+    assert max(svd_rank_pair(bad)) >= 3
+    assert trace_residual(bad) > 1e-9
 
 
 def test_rank_two_trivial_at_slice():
@@ -173,7 +175,24 @@ def test_rank_two_trivial_at_slice():
     F4[3, 3] = ev.h_val
     P = (F4 + np.eye(4)) / 2.0
     assert np.allclose(P @ P, P, atol=1e-12)
-    assert rank_pair(ev) == (2, 2)
+    assert svd_rank_pair(ev) == (2, 2)
+    assert trace_residual(ev) <= 1e-14
+
+
+def test_trace_residual_agrees_with_the_svd_rank_count(members, rng):
+    """On every catalog member the SVD count of the ranks of (F + Id)/2 and
+    (F - Id)/2 reads (2, 2), which is rank (F +- Id)/2 = (4 +- tr F)/2 for
+    the involution F, and |tr f + h| stays at rounding level; with h
+    shifted by 0.3 both flag every point."""
+    for name, prod, chart in members:
+        ev = evaluate(chart, prod, sample(chart, rng, 8))
+        plus, minus = svd_rank_pair(ev)
+        assert np.all(plus == 2) and np.all(minus == 2), name
+        assert np.all(trace_residual(ev) <= 1e-14), name
+        bad = ev.replace(h_val=ev.h_val + 0.3)
+        plus, minus = svd_rank_pair(bad)
+        assert np.all((plus != 2) | (minus != 2)), name
+        assert np.all(trace_residual(bad) > 1e-9), name
 
 
 def test_outside_domain_raises():

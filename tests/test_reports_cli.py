@@ -480,14 +480,14 @@ def _poison_batch(monkeypatch, **changes):
 @pytest.mark.parametrize("check, attr, index", [
     ("connection.xi_derivative", "frame", (slice(None), 1)),  # second column
     ("induced.consistency", "g_val", (1, 1)),
-    ("structure.rank_two", "f_frame", (0, 0)),  # svd raises on a NaN
+    ("structure.rank_two", "f_frame", (0, 0)),
     ("theorem.converse_roundtrip", "f_frame", (0, 0)),
 ])
 def test_nan_inside_a_point_residual_fails_the_check(monkeypatch, check, attr,
                                                      index):
     """A NaN in the second node of a residual (the second frame vector, or
     the metric behind the positive-definiteness margin), or in the frame
-    data behind a numerical rank, at the second point must reach the
+    data behind the trace of F, at the second point must reach the
     verdict."""
     _poison_batch(monkeypatch,
                   **{attr: lambda ev, x: _nan_at(x, (1, *index))})
@@ -497,21 +497,27 @@ def test_nan_inside_a_point_residual_fails_the_check(monkeypatch, check, attr,
     assert rec.verdict == "fail"
 
 
-def test_nan_frame_data_fails_covanish(monkeypatch):
+def test_nan_frame_data_fails_gauss_and_codazzi(monkeypatch):
     """A NaN f at the second point makes the Gauss and Codazzi residuals
-    NaN there: co-vanishing must count that point as a counterexample, not
-    confirm it, and the perturbed minimum must stay NaN."""
+    NaN there, and both checks fail."""
     _poison_batch(monkeypatch, f_frame=lambda ev, x: _nan_at(x, 1))
     report = run_scenario(small_scenario(checks=[
-        "system.covanish", "curvature.gauss", "curvature.codazzi"]))
-    assert [c.verdict for c in report.checks] == ["fail"] * 3
-    notes = report.checks[0].notes
-    for tag in (1, 2):
-        system = notes[f"system{tag}"]
-        assert system["confirmed"] == 5
-        (bad,) = system["counterexamples"]
-        assert np.isnan(bad["gauss"]) and np.isnan(bad["codazzi"])
-        assert np.isnan(system["perturbed_min_joint"])
+        "curvature.gauss", "curvature.codazzi"]))
+    assert [c.verdict for c in report.checks] == ["fail"] * 2
+    assert all(np.isnan(c.max_residual) for c in report.checks)
+
+
+def test_shifted_h_fails_rank_two_on_every_member(monkeypatch):
+    """h shifted by 1e-8 at every point of each catalog member leaves
+    |tr f + h| at 1e-8, above the tolerance 1e-9: structure.rank_two
+    fails, where an SVD rank count at 1e-8 would still read (2, 2)."""
+    from spinlab.catalog import BUILTIN_SCENARIOS
+    _poison_batch(monkeypatch, h_val=lambda ev, h: h + 1e-8)
+    for raw in BUILTIN_SCENARIOS:
+        (rec,) = run_scenario(Scenario.from_dict(dict(
+            raw, checks=["structure.rank_two"]))).checks
+        assert rec.verdict == "fail", raw["name"]
+        assert rec.max_residual > rec.tolerance, raw["name"]
 
 
 def test_nan_fails_the_normal_condition(monkeypatch):
@@ -600,12 +606,12 @@ def test_dirac_law_runs_once_per_point_and_structure(monkeypatch):
 def test_shared_work_runs_once_per_scenario(monkeypatch):
     """Over one run of every check, each quantity that several checks read
     is computed once on the clean batch: Gauss, Codazzi, the derivative
-    identities and the rank pair once, both compatibility systems in one
+    identities and the trace of F once, both compatibility systems in one
     pass, the frame spinor derivative, the frame images gamma(e_k) phi and
     the closed form of Omega once per structure, and the factor record of
-    the Ricci coefficients once for both structures.  The
-    controls and co-vanishing share one perturbed copy, on which Gauss,
-    the systems and so Omega are computed once more."""
+    the Ricci coefficients once for both structures.  The two controls
+    share one perturbed copy, on which Gauss, the systems and so Omega are
+    computed once more."""
     from spinlab import hypersurfaces as hyp
     from spinlab import restriction as rst
     from spinlab import systems as sysmod
@@ -622,7 +628,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for body in ("_gauss", "_codazzi", "_derivative_identities",
-                 "_rank_pair"):
+                 "_trace_residual"):
         count(hyp, body, lambda ev, body=body: (body, len(ev.u)))
     count(sysmod, "_system_equations", lambda ev: ("systems", len(ev.u)))
     count(rst, "factors", lambda ev: ("factors", len(ev.u)))
@@ -648,11 +654,11 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     def runs(label):
         return sorted(c[1:] for c in calls if c[0] == label)
 
-    for body in ("_codazzi", "_derivative_identities", "_rank_pair"):
+    for body in ("_codazzi", "_derivative_identities", "_trace_residual"):
         assert runs(body) == [(14,)], body
     # once on the clean batch and once on the one perturbed copy that
-    # curvature.gauss_control, system.control and system.covanish read,
-    # every one of them all 14 points
+    # curvature.gauss_control and system.control read, every one of them
+    # all 14 points
     assert runs("_gauss") == [(14,)] * 2
     assert runs("systems") == [(14,)] * 2
     # the systems and spinc.omega_s1/_s2 read one Omega per tag
@@ -687,12 +693,12 @@ def test_records_do_not_depend_on_which_checks_run():
             assert alone.to_dict() == record, (raw["name"], name)
 
 
-CONTROLS = ["curvature.gauss_control", "system.control", "system.covanish"]
+CONTROLS = ["curvature.gauss_control", "system.control"]
 
 
 def test_controls_run_on_every_sample_point():
-    """The two controls and co-vanishing evaluate every sample point of the
-    scenario, and both controls trip on every catalog member."""
+    """The two controls evaluate every sample point of the scenario, and
+    both trip on every catalog member."""
     from spinlab.catalog import BUILTIN_SCENARIOS
     for raw in BUILTIN_SCENARIOS:
         report = run_scenario(Scenario.from_dict(dict(raw, checks=CONTROLS)))
@@ -700,8 +706,7 @@ def test_controls_run_on_every_sample_point():
             assert rec.points_evaluated == raw["samples"], (raw["name"],
                                                             rec.name)
             assert rec.verdict == "pass", (raw["name"], rec.name)
-            if rec.name != "system.covanish":
-                assert rec.max_residual > rec.tolerance
+            assert rec.max_residual > rec.tolerance
 
 
 def test_one_sample_geodesic_slice_exits_0(tmp_path):
@@ -829,7 +834,8 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
     # an order-2 batch keeps a finite order-1 normal, and the cofactors of
     # the metric (entries near 1e200) overflow first
     ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e100] * 5}},
-      "checks": ["structure.involution"]}, [], "induced metric is singular"),
+      "checks": ["structure.involution"]}, [],
+     "determinant of the induced metric is not finite"),
     # the cofactors of g cancel to an exact zero determinant
     ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e20] * 5}},
       "samples": 4, "seed": 1, "checks": ["structure.involution"]}, [],
@@ -874,6 +880,10 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
     ({"checks": ["structure.involution", "structure.contact",
                  "structure.involution"]}, [],
      "check 'structure.involution' is named twice"),
+    # refused before any check meets the overflowing geometry
+    ({"hypersurface": {"kind": "graph", "params": {"coeffs": [1e200] * 5}},
+      "checks": ["structure.involution", "no.such.check"]}, [],
+     "unknown check 'no.such.check'"),
     # the sample array (21.3 PiB) is refused at once, before any memory is
     # touched; never use a count that could really be allocated
     ({"samples": 10 ** 15}, [], "out of memory: Unable to allocate"),
@@ -891,7 +901,7 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
         "huge-integer-curvature", "hypersurface-as-list", "boolean-radius",
         "string-radius", "string-tube-radius", "boolean-coeffs",
         "huge-integer-radius", "unknown-chart-parameter",
-        "repeated-check", "huge-sample-count"])
+        "repeated-check", "unknown-check", "huge-sample-count"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
                                             says):
     from spinlab.cli import main

@@ -1,4 +1,4 @@
-"""Compatibility systems, co-vanishing, converse round trip."""
+"""Compatibility systems, their perturbed control, converse round trip."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from spinlab import build_chart, build_product, evaluate
 from spinlab.hypersurfaces import codazzi_residual, gauss_residual
 from spinlab.product import structure
 from spinlab.restriction import restrict_structure
-from spinlab.systems import (CONVERSE_TOLERANCES, gauss_iff_codazzi,
-                             perturbed_shape, ricci_components,
-                             system_residuals, xi_derivative_residual)
+from spinlab.systems import (CONVERSE_TOLERANCES, perturbed_shape,
+                             ricci_components, system_residuals,
+                             xi_derivative_residual)
 
 from helpers import (CORRUPTION_TARGETS, converse_check, corrupt,
                      transcribed_system)
@@ -101,40 +101,6 @@ def test_xi_derivative_on_sphere_is_chi_over_r():
         X = ev.frame[:, i]
         lhs = np.einsum("ba,b->a", ev.nabla_xi, X)
         assert np.allclose(lhs, ev.chi_mixed @ X / r, atol=1e-12)
-
-
-def test_gauss_iff_codazzi_confirmed(members, rng):
-    for name, prod, chart in members:
-        batch = evaluate(chart, prod, sample(chart, rng, 8))
-        bumped = batch.replace(E_frame=perturbed_shape(batch, rng))
-        for tag in (1, 2):
-            rep = gauss_iff_codazzi(tag, batch, bumped)
-            assert rep.verdict, name
-            assert rep.confirmed == 8
-            assert rep.skipped == 0
-
-
-def test_gauss_iff_codazzi_skips_bad_hypotheses(rng):
-    """When the system hypothesis itself fails (perturbed data), the
-    implication is not asserted; the point is reported as skipped."""
-    ev = evaluate(build_chart("round-sphere", {"r": 1.0}),
-                  build_product(0.0, 0.0), [0.8, 1.1, 2.2])
-    ev = ev.replace(E_frame=perturbed_shape(ev, rng))
-    rep = gauss_iff_codazzi(1, ev, ev.replace(
-        E_frame=perturbed_shape(ev, rng)))
-    assert rep.skipped == 1 and rep.confirmed == 0
-
-
-def test_perturbed_ensemble_breaks_gauss_and_codazzi_together(members, rng):
-    """Under the shape perturbation the Gauss residual and the system
-    residual become nonzero together; magnitudes are reported."""
-    for name, prod, chart in members:
-        batch = evaluate(chart, prod, sample(chart, rng, 4))
-        rep = gauss_iff_codazzi(1, batch, batch.replace(
-            E_frame=perturbed_shape(batch, rng)))
-        for gres, sres in rep.perturbed_joint:
-            assert gres > 1e-3, name
-            assert sres > 1e-3, name
 
 
 def test_converse_round_trip_clean(members, rng):
