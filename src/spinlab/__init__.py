@@ -3,7 +3,7 @@ products of two-dimensional space forms."""
 
 from .clifford import CliffordModel, build_clifford
 from .product import ProductModel, SpincStructure, structure
-from .surfaces import OutsideDomainError, SurfaceModel
+from .surfaces import OutsideDomainError
 from .hypersurfaces import (HypersurfaceChart, PointEvaluation,
                             RankDeficientError, evaluate)
 from .catalog import CATALOG, build_chart, build_product, sample_points

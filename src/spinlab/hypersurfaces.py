@@ -25,13 +25,15 @@ any of its readers extracts: the induced metric to order 2 for the
 curvature, the inverse metric, the splitting (f, V, h), xi and the ambient
 Christoffel symbols to order 1 for their first derivatives, and the
 ambient V to order 0 for its value.  Its inputs are cut to that order
-before its products run.  Value-level arrays put the point axis first, so
-``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.  The identity
-residuals below take either and return one value per point.  Those that
-several checks read (Gauss, Codazzi, the derivative identities, the trace
-of F, and the compatibility systems in ``systems``) are computed once per
-evaluation and handed out read-only (``_shared``), and so is the part of
-the spin^c restriction that both structures read (``restriction``).
+before its products run.  The factor geometry comes from ``surfaces``,
+whose formulas the ambient probes check.  Value-level arrays put the point
+axis first, so ``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.
+The identity residuals below take either and return one value per point.
+Those that several checks read (Gauss, Codazzi, the derivative
+identities, the trace of F, and the compatibility systems in ``systems``)
+are computed once per evaluation and handed out read-only (``_shared``),
+and so is the part of the spin^c restriction that both structures read
+(``restriction``).
 
 The value stages (``g_val``, ``E_mixed_val``, ``V_frame``, ``h_val``, ...)
 are the one point record every identity reads; ``replace`` swaps some of
@@ -58,7 +60,7 @@ import numpy as np
 
 from .jets import ORDER, contract, stack, variables
 from .product import F_MATRIX, J_MATRIX, ProductModel
-from .surfaces import OutsideDomainError
+from .surfaces import check_domain, christoffel, conformal
 
 _F = np.diag(F_MATRIX)
 
@@ -68,10 +70,6 @@ _N1, _N2 = (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3
 # The columns of a 3x4 matrix left without column mu: component mu of the
 # 4-vector cross product of its rows is (-1)^(mu+1) times their determinant.
 _COLS = np.array([[k for k in range(4) if k != mu] for mu in range(4)])
-# Christoffel symbols of a conformal metric lam^2 (dx^2 + dy^2) from
-# l = d log lam: Gamma^a_{bc} = _GAMMA_SIGN[a, b, c] l[_GAMMA_INDEX[a, b, c]].
-_GAMMA_INDEX = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
-_GAMMA_SIGN = np.array([[[1.0, 1.0], [1.0, -1.0]], [[-1.0, 1.0], [1.0, 1.0]]])
 
 
 class RankDeficientError(ValueError):
@@ -179,21 +177,15 @@ class PointEvaluation:
 
     @_stage
     def _lam(self):
-        """Conformal factors lam_k = 1 / (1 + c_k/4 (x_k^2 + y_k^2)) of the
-        two factors as one (2,) jet, to order 2 like every reader of the
-        ambient metric (its Christoffel symbols take order 1); raises
-        OutsideDomainError at the first point outside a factor's chart."""
-        p = self.position
-        for k, surf in ((0, self.product.factor1), (2, self.product.factor2)):
-            x, y = p[..., k], p[..., k + 1]
-            self._require(
-                surf.contains(x, y), OutsideDomainError,
-                lambda i: f"point ({x[i]:.3f}, {y[i]:.3f}) outside chart of "
-                          f"curvature {surf.curvature}")
-        xy = self.phi.truncated(2).reshape((2, 2))
-        sq = xy * xy
-        quarter_c = np.array([0.25 * self.product.c1, 0.25 * self.product.c2])
-        return 1.0 / (1.0 + quarter_c * (sq[:, 0] + sq[:, 1]))
+        """Conformal factors of the two factors as one (2,) jet, to order 2
+        like every reader of the ambient metric (its Christoffel symbols
+        take order 1); raises OutsideDomainError at the first point outside
+        a factor's chart."""
+        check_domain(self.product.curvatures,
+                     self.position.reshape(self.u.shape[:-1] + (2, 2)),
+                     self.u)
+        return conformal(self.product.curvatures,
+                         self.phi.truncated(2).reshape((2, 2)))
 
     @_stage
     def gbar(self):
@@ -204,6 +196,11 @@ class PointEvaluation:
     position = _value_stage("phi")
     T_val = _value_stage("T")  # (3, 4)
     gbar_val = _value_stage("gbar")
+
+    @_stage
+    def frame_scale(self):
+        """(lam1, lam1, lam2, lam2) per point: chart to orthonormal frame."""
+        return np.sqrt(self.gbar_val)
 
     @cached_property
     def _T_low(self):
@@ -240,7 +237,7 @@ class PointEvaluation:
         # chart data that overflows is reported by the check below, not by
         # numpy warnings on the way there
         with np.errstate(all="ignore"):
-            dphi = np.sqrt(self.gbar_val)[..., :, None] * np.swapaxes(
+            dphi = self.frame_scale[..., :, None] * np.swapaxes(
                 self.T_val, -1, -2)
         self._require(np.all(np.isfinite(dphi), axis=(-2, -1)),
                       RankDeficientError,
@@ -273,11 +270,8 @@ class PointEvaluation:
         """Christoffel symbols per factor, G[k, a, b, c] = Gamma^a_{bc} in
         the coordinates (2k, 2k + 1) of factor k; none mix the factors.
         To first order: ``shape_ambient`` is a first-order jet."""
-        # d log lam_k along (x_k, y_k) is -c_k/2 (x_k, y_k) lam_k
-        xy = self.phi.truncated(1).reshape((2, 2))
-        half_c = np.array([[-0.5 * self.product.c1], [-0.5 * self.product.c2]])
-        dlog = xy * half_c * self._lam.reshape((2, 1))
-        return dlog[:, _GAMMA_INDEX] * _GAMMA_SIGN
+        return christoffel(self.product.curvatures,
+                           self.phi.truncated(1).reshape((2, 2)), self._lam)
 
     @_stage
     def shape_ambient(self):

@@ -317,10 +317,6 @@ class Jet:
         return self._compose(lambda k: r if k == 0 else
                              (0.5, -0.25, 0.375)[k - 1] / r ** (2 * k - 1))
 
-    def exp(self):
-        e = np.exp(self.c[0])
-        return self._compose(lambda k: e)
-
     def sin(self):
         s, c = np.sin(self.c[0]), np.cos(self.c[0])
         return self._compose((s, c, -s, -c).__getitem__)

@@ -26,10 +26,11 @@ section itself.  The curvature of the auxiliary part reproduces the 2-form
 
     Omega(X, Y) = -s1 rho1(pi1 X, pi1 Y) - s2 rho2(pi2 X, pi2 Y),
 
-which the ambient probes verify rather than assume.  Both read one record
-(``factor_jets``) with the two factors on one (2,) axis: their coordinates
-seeded once as exact order-2 Taylor jets at the sample positions, their
-conformal factors as one order-2 jet, and the area densities and Ricci
+which the ambient probes verify rather than assume, on the formulas of
+``surfaces`` that the hypersurface pipeline reads.  Both read one record
+(``factor_jets``): the factor coordinates seeded once as exact order-2
+Taylor jets at the sample positions, stacked [factor, coordinate], the
+conformal factors as one order-2 (2,) jet, and the area densities and Ricci
 forms read off its value.  They compare 2-forms on each factor's
 orthonormal frame (eps1, eps2): a chart coefficient of du ^ dv divided by
 lam^2, of the size of c even where the coefficient grows like lam^2, near
@@ -37,10 +38,10 @@ the rim of a hyperbolic disk.  ``liouville_residual`` checks rho against
 the Gauss curvature from the conformal factors by Liouville's formula,
 K = -(lam Lap(lam) - |grad lam|^2) / lam^4.  ``auxiliary_curvature_residual``
 reads the record cut to order 1 and checks Cartan's structure equation
-d(w12) = -rho with the order-1 rotation forms w12 = (c/2) lam (y, -x),
-through the auxiliary form and curvature of each structure, on each factor
-plane.  On a mixed plane both sides vanish identically, since each rotation
-and Ricci form reads only its own factor, so neither probe computes them.
+d(w12) = -rho with the order-1 rotation forms, through the auxiliary form
+and curvature of each structure, on each factor plane.  On a mixed plane
+both sides vanish identically, since each rotation and Ricci form reads
+only its own factor, so neither probe computes them.
 
 The tensor and form evaluators read a point's chart coordinates from axis 0
 (``p[0]`` is x1), so arrays of shape ``(4, ...)`` evaluate a whole stack of
@@ -57,7 +58,8 @@ import numpy as np
 
 from .clifford import build_clifford
 from .jets import Jet
-from .surfaces import SurfaceModel, conformal, ricci_coefficient, rotation_form
+from .surfaces import (check_domain, conformal, ricci_coefficient,
+                       rotation_form)
 
 J_MATRIX = np.array([
     [0.0, -1.0, 0.0, 0.0],
@@ -102,8 +104,6 @@ class ProductModel:
     """Product of two space forms with its spin^c machinery."""
 
     def __init__(self, c1: float, c2: float):
-        self.factor1 = SurfaceModel(c1)
-        self.factor2 = SurfaceModel(c2)
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.curvatures = np.array([c1, c2], dtype=float)
@@ -118,32 +118,31 @@ class ProductModel:
 
     # verification probes ---------------------------------------------------
     def factor_jets(self, p):
-        """The record both probes read, (x, y, lam, area, rho), each with
-        the factor axis (2,): the chart coordinates of both factors at the
-        positions ``p``, ``(4,)`` or ``(N, 4)``, seeded as order-2 jets in
-        the first two jet variables (the third is a dummy), their conformal
-        factors as one order-2 jet, and at every position ``(..., 2)`` the
-        area densities lam^2 and the Ricci forms rho(eps1, eps2).  Raises
-        OutsideDomainError at the first position outside a factor's chart,
-        factor 1's first."""
+        """The record both probes read, (xy, lam, area, rho): the chart
+        coordinates of both factors at the positions ``p``, ``(4,)`` or
+        ``(N, 4)``, seeded as order-2 jets in the first two jet variables
+        (the third is a dummy) and stacked as one (2, 2) jet [factor,
+        coordinate], their conformal factors as one order-2 (2,) jet, and at
+        every position ``(..., 2)`` the area densities lam^2 and the Ricci
+        forms rho(eps1, eps2).  Raises OutsideDomainError at the first
+        position outside a factor's chart, factor 1's first."""
         p = np.asarray(p, dtype=float)
-        # (x1, y1, x2, y2) -> x0 = (x1, x2), y0 = (y1, y2), each (2, ...)
-        x0, y0 = np.moveaxis(p.reshape(p.shape[:-1] + (2, 2)), (-1, -2),
-                             (0, 1))
-        for surf, xk, yk in zip((self.factor1, self.factor2), x0, y0):
-            surf.check_point(xk, yk)
-        x, y = (Jet(Jet.variable(i, v, 2).c, (2,))
-                for i, v in enumerate((x0, y0)))
-        lam = conformal(self.curvatures, x, y)
+        xy0 = p.reshape(p.shape[:-1] + (2, 2))
+        check_domain(self.curvatures, xy0, None)
+        # coefficients [slot, factor, coordinate, points]
+        xy = Jet(np.stack([Jet.variable(i, np.moveaxis(xy0[..., i], -1, 0),
+                                        2).c for i in (0, 1)], axis=2),
+                 (2, 2))
+        lam = conformal(self.curvatures, xy)
         area = lam.val ** 2
-        return x, y, lam, area, ricci_coefficient(self.curvatures,
-                                                  lam.val) / area
+        return xy, lam, area, ricci_coefficient(self.curvatures,
+                                                lam.val) / area
 
     def liouville_residual(self, jets):
         """|rho(eps1, eps2) - K| of each factor on the record ``jets`` of
         ``factor_jets``, shape ``(2,)`` at one position and ``(2, N)`` at
         ``N``."""
-        _, _, lam, area, rho = jets
+        _, lam, area, rho = jets
         d = lam.deriv()  # order-1 jet of the gradient, (3, 2)
         hess = d.grad()
         lap = hess[..., 0, :, 0] + hess[..., 1, :, 1]
@@ -158,9 +157,9 @@ class ProductModel:
         position (shape ``(len(structs),)``) or at ``N`` (shape
         ``(len(structs), N)``).  On the plane of factor ``i`` they read
         ``s_i d(w_i)`` and ``-s_i rho_i``, with d(w12) = d_x w_v - d_y w_u."""
-        x, y, lam, area, rho = jets
-        w_u, w_v = rotation_form(self.curvatures, x.truncated(1),
-                                 y.truncated(1), lam.truncated(1))
+        xy, lam, area, rho = jets
+        w_u, w_v = rotation_form(self.curvatures, xy.truncated(1),
+                                 lam.truncated(1))
         curl = (w_v.grad()[..., 0] - w_u.grad()[..., 1]) / area
         # each factor form on the two planes, (factor, ..., plane): its own
         # value on its own plane, 0 on the other

@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
 
@@ -35,6 +35,14 @@ def _json_number(x, what):
         return float(x)
     except OverflowError:  # an integer beyond the float range
         raise ScenarioError(f"{what} must be finite") from None
+
+
+def _refuse_unknown_keys(what, d, known):
+    """A misspelled key would be ignored and its default run."""
+    for key in d:
+        if key not in known:
+            raise ScenarioError(f"{what} has no key {key!r}; it reads "
+                                f"{', '.join(map(repr, known))}")
 
 
 @dataclass
@@ -54,6 +62,7 @@ class Scenario:
         if not isinstance(d, dict):
             raise ScenarioError(
                 f"a scenario must be a JSON object, got {type(d).__name__}")
+        _refuse_unknown_keys("scenario", d, [f.name for f in fields(Scenario)])
         checks = d.get("checks")
         if checks is not None and (
                 not isinstance(checks, (list, tuple))
@@ -73,6 +82,8 @@ class Scenario:
         if not isinstance(d["hypersurface"], dict):
             raise ScenarioError("hypersurface must be an object, got "
                                 f"{d['hypersurface']!r}")
+        _refuse_unknown_keys("hypersurface", d["hypersurface"],
+                             ["kind", "params"])
         sc = Scenario(
             name=str(d["name"]),
             c1=_json_number(d["c1"], "c1"),

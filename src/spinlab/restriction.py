@@ -22,12 +22,13 @@ oracles.
 The two structures differ only by their factor signs (s1, s2), so all
 they read but those signs, the chirality sign and the parallel spinor is
 computed once per evaluation, through ``_shared``, whose memo so holds
-arrays only: the frame scale, the Clifford matrix of nu, the unsigned
-X . nu along e1, e2, xi, the ambient frame, and the factor record
-(``factors``) of c_k lam_k^2, which gives the factor Ricci forms.  Each
-structure keeps its frame images gamma(e_k) phi (``frame_images``) for the
-residuals that apply a tangent gamma to phi only, gamma(V) phi, gamma(nu
--| Omega^N) phi and gamma(E e_k) phi by linearity; 4x4 stacks are built
+arrays only: the Clifford matrix of nu, the unsigned X . nu along e1, e2,
+xi, the ambient frame, and the factor record (``factors``) of c_k lam_k^2,
+which gives the factor Ricci forms.  The frame scale (lam1, lam1, lam2,
+lam2) is the evaluation's stage ``frame_scale``.  Each structure keeps its
+frame images gamma(e_k) phi (``frame_images``) for the residuals that
+apply a tangent gamma to phi only, gamma(V) phi, gamma(nu -| Omega^N) phi
+and gamma(E e_k) phi by linearity; 4x4 stacks are built
 only where matrices are read (Clifford relations, volume element, the
 curvature restriction law and the Dirac law).  The Clifford-relation
 defects do not depend on the sign, so ``relation_defects`` computes those
@@ -117,19 +118,14 @@ def chart(ev: PointEvaluation, X_coord):
                      per_point(ev, ev.T_val, X_coord))
 
 
-def scale(ev: PointEvaluation):
-    """(lam1, lam1, lam2, lam2) per point: chart to orthonormal frame."""
-    return np.sqrt(ev.gbar_val)
-
-
 def nu_mat(ev: PointEvaluation):
     """Clifford matrix of the unit normal, (..., 4, 4)."""
-    return CLIFFORD.vector(ev.nu_val * _shared(ev, scale))
+    return CLIFFORD.vector(ev.nu_val * ev.frame_scale)
 
 
 def clifford(ev: PointEvaluation, X_coord):
     """X . nu as 4x4 matrices: gamma(X) up to the chirality sign."""
-    frame = chart(ev, X_coord) * per_point(ev, _shared(ev, scale), X_coord)
+    frame = chart(ev, X_coord) * per_point(ev, ev.frame_scale, X_coord)
     return CLIFFORD.vector(frame) @ per_point(ev, _shared(ev, nu_mat), X_coord)
 
 
@@ -197,7 +193,7 @@ def plane_ricci(ev: PointEvaluation):
     """(rho1, rho2) on the six coordinate planes (eps_a, eps_b), a < b, of
     the ambient orthonormal frame, each (..., 6)."""
     eps = np.eye(4).reshape((4,) + (1,) * (ev.u.ndim - 1) + (4,)) \
-        / _shared(ev, scale).T[..., None]
+        / ev.frame_scale.T[..., None]
     return _wedge(_shared(ev, factors), eps[..., _PLANE_A],
                   eps[..., _PLANE_B])
 
@@ -239,10 +235,6 @@ class RestrictedSpinc:
         """gamma(X) phi by linearity from the adapted-frame components x of
         X, (..., 3)."""
         return np.einsum("...k,...ka->...a", x, self.frame_images)
-
-    def anticommutation_residual(self, rng):
-        """``relation_defects`` of this structure's draws from ``rng``."""
-        return relation_defects(self.ev, [rng])[..., 0]
 
     def volume_measurement(self):
         """Scalar m with gamma(e1) gamma(e2) gamma(xi) phi = m phi; the
@@ -366,7 +358,7 @@ def projection_cancellation_residuals(ev: PointEvaluation):
     # factor 1
     Vamb = np.einsum("...a,...ab->...b", ev.V_coord_val, ev.T_val)
     w = np.stack([ev.nu_val, ev.xi_ambient_val, Vamb], axis=-2) \
-        * _shared(ev, scale)[..., None, :]
+        * ev.frame_scale[..., None, :]
     # the Clifford matrices of their six factor projections, in one call
     mats = _FACTOR.vector(w.reshape(w.shape[:-1] + (2, 2)))
     (nu1, nu2), (xi1, xi2), (V1, V2) = np.moveaxis(mats, (-4, -3), (0, 1))

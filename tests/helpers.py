@@ -16,8 +16,7 @@ from spinlab.clifford import CliffordModel, build_clifford
 from spinlab.hypersurfaces import _mv, evaluate
 from spinlab.jets import NTERMS, Jet, value, variables, worst_of
 from spinlab.product import CLIFFORD, _auxiliary, _curvature, structure
-from spinlab.restriction import clifford, per_point
-from spinlab.surfaces import ricci_coefficient, rotation_form
+from spinlab.restriction import clifford, per_point, relation_defects
 from spinlab.systems import CONVERSE_TOLERANCES, converse_residuals
 
 
@@ -27,6 +26,12 @@ def jet_constant(x):
     c = np.zeros((NTERMS,) + x.shape)
     c[0] = x
     return Jet(c)
+
+
+def jet_exp(x):
+    """exp of the jet ``x``, entrywise through its composition ladder."""
+    e = np.exp(x.c[0])
+    return x._compose(lambda k: e)
 
 
 def fd_second_derivative(f, x, h):
@@ -165,22 +170,28 @@ def shape_commutator_residual(E, model: CliffordModel | None = None) -> float:
 
 
 # --- scalar references for the ambient metric and its Christoffel symbols ---
-# The engine builds both as tensor jets from one conformal-factor pass
-# (``PointEvaluation.gbar``, ``ambient_gamma``); these are the closed forms
-# factor by factor, on floats or scalar jets.
+# The engine builds both as tensor jets from one conformal-factor pass of
+# both factors (``surfaces``); these are the closed forms factor by factor,
+# on floats or scalar jets, each taking the factor's curvature c.
+
+def conformal_factor(c, x, y):
+    """lam = 1 / (1 + c/4 (x^2 + y^2)) of the space form of curvature c,
+    unchecked."""
+    return 1.0 / (1.0 + 0.25 * c * (x * x + y * y))
+
 
 def metric_diagonal(product, p):
     """Diagonal of the product metric in chart coordinates."""
-    l1 = product.factor1.conformal_factor(p[0], p[1])
-    l2 = product.factor2.conformal_factor(p[2], p[3])
+    l1 = conformal_factor(product.c1, p[0], p[1])
+    l2 = conformal_factor(product.c2, p[2], p[3])
     return [l1 * l1, l1 * l1, l2 * l2, l2 * l2]
 
 
-def christoffels(surf, x, y):
+def christoffels(c, x, y):
     """Christoffel symbols G[a][b][c] = Gamma^a_{bc} of lam^2(du^2+dv^2),
     from (d_u log lam, d_v log lam) = -c/2 (u, v) lam."""
-    lam = surf.conformal_factor(x, y)
-    c2 = 0.5 * surf.curvature
+    lam = conformal_factor(c, x, y)
+    c2 = 0.5 * c
     lx, ly = -c2 * x * lam, -c2 * y * lam
     return [
         [[lx, ly], [ly, -1.0 * lx]],
@@ -192,8 +203,8 @@ def dense_christoffels(product, p):
     """Gamma[a][b][c] of the product metric over the four ambient chart
     coordinates at ``p``: the two factors' ``christoffels`` blocks in one
     4x4x4 nested list, 0.0 where indices mix the factors."""
-    blocks = (christoffels(product.factor1, p[0], p[1]),
-              christoffels(product.factor2, p[2], p[3]))
+    blocks = (christoffels(product.c1, p[0], p[1]),
+              christoffels(product.c2, p[2], p[3]))
     G = [[[0.0] * 4 for _ in range(4)] for _ in range(4)]
     for k, block in zip((0, 2), blocks):
         for a in range(2):
@@ -362,16 +373,25 @@ _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
 
 
-def frame_rotation_form(surf, x, y):
-    """Chart components (w_u, w_v) of the rotation form w12 of the space
-    form ``surf``."""
-    return rotation_form(surf.curvature, x, y, surf.conformal_factor(x, y))
+def frame_rotation_form(c, x, y):
+    """Chart components (w_u, w_v) = (c/2) lam (y, -x) of the rotation form
+    w12 of the space form of curvature c."""
+    lam = conformal_factor(c, x, y)
+    half = 0.5 * c
+    return (half * y * lam, -half * x * lam)
 
 
-def ricci_form_coefficient(surf, x, y):
+def ricci_form_coefficient(c, x, y):
     """rho = coeff du ^ dv with coeff = c lam^2, the Ricci 2-form of the
-    space form ``surf``."""
-    return ricci_coefficient(surf.curvature, surf.conformal_factor(x, y))
+    space form of curvature c."""
+    lam = conformal_factor(c, x, y)
+    return c * lam * lam
+
+
+def anticommutation_residual(rs, rng):
+    """``relation_defects`` of the draws of the restricted structure ``rs``
+    from ``rng``."""
+    return relation_defects(rs.ev, [rng])[..., 0]
 
 
 def gamma_matrix(rs, X_coord):
@@ -383,8 +403,8 @@ def gamma_matrix(rs, X_coord):
 def frame_components(product, p, w):
     """Orthonormal-frame components of a chart tangent 4-vector ``w`` at
     ``p``, the coordinate axis first."""
-    l1 = product.factor1.conformal_factor(p[0], p[1])
-    l2 = product.factor2.conformal_factor(p[2], p[3])
+    l1 = conformal_factor(product.c1, p[0], p[1])
+    l2 = conformal_factor(product.c2, p[2], p[3])
     return np.array([value(l1 * w[0]), value(l1 * w[1]),
                      value(l2 * w[2]), value(l2 * w[3])])
 
@@ -393,17 +413,17 @@ def ricci_form(product, p, X, Y, factor: int):
     """rho_i(pi_i X, pi_i Y) for chart tangent vectors X, Y at p, each
     factor's Ricci form evaluated from its conformal factor at p."""
     if factor == 1:
-        coeff = ricci_form_coefficient(product.factor1, p[0], p[1])
+        coeff = ricci_form_coefficient(product.c1, p[0], p[1])
         return coeff * (X[0] * Y[1] - X[1] * Y[0])
-    coeff = ricci_form_coefficient(product.factor2, p[2], p[3])
+    coeff = ricci_form_coefficient(product.c2, p[2], p[3])
     return coeff * (X[2] * Y[3] - X[3] * Y[2])
 
 
 def rotation_forms(product, p, X):
     """(w1(X1), w2(X2)) for a chart tangent vector X at p, each factor's
     rotation form evaluated from its conformal factor at p."""
-    a1 = frame_rotation_form(product.factor1, p[0], p[1])
-    a2 = frame_rotation_form(product.factor2, p[2], p[3])
+    a1 = frame_rotation_form(product.c1, p[0], p[1])
+    a2 = frame_rotation_form(product.c2, p[2], p[3])
     return (a1[0] * X[0] + a1[1] * X[1], a2[0] * X[2] + a2[1] * X[3])
 
 
@@ -666,8 +686,8 @@ def point_projection_formulas(ev):
 def point_projection_cancellation(ev):
     fac = build_clifford(2)
     p = ev.position
-    lam1 = value(ev.product.factor1.conformal_factor(p[0], p[1]))
-    lam2 = value(ev.product.factor2.conformal_factor(p[2], p[3]))
+    lam1 = value(conformal_factor(ev.product.c1, p[0], p[1]))
+    lam2 = value(conformal_factor(ev.product.c2, p[2], p[3]))
 
     def f1(w):
         return np.array([lam1 * w[0], lam1 * w[1]])
@@ -999,8 +1019,9 @@ def point_relations_check(ctx, tag, normal_scale=1.0):
 # --- the per-factor and per-structure loops of the pair axes ------------------
 # Reference oracles with the arithmetic of the loops that the pair axes of
 # ``ProductModel.factor_jets`` and ``restriction.relation_defects`` replaced:
-# the ambient probes ran one jet pass per factor through its SurfaceModel,
-# each relations check its own Clifford pass on the signed gamma matrices.
+# the ambient probes ran one jet pass per factor through its own conformal
+# factor, each relations check its own Clifford pass on the signed gamma
+# matrices.
 
 def loop_factor_jets(product, p):
     """One tuple (x, y, area, rho) per factor: its chart coordinates of the
@@ -1008,10 +1029,10 @@ def loop_factor_jets(product, p):
     Ricci form rho(eps1, eps2)."""
     p = np.asarray(p, dtype=float)
     out = []
-    for k, surf in ((0, product.factor1), (2, product.factor2)):
+    for k, c in ((0, product.c1), (2, product.c2)):
         x, y, _ = variables(p[..., [k, k + 1, k]])
-        area = value(surf.conformal_factor(x.val, y.val)) ** 2
-        rho = ricci_form_coefficient(surf, x.val, y.val) / area
+        area = value(conformal_factor(c, x.val, y.val)) ** 2
+        rho = ricci_form_coefficient(c, x.val, y.val) / area
         out.append((x.truncated(2), y.truncated(2), area, rho))
     return tuple(out)
 
@@ -1019,9 +1040,8 @@ def loop_factor_jets(product, p):
 def loop_liouville_residual(product, jets):
     """|rho(eps1, eps2) - K| of each factor, one factor after the other."""
     out = []
-    for surf, (x, y, area, rho) in zip((product.factor1, product.factor2),
-                                       jets):
-        lam = surf.conformal_factor(x, y)
+    for c, (x, y, area, rho) in zip((product.c1, product.c2), jets):
+        lam = conformal_factor(c, x, y)
         d = lam.deriv()
         hess = d.grad()
         lap = hess[..., 0, 0] + hess[..., 1, 1]
@@ -1034,10 +1054,8 @@ def loop_auxiliary_curvature(product, jets, structs):
     """Cartan's structure equation on the two factor planes, each factor's
     rotation forms from its own order-1 conformal factor."""
     curl, rho = [], []
-    for surf, (x, y, area, rho_i) in zip((product.factor1, product.factor2),
-                                         jets):
-        w_u, w_v = frame_rotation_form(surf, x.truncated(1),
-                                       y.truncated(1))
+    for c, (x, y, area, rho_i) in zip((product.c1, product.c2), jets):
+        w_u, w_v = frame_rotation_form(c, x.truncated(1), y.truncated(1))
         curl.append((w_v.grad()[..., 0] - w_u.grad()[..., 1]) / area)
         rho.append(rho_i)
     return np.stack([np.maximum(

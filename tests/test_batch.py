@@ -22,7 +22,7 @@ from spinlab.checks import REGISTRY_BY_NAME, ScenarioContext
 from spinlab.hypersurfaces import PointEvaluation, RankDeficientError
 from spinlab.jets import Jet, contract, worst_of
 from spinlab.reports import Scenario
-from spinlab.surfaces import OutsideDomainError
+from spinlab.surfaces import OutsideDomainError, christoffel
 
 # float64 carries ~16 digits; batching reorders a few sums per jet product,
 # which may cost a few ulps per stage of a ~30-stage pipeline.  The error is
@@ -135,10 +135,8 @@ def _full_order_stages(ev):
     adj = (m[n1, n1[:, None]] * m[n2, n2[:, None]]
            - m[n2, n1[:, None]] * m[n1, n2[:, None]])
     g_inv = adj / contract("j,j->", m[0], adj[:, 0])
-    xy = ev.phi.truncated(2).reshape((2, 2))
-    half_c = np.array([[-0.5 * ev.product.c1], [-0.5 * ev.product.c2]])
-    dlog = xy * half_c * ev._lam.reshape((2, 1))
-    gamma = dlog[:, hyp._GAMMA_INDEX] * hyp._GAMMA_SIGN
+    gamma = christoffel(ev.product.curvatures,
+                        ev.phi.truncated(2).reshape((2, 2)), ev._lam)
     V_form = contract("am,m->a", ev._T_low, ev.nu * F)
     h = contract("m,m->", ev.nu * F * ev.gbar, ev.nu)
     fT = ev.T * F - contract("j,a->ja", V_form, ev.nu)
@@ -407,7 +405,7 @@ RESTRICTED = {
                                   for e in _frame_rows(ps.ev)])),
     "along_random_vectors": (_along_random, _point_along_random),
     "anticommutation_residual": (
-        lambda rs, rng: rs.anticommutation_residual(rng),
+        lambda rs, rng: helpers.anticommutation_residual(rs, rng),
         lambda ps, rng: ps.anticommutation_residual(rng, trials=3)),
     "volume_measurement": (lambda rs, rng: rs.volume_measurement(),
                            lambda ps, rng: ps.volume_measurement()),

@@ -6,11 +6,11 @@ import pytest
 from spinlab.jets import value
 from spinlab.product import (CLIFFORD, F_MATRIX, J_MATRIX, ProductModel,
                              structure)
-from spinlab.surfaces import OutsideDomainError
+from spinlab.surfaces import OutsideDomainError, conformal
 
-from helpers import (connection_matrix, curvature_form, dense_christoffels,
-                     frame_components, loop_auxiliary_curvature_residual,
-                     metric_diagonal)
+from helpers import (conformal_factor, connection_matrix, curvature_form,
+                     dense_christoffels, frame_components,
+                     loop_auxiliary_curvature_residual, metric_diagonal)
 
 
 def test_structure_tags_and_chirality():
@@ -69,7 +69,7 @@ def test_curvature_form_sign_on_each_structure(rng):
     prod = ProductModel(c, 0.0)
     for _ in range(5):
         p = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), 0.3, -0.2])
-        lam = value(prod.factor1.conformal_factor(p[0], p[1]))
+        lam = conformal_factor(c, p[0], p[1])
         X = np.array([1.0 / lam, 0.0, 0.0, 0.0])  # unit vector
         JX = J_MATRIX @ X
         om1 = value(curvature_form(prod, p, X, JX, structure(1)))
@@ -207,8 +207,7 @@ def test_metric_diagonal_blocks():
     prod = ProductModel(2.0, -0.5)
     p = [0.1, 0.2, 0.3, -0.1]
     d = [value(x) for x in metric_diagonal(prod, p)]
-    l1 = value(prod.factor1.conformal_factor(0.1, 0.2))
-    l2 = value(prod.factor2.conformal_factor(0.3, -0.1))
+    l1, l2 = conformal(prod.curvatures, np.array([[0.1, 0.2], [0.3, -0.1]]))
     assert d[0] == d[1] == pytest.approx(l1 * l1)
     assert d[2] == d[3] == pytest.approx(l2 * l2)
 

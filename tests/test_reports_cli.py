@@ -428,8 +428,8 @@ def test_nan_in_ambient_probe_fails_the_check(monkeypatch, check):
     original = product.conformal
     poisoned = []
 
-    def with_nan(c, x, y):
-        lam = original(c, x, y)
+    def with_nan(c, xy):
+        lam = original(c, xy)
         if isinstance(lam, Jet):
             lam = Jet(lam.c.copy(), lam.shape)
             lam.c[0, np.flatnonzero(c == 0.0), 1] = np.nan
@@ -784,32 +784,64 @@ def test_product_structure_reduces_one_array(monkeypatch, nan_at):
     assert np.float64(got).tobytes() == np.float64(worst_of(listed)).tobytes()
 
 
+def _patch_everywhere(monkeypatch, fn, new):
+    """Replace the function ``fn`` by ``new`` under every name that a
+    spinlab module binds it to."""
+    for name, mod in list(sys.modules.items()):
+        if name == "spinlab" or name.startswith("spinlab."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, new)
+
+
 def test_product_structure_is_one_jet_pass(monkeypatch):
     """Both ambient checks read one factor-jet record: one order-2
     conformal factor of both factors, a (2,) jet at every sample point,
     which Liouville's formula reads and Cartan's structure equation reads
-    cut to order 1, and no conformal factor of a single factor."""
-    from spinlab import product
+    cut to order 1.  A full-registry run evaluates the conformal factor and
+    the log-gradient of ``surfaces`` twice each: once for the batch and
+    once for the factor record."""
+    from spinlab import surfaces
     from spinlab.jets import Jet
-    from spinlab.surfaces import SurfaceModel
     calls = []
 
-    def counted(owner, name):
-        original = getattr(owner, name)
-
+    def counted(fn):
         def count(*args):
-            lam = original(*args)
-            calls.append((name, lam.order, lam.val.shape)
-                         if isinstance(lam, Jet) else (name, np.shape(lam)))
-            return lam
+            out = fn(*args)
+            calls.append((fn.__name__, out.order, out.val.shape)
+                         if isinstance(out, Jet) else (fn.__name__,))
+            return out
 
-        monkeypatch.setattr(owner, name, count)
+        _patch_everywhere(monkeypatch, fn, count)
 
-    counted(product, "conformal")
-    counted(SurfaceModel, "conformal_factor")
+    counted(surfaces.conformal)
+    counted(surfaces.log_gradient)
     report = run_scenario(small_scenario(checks=AMBIENT))
     assert report.passed
-    assert calls == [("conformal", 2, (6, 2))]
+    assert calls == [("conformal", 2, (6, 2)), ("conformal", 2, (6, 2)),
+                     ("log_gradient", 1, (6, 2, 2))]
+    calls.clear()
+    report = run_scenario(small_scenario(checks=None))
+    assert report.passed
+    assert sorted(calls) == [("conformal", 2, (6, 2))] * 2 \
+        + [("log_gradient", 1, (6, 2, 2))] * 2
+
+
+@pytest.mark.parametrize("name", ["conformal", "log_gradient"])
+def test_slipped_factor_formula_fails_an_ambient_check(monkeypatch, name):
+    """The pipeline and the ambient probes read one formula of the factor
+    geometry: a relative 1e-9 slip in it fails an ambient check on every
+    catalog member with a curved factor."""
+    from spinlab import surfaces
+    from spinlab.catalog import BUILTIN_SCENARIOS
+    fn = getattr(surfaces, name)
+    _patch_everywhere(monkeypatch, fn,
+                      lambda *args: fn(*args) * (1 + 1e-9))
+    curved = [raw for raw in BUILTIN_SCENARIOS if raw["c1"] or raw["c2"]]
+    assert len(curved) == 4
+    for raw in curved:
+        report = run_scenario(Scenario.from_dict(dict(raw, checks=AMBIENT)))
+        assert "fail" in [rec.verdict for rec in report.checks], raw["name"]
 
 
 @pytest.mark.parametrize("change, extra, says", [
@@ -887,6 +919,12 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
     # the sample array (21.3 PiB) is refused at once, before any memory is
     # touched; never use a count that could really be allocated
     ({"samples": 10 ** 15}, [], "out of memory: Unable to allocate"),
+    # a misspelled key would run its default: the standard pairing, and the
+    # default coefficients instead of the overflowing ones
+    ({"structure_paring": "flipped"}, [],
+     "scenario has no key 'structure_paring'"),
+    ({"hypersurface": {"kind": "graph", "param": {"coeffs": [1e200] * 5}}},
+     [], "hypersurface has no key 'param'; it reads 'kind', 'params'"),
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
@@ -901,7 +939,8 @@ def test_product_structure_is_one_jet_pass(monkeypatch):
         "huge-integer-curvature", "hypersurface-as-list", "boolean-radius",
         "string-radius", "string-tube-radius", "boolean-coeffs",
         "huge-integer-radius", "unknown-chart-parameter",
-        "repeated-check", "unknown-check", "huge-sample-count"])
+        "repeated-check", "unknown-check", "huge-sample-count",
+        "unknown-scenario-key", "unknown-hypersurface-key"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
                                             says):
     from spinlab.cli import main
