@@ -41,8 +41,8 @@ from . import hypersurfaces as hyp
 from . import restriction as rst
 from . import systems as sysmod
 from .catalog import build_chart, build_product, sample_points
-from .jets import value, worst_of
-from .product import F_MATRIX, structure
+from .jets import worst_of
+from .product import structure
 from .reports import CheckRecord, ResidualReport, Scenario, ScenarioError
 from .surfaces import OutsideDomainError
 
@@ -143,27 +143,11 @@ def _batch_check(residual, tag=None, **notes):
                                  else ctx.spinc(tag)), dict(notes))
 
 
-# --- ambient / product-model checks -----------------------------------------
-
-# |F F - Id|, |F - F^T| and |tr F|, the same in every scenario
-_F_DEFECTS = np.array([np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max(),
-                       np.abs(F_MATRIX - F_MATRIX.T).max(),
-                       abs(np.trace(F_MATRIX))])
-
-
-def check_ambient_product_structure(ctx):
-    """F involutive/symmetric/trace-free and rho against the Gauss
-    curvature of the conformal factors (Liouville's formula)."""
-    return np.concatenate((
-        _F_DEFECTS,
-        np.ravel(ctx.product.liouville_residual(ctx.factor_jets)))), {}
-
-
 # --- hypersurface point checks ------------------------------------------------
 
 def check_consistency(ctx):
     res = hyp.consistency_residuals(ctx.batch)
-    H = value(ctx.batch.mean_curvature)
+    H = ctx.batch.mean_curvature.val
     return res, {"mean_curvature_min": float(H.min()),
                  "mean_curvature_max": float(H.max())}
 
@@ -202,7 +186,7 @@ def _energy_momentum(rs):
 def check_umbilic(ctx):
     ev = ctx.batch
     res = sysmod.contracted_codazzi_residual(ev)
-    H = value(ev.mean_curvature)
+    H = ev.mean_curvature.val
     deviation = np.abs(ev.E_frame - H[..., None, None] * np.eye(3))
     umbilic = ~(deviation.max(axis=(-2, -1)) > 1e-8)  # NaN counts as umbilic
     dH_xi = np.einsum("...a,...a->...", ev.frame[..., 2], ev.dH)
@@ -227,10 +211,10 @@ def check_converse(ctx):
 
 REGISTRY = [
     CheckSpec("ambient.product_structure",
-              "product endomorphism F: involutive, symmetric, trace free; "
               "Ricci form = curvature times area form, the curvature by "
               "Liouville's formula", 1e-12, "assert",
-              check_ambient_product_structure),
+              lambda ctx: (ctx.product.liouville_residual(ctx.factor_jets),
+                           {})),
     CheckSpec("ambient.auxiliary_curvature",
               "exterior derivative of the auxiliary gauge equals the "
               "curvature 2-form of the structure, by Cartan's structure "

@@ -25,8 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-_EXACT_TOL = 1e-14
-
 _SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -65,25 +63,6 @@ class CliffordModel:
         return np.stack(self.generators).reshape(self.dim, -1)
 
 
-def _validate(model: CliffordModel):
-    n = model.spinor_dim
-    eye = np.eye(n)
-    for a, ga in enumerate(model.generators):
-        for b, gb in enumerate(model.generators):
-            anti = ga @ gb + gb @ ga
-            want = -2.0 * eye if a == b else 0.0 * eye
-            if np.max(np.abs(anti - want)) > _EXACT_TOL:
-                raise AssertionError(f"anticommutation violated for ({a},{b})")
-    if np.max(np.abs(model.volume @ model.volume - eye)) > _EXACT_TOL:
-        raise AssertionError("volume element must square to Id")
-    pp, pm = model.chirality
-    for p in (pp, pm):
-        if np.max(np.abs(p @ p - p)) > _EXACT_TOL:
-            raise AssertionError("chirality projector not idempotent")
-    if np.max(np.abs(pp + pm - eye)) > _EXACT_TOL:
-        raise AssertionError("chirality projectors must sum to Id")
-
-
 def build_clifford(m: int) -> CliffordModel:
     """Clifford model in dimension m in {2, 4} with the fixed matrices above."""
     if m == 2:
@@ -105,7 +84,5 @@ def build_clifford(m: int) -> CliffordModel:
 
     eye = np.eye(2 ** (m // 2))
     chirality = ((eye + vol) / 2.0, (eye - vol) / 2.0)
-    model = CliffordModel(m, gens, vol, chirality)
-    _validate(model)
-    return model
+    return CliffordModel(m, gens, vol, chirality)
 

@@ -29,11 +29,12 @@ before its products run.  The factor geometry comes from ``surfaces``,
 whose formulas the ambient probes check.  Value-level arrays put the point
 axis first, so ``g_val`` is (3, 3) at one point and (N, 3, 3) for a batch.
 The identity residuals below take either and return one value per point.
-Those that several checks read (Gauss, Codazzi, the derivative
-identities, the trace of F, and the compatibility systems in ``systems``)
-are computed once per evaluation and handed out read-only (``_shared``),
-and so is the part of the spin^c restriction that both structures read
-(``restriction``).
+Those that several checks read (the splitting algebra of F, which
+``structure.involution`` and the converse share, Gauss, Codazzi, the
+derivative identities, the trace of F, and the compatibility systems in
+``systems``) are computed once per evaluation and handed out read-only
+(``_shared``), and so is the part of the spin^c restriction that both
+structures read (``restriction``).
 
 The value stages (``g_val``, ``E_mixed_val``, ``V_frame``, ``h_val``, ...)
 are the one point record every identity reads; ``replace`` swaps some of
@@ -527,19 +528,25 @@ def frame_orthonormality_residual(ev: PointEvaluation):
 
 
 def involution_identities(ev: PointEvaluation):
-    """f symmetric, f^2 + V (x) V-flat = Id, f V = -h V, h^2 + |V|^2 = 1."""
-    gv = ev.g_val
-    fv = ev.f_mixed_val
-    Vv = ev.V_coord_val
-    Vflat = _mv(gv, Vv)
+    """The splitting algebra of F in the adapted frame, where the metric is
+    the identity: f symmetric, f^2 + V (x) V = Id, f V = -h V and
+    h^2 + |V|^2 = 1 (Lira, Tojeiro & Vitorio, Arch. Math. 95, 2010).
+    ``structure.involution`` and the converse read it once per
+    evaluation."""
+    return _shared(ev, _involution_identities)
+
+
+def _involution_identities(ev):
+    # h first: at an overflowing chart its stage names the unit normal,
+    # which the frame stages reach only after the inverse metric
     h = np.asarray(ev.h_val)
-    gf = gv @ fv
+    Vf, ff = ev.V_frame, ev.f_frame
     return {
-        "f-symmetric": _max_abs(gf - np.swapaxes(gf, -1, -2), 2),
-        "f-squared": _max_abs(fv @ fv + Vv[..., :, None] * Vflat[..., None, :]
+        "f-symmetric": _max_abs(ff - np.swapaxes(ff, -1, -2), 2),
+        "f-squared": _max_abs(ff @ ff + Vf[..., :, None] * Vf[..., None, :]
                               - np.eye(3), 2),
-        "f-of-V": _max_abs(_mv(fv, Vv) + h[..., None] * Vv, 1),
-        "unit-split": np.abs(h * h + np.sum(Vv * Vflat, axis=-1) - 1.0),
+        "f-of-V": _max_abs(_mv(ff, Vf) + h[..., None] * Vf, 1),
+        "unit-split": np.abs(h ** 2 + np.sum(Vf * Vf, axis=-1) - 1.0),
     }
 
 
@@ -569,11 +576,9 @@ def contact_identities(ev: PointEvaluation):
     def over_frame(defect):  # worst over X in {e1, e2, xi}, NaN kept
         return np.array([defect(X) for X in (e1, e2, xi)]).max(axis=0)
 
-    JF = np.abs(J_MATRIX @ F_MATRIX - F_MATRIX @ J_MATRIX).max()
     return {
         "chi-antisymmetric": np.abs(ip(Chi(e1), e2) + ip(e1, Chi(e2))),
         "chi-kills-xi": _max_abs(Chi(xi), 1),
-        "JF-commute": np.full(h.shape, JF),
         "mixed-endomorphism": over_frame(
             lambda X: np.abs(ip(Vv, Chi(X)) + eta(X) * h - eta(f(X)))),
         "commutation-split": over_frame(lambda X: _max_abs(

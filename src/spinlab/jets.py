@@ -395,13 +395,6 @@ def variables(u, order=ORDER):
     return tuple(Jet.variable(i, u[..., i], order) for i in range(NVARS))
 
 
-def value(x):
-    """Value part of a jet (point axis first), a float, or an array."""
-    if isinstance(x, Jet):
-        return x.val
-    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
-
-
 def worst_of(residuals) -> float:
     """Largest residual, 0.0 when there is none, NaN when any is NaN
     (``max(0.0, nan)`` is 0.0, so a plain running max would lose it)."""

@@ -70,7 +70,7 @@ J_MATRIX = np.array([
 F_MATRIX = np.diag([1.0, 1.0, -1.0, -1.0])
 
 # The dim-4 Clifford model is the same for every product, so it is built
-# and validated once.
+# once.
 CLIFFORD = build_clifford(4)
 
 # (plane, factor) entries where a factor form is read on its own plane

@@ -79,13 +79,16 @@ class Scenario:
         for key in ("name", "c1", "c2", "hypersurface"):
             if key not in d:
                 raise ScenarioError(f"invalid scenario: missing {key!r}")
+        if not isinstance(d["name"], str):
+            raise ScenarioError(
+                f"name must be a string, got {type(d['name']).__name__}")
         if not isinstance(d["hypersurface"], dict):
             raise ScenarioError("hypersurface must be an object, got "
                                 f"{d['hypersurface']!r}")
         _refuse_unknown_keys("hypersurface", d["hypersurface"],
                              ["kind", "params"])
         sc = Scenario(
-            name=str(d["name"]),
+            name=d["name"],
             c1=_json_number(d["c1"], "c1"),
             c2=_json_number(d["c2"], "c2"),
             hypersurface=dict(d["hypersurface"]),

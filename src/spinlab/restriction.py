@@ -48,8 +48,9 @@ is (3, 4, 4) at one point and (N, 3, 4, 4) for a batch, ``frame_images``
 per point, (..., k, 3).  Every residual below is one array pass returning
 one value per point.
 
-Spinor inner products are the standard Hermitian ones; all reported
-quantities are normalized by |phi|^2 so the tolerances are scale free.
+Spinor inner products are the standard Hermitian ones.  The parallel
+spinor psi is a unit basis vector (``ProductModel.parallel_spinor``), so
+|phi| = 1 and a pairing (X, phi) reads one component of X.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import numpy as np
 
 from .clifford import build_clifford
 from .hypersurfaces import PointEvaluation, _read_only, _shared
-from .jets import value
 from .product import CLIFFORD, SpincStructure, _curvature
 
 # the Clifford model of one surface factor, acting on its spinors
@@ -216,9 +216,8 @@ class RestrictedSpinc:
 
     # --- Clifford layer ---------------------------------------------------
     def expectation(self, spinor):
-        """(spinor, phi) / |phi|^2 against the restricted field."""
-        return np.einsum("a,...a->...", self.psi.conj(), spinor) \
-            / np.vdot(self.psi, self.psi)
+        """(spinor, phi) against the restricted unit field."""
+        return np.einsum("a,...a->...", self.psi.conj(), spinor)
 
     @cached_property
     def frame_gammas(self):
@@ -388,11 +387,11 @@ def dirac_and_energy_momentum(rs: RestrictedSpinc) -> DiracEnergy:
 
     D phi = sum_k gamma(e_k) nabla_{e_k} phi must equal +-(3/2) H phi
     (+ for structure 1).  Q(X, Y) = Re(gamma(X) nabla_Y phi
-    + gamma(Y) nabla_X phi, phi) / |phi|^2 must equal sign * E: the shape
+    + gamma(Y) nabla_X phi, phi) must equal sign * E: the shape
     operator for structure 1 and its negative for structure 2.
     """
     phi = rs.psi
-    H = value(rs.ev.mean_curvature)
+    H = rs.ev.mean_curvature.val
     G = rs.frame_gammas
     nab = rs.frame_derivative[0]  # nabla_{e_k} phi
     D = np.einsum("...kab,...kb->...a", G, nab)

@@ -52,7 +52,7 @@ def check_domain(c, xy, u):
             x, y = xy[i][k]
             at = "" if u is None else f" at u={u[i]}"
             raise OutsideDomainError(
-                f"point ({x:.3f}, {y:.3f}) outside chart of curvature "
+                f"point ({x:.4g}, {y:.4g}) outside chart of curvature "
                 f"{float(c[k])}{at}")
 
 

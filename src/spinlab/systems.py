@@ -46,9 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypersurfaces import (PointEvaluation, _max_abs, _mv, _shared,
+from .hypersurfaces import (PointEvaluation, _max_abs, _shared,
                             codazzi_residual, derivative_identities,
-                            gauss_residual, trace_residual)
+                            gauss_residual, involution_identities,
+                            trace_residual)
 from .restriction import _PAIR_I, _PAIR_J, frame_omega
 
 # indices broadcast to (pair, component): the frame pair (i, j) of each
@@ -175,27 +176,22 @@ def rebuild_f(V_frame, h):
 
 def converse_residuals(ev: PointEvaluation):
     """All named residuals of the converse (abstract-data) direction, per
-    point."""
-    Vf, ff = ev.V_frame, ev.f_frame
-    h = np.asarray(ev.h_val)
-    out = {
-        "f-rebuild": _max_abs(rebuild_f(Vf, h) - ff, 2),
-        "f-squared": _max_abs(ff @ ff + Vf[..., :, None] * Vf[..., None, :]
-                              - np.eye(3), 2),
-        "f-of-V": _max_abs(_mv(ff, Vf) + h[..., None] * Vf, 1),
-        "unit-split": np.abs(h ** 2 + np.sum(Vf * Vf, axis=-1) - 1.0),
-        "gauss": gauss_residual(ev),
-        "codazzi": codazzi_residual(ev),
-    }
+    point: the splitting algebra is the one ``structure.involution``
+    reads."""
+    algebra = involution_identities(ev)  # first: it reads h before the frame
+    out = {"f-rebuild": _max_abs(rebuild_f(ev.V_frame, ev.h_val)
+                                 - ev.f_frame, 2), **algebra,
+           "gauss": gauss_residual(ev), "codazzi": codazzi_residual(ev)}
     out.update(derivative_identities(ev))
     out["rank-two"] = trace_residual(ev)
     return out
 
 
 CONVERSE_TOLERANCES = {
-    "f-rebuild": 1e-9, "f-squared": 1e-9, "f-of-V": 1e-9, "unit-split": 1e-9,
-    "gauss": 1e-5, "codazzi": 1e-5, "f-derivative": 1e-6,
-    "V-derivative": 1e-6, "h-gradient": 1e-6, "rank-two": 1e-9,
+    "f-rebuild": 1e-9, "f-symmetric": 1e-9, "f-squared": 1e-9,
+    "f-of-V": 1e-9, "unit-split": 1e-9, "gauss": 1e-5, "codazzi": 1e-5,
+    "f-derivative": 1e-6, "V-derivative": 1e-6, "h-gradient": 1e-6,
+    "rank-two": 1e-9,
 }
 
 

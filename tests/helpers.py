@@ -14,10 +14,17 @@ from scipy.linalg import expm, logm
 
 from spinlab.clifford import CliffordModel, build_clifford
 from spinlab.hypersurfaces import _mv, evaluate
-from spinlab.jets import NTERMS, Jet, value, variables, worst_of
+from spinlab.jets import NTERMS, Jet, variables, worst_of
 from spinlab.product import CLIFFORD, _auxiliary, _curvature, structure
 from spinlab.restriction import clifford, per_point, relation_defects
 from spinlab.systems import CONVERSE_TOLERANCES, converse_residuals
+
+
+def value(x):
+    """Value part of a jet (point axis first), a float, or an array."""
+    if isinstance(x, Jet):
+        return x.val
+    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
 
 
 def jet_constant(x):
@@ -640,8 +647,6 @@ def point_contact_identities(ev):
     out = {}
     out["chi-antisymmetric"] = abs(ip(chi @ e1, e2) + ip(e1, chi @ e2))
     out["chi-kills-xi"] = float(np.max(np.abs(chi @ xi)))
-    out["JF-commute"] = float(np.max(np.abs(J_MATRIX @ F_MATRIX
-                                            - F_MATRIX @ J_MATRIX)))
     out["mixed-endomorphism"] = max(
         abs(ip(Vv, chi @ X) + eta(X) * h - eta(fv @ X)) for X in (e1, e2, xi))
     out["commutation-split"] = max(
@@ -752,6 +757,7 @@ def point_converse_residuals(ev):
     Vf, ff = ev.V_frame, ev.f_frame
     out = {
         "f-rebuild": float(np.max(np.abs(fr - ff))),
+        "f-symmetric": float(np.max(np.abs(ff - ff.T))),
         "f-squared": float(np.max(np.abs(
             ff @ ff + np.outer(Vf, Vf) - np.eye(3)))),
         "f-of-V": float(np.max(np.abs(ff @ Vf + h * Vf))),

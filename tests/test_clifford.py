@@ -53,6 +53,14 @@ def test_dim4_volume_and_chirality():
     assert np.max(np.abs(pp + pm - np.eye(4))) == 0.0
 
 
+def test_dim2_volume_and_chirality():
+    model = build_clifford(2)
+    assert np.max(np.abs(model.volume @ model.volume - np.eye(2))) == 0.0
+    pp, pm = model.chirality
+    assert np.max(np.abs(pp @ pp - pp)) == 0.0
+    assert np.max(np.abs(pp + pm - np.eye(2))) == 0.0
+
+
 def test_kahler_spectrum_dim2():
     model = build_clifford(2)
     spec = np.sort_complex(np.linalg.eigvals(kahler_action(model, J2)))

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import catalog_members, sample
 from helpers import (fd_gradient, fd_weingarten, scalar_jet_evaluation,
-                     svd_rank_pair)
+                     svd_rank_pair, value)
 from spinlab import build_chart, build_product, evaluate
 from spinlab.hypersurfaces import (HypersurfaceChart, PointEvaluation,
                                    RankDeficientError, codazzi_residual,
@@ -27,7 +27,7 @@ from spinlab.hypersurfaces import (HypersurfaceChart, PointEvaluation,
                                    frame_orthonormality_residual,
                                    gauss_residual, involution_identities,
                                    projection_formulas, trace_residual)
-from spinlab.jets import Jet, value
+from spinlab.jets import Jet
 from spinlab.surfaces import OutsideDomainError
 
 
@@ -151,6 +151,21 @@ def test_shape_operator_symmetric(members, rng):
         for u in sample(chart, rng, 20):
             II = value(evaluate(chart, prod, u).second_fundamental)
             assert np.max(np.abs(II - II.T)) < 1e-10, name
+
+
+def test_xi_quarter_turn_is_minus_J_nu(rng):
+    """The quarter turn that ``xi_ambient`` hard-codes is -J nu, bit for
+    bit in every slot it keeps, on a random normal jet at one point and at
+    a batch of points."""
+    from spinlab.product import J_MATRIX
+    chart, prod = build_chart("graph"), build_product(1.0, -0.5)
+    for u in (sample(chart, rng, 1)[0], sample(chart, rng, 7)):
+        ev = evaluate(chart, prod, u)
+        nu = Jet(rng.standard_normal(ev.nu.c.shape), (4,))
+        xi = ev.replace(nu=nu).xi_ambient
+        assert xi.order == 1 and xi.shape == (4,)
+        want = -np.einsum("ab,kb...->ka...", J_MATRIX, nu.c[:4])
+        assert np.array_equal(xi.c, want)
 
 
 def test_rank_detection_flags_corruption(rng):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import jet_constant, jet_exp
+from helpers import jet_constant, jet_exp, value
 from spinlab import jets
-from spinlab.jets import Jet, contract, stack, value, variables, worst_of
+from spinlab.jets import Jet, contract, stack, variables, worst_of
 
 coeffs = st.lists(st.floats(-3, 3, allow_nan=False, allow_infinity=False),
                   min_size=20, max_size=20)

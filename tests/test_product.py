@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from spinlab.jets import value
 from spinlab.product import (CLIFFORD, F_MATRIX, J_MATRIX, ProductModel,
                              structure)
 from spinlab.surfaces import OutsideDomainError, conformal
 
 from helpers import (conformal_factor, connection_matrix, curvature_form,
                      dense_christoffels, frame_components,
-                     loop_auxiliary_curvature_residual, metric_diagonal)
+                     loop_auxiliary_curvature_residual, metric_diagonal,
+                     value)
 
 
 def test_structure_tags_and_chirality():
@@ -24,7 +24,10 @@ def test_structure_tags_and_chirality():
 
 
 def test_F_and_J_algebra():
+    """F is a symmetric, trace-free involution and J a complex structure
+    commuting with it, exactly: the checks read them as constants."""
     assert np.max(np.abs(F_MATRIX @ F_MATRIX - np.eye(4))) == 0.0
+    assert np.max(np.abs(F_MATRIX - F_MATRIX.T)) == 0.0
     assert np.max(np.abs(J_MATRIX @ J_MATRIX + np.eye(4))) == 0.0
     assert np.max(np.abs(J_MATRIX @ F_MATRIX - F_MATRIX @ J_MATRIX)) == 0.0
     assert np.trace(F_MATRIX) == 0.0
@@ -256,6 +259,6 @@ def test_position_outside_a_factor_chart_is_named():
                           prod.factor_jets(q), [structure(1)]),
                       lambda q: prod.liouville_residual(prod.factor_jets(q))):
             with pytest.raises(OutsideDomainError,
-                               match=r"point \(1\.005, 0\.000\) outside "
+                               match=r"point \(1\.005, 0\) outside "
                                      r"chart of curvature -4\.0"):
                 probe(p)

@@ -378,6 +378,24 @@ def test_nan_residual_fails_the_check(monkeypatch, check, target):
     assert not report.passed
 
 
+def test_involution_and_converse_read_one_battery(monkeypatch):
+    """A full-registry run computes the splitting algebra once, and a NaN
+    at one point of it fails both checks that read it."""
+    from spinlab import hypersurfaces as hyp
+    original = hyp._involution_identities
+    calls = []
+
+    def with_nan(ev):
+        calls.append(1)
+        return {k: _nan_at(v, 1) for k, v in original(ev).items()}
+
+    monkeypatch.setattr(hyp, "_involution_identities", with_nan)
+    report = run_scenario(small_scenario(checks=None))
+    assert len(calls) == 1
+    failed = {rec.name for rec in report.checks if rec.verdict == "fail"}
+    assert failed == {"structure.involution", "theorem.converse_roundtrip"}
+
+
 def _worst_at_one_point(shape, n, worst):
     """Per-point residuals in ``shape`` that are 0 except ``worst`` at one
     point."""
@@ -758,12 +776,11 @@ def test_one_sample_controls_trip_over_the_sweep_grid(tmp_path, seed):
 
 @pytest.mark.parametrize("nan_at", [None, 0, 3, -1])
 def test_product_structure_reduces_one_array(monkeypatch, nan_at):
-    """The F-algebra residuals and the Liouville residuals reduce as one
-    array to the bits of the list of Python scalars it replaced, NaN
-    included."""
+    """The Liouville residuals reduce as one array to the bits of the list
+    of Python scalars it replaced, NaN included."""
     from spinlab.checks import ScenarioContext
     from spinlab.jets import worst_of
-    from spinlab.product import F_MATRIX, ProductModel
+    from spinlab.product import ProductModel
     original = ProductModel.liouville_residual
 
     def liouville(self, jets):
@@ -776,10 +793,8 @@ def test_product_structure_reduces_one_array(monkeypatch, nan_at):
     scenario = small_scenario(checks=AMBIENT[:1])
     ctx = ScenarioContext(scenario)
     got = run_scenario(scenario).checks[0].max_residual
-    listed = [float(np.abs(F_MATRIX @ F_MATRIX - np.eye(4)).max()),
-              float(np.abs(F_MATRIX - F_MATRIX.T).max()),
-              abs(float(np.trace(F_MATRIX)))]
-    listed.extend(np.ravel(liouville(ctx.product, ctx.factor_jets)))
+    listed = [float(x) for x in np.ravel(liouville(ctx.product,
+                                                   ctx.factor_jets))]
     assert type(got) is float and (nan_at is None) == (got == got)
     assert np.float64(got).tobytes() == np.float64(worst_of(listed)).tobytes()
 
@@ -925,6 +940,12 @@ def test_slipped_factor_formula_fails_an_ambient_check(monkeypatch, name):
      "scenario has no key 'structure_paring'"),
     ({"hypersurface": {"kind": "graph", "param": {"coeffs": [1e200] * 5}}},
      [], "hypersurface has no key 'param'; it reads 'kind', 'params'"),
+    # the out-of-chart position is named in 3 significant digits, not as
+    # two 200-digit numbers
+    ({"c2": -1.0, "hypersurface": {"kind": "sphere-circle-tube",
+                                   "params": {"a": 1e200}}}, [],
+     "e+199) outside chart of curvature -1.0 at u="),
+    ({"name": {"a": 1}}, [], "name must be a string, got dict"),
 ], ids=["negative-seed", "negative-seed-flag", "graph-four-coeffs",
         "non-numeric-param", "checks-as-string", "nan-curvature",
         "infinite-curvature", "orientation-zero", "graph-overflow",
@@ -940,7 +961,8 @@ def test_slipped_factor_formula_fails_an_ambient_check(monkeypatch, name):
         "string-radius", "string-tube-radius", "boolean-coeffs",
         "huge-integer-radius", "unknown-chart-parameter",
         "repeated-check", "unknown-check", "huge-sample-count",
-        "unknown-scenario-key", "unknown-hypersurface-key"])
+        "unknown-scenario-key", "unknown-hypersurface-key",
+        "huge-tube-radius", "non-string-name"])
 def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
                                             says):
     from spinlab.cli import main
@@ -955,6 +977,7 @@ def test_bad_scenario_exits_2_with_one_line(tmp_path, capsys, change, extra,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert says in err
+    assert len(err) <= 200, len(err)  # one readable line
 
 
 def test_samples_near_the_chart_rim_exit_0(tmp_path):
